@@ -323,3 +323,34 @@ class TestCorollary32:
         u = gmas["T2"]
         rep = corollary32_strengthen(u, block_decompose(u, LinearOperator.zero(u.algebra)))
         assert rep.passed
+
+
+_NET_ALGEBRAS = {"T3": lambda: upper_triangular(3), "M2": lambda: full_matrix(2)}
+_NET_KINDS = ("lc", "ltc", "jc", "der", "lieder", "jder", "ltd")
+
+
+@pytest.mark.parametrize("kind", _NET_KINDS)
+@pytest.mark.parametrize("name", sorted(_NET_ALGEBRAS))
+class TestOracleNet:
+    """Solver and membership against the brute-force oracle, every non-block kind."""
+
+    def test_solved_space_equals_dense_oracle(self, name, kind):
+        alg = _NET_ALGEBRAS[name]()
+        assert solve_identity_space(alg, K(kind)) == dense_identity_space(alg, kind)
+
+    def test_membership_agrees_with_oracle(self, name, kind):
+        alg = _NET_ALGEBRAS[name]()
+        space = solve_identity_space(alg, K(kind))
+        assert not space.is_full()
+        rng = random.Random(f"{name}-{kind}")
+        for _ in range(3):
+            member = rand_combination(space, rng)
+            while True:
+                off = tuple(F(rng.randint(-2, 2)) for _ in range(space.ambient))
+                if not space.contains_vector(off):
+                    break
+            outside = tuple(a + b for a, b in zip(member, off))
+            for flat, expected in ((member, True), (outside, False)):
+                op = LinearOperator.from_flat(alg, flat)
+                assert bool(is_identity_member(alg, K(kind), op)) is expected
+                assert residual_is_zero(alg, op.matrix, kind) is expected
