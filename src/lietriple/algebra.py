@@ -9,6 +9,7 @@ a unit raise ``NotUnital`` instead of guessing one.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -30,6 +31,25 @@ from .linalg import (
     zero_vec,
 )
 
+# The package's one cache.  Keys start with the algebra's content hash,
+# so equal algebras share entries even when built as separate objects
+# (every CLI request builds its own).
+_CACHE: dict[tuple, object] = {}
+
+
+def memoized(fn):
+    """Cache ``fn(alg, *args)`` under ``(alg.content_hash, name, *args)``."""
+    name = fn.__qualname__
+
+    @functools.wraps(fn)
+    def wrapper(alg, *args):
+        key = (alg.content_hash, name, *args)
+        if key not in _CACHE:
+            _CACHE[key] = fn(alg, *args)
+        return _CACHE[key]
+
+    return wrapper
+
 
 class StructureConstants:
     """An algebra given by its basis-indexed multiplication tensor."""
@@ -40,10 +60,6 @@ class StructureConstants:
         "labels",
         "content_hash",
         "_sparse",
-        "_left_mats",
-        "_right_mats",
-        "_unit_coords",
-        "_center",
     )
 
     def __init__(self, table, labels: Sequence[str] | None = None):
@@ -83,10 +99,6 @@ class StructureConstants:
         object.__setattr__(
             self, "content_hash", hashlib.sha256(payload.encode()).hexdigest()
         )
-        object.__setattr__(self, "_left_mats", {})
-        object.__setattr__(self, "_right_mats", {})
-        object.__setattr__(self, "_unit_coords", False)  # not computed yet
-        object.__setattr__(self, "_center", None)
 
     def __setattr__(self, *_):
         raise AttributeError("StructureConstants is immutable")
@@ -138,23 +150,17 @@ class StructureConstants:
 
     # -- multiplication operators -----------------------------------------
 
+    @memoized
     def left_mult_basis(self, i: int) -> Matrix:
         """Matrix of x -> e_i * x."""
-        m = self._left_mats.get(i)
-        if m is None:
-            n = self.dim
-            m = Matrix([[self.table[i][j][l] for j in range(n)] for l in range(n)])
-            self._left_mats[i] = m
-        return m
+        n = self.dim
+        return Matrix([[self.table[i][j][l] for j in range(n)] for l in range(n)])
 
+    @memoized
     def right_mult_basis(self, i: int) -> Matrix:
         """Matrix of x -> x * e_i."""
-        m = self._right_mats.get(i)
-        if m is None:
-            n = self.dim
-            m = Matrix([[self.table[j][i][l] for j in range(n)] for l in range(n)])
-            self._right_mats[i] = m
-        return m
+        n = self.dim
+        return Matrix([[self.table[j][i][l] for j in range(n)] for l in range(n)])
 
     def left_mult_of(self, coords: Sequence[Fraction]) -> Matrix:
         n = self.dim
@@ -270,11 +276,9 @@ def double_commutator(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement) -
     return commutator(commutator(x, y), z)
 
 
-def find_unit(alg: StructureConstants) -> AlgebraElement | None:
-    """Two-sided unit, or None.  Solves u*e_j = e_j = e_j*u for all j."""
-    cached = alg._unit_coords
-    if cached is not False:
-        return None if cached is None else AlgebraElement(alg, cached)
+@memoized
+def _unit_coords(alg: StructureConstants) -> tuple | None:
+    """Solves u*e_j = e_j = e_j*u for all j."""
     n = alg.dim
     rows: list[tuple] = []
     rhs: list[Fraction] = []
@@ -283,8 +287,12 @@ def find_unit(alg: StructureConstants) -> AlgebraElement | None:
             rows.extend(mat.data)
             rhs.extend(unit_vec(n, j))
     res = try_solve(Matrix(rows, cols=n), rhs)
-    coords = None if res is None else res[0]
-    object.__setattr__(alg, "_unit_coords", coords)
+    return None if res is None else res[0]
+
+
+def find_unit(alg: StructureConstants) -> AlgebraElement | None:
+    """Two-sided unit, or None."""
+    coords = _unit_coords(alg)
     return None if coords is None else AlgebraElement(alg, coords)
 
 
@@ -295,17 +303,14 @@ def require_unit(alg: StructureConstants) -> AlgebraElement:
     return u
 
 
+@memoized
 def center(alg: StructureConstants) -> Subspace:
     """Kernel of z -> (z e_i - e_i z) stacked over every basis index."""
-    if alg._center is not None:
-        return alg._center
     rows: list[tuple] = []
     for i in range(alg.dim):
         diff = alg.right_mult_basis(i) - alg.left_mult_basis(i)
         rows.extend(diff.data)
-    z = kernel(Matrix(rows, cols=alg.dim))
-    object.__setattr__(alg, "_center", z)
-    return z
+    return kernel(Matrix(rows, cols=alg.dim))
 
 
 def commutant(alg: StructureConstants, s: Subspace) -> Subspace:
@@ -321,6 +326,7 @@ def commutant(alg: StructureConstants, s: Subspace) -> Subspace:
     return kernel(Matrix(rows, cols=alg.dim))
 
 
+@memoized
 def double_commutator_span(alg: StructureConstants) -> Subspace:
     """Span of [[e_i, e_j], e_k] over all basis triples."""
     n = alg.dim

@@ -184,10 +184,6 @@ def _product_span(amb: StructureConstants, s: Subspace, t: Subspace) -> Subspace
     return Subspace(amb.dim, vecs)
 
 
-def _cell_space(n_total: int, rows: range, cols: range, vectors) -> Subspace:
-    return Subspace(n_total * n_total, vectors)
-
-
 def random_gma(
     rng: random.Random,
     max_corner_dim: int = 2,

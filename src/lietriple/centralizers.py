@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .algebra import AlgebraElement, LinearOperator, StructureConstants
+from .algebra import AlgebraElement, LinearOperator, StructureConstants, memoized
 from .errors import NotGMA, NotUnital
 from .gma import GMA
 from .linalg import (
@@ -26,6 +26,7 @@ from .linalg import (
     is_zero_vec,
     kernel_of_rows,
     unit_vec,
+    vec_add,
     vec_sub,
     zero_vec,
 )
@@ -63,6 +64,7 @@ class _TermTables:
         self.jord = [self.right[i] + self.left[i] for i in range(n)]
         self._dd: dict[tuple[int, int], Matrix | None] = {}
         self._brackets: dict[tuple[int, int], tuple] = {}
+        self._jordans: dict[tuple[int, int], tuple] = {}
         self._ad_minus: dict[tuple[int, int], Matrix | None] = {}
 
     def double_ad(self, j: int, k: int) -> Matrix | None:
@@ -83,6 +85,16 @@ class _TermTables:
             )
         return self._brackets[key]
 
+    def jordan(self, i: int, j: int) -> tuple:
+        key = (i, j)
+        if key not in self._jordans:
+            n = self.alg.dim
+            ei, ej = unit_vec(n, i), unit_vec(n, j)
+            self._jordans[key] = vec_add(
+                self.alg.mul_coords(ei, ej), self.alg.mul_coords(ej, ei)
+            )
+        return self._jordans[key]
+
     def ad_minus_bracket(self, i: int, j: int) -> Matrix | None:
         """Matrix of x -> [v, x] for v = [e_i, e_j], or None when zero."""
         key = (i, j)
@@ -96,15 +108,9 @@ class _TermTables:
         return self._ad_minus[key]
 
 
-_TABLE_CACHE: dict[str, _TermTables] = {}
-
-
+@memoized
 def _tables(alg: StructureConstants) -> _TermTables:
-    t = _TABLE_CACHE.get(alg.content_hash)
-    if t is None:
-        t = _TermTables(alg)
-        _TABLE_CACHE[alg.content_hash] = t
-    return t
+    return _TermTables(alg)
 
 
 def _constraint_tuples(
@@ -131,11 +137,7 @@ def _constraint_tuples(
             jj = t.jord[j]
             jj_zero = jj.is_zero()
             for i in range(n):
-                ei, ej = unit_vec(n, i), unit_vec(n, j)
-                w = tuple(
-                    a + b
-                    for a, b in zip(alg.mul_coords(ei, ej), alg.mul_coords(ej, ei))
-                )
+                w = t.jordan(i, j)
                 if jj_zero and is_zero_vec(w):
                     continue
                 yield (i, j), w, [(jj, i, 1)]
@@ -163,12 +165,7 @@ def _constraint_tuples(
         for i in range(n):
             ji = t.jord[i]
             for j in range(n):
-                ei, ej = unit_vec(n, i), unit_vec(n, j)
-                w = tuple(
-                    a + b
-                    for a, b in zip(alg.mul_coords(ei, ej), alg.mul_coords(ej, ei))
-                )
-                yield (i, j), w, [(t.jord[j], i, 1), (ji, j, 1)]
+                yield (i, j), t.jordan(i, j), [(t.jord[j], i, 1), (ji, j, 1)]
     elif kind is IdentityKind.LIE_TRIPLE_DERIVATION:
         for j in range(n):
             for k in range(n):
@@ -191,10 +188,25 @@ def _constraint_tuples(
         raise ValueError(f"unhandled identity kind {kind}")
 
 
-def _sparsity_rows(u: GMA) -> Iterator[dict[int, Fraction]]:
-    """Rows forcing zero outside the M->N and N->M corners."""
-    n = u.algebra.dim
-    m_range, n_range = set(u.block_range("M")), set(u.block_range("N"))
+def _identity_residuals(
+    alg: StructureConstants, kind: IdentityKind, matrix: Matrix
+) -> Iterator[tuple[tuple, tuple, tuple]]:
+    """Yield (tag, lhs, rhs): both sides of each constraint tuple on an operator."""
+    images = [matrix.col(j) for j in range(alg.dim)]
+    for tag, w, terms in _constraint_tuples(alg, kind):
+        rhs = zero_vec(alg.dim)
+        for g, i, sign in terms:
+            rhs = tuple(a + sign * b for a, b in zip(rhs, g.matvec(images[i])))
+        yield tag, matrix.matvec(w), rhs
+
+
+def _sparsity_rows(n: int, dims: tuple[int, int, int, int]) -> Iterator[dict[int, Fraction]]:
+    """Rows forcing zero outside the M->N and N->M corners.
+
+    ``dims`` are the GMA's block sizes, in its basis order A, M, N, B.
+    """
+    da, dm, dn, _ = dims
+    m_range, n_range = range(da, da + dm), range(da + dm, da + dm + dn)
     for c in range(n):
         for r in range(n):
             allowed = (c in m_range and r in n_range) or (c in n_range and r in m_range)
@@ -210,7 +222,11 @@ def _resolve(alg_or_gma, kind: IdentityKind) -> tuple[StructureConstants, GMA | 
     return alg_or_gma, None
 
 
-_SPACE_CACHE: dict[tuple[str, IdentityKind, tuple | None], Subspace] = {}
+def _base_kind(kind: IdentityKind) -> IdentityKind:
+    """The identity whose tuples a kind evaluates (the singular kind adds a pattern)."""
+    if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION:
+        return IdentityKind.JORDAN_DERIVATION
+    return kind
 
 
 def solve_identity_space(alg_or_gma, kind: IdentityKind) -> Subspace:
@@ -220,20 +236,16 @@ def solve_identity_space(alg_or_gma, kind: IdentityKind) -> Subspace:
     """
     alg, u = _resolve(alg_or_gma, kind)
     # the singular kind's sparsity pattern depends on the block geometry
-    block_key = u.dims if (u is not None and kind is IdentityKind.SINGULAR_JORDAN_DERIVATION) else None
-    cache_key = (alg.content_hash, kind, block_key)
-    hit = _SPACE_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
+    dims = u.dims if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION else None
+    return _solved_space(alg, kind, dims)
+
+
+@memoized
+def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | None) -> Subspace:
     n = alg.dim
 
     def rows() -> Iterator[dict[int, Fraction]]:
-        base_kind = (
-            IdentityKind.JORDAN_DERIVATION
-            if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION
-            else kind
-        )
-        for _tag, w, terms in _constraint_tuples(alg, base_kind):
+        for _tag, w, terms in _constraint_tuples(alg, _base_kind(kind)):
             for l in range(n):
                 row: dict[int, Fraction] = {}
                 for c, wc in enumerate(w):
@@ -247,14 +259,10 @@ def solve_identity_space(alg_or_gma, kind: IdentityKind) -> Subspace:
                             row[key] = row.get(key, Fraction(0)) - sign * val
                 if row:
                     yield row
-        if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION:
-            if u is None:
-                raise NotGMA("singular Jordan derivations need block structure")
-            yield from _sparsity_rows(u)
+        if dims is not None:
+            yield from _sparsity_rows(n, dims)
 
-    space = kernel_of_rows(n * n, rows())
-    _SPACE_CACHE[cache_key] = space
-    return space
+    return kernel_of_rows(n * n, rows())
 
 
 @dataclass(frozen=True)
@@ -273,36 +281,20 @@ class IdentityCheck:
 def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> IdentityCheck:
     """Evaluate every constraint tuple on the operator directly."""
     alg, u = _resolve(alg_or_gma, kind)
-    base_kind = (
-        IdentityKind.JORDAN_DERIVATION
-        if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION
-        else kind
-    )
     n = alg.dim
     if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION:
-        assert u is not None
         flat = op.flatten()
-        for row in _sparsity_rows(u):
+        for row in _sparsity_rows(n, u.dims):
             ((pos, _),) = row.items()
             if flat[pos] != 0:
                 c, r = divmod(pos, n)
                 return IdentityCheck(
                     False, (r, c), alg.element(op.matrix.col(c)), alg.zero()
                 )
-    images = [op.matrix.col(j) for j in range(n)]
-    for tag, w, terms in _constraint_tuples(alg, base_kind):
-        lhs = op.matrix.matvec(w)
-        rhs = zero_vec(n)
-        for g, i, sign in terms:
-            gv = g.matvec(images[i])
-            rhs = tuple(a + sign * b for a, b in zip(rhs, gv))
+    for tag, lhs, rhs in _identity_residuals(alg, _base_kind(kind), op.matrix):
         if lhs != rhs:
             return IdentityCheck(False, tag, alg.element(lhs), alg.element(rhs))
     return IdentityCheck(True)
-
-
-def contains_identity_operator(alg: StructureConstants, kind: IdentityKind) -> bool:
-    return bool(is_identity_member(alg, kind, LinearOperator.identity(alg)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,56 +431,42 @@ def _structure_residuals(u: GMA, maps: dict[str, Matrix]):
     alpha4, beta4 = maps["alpha4"], maps["beta4"]
 
     # alpha1 and beta4 satisfy the triple identity on their own corners
-    for tag, w, terms in _constraint_tuples(A, IdentityKind.LIE_TRIPLE_CENTRALIZER):
-        lhs = alpha1.matvec(w)
-        rhs = zero_vec(da)
-        for g, i, sign in terms:
-            gv = g.matvec(alpha1.col(i))
-            rhs = tuple(a + sign * b for a, b in zip(rhs, gv))
+    ltc = IdentityKind.LIE_TRIPLE_CENTRALIZER
+    for tag, lhs, rhs in _identity_residuals(A, ltc, alpha1):
         yield "alpha1 triple identity on A", tag, vec_sub(lhs, rhs)
-    for tag, w, terms in _constraint_tuples(B, IdentityKind.LIE_TRIPLE_CENTRALIZER):
-        lhs = beta4.matvec(w)
-        rhs = zero_vec(db)
-        for g, i, sign in terms:
-            gv = g.matvec(beta4.col(i))
-            rhs = tuple(a + sign * b for a, b in zip(rhs, gv))
+    for tag, lhs, rhs in _identity_residuals(B, ltc, beta4):
         yield "beta4 triple identity on B", tag, vec_sub(lhs, rhs)
 
     # alpha4 lands in the double commutant of B; beta1 in that of A
+    ta, tb = _tables(A), _tables(B)
     for ia in range(da):
         img = alpha4.col(ia)
         for j1 in range(db):
             for j2 in range(db):
-                e1, e2 = unit_vec(db, j1), unit_vec(db, j2)
-                inner = vec_sub(B.mul_coords(img, e1), B.mul_coords(e1, img))
-                outer = vec_sub(B.mul_coords(inner, e2), B.mul_coords(e2, inner))
-                yield "[[alpha4(a),b1],b2] = 0", (ia, j1, j2), outer
+                d = tb.double_ad(j1, j2)
+                if d is not None:
+                    yield "[[alpha4(a),b1],b2] = 0", (ia, j1, j2), d.matvec(img)
     for ib in range(db):
         img = beta1.col(ib)
         for j1 in range(da):
             for j2 in range(da):
-                e1, e2 = unit_vec(da, j1), unit_vec(da, j2)
-                inner = vec_sub(A.mul_coords(img, e1), A.mul_coords(e1, img))
-                outer = vec_sub(A.mul_coords(inner, e2), A.mul_coords(e2, inner))
-                yield "[[beta1(b),a1],a2] = 0", (ib, j1, j2), outer
+                d = ta.double_ad(j1, j2)
+                if d is not None:
+                    yield "[[beta1(b),a1],a2] = 0", (ib, j1, j2), d.matvec(img)
 
     # alpha4 and beta1 kill second commutators of their source corners
-    ta = _tables(A)
     for i in range(da):
         for j in range(da):
             for k in range(da):
                 d = ta.double_ad(j, k)
-                if d is None:
-                    continue
-                yield "alpha4 kills [[A,A],A]", (i, j, k), alpha4.matvec(d.col(i))
-    tb = _tables(B)
+                if d is not None:
+                    yield "alpha4 kills [[A,A],A]", (i, j, k), alpha4.matvec(d.col(i))
     for i in range(db):
         for j in range(db):
             for k in range(db):
                 d = tb.double_ad(j, k)
-                if d is None:
-                    continue
-                yield "beta1 kills [[B,B],B]", (i, j, k), beta1.matvec(d.col(i))
+                if d is not None:
+                    yield "beta1 kills [[B,B],B]", (i, j, k), beta1.matvec(d.col(i))
 
     # pairing conditions over all basis m, n
     for p in range(dm):
@@ -615,35 +593,17 @@ def six_map_solution_space(u: GMA) -> Subspace:
     probing the residual evaluator on unit tuples, which keeps this
     solver and the verifier literally the same code.
     """
-    shapes = six_map_shapes(u)
-    sizes = [shapes[f][0] * shapes[f][1] for f in _SIX_MAP_FIELDS]
-    total = sum(sizes)
-
-    def unflatten(flat: Sequence[Fraction]) -> dict[str, Matrix]:
-        out = {}
-        pos = 0
-        for fname in _SIX_MAP_FIELDS:
-            r, c = shapes[fname]
-            chunk = flat[pos : pos + r * c]
-            pos += r * c
-            out[fname] = (
-                Matrix.from_cols([chunk[j * r : (j + 1) * r] for j in range(c)])
-                if r * c
-                else Matrix.zeros(r, c)
-            )
-        return out
-
+    total = sum(r * c for r, c in six_map_shapes(u).values())
     columns: list[list[Fraction]] = []
     for t in range(total):
         flat = [Fraction(0)] * total
         flat[t] = Fraction(1)
         res: list[Fraction] = []
-        for _label, _tag, residual in _structure_residuals(u, unflatten(flat)):
+        for _label, _tag, residual in _structure_residuals(u, six_maps_from_flat(u, flat)):
             res.extend(residual)
         columns.append(res)
     rows = (dict(enumerate(r)) for r in zip(*columns))
-    space = kernel_of_rows(total, rows)
-    return space
+    return kernel_of_rows(total, rows)
 
 
 def six_maps_from_flat(u: GMA, flat: Sequence[Fraction]) -> dict[str, Matrix]:

@@ -24,7 +24,7 @@ from .centralizers import (
 from .derivations import check_thm41_hypotheses, decompose_generalized_ltd, GLTDDecomposition
 from .errors import HashMismatch, LieTripleError
 from .gma import block_center, check_annihilating_conditions, eta_map
-from .io import dump_json, load_json, operator_from_doc, vector_doc
+from .io import dump_json, load_json, operator_from_doc, parse_grid, vector_doc
 from .properness import (
     Infeasible,
     PropernessCertificate,
@@ -210,9 +210,7 @@ def _cmd_hypotheses(args) -> int:
         return 2
     candidates = None
     if args.candidates_m0:
-        from fractions import Fraction
-
-        candidates = [[Fraction(x) for x in row] for row in load_json(args.candidates_m0)]
+        candidates = parse_grid(load_json(args.candidates_m0))
     cor = check_cor36_hypotheses(entry.gma)
     thm = check_thm41_hypotheses(entry.gma, candidates_m0=candidates)
     results = {

@@ -199,16 +199,8 @@ def _center_shape_matches(u: GMA, m0: Sequence[Fraction] | None, n0: Sequence[Fr
                 + tuple(-ctx.N.act_left(unit_vec(db, j), n0)[q] for j in range(db))
             )
     pairs = kernel_of_rows(da + db, rows) if rows else Subspace.full(da + db)
-    n = u.algebra.dim
-    embedded = []
-    for v in pairs.basis:
-        x = [Fraction(0)] * n
-        for i, val in zip(u.block_range("A"), v[:da]):
-            x[i] = val
-        for i, val in zip(u.block_range("B"), v[da:]):
-            x[i] = val
-        embedded.append(tuple(x))
-    return Subspace(n, embedded) == center(u.algebra)
+    embedded = [u.element_from_corners(a=v[:da], b=v[da:]).coords for v in pairs.basis]
+    return Subspace(u.algebra.dim, embedded) == center(u.algebra)
 
 
 def check_thm41_hypotheses(

@@ -524,16 +524,8 @@ def block_center(u: GMA) -> Subspace:
         if not rows
         else kernel(Matrix(rows, cols=da + db))
     )
-    n = u.algebra.dim
-    embedded = []
-    for v in pairs.basis:
-        x = [Fraction(0)] * n
-        for i, val in zip(u.block_range("A"), v[:da]):
-            x[i] = val
-        for i, val in zip(u.block_range("B"), v[da:]):
-            x[i] = val
-        embedded.append(tuple(x))
-    return Subspace(n, embedded)
+    embedded = [u.element_from_corners(a=v[:da], b=v[da:]).coords for v in pairs.basis]
+    return Subspace(u.algebra.dim, embedded)
 
 
 class EtaMap:

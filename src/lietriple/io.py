@@ -1,20 +1,26 @@
-"""JSON document forms for algebras, contexts, operators and subspaces.
+"""JSON document forms for algebras, contexts and operators.
 
 Rationals appear as "p/q" strings ("p" when the denominator is 1) in
-every document.  Operator documents carry the content hash of the
-algebra they were solved on and are rejected against anything else.
+every document; a plain JSON integer is also read.  Operator documents
+carry the content hash of the algebra they were solved on and are
+rejected against anything else.  A malformed rational, a grid that is
+not a list of lists, or a document that is not an object raises
+ValueError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import LinearOperator, StructureConstants
 from .errors import HashMismatch
-from .gma import GMA, Bimodule, MoritaContext, assemble
-from .linalg import Matrix, Subspace
+from .gma import Bimodule, MoritaContext
+from .linalg import Matrix
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def format_rat(x: Fraction) -> str:
@@ -22,15 +28,36 @@ def format_rat(x: Fraction) -> str:
 
 
 def parse_rat(s) -> Fraction:
+    """A JSON int (not a bool), or a "p" or "p/q" string with q != 0."""
+    if isinstance(s, bool) or not (
+        isinstance(s, int) or (isinstance(s, str) and _RATIONAL.fullmatch(s))
+    ):
+        raise ValueError(f"not a rational: {s!r}")
     return Fraction(s)
+
+
+def _expect(value, kind: type, what: str):
+    """value itself when it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        json_kind = "object" if kind is dict else "list"
+        raise ValueError(f"{what} must be a JSON {json_kind}, not {type(value).__name__}")
+    return value
 
 
 def _grid(rows) -> list:
     return [[format_rat(x) for x in row] for row in rows]
 
 
-def _parse_grid(rows) -> list:
-    return [[parse_rat(x) for x in row] for row in rows]
+def parse_grid(rows) -> list:
+    """A JSON list of lists of rationals."""
+    return [
+        [parse_rat(x) for x in _expect(row, list, "grid row")]
+        for row in _expect(rows, list, "grid")
+    ]
+
+
+def _parse_planes(planes) -> list:
+    return [parse_grid(plane) for plane in _expect(planes, list, "tensor")]
 
 
 def sc_to_doc(alg: StructureConstants) -> dict:
@@ -42,8 +69,11 @@ def sc_to_doc(alg: StructureConstants) -> dict:
 
 
 def sc_from_doc(doc: dict) -> StructureConstants:
-    table = [_parse_grid(plane) for plane in doc["table"]]
-    return StructureConstants(table, doc.get("labels"))
+    _expect(doc, dict, "algebra document")
+    labels = doc.get("labels")
+    if labels is not None:
+        _expect(labels, list, "labels")
+    return StructureConstants(_parse_planes(doc["table"]), labels)
 
 
 def bimodule_to_doc(m: Bimodule) -> dict:
@@ -55,12 +85,9 @@ def bimodule_to_doc(m: Bimodule) -> dict:
 
 
 def bimodule_from_doc(doc: dict, left_dim: int, right_dim: int) -> Bimodule:
+    _expect(doc, dict, "bimodule document")
     return Bimodule(
-        doc["dim"],
-        left_dim,
-        right_dim,
-        [_parse_grid(plane) for plane in doc["left"]],
-        [_parse_grid(plane) for plane in doc["right"]],
+        doc["dim"], left_dim, right_dim, _parse_planes(doc["left"]), _parse_planes(doc["right"])
     )
 
 
@@ -76,22 +103,12 @@ def context_to_doc(ctx: MoritaContext) -> dict:
 
 
 def context_from_doc(doc: dict) -> MoritaContext:
+    _expect(doc, dict, "context document")
     a = sc_from_doc(doc["A"])
     b = sc_from_doc(doc["B"])
     m = bimodule_from_doc(doc["M"], a.dim, b.dim)
     n = bimodule_from_doc(doc["N"], b.dim, a.dim)
-    return MoritaContext(
-        a,
-        b,
-        m,
-        n,
-        [_parse_grid(plane) for plane in doc["zeta"]],
-        [_parse_grid(plane) for plane in doc["psi"]],
-    )
-
-
-def gma_from_context_doc(doc: dict) -> GMA:
-    return assemble(context_from_doc(doc))
+    return MoritaContext(a, b, m, n, _parse_planes(doc["zeta"]), _parse_planes(doc["psi"]))
 
 
 def operator_to_doc(op: LinearOperator) -> dict:
@@ -103,17 +120,13 @@ def operator_to_doc(op: LinearOperator) -> dict:
 
 
 def operator_from_doc(doc: dict, algebra: StructureConstants) -> LinearOperator:
+    _expect(doc, dict, "operator document")
     if doc.get("algebra_hash") != algebra.content_hash:
         raise HashMismatch(
             "operator was saved against a different algebra "
             f"({doc.get('algebra_hash')!r} != {algebra.content_hash!r})"
         )
-    cols = [[parse_rat(x) for x in col] for col in doc["matrix"]]
-    return LinearOperator(algebra, Matrix.from_cols(cols))
-
-
-def subspace_to_doc(s: Subspace) -> dict:
-    return {"ambient": s.ambient, "dim": s.dim, "basis": _grid(s.basis)}
+    return LinearOperator(algebra, Matrix.from_cols(parse_grid(doc["matrix"])))
 
 
 def dump_json(doc: dict) -> str:

@@ -5,11 +5,10 @@ Subspaces carry a canonical reduced-row-echelon basis, so two equal
 subspaces compare equal grid-by-grid and test output is reproducible.
 
 ``kernel_of_rows`` is the workhorse for the large, very redundant
-constraint systems produced elsewhere in the package.  It filters
-candidate pivot rows with Gaussian elimination modulo a fixed prime
-(vectorized through numpy), then recomputes everything exactly and
-checks every filtered-out row against the exact kernel, so the final
-answer is exact no matter how the modular pass behaved.
+constraint systems produced elsewhere in the package.  It brings each
+row to primitive integer form, drops duplicates, and eliminates the
+rest fraction-free over the integers; only the final back substitution
+uses Fractions.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
 
 from .errors import DimensionMismatch, Inconsistent
 
@@ -149,11 +147,6 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         return Matrix([vec_scale(c, r) for r in self.data], cols=self.cols)
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack: column counts differ")
-        return Matrix(self.data + other.data, cols=self.cols)
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.data)
@@ -369,9 +362,6 @@ class Subspace:
 # Large sparse constraint systems
 # ---------------------------------------------------------------------------
 
-# Mersenne prime small enough that (p-1)^2 still fits in int64.
-_FILTER_PRIME = (1 << 31) - 1
-
 SparseRow = tuple[tuple[int, int], ...]  # ((col, integer coeff), ...) sorted
 
 
@@ -435,73 +425,20 @@ class _IntEchelon:
         return rows, pivots
 
 
-def _modular_candidate_indices(int_rows: list[SparseRow], ambient: int) -> list[int]:
-    """Indices of rows that look pivot-worthy modulo the filter prime."""
-    p = _FILTER_PRIME
-    k = len(int_rows)
-    a = np.zeros((k, ambient), dtype=np.int64)
-    for i, row in enumerate(int_rows):
-        for c, v in row:
-            a[i, c] = v % p
-    idx = np.arange(k)
-    r = 0
-    for c in range(ambient):
-        if r == k:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        lead = r + nz[0]
-        if lead != r:
-            a[[r, lead]] = a[[lead, r]]
-            idx[[r, lead]] = idx[[lead, r]]
-        piv = int(a[r, c])
-        rest = a[r + 1:]
-        mask = rest[:, c] != 0
-        if mask.any():
-            rest[mask] = (rest[mask] * piv - np.outer(rest[mask, c], a[r])) % p
-        r += 1
-    return sorted(int(i) for i in idx[:r])
-
-
-def _sparse_dot_kernel(row: SparseRow, kvec: Sequence[Fraction]) -> Fraction:
-    return sum((kvec[c] * v for c, v in row), Fraction(0))
-
-
 def kernel_of_rows(ambient: int, rows: Iterable[Mapping[int, Fraction] | Sequence[Fraction]]) -> Subspace:
     """Exact kernel of a large stack of constraint rows.
 
-    Rows may be sparse mappings {col: value} or dense sequences; zero and
-    duplicate rows are dropped up front.  The modular pass only proposes
-    pivot rows; the closing check that every remaining row annihilates the
-    exact kernel is what makes the result exact, so a bad prime can only
-    cost time, never correctness.
+    Rows may be sparse mappings {col: value} or dense sequences.  Zero
+    and duplicate rows are dropped; every other row goes through the
+    integer echelon, so the kernel is exact by construction.
     """
+    ech = _IntEchelon(ambient)
     seen: set[SparseRow] = set()
-    unique: list[SparseRow] = []
     for row in rows:
         items = row.items() if isinstance(row, Mapping) else enumerate(row)
         sparse = _normalize_sparse((c, rat(x)) for c, x in items)
         if sparse and sparse not in seen:
             seen.add(sparse)
-            unique.append(sparse)
-    if not unique:
-        return Subspace.full(ambient)
-
-    candidates = set(_modular_candidate_indices(unique, ambient))
-    ech = _IntEchelon(ambient)
-    for i in sorted(candidates):
-        ech.insert(unique[i])
-
-    def current_kernel() -> list[Vector]:
-        rr, piv = ech.rref_fraction_rows()
-        return _kernel_from_rref(rr, piv, ambient)
-
-    kbasis = current_kernel()
-    for i, row in enumerate(unique):
-        if i in candidates:
-            continue
-        if any(_sparse_dot_kernel(row, kv) != 0 for kv in kbasis):
-            ech.insert(row)
-            kbasis = current_kernel()
-    return Subspace(ambient, kbasis)
+            ech.insert(sparse)
+    rr, piv = ech.rref_fraction_rows()
+    return Subspace(ambient, _kernel_from_rref(rr, piv, ambient))

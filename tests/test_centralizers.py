@@ -354,3 +354,24 @@ class TestOracleNet:
                 op = LinearOperator.from_flat(alg, flat)
                 assert bool(is_identity_member(alg, K(kind), op)) is expected
                 assert residual_is_zero(alg, op.matrix, kind) is expected
+
+
+def test_equal_algebras_built_apart_share_one_solve(monkeypatch):
+    import lietriple.algebra
+    import lietriple.centralizers
+
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    calls = []
+    exact = lietriple.centralizers.kernel_of_rows
+
+    def counting(ambient, rows):
+        calls.append(ambient)
+        return exact(ambient, rows)
+
+    monkeypatch.setattr(lietriple.centralizers, "kernel_of_rows", counting)
+    first, second = upper_triangular(3), upper_triangular(3)
+    assert first is not second
+    assert solve_identity_space(first, K.LIE_TRIPLE_CENTRALIZER) == solve_identity_space(
+        second, K.LIE_TRIPLE_CENTRALIZER
+    )
+    assert calls == [36]

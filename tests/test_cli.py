@@ -1,7 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import lietriple
 from lietriple.algebra import LinearOperator
 from lietriple.catalog import resolve
 from lietriple.cli import main
@@ -158,3 +163,32 @@ class TestVerifyPaper:
         assert first.stdout == second.stdout
         doc = json.loads(first.stdout)
         assert doc["results"]["all_passed"] is True
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"table": [[["1/0"]]]},
+            [[["1"]]],
+            {"table": [["10", "00"], ["00", "00"]]},
+            {"table": [[[True]]]},
+            {"table": [[["1.5"]]]},
+        ],
+        ids=["zero-denominator", "top-level-array", "string-rows", "bool-entry", "decimal-entry"],
+    )
+    def test_exit_two_with_one_line(self, capsys, tmp_path, doc):
+        path = tmp_path / "A.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", f"m2({path})", "--identity", "ltc")
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input:") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(lietriple.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lietriple.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "False"
