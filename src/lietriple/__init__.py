@@ -13,7 +13,6 @@ from .algebra import (
     jordan_product,
     largest_central_ideal,
     multiplication_operator,
-    multiply,
 )
 from .centralizers import (
     BlockDecomposition,

@@ -19,9 +19,11 @@ from .errors import AlgebraMismatch, DimensionMismatch, NotAssociative, NotUnita
 from .linalg import (
     Matrix,
     Subspace,
+    contract,
     is_zero_vec,
-    kernel,
+    kernel_of_rows,
     rat,
+    sparse_tensor,
     try_solve,
     unit_vec,
     vec,
@@ -78,14 +80,7 @@ class StructureConstants:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "table", tbl)
         object.__setattr__(self, "labels", labels)
-        sparse = tuple(
-            tuple(
-                tuple((k, x) for k, x in enumerate(tbl[i][j]) if x != 0)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        object.__setattr__(self, "_sparse", sparse)
+        object.__setattr__(self, "_sparse", sparse_tensor(tbl))
         self._check_associativity()
         payload = json.dumps(
             {
@@ -135,18 +130,7 @@ class StructureConstants:
         return AlgebraElement(self, zero_vec(self.dim))
 
     def mul_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple:
-        out = [Fraction(0)] * self.dim
-        sp = self._sparse
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                f = xi * yj
-                for k, c in sp[i][j]:
-                    out[k] += f * c
-        return tuple(out)
+        return contract(self._sparse, x, y, self.dim)
 
     # -- multiplication operators -----------------------------------------
 
@@ -163,23 +147,19 @@ class StructureConstants:
         return Matrix([[self.table[j][i][l] for j in range(n)] for l in range(n)])
 
     def left_mult_of(self, coords: Sequence[Fraction]) -> Matrix:
-        n = self.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, xi in enumerate(coords):
-            if xi == 0:
-                continue
-            mat = self.left_mult_basis(i)
-            for l in range(n):
-                rows[l] = [a + xi * b for a, b in zip(rows[l], mat.data[l])]
-        return Matrix(rows, cols=n)
+        return self._combine(coords, self.left_mult_basis)
 
     def right_mult_of(self, coords: Sequence[Fraction]) -> Matrix:
+        return self._combine(coords, self.right_mult_basis)
+
+    def _combine(self, coords: Sequence[Fraction], basis_matrix) -> Matrix:
+        """sum_i coords[i] * basis_matrix(i)."""
         n = self.dim
         rows = [[Fraction(0)] * n for _ in range(n)]
         for i, xi in enumerate(coords):
             if xi == 0:
                 continue
-            mat = self.right_mult_basis(i)
+            mat = basis_matrix(i)
             for l in range(n):
                 rows[l] = [a + xi * b for a, b in zip(rows[l], mat.data[l])]
         return Matrix(rows, cols=n)
@@ -260,10 +240,6 @@ class AlgebraElement:
         return " + ".join(terms) if terms else "0"
 
 
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
 def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return x * y - y * x
 
@@ -310,20 +286,18 @@ def center(alg: StructureConstants) -> Subspace:
     for i in range(alg.dim):
         diff = alg.right_mult_basis(i) - alg.left_mult_basis(i)
         rows.extend(diff.data)
-    return kernel(Matrix(rows, cols=alg.dim))
+    return kernel_of_rows(alg.dim, rows)
 
 
 def commutant(alg: StructureConstants, s: Subspace) -> Subspace:
     """{a : a x = x a for every x in s}."""
     if s.ambient != alg.dim:
         raise DimensionMismatch("subspace does not live in the algebra")
-    if s.is_zero():
-        return Subspace.full(alg.dim)
     rows: list[tuple] = []
     for v in s.basis:
         diff = alg.right_mult_of(v) - alg.left_mult_of(v)
         rows.extend(diff.data)
-    return kernel(Matrix(rows, cols=alg.dim))
+    return kernel_of_rows(alg.dim, rows)
 
 
 @memoized
@@ -360,9 +334,7 @@ def largest_central_ideal(alg: StructureConstants) -> Subspace:
             for action in (alg.left_mult_basis(i), alg.right_mult_basis(i)):
                 for f in ann.basis:
                     rows.append(tuple(sum(f[l] * action.data[l][j] for l in range(alg.dim)) for j in range(alg.dim)))
-        if not rows:
-            break
-        stable = kernel(Matrix(rows, cols=alg.dim))
+        stable = kernel_of_rows(alg.dim, rows)
         nxt = v.intersect(stable)
         if nxt == v:
             break
@@ -422,10 +394,6 @@ class LinearOperator:
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.apply(x)
-
-    def compose(self, other: "LinearOperator") -> "LinearOperator":
-        _same_algebra(self.algebra, other.algebra)
-        return LinearOperator(self.algebra, self.matrix @ other.matrix)
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         _same_algebra(self.algebra, other.algebra)

@@ -171,8 +171,7 @@ def _commutator_into_center_forces_central(alg: StructureConstants) -> bool:
                     sum(f[l] * cg.data[l][m] for l in range(n)) for m in range(n)
                 )
             )
-    relaxed = Subspace.full(n) if not rows else kernel_of_rows(n, rows)
-    return relaxed == z
+    return kernel_of_rows(n, rows) == z
 
 
 def _center_shape_matches(u: GMA, m0: Sequence[Fraction] | None, n0: Sequence[Fraction] | None) -> bool:
@@ -198,7 +197,7 @@ def _center_shape_matches(u: GMA, m0: Sequence[Fraction] | None, n0: Sequence[Fr
                 tuple(ctx.N.act_right(n0, unit_vec(da, i))[q] for i in range(da))
                 + tuple(-ctx.N.act_left(unit_vec(db, j), n0)[q] for j in range(db))
             )
-    pairs = kernel_of_rows(da + db, rows) if rows else Subspace.full(da + db)
+    pairs = kernel_of_rows(da + db, rows)
     embedded = [u.element_from_corners(a=v[:da], b=v[da:]).coords for v in pairs.basis]
     return Subspace(u.algebra.dim, embedded) == center(u.algebra)
 

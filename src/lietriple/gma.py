@@ -32,11 +32,13 @@ from .errors import (
 from .linalg import (
     Matrix,
     Subspace,
+    contract,
     is_zero_vec,
-    kernel,
+    kernel_of_rows,
     rat,
     rref,
     solve,
+    sparse_tensor,
     unit_vec,
     vec,
 )
@@ -51,7 +53,7 @@ class Bimodule:
     here; the assembled algebra's associativity check covers them.
     """
 
-    __slots__ = ("dim", "left_dim", "right_dim", "left", "right")
+    __slots__ = ("dim", "left_dim", "right_dim", "left", "right", "_left", "_right")
 
     def __init__(self, dim: int, left_dim: int, right_dim: int, left, right):
         left = tuple(tuple(vec(row) for row in plane) for plane in left)
@@ -70,6 +72,8 @@ class Bimodule:
         object.__setattr__(self, "right_dim", right_dim)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_left", sparse_tensor(left))
+        object.__setattr__(self, "_right", sparse_tensor(right))
 
     def __setattr__(self, *_):
         raise AttributeError("Bimodule is immutable")
@@ -89,42 +93,16 @@ class Bimodule:
         return cls(n, n, n, left, right)
 
     def act_left(self, a: Sequence[Fraction], m: Sequence[Fraction]) -> tuple:
-        out = [Fraction(0)] * self.dim
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            plane = self.left[i]
-            for p, mp in enumerate(m):
-                if mp == 0:
-                    continue
-                f = ai * mp
-                row = plane[p]
-                for q in range(self.dim):
-                    if row[q] != 0:
-                        out[q] += f * row[q]
-        return tuple(out)
+        return contract(self._left, a, m, self.dim)
 
     def act_right(self, m: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
-        out = [Fraction(0)] * self.dim
-        for p, mp in enumerate(m):
-            if mp == 0:
-                continue
-            plane = self.right[p]
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                f = mp * bj
-                row = plane[j]
-                for q in range(self.dim):
-                    if row[q] != 0:
-                        out[q] += f * row[q]
-        return tuple(out)
+        return contract(self._right, m, b, self.dim)
 
 
 class MoritaContext:
     """Two algebras, two bimodules and the two pairings between them."""
 
-    __slots__ = ("A", "B", "M", "N", "zeta", "psi")
+    __slots__ = ("A", "B", "M", "N", "zeta", "psi", "_zeta", "_psi")
 
     def __init__(self, A: StructureConstants, B: StructureConstants, M: Bimodule, N: Bimodule, zeta, psi):
         if M.left_dim != A.dim or M.right_dim != B.dim:
@@ -149,39 +127,17 @@ class MoritaContext:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "_zeta", sparse_tensor(zeta))
+        object.__setattr__(self, "_psi", sparse_tensor(psi))
 
     def __setattr__(self, *_):
         raise AttributeError("MoritaContext is immutable")
 
     def pair_mn(self, m: Sequence[Fraction], n: Sequence[Fraction]) -> tuple:
-        out = [Fraction(0)] * self.A.dim
-        for p, mp in enumerate(m):
-            if mp == 0:
-                continue
-            for q, nq in enumerate(n):
-                if nq == 0:
-                    continue
-                f = mp * nq
-                row = self.zeta[p][q]
-                for i in range(self.A.dim):
-                    if row[i] != 0:
-                        out[i] += f * row[i]
-        return tuple(out)
+        return contract(self._zeta, m, n, self.A.dim)
 
     def pair_nm(self, n: Sequence[Fraction], m: Sequence[Fraction]) -> tuple:
-        out = [Fraction(0)] * self.B.dim
-        for q, nq in enumerate(n):
-            if nq == 0:
-                continue
-            for p, mp in enumerate(m):
-                if mp == 0:
-                    continue
-                f = nq * mp
-                row = self.psi[q][p]
-                for j in range(self.B.dim):
-                    if row[j] != 0:
-                        out[j] += f * row[j]
-        return tuple(out)
+        return contract(self._psi, n, m, self.B.dim)
 
 
 class GMA:
@@ -226,15 +182,6 @@ class GMA:
     def project(self, block: str, coords: Sequence[Fraction]) -> tuple:
         r = self.block_range(block)
         return tuple(coords[i] for i in r)
-
-    def inject(self, block: str, part: Sequence[Fraction]) -> tuple:
-        r = self.block_range(block)
-        if len(part) != len(r):
-            raise DimensionMismatch(f"wrong length for block {block}")
-        out = [Fraction(0)] * self.algebra.dim
-        for i, x in zip(r, part):
-            out[i] = rat(x)
-        return tuple(out)
 
     def element_from_corners(self, a=None, m=None, n=None, b=None) -> AlgebraElement:
         out = [Fraction(0)] * self.algebra.dim
@@ -459,7 +406,7 @@ def check_annihilating_conditions(u: GMA) -> AnnihilatorReport:
     for p in range(dn):
         for q in range(dn):
             rows_a.append(tuple(ctx.N.right[p][j][q] for j in range(da)))
-    a_ann = Subspace.full(da) if not rows_a else kernel(Matrix(rows_a, cols=da))
+    a_ann = kernel_of_rows(da, rows_a)
 
     rows_b: list[tuple] = []
     for p in range(dm):
@@ -468,7 +415,7 @@ def check_annihilating_conditions(u: GMA) -> AnnihilatorReport:
     for p in range(dn):
         for q in range(dn):
             rows_b.append(tuple(ctx.N.left[i][p][q] for i in range(db)))
-    b_ann = Subspace.full(db) if not rows_b else kernel(Matrix(rows_b, cols=db))
+    b_ann = kernel_of_rows(db, rows_b)
     return AnnihilatorReport(a_ann, b_ann)
 
 
@@ -519,11 +466,7 @@ def block_center(u: GMA) -> Subspace:
                 tuple(ctx.N.right[p][j][q] for j in range(da))
                 + tuple(-ctx.N.left[i][p][q] for i in range(db))
             )
-    pairs = (
-        Subspace.full(da + db)
-        if not rows
-        else kernel(Matrix(rows, cols=da + db))
-    )
+    pairs = kernel_of_rows(da + db, rows)
     embedded = [u.element_from_corners(a=v[:da], b=v[da:]).coords for v in pairs.basis]
     return Subspace(u.algebra.dim, embedded)
 
@@ -548,26 +491,20 @@ class EtaMap:
         raise AttributeError("EtaMap is immutable")
 
     def apply(self, a: Sequence[Fraction]) -> tuple:
-        coeffs = self.domain.coefficients_of(a)
-        if coeffs is None:
-            raise DimensionMismatch("element outside the domain of eta")
-        out = [Fraction(0)] * (len(self.images[0]) if self.images else 0)
-        if not self.images:
-            return tuple(out)
-        for c, img in zip(coeffs, self.images):
-            for t, x in enumerate(img):
-                out[t] += c * x
-        return tuple(out)
+        return self._map(self.domain, self.images, a, "domain")
 
     def apply_inverse(self, b: Sequence[Fraction]) -> tuple:
-        coeffs = self.codomain.coefficients_of(b)
+        return self._map(self.codomain, self.preimages, b, "codomain")
+
+    @staticmethod
+    def _map(source: Subspace, targets: tuple, v: Sequence[Fraction], side: str) -> tuple:
+        """The combination of targets with v's coefficients in source's basis."""
+        coeffs = source.coefficients_of(v)
         if coeffs is None:
-            raise DimensionMismatch("element outside the codomain of eta")
-        out = [Fraction(0)] * (len(self.preimages[0]) if self.preimages else 0)
-        if not self.preimages:
-            return tuple(out)
-        for c, pre in zip(coeffs, self.preimages):
-            for t, x in enumerate(pre):
+            raise DimensionMismatch(f"element outside the {side} of eta")
+        out = [Fraction(0)] * (len(targets[0]) if targets else 0)
+        for c, target in zip(coeffs, targets):
+            for t, x in enumerate(target):
                 out[t] += c * x
         return tuple(out)
 

@@ -4,8 +4,9 @@ Rationals appear as "p/q" strings ("p" when the denominator is 1) in
 every document; a plain JSON integer is also read.  Operator documents
 carry the content hash of the algebra they were solved on and are
 rejected against anything else.  A malformed rational, a grid that is
-not a list of lists, or a document that is not an object raises
-ValueError.
+not a list of lists, a document that is not an object, or a ``dim``
+that is not a JSON int >= 0 (for an algebra: equal to its table size)
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _dim(value, what: str) -> int:
+    """A JSON int (not a bool) that is at least 0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be a JSON int >= 0, not {value!r}")
+    return value
+
+
 def _grid(rows) -> list:
     return [[format_rat(x) for x in row] for row in rows]
 
@@ -73,7 +81,10 @@ def sc_from_doc(doc: dict) -> StructureConstants:
     labels = doc.get("labels")
     if labels is not None:
         _expect(labels, list, "labels")
-    return StructureConstants(_parse_planes(doc["table"]), labels)
+    table = _parse_planes(doc["table"])
+    if "dim" in doc and _dim(doc["dim"], "algebra dim") != len(table):
+        raise ValueError(f"algebra dim {doc['dim']} but the table has size {len(table)}")
+    return StructureConstants(table, labels)
 
 
 def bimodule_to_doc(m: Bimodule) -> dict:
@@ -86,8 +97,9 @@ def bimodule_to_doc(m: Bimodule) -> dict:
 
 def bimodule_from_doc(doc: dict, left_dim: int, right_dim: int) -> Bimodule:
     _expect(doc, dict, "bimodule document")
+    dim = _dim(doc["dim"], "bimodule dim")
     return Bimodule(
-        doc["dim"], left_dim, right_dim, _parse_planes(doc["left"]), _parse_planes(doc["right"])
+        dim, left_dim, right_dim, _parse_planes(doc["left"]), _parse_planes(doc["right"])
     )
 
 

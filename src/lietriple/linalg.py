@@ -1,14 +1,17 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 All arithmetic uses ``fractions.Fraction``; nothing here ever rounds.
 Subspaces carry a canonical reduced-row-echelon basis, so two equal
 subspaces compare equal grid-by-grid and test output is reproducible.
 
-``kernel_of_rows`` is the workhorse for the large, very redundant
-constraint systems produced elsewhere in the package.  It brings each
-row to primitive integer form, drops duplicates, and eliminates the
-rest fraction-free over the integers; only the final back substitution
-uses Fractions.
+Each exact primitive is written once.  ``_echelon`` is the only row
+elimination: it brings each row to primitive integer form, drops
+duplicates, eliminates the rest fraction-free over the integers and
+turns the result into the unique reduced row-echelon form at the end.
+``Subspace``, ``kernel``, ``kernel_of_rows``, ``solve`` and ``rref`` all
+go through it.  ``contract`` is the only bilinear product: it applies a
+structure tensor, held in the sparse form ``sparse_tensor`` builds, to
+a pair of coordinate vectors.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, Inconsistent
 
-Rat = Fraction
 
 Vector = tuple[Fraction, ...]
 
@@ -60,6 +62,33 @@ def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
+
+
+# t[i][j] as the pairs (k, t[i][j][k]) with a nonzero coefficient
+SparseTensor = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+
+
+def sparse_tensor(t) -> SparseTensor:
+    return tuple(
+        tuple(tuple((k, x) for k, x in enumerate(row) if x != 0) for row in plane)
+        for plane in t
+    )
+
+
+def contract(sp: SparseTensor, x: Sequence[Fraction], y: Sequence[Fraction], out_dim: int) -> Vector:
+    """sum over i, j, k of x_i y_j t[i][j][k] e_k, for sp = sparse_tensor(t)."""
+    out = [Fraction(0)] * out_dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        plane = sp[i]
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            f = xi * yj
+            for k, c in plane[j]:
+                out[k] += f * c
+    return tuple(out)
 
 
 class Matrix:
@@ -105,16 +134,6 @@ class Matrix:
 
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.data)
-
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
-    def __getitem__(self, rc: tuple[int, int]) -> Fraction:
-        r, c = rc
-        return self.data[r][c]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.data), cols=self.rows) if self.data else Matrix([], cols=self.rows)
 
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
@@ -170,34 +189,103 @@ class Matrix:
             raise DimensionMismatch("shape mismatch")
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan; returns (rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+# ---------------------------------------------------------------------------
+# Elimination
+# ---------------------------------------------------------------------------
+
+SparseRow = tuple[tuple[int, int], ...]  # ((col, integer coeff), ...) sorted
 
 
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row-echelon form; same shape, row space preserved."""
-    rows, _ = _rref_rows([list(r) for r in m.data])
-    return Matrix(rows, cols=m.cols)
+def _normalize_sparse(items: Iterable[tuple[int, Fraction]]) -> SparseRow:
+    """Primitive integer form: cleared denominators, gcd 1, leading > 0."""
+    entries = sorted((c, x) for c, x in items if x != 0)
+    if not entries:
+        return ()
+    mult = lcm(*(x.denominator for _, x in entries))
+    ints = [(c, x.numerator * (mult // x.denominator)) for c, x in entries]
+    g = gcd(*(abs(v) for _, v in ints))
+    if ints[0][1] < 0:
+        g = -g
+    return tuple((c, v // g) for c, v in ints)
+
+
+def _primitive(row: list[int], lead: int) -> list[int]:
+    """row divided by the gcd of its entries, signed so row[lead] > 0."""
+    g = gcd(*row)
+    if row[lead] < 0:
+        g = -g
+    return [v // g for v in row]
+
+
+class _IntEchelon:
+    """Exact row echelon over Z (representing a Q row space)."""
+
+    def __init__(self, ambient: int):
+        self.ambient = ambient
+        self.rows: list[list[int]] = []
+        self.pivot_of_row: list[int] = []
+        self.row_of_pivot: dict[int, int] = {}
+
+    def insert(self, sparse: SparseRow) -> None:
+        """Add a nonzero primitive row; a row already in the span adds nothing."""
+        row = [0] * self.ambient
+        for c, v in sparse:
+            row[c] = v
+        lead = sparse[0][0]
+        while lead is not None and lead in self.row_of_pivot:
+            piv = self.rows[self.row_of_pivot[lead]]
+            a, b = piv[lead], row[lead]
+            g = gcd(a, b)
+            fa, fb = a // g, b // g
+            row = [fa * x - fb * y for x, y in zip(row, piv)]
+            lead = next((j for j in range(lead + 1, self.ambient) if row[j]), None)
+        if lead is not None:
+            self.row_of_pivot[lead] = len(self.rows)
+            self.rows.append(_primitive(row, lead))
+            self.pivot_of_row.append(lead)
+
+    def rref_fraction_rows(self) -> tuple[list[list[Fraction]], list[int]]:
+        """The unique reduced row-echelon form, in pivot order.
+
+        Back substitution stays fraction-free, one row at a time from the
+        bottom; only the final division by each pivot makes Fractions.
+        """
+        order = sorted(range(len(self.rows)), key=lambda i: self.pivot_of_row[i])
+        rows = [self.rows[i] for i in order]
+        pivots = [self.pivot_of_row[i] for i in order]
+        for r in range(len(rows) - 2, -1, -1):
+            row = rows[r]
+            for s in range(r + 1, len(rows)):
+                b = row[pivots[s]]
+                if b:
+                    below = rows[s]
+                    a = below[pivots[s]]
+                    g = gcd(a, b)
+                    fa, fb = a // g, b // g
+                    row = [fa * x - fb * y for x, y in zip(row, below)]
+            rows[r] = _primitive(row, pivots[r])
+        zero = Fraction(0)
+        return [
+            [Fraction(v, row[p]) if v else zero for v in row]
+            for row, p in zip(rows, pivots)
+        ], pivots
+
+
+def _echelon(ambient: int, rows: Iterable[Mapping[int, Fraction] | Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon basis of the span of rows, with its pivots.
+
+    Rows may be sparse mappings {col: value} or dense sequences.  Zero
+    and duplicate rows are dropped before the integer echelon sees them.
+    """
+    ech = _IntEchelon(ambient)
+    seen: set[SparseRow] = set()
+    for row in rows:
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        sparse = _normalize_sparse((c, rat(x)) for c, x in items)
+        if sparse and sparse not in seen:
+            seen.add(sparse)
+            ech.insert(sparse)
+    return ech.rref_fraction_rows()
 
 
 def _kernel_from_rref(rows: list[list[Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
@@ -214,10 +302,24 @@ def _kernel_from_rref(rows: list[list[Fraction]], pivots: list[int], ncols: int)
     return basis
 
 
+def kernel_of_rows(ambient: int, rows: Iterable[Mapping[int, Fraction] | Sequence[Fraction]]) -> Subspace:
+    """Exact kernel of a stack of constraint rows; no rows give Q^ambient.
+
+    Rows may be sparse mappings {col: value} or dense sequences.
+    """
+    rr, piv = _echelon(ambient, rows)
+    return Subspace(ambient, _kernel_from_rref(rr, piv, ambient))
+
+
 def kernel(m: Matrix) -> Subspace:
     """{v : m v = 0} with its canonical echelon basis."""
-    rows, pivots = _rref_rows([list(r) for r in m.data])
-    return Subspace(m.cols, _kernel_from_rref(rows, pivots, m.cols))
+    return kernel_of_rows(m.cols, m.data)
+
+
+def rref(m: Matrix) -> Matrix:
+    """Unique reduced row-echelon form; same shape, row space preserved."""
+    rows, _ = _echelon(m.cols, m.data)
+    return Matrix(rows + [zero_vec(m.cols)] * (m.rows - len(rows)), cols=m.cols)
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Vector, "Subspace"]:
@@ -228,17 +330,14 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Vector, "Subspace"]:
     """
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"rhs length {len(rhs)} vs {m.rows} rows")
-    aug = [list(row) + [rat(b)] for row, b in zip(m.data, rhs)]
-    if not aug:
-        return zero_vec(m.cols), Subspace.full(m.cols)
-    rows, pivots = _rref_rows(aug)
-    if pivots and pivots[-1] == m.cols:
+    n = m.cols
+    rows, pivots = _echelon(n + 1, [row + (rat(b),) for row, b in zip(m.data, rhs)])
+    if pivots and pivots[-1] == n:
         raise Inconsistent("no solution")
-    particular = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        particular[p] = rows[r][m.cols]
-    hom = [row[: m.cols] for row in rows]
-    return tuple(particular), Subspace(m.cols, _kernel_from_rref(hom, pivots, m.cols))
+    particular = [Fraction(0)] * n
+    for row, p in zip(rows, pivots):
+        particular[p] = row[n]
+    return tuple(particular), Subspace(n, _kernel_from_rref(rows, pivots, n))
 
 
 def try_solve(m: Matrix, rhs: Sequence[Fraction]):
@@ -259,14 +358,13 @@ class Subspace:
     __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
-        rows = [list(vec(v)) for v in vectors]
+        rows = [vec(v) for v in vectors]
         for r in rows:
             if len(r) != ambient:
                 raise DimensionMismatch(f"vector of length {len(r)} in ambient {ambient}")
-        reduced, pivots = _rref_rows(rows)
-        basis = tuple(tuple(reduced[i]) for i in range(len(pivots)))
+        reduced, pivots = _echelon(ambient, rows)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", tuple(map(tuple, reduced)))
         object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, *_):
@@ -325,9 +423,7 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """{f : f . u = 0 for all u here} under the coordinate pairing."""
-        if not self.basis:
-            return Subspace.full(self.ambient)
-        return kernel(Matrix(self.basis, cols=self.ambient))
+        return kernel_of_rows(self.ambient, self.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
@@ -338,7 +434,7 @@ class Subspace:
         if other.is_full():
             return self
         dual = self.annihilator().basis + other.annihilator().basis
-        return kernel(Matrix(dual, cols=self.ambient))
+        return kernel_of_rows(self.ambient, dual)
 
     def __eq__(self, other) -> bool:
         return (
@@ -356,89 +452,3 @@ class Subspace:
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:
             raise DimensionMismatch(f"ambient {self.ambient} vs {other.ambient}")
-
-
-# ---------------------------------------------------------------------------
-# Large sparse constraint systems
-# ---------------------------------------------------------------------------
-
-SparseRow = tuple[tuple[int, int], ...]  # ((col, integer coeff), ...) sorted
-
-
-def _normalize_sparse(items: Iterable[tuple[int, Fraction]]) -> SparseRow:
-    """Primitive integer form: cleared denominators, gcd 1, leading > 0."""
-    entries = sorted((c, x) for c, x in items if x != 0)
-    if not entries:
-        return ()
-    mult = lcm(*(x.denominator for _, x in entries))
-    ints = [(c, int(x * mult)) for c, x in entries]
-    g = gcd(*(abs(v) for _, v in ints))
-    if ints[0][1] < 0:
-        g = -g
-    return tuple((c, v // g) for c, v in ints)
-
-
-class _IntEchelon:
-    """Exact row echelon over Z (representing a Q row space)."""
-
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self.rows: list[list[int]] = []
-        self.pivot_of_row: list[int] = []
-        self.row_of_pivot: dict[int, int] = {}
-
-    def insert(self, sparse: SparseRow) -> bool:
-        row = [0] * self.ambient
-        for c, v in sparse:
-            row[c] = v
-        lead = next((j for j in range(self.ambient) if row[j]), None)
-        while lead is not None and lead in self.row_of_pivot:
-            piv = self.rows[self.row_of_pivot[lead]]
-            a, b = piv[lead], row[lead]
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-            row = [fa * x - fb * y for x, y in zip(row, piv)]
-            lead = next((j for j in range(lead + 1, self.ambient) if row[j]), None)
-        if lead is None:
-            return False
-        g = gcd(*(abs(v) for v in row if v))
-        if row[lead] < 0:
-            g = -g
-        row = [v // g for v in row]
-        self.row_of_pivot[lead] = len(self.rows)
-        self.rows.append(row)
-        self.pivot_of_row.append(lead)
-        return True
-
-    def rref_fraction_rows(self) -> tuple[list[list[Fraction]], list[int]]:
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivot_of_row[i])
-        rows = [[Fraction(v) for v in self.rows[i]] for i in order]
-        pivots = [self.pivot_of_row[i] for i in order]
-        for r in range(len(rows) - 1, -1, -1):
-            p = pivots[r]
-            inv = 1 / rows[r][p]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(r):
-                if rows[i][p] != 0:
-                    f = rows[i][p]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        return rows, pivots
-
-
-def kernel_of_rows(ambient: int, rows: Iterable[Mapping[int, Fraction] | Sequence[Fraction]]) -> Subspace:
-    """Exact kernel of a large stack of constraint rows.
-
-    Rows may be sparse mappings {col: value} or dense sequences.  Zero
-    and duplicate rows are dropped; every other row goes through the
-    integer echelon, so the kernel is exact by construction.
-    """
-    ech = _IntEchelon(ambient)
-    seen: set[SparseRow] = set()
-    for row in rows:
-        items = row.items() if isinstance(row, Mapping) else enumerate(row)
-        sparse = _normalize_sparse((c, rat(x)) for c, x in items)
-        if sparse and sparse not in seen:
-            seen.add(sparse)
-            ech.insert(sparse)
-    rr, piv = ech.rref_fraction_rows()
-    return Subspace(ambient, _kernel_from_rref(rr, piv, ambient))

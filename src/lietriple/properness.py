@@ -162,7 +162,7 @@ def is_proper_direct(
             rows.append([v[l] for v in zw])
             rhs.append(phi_w[l])
 
-    res = try_solve(Matrix(rows, cols=zdim) if rows else Matrix([], cols=zdim), rhs)
+    res = try_solve(Matrix(rows, cols=zdim), rhs)
     if res is None:
         witness = _singleton_witness(alg, phi, z, ann, mult_cols, probes)
         if witness is not None:
@@ -200,7 +200,7 @@ def _singleton_witness(alg, phi, z, ann, mult_cols, probes):
             [sum(f[l] * col[l] for l in range(n)) for col in zx] for f in ann.basis
         ]
         rhs = [sum(f[l] * phi_x[l] for l in range(n)) for f in ann.basis]
-        if try_solve(Matrix(rows, cols=z.dim) if rows else Matrix([], cols=z.dim), rhs) is None:
+        if try_solve(Matrix(rows, cols=z.dim), rhs) is None:
             return x, AlgebraElement(alg, phi_x)
     return None
 

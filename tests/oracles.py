@@ -5,12 +5,60 @@ multiplication operators.  The oracle here instead probes every matrix
 unit through plain element arithmetic, stacks the dense residuals, and
 takes a dense kernel.  Agreement between the two routes is what the
 dimension tests actually certify.
+
+Elimination here is a plain Fraction Gauss-Jordan that shares no code
+with the package's fraction-free integer echelon; kernels come back as
+canonical (reduced row-echelon) basis tuples, so they compare directly
+with ``Subspace.basis``.
 """
 
 from fractions import Fraction
 
 from lietriple.algebra import AlgebraElement, StructureConstants
-from lietriple.linalg import Matrix, Subspace, kernel, zero_vec
+from lietriple.linalg import zero_vec
+
+
+def gauss_jordan(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place Gauss-Jordan; returns (rows, pivot column list)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def row_space_basis(rows) -> tuple:
+    """The nonzero rows of the reduced row-echelon form, as tuples."""
+    reduced, pivots = gauss_jordan([[Fraction(x) for x in row] for row in rows])
+    return tuple(tuple(reduced[i]) for i in range(len(pivots)))
+
+
+def kernel_basis(rows, ncols: int) -> tuple:
+    """Canonical basis of {v : row . v = 0 for every row}."""
+    reduced, pivots = gauss_jordan([[Fraction(x) for x in row] for row in rows])
+    free = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        free.append(v)
+    return row_space_basis(free)
 
 
 def _elem(alg, coords):
@@ -71,8 +119,8 @@ def _residual_stream(alg: StructureConstants, images, kind: str):
         raise ValueError(kind)
 
 
-def dense_identity_space(alg: StructureConstants, kind: str) -> Subspace:
-    """Solution space by probing unit operators and a dense kernel."""
+def dense_identity_space(alg: StructureConstants, kind: str) -> tuple:
+    """Canonical basis of the solution space, by probing unit operators."""
     n = alg.dim
     columns = []
     for c in range(n):
@@ -85,8 +133,7 @@ def dense_identity_space(alg: StructureConstants, kind: str) -> Subspace:
             for res in _residual_stream(alg, images, kind):
                 col.extend(res)
             columns.append(col)
-    rows = list(zip(*columns))
-    return kernel(Matrix(rows, cols=n * n) if rows else Matrix([], cols=n * n))
+    return kernel_basis(zip(*columns), n * n)
 
 
 def residual_is_zero(alg: StructureConstants, op_matrix, kind: str) -> bool:

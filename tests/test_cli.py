@@ -185,6 +185,58 @@ class TestMalformedDocuments:
         assert err.startswith("invalid input:") and err.count("\n") == 1
 
 
+def _one_dim_documents(tmp_path, **overrides):
+    """Paths of A, M and B documents for tri(A,M,B) over Q, with overrides."""
+    docs = {
+        "A": {"table": [[["1"]]]},
+        "M": {"dim": 1, "left": [[["1"]]], "right": [[["1"]]]},
+        "B": {"table": [[["1"]]]},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**doc, **overrides.get(name, {})}))
+        paths[name] = str(path)
+    return paths
+
+
+class TestShapeErrors:
+    """Documents whose shapes do not fit exit 2 with one line, like malformed ones."""
+
+    @pytest.mark.parametrize(
+        "matrix", [[], [["1"]]], ids=["empty-matrix", "one-by-one-matrix"]
+    )
+    def test_operator_of_wrong_size(self, capsys, tmp_path, matrix):
+        entry = resolve("full_matrix(2)")
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"algebra_hash": entry.algebra.content_hash, "matrix": matrix}))
+        code, out, err = run_cli(capsys, "proper", "full_matrix(2)", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"M": {"dim": "1"}},
+            {"A": {"labels": ["x", "y"]}},
+            {"A": {"dim": 5}},
+        ],
+        ids=["string-bimodule-dim", "label-count", "algebra-dim-mismatch"],
+    )
+    def test_document_of_wrong_shape(self, capsys, tmp_path, overrides):
+        p = _one_dim_documents(tmp_path, **overrides)
+        spec = f"tri({p['A']},{p['M']},{p['B']})"
+        code, out, err = run_cli(capsys, "solve", spec, "--identity", "ltc")
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input:") and err.count("\n") == 1
+
+    def test_consistent_dims_are_accepted(self, capsys, tmp_path):
+        p = _one_dim_documents(tmp_path, A={"dim": 1, "labels": ["1"]})
+        spec = f"tri({p['A']},{p['M']},{p['B']})"
+        code, out, _ = run_cli(capsys, "solve", spec, "--identity", "ltc")
+        assert code == 0 and out.startswith("dim ")
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = str(Path(lietriple.__file__).resolve().parents[1])
     proc = subprocess.run(

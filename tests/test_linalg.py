@@ -3,8 +3,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lietriple.catalog import full_matrix, rationals, scalar_bimodule, triangular_context, upper_triangular
 from lietriple.errors import DimensionMismatch, Inconsistent
-from lietriple.linalg import Matrix, Subspace, kernel, kernel_of_rows, rref, solve, try_solve
+from lietriple.gma import Bimodule, MoritaContext
+from lietriple.linalg import (
+    Matrix,
+    Subspace,
+    contract,
+    kernel,
+    kernel_of_rows,
+    rref,
+    solve,
+    sparse_tensor,
+    try_solve,
+)
+from oracles import kernel_basis, row_space_basis
 
 F = Fraction
 
@@ -150,8 +163,13 @@ class TestProperties:
 
     @given(matrices())
     def test_kernel_of_rows_matches_dense_kernel(self, m):
-        # Same kernel through the sparse/modular route and the dense route.
-        assert kernel_of_rows(m.cols, list(m.data)) == kernel(m)
+        # The integer echelon against the independent Fraction Gauss-Jordan.
+        oracle = kernel_basis(m.data, m.cols)
+        assert kernel_of_rows(m.cols, list(m.data)).basis == oracle
+        assert kernel(m).basis == oracle
+        basis = row_space_basis(m.data)
+        zero_rows = ((F(0),) * m.cols,) * (m.rows - len(basis))
+        assert rref(m) == Matrix(basis + zero_rows, cols=m.cols)
 
     @given(matrices())
     def test_solve_consistency(self, m):
@@ -169,3 +187,63 @@ class TestKernelOfRows:
 
     def test_no_rows_gives_full(self):
         assert kernel_of_rows(3, []) == Subspace.full(3)
+
+
+def dense_contract(t, x, y, out_dim):
+    """The triple loop sum over i, j of x_i y_j t[i][j][k], entry by entry."""
+    return tuple(
+        sum((x[i] * y[j] * t[i][j][k] for i in range(len(x)) for j in range(len(y))), F(0))
+        for k in range(out_dim)
+    )
+
+
+def tensors_with_operands():
+    """(t, x, y, out_dim) with t of shape len(x) x len(y) x out_dim, dims 0..3."""
+    def draw(dims):
+        a, b, c = dims
+        vector = lambda n: st.lists(small_frac, min_size=n, max_size=n).map(tuple)
+        tensor = st.lists(st.lists(vector(c), min_size=b, max_size=b), min_size=a, max_size=a)
+        return st.tuples(tensor, vector(a), vector(b), st.just(c))
+
+    return st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).flatmap(draw)
+
+
+@given(tensors_with_operands())
+def test_contract_matches_dense_triple_loop(case):
+    t, x, y, out_dim = case
+    assert contract(sparse_tensor(t), x, y, out_dim) == dense_contract(t, x, y, out_dim)
+
+
+def _block_products():
+    """Every block product, named, with its raw tensor and operand dims."""
+    q = rationals()
+    tri = triangular_context(q, scalar_bimodule(), q)
+    zero = Bimodule.zero(2, 1)
+    t2 = upper_triangular(2)
+    m2 = full_matrix(2)
+    reg = Bimodule.regular(m2)
+    full = MoritaContext(m2, m2, reg, reg, m2.table, m2.table)
+    return {
+        "zero.act_left": (zero.act_left, zero.left, 2, 0, 0),
+        "zero.act_right": (zero.act_right, zero.right, 0, 1, 0),
+        "tri.pair_mn": (tri.pair_mn, tri.zeta, 1, 0, 1),
+        "tri.pair_nm": (tri.pair_nm, tri.psi, 0, 1, 1),
+        "tri.M.act_left": (tri.M.act_left, tri.M.left, 1, 1, 1),
+        "tri.M.act_right": (tri.M.act_right, tri.M.right, 1, 1, 1),
+        "tri.N.act_left": (tri.N.act_left, tri.N.left, 1, 0, 0),
+        "tri.N.act_right": (tri.N.act_right, tri.N.right, 0, 1, 0),
+        "full.pair_mn": (full.pair_mn, full.zeta, 4, 4, 4),
+        "full.pair_nm": (full.pair_nm, full.psi, 4, 4, 4),
+        "full.M.act_left": (full.M.act_left, full.M.left, 4, 4, 4),
+        "full.M.act_right": (full.M.act_right, full.M.right, 4, 4, 4),
+        "t2.mul_coords": (t2.mul_coords, t2.table, 3, 3, 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_block_products()))
+@given(data=st.data())
+def test_block_products_match_dense_triple_loop(name, data):
+    product, t, dx, dy, out_dim = _block_products()[name]
+    x = data.draw(st.lists(small_frac, min_size=dx, max_size=dx))
+    y = data.draw(st.lists(small_frac, min_size=dy, max_size=dy))
+    assert product(x, y) == dense_contract(t, x, y, out_dim)
