@@ -300,24 +300,46 @@ def commutant(alg: StructureConstants, s: Subspace) -> Subspace:
     return kernel_of_rows(alg.dim, rows)
 
 
+def _dense(n: int, entries) -> tuple:
+    out = [Fraction(0)] * n
+    for c, x in entries:
+        out[c] = x
+    return tuple(out)
+
+
+@memoized
+def basis_tensor(alg: StructureConstants, form: str) -> dict[tuple, tuple]:
+    """A basis form as {(i, j[, k]): ((coord, value), ...)}, nonzero values only.
+
+    ``form`` is ``product`` (e_i e_j), ``bracket`` ([e_i, e_j]),
+    ``jordan`` (e_i o e_j) or ``triple`` ([[e_i, e_j], e_k]).  Keys run
+    in lexicographic order; tuples where the form vanishes are left out.
+    """
+    n = alg.dim
+    e = [unit_vec(n, i) for i in range(n)]
+    if form == "triple":
+        brackets = ((key, _dense(n, w)) for key, w in basis_tensor(alg, "bracket").items())
+        values = (
+            ((i, j, k), vec_sub(alg.mul_coords(b, e[k]), alg.mul_coords(e[k], b)))
+            for (i, j), b in brackets
+            for k in range(n)
+        )
+    else:
+        prod = {(i, j): alg.mul_coords(e[i], e[j]) for i in range(n) for j in range(n)}
+        combine = {"product": lambda u, _: u, "bracket": vec_sub, "jordan": vec_add}[form]
+        values = ((key, combine(v, prod[key[::-1]])) for key, v in prod.items())
+    return {
+        key: tuple((c, x) for c, x in enumerate(v) if x != 0)
+        for key, v in values
+        if not is_zero_vec(v)
+    }
+
+
 @memoized
 def double_commutator_span(alg: StructureConstants) -> Subspace:
     """Span of [[e_i, e_j], e_k] over all basis triples."""
     n = alg.dim
-    vectors: set[tuple] = set()
-    for i in range(n):
-        for j in range(i + 1, n):  # [[e_i,e_j],e_k] = -[[e_j,e_i],e_k]
-            eij = alg.mul_coords(unit_vec(n, i), unit_vec(n, j))
-            eji = alg.mul_coords(unit_vec(n, j), unit_vec(n, i))
-            bracket = vec_sub(eij, eji)
-            if is_zero_vec(bracket):
-                continue
-            for k in range(n):
-                ek = unit_vec(n, k)
-                w = vec_sub(alg.mul_coords(bracket, ek), alg.mul_coords(ek, bracket))
-                if not is_zero_vec(w):
-                    vectors.add(w)
-    return Subspace(n, vectors)
+    return Subspace(n, {_dense(n, w) for w in basis_tensor(alg, "triple").values()})
 
 
 def largest_central_ideal(alg: StructureConstants) -> Subspace:

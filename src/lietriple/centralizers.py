@@ -1,23 +1,31 @@
 """Solution spaces of functional identities on a fixed algebra.
 
 Every identity handled here (Lie/Jordan centralizers, the derivation
-family, and their triple versions) is linear in the unknown operator,
-so each basis tuple contributes one vector equation.  Rows are indexed
-by the column-major vectorization of the operator, generated sparsely
-over all basis tuples, deduplicated, and fed to the exact kernel
-routine.  The same tuple/term expansion drives direct membership
-checking, which therefore agrees with the solved space by
-construction of the rows, not by accident.
+family, and their triple versions) is linear in the unknown operator
+phi and reads one basis form of the algebra: the product e_i e_j, the
+bracket [e_i, e_j], the Jordan product e_i o e_j or the triple bracket
+[[e_i, e_j], e_k].  ``_FORMS`` names, for each kind, that form and the
+slots phi enters on the right-hand side; a Lie triple centralizer is
+phi([[a,b],c]) = [[phi(a),b],c], a Lie triple derivation puts phi in
+all three slots of the same form.  Each basis tuple then contributes
+one vector equation.  ``_constraint_tuples`` is the only source of
+those equations: the solver turns them into sparse rows indexed by
+the column-major vectorization of the operator, deduplicated and fed
+to the exact kernel routine, and ``_identity_residuals`` evaluates the
+same equations on a given operator, so direct membership checking
+agrees with the solved space by construction of the rows, not by
+accident.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .algebra import AlgebraElement, LinearOperator, StructureConstants, memoized
+from .algebra import AlgebraElement, LinearOperator, StructureConstants, basis_tensor, memoized
 from .errors import NotGMA, NotUnital
 from .gma import GMA
 from .linalg import (
@@ -26,9 +34,7 @@ from .linalg import (
     is_zero_vec,
     kernel_of_rows,
     unit_vec,
-    vec_add,
     vec_sub,
-    zero_vec,
 )
 
 
@@ -43,161 +49,87 @@ class IdentityKind(Enum):
     SINGULAR_JORDAN_DERIVATION = "sjder"
 
 
-_CENTRALIZER_KINDS = {
-    IdentityKind.LIE_CENTRALIZER,
-    IdentityKind.LIE_TRIPLE_CENTRALIZER,
-    IdentityKind.JORDAN_CENTRALIZER,
+# kind -> (basis form, slots phi enters on the right-hand side); the
+# singular kind adds its sparsity pattern to the Jordan derivation rows
+_FORMS = {
+    IdentityKind.LIE_CENTRALIZER: ("bracket", (0,)),
+    IdentityKind.JORDAN_CENTRALIZER: ("jordan", (0,)),
+    IdentityKind.LIE_TRIPLE_CENTRALIZER: ("triple", (0,)),
+    IdentityKind.DERIVATION: ("product", (0, 1)),
+    IdentityKind.LIE_DERIVATION: ("bracket", (0, 1)),
+    IdentityKind.JORDAN_DERIVATION: ("jordan", (0, 1)),
+    IdentityKind.SINGULAR_JORDAN_DERIVATION: ("jordan", (0, 1)),
+    IdentityKind.LIE_TRIPLE_DERIVATION: ("triple", (0, 1, 2)),
 }
 
 
-class _TermTables:
-    """Cached multiplication-derived matrices for one algebra."""
-
-    def __init__(self, alg: StructureConstants):
-        self.alg = alg
-        n = alg.dim
-        self.left = [alg.left_mult_basis(i) for i in range(n)]
-        self.right = [alg.right_mult_basis(i) for i in range(n)]
-        # C_i : x -> [x, e_i]
-        self.ad_right = [self.right[i] - self.left[i] for i in range(n)]
-        # J_i : x -> x o e_i  (= e_i o x)
-        self.jord = [self.right[i] + self.left[i] for i in range(n)]
-        self._dd: dict[tuple[int, int], Matrix | None] = {}
-        self._brackets: dict[tuple[int, int], tuple] = {}
-        self._jordans: dict[tuple[int, int], tuple] = {}
-        self._ad_minus: dict[tuple[int, int], Matrix | None] = {}
-
-    def double_ad(self, j: int, k: int) -> Matrix | None:
-        """Matrix of x -> [[x, e_j], e_k], or None when identically zero."""
-        key = (j, k)
-        if key not in self._dd:
-            m = self.ad_right[k] @ self.ad_right[j]
-            self._dd[key] = None if m.is_zero() else m
-        return self._dd[key]
-
-    def bracket(self, i: int, j: int) -> tuple:
-        key = (i, j)
-        if key not in self._brackets:
-            n = self.alg.dim
-            ei, ej = unit_vec(n, i), unit_vec(n, j)
-            self._brackets[key] = vec_sub(
-                self.alg.mul_coords(ei, ej), self.alg.mul_coords(ej, ei)
-            )
-        return self._brackets[key]
-
-    def jordan(self, i: int, j: int) -> tuple:
-        key = (i, j)
-        if key not in self._jordans:
-            n = self.alg.dim
-            ei, ej = unit_vec(n, i), unit_vec(n, j)
-            self._jordans[key] = vec_add(
-                self.alg.mul_coords(ei, ej), self.alg.mul_coords(ej, ei)
-            )
-        return self._jordans[key]
-
-    def ad_minus_bracket(self, i: int, j: int) -> Matrix | None:
-        """Matrix of x -> [v, x] for v = [e_i, e_j], or None when zero."""
-        key = (i, j)
-        if key not in self._ad_minus:
-            v = self.bracket(i, j)
-            if is_zero_vec(v):
-                self._ad_minus[key] = None
-            else:
-                m = self.alg.left_mult_of(v) - self.alg.right_mult_of(v)
-                self._ad_minus[key] = None if m.is_zero() else m
-        return self._ad_minus[key]
-
-
 @memoized
-def _tables(alg: StructureConstants) -> _TermTables:
-    return _TermTables(alg)
+def _slot_terms(alg: StructureConstants, form: str, slot: int) -> dict[tuple, list]:
+    """The form's nonzero values grouped by the indices outside one slot.
 
-
-def _constraint_tuples(
-    alg: StructureConstants, kind: IdentityKind
-) -> Iterator[tuple[tuple, tuple, list[tuple[Matrix, int, int]]]]:
-    """Yield (tag, w, terms) with the equation phi(w) = sum s * G phi(e_i).
-
-    Each term is (G, basis index, sign).  Tuples whose w and term
-    matrices all vanish are skipped; their rows would be identically 0.
+    Maps the other indices to [(l', the form with e_l' in the slot), ...],
+    l' increasing.
     """
-    n = alg.dim
-    t = _tables(alg)
-    if kind is IdentityKind.LIE_CENTRALIZER:
-        for j in range(n):
-            cj = t.ad_right[j]
-            cj_zero = cj.is_zero()
-            for i in range(n):
-                w = t.bracket(i, j)
-                if cj_zero and is_zero_vec(w):
-                    continue
-                yield (i, j), w, [(cj, i, 1)]
-    elif kind is IdentityKind.JORDAN_CENTRALIZER:
-        for j in range(n):
-            jj = t.jord[j]
-            jj_zero = jj.is_zero()
-            for i in range(n):
-                w = t.jordan(i, j)
-                if jj_zero and is_zero_vec(w):
-                    continue
-                yield (i, j), w, [(jj, i, 1)]
-    elif kind is IdentityKind.LIE_TRIPLE_CENTRALIZER:
-        for j in range(n):
-            for k in range(n):
-                d = t.double_ad(j, k)
-                if d is None:
-                    continue
-                for i in range(n):
-                    yield (i, j, k), d.col(i), [(d, i, 1)]
-    elif kind is IdentityKind.DERIVATION:
-        for i in range(n):
-            li = t.left[i]
-            for j in range(n):
-                w = alg.mul_coords(unit_vec(n, i), unit_vec(n, j))
-                yield (i, j), w, [(t.right[j], i, 1), (li, j, 1)]
-    elif kind is IdentityKind.LIE_DERIVATION:
-        for i in range(n):
-            adm_i = -t.ad_right[i]  # x -> [e_i, x]
-            for j in range(n):
-                w = t.bracket(i, j)
-                yield (i, j), w, [(t.ad_right[j], i, 1), (adm_i, j, 1)]
-    elif kind in (IdentityKind.JORDAN_DERIVATION, IdentityKind.SINGULAR_JORDAN_DERIVATION):
-        for i in range(n):
-            ji = t.jord[i]
-            for j in range(n):
-                yield (i, j), t.jordan(i, j), [(t.jord[j], i, 1), (ji, j, 1)]
-    elif kind is IdentityKind.LIE_TRIPLE_DERIVATION:
-        for j in range(n):
-            for k in range(n):
-                d_jk = t.double_ad(j, k)
-                for i in range(n):
-                    d_ik = t.double_ad(i, k)
-                    adm = t.ad_minus_bracket(i, j)
-                    if d_jk is None and d_ik is None and adm is None:
-                        continue
-                    terms: list[tuple[Matrix, int, int]] = []
-                    if d_jk is not None:
-                        terms.append((d_jk, i, 1))
-                    if d_ik is not None:
-                        terms.append((d_ik, j, -1))
-                    if adm is not None:
-                        terms.append((adm, k, 1))
-                    w = d_jk.col(i) if d_jk is not None else zero_vec(n)
-                    yield (i, j, k), w, terms
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled identity kind {kind}")
+    out: dict[tuple, list] = {}
+    for key, w in basis_tensor(alg, form).items():
+        out.setdefault(key[:slot] + key[slot + 1 :], []).append((key[slot], w))
+    return out
+
+
+def _constraint_tuples(alg: StructureConstants, kind: IdentityKind) -> Iterator[tuple]:
+    """Yield (tag, w, terms) with the equation phi(w) = sum of the terms.
+
+    ``tag`` runs over the basis tuples in lexicographic order and ``w``
+    is the form at ``tag``, both sparse.  A term (p, i, group) is the
+    form with phi(e_i) in the kind's p-th slot: the sum over (l', v) in
+    ``group`` of phi[l', i] * v.  Tuples whose w and terms all vanish
+    are skipped; their rows would be identically 0.
+    """
+    form, slots = _FORMS[kind]
+    table = basis_tensor(alg, form)
+    groups = [_slot_terms(alg, form, s) for s in slots]
+    for tag in itertools.product(range(alg.dim), repeat=3 if form == "triple" else 2):
+        terms = []
+        for p, s in enumerate(slots):
+            group = groups[p].get(tag[:s] + tag[s + 1 :])
+            if group:
+                terms.append((p, tag[s], group))
+        w = table.get(tag, ())
+        if w or terms:
+            yield tag, w, terms
+
+
+def _add_slot_image(out: list, group, m: Matrix, i: int) -> None:
+    """out += sum over (l', v) in group of m[l', i] * v: the form with m(e_i) in the slot."""
+    for lp, v in group:
+        x = m.data[lp][i]
+        if x:
+            for l, c in v:
+                out[l] += x * c
+
+
+def _matvec_sparse(m: Matrix, w) -> tuple:
+    """m times the vector with (coordinate, value) pairs w."""
+    return tuple(sum((row[c] * x for c, x in w), Fraction(0)) for row in m.data)
 
 
 def _identity_residuals(
-    alg: StructureConstants, kind: IdentityKind, matrix: Matrix
+    alg: StructureConstants,
+    kind: IdentityKind,
+    matrix: Matrix,
+    slot_matrices: Sequence[Matrix] | None = None,
 ) -> Iterator[tuple[tuple, tuple, tuple]]:
-    """Yield (tag, lhs, rhs): both sides of each constraint tuple on an operator."""
-    images = [matrix.col(j) for j in range(alg.dim)]
+    """Yield (tag, lhs, rhs): both sides of each constraint tuple on an operator.
+
+    ``matrix`` is phi on the left-hand side.  On the right, the p-th slot
+    phi enters holds ``slot_matrices[p]``, by default ``matrix`` itself.
+    """
+    mats = slot_matrices or (matrix,) * len(_FORMS[kind][1])
     for tag, w, terms in _constraint_tuples(alg, kind):
-        rhs = zero_vec(alg.dim)
-        for g, i, sign in terms:
-            rhs = tuple(a + sign * b for a, b in zip(rhs, g.matvec(images[i])))
-        yield tag, matrix.matvec(w), rhs
+        rhs = [Fraction(0)] * alg.dim
+        for p, i, group in terms:
+            _add_slot_image(rhs, group, mats[p], i)
+        yield tag, _matvec_sparse(matrix, w), tuple(rhs)
 
 
 def _sparsity_rows(n: int, dims: tuple[int, int, int, int]) -> Iterator[dict[int, Fraction]]:
@@ -222,13 +154,6 @@ def _resolve(alg_or_gma, kind: IdentityKind) -> tuple[StructureConstants, GMA | 
     return alg_or_gma, None
 
 
-def _base_kind(kind: IdentityKind) -> IdentityKind:
-    """The identity whose tuples a kind evaluates (the singular kind adds a pattern)."""
-    if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION:
-        return IdentityKind.JORDAN_DERIVATION
-    return kind
-
-
 def solve_identity_space(alg_or_gma, kind: IdentityKind) -> Subspace:
     """Canonical basis of all operators satisfying the identity.
 
@@ -245,20 +170,17 @@ def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | Non
     n = alg.dim
 
     def rows() -> Iterator[dict[int, Fraction]]:
-        for _tag, w, terms in _constraint_tuples(alg, _base_kind(kind)):
-            for l in range(n):
-                row: dict[int, Fraction] = {}
-                for c, wc in enumerate(w):
-                    if wc != 0:
-                        row[c * n + l] = row.get(c * n + l, Fraction(0)) + wc
-                for g, i, sign in terms:
-                    grow = g.data[l]
-                    for lp, val in enumerate(grow):
-                        if val != 0:
-                            key = i * n + lp
-                            row[key] = row.get(key, Fraction(0)) - sign * val
-                if row:
-                    yield row
+        # row l of a tuple: sum_c w_c phi[l, c] - sum over terms of
+        # phi[l', i] * v_l, with phi[r, c] at unknown c * n + r
+        for _tag, w, terms in _constraint_tuples(alg, kind):
+            tuple_rows = [{c * n + l: x for c, x in w} for l in range(n)]
+            for _p, i, group in terms:
+                for lp, v in group:
+                    key = i * n + lp
+                    for l, c in v:
+                        row = tuple_rows[l]
+                        row[key] = row.get(key, 0) - c
+            yield from filter(None, tuple_rows)
         if dims is not None:
             yield from _sparsity_rows(n, dims)
 
@@ -291,7 +213,7 @@ def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> Id
                 return IdentityCheck(
                     False, (r, c), alg.element(op.matrix.col(c)), alg.zero()
                 )
-    for tag, lhs, rhs in _identity_residuals(alg, _base_kind(kind), op.matrix):
+    for tag, lhs, rhs in _identity_residuals(alg, kind, op.matrix):
         if lhs != rhs:
             return IdentityCheck(False, tag, alg.element(lhs), alg.element(rhs))
     return IdentityCheck(True)
@@ -438,35 +360,24 @@ def _structure_residuals(u: GMA, maps: dict[str, Matrix]):
         yield "beta4 triple identity on B", tag, vec_sub(lhs, rhs)
 
     # alpha4 lands in the double commutant of B; beta1 in that of A
-    ta, tb = _tables(A), _tables(B)
-    for ia in range(da):
-        img = alpha4.col(ia)
-        for j1 in range(db):
-            for j2 in range(db):
-                d = tb.double_ad(j1, j2)
-                if d is not None:
-                    yield "[[alpha4(a),b1],b2] = 0", (ia, j1, j2), d.matvec(img)
-    for ib in range(db):
-        img = beta1.col(ib)
-        for j1 in range(da):
-            for j2 in range(da):
-                d = ta.double_ad(j1, j2)
-                if d is not None:
-                    yield "[[beta1(b),a1],a2] = 0", (ib, j1, j2), d.matvec(img)
+    for label, m, source, target in (
+        ("[[alpha4(a),b1],b2] = 0", alpha4, da, B),
+        ("[[beta1(b),a1],a2] = 0", beta1, db, A),
+    ):
+        groups = sorted(_slot_terms(target, "triple", 0).items())
+        for i in range(source):
+            for rest, group in groups:
+                out = [Fraction(0)] * target.dim
+                _add_slot_image(out, group, m, i)
+                yield label, (i, *rest), tuple(out)
 
     # alpha4 and beta1 kill second commutators of their source corners
-    for i in range(da):
-        for j in range(da):
-            for k in range(da):
-                d = ta.double_ad(j, k)
-                if d is not None:
-                    yield "alpha4 kills [[A,A],A]", (i, j, k), alpha4.matvec(d.col(i))
-    for i in range(db):
-        for j in range(db):
-            for k in range(db):
-                d = tb.double_ad(j, k)
-                if d is not None:
-                    yield "beta1 kills [[B,B],B]", (i, j, k), beta1.matvec(d.col(i))
+    for label, m, source in (
+        ("alpha4 kills [[A,A],A]", alpha4, A),
+        ("beta1 kills [[B,B],B]", beta1, B),
+    ):
+        for tag, w in basis_tensor(source, "triple").items():
+            yield label, tag, _matvec_sparse(m, w)
 
     # pairing conditions over all basis m, n
     for p in range(dm):

@@ -2,7 +2,8 @@
 
 Commands: solve, proper, decompose, hypotheses, verify-paper.
 Exit codes: 0 success, 1 a mathematical check failed, 2 invalid input
-(a malformed document, or one whose shapes do not fit together).
+(a malformed document, one whose shapes do not fit together, or an
+algebra without the unit a command needs).
 Reports are deterministic: identical inputs give byte-identical output.
 """
 
@@ -23,7 +24,7 @@ from .centralizers import (
     verify_thm31_conditions,
 )
 from .derivations import check_thm41_hypotheses, decompose_generalized_ltd, GLTDDecomposition
-from .errors import DimensionMismatch, HashMismatch, LieTripleError
+from .errors import DimensionMismatch, HashMismatch, LieTripleError, NotUnital
 from .gma import block_center, check_annihilating_conditions, eta_map
 from .io import dump_json, load_json, operator_from_doc, parse_grid, vector_doc
 from .properness import (
@@ -399,7 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, HashMismatch, DimensionMismatch) as exc:
+    except (OSError, ValueError, KeyError, HashMismatch, DimensionMismatch, NotUnital) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
     except LieTripleError as exc:

@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .centralizers import (
     IdentityKind,
-    _tables,
+    _identity_residuals,
     is_identity_member,
     solve_identity_space,
 )
@@ -45,7 +45,6 @@ from .linalg import (
     kernel_of_rows,
     try_solve,
     unit_vec,
-    vec_add,
     zero_vec,
 )
 from .properness import Infeasible, PropernessCertificate, is_proper_direct, is_proper_thm33
@@ -68,10 +67,12 @@ def check_gltd_correspondence(
     """Is Lambda a generalized triple derivation associated with xi?
 
     Decides it both ways: through membership of Lambda - xi in the
-    triple-centralizer space, and by evaluating the defining identity
-    directly on every basis triple.  The verdicts must agree.
+    triple-centralizer space, and by evaluating the defining identity,
+    Lambda in the first slot and xi in the other two, directly on every
+    basis triple.  The verdicts must agree.
     """
-    chk = is_identity_member(alg, IdentityKind.LIE_TRIPLE_DERIVATION, xi)
+    ltd = IdentityKind.LIE_TRIPLE_DERIVATION
+    chk = is_identity_member(alg, ltd, xi)
     if not chk:
         raise NotLTD(chk.witness)
     via_difference = bool(
@@ -79,34 +80,12 @@ def check_gltd_correspondence(
             alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, lam_op - xi
         )
     )
-    n = alg.dim
-    t = _tables(alg)
-    direct_ok = True
-    witness = None
-    lam_cols = [lam_op.matrix.col(j) for j in range(n)]
-    xi_cols = [xi.matrix.col(j) for j in range(n)]
-    for j in range(n):
-        for k in range(n):
-            d_jk = t.double_ad(j, k)
-            for i in range(n):
-                d_ik = t.double_ad(i, k)
-                adm = t.ad_minus_bracket(i, j)
-                if d_jk is None and d_ik is None and adm is None:
-                    continue
-                w = d_jk.col(i) if d_jk is not None else zero_vec(n)
-                lhs = lam_op.matrix.matvec(w)
-                rhs = zero_vec(n)
-                if d_jk is not None:
-                    rhs = vec_add(rhs, d_jk.matvec(lam_cols[i]))
-                if d_ik is not None:
-                    rhs = tuple(
-                        a - b for a, b in zip(rhs, d_ik.matvec(xi_cols[j]))
-                    )
-                if adm is not None:
-                    rhs = vec_add(rhs, adm.matvec(xi_cols[k]))
-                if lhs != rhs and direct_ok:
-                    direct_ok = False
-                    witness = (i, j, k)
+    slots = (lam_op.matrix, xi.matrix, xi.matrix)
+    witness = next(
+        (tag for tag, lhs, rhs in _identity_residuals(alg, ltd, lam_op.matrix, slots) if lhs != rhs),
+        None,
+    )
+    direct_ok = witness is None
     if via_difference != direct_ok:
         raise LieTripleError(
             "difference-route and direct-route verdicts disagree; "

@@ -1,10 +1,13 @@
 """Brute-force oracles, independent of the production constraint path.
 
-The production solver generates sparse rows from precomputed
-multiplication operators.  The oracle here instead probes every matrix
-unit through plain element arithmetic, stacks the dense residuals, and
-takes a dense kernel.  Agreement between the two routes is what the
-dimension tests actually certify.
+The production solver generates sparse rows from a table of basis forms
+(products, brackets, Jordan products and triple brackets of basis
+vectors).  The oracle here instead probes every matrix unit through
+plain element arithmetic, stacks the dense residuals, and takes a dense
+kernel.  Agreement between the two routes is what the dimension tests
+actually certify.  ``identity_sides`` evaluates both sides of an
+identity at one basis tuple the same way, to re-check a reported
+witness.
 
 Elimination here is a plain Fraction Gauss-Jordan that shares no code
 with the package's fraction-free integer echelon; kernels come back as
@@ -12,6 +15,7 @@ canonical (reduced row-echelon) basis tuples, so they compare directly
 with ``Subspace.basis``.
 """
 
+import itertools
 from fractions import Fraction
 
 from lietriple.algebra import AlgebraElement, StructureConstants
@@ -81,42 +85,48 @@ def _jrd(x, y):
     return x * y + y * x
 
 
+# kind -> (phi, g, *elements) -> (lhs, rhs); g is phi in every slot after the first
+_IDENTITIES = {
+    "lc": lambda f, g, x, y: (f(_brk(x, y)), _brk(f(x), y)),
+    "jc": lambda f, g, x, y: (f(_jrd(x, y)), _jrd(f(x), y)),
+    "der": lambda f, g, x, y: (f(x * y), f(x) * y + x * g(y)),
+    "lieder": lambda f, g, x, y: (f(_brk(x, y)), _brk(f(x), y) + _brk(x, g(y))),
+    "jder": lambda f, g, x, y: (f(_jrd(x, y)), _jrd(f(x), y) + _jrd(x, g(y))),
+    "ltc": lambda f, g, x, y, z: (f(_brk(_brk(x, y), z)), _brk(_brk(f(x), y), z)),
+    "ltc_middle": lambda f, g, x, y, z: (f(_brk(_brk(x, y), z)), _brk(_brk(x, f(y)), z)),
+    "ltd": lambda f, g, x, y, z: (
+        f(_brk(_brk(x, y), z)),
+        _brk(_brk(f(x), y), z) + _brk(_brk(x, g(y)), z) + _brk(_brk(x, y), g(z)),
+    ),
+}
+
+
+def _arity(kind: str) -> int:
+    return 3 if kind.startswith("lt") else 2
+
+
+def _operator(alg, op_matrix):
+    images = [_elem(alg, op_matrix.col(j)) for j in range(alg.dim)]
+    return lambda x: _apply(alg, images, x)
+
+
 def _residual_stream(alg: StructureConstants, images, kind: str):
-    basis = alg.basis()
     f = lambda x: _apply(alg, images, x)
-    if kind in ("lc", "jc", "der", "lieder", "jder"):
-        for x in basis:
-            for y in basis:
-                if kind == "lc":
-                    yield (f(_brk(x, y)) - _brk(f(x), y)).coords
-                elif kind == "jc":
-                    yield (f(_jrd(x, y)) - _jrd(f(x), y)).coords
-                elif kind == "der":
-                    yield (f(x * y) - (f(x) * y + x * f(y))).coords
-                elif kind == "lieder":
-                    yield (f(_brk(x, y)) - (_brk(f(x), y) + _brk(x, f(y)))).coords
-                else:
-                    yield (f(_jrd(x, y)) - (_jrd(f(x), y) + _jrd(x, f(y)))).coords
-    elif kind in ("ltc", "ltc_middle", "ltd"):
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    w = _brk(_brk(x, y), z)
-                    if kind == "ltc":
-                        yield (f(w) - _brk(_brk(f(x), y), z)).coords
-                    elif kind == "ltc_middle":
-                        yield (f(w) - _brk(_brk(x, f(y)), z)).coords
-                    else:
-                        yield (
-                            f(w)
-                            - (
-                                _brk(_brk(f(x), y), z)
-                                + _brk(_brk(x, f(y)), z)
-                                + _brk(_brk(x, y), f(z))
-                            )
-                        ).coords
-    else:
-        raise ValueError(kind)
+    for args in itertools.product(alg.basis(), repeat=_arity(kind)):
+        lhs, rhs = _IDENTITIES[kind](f, f, *args)
+        yield (lhs - rhs).coords
+
+
+def identity_sides(alg: StructureConstants, kind: str, tag, op_matrix, slot_matrix=None):
+    """Both sides of the identity at the basis tuple ``tag``, as elements.
+
+    phi is ``op_matrix`` on the left and in the first slot; in the other
+    slots it is ``slot_matrix`` when given, as xi is in the generalized
+    Lie triple derivation identity with Lambda = ``op_matrix``.
+    """
+    f = _operator(alg, op_matrix)
+    g = f if slot_matrix is None else _operator(alg, slot_matrix)
+    return _IDENTITIES[kind](f, g, *(alg.basis_element(i) for i in tag))
 
 
 def dense_identity_space(alg: StructureConstants, kind: str) -> tuple:

@@ -8,6 +8,7 @@ from lietriple.catalog import (
     example_1_2,
     full_matrix,
     full_matrix_gma,
+    random_gma,
     upper_triangular,
     upper_triangular_gma,
 )
@@ -25,7 +26,7 @@ from lietriple.centralizers import (
 from lietriple.errors import NotGMA
 from lietriple.linalg import Matrix, Subspace
 
-from oracles import dense_identity_space, residual_is_zero
+from oracles import dense_identity_space, identity_sides, residual_is_zero
 
 F = Fraction
 K = IdentityKind
@@ -325,7 +326,12 @@ class TestCorollary32:
         assert rep.passed
 
 
-_NET_ALGEBRAS = {"T3": lambda: upper_triangular(3), "M2": lambda: full_matrix(2)}
+_NET_ALGEBRAS = {
+    "T3": lambda: upper_triangular(3),
+    "M2": lambda: full_matrix(2),
+    # dims (1,1,1,2), a structure constant 2 and nonzero pairings
+    "R1": lambda: random_gma(random.Random(1), require_n=True).algebra,
+}
 _NET_KINDS = ("lc", "ltc", "jc", "der", "lieder", "jder", "ltd")
 
 
@@ -352,8 +358,11 @@ class TestOracleNet:
             outside = tuple(a + b for a, b in zip(member, off))
             for flat, expected in ((member, True), (outside, False)):
                 op = LinearOperator.from_flat(alg, flat)
-                assert bool(is_identity_member(alg, K(kind), op)) is expected
+                chk = is_identity_member(alg, K(kind), op)
+                assert bool(chk) is expected
                 assert residual_is_zero(alg, op.matrix, kind) is expected
+            lhs, rhs = identity_sides(alg, kind, chk.witness, op.matrix)
+            assert lhs != rhs and (lhs, rhs) == (chk.lhs, chk.rhs)
 
 
 def test_equal_algebras_built_apart_share_one_solve(monkeypatch):

@@ -237,6 +237,22 @@ class TestShapeErrors:
         assert code == 0 and out.startswith("dim ")
 
 
+class TestPreconditionErrors:
+    """A command that needs a unit, on the non-unital example, exits 2: no check ran."""
+
+    def test_hypotheses_needs_a_unit(self, capsys):
+        code, out, err = run_cli(capsys, "hypotheses", "example_1_2")
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input:") and "unital" in err and err.count("\n") == 1
+
+    def test_block_decompose_needs_a_unit(self, capsys, tmp_path):
+        alg = resolve("example_1_2").algebra
+        path = write_operator(tmp_path, "id.json", LinearOperator.identity(alg))
+        code, out, err = run_cli(capsys, "decompose", "example_1_2", path)
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input:") and "unital" in err and err.count("\n") == 1
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = str(Path(lietriple.__file__).resolve().parents[1])
     proc = subprocess.run(

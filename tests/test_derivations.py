@@ -18,6 +18,8 @@ from lietriple.derivations import (
 from lietriple.errors import NotLTD
 from lietriple.linalg import Matrix
 
+from oracles import identity_sides
+
 F = Fraction
 K = IdentityKind
 
@@ -62,8 +64,11 @@ class TestCorrespondence:
             alg,
             Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
-        chk = check_gltd_correspondence(alg, xi + swap, xi)
+        lam = xi + swap
+        chk = check_gltd_correspondence(alg, lam, xi)
         assert not chk and chk.witness is not None
+        lhs, rhs = identity_sides(alg, "ltd", chk.witness, lam.matrix, xi.matrix)
+        assert lhs != rhs
 
     def test_rejects_non_ltd_xi(self, m2g):
         alg = m2g.algebra
