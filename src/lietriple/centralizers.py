@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import AlgebraElement, LinearOperator, StructureConstants, basis_tensor, memoized
-from .errors import NotGMA, NotUnital
-from .gma import GMA
+from .errors import DimensionMismatch, NotGMA, NotUnital
+from .gma import Bimodule, GMA, block_ranges
 from .linalg import (
     Matrix,
     Subspace,
@@ -137,8 +137,8 @@ def _sparsity_rows(n: int, dims: tuple[int, int, int, int]) -> Iterator[dict[int
 
     ``dims`` are the GMA's block sizes, in its basis order A, M, N, B.
     """
-    da, dm, dn, _ = dims
-    m_range, n_range = range(da, da + dm), range(da + dm, da + dm + dn)
+    ranges = block_ranges(dims)
+    m_range, n_range = ranges["M"], ranges["N"]
     for c in range(n):
         for r in range(n):
             allowed = (c in m_range and r in n_range) or (c in n_range and r in m_range)
@@ -224,13 +224,29 @@ def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> Id
 # ---------------------------------------------------------------------------
 
 
+# corner map name -> (target corner, source corner), generated from the
+# index convention of BlockDecomposition in the order of its fields
+CORNERS = {
+    f"{prefix}{k}": (target, source)
+    for prefix, source in (("alpha", "A"), ("beta", "B"), ("tau", "M"), ("gamma", "N"))
+    for k, target in enumerate("AMNB", 1)
+}
+
+
+def _corner_shapes(u: GMA) -> dict[str, tuple[int, int]]:
+    return {
+        name: (len(u.block_range(target)), len(u.block_range(source)))
+        for name, (target, source) in CORNERS.items()
+    }
+
+
 @dataclass(frozen=True)
 class BlockDecomposition:
     """The sixteen corner maps of an operator on a block algebra.
 
     Index convention: suffix 1 targets A, 2 targets M, 3 targets N and
     4 targets B; alpha maps come from A, beta from B, tau from M and
-    gamma from N.
+    gamma from N.  ``CORNERS`` holds each map's (target, source) pair.
     """
 
     gma: GMA
@@ -255,46 +271,28 @@ class BlockDecomposition:
         u = self.gma
         n = u.algebra.dim
         rows = [[Fraction(0)] * n for _ in range(n)]
-        placing = {
-            ("A", "A"): self.alpha1, ("M", "A"): self.alpha2,
-            ("N", "A"): self.alpha3, ("B", "A"): self.alpha4,
-            ("A", "B"): self.beta1, ("M", "B"): self.beta2,
-            ("N", "B"): self.beta3, ("B", "B"): self.beta4,
-            ("A", "M"): self.tau1, ("M", "M"): self.tau2,
-            ("N", "M"): self.tau3, ("B", "M"): self.tau4,
-            ("A", "N"): self.gamma1, ("M", "N"): self.gamma2,
-            ("N", "N"): self.gamma3, ("B", "N"): self.gamma4,
-        }
-        for (target, source), mat in placing.items():
+        for name, (target, source) in CORNERS.items():
+            mat = getattr(self, name)
             tr, sr = u.block_range(target), u.block_range(source)
-            for a, r in enumerate(tr):
-                for b, c in enumerate(sr):
-                    rows[r][c] = mat.data[a][b]
+            if (mat.rows, mat.cols) != (len(tr), len(sr)):
+                raise DimensionMismatch(
+                    f"corner {name} is {mat.rows}x{mat.cols}, expected {len(tr)}x{len(sr)}"
+                )
+            for r, row in zip(tr, mat.data):
+                rows[r][sr.start : sr.stop] = row
         return LinearOperator(u.algebra, Matrix(rows, cols=n))
 
 
 def block_decompose(u: GMA, op: LinearOperator) -> BlockDecomposition:
     """Slice an operator into its sixteen corner maps (exact reassembly)."""
-    mat = op.matrix
-
-    def corner(target: str, source: str) -> Matrix:
-        tr, sr = u.block_range(target), u.block_range(source)
-        return Matrix(
-            [[mat.data[r][c] for c in sr] for r in tr],
-            cols=len(sr),
+    data = op.matrix.data
+    corners = {}
+    for name, (target, source) in CORNERS.items():
+        sr = u.block_range(source)
+        corners[name] = Matrix(
+            [data[r][sr.start : sr.stop] for r in u.block_range(target)], cols=len(sr)
         )
-
-    return BlockDecomposition(
-        gma=u,
-        alpha1=corner("A", "A"), alpha2=corner("M", "A"),
-        alpha3=corner("N", "A"), alpha4=corner("B", "A"),
-        beta1=corner("A", "B"), beta2=corner("M", "B"),
-        beta3=corner("N", "B"), beta4=corner("B", "B"),
-        tau1=corner("A", "M"), tau2=corner("M", "M"),
-        tau3=corner("N", "M"), tau4=corner("B", "M"),
-        gamma1=corner("A", "N"), gamma2=corner("M", "N"),
-        gamma3=corner("N", "N"), gamma4=corner("B", "N"),
-    )
+    return BlockDecomposition(gma=u, **corners)
 
 
 def build_from_blocks(
@@ -307,15 +305,12 @@ def build_from_blocks(
     beta4: Matrix,
 ) -> LinearOperator:
     """Assemble the six-map block form into an operator on the GMA."""
-    da, dm, dn, db = u.dims
-    z = Matrix.zeros
-    return BlockDecomposition(
-        gma=u,
-        alpha1=alpha1, alpha2=z(dm, da), alpha3=z(dn, da), alpha4=alpha4,
-        beta1=beta1, beta2=z(dm, db), beta3=z(dn, db), beta4=beta4,
-        tau1=z(da, dm), tau2=tau2, tau3=z(dn, dm), tau4=z(db, dm),
-        gamma1=z(da, dn), gamma2=z(dm, dn), gamma3=gamma3, gamma4=z(db, dn),
-    ).reassemble()
+    given = dict(alpha1=alpha1, beta1=beta1, tau2=tau2, gamma3=gamma3, alpha4=alpha4, beta4=beta4)
+    corners = {
+        name: given[name] if name in given else Matrix.zeros(*shape)
+        for name, shape in _corner_shapes(u).items()
+    }
+    return BlockDecomposition(gma=u, **corners).reassemble()
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +321,13 @@ _SIX_MAP_FIELDS = ("alpha1", "beta1", "tau2", "gamma3", "alpha4", "beta4")
 
 
 def six_map_shapes(u: GMA) -> dict[str, tuple[int, int]]:
-    da, dm, dn, db = u.dims
-    return {
-        "alpha1": (da, da),
-        "beta1": (da, db),
-        "tau2": (dm, dm),
-        "gamma3": (dn, dn),
-        "alpha4": (db, da),
-        "beta4": (db, db),
-    }
+    shapes = _corner_shapes(u)
+    return {name: shapes[name] for name in _SIX_MAP_FIELDS}
+
+
+def _act(mod: Bimodule, left: bool, x: Sequence[Fraction], m: Sequence[Fraction]) -> tuple:
+    """x acting on the module element m from the left or from the right."""
+    return mod.act_left(x, m) if left else mod.act_right(m, x)
 
 
 def _structure_residuals(u: GMA, maps: dict[str, Matrix]):
@@ -403,65 +396,29 @@ def _structure_residuals(u: GMA, maps: dict[str, Matrix]):
                 lead_b, ctx.pair_nm(g3n, mvec)
             )
 
-    # module conditions for tau2
-    for i in range(da):
-        avec = unit_vec(da, i)
-        a1a = alpha1.col(i)
-        a4a = alpha4.col(i)
-        for p in range(dm):
-            mvec = unit_vec(dm, p)
-            am = M.act_left(avec, mvec)
-            t2am = tau2.matvec(am)
-            yield "tau2(am) = a tau2(m)", (i, p), vec_sub(
-                t2am, M.act_left(avec, tau2.col(p))
-            )
-            yield "tau2(am) = alpha1(a)m - m alpha4(a)", (i, p), vec_sub(
-                t2am, vec_sub(M.act_left(a1a, mvec), M.act_right(mvec, a4a))
-            )
-    for j in range(db):
-        bvec = unit_vec(db, j)
-        b4b = beta4.col(j)
-        b1b = beta1.col(j)
-        for p in range(dm):
-            mvec = unit_vec(dm, p)
-            mb = M.act_right(mvec, bvec)
-            t2mb = tau2.matvec(mb)
-            yield "tau2(mb) = tau2(m) b", (j, p), vec_sub(
-                t2mb, M.act_right(tau2.col(p), bvec)
-            )
-            yield "tau2(mb) = m beta4(b) - beta1(b)m", (j, p), vec_sub(
-                t2mb, vec_sub(M.act_right(mvec, b4b), M.act_left(b1b, mvec))
-            )
-
-    # module conditions for gamma3
-    for i in range(da):
-        avec = unit_vec(da, i)
-        a1a = alpha1.col(i)
-        a4a = alpha4.col(i)
-        for q in range(dn):
-            nvec = unit_vec(dn, q)
-            na = N.act_right(nvec, avec)
-            g3na = gamma3.matvec(na)
-            yield "gamma3(na) = gamma3(n) a", (i, q), vec_sub(
-                g3na, N.act_right(gamma3.col(q), avec)
-            )
-            yield "gamma3(na) = n alpha1(a) - alpha4(a)n", (i, q), vec_sub(
-                g3na, vec_sub(N.act_right(nvec, a1a), N.act_left(a4a, nvec))
-            )
-    for j in range(db):
-        bvec = unit_vec(db, j)
-        b4b = beta4.col(j)
-        b1b = beta1.col(j)
-        for q in range(dn):
-            nvec = unit_vec(dn, q)
-            bn = N.act_left(bvec, nvec)
-            g3bn = gamma3.matvec(bn)
-            yield "gamma3(bn) = b gamma3(n)", (j, q), vec_sub(
-                g3bn, N.act_left(bvec, gamma3.col(q))
-            )
-            yield "gamma3(bn) = beta4(b)n - n beta1(b)", (j, q), vec_sub(
-                g3bn, vec_sub(N.act_left(b4b, nvec), N.act_right(nvec, b1b))
-            )
+    # module conditions of t = tau2 on M and t = gamma3 on N: for x in the
+    # source corner acting on the given side, t(x.m) = x.t(m) and t(x.m)
+    # = same(x).m - m.cross(x), the cross term acting from the other side
+    for t, mod, left, source, same, cross, label_x, label_same in (
+        (tau2, M, True, da, alpha1, alpha4,
+         "tau2(am) = a tau2(m)", "tau2(am) = alpha1(a)m - m alpha4(a)"),
+        (tau2, M, False, db, beta4, beta1,
+         "tau2(mb) = tau2(m) b", "tau2(mb) = m beta4(b) - beta1(b)m"),
+        (gamma3, N, False, da, alpha1, alpha4,
+         "gamma3(na) = gamma3(n) a", "gamma3(na) = n alpha1(a) - alpha4(a)n"),
+        (gamma3, N, True, db, beta4, beta1,
+         "gamma3(bn) = b gamma3(n)", "gamma3(bn) = beta4(b)n - n beta1(b)"),
+    ):
+        for i in range(source):
+            xvec = unit_vec(source, i)
+            same_x, cross_x = same.col(i), cross.col(i)
+            for p in range(mod.dim):
+                mvec = unit_vec(mod.dim, p)
+                t_xm = t.matvec(_act(mod, left, xvec, mvec))
+                yield label_x, (i, p), vec_sub(t_xm, _act(mod, left, xvec, t.col(p)))
+                yield label_same, (i, p), vec_sub(
+                    t_xm, vec_sub(_act(mod, left, same_x, mvec), _act(mod, not left, cross_x, mvec))
+                )
 
 
 @dataclass(frozen=True)
@@ -475,10 +432,7 @@ class Thm31Report:
         return self.passed
 
 
-_VANISHING_CORNERS = (
-    "alpha2", "alpha3", "beta2", "beta3",
-    "tau1", "tau3", "tau4", "gamma1", "gamma2", "gamma4",
-)
+_VANISHING_CORNERS = tuple(name for name in CORNERS if name not in _SIX_MAP_FIELDS)
 
 
 def verify_thm31_conditions(u: GMA, d: BlockDecomposition) -> Thm31Report:
@@ -518,18 +472,15 @@ def six_map_solution_space(u: GMA) -> Subspace:
 
 
 def six_maps_from_flat(u: GMA, flat: Sequence[Fraction]) -> dict[str, Matrix]:
+    """Split a flat vector into the six maps, each read column-major."""
     shapes = six_map_shapes(u)
-    out = {}
-    pos = 0
-    for fname in _SIX_MAP_FIELDS:
-        r, c = shapes[fname]
-        chunk = flat[pos : pos + r * c]
+    total = sum(r * c for r, c in shapes.values())
+    if len(flat) != total:
+        raise DimensionMismatch(f"six-map vector has {len(flat)} entries, expected {total}")
+    out, pos = {}, 0
+    for fname, (r, c) in shapes.items():
+        out[fname] = Matrix([[flat[pos + j * r + i] for j in range(c)] for i in range(r)], cols=c)
         pos += r * c
-        out[fname] = (
-            Matrix.from_cols([chunk[j * r : (j + 1) * r] for j in range(c)])
-            if r * c
-            else Matrix.zeros(r, c)
-        )
     return out
 
 

@@ -17,6 +17,7 @@ import sys
 from .algebra import LinearOperator, center, double_commutator_span, find_unit
 from .catalog import CatalogEntry, example_1_2, resolve, standard_gmas
 from .centralizers import (
+    CORNERS,
     IdentityKind,
     block_decompose,
     is_identity_member,
@@ -148,13 +149,7 @@ def _cmd_decompose(args) -> int:
     if args.xi is None:
         d = block_decompose(entry.gma, op)
         corners = {
-            name: [vector_doc(row) for row in getattr(d, name).data]
-            for name in (
-                "alpha1", "alpha2", "alpha3", "alpha4",
-                "beta1", "beta2", "beta3", "beta4",
-                "tau1", "tau2", "tau3", "tau4",
-                "gamma1", "gamma2", "gamma3", "gamma4",
-            )
+            name: [vector_doc(row) for row in getattr(d, name).data] for name in CORNERS
         }
         rep = verify_thm31_conditions(entry.gma, d)
         report = {

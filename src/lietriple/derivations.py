@@ -32,6 +32,7 @@ from .centralizers import (
 )
 from .errors import (
     AnnihilatorConditionsFail,
+    DimensionMismatch,
     LieTripleError,
     NotGLTD,
     NotLTD,
@@ -189,6 +190,12 @@ def check_thm41_hypotheses(
     """Evaluate the hypothesis battery gating the decomposition."""
     from .algebra import largest_central_ideal
 
+    for block, candidates, dim in (("M", candidates_m0, u.dim_m), ("N", candidates_n0, u.dim_n)):
+        for v in candidates or ():
+            if len(v) != dim:
+                raise DimensionMismatch(
+                    f"a candidate in {block} has length {len(v)}, dim {block} is {dim}"
+                )
     if find_unit(u.algebra) is None:
         raise NotUnital("hypothesis battery needs a unital algebra")
     if not check_annihilating_conditions(u).holds:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 from .algebra import (
@@ -143,17 +144,16 @@ class MoritaContext:
 class GMA:
     """An assembled generalized matrix algebra with its block geometry."""
 
-    __slots__ = ("algebra", "context", "dims", "offsets")
+    __slots__ = ("algebra", "context", "dims", "ranges")
 
     def __init__(self, algebra: StructureConstants, context: MoritaContext):
-        dims = (context.A.dim, context.M.dim, context.N.dim, context.B.dim)
+        dims = _block_dims(context)
         if algebra.dim != sum(dims):
             raise DimensionMismatch("algebra dimension does not match block dims")
-        offsets = (0, dims[0], dims[0] + dims[1], dims[0] + dims[1] + dims[2])
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "ranges", block_ranges(dims))
 
     def __setattr__(self, *_):
         raise AttributeError("GMA is immutable")
@@ -175,21 +175,17 @@ class GMA:
         return self.dims[3]
 
     def block_range(self, block: str) -> range:
-        i = "AMNB".index(block)
-        start = self.offsets[i]
-        return range(start, start + self.dims[i])
+        return self.ranges[block]
 
     def project(self, block: str, coords: Sequence[Fraction]) -> tuple:
-        r = self.block_range(block)
-        return tuple(coords[i] for i in r)
+        return tuple(coords[i] for i in self.ranges[block])
 
     def element_from_corners(self, a=None, m=None, n=None, b=None) -> AlgebraElement:
         out = [Fraction(0)] * self.algebra.dim
-        for block, part in (("A", a), ("M", m), ("N", n), ("B", b)):
-            if part is None:
-                continue
-            for i, x in zip(self.block_range(block), part):
-                out[i] = rat(x)
+        for block, part in zip("AMNB", (a, m, n, b)):
+            if part is not None:
+                for i, x in zip(self.ranges[block], part):
+                    out[i] = rat(x)
         return AlgebraElement(self.algebra, out)
 
     def standard_idempotent(self) -> AlgebraElement:
@@ -200,8 +196,31 @@ class GMA:
         return find_unit(self.algebra)
 
 
-def _empty_table(n: int) -> list:
-    return [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+# The block multiplication rule: each context tensor, as an attribute
+# path, with the corners of its left factor, right factor and product.
+_RULES = {
+    "A.table": "AAA",
+    "B.table": "BBB",
+    "M.left": "AMM",  # A acting on M from the left
+    "M.right": "MBM",  # B acting on M from the right
+    "N.left": "BNN",  # B acting on N from the left
+    "N.right": "NAN",  # A acting on N from the right
+    "zeta": "MNA",  # pairing M x N -> A
+    "psi": "NMB",  # pairing N x M -> B
+}
+
+
+def _block_dims(ctx: MoritaContext) -> tuple[int, int, int, int]:
+    return (ctx.A.dim, ctx.M.dim, ctx.N.dim, ctx.B.dim)
+
+
+def block_ranges(dims: Sequence[int]) -> dict[str, range]:
+    """Basis positions of each corner, in the basis order A, M, N, B."""
+    ranges, start = {}, 0
+    for block, d in zip("AMNB", dims):
+        ranges[block] = range(start, start + d)
+        start += d
+    return ranges
 
 
 def assemble(ctx: MoritaContext) -> GMA:
@@ -210,48 +229,21 @@ def assemble(ctx: MoritaContext) -> GMA:
     Raises NotAssociative (with the failing basis triple) when the
     context violates any bimodule or pairing axiom.
     """
-    da, dm, dn, db = ctx.A.dim, ctx.M.dim, ctx.N.dim, ctx.B.dim
-    n = da + dm + dn + db
-    om, on, ob = da, da + dm, da + dm + dn
-    c = _empty_table(n)
-
-    for i in range(da):
-        for j in range(da):
-            for k, x in enumerate(ctx.A.table[i][j]):
-                c[i][j][k] = x
-    for i in range(db):
-        for j in range(db):
-            for k, x in enumerate(ctx.B.table[i][j]):
-                c[ob + i][ob + j][ob + k] = x
-    for i in range(da):  # A acting on M from the left
-        for p in range(dm):
-            for q, x in enumerate(ctx.M.left[i][p]):
-                c[i][om + p][om + q] = x
-    for p in range(dm):  # B acting on M from the right
-        for j in range(db):
-            for q, x in enumerate(ctx.M.right[p][j]):
-                c[om + p][ob + j][om + q] = x
-    for i in range(db):  # B acting on N from the left
-        for p in range(dn):
-            for q, x in enumerate(ctx.N.left[i][p]):
-                c[ob + i][on + p][on + q] = x
-    for p in range(dn):  # A acting on N from the right
-        for j in range(da):
-            for q, x in enumerate(ctx.N.right[p][j]):
-                c[on + p][j][on + q] = x
-    for p in range(dm):  # pairing M x N -> A
-        for q in range(dn):
-            for k, x in enumerate(ctx.zeta[p][q]):
-                c[om + p][on + q][k] = x
-    for q in range(dn):  # pairing N x M -> B
-        for p in range(dm):
-            for k, x in enumerate(ctx.psi[q][p]):
-                c[on + q][om + p][ob + k] = x
+    dims = _block_dims(ctx)
+    ranges = block_ranges(dims)
+    n = sum(dims)
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for path, corners in _RULES.items():
+        ri, rj, rk = (ranges[x] for x in corners)
+        for i, plane in zip(ri, attrgetter(path)(ctx)):
+            for j, row in zip(rj, plane):
+                for k, x in zip(rk, row):
+                    c[i][j][k] = x
 
     labels = (
         tuple(f"a:{s}" for s in ctx.A.labels)
-        + tuple(f"m{p}" for p in range(dm))
-        + tuple(f"n{q}" for q in range(dn))
+        + tuple(f"m{p}" for p in range(ctx.M.dim))
+        + tuple(f"n{q}" for q in range(ctx.N.dim))
         + tuple(f"b:{s}" for s in ctx.B.labels)
     )
     return GMA(StructureConstants(c, labels), ctx)
@@ -259,30 +251,21 @@ def assemble(ctx: MoritaContext) -> GMA:
 
 def context_of(algebra: StructureConstants, dims: tuple[int, int, int, int]) -> MoritaContext:
     """Slice a block algebra's table back into a Morita context."""
-    da, dm, dn, db = dims
-    if algebra.dim != da + dm + dn + db:
+    if algebra.dim != sum(dims):
         raise DimensionMismatch("block dims do not sum to the algebra dimension")
-    om, on, ob = da, da + dm, da + dm + dn
+    ranges = block_ranges(dims)
     t = algebra.table
-
-    def sub(rows, cols, outs):
-        return tuple(
-            tuple(tuple(t[i][j][k] for k in outs) for j in cols) for i in rows
-        )
-
-    ra, rm, rn, rb = (
-        range(da),
-        range(om, om + dm),
-        range(on, on + dn),
-        range(ob, ob + db),
-    )
-    A = StructureConstants(sub(ra, ra, ra), algebra.labels[:da])
-    B = StructureConstants(sub(rb, rb, rb), algebra.labels[ob:])
-    M = Bimodule(dm, da, db, sub(ra, rm, rm), sub(rm, rb, rm))
-    N = Bimodule(dn, db, da, sub(rb, rn, rn), sub(rn, ra, rn))
-    zeta = sub(rm, rn, ra)
-    psi = sub(rn, rm, rb)
-    return MoritaContext(A, B, M, N, zeta, psi)
+    part = {}
+    for path, corners in _RULES.items():
+        ri, rj, rk = (ranges[x] for x in corners)
+        part[path] = tuple(tuple(tuple(t[i][j][k] for k in rk) for j in rj) for i in ri)
+    ra, rb = ranges["A"], ranges["B"]
+    da, dm, dn, db = dims
+    A = StructureConstants(part["A.table"], algebra.labels[ra.start : ra.stop])
+    B = StructureConstants(part["B.table"], algebra.labels[rb.start : rb.stop])
+    M = Bimodule(dm, da, db, part["M.left"], part["M.right"])
+    N = Bimodule(dn, db, da, part["N.left"], part["N.right"])
+    return MoritaContext(A, B, M, N, part["zeta"], part["psi"])
 
 
 def gma_from_block_algebra(algebra: StructureConstants, dims: tuple[int, int, int, int]) -> GMA:
@@ -394,28 +377,32 @@ class AnnihilatorReport:
         return self.holds_a and self.holds_b
 
 
+def _diagonal_action_rows(u: GMA) -> list[tuple[tuple, tuple]]:
+    """Paired rows (a-part, b-part) reading how A and B act on M and N.
+
+    For a basis vector m_p and a coordinate q, the a-part is (a m_p)_q as
+    a row over the basis of A and the b-part is (m_p b)_q as a row over
+    the basis of B; the rows for N hold (n_p a)_q and (b n_p)_q.
+    """
+    M, N = u.context.M, u.context.N
+    ra, rb = range(u.dim_a), range(u.dim_b)
+    rows = [
+        (tuple(M.left[i][p][q] for i in ra), tuple(M.right[p][j][q] for j in rb))
+        for p in range(M.dim)
+        for q in range(M.dim)
+    ]
+    return rows + [
+        (tuple(N.right[p][i][q] for i in ra), tuple(N.left[j][p][q] for j in rb))
+        for p in range(N.dim)
+        for q in range(N.dim)
+    ]
+
+
 def check_annihilating_conditions(u: GMA) -> AnnihilatorReport:
     """Compute {a : aM = 0, Na = 0} and {b : Mb = 0, bN = 0} as kernels."""
-    ctx = u.context
-    da, dm, dn, db = u.dims
-
-    rows_a: list[tuple] = []
-    for p in range(dm):
-        for q in range(dm):
-            rows_a.append(tuple(ctx.M.left[i][p][q] for i in range(da)))
-    for p in range(dn):
-        for q in range(dn):
-            rows_a.append(tuple(ctx.N.right[p][j][q] for j in range(da)))
-    a_ann = kernel_of_rows(da, rows_a)
-
-    rows_b: list[tuple] = []
-    for p in range(dm):
-        for q in range(dm):
-            rows_b.append(tuple(ctx.M.right[p][j][q] for j in range(db)))
-    for p in range(dn):
-        for q in range(dn):
-            rows_b.append(tuple(ctx.N.left[i][p][q] for i in range(db)))
-    b_ann = kernel_of_rows(db, rows_b)
+    rows = _diagonal_action_rows(u)
+    a_ann = kernel_of_rows(u.dim_a, [row_a for row_a, _ in rows])
+    b_ann = kernel_of_rows(u.dim_b, [row_b for _, row_b in rows])
     return AnnihilatorReport(a_ann, b_ann)
 
 
@@ -451,21 +438,8 @@ def block_center(u: GMA) -> Subspace:
     Independent of the raw commutation kernel; used to cross-check the
     center description on qualifying algebras.
     """
-    ctx = u.context
-    da, dm, dn, db = u.dims
-    rows: list[tuple] = []
-    for p in range(dm):
-        for q in range(dm):
-            rows.append(
-                tuple(ctx.M.left[i][p][q] for i in range(da))
-                + tuple(-ctx.M.right[p][j][q] for j in range(db))
-            )
-    for p in range(dn):
-        for q in range(dn):
-            rows.append(
-                tuple(ctx.N.right[p][j][q] for j in range(da))
-                + tuple(-ctx.N.left[i][p][q] for i in range(db))
-            )
+    da, db = u.dim_a, u.dim_b
+    rows = [row_a + tuple(-x for x in row_b) for row_a, row_b in _diagonal_action_rows(u)]
     pairs = kernel_of_rows(da + db, rows)
     embedded = [u.element_from_corners(a=v[:da], b=v[da:]).coords for v in pairs.basis]
     return Subspace(u.algebra.dim, embedded)

@@ -18,12 +18,13 @@ from lietriple.centralizers import (
     build_from_blocks,
     corollary32_strengthen,
     is_identity_member,
+    six_map_shapes,
     six_map_solution_space,
     six_maps_from_flat,
     solve_identity_space,
     verify_thm31_conditions,
 )
-from lietriple.errors import NotGMA
+from lietriple.errors import DimensionMismatch, NotGMA
 from lietriple.linalg import Matrix, Subspace
 
 from oracles import dense_identity_space, identity_sides, residual_is_zero
@@ -299,6 +300,21 @@ class TestBuildFromBlocks:
                     maps["gamma3"], maps["alpha4"], maps["beta4"],
                 )
                 assert ltc.contains_vector(op.flatten())
+
+    def test_corner_of_wrong_shape_is_rejected(self, gmas):
+        u = gmas["T3"]
+        assert u.dims == (1, 2, 0, 3)
+        maps = six_maps_from_flat(u, [F(1)] * sum(r * c for r, c in six_map_shapes(u).values()))
+        maps["alpha1"] = Matrix.identity(2)  # alpha1 maps A (dim 1) to A
+        with pytest.raises(DimensionMismatch, match="alpha1"):
+            build_from_blocks(u, **maps)
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
+    def test_flat_vector_of_wrong_length_is_rejected(self, gmas, extra):
+        u = gmas["T3"]
+        total = sum(r * c for r, c in six_map_shapes(u).values())
+        with pytest.raises(DimensionMismatch, match=f"expected {total}"):
+            six_maps_from_flat(u, [F(1)] * (total + extra))
 
 
 class TestCorollary32:

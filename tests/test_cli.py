@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -142,6 +143,18 @@ class TestHypotheses:
         assert code == 0
         assert "(c): ['1']" in out
 
+    @pytest.mark.parametrize(
+        "vectors", [[["1", "2", "3", "4", "5"]], [["1"]]], ids=["too-long", "too-short"]
+    )
+    def test_candidate_of_wrong_length(self, capsys, tmp_path, vectors):
+        path = tmp_path / "m0.json"
+        path.write_text(json.dumps(vectors))  # dim M is 2 on upper_triangular(3)
+        code, out, err = run_cli(
+            capsys, "hypotheses", "upper_triangular(3)", "--candidates-m0", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input:") and err.count("\n") == 1
+
     def test_scalar_algebra_rejected(self, capsys):
         code, _, err = run_cli(capsys, "hypotheses", "full_matrix(1)")
         assert code == 2
@@ -163,6 +176,20 @@ class TestVerifyPaper:
         assert first.stdout == second.stdout
         doc = json.loads(first.stdout)
         assert doc["results"]["all_passed"] is True
+
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("text", "b26cdec685a19d1b1ac66c8d24897ba3bd50d485a3b4e09c77b8aadb2cbc2c81"),
+            ("json", "cc0e624c811f1cebc4b9be8b961316d32535b9a940467d7e652039d0009ecdab"),
+        ],
+    )
+    def test_stdout_bytes_are_pinned(self, fmt, digest):
+        cmd = [sys.executable, "-m", "lietriple.cli", "verify-paper", "--format", fmt]
+        proc = subprocess.run(cmd, capture_output=True)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 class TestMalformedDocuments:

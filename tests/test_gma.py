@@ -1,9 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from lietriple.algebra import AlgebraElement, center, find_unit
+from lietriple.algebra import AlgebraElement, LinearOperator, center, find_unit
 from lietriple.catalog import (
     direct_sum,
     dual_numbers,
@@ -18,6 +19,7 @@ from lietriple.catalog import (
     upper_triangular,
     upper_triangular_gma,
 )
+from lietriple.centralizers import block_decompose
 from lietriple.errors import (
     AnnihilatorConditionsFail,
     InvalidBlockStructure,
@@ -40,7 +42,7 @@ from lietriple.gma import (
     m2_of,
     peirce_from_idempotent,
 )
-from lietriple.linalg import Subspace
+from lietriple.linalg import Subspace, unit_vec
 
 F = Fraction
 
@@ -244,3 +246,81 @@ class TestExampleTwelve:
         for zvec in center(alg).basis:
             assert alg.left_mult_of(zvec).is_zero()
             assert alg.right_mult_of(zvec).is_zero()
+
+
+_LAYOUT_NAMES = ("T3", "M3", "example_1_2", "random0", "random1", "random2")
+
+
+@functools.lru_cache(maxsize=None)
+def _layout_gma(name):
+    if name.startswith("random"):
+        return random_gma(random.Random(int(name[len("random"):])), require_n=True)
+    return {
+        "T3": lambda: upper_triangular_gma(3),
+        "M3": lambda: full_matrix_gma(3),
+        "example_1_2": lambda: example_1_2().gma,
+    }[name]()
+
+
+def _corner_basis(u, corner):
+    """(index, corner coordinates, element) for each basis vector of a corner."""
+    d = u.dims["AMNB".index(corner)]
+    for i in range(d):
+        e = unit_vec(d, i)
+        yield i, e, u.element_from_corners(**{corner.lower(): e})
+
+
+class TestBlockLayout:
+    """The block layout read from the context's own operations, not from the assembly tables."""
+
+    @pytest.mark.parametrize("name", _LAYOUT_NAMES)
+    def test_corner_products_follow_the_block_rules(self, name):
+        u = _layout_gma(name)
+        ctx = u.context
+        # (left corner, right corner) -> (product corner, product in context terms)
+        rules = {
+            ("A", "A"): ("A", ctx.A.mul_coords),
+            ("B", "B"): ("B", ctx.B.mul_coords),
+            ("A", "M"): ("M", ctx.M.act_left),
+            ("M", "B"): ("M", ctx.M.act_right),
+            ("B", "N"): ("N", ctx.N.act_left),
+            ("N", "A"): ("N", ctx.N.act_right),
+            ("M", "N"): ("A", ctx.pair_mn),
+            ("N", "M"): ("B", ctx.pair_nm),
+        }
+        for left in "AMNB":
+            for right in "AMNB":
+                rule = rules.get((left, right))
+                for _, x, ex in _corner_basis(u, left):
+                    for _, y, ey in _corner_basis(u, right):
+                        product = ex * ey
+                        if rule is None:  # e.g. M.M, A.N and M.A
+                            assert product.is_zero(), (left, right, x, y)
+                        else:
+                            corner, mul = rule
+                            expected = u.element_from_corners(**{corner.lower(): mul(x, y)})
+                            assert product == expected, (left, right, x, y)
+
+    @pytest.mark.parametrize("name", _LAYOUT_NAMES)
+    def test_block_decompose_corners_are_projections(self, name):
+        u = _layout_gma(name)
+        n = u.algebra.dim
+        rng = random.Random(name)
+        op = LinearOperator.from_flat(
+            u.algebra, tuple(F(rng.randint(-3, 3)) for _ in range(n * n))
+        )
+        d = block_decompose(u, op)
+        pairs = {
+            "alpha1": ("A", "A"), "alpha2": ("M", "A"), "alpha3": ("N", "A"), "alpha4": ("B", "A"),
+            "beta1": ("A", "B"), "beta2": ("M", "B"), "beta3": ("N", "B"), "beta4": ("B", "B"),
+            "tau1": ("A", "M"), "tau2": ("M", "M"), "tau3": ("N", "M"), "tau4": ("B", "M"),
+            "gamma1": ("A", "N"), "gamma2": ("M", "N"), "gamma3": ("N", "N"), "gamma4": ("B", "N"),
+        }
+        for corner, (target, source) in pairs.items():
+            mat = getattr(d, corner)
+            assert (mat.rows, mat.cols) == (
+                u.dims["AMNB".index(target)],
+                u.dims["AMNB".index(source)],
+            ), corner
+            for j, _, e in _corner_basis(u, source):
+                assert mat.col(j) == u.project(target, op(e).coords), (corner, j)
