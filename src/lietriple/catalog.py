@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -44,11 +45,18 @@ def dual_numbers() -> StructureConstants:
     return StructureConstants(t, ["1", "x"])
 
 
-def full_matrix(n: int) -> StructureConstants:
-    """M_n(Q) on the matrix-unit basis e_ij, row-major."""
+def _checked_dim(n: int, dim: int) -> int:
+    """dim, once n >= 1 and the dim^3 structure tensor can be indexed."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    dim = n * n
+    if dim**3 > sys.maxsize:
+        raise ValueError(f"matrix size {n} is too large to build")
+    return dim
+
+
+def full_matrix(n: int) -> StructureConstants:
+    """M_n(Q) on the matrix-unit basis e_ij, row-major."""
+    dim = _checked_dim(n, n * n)
     idx = lambda i, j: i * n + j
     t = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(n):
@@ -63,11 +71,9 @@ def full_matrix(n: int) -> StructureConstants:
 
 def upper_triangular(n: int) -> StructureConstants:
     """T_n(Q) on the matrix units e_ij with i <= j, lexicographic."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    dim = _checked_dim(n, n * (n + 1) // 2)
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     pos = {c: t for t, c in enumerate(cells)}
-    dim = len(cells)
     t = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j), a in pos.items():
         for (k, l), b in pos.items():
@@ -92,29 +98,27 @@ def direct_sum(a: StructureConstants, b: StructureConstants) -> StructureConstan
     return StructureConstants(t, labels)
 
 
-def _corner_split_gma(alg: StructureConstants, split_cells: int) -> GMA:
-    """Peirce split of a matrix-unit algebra along e_11 + ... + e_kk."""
+def _corner_split_gma(alg: StructureConstants, diagonal: list[int]) -> GMA:
+    """Peirce split along e = e_11 + ... + e_kk, given the basis positions of those units."""
     coords = [F(0)] * alg.dim
-    for i, label in enumerate(alg.labels):
-        row, col = label[1], label[2]
-        if row == col and int(row) <= split_cells:
-            coords[i] = F(1)
-    e = AlgebraElement(alg, coords)
-    return peirce_from_idempotent(alg, e).gma
+    for i in diagonal:
+        coords[i] = F(1)
+    return peirce_from_idempotent(alg, AlgebraElement(alg, coords)).gma
 
 
 def full_matrix_gma(n: int, split: int = 1) -> GMA:
     """M_n(Q) as a generalized matrix algebra, split after `split` rows."""
     if not 1 <= split < n:
         raise ValueError("split must lie strictly inside the matrix")
-    return _corner_split_gma(full_matrix(n), split)
+    return _corner_split_gma(full_matrix(n), [i * n + i for i in range(split)])
 
 
 def upper_triangular_gma(n: int, split: int = 1) -> GMA:
     """T_n(Q) as a triangular generalized matrix algebra (N corner zero)."""
     if not 1 <= split < n:
         raise ValueError("split must lie strictly inside the matrix")
-    return _corner_split_gma(upper_triangular(n), split)
+    # e_ii opens row i, after the n - r cells of each row r < i
+    return _corner_split_gma(upper_triangular(n), [i * n - i * (i - 1) // 2 for i in range(split)])
 
 
 def triangular_context(a: StructureConstants, m: Bimodule, b: StructureConstants) -> MoritaContext:

@@ -184,7 +184,10 @@ class GMA:
         out = [Fraction(0)] * self.algebra.dim
         for block, part in zip("AMNB", (a, m, n, b)):
             if part is not None:
-                for i, x in zip(self.ranges[block], part):
+                positions = self.ranges[block]
+                if len(part) != len(positions):
+                    raise DimensionMismatch(f"{block} part needs {len(positions)} entries, got {len(part)}")
+                for i, x in zip(positions, part):
                     out[i] = rat(x)
         return AlgebraElement(self.algebra, out)
 
@@ -316,7 +319,14 @@ def _invert(m: Matrix) -> Matrix:
 
 
 def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> PeirceDecomposition:
-    """Re-base a unital algebra along e into [[eAe, eAf], [fAe, fAf]]."""
+    """Re-base a unital algebra along e into [[eAe, eAf], [fAe, fAf]].
+
+    Everything runs on nonzeros.  The corner xAy (f = 1 - e) is spanned
+    by x (e_j y) over the old basis, two sparse products per basis
+    vector.  Each entry of the new table is the sparse product of two
+    new basis vectors, carried to new coordinates through the nonzero
+    columns of old_to_new that the product meets.
+    """
     one = require_unit(alg)
     if not (e * e == e):
         raise NotIdempotent("element does not square to itself")
@@ -324,23 +334,28 @@ def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> Peirce
         raise TrivialIdempotent("need e distinct from 0 and 1")
     f = one - e
     n = alg.dim
-    corners: list[Subspace] = []
-    for left, right in ((e, e), (e, f), (f, e), (f, f)):
-        proj = alg.left_mult_of(left.coords) @ alg.right_mult_of(right.coords)
-        corners.append(Subspace(n, [proj.col(j) for j in range(n)]))
+    units = [unit_vec(n, j) for j in range(n)]
+    corners = [
+        Subspace(n, [alg.mul_coords(left.coords, alg.mul_coords(u, right.coords)) for u in units])
+        for left, right in ((e, e), (e, f), (f, e), (f, f))
+    ]
     dims = tuple(s.dim for s in corners)
     if sum(dims) != n:
         raise InvalidBlockStructure("Peirce corners do not span")  # unreachable for true idempotents
     new_basis = [v for s in corners for v in s.basis]
     new_to_old = Matrix.from_cols(new_basis)
     old_to_new = _invert(new_to_old)
-    table = [
-        [
-            list(old_to_new.matvec(alg.mul_coords(new_basis[i], new_basis[j])))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    columns = [[(r, x) for r, x in enumerate(old_to_new.col(k)) if x != 0] for k in range(n)]
+
+    def to_new(v: Sequence[Fraction]) -> list[Fraction]:
+        out = [Fraction(0)] * n
+        for k, c in enumerate(v):
+            if c != 0:
+                for r, t in columns[k]:
+                    out[r] += c * t
+        return out
+
+    table = [[to_new(alg.mul_coords(x, y)) for y in new_basis] for x in new_basis]
     labels = []
     for t, v in enumerate(new_basis):
         support = [(i, x) for i, x in enumerate(v) if x != 0]

@@ -140,6 +140,7 @@ class Matrix:
             raise DimensionMismatch(f"matvec: {self.cols} cols vs vector of length {len(v)}")
         return tuple(vec_dot(row, v) for row in self.data)
 
+    # No caller inside the package; kept as Matrix API (benchmarks/tracer.py wraps it by name).
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"matmul: {self.cols} != {other.rows}")

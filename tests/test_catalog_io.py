@@ -94,6 +94,34 @@ class TestCatalogEntries:
         assert a.table == b.table
 
 
+# Content hash (table, labels and basis order) and block dims of each
+# catalog split, recorded before the split was rewritten on sparse data.
+_PINNED_SPLITS = {
+    "upper_triangular(2)": ("c88016fe8a11124ae4e704633c63412bc699a48bb00dcdec82cb4f2c1efb4048", (1, 1, 0, 1)),
+    "upper_triangular(3)": ("567d7e4024430e6ca4beebcfa8367849e72df7f4d9d6cce447798827bb5efbbd", (1, 2, 0, 3)),
+    "upper_triangular(4)": ("af4066f53e691361ec68eec29f98faad37cd2c4a433caefc291fc99109e6a2a8", (1, 3, 0, 6)),
+    "upper_triangular(5)": ("7c563987a25902c0332e41d96b11f1daf6820aee790568ec4a8638810f3c0ea1", (1, 4, 0, 10)),
+    "full_matrix(2)": ("83eab789116ebf3ba83bf1f187f5e79761385a9bd49e150b6799a0de6713d76e", (1, 1, 1, 1)),
+    "full_matrix(3)": ("49265c5afc2519318a5c9940a4ea739dc5dd655cbb0182154281dc4764040c03", (1, 2, 2, 4)),
+    "full_matrix(4)": ("937fe48168d3f54299d1aeea0932832234213e90b864c581c0d7a4d67589fdbb", (1, 3, 3, 9)),
+    "full_matrix(5)": ("82cb172b8ef1d5c62f6481d27bd4d79d38d3b2af1e10886719648f5ff4b39fd6", (1, 4, 4, 16)),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_PINNED_SPLITS))
+def test_catalog_split_is_pinned(spec):
+    entry = resolve(spec)
+    assert (entry.algebra.content_hash, entry.gma.dims) == _PINNED_SPLITS[spec]
+
+
+def test_ten_row_split_is_along_e11():
+    # two-digit indices make labels like e110 = e_{1,10}; the split must not read them as diagonal
+    u = upper_triangular_gma(10)
+    assert u.dims == (1, 9, 0, 45)
+    assert [u.algebra.labels[i] for i in u.ranges["A"]] == ["e11"]
+    assert [u.algebra.labels[i] for i in u.ranges["M"]] == [f"e1{j}" for j in range(2, 11)]
+
+
 class TestDocuments:
     def test_structure_constants_round_trip(self):
         t2 = upper_triangular(2)

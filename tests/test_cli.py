@@ -192,6 +192,25 @@ class TestVerifyPaper:
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("solve", "full_matrix(3)", "--identity", "ltc"),
+            "0d3ddb5e59beb2fbc5f60caf890de0ec7fb5ec585b4aefebcac2f101ceedfa82",
+        ),
+        (
+            ("solve", "upper_triangular(4)", "--identity", "ltd"),
+            "921928131fcd0ca9b60099ac0bf3e733bd7f3cfa5847c302728a1aded315fd4e",
+        ),
+    ],
+)
+def test_solve_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "doc",
@@ -262,6 +281,15 @@ class TestShapeErrors:
         spec = f"tri({p['A']},{p['M']},{p['B']})"
         code, out, _ = run_cli(capsys, "solve", spec, "--identity", "ltc")
         assert code == 0 and out.startswith("dim ")
+
+
+    # Only this 20-digit size: it is rejected before anything is allocated,
+    # while a size that fits an index would try to build an n^6 tensor.
+    @pytest.mark.parametrize("kind", ["full_matrix", "upper_triangular"])
+    def test_matrix_size_too_large(self, capsys, kind):
+        code, out, err = run_cli(capsys, "solve", f"{kind}(99999999999999999999)", "--identity", "ltc")
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input:") and err.count("\n") == 1
 
 
 class TestPreconditionErrors:

@@ -22,6 +22,7 @@ from lietriple.catalog import (
 from lietriple.centralizers import block_decompose
 from lietriple.errors import (
     AnnihilatorConditionsFail,
+    DimensionMismatch,
     InvalidBlockStructure,
     NotAssociative,
     NotIdempotent,
@@ -249,6 +250,106 @@ class TestExampleTwelve:
 
 
 _LAYOUT_NAMES = ("T3", "M3", "example_1_2", "random0", "random1", "random2")
+
+
+class TestElementFromCorners:
+    @pytest.mark.parametrize(
+        "parts",
+        [{"a": [1, 2, 3]}, {"m": [5]}, {"n": [1]}, {"b": [1, 2]}],
+        ids=["long-a", "short-m", "n-of-empty-corner", "short-b"],
+    )
+    def test_part_of_wrong_length_is_rejected(self, parts):
+        u = upper_triangular_gma(3)  # dims (1, 2, 0, 3)
+        with pytest.raises(DimensionMismatch):
+            u.element_from_corners(**parts)
+
+    def test_parts_fill_their_corners(self):
+        u = upper_triangular_gma(3)
+        x = u.element_from_corners(a=[1], m=[2, 3], n=[], b=[4, 5, 6])
+        assert x.coords == tuple(F(v) for v in (1, 2, 3, 4, 5, 6))
+
+
+def _table_mul(alg, x, y):
+    """x y from the raw structure constants, by the defining triple sum."""
+    n = alg.dim
+    return tuple(
+        sum((x[i] * y[j] * alg.table[i][j][k] for i in range(n) for j in range(n)), F(0))
+        for k in range(n)
+    )
+
+
+def _apply(matrix, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in matrix.data)
+
+
+def _conjugate_idempotent_m3():
+    """P diag(1, 1, 0) P^-1 in M3 for a seeded P with Fraction entries."""
+    rng = random.Random(7)
+    while True:
+        p = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+        det = (
+            p[0][0] * (p[1][1] * p[2][2] - p[1][2] * p[2][1])
+            - p[0][1] * (p[1][0] * p[2][2] - p[1][2] * p[2][0])
+            + p[0][2] * (p[1][0] * p[2][1] - p[1][1] * p[2][0])
+        )
+        if det != 0:
+            break
+    # inverse by the adjugate; entries of e are sum_k p[i][k] d_k inv[k][j]
+    cof = lambda r, c: (
+        p[(r + 1) % 3][(c + 1) % 3] * p[(r + 2) % 3][(c + 2) % 3]
+        - p[(r + 1) % 3][(c + 2) % 3] * p[(r + 2) % 3][(c + 1) % 3]
+    )
+    inv = [[cof(c, r) / det for c in range(3)] for r in range(3)]
+    e = [sum((p[i][k] * inv[k][j] for k in (0, 1)), F(0)) for i in range(3) for j in range(3)]
+    assert e != [F(int(i == j and i < 2)) for i in range(3) for j in range(3)]
+    return full_matrix(3), e
+
+
+def _peirce_case(name):
+    if name == "M2 e11+e12":
+        return full_matrix(2), (1, 1, 0, 0), (1, 1, 1, 1)
+    if name == "M2+Q (e11+e21)+1":
+        return direct_sum(full_matrix(2), rationals()), (1, 0, 1, 0, 1), (2, 1, 1, 1)
+    if name == "M2+Q e11":
+        return direct_sum(full_matrix(2), rationals()), (1, 0, 0, 0, 0), (1, 1, 1, 2)
+    alg, e = _conjugate_idempotent_m3()
+    return alg, e, (4, 2, 2, 1)
+
+
+class TestPeirceOffMatrixUnits:
+    """Splits along idempotents that are not sums of basis vectors, checked by raw arithmetic."""
+
+    NAMES = ["M2 e11+e12", "M2+Q (e11+e21)+1", "M2+Q e11", "M3 P diag(1,1,0) P^-1"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_split_is_an_isomorphism_onto_its_corners(self, name):
+        alg, e, dims = _peirce_case(name)
+        e = tuple(F(x) for x in e)
+        assert _table_mul(alg, e, e) == e
+        pd = peirce_from_idempotent(alg, AlgebraElement(alg, e))
+        assert pd.gma.dims == dims
+        n = alg.dim
+        to_old, to_new = pd.new_to_old.data, pd.old_to_new.data
+        for i in range(n):
+            for j in range(n):
+                entry = sum((to_old[i][k] * to_new[k][j] for k in range(n)), F(0))
+                assert entry == (1 if i == j else 0), (i, j)
+
+        one = find_unit(alg).coords
+        f = tuple(a - b for a, b in zip(one, e))
+        sides = {"A": (e, e), "M": (e, f), "N": (f, e), "B": (f, f)}
+        new_basis = [pd.new_to_old.col(t) for t in range(n)]
+        for corner, positions in pd.gma.ranges.items():
+            left, right = sides[corner]
+            for t in positions:
+                x = new_basis[t]
+                assert _table_mul(alg, left, _table_mul(alg, x, right)) == x, (corner, t)
+
+        new = pd.gma.algebra
+        for x in new_basis:
+            for y in new_basis:
+                product = _table_mul(new, _apply(pd.old_to_new, x), _apply(pd.old_to_new, y))
+                assert _apply(pd.new_to_old, product) == _table_mul(alg, x, y)
 
 
 @functools.lru_cache(maxsize=None)
