@@ -19,6 +19,7 @@ from .errors import AlgebraMismatch, DimensionMismatch, NotAssociative, NotUnita
 from .linalg import (
     Matrix,
     Subspace,
+    clear_denominators,
     contract,
     is_zero_vec,
     kernel_of_rows,
@@ -99,20 +100,25 @@ class StructureConstants:
         raise AttributeError("StructureConstants is immutable")
 
     def _check_associativity(self) -> None:
+        """(e_i e_j) e_k = e_i (e_j e_k) for every basis triple, in ints.
+
+        Both sides are compared on the table scaled by its common
+        denominator D; each side then carries D^2, so this is exact.
+        """
         n = self.dim
-        sp = self._sparse
+        _, sp = _int_table(self)
         for i in range(n):
             for j in range(n):
                 vij = sp[i][j]
                 for k in range(n):
-                    lhs: dict[int, Fraction] = {}
+                    lhs: dict[int, int] = {}
                     for m, c in vij:
                         for l, d in sp[m][k]:
-                            lhs[l] = lhs.get(l, Fraction(0)) + c * d
+                            lhs[l] = lhs.get(l, 0) + c * d
                     for m, c in sp[j][k]:
                         for l, d in sp[i][m]:
-                            lhs[l] = lhs.get(l, Fraction(0)) - c * d
-                    if any(x != 0 for x in lhs.values()):
+                            lhs[l] = lhs.get(l, 0) - c * d
+                    if any(lhs.values()):
                         raise NotAssociative(i, j, k)
 
     # -- elements ----------------------------------------------------------
@@ -300,46 +306,69 @@ def commutant(alg: StructureConstants, s: Subspace) -> Subspace:
     return kernel_of_rows(alg.dim, rows)
 
 
-def _dense(n: int, entries) -> tuple:
-    out = [Fraction(0)] * n
-    for c, x in entries:
-        out[c] = x
-    return tuple(out)
+def _int_table(alg: StructureConstants) -> tuple[int, list[list[list[tuple[int, int]]]]]:
+    """(D, D * table) as sparse int rows: D is the common denominator of the table."""
+    n = alg.dim
+    d, rows = clear_denominators(row for plane in alg._sparse for row in plane)
+    return d, [rows[i * n : (i + 1) * n] for i in range(n)]
+
+
+def _sparse_sum(terms) -> tuple[tuple[int, int], ...]:
+    """The (coord, value) pairs of sum of c * v over (c, v) in terms, nonzero and sorted."""
+    out: dict[int, int] = {}
+    for c, v in terms:
+        for l, x in v:
+            out[l] = out.get(l, 0) + c * x
+    return tuple(sorted((l, x) for l, x in out.items() if x))
 
 
 @memoized
-def basis_tensor(alg: StructureConstants, form: str) -> dict[tuple, tuple]:
-    """A basis form as {(i, j[, k]): ((coord, value), ...)}, nonzero values only.
+def basis_tensor(alg: StructureConstants, form: str) -> tuple[int, dict[tuple, tuple]]:
+    """A basis form as (scale, {(i, j[, k]): ((coord, int value), ...)}).
 
     ``form`` is ``product`` (e_i e_j), ``bracket`` ([e_i, e_j]),
-    ``jordan`` (e_i o e_j) or ``triple`` ([[e_i, e_j], e_k]).  Keys run
-    in lexicographic order; tuples where the form vanishes are left out.
+    ``jordan`` (e_i o e_j) or ``triple`` ([[e_i, e_j], e_k]).  The values
+    are ints: the form times its scale, which is the table's common
+    denominator D for the three products and D^2 for the triple bracket,
+    so a value divided by the scale is the form's rational coordinate.
+    Only nonzero values are kept.  Keys run in lexicographic order;
+    tuples where the form vanishes are left out.
     """
     n = alg.dim
-    e = [unit_vec(n, i) for i in range(n)]
     if form == "triple":
-        brackets = ((key, _dense(n, w)) for key, w in basis_tensor(alg, "bracket").items())
+        d, brackets = basis_tensor(alg, "bracket")
         values = (
-            ((i, j, k), vec_sub(alg.mul_coords(b, e[k]), alg.mul_coords(e[k], b)))
-            for (i, j), b in brackets
+            ((i, j, k), _sparse_sum((c, brackets.get((m, k), ())) for m, c in b))
+            for (i, j), b in brackets.items()
             for k in range(n)
         )
-    else:
-        prod = {(i, j): alg.mul_coords(e[i], e[j]) for i in range(n) for j in range(n)}
-        combine = {"product": lambda u, _: u, "bracket": vec_sub, "jordan": vec_add}[form]
-        values = ((key, combine(v, prod[key[::-1]])) for key, v in prod.items())
-    return {
-        key: tuple((c, x) for c, x in enumerate(v) if x != 0)
-        for key, v in values
-        if not is_zero_vec(v)
-    }
+        return d * d, {key: v for key, v in values if v}
+    d, table = _int_table(alg)
+    signs = {"product": (1,), "bracket": (1, -1), "jordan": (1, 1)}[form]
+    values = (
+        ((i, j), _sparse_sum(zip(signs, (table[i][j], table[j][i]))))
+        for i in range(n)
+        for j in range(n)
+    )
+    return d, {key: v for key, v in values if v}
 
 
 @memoized
 def double_commutator_span(alg: StructureConstants) -> Subspace:
-    """Span of [[e_i, e_j], e_k] over all basis triples."""
+    """Span of [[e_i, e_j], e_k] over all basis triples.
+
+    The span does not change under the form's scale, so the int values
+    go in as they are.
+    """
     n = alg.dim
-    return Subspace(n, {_dense(n, w) for w in basis_tensor(alg, "triple").values()})
+    return Subspace(n, {_dense(n, w) for w in basis_tensor(alg, "triple")[1].values()})
+
+
+def _dense(n: int, entries) -> tuple:
+    out = [0] * n
+    for c, x in entries:
+        out[c] = x
+    return tuple(out)
 
 
 def largest_central_ideal(alg: StructureConstants) -> Subspace:

@@ -71,7 +71,7 @@ def _slot_terms(alg: StructureConstants, form: str, slot: int) -> dict[tuple, li
     l' increasing.
     """
     out: dict[tuple, list] = {}
-    for key, w in basis_tensor(alg, form).items():
+    for key, w in basis_tensor(alg, form)[1].items():
         out.setdefault(key[:slot] + key[slot + 1 :], []).append((key[slot], w))
     return out
 
@@ -83,10 +83,11 @@ def _constraint_tuples(alg: StructureConstants, kind: IdentityKind) -> Iterator[
     is the form at ``tag``, both sparse.  A term (p, i, group) is the
     form with phi(e_i) in the kind's p-th slot: the sum over (l', v) in
     ``group`` of phi[l', i] * v.  Tuples whose w and terms all vanish
-    are skipped; their rows would be identically 0.
+    are skipped; their rows would be identically 0.  All values are the
+    ints of ``basis_tensor``, so both sides carry the form's scale.
     """
     form, slots = _FORMS[kind]
-    table = basis_tensor(alg, form)
+    table = basis_tensor(alg, form)[1]
     groups = [_slot_terms(alg, form, s) for s in slots]
     for tag in itertools.product(range(alg.dim), repeat=3 if form == "triple" else 2):
         terms = []
@@ -113,6 +114,11 @@ def _matvec_sparse(m: Matrix, w) -> tuple:
     return tuple(sum((row[c] * x for c, x in w), Fraction(0)) for row in m.data)
 
 
+def _unscale(v: Sequence[Fraction], scale: int) -> tuple:
+    """v divided by a basis form's scale: the form's rational value."""
+    return tuple(v) if scale == 1 else tuple(x / scale for x in v)
+
+
 def _identity_residuals(
     alg: StructureConstants,
     kind: IdentityKind,
@@ -124,15 +130,17 @@ def _identity_residuals(
     ``matrix`` is phi on the left-hand side.  On the right, the p-th slot
     phi enters holds ``slot_matrices[p]``, by default ``matrix`` itself.
     """
-    mats = slot_matrices or (matrix,) * len(_FORMS[kind][1])
+    form, slots = _FORMS[kind]
+    scale = basis_tensor(alg, form)[0]
+    mats = slot_matrices or (matrix,) * len(slots)
     for tag, w, terms in _constraint_tuples(alg, kind):
         rhs = [Fraction(0)] * alg.dim
         for p, i, group in terms:
             _add_slot_image(rhs, group, mats[p], i)
-        yield tag, _matvec_sparse(matrix, w), tuple(rhs)
+        yield tag, _unscale(_matvec_sparse(matrix, w), scale), _unscale(rhs, scale)
 
 
-def _sparsity_rows(n: int, dims: tuple[int, int, int, int]) -> Iterator[dict[int, Fraction]]:
+def _sparsity_rows(n: int, dims: tuple[int, int, int, int]) -> Iterator[dict[int, int]]:
     """Rows forcing zero outside the M->N and N->M corners.
 
     ``dims`` are the GMA's block sizes, in its basis order A, M, N, B.
@@ -143,7 +151,7 @@ def _sparsity_rows(n: int, dims: tuple[int, int, int, int]) -> Iterator[dict[int
         for r in range(n):
             allowed = (c in m_range and r in n_range) or (c in n_range and r in m_range)
             if not allowed:
-                yield {c * n + r: Fraction(1)}
+                yield {c * n + r: 1}
 
 
 def _resolve(alg_or_gma, kind: IdentityKind) -> tuple[StructureConstants, GMA | None]:
@@ -169,9 +177,10 @@ def solve_identity_space(alg_or_gma, kind: IdentityKind) -> Subspace:
 def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | None) -> Subspace:
     n = alg.dim
 
-    def rows() -> Iterator[dict[int, Fraction]]:
+    def rows() -> Iterator[dict[int, int]]:
         # row l of a tuple: sum_c w_c phi[l, c] - sum over terms of
-        # phi[l', i] * v_l, with phi[r, c] at unknown c * n + r
+        # phi[l', i] * v_l, with phi[r, c] at unknown c * n + r; the
+        # rows are homogeneous, so the form's scale drops out
         for _tag, w, terms in _constraint_tuples(alg, kind):
             tuple_rows = [{c * n + l: x for c, x in w} for l in range(n)]
             for _p, i, group in terms:
@@ -357,20 +366,22 @@ def _structure_residuals(u: GMA, maps: dict[str, Matrix]):
         ("[[alpha4(a),b1],b2] = 0", alpha4, da, B),
         ("[[beta1(b),a1],a2] = 0", beta1, db, A),
     ):
+        scale = basis_tensor(target, "triple")[0]
         groups = sorted(_slot_terms(target, "triple", 0).items())
         for i in range(source):
             for rest, group in groups:
                 out = [Fraction(0)] * target.dim
                 _add_slot_image(out, group, m, i)
-                yield label, (i, *rest), tuple(out)
+                yield label, (i, *rest), _unscale(out, scale)
 
     # alpha4 and beta1 kill second commutators of their source corners
     for label, m, source in (
         ("alpha4 kills [[A,A],A]", alpha4, A),
         ("beta1 kills [[B,B],B]", beta1, B),
     ):
-        for tag, w in basis_tensor(source, "triple").items():
-            yield label, tag, _matvec_sparse(m, w)
+        scale, table = basis_tensor(source, "triple")
+        for tag, w in table.items():
+            yield label, tag, _unscale(_matvec_sparse(m, w), scale)
 
     # pairing conditions over all basis m, n
     for p in range(dm):

@@ -390,9 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: a parser ends in reference cycles, so one per call would
+# leave garbage for the cyclic collector on every request.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, HashMismatch, DimensionMismatch, NotUnital) as exc:

@@ -1,24 +1,30 @@
 """Exact linear algebra over the rationals.
 
-All arithmetic uses ``fractions.Fraction``; nothing here ever rounds.
-Subspaces carry a canonical reduced-row-echelon basis, so two equal
-subspaces compare equal grid-by-grid and test output is reproducible.
+Values are ``fractions.Fraction`` or plain ints; nothing here ever
+rounds.  Subspaces carry a canonical reduced-row-echelon basis, so two
+equal subspaces compare equal grid-by-grid and test output is
+reproducible.
 
 Each exact primitive is written once.  ``_echelon`` is the only row
 elimination: it brings each row to primitive integer form, drops
-duplicates, eliminates the rest fraction-free over the integers and
-turns the result into the unique reduced row-echelon form at the end.
-``Subspace``, ``kernel``, ``kernel_of_rows``, ``solve`` and ``rref`` all
-go through it.  ``contract`` is the only bilinear product: it applies a
-structure tensor, held in the sparse form ``sparse_tensor`` builds, to
-a pair of coordinate vectors.
+duplicates, eliminates the rest fraction-free over the integers on
+sparse ``{col: int}`` rows and turns the result into the unique reduced
+row-echelon form at the end; a Fraction is made only at that final
+division.  Rows of ints go in as they are.  A row holding a Fraction is
+first scaled by ``clear_denominators``, the one helper that clears
+denominators; callers that know a common denominator for a whole table
+(the structure constants, the basis forms) use it once per table and
+hand over int rows.  ``Subspace``, ``kernel``, ``kernel_of_rows``,
+``solve`` and ``rref`` all go through ``_echelon``.  ``contract`` is the
+only bilinear product: it applies a structure tensor, held in the
+sparse form ``sparse_tensor`` builds, to a pair of coordinate vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 from .errors import DimensionMismatch, Inconsistent
@@ -197,118 +203,145 @@ class Matrix:
 SparseRow = tuple[tuple[int, int], ...]  # ((col, integer coeff), ...) sorted
 
 
-def _normalize_sparse(items: Iterable[tuple[int, Fraction]]) -> SparseRow:
-    """Primitive integer form: cleared denominators, gcd 1, leading > 0."""
-    entries = sorted((c, x) for c, x in items if x != 0)
-    if not entries:
-        return ()
-    mult = lcm(*(x.denominator for _, x in entries))
-    ints = [(c, x.numerator * (mult // x.denominator)) for c, x in entries]
-    g = gcd(*(abs(v) for _, v in ints))
-    if ints[0][1] < 0:
-        g = -g
-    return tuple((c, v // g) for c, v in ints)
+def clear_denominators(rows: Iterable[Iterable[tuple]]) -> tuple[int, list[list[tuple]]]:
+    """(D, the rows times D) for rows of (key, value) pairs.
 
-
-def _primitive(row: list[int], lead: int) -> list[int]:
-    """row divided by the gcd of its entries, signed so row[lead] > 0."""
-    g = gcd(*row)
-    if row[lead] < 0:
-        g = -g
-    return [v // g for v in row]
+    D is the least common denominator of every value in every row, so
+    each scaled value is an int; int values pass through with D = 1.
+    """
+    rows = [list(row) for row in rows]
+    d = lcm(*(x.denominator for row in rows for _, x in row))
+    return d, [[(c, x.numerator * (d // x.denominator)) for c, x in row] for row in rows]
 
 
 class _IntEchelon:
-    """Exact row echelon over Z (representing a Q row space)."""
+    """Exact row echelon over Z (representing a Q row space).
 
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self.rows: list[list[int]] = []
-        self.pivot_of_row: list[int] = []
-        self.row_of_pivot: dict[int, int] = {}
+    Each pivot row is a sparse {col: int} dict, primitive with a positive
+    entry at its pivot, the least column it holds.
+    """
 
-    def insert(self, sparse: SparseRow) -> None:
-        """Add a nonzero primitive row; a row already in the span adds nothing."""
-        row = [0] * self.ambient
-        for c, v in sparse:
-            row[c] = v
-        lead = sparse[0][0]
-        while lead is not None and lead in self.row_of_pivot:
-            piv = self.rows[self.row_of_pivot[lead]]
-            a, b = piv[lead], row[lead]
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-            row = [fa * x - fb * y for x, y in zip(row, piv)]
-            lead = next((j for j in range(lead + 1, self.ambient) if row[j]), None)
-        if lead is not None:
-            self.row_of_pivot[lead] = len(self.rows)
-            self.rows.append(_primitive(row, lead))
-            self.pivot_of_row.append(lead)
+    def __init__(self):
+        self.rows: dict[int, dict[int, int]] = {}  # pivot -> its row
 
-    def rref_fraction_rows(self) -> tuple[list[list[Fraction]], list[int]]:
-        """The unique reduced row-echelon form, in pivot order.
+    def insert(self, row: dict[int, int]) -> None:
+        """Add a nonzero row, reducing it in place; a row in the span adds nothing."""
+        rows = self.rows
+        lead = min(row)
+        while lead in rows:
+            row = _eliminate(row, rows[lead], lead)
+            if not row:
+                return
+            lead = min(row)
+        rows[lead] = _primitive(row, lead)
+
+    def rref_fraction_rows(self) -> tuple[list[dict[int, Fraction]], list[int]]:
+        """The unique reduced row-echelon form as sparse rows, in pivot order.
 
         Back substitution stays fraction-free, one row at a time from the
-        bottom; only the final division by each pivot makes Fractions.
+        bottom, and touches only the pivot columns a row holds; only the
+        final division by each pivot makes Fractions.
         """
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivot_of_row[i])
-        rows = [self.rows[i] for i in order]
-        pivots = [self.pivot_of_row[i] for i in order]
-        for r in range(len(rows) - 2, -1, -1):
-            row = rows[r]
-            for s in range(r + 1, len(rows)):
-                b = row[pivots[s]]
-                if b:
-                    below = rows[s]
-                    a = below[pivots[s]]
-                    g = gcd(a, b)
-                    fa, fb = a // g, b // g
-                    row = [fa * x - fb * y for x, y in zip(row, below)]
-            rows[r] = _primitive(row, pivots[r])
-        zero = Fraction(0)
-        return [
-            [Fraction(v, row[p]) if v else zero for v in row]
-            for row, p in zip(rows, pivots)
-        ], pivots
+        rows = self.rows
+        pivots = sorted(rows)
+        for p in reversed(pivots):
+            row = rows[p]
+            # rows below are reduced, so subtracting one brings in no pivot column
+            for q in [c for c in row if c != p and c in rows]:
+                row = _eliminate(row, rows[q], q)
+            rows[p] = row = _primitive(row, p)
+        return [{c: Fraction(x, rows[p][p]) for c, x in rows[p].items()} for p in pivots], pivots
 
 
-def _echelon(ambient: int, rows: Iterable[Mapping[int, Fraction] | Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon basis of the span of rows, with its pivots.
+def _eliminate(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
+    """fa * row - fb * piv with fa, fb coprime, so the col entry cancels.
 
-    Rows may be sparse mappings {col: value} or dense sequences.  Zero
+    Touches only the nonzeros of piv (and of row when fa != 1); entries
+    that cancel are dropped.  May update row in place.
+    """
+    a, b = piv[col], row[col]
+    g = gcd(a, b)
+    fa, fb = a // g, b // g
+    if fa != 1:
+        row = {c: fa * x for c, x in row.items()}
+    for c, y in piv.items():
+        x = row.get(c, 0) - fb * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+    return row
+
+
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """row divided by the gcd of its entries, signed so row[lead] > 0."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def _echelon(rows: Iterable[dict | Sequence]) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced row-echelon basis of the span of rows, as sparse rows, with its pivots.
+
+    Rows may be sparse dicts {col: value} or dense sequences, of ints or
+    Fractions.  A row holding a Fraction is scaled to ints first.  Zero
     and duplicate rows are dropped before the integer echelon sees them.
     """
-    ech = _IntEchelon(ambient)
+    ech = _IntEchelon()
     seen: set[SparseRow] = set()
     for row in rows:
-        items = row.items() if isinstance(row, Mapping) else enumerate(row)
-        sparse = _normalize_sparse((c, rat(x)) for c, x in items)
-        if sparse and sparse not in seen:
+        if isinstance(row, dict):
+            if 0 in row.values():
+                row = {c: x for c, x in row.items() if x}
+            entries = sorted(row.items())
+        else:
+            entries = [(c, x) for c, x in enumerate(row) if x]
+        if not entries:
+            continue
+        try:
+            g = gcd(*(x for _, x in entries))
+        except TypeError:  # gcd takes ints only: the row holds a Fraction
+            _, (entries,) = clear_denominators([entries])
+            g = gcd(*(x for _, x in entries))
+        if entries[0][1] < 0:
+            g = -g
+        sparse = tuple(entries) if g == 1 else tuple((c, x // g) for c, x in entries)
+        if sparse not in seen:
             seen.add(sparse)
-            ech.insert(sparse)
+            ech.insert(dict(sparse))
     return ech.rref_fraction_rows()
 
 
-def _kernel_from_rref(rows: list[list[Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
+_ZERO = Fraction(0)
+
+
+def _dense(row: dict[int, Fraction], n: int) -> Vector:
+    out = [_ZERO] * n
+    for c, x in row.items():
+        out[c] = x
+    return tuple(out)
+
+
+def _kernel_from_rref(rows: list[dict[int, Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
     pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
+    free = {f: [_ZERO] * ncols for f in range(ncols) if f not in pivot_set}
+    for f, v in free.items():
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
+    for row, p in zip(rows, pivots):
+        for c, x in row.items():
+            if c in free:
+                free[c][p] = -x
+    return [tuple(v) for v in free.values()]
 
 
-def kernel_of_rows(ambient: int, rows: Iterable[Mapping[int, Fraction] | Sequence[Fraction]]) -> Subspace:
+def kernel_of_rows(ambient: int, rows: Iterable[dict | Sequence]) -> Subspace:
     """Exact kernel of a stack of constraint rows; no rows give Q^ambient.
 
-    Rows may be sparse mappings {col: value} or dense sequences.
+    Rows may be sparse dicts {col: value} or dense sequences, of ints or
+    Fractions.
     """
-    rr, piv = _echelon(ambient, rows)
+    rr, piv = _echelon(rows)
     return Subspace(ambient, _kernel_from_rref(rr, piv, ambient))
 
 
@@ -319,8 +352,9 @@ def kernel(m: Matrix) -> Subspace:
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form; same shape, row space preserved."""
-    rows, _ = _echelon(m.cols, m.data)
-    return Matrix(rows + [zero_vec(m.cols)] * (m.rows - len(rows)), cols=m.cols)
+    rows, _ = _echelon(m.data)
+    dense = [_dense(row, m.cols) for row in rows]
+    return Matrix(dense + [zero_vec(m.cols)] * (m.rows - len(rows)), cols=m.cols)
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Vector, "Subspace"]:
@@ -332,12 +366,12 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Vector, "Subspace"]:
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"rhs length {len(rhs)} vs {m.rows} rows")
     n = m.cols
-    rows, pivots = _echelon(n + 1, [row + (rat(b),) for row, b in zip(m.data, rhs)])
+    rows, pivots = _echelon([row + (rat(b),) for row, b in zip(m.data, rhs)])
     if pivots and pivots[-1] == n:
         raise Inconsistent("no solution")
     particular = [Fraction(0)] * n
     for row, p in zip(rows, pivots):
-        particular[p] = row[n]
+        particular[p] = row.get(n, _ZERO)
     return tuple(particular), Subspace(n, _kernel_from_rref(rows, pivots, n))
 
 
@@ -363,9 +397,9 @@ class Subspace:
         for r in rows:
             if len(r) != ambient:
                 raise DimensionMismatch(f"vector of length {len(r)} in ambient {ambient}")
-        reduced, pivots = _echelon(ambient, rows)
+        reduced, pivots = _echelon(rows)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(map(tuple, reduced)))
+        object.__setattr__(self, "basis", tuple(_dense(row, ambient) for row in reduced))
         object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, *_):

@@ -152,3 +152,43 @@ def residual_is_zero(alg: StructureConstants, op_matrix, kind: str) -> bool:
     return all(
         all(x == 0 for x in res) for res in _residual_stream(alg, images, kind)
     )
+
+
+def rebased(alg: StructureConstants, p) -> StructureConstants:
+    """The algebra in the basis f_i = sum_a p[a][i] e_a, by element arithmetic."""
+    n = alg.dim
+    reduced, _ = gauss_jordan(
+        [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(p)]
+    )
+    pinv = [row[n:] for row in reduced]
+    f = [tuple(Fraction(p[a][i]) for a in range(n)) for i in range(n)]
+    return StructureConstants(
+        [
+            [
+                [sum((pinv[k][c] * x for c, x in enumerate(alg.mul_coords(f[i], f[j]))), Fraction(0)) for k in range(n)]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+# Unit-diagonal basis change whose rebased M_2 has structure constants
+# with denominators 2, 3, 6 and 9.
+RATIONAL_BASIS = (
+    (1, Fraction(1, 2), 0, 0),
+    (0, 1, 0, Fraction(-2, 3)),
+    (0, 0, 1, 0),
+    (0, 0, 3, 1),
+)
+
+
+def first_nonassociative_triple(table):
+    """The first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), by a plain Fraction loop."""
+    n = len(table)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = [sum((table[i][j][m] * table[m][k][l] for m in range(n)), Fraction(0)) for l in range(n)]
+        rhs = [sum((table[j][k][m] * table[i][m][l] for m in range(n)), Fraction(0)) for l in range(n)]
+        if lhs != rhs:
+            return i, j, k
+    return None

@@ -26,6 +26,7 @@ from lietriple.catalog import (
 from lietriple.errors import AlgebraMismatch, Inconsistent, NotAssociative
 from lietriple.gma import _invert
 from lietriple.linalg import Matrix, Subspace, solve, unit_vec
+from oracles import RATIONAL_BASIS, first_nonassociative_triple, rebased
 
 F = Fraction
 
@@ -53,6 +54,28 @@ class TestConstruction:
         with pytest.raises(NotAssociative) as exc:
             StructureConstants(table)
         assert exc.value.triple == (0, 0, 0)
+
+    def test_rational_table_reports_first_failing_triple(self):
+        # The check runs on the table scaled to ints; the triple it names
+        # must be the first one a plain Fraction loop finds.
+        table = [[list(row) for row in plane] for plane in rebased(full_matrix(2), RATIONAL_BASIS).table]
+        table[2][3][0] += F(1, 5)
+        expected = first_nonassociative_triple(table)
+        assert expected is not None
+        with pytest.raises(NotAssociative) as exc:
+            StructureConstants(table)
+        assert exc.value.triple == expected
+
+    def test_distinct_prime_denominators_accepted(self):
+        # e_i e_i = e_i / p_i: associative, with common denominator 210
+        primes = (2, 3, 5, 7)
+        table = [
+            [[F(1, p) if i == j == k else 0 for k in range(4)] for j in range(4)]
+            for i, p in enumerate(primes)
+        ]
+        alg = StructureConstants(table)
+        assert first_nonassociative_triple(alg.table) is None
+        assert alg.table[3][3][3] == F(1, 7)
 
     def test_dim_at_least_one(self):
         with pytest.raises(Exception):

@@ -27,7 +27,7 @@ from lietriple.centralizers import (
 from lietriple.errors import DimensionMismatch, NotGMA
 from lietriple.linalg import Matrix, Subspace
 
-from oracles import dense_identity_space, identity_sides, residual_is_zero
+from oracles import RATIONAL_BASIS, dense_identity_space, identity_sides, rebased, residual_is_zero
 
 F = Fraction
 K = IdentityKind
@@ -347,6 +347,8 @@ _NET_ALGEBRAS = {
     "M2": lambda: full_matrix(2),
     # dims (1,1,1,2), a structure constant 2 and nonzero pairings
     "R1": lambda: random_gma(random.Random(1), require_n=True).algebra,
+    # M_2 in a rational basis: denominators 2, 3, 6 and 9
+    "M2q": lambda: rebased(full_matrix(2), RATIONAL_BASIS),
 }
 _NET_KINDS = ("lc", "ltc", "jc", "der", "lieder", "jder", "ltd")
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -315,3 +316,17 @@ def test_cli_import_leaves_numpy_unloaded():
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_warm_request_leaves_no_cyclic_garbage(capsys):
+    # Text output: the stdlib json indent encoder leaves cycles of its own.
+    argv = ["solve", "full_matrix(3)", "--identity", "ltd"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

@@ -137,6 +137,28 @@ def subspaces(ambient):
     ).map(lambda vs: Subspace(ambient, vs))
 
 
+@st.composite
+def block_systems(draw):
+    """(ncols, rows): a block-diagonal system of {col: int} rows, columns and rows shuffled.
+
+    Each block has 1-4 columns and up to one row more than columns, so
+    blocks of full rank and dependent rows both occur; coefficients reach
+    10**6 and some are explicit zeros.
+    """
+    coeff = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+    block = st.integers(1, 4).flatmap(
+        lambda c: st.lists(st.lists(coeff, min_size=c, max_size=c), min_size=1, max_size=c + 1)
+    )
+    blocks = draw(st.lists(block, min_size=1, max_size=4))
+    ncols = sum(len(b[0]) for b in blocks)
+    perm = draw(st.permutations(range(ncols)))
+    rows, start = [], 0
+    for b in blocks:
+        rows.extend({perm[start + j]: x for j, x in enumerate(r)} for r in b)
+        start += len(b[0])
+    return ncols, draw(st.permutations(rows))
+
+
 class TestProperties:
     @given(matrices())
     def test_rref_idempotent(self, m):
@@ -170,6 +192,18 @@ class TestProperties:
         basis = row_space_basis(m.data)
         zero_rows = ((F(0),) * m.cols,) * (m.rows - len(basis))
         assert rref(m) == Matrix(basis + zero_rows, cols=m.cols)
+
+    @given(block_systems())
+    def test_kernel_of_rows_matches_dense_kernel_on_block_systems(self, system):
+        # Independent blocks under shuffled columns, against the Fraction
+        # Gauss-Jordan; int rows and the equal Fraction rows agree.
+        ncols, rows = system
+        dense = [[F(r.get(c, 0)) for c in range(ncols)] for r in rows]
+        ker = kernel_of_rows(ncols, rows)
+        assert ker.basis == kernel_basis(dense, ncols)
+        assert Subspace(ncols, dense).basis == row_space_basis(dense)
+        assert kernel_of_rows(ncols, [{c: F(x) for c, x in r.items()} for r in rows]) == ker
+        assert kernel_of_rows(ncols, dense) == ker
 
     @given(matrices())
     def test_solve_consistency(self, m):
