@@ -19,6 +19,7 @@ from .errors import AlgebraMismatch, DimensionMismatch, NotAssociative, NotUnita
 from .linalg import (
     Matrix,
     Subspace,
+    _dense,
     clear_denominators,
     contract,
     is_zero_vec,
@@ -361,14 +362,7 @@ def double_commutator_span(alg: StructureConstants) -> Subspace:
     go in as they are.
     """
     n = alg.dim
-    return Subspace(n, {_dense(n, w) for w in basis_tensor(alg, "triple")[1].values()})
-
-
-def _dense(n: int, entries) -> tuple:
-    out = [0] * n
-    for c, x in entries:
-        out[c] = x
-    return tuple(out)
+    return Subspace(n, {_dense(dict(w), n) for w in basis_tensor(alg, "triple")[1].values()})
 
 
 def largest_central_ideal(alg: StructureConstants) -> Subspace:

@@ -27,14 +27,11 @@ from typing import Iterator, Sequence
 
 from .algebra import AlgebraElement, LinearOperator, StructureConstants, basis_tensor, memoized
 from .errors import DimensionMismatch, NotGMA, NotUnital
-from .gma import Bimodule, GMA, block_ranges
+from .gma import GMA, block_ranges
 from .linalg import (
     Matrix,
     Subspace,
-    is_zero_vec,
     kernel_of_rows,
-    unit_vec,
-    vec_sub,
 )
 
 
@@ -334,13 +331,15 @@ def six_map_shapes(u: GMA) -> dict[str, tuple[int, int]]:
     return {name: shapes[name] for name in _SIX_MAP_FIELDS}
 
 
-def _act(mod: Bimodule, left: bool, x: Sequence[Fraction], m: Sequence[Fraction]) -> tuple:
-    """x acting on the module element m from the left or from the right."""
-    return mod.act_left(x, m) if left else mod.act_right(m, x)
+def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
+    """Yield (label, tag, rows): the block-form conditions as constraint rows.
 
-
-def _structure_residuals(u: GMA, maps: dict[str, Matrix]):
-    """Yield (label, tag, residual vector) for the block-form conditions.
+    A row is one residual coordinate, sparse over the six maps in the
+    layout of ``six_maps_from_flat``; a condition holds iff its rows vanish
+    on the flattened maps.  Each term of a residual is sign * post(f(pre))
+    for a map f: ``pre`` is sparse over f's source, ``post`` pairs (r, image
+    of f's output coordinate r), None for the identity.  Both are slices
+    of the basis forms or of the context's sparse tensors.
 
     The two pairing conditions are implemented in the domain-corrected
     orientation: the second reads beta4(nm) - alpha4(mn) = n tau2(m)
@@ -349,86 +348,93 @@ def _structure_residuals(u: GMA, maps: dict[str, Matrix]):
     """
     ctx = u.context
     A, B, M, N = ctx.A, ctx.B, ctx.M, ctx.N
-    da, dm, dn, db = u.dims
-    alpha1, beta1 = maps["alpha1"], maps["beta1"]
-    tau2, gamma3 = maps["tau2"], maps["gamma3"]
-    alpha4, beta4 = maps["alpha4"], maps["beta4"]
+    layout, pos = {}, 0
+    for name, (r, c) in six_map_shapes(u).items():
+        layout[name] = (pos, tuple((i, ((i, 1),)) for i in range(r)))
+        pos += r * c
+
+    def rows(*terms) -> list[dict]:
+        out: dict[int, dict] = {}
+        for sign, name, pre, post in terms:
+            start, identity = layout[name]
+            post = identity if post is None else tuple(post)
+            for k, x in pre:
+                col = start + k * len(identity)
+                for r, v in post:
+                    for l, c in v:
+                        row = out.setdefault(l, {})
+                        row[col + r] = row.get(col + r, 0) + sign * x * c
+        return list(out.values())
+
+    def unit(i: int) -> tuple:
+        return ((i, 1),)
 
     # alpha1 and beta4 satisfy the triple identity on their own corners
-    ltc = IdentityKind.LIE_TRIPLE_CENTRALIZER
-    for tag, lhs, rhs in _identity_residuals(A, ltc, alpha1):
-        yield "alpha1 triple identity on A", tag, vec_sub(lhs, rhs)
-    for tag, lhs, rhs in _identity_residuals(B, ltc, beta4):
-        yield "beta4 triple identity on B", tag, vec_sub(lhs, rhs)
+    for label, name, alg in (
+        ("alpha1 triple identity on A", "alpha1", A),
+        ("beta4 triple identity on B", "beta4", B),
+    ):
+        for tag, w, terms in _constraint_tuples(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER):
+            slots = ((-1, name, unit(i), group) for _p, i, group in terms)
+            yield label, tag, rows((1, name, w, None), *slots)
 
     # alpha4 lands in the double commutant of B; beta1 in that of A
-    for label, m, source, target in (
-        ("[[alpha4(a),b1],b2] = 0", alpha4, da, B),
-        ("[[beta1(b),a1],a2] = 0", beta1, db, A),
+    for label, name, source, target in (
+        ("[[alpha4(a),b1],b2] = 0", "alpha4", A, B),
+        ("[[beta1(b),a1],a2] = 0", "beta1", B, A),
     ):
-        scale = basis_tensor(target, "triple")[0]
         groups = sorted(_slot_terms(target, "triple", 0).items())
-        for i in range(source):
+        for i in range(source.dim):
             for rest, group in groups:
-                out = [Fraction(0)] * target.dim
-                _add_slot_image(out, group, m, i)
-                yield label, (i, *rest), _unscale(out, scale)
+                yield label, (i, *rest), rows((1, name, unit(i), group))
 
     # alpha4 and beta1 kill second commutators of their source corners
-    for label, m, source in (
-        ("alpha4 kills [[A,A],A]", alpha4, A),
-        ("beta1 kills [[B,B],B]", beta1, B),
+    for label, name, source in (
+        ("alpha4 kills [[A,A],A]", "alpha4", A),
+        ("beta1 kills [[B,B],B]", "beta1", B),
     ):
-        scale, table = basis_tensor(source, "triple")
-        for tag, w in table.items():
-            yield label, tag, _unscale(_matvec_sparse(m, w), scale)
+        for tag, w in basis_tensor(source, "triple")[1].items():
+            yield label, tag, rows((1, name, w, None))
 
     # pairing conditions over all basis m, n
-    for p in range(dm):
-        mvec = unit_vec(dm, p)
-        t2m = tau2.col(p)
-        for q in range(dn):
-            nvec = unit_vec(dn, q)
-            g3n = gamma3.col(q)
-            mn = ctx.pair_mn(mvec, nvec)
-            nm = ctx.pair_nm(nvec, mvec)
-            lead_a = vec_sub(alpha1.matvec(mn), beta1.matvec(nm))
-            yield "alpha1(mn) - beta1(nm) = tau2(m) n", (p, q), vec_sub(
-                lead_a, ctx.pair_mn(t2m, nvec)
-            )
-            yield "alpha1(mn) - beta1(nm) = m gamma3(n)", (p, q), vec_sub(
-                lead_a, ctx.pair_mn(mvec, g3n)
-            )
-            lead_b = vec_sub(beta4.matvec(nm), alpha4.matvec(mn))
-            yield "beta4(nm) - alpha4(mn) = n tau2(m)", (p, q), vec_sub(
-                lead_b, ctx.pair_nm(nvec, t2m)
-            )
-            yield "beta4(nm) - alpha4(mn) = gamma3(n) m", (p, q), vec_sub(
-                lead_b, ctx.pair_nm(g3n, mvec)
-            )
+    zeta, psi = ctx._zeta, ctx._psi
+    for p in range(M.dim):
+        for q in range(N.dim):
+            mn, nm = zeta[p][q], psi[q][p]
+            lead_a = ((1, "alpha1", mn, None), (-1, "beta1", nm, None))
+            lead_b = ((1, "beta4", nm, None), (-1, "alpha4", mn, None))
+            for label, lead, name, i, post in (
+                ("alpha1(mn) - beta1(nm) = tau2(m) n", lead_a, "tau2", p, [t[q] for t in zeta]),
+                ("alpha1(mn) - beta1(nm) = m gamma3(n)", lead_a, "gamma3", q, zeta[p]),
+                ("beta4(nm) - alpha4(mn) = n tau2(m)", lead_b, "tau2", p, psi[q]),
+                ("beta4(nm) - alpha4(mn) = gamma3(n) m", lead_b, "gamma3", q, [t[p] for t in psi]),
+            ):
+                yield label, (p, q), rows(*lead, (-1, name, unit(i), enumerate(post)))
 
     # module conditions of t = tau2 on M and t = gamma3 on N: for x in the
     # source corner acting on the given side, t(x.m) = x.t(m) and t(x.m)
-    # = same(x).m - m.cross(x), the cross term acting from the other side
-    for t, mod, left, source, same, cross, label_x, label_same in (
-        (tau2, M, True, da, alpha1, alpha4,
+    # = same(x).m - m.cross(x), the cross term acting from the other side;
+    # each action tensor is indexed [x][m], the right actions transposed
+    m_left, m_right = M._left, tuple(zip(*M._right))
+    n_left, n_right = N._left, tuple(zip(*N._right))
+    for t, act, cross_act, same, cross, label_x, label_same in (
+        ("tau2", m_left, m_right, "alpha1", "alpha4",
          "tau2(am) = a tau2(m)", "tau2(am) = alpha1(a)m - m alpha4(a)"),
-        (tau2, M, False, db, beta4, beta1,
+        ("tau2", m_right, m_left, "beta4", "beta1",
          "tau2(mb) = tau2(m) b", "tau2(mb) = m beta4(b) - beta1(b)m"),
-        (gamma3, N, False, da, alpha1, alpha4,
+        ("gamma3", n_right, n_left, "alpha1", "alpha4",
          "gamma3(na) = gamma3(n) a", "gamma3(na) = n alpha1(a) - alpha4(a)n"),
-        (gamma3, N, True, db, beta4, beta1,
+        ("gamma3", n_left, n_right, "beta4", "beta1",
          "gamma3(bn) = b gamma3(n)", "gamma3(bn) = beta4(b)n - n beta1(b)"),
     ):
-        for i in range(source):
-            xvec = unit_vec(source, i)
-            same_x, cross_x = same.col(i), cross.col(i)
-            for p in range(mod.dim):
-                mvec = unit_vec(mod.dim, p)
-                t_xm = t.matvec(_act(mod, left, xvec, mvec))
-                yield label_x, (i, p), vec_sub(t_xm, _act(mod, left, xvec, t.col(p)))
-                yield label_same, (i, p), vec_sub(
-                    t_xm, vec_sub(_act(mod, left, same_x, mvec), _act(mod, not left, cross_x, mvec))
+        for i, x_acts in enumerate(act):
+            for p, xm in enumerate(x_acts):
+                t_xm = (1, t, xm, None)
+                yield label_x, (i, p), rows(t_xm, (-1, t, unit(p), enumerate(x_acts)))
+                yield label_same, (i, p), rows(
+                    t_xm,
+                    (-1, same, unit(i), enumerate(y[p] for y in act)),
+                    (1, cross, unit(i), enumerate(y[p] for y in cross_act)),
                 )
 
 
@@ -447,16 +453,19 @@ _VANISHING_CORNERS = tuple(name for name in CORNERS if name not in _SIX_MAP_FIEL
 
 
 def verify_thm31_conditions(u: GMA, d: BlockDecomposition) -> Thm31Report:
-    """Check the sixteen-corner shape and all structure conditions."""
+    """Check the sixteen-corner shape and all structure conditions.
+
+    A condition fails when one of its ``_condition_rows`` does not vanish
+    on the six maps, flattened column-major.
+    """
     if u.unit() is None:
         raise NotUnital("block-form conditions need a unital algebra")
-    failures: list[tuple[str, tuple]] = []
-    for name in _VANISHING_CORNERS:
-        if not getattr(d, name).is_zero():
-            failures.append((f"corner {name} must vanish", ()))
-    maps = {name: getattr(d, name) for name in _SIX_MAP_FIELDS}
-    for label, tag, residual in _structure_residuals(u, maps):
-        if not is_zero_vec(residual):
+    failures = [
+        (f"corner {name} must vanish", ()) for name in _VANISHING_CORNERS if not getattr(d, name).is_zero()
+    ]
+    flat = [x for name in _SIX_MAP_FIELDS for col in zip(*getattr(d, name).data) for x in col]
+    for label, tag, rows in _condition_rows(u):
+        if any(sum(flat[k] * c for k, c in row.items()) for row in rows):
             failures.append((label, tag))
     return Thm31Report(not failures, tuple(failures))
 
@@ -465,21 +474,11 @@ def six_map_solution_space(u: GMA) -> Subspace:
     """All six-map tuples satisfying the structure conditions, as a subspace.
 
     Unknowns are the six matrices in the fixed field order, each
-    column-major.  Columns of the constraint matrix are obtained by
-    probing the residual evaluator on unit tuples, which keeps this
-    solver and the verifier literally the same code.
+    column-major.  The rows are ``_condition_rows``, the ones the
+    verifier evaluates, so both read one statement of the conditions.
     """
     total = sum(r * c for r, c in six_map_shapes(u).values())
-    columns: list[list[Fraction]] = []
-    for t in range(total):
-        flat = [Fraction(0)] * total
-        flat[t] = Fraction(1)
-        res: list[Fraction] = []
-        for _label, _tag, residual in _structure_residuals(u, six_maps_from_flat(u, flat)):
-            res.extend(residual)
-        columns.append(res)
-    rows = (dict(enumerate(r)) for r in zip(*columns))
-    return kernel_of_rows(total, rows)
+    return kernel_of_rows(total, (row for _label, _tag, rows in _condition_rows(u) for row in rows))
 
 
 def six_maps_from_flat(u: GMA, flat: Sequence[Fraction]) -> dict[str, Matrix]:

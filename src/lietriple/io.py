@@ -4,9 +4,9 @@ Rationals appear as "p/q" strings ("p" when the denominator is 1) in
 every document; a plain JSON integer is also read.  Operator documents
 carry the content hash of the algebra they were solved on and are
 rejected against anything else.  A malformed rational, a grid that is
-not a list of lists, a document that is not an object, or a ``dim``
-that is not a JSON int >= 0 (for an algebra: equal to its table size)
-raises ValueError.
+not a list of lists, a document that is not an object, a label that is
+not a JSON string, or a ``dim`` that is not a JSON int >= 0 (for an
+algebra: equal to its table size) raises ValueError.
 """
 
 from __future__ import annotations
@@ -80,7 +80,9 @@ def sc_from_doc(doc: dict) -> StructureConstants:
     _expect(doc, dict, "algebra document")
     labels = doc.get("labels")
     if labels is not None:
-        _expect(labels, list, "labels")
+        for label in _expect(labels, list, "labels"):
+            if not isinstance(label, str):
+                raise ValueError(f"labels must be JSON strings, not {label!r}")
     table = _parse_planes(doc["table"])
     if "dim" in doc and _dim(doc["dim"], "algebra dim") != len(table):
         raise ValueError(f"algebra dim {doc['dim']} but the table has size {len(table)}")

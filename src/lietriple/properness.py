@@ -44,8 +44,8 @@ from .linalg import (
     Subspace,
     is_zero_vec,
     try_solve,
-    unit_vec,
     vec_add,
+    vec_dot,
     vec_sub,
     zero_vec,
 )
@@ -147,14 +147,9 @@ def is_proper_direct(
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for i in range(n):
-        ei = unit_vec(n, i)
-        phi_ei = phi.matrix.col(i)
-        zi_cols = [m.col(i) for m in mult_cols]
-        for f in ann.basis:
-            rows.append(
-                [sum(f[l] * col[l] for l in range(n)) for col in zi_cols]
-            )
-            rhs.append(sum(f[l] * phi_ei[l] for l in range(n)))
+        i_rows, i_rhs = _center_rows(ann, [m.col(i) for m in mult_cols], phi.matrix.col(i))
+        rows += i_rows
+        rhs += i_rhs
     for w in dc.basis:
         phi_w = phi.matrix.matvec(w)
         zw = [m.matvec(w) for m in mult_cols]
@@ -189,17 +184,21 @@ def is_proper_direct(
     )
 
 
+def _center_rows(ann: Subspace, zx: Sequence, phi_x: Sequence[Fraction]) -> tuple[list, list]:
+    """The rows f.(z_t x) with right-hand sides f.phi(x), one per f in ann(Z).
+
+    Solved for c, they say phi(x) - sum of c_t z_t x lies in the center
+    Z; ``zx`` holds the products z_t x over the center basis z_t.
+    """
+    return [[vec_dot(f, v) for v in zx] for f in ann.basis], [vec_dot(f, phi_x) for f in ann.basis]
+
+
 def _singleton_witness(alg, phi, z, ann, mult_cols, probes):
     """An element x with phi(x) - lambda x outside the center for all lambda."""
-    n = alg.dim
-    candidates = list(probes) + [alg.basis_element(i) for i in range(n)]
+    candidates = list(probes) + [alg.basis_element(i) for i in range(alg.dim)]
     for x in candidates:
         phi_x = phi.matrix.matvec(x.coords)
-        zx = [m.matvec(x.coords) for m in mult_cols]
-        rows = [
-            [sum(f[l] * col[l] for l in range(n)) for col in zx] for f in ann.basis
-        ]
-        rhs = [sum(f[l] * phi_x[l] for l in range(n)) for f in ann.basis]
+        rows, rhs = _center_rows(ann, [m.matvec(x.coords) for m in mult_cols], phi_x)
         if try_solve(Matrix(rows, cols=z.dim), rhs) is None:
             return x, AlgebraElement(alg, phi_x)
     return None

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -262,6 +263,51 @@ class TestThm31Conditions:
             assert six_map_solution_space(u).dim == ltc.dim
 
 
+def _random_matrix(rng, rows, cols):
+    # mostly zeros, so some conditions hold and the failure list is selective
+    return Matrix(
+        [[F(rng.choice((0, 0, 0, 1, -1, 2)), rng.choice((1, 2))) for _ in range(cols)] for _ in range(rows)],
+        cols=cols,
+    )
+
+
+def _thm31_digest(u, rng):
+    """sha256 over Thm 3.1 failures on seeded operators and the six-map basis."""
+    h = hashlib.sha256()
+    n = u.algebra.dim
+    ops = [
+        build_from_blocks(u, **{name: _random_matrix(rng, r, c) for name, (r, c) in six_map_shapes(u).items()})
+        for _ in range(3)
+    ]
+    ops.append(LinearOperator(u.algebra, _random_matrix(rng, n, n)))
+    for op in ops:
+        h.update(repr(verify_thm31_conditions(u, block_decompose(u, op)).failures).encode())
+    h.update(repr(six_map_solution_space(u).basis).encode())
+    return h.hexdigest()
+
+
+# Recorded before the Thm 3.1 conditions were restated as constraint rows.
+_PINNED_THM31 = {
+    "T3": "9a730c85e326a1f0a1d9e3bdf76ad3161160673239745ecda8a82d6e91ee05cd",
+    "M3": "34d7927b1e3a0a1c119928b98a409eaff0c8e538bc9706ddfaabf5ae068fbdd8",
+    "T4/2": "aa9aa719a82f7199a89337251be94d0a2fc1f2d976794be463914f07c118f39c",
+    "R0": "f60046e269c4ef06e90419512733b12df1d3e5a00cbd2e66c5c927695745ba90",
+    "R1": "0de24ba629665cf664a7d30f5621eb5e2b37be26c26a7018c28e09f294ccd948",
+    "R2": "50cbe68bf8b8fa5c1aea5b5c1d4000fb5db99844c24cb5ddb692de16a5768d2e",
+}
+_THM31_GMAS = {
+    "T3": lambda: upper_triangular_gma(3),
+    "M3": lambda: full_matrix_gma(3),
+    "T4/2": lambda: upper_triangular_gma(4, 2),
+    **{f"R{s}": (lambda s=s: random_gma(random.Random(s), require_n=True)) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THM31_GMAS))
+def test_thm31_reports_and_six_map_basis_are_pinned(name):
+    assert _thm31_digest(_THM31_GMAS[name](), random.Random(name)) == _PINNED_THM31[name]
+
+
 class TestBuildFromBlocks:
     def test_identity_components(self, gmas):
         u = gmas["T2"]
@@ -300,6 +346,20 @@ class TestBuildFromBlocks:
                     maps["gamma3"], maps["alpha4"], maps["beta4"],
                 )
                 assert ltc.contains_vector(op.flatten())
+
+    @pytest.mark.parametrize("name", ["T3", "M3", "R0", "R1", "R2"])
+    def test_six_map_basis_maps_onto_ltc_space(self, name):
+        # The block form is a bijection: the images of the six-map basis
+        # are independent and span exactly the Lie triple centralizers.
+        u = _THM31_GMAS[name]()
+        tuples = six_map_solution_space(u)
+        images = Subspace(
+            u.algebra.dim ** 2,
+            [build_from_blocks(u, **six_maps_from_flat(u, v)).flatten() for v in tuples.basis],
+        )
+        ltc = solve_identity_space(u.algebra, K.LIE_TRIPLE_CENTRALIZER)
+        assert images.dim == tuples.dim == ltc.dim
+        assert images == ltc
 
     def test_corner_of_wrong_shape_is_rejected(self, gmas):
         u = gmas["T3"]

@@ -221,8 +221,12 @@ class TestMalformedDocuments:
             {"table": [["10", "00"], ["00", "00"]]},
             {"table": [[[True]]]},
             {"table": [[["1.5"]]]},
+            *({"table": [[["1"]]], "labels": [label]} for label in (["x"], 1, None, True)),
         ],
-        ids=["zero-denominator", "top-level-array", "string-rows", "bool-entry", "decimal-entry"],
+        ids=[
+            "zero-denominator", "top-level-array", "string-rows", "bool-entry", "decimal-entry",
+            "list-label", "int-label", "null-label", "bool-label",
+        ],
     )
     def test_exit_two_with_one_line(self, capsys, tmp_path, doc):
         path = tmp_path / "A.json"
