@@ -15,6 +15,10 @@ to the exact kernel routine, and ``_identity_residuals`` evaluates the
 same equations on a given operator, so direct membership checking
 agrees with the solved space by construction of the rows, not by
 accident.
+
+Both work on ints: the basis forms are ints times a scale, and the
+evaluator (like the Thm 3.1 verifier) scales its operators once by
+their common denominator.  Fractions are made only for a witness.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .gma import GMA, block_ranges
 from .linalg import (
     Matrix,
     Subspace,
+    clear_denominators,
     kernel_of_rows,
 )
 
@@ -97,44 +102,42 @@ def _constraint_tuples(alg: StructureConstants, kind: IdentityKind) -> Iterator[
             yield tag, w, terms
 
 
-def _add_slot_image(out: list, group, m: Matrix, i: int) -> None:
-    """out += sum over (l', v) in group of m[l', i] * v: the form with m(e_i) in the slot."""
-    for lp, v in group:
-        x = m.data[lp][i]
-        if x:
-            for l, c in v:
-                out[l] += x * c
-
-
-def _matvec_sparse(m: Matrix, w) -> tuple:
-    """m times the vector with (coordinate, value) pairs w."""
-    return tuple(sum((row[c] * x for c, x in w), Fraction(0)) for row in m.data)
-
-
-def _unscale(v: Sequence[Fraction], scale: int) -> tuple:
-    """v divided by a basis form's scale: the form's rational value."""
-    return tuple(v) if scale == 1 else tuple(x / scale for x in v)
-
-
 def _identity_residuals(
     alg: StructureConstants,
     kind: IdentityKind,
     matrix: Matrix,
     slot_matrices: Sequence[Matrix] | None = None,
 ) -> Iterator[tuple[tuple, tuple, tuple]]:
-    """Yield (tag, lhs, rhs): both sides of each constraint tuple on an operator.
+    """Yield (tag, lhs, rhs) for each constraint tuple whose two sides differ on an operator.
 
     ``matrix`` is phi on the left-hand side.  On the right, the p-th slot
     phi enters holds ``slot_matrices[p]``, by default ``matrix`` itself.
+    The operators, times their common denominator d, are int columns
+    {row: int}, so both sides are int lists times s = (form scale) * d;
+    only a differing pair is divided by s into Fractions.
     """
     form, slots = _FORMS[kind]
-    scale = basis_tensor(alg, form)[0]
-    mats = slot_matrices or (matrix,) * len(slots)
+    n = alg.dim
+    ops = (matrix, *(slot_matrices or (matrix,) * len(slots)))
+    d, cols = clear_denominators(
+        ((r, x) for r, x in enumerate(col) if x) for m in ops for col in zip(*m.data)
+    )
+    phi, *mats = (list(map(dict, cols[k : k + n])) for k in range(0, len(cols), n))
+    s = basis_tensor(alg, form)[0] * d
     for tag, w, terms in _constraint_tuples(alg, kind):
-        rhs = [Fraction(0)] * alg.dim
+        lhs, rhs = [0] * n, [0] * n
+        for c, x in w:
+            for r, y in phi[c].items():
+                lhs[r] += x * y
         for p, i, group in terms:
-            _add_slot_image(rhs, group, mats[p], i)
-        yield tag, _unscale(_matvec_sparse(matrix, w), scale), _unscale(rhs, scale)
+            col = mats[p][i]
+            for lp, v in group:
+                y = col.get(lp)
+                if y:
+                    for l, c in v:
+                        rhs[l] += y * c
+        if lhs != rhs:
+            yield tag, tuple(Fraction(x, s) for x in lhs), tuple(Fraction(x, s) for x in rhs)
 
 
 def _sparsity_rows(n: int, dims: tuple[int, int, int, int]) -> Iterator[dict[int, int]]:
@@ -220,8 +223,7 @@ def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> Id
                     False, (r, c), alg.element(op.matrix.col(c)), alg.zero()
                 )
     for tag, lhs, rhs in _identity_residuals(alg, kind, op.matrix):
-        if lhs != rhs:
-            return IdentityCheck(False, tag, alg.element(lhs), alg.element(rhs))
+        return IdentityCheck(False, tag, alg.element(lhs), alg.element(rhs))
     return IdentityCheck(True)
 
 
@@ -338,8 +340,8 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
     layout of ``six_maps_from_flat``; a condition holds iff its rows vanish
     on the flattened maps.  Each term of a residual is sign * post(f(pre))
     for a map f: ``pre`` is sparse over f's source, ``post`` pairs (r, image
-    of f's output coordinate r), None for the identity.  Both are slices
-    of the basis forms or of the context's sparse tensors.
+    of f's output coordinate r), None for the identity.  Both are int
+    slices of the basis forms or of the context's scaled sparse tensors.
 
     The two pairing conditions are implemented in the domain-corrected
     orientation: the second reads beta4(nm) - alpha4(mn) = n tau2(m)
@@ -348,6 +350,11 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
     """
     ctx = u.context
     A, B, M, N = ctx.A, ctx.B, ctx.M, ctx.N
+    # the context's tensors as ints, times their common denominator: each
+    # row is linear in them, so its kernel and its vanishing are unchanged
+    tensors = (ctx._zeta, ctx._psi, M._left, M._right, N._left, N._right)
+    ints = iter(clear_denominators(row for t in tensors for plane in t for row in plane)[1])
+    zeta, psi, m_left, m_right, n_left, n_right = [[[next(ints) for _ in p] for p in t] for t in tensors]
     layout, pos = {}, 0
     for name, (r, c) in six_map_shapes(u).items():
         layout[name] = (pos, tuple((i, ((i, 1),)) for i in range(r)))
@@ -397,7 +404,6 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
             yield label, tag, rows((1, name, w, None))
 
     # pairing conditions over all basis m, n
-    zeta, psi = ctx._zeta, ctx._psi
     for p in range(M.dim):
         for q in range(N.dim):
             mn, nm = zeta[p][q], psi[q][p]
@@ -415,8 +421,7 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
     # source corner acting on the given side, t(x.m) = x.t(m) and t(x.m)
     # = same(x).m - m.cross(x), the cross term acting from the other side;
     # each action tensor is indexed [x][m], the right actions transposed
-    m_left, m_right = M._left, tuple(zip(*M._right))
-    n_left, n_right = N._left, tuple(zip(*N._right))
+    m_right, n_right = tuple(zip(*m_right)), tuple(zip(*n_right))
     for t, act, cross_act, same, cross, label_x, label_same in (
         ("tau2", m_left, m_right, "alpha1", "alpha4",
          "tau2(am) = a tau2(m)", "tau2(am) = alpha1(a)m - m alpha4(a)"),
@@ -456,14 +461,15 @@ def verify_thm31_conditions(u: GMA, d: BlockDecomposition) -> Thm31Report:
     """Check the sixteen-corner shape and all structure conditions.
 
     A condition fails when one of its ``_condition_rows`` does not vanish
-    on the six maps, flattened column-major.
+    on the six maps, flattened column-major and scaled to ints.
     """
     if u.unit() is None:
         raise NotUnital("block-form conditions need a unital algebra")
     failures = [
         (f"corner {name} must vanish", ()) for name in _VANISHING_CORNERS if not getattr(d, name).is_zero()
     ]
-    flat = [x for name in _SIX_MAP_FIELDS for col in zip(*getattr(d, name).data) for x in col]
+    entries = (x for name in _SIX_MAP_FIELDS for col in zip(*getattr(d, name).data) for x in col)
+    flat = dict(clear_denominators([enumerate(entries)])[1][0])
     for label, tag, rows in _condition_rows(u):
         if any(sum(flat[k] * c for k, c in row.items()) for row in rows):
             failures.append((label, tag))

@@ -83,7 +83,7 @@ def check_gltd_correspondence(
     )
     slots = (lam_op.matrix, xi.matrix, xi.matrix)
     witness = next(
-        (tag for tag, lhs, rhs in _identity_residuals(alg, ltd, lam_op.matrix, slots) if lhs != rhs),
+        (tag for tag, _lhs, _rhs in _identity_residuals(alg, ltd, lam_op.matrix, slots)),
         None,
     )
     direct_ok = witness is None

@@ -4,9 +4,10 @@ Rationals appear as "p/q" strings ("p" when the denominator is 1) in
 every document; a plain JSON integer is also read.  Operator documents
 carry the content hash of the algebra they were solved on and are
 rejected against anything else.  A malformed rational, a grid that is
-not a list of lists, a document that is not an object, a label that is
-not a JSON string, or a ``dim`` that is not a JSON int >= 0 (for an
-algebra: equal to its table size) raises ValueError.
+not a list of lists, a document that is not an object or that lacks a
+required key, a label that is not a JSON string, or a ``dim`` that is
+not a JSON int >= 0 (for an algebra: equal to its table size) raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ def parse_rat(s) -> Fraction:
     return Fraction(s)
 
 
-def _expect(value, kind: type, what: str):
-    """value itself when it is a JSON object (kind dict) or list (kind list)."""
+def _expect(value, kind: type, what: str, *keys: str):
+    """value itself when it is a JSON object (kind dict) holding keys, or a list (kind list)."""
     if not isinstance(value, kind):
         json_kind = "object" if kind is dict else "list"
         raise ValueError(f"{what} must be a JSON {json_kind}, not {type(value).__name__}")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f'{what} is missing "{key}"')
     return value
 
 
@@ -77,7 +81,7 @@ def sc_to_doc(alg: StructureConstants) -> dict:
 
 
 def sc_from_doc(doc: dict) -> StructureConstants:
-    _expect(doc, dict, "algebra document")
+    _expect(doc, dict, "algebra document", "table")
     labels = doc.get("labels")
     if labels is not None:
         for label in _expect(labels, list, "labels"):
@@ -98,7 +102,7 @@ def bimodule_to_doc(m: Bimodule) -> dict:
 
 
 def bimodule_from_doc(doc: dict, left_dim: int, right_dim: int) -> Bimodule:
-    _expect(doc, dict, "bimodule document")
+    _expect(doc, dict, "bimodule document", "dim", "left", "right")
     dim = _dim(doc["dim"], "bimodule dim")
     return Bimodule(
         dim, left_dim, right_dim, _parse_planes(doc["left"]), _parse_planes(doc["right"])
@@ -117,7 +121,7 @@ def context_to_doc(ctx: MoritaContext) -> dict:
 
 
 def context_from_doc(doc: dict) -> MoritaContext:
-    _expect(doc, dict, "context document")
+    _expect(doc, dict, "context document", "A", "B", "M", "N", "zeta", "psi")
     a = sc_from_doc(doc["A"])
     b = sc_from_doc(doc["B"])
     m = bimodule_from_doc(doc["M"], a.dim, b.dim)
@@ -134,7 +138,7 @@ def operator_to_doc(op: LinearOperator) -> dict:
 
 
 def operator_from_doc(doc: dict, algebra: StructureConstants) -> LinearOperator:
-    _expect(doc, dict, "operator document")
+    _expect(doc, dict, "operator document", "matrix")
     if doc.get("algebra_hash") != algebra.content_hash:
         raise HashMismatch(
             "operator was saved against a different algebra "

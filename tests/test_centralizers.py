@@ -443,6 +443,43 @@ class TestOracleNet:
             assert lhs != rhs and (lhs, rhs) == (chk.lhs, chk.rhs)
 
 
+@pytest.mark.parametrize("kind", _NET_KINDS)
+@pytest.mark.parametrize("name", sorted(_NET_ALGEBRAS))
+def test_membership_with_rational_perturbations(name, kind):
+    """Perturbations with denominators 2, 3, 5 and 7 reach the evaluator's denominator clearing."""
+    alg = _NET_ALGEBRAS[name]()
+    space = solve_identity_space(alg, K(kind))
+    rng = random.Random(f"{name}-{kind}-rational")
+    for _ in range(3):
+        member = rand_combination(space, rng)
+        off = tuple(F(rng.randint(-2, 2), rng.choice((2, 3, 5, 7))) for _ in range(space.ambient))
+        op = LinearOperator.from_flat(alg, tuple(a + b for a, b in zip(member, off)))
+        chk = is_identity_member(alg, K(kind), op)
+        expected = space.contains_vector(op.flatten())
+        assert bool(chk) is expected and residual_is_zero(alg, op.matrix, kind) is expected
+        if not chk:
+            assert identity_sides(alg, kind, chk.witness, op.matrix) == (chk.lhs, chk.rhs)
+
+
+def test_member_checks_build_no_fraction(monkeypatch):
+    """A passing check stays in ints: centralizers makes Fractions only for a witness."""
+    import lietriple.centralizers
+    from lietriple.derivations import check_gltd_correspondence
+
+    alg = full_matrix(3)
+    ltc = solve_identity_space(alg, K.LIE_TRIPLE_CENTRALIZER)
+    ltd = solve_identity_space(alg, K.LIE_TRIPLE_DERIVATION)
+    phi = LinearOperator.from_flat(alg, [F(1, 3) * a + F(2, 3) * b for a, b in zip(*ltc.basis)])
+    xi = LinearOperator.from_flat(alg, [F(2, 3) * a - b for a, b in zip(*ltd.basis[:2])])
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built in centralizers")
+
+    monkeypatch.setattr(lietriple.centralizers, "Fraction", no_fraction)
+    assert is_identity_member(alg, K.LIE_TRIPLE_CENTRALIZER, phi)
+    assert check_gltd_correspondence(alg, phi + xi, xi)
+
+
 def test_equal_algebras_built_apart_share_one_solve(monkeypatch):
     import lietriple.algebra
     import lietriple.centralizers

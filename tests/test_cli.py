@@ -10,9 +10,10 @@ import pytest
 
 import lietriple
 from lietriple.algebra import LinearOperator
-from lietriple.catalog import resolve
+from lietriple.catalog import full_matrix_gma, resolve
+from lietriple.centralizers import IdentityKind, solve_identity_space
 from lietriple.cli import main
-from lietriple.io import operator_to_doc, save_json
+from lietriple.io import context_from_doc, context_to_doc, operator_to_doc, save_json
 from lietriple.linalg import Matrix
 
 
@@ -212,6 +213,56 @@ def test_solve_stdout_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _fixed_combination(entry, kind):
+    """The operator sum of (-1)^k (k mod 3 + 1) times the k-th solved basis vector."""
+    space = solve_identity_space(entry.algebra, kind)
+    coeffs = [(-1) ** k * (k % 3 + 1) for k in range(space.dim)]
+    flat = [sum(c * v[i] for c, v in zip(coeffs, space.basis)) for i in range(space.ambient)]
+    return LinearOperator.from_flat(entry.algebra, flat)
+
+
+@pytest.mark.parametrize(
+    "spec, argv, digest",
+    [
+        (
+            "full_matrix(3)", ("proper", "phi.json"),
+            "d959a564f461c7eb75f6acde36634ce33ed9735e46383b13aa8a49f3a0b9acf0",
+        ),
+        (
+            "full_matrix(3)", ("decompose", "phi.json"),
+            "1c0dd683a78692af89148ca19fde6ee5c3426d9cc5a029f2ab13f8f0f5523fd6",
+        ),
+        (
+            "full_matrix(3)", ("decompose", "lam.json", "--xi", "xi.json"),
+            "43ea0a310ac0ca34248205038adf76b8cbf30d2584309a5d44f64f39ea955f46",
+        ),
+        (
+            "upper_triangular(4)", ("proper", "phi.json"),
+            "391193b0517afd4e3d3454fd01060be0cc04f684aca0be3fd734a16076d1ea19",
+        ),
+        (
+            "upper_triangular(4)", ("decompose", "phi.json"),
+            "7cab37f3c05345b4107734c82d39273cb0452386e4367a4138885203bbf95fe4",
+        ),
+        (
+            "upper_triangular(4)", ("decompose", "lam.json", "--xi", "xi.json"),
+            "ad24d949d465c1a10dd1f2f504d5652bd4aa3c8ee279026ba9d1aaf9990544d6",
+        ),
+    ],
+)
+def test_certify_stdout_bytes_are_pinned(capsys, tmp_path, monkeypatch, spec, argv, digest):
+    """proper/decompose JSON on fixed integer combinations of the LTC and LTD bases."""
+    monkeypatch.chdir(tmp_path)
+    entry = resolve(spec)
+    phi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_CENTRALIZER)
+    xi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_DERIVATION)
+    for name, op in (("phi.json", phi), ("xi.json", xi), ("lam.json", phi + xi)):
+        save_json(name, operator_to_doc(op))
+    code, out, _ = run_cli(capsys, argv[0], spec, *argv[1:], "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "doc",
@@ -234,6 +285,30 @@ class TestMalformedDocuments:
         code, out, err = run_cli(capsys, "solve", f"m2({path})", "--identity", "ltc")
         assert code == 2 and out == ""
         assert err.startswith("invalid input:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "kind, key", [("algebra", "table"), ("bimodule", "dim"), ("operator", "matrix")]
+    )
+    def test_missing_key_names_document_and_key(self, capsys, tmp_path, kind, key):
+        p = _one_dim_documents(tmp_path)
+        spec = f"tri({p['A']},{p['M']},{p['B']})"
+        identity = LinearOperator.identity(resolve(spec).algebra)
+        p["operator"] = write_operator(tmp_path, "op.json", identity)
+        path = Path(p[{"algebra": "A", "bimodule": "M"}.get(kind, kind)])
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "proper", spec, p["operator"])
+        assert code == 2 and out == ""
+        assert err == f'invalid input: {kind} document is missing "{key}"\n'
+
+    def test_context_missing_key_names_document_and_key(self):
+        # no subcommand reads a context document; the loader's ValueError
+        # is what cli.main turns into exit 2
+        doc = context_to_doc(full_matrix_gma(2).context)
+        del doc["zeta"]
+        with pytest.raises(ValueError, match='^context document is missing "zeta"$'):
+            context_from_doc(doc)
 
 
 def _one_dim_documents(tmp_path, **overrides):

@@ -5,7 +5,12 @@ import pytest
 
 from lietriple.algebra import LinearOperator, center, double_commutator_span, find_unit
 from lietriple.catalog import example_1_2, full_matrix_gma, upper_triangular_gma
-from lietriple.centralizers import IdentityKind, is_identity_member, solve_identity_space
+from lietriple.centralizers import (
+    IdentityKind,
+    _identity_residuals,
+    is_identity_member,
+    solve_identity_space,
+)
 from lietriple.derivations import (
     GLTDDecomposition,
     LTDDecomposition,
@@ -101,6 +106,33 @@ class TestCorrespondence:
             misses += 1
             lam = LinearOperator.from_flat(alg, flat)
             assert not check_gltd_correspondence(alg, lam, xi)
+
+    def test_slot_denominators_are_cleared(self, m2g):
+        # xi = ad(e12 + 2 e21) / 7 and phi = id/3 + 2 tr/3, a triple
+        # centralizer: Lambda = phi + xi passes.  The failing operator
+        # phi + swap has denominators 3 only, so the evaluator must clear
+        # the 7s of xi in the other two slots, not only those of Lambda
+        alg = m2g.algebra
+        xi = F(1, 7) * inner_derivation(alg, (0, 1, 2, 0))
+        trace = LinearOperator(
+            alg, Matrix.from_cols([(1, 0, 0, 1), (0,) * 4, (0,) * 4, (1, 0, 0, 1)])
+        )
+        phi = F(1, 3) * LinearOperator.identity(alg) + F(2, 3) * trace
+        assert {x.denominator for x in phi.flatten()} == {1, 3}
+        assert {x.denominator for x in xi.flatten()} == {1, 7}
+        assert check_gltd_correspondence(alg, phi + xi, xi)
+        swap = LinearOperator(
+            alg,
+            Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
+        )
+        bad = phi + swap
+        chk = check_gltd_correspondence(alg, bad, xi)
+        assert not chk
+        slots = (bad.matrix, xi.matrix, xi.matrix)
+        tag, lhs, rhs = next(_identity_residuals(alg, K.LIE_TRIPLE_DERIVATION, bad.matrix, slots))
+        assert tag == chk.witness
+        sides = identity_sides(alg, "ltd", tag, bad.matrix, xi.matrix)
+        assert sides[0] != sides[1] and sides == (alg.element(lhs), alg.element(rhs))
 
 
 class TestDerivationLattice:
