@@ -7,17 +7,18 @@ reproducible.
 
 Each exact primitive is written once.  ``_echelon`` is the only row
 elimination: it brings each row to primitive integer form, drops
-duplicates, eliminates the rest fraction-free over the integers on
-sparse ``{col: int}`` rows and turns the result into the unique reduced
-row-echelon form at the end; a Fraction is made only at that final
-division.  Rows of ints go in as they are.  A row holding a Fraction is
-first scaled by ``clear_denominators``, the one helper that clears
-denominators; callers that know a common denominator for a whole table
-(the structure constants, the basis forms) use it once per table and
-hand over int rows.  ``Subspace``, ``kernel``, ``kernel_of_rows``,
-``solve`` and ``rref`` all go through ``_echelon``.  ``contract`` is the
-only bilinear product: it applies a structure tensor, held in the
-sparse form ``sparse_tensor`` builds, to a pair of coordinate vectors.
+duplicates and eliminates the rest fraction-free over the integers on
+sparse ``{col: int}`` rows, keeping the echelon reduced on every insert,
+so a row costs one elimination per pivot column it holds.  A Fraction is
+made only at the final division of each row by its pivot entry.  Rows of
+ints go in as they are.  A row holding a Fraction is first scaled by
+``clear_denominators``, the one helper that clears denominators; callers
+that know a common denominator for a whole table (the structure
+constants, the basis forms) use it once per table and hand over int
+rows.  ``Subspace``, ``kernel``, ``kernel_of_rows``, ``solve`` and
+``rref`` all go through ``_echelon``.  ``contract`` is the only bilinear
+product: it applies a structure tensor, held in the sparse form
+``sparse_tensor`` builds, to a pair of coordinate vectors.
 """
 
 from __future__ import annotations
@@ -215,41 +216,39 @@ def clear_denominators(rows: Iterable[Iterable[tuple]]) -> tuple[int, list[list[
 
 
 class _IntEchelon:
-    """Exact row echelon over Z (representing a Q row space).
+    """Exact row echelon over Z (representing a Q row space), kept reduced on insert.
 
     Each pivot row is a sparse {col: int} dict, primitive with a positive
-    entry at its pivot, the least column it holds.
+    entry at its pivot, the least column it holds, and zero at every
+    other pivot column.
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> its row
 
     def insert(self, row: dict[int, int]) -> None:
-        """Add a nonzero row, reducing it in place; a row in the span adds nothing."""
-        rows = self.rows
-        lead = min(row)
-        while lead in rows:
-            row = _eliminate(row, rows[lead], lead)
-            if not row:
-                return
-            lead = min(row)
-        rows[lead] = _primitive(row, lead)
+        """Add a nonzero row, reducing it in place; a row in the span adds nothing.
 
-    def rref_fraction_rows(self) -> tuple[list[dict[int, Fraction]], list[int]]:
-        """The unique reduced row-echelon form as sparse rows, in pivot order.
-
-        Back substitution stays fraction-free, one row at a time from the
-        bottom, and touches only the pivot columns a row holds; only the
-        final division by each pivot makes Fractions.
+        One elimination per pivot column the row holds, as a pivot row is
+        zero at the other pivots; a surviving row's lead is then
+        eliminated from the pivot rows that hold it.
         """
         rows = self.rows
+        for p in [c for c in row if c in rows]:
+            row = _eliminate(row, rows[p], p)
+        if not row:
+            return
+        lead = min(row)
+        row = _primitive(row, lead)
+        for p, prow in rows.items():
+            if lead in prow:
+                rows[p] = _primitive(_eliminate(prow, row, lead), p)
+        rows[lead] = row
+
+    def rref_fraction_rows(self) -> tuple[list[dict[int, Fraction]], list[int]]:
+        """The unique rref as sparse rows, in pivot order; only dividing by each pivot makes Fractions."""
+        rows = self.rows
         pivots = sorted(rows)
-        for p in reversed(pivots):
-            row = rows[p]
-            # rows below are reduced, so subtracting one brings in no pivot column
-            for q in [c for c in row if c != p and c in rows]:
-                row = _eliminate(row, rows[q], q)
-            rows[p] = row = _primitive(row, p)
         return [{c: Fraction(x, rows[p][p]) for c, x in rows[p].items()} for p in pivots], pivots
 
 

@@ -154,13 +154,19 @@ def residual_is_zero(alg: StructureConstants, op_matrix, kind: str) -> bool:
     )
 
 
-def rebased(alg: StructureConstants, p) -> StructureConstants:
-    """The algebra in the basis f_i = sum_a p[a][i] e_a, by element arithmetic."""
-    n = alg.dim
+def inverse(p) -> list[list[Fraction]]:
+    """The inverse of an invertible square grid, by Gauss-Jordan on [p | 1]."""
+    n = len(p)
     reduced, _ = gauss_jordan(
         [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(p)]
     )
-    pinv = [row[n:] for row in reduced]
+    return [row[n:] for row in reduced]
+
+
+def rebased(alg: StructureConstants, p) -> StructureConstants:
+    """The algebra in the basis f_i = sum_a p[a][i] e_a, by element arithmetic."""
+    n = alg.dim
+    pinv = inverse(p)
     f = [tuple(Fraction(p[a][i]) for a in range(n)) for i in range(n)]
     return StructureConstants(
         [
@@ -181,6 +187,17 @@ RATIONAL_BASIS = (
     (0, 0, 1, 0),
     (0, 0, 3, 1),
 )
+
+
+def unit_diagonal_basis(rng, n: int, per_row: int = 2, entries=(-2, -1, 1, 2)) -> tuple:
+    """An invertible integer basis change: ones on the diagonal, per_row entries off it in each row."""
+    while True:
+        p = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in rng.sample([j for j in range(n) if j != i], per_row):
+                p[i][j] = rng.choice(entries)
+        if len(gauss_jordan([[Fraction(x) for x in row] for row in p])[1]) == n:
+            return tuple(map(tuple, p))
 
 
 def first_nonassociative_triple(table):

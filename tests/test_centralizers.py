@@ -28,7 +28,15 @@ from lietriple.centralizers import (
 from lietriple.errors import DimensionMismatch, NotGMA
 from lietriple.linalg import Matrix, Subspace
 
-from oracles import RATIONAL_BASIS, dense_identity_space, identity_sides, rebased, residual_is_zero
+from oracles import (
+    RATIONAL_BASIS,
+    dense_identity_space,
+    identity_sides,
+    inverse,
+    rebased,
+    residual_is_zero,
+    unit_diagonal_basis,
+)
 
 F = Fraction
 K = IdentityKind
@@ -459,6 +467,34 @@ def test_membership_with_rational_perturbations(name, kind):
         assert bool(chk) is expected and residual_is_zero(alg, op.matrix, kind) is expected
         if not chk:
             assert identity_sides(alg, kind, chk.witness, op.matrix) == (chk.lhs, chk.rhs)
+
+
+# T3 in seeded integer bases with two entries off the diagonal per row:
+# dense rows with growing coefficients, most of them dependent.
+_DENSE_T3_SEEDS = (0, 1)
+# sha256 over the solved bases, recorded before the integer echelon was
+# kept reduced on insert.
+_PINNED_DENSE_T3 = "fe5edfabbdd2e08606cb25bf60f50fc0e55bda1c951f9c7eee8058687302a9ec"
+
+
+def test_rebased_t3_solves_equal_conjugated_catalog_spaces():
+    """Each solved space in the new basis is the catalog space conjugated by the basis change."""
+    t3 = upper_triangular(3)
+    n = t3.dim
+    h = hashlib.sha256()
+    for seed in _DENSE_T3_SEEDS:
+        p = unit_diagonal_basis(random.Random(seed), n)
+        alg = rebased(t3, p)
+        pm, pinv = Matrix(p), Matrix(inverse(p))
+        for kind in _NET_KINDS:
+            space = solve_identity_space(alg, K(kind))
+            old = solve_identity_space(t3, K(kind))
+            conjugated = [
+                LinearOperator(alg, pinv @ LinearOperator.from_flat(t3, v).matrix @ pm).flatten() for v in old.basis
+            ]
+            assert space == Subspace(n * n, conjugated)
+            h.update(repr(space.basis).encode())
+    assert h.hexdigest() == _PINNED_DENSE_T3
 
 
 def test_member_checks_build_no_fraction(monkeypatch):

@@ -1,13 +1,19 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+import lietriple.algebra
+from lietriple import linalg
 from lietriple.catalog import full_matrix, rationals, scalar_bimodule, triangular_context, upper_triangular
+from lietriple.centralizers import IdentityKind, solve_identity_space
 from lietriple.errors import DimensionMismatch, Inconsistent
 from lietriple.gma import Bimodule, MoritaContext
 from lietriple.linalg import (
     Matrix,
+    _IntEchelon,
     Subspace,
     contract,
     kernel,
@@ -17,7 +23,7 @@ from lietriple.linalg import (
     sparse_tensor,
     try_solve,
 )
-from oracles import kernel_basis, row_space_basis
+from oracles import kernel_basis, rebased, row_space_basis, unit_diagonal_basis
 
 F = Fraction
 
@@ -159,6 +165,29 @@ def block_systems(draw):
     return ncols, draw(st.permutations(rows))
 
 
+@st.composite
+def dependent_systems(draw):
+    """(ncols, rows): a tall integer system of rank k < ncols as {col: int} rows, shuffled.
+
+    Every row is an integer combination of k staircase base rows, with
+    coefficients up to 10**6, and there are more rows than columns, so
+    most rows lie in the span of the rows before them.
+    """
+    ncols = draw(st.integers(2, 7))
+    k = draw(st.integers(1, ncols - 1))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    base = [[int(c == i) if c <= i else draw(entry) for c in range(ncols)] for i in range(k)]
+    coeff = st.integers(-(10**6), 10**6)
+    nrows = draw(st.integers(ncols + 1, 2 * ncols + 2))
+    combos = draw(st.lists(st.lists(coeff, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+    perm = draw(st.permutations(range(ncols)))
+    rows = []
+    for cs in combos:
+        row = [sum(a * b[c] for a, b in zip(cs, base)) for c in range(ncols)]
+        rows.append({perm[c]: x for c, x in enumerate(row) if x})
+    return ncols, draw(st.permutations(rows))
+
+
 class TestProperties:
     @given(matrices())
     def test_rref_idempotent(self, m):
@@ -205,6 +234,21 @@ class TestProperties:
         assert kernel_of_rows(ncols, [{c: F(x) for c, x in r.items()} for r in rows]) == ker
         assert kernel_of_rows(ncols, dense) == ker
 
+    @given(dependent_systems())
+    def test_echelon_stays_reduced_on_dependent_systems(self, system):
+        # After every insert each pivot row is primitive, positive at its
+        # pivot, which is its least column, and holds no other pivot column.
+        ncols, rows = system
+        dense = [[F(r.get(c, 0)) for c in range(ncols)] for r in rows]
+        assert kernel_of_rows(ncols, rows).basis == kernel_basis(dense, ncols)
+        ech = _IntEchelon()
+        for row in rows:
+            if row:
+                ech.insert(dict(row))
+            for p, prow in ech.rows.items():
+                assert min(prow) == p and prow[p] > 0 and gcd(*prow.values()) == 1
+                assert not ech.rows.keys() & (prow.keys() - {p})
+
     @given(matrices())
     def test_solve_consistency(self, m):
         res = try_solve(m, m.matvec((F(1),) * m.cols))
@@ -221,6 +265,39 @@ class TestKernelOfRows:
 
     def test_no_rows_gives_full(self):
         assert kernel_of_rows(3, []) == Subspace.full(3)
+
+
+def test_insert_costs_one_elimination_per_pivot_column(monkeypatch):
+    """Each insert eliminates once per pivot column its row holds, plus once per pivot row holding its new lead.
+
+    T3 LTD in a seeded integer basis gives dense rows, most of them
+    dependent; reducing by leading pivot only would walk a chain about
+    twice as long as the row has nonzeros.
+    """
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    eliminate, insert = linalg._eliminate, _IntEchelon.insert
+    calls = [0]
+    costs = []
+
+    def counting_eliminate(*args):
+        calls[0] += 1
+        return eliminate(*args)
+
+    def checked_insert(self, row):
+        held = sum(c in self.rows for c in row)
+        before = {p: set(r) for p, r in self.rows.items()}
+        start = calls[0]
+        insert(self, row)
+        new_leads = self.rows.keys() - before
+        back = sum(lead in r for lead in new_leads for r in before.values())
+        costs.append((calls[0] - start, held + back))
+
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(_IntEchelon, "insert", checked_insert)
+    t3 = rebased(upper_triangular(3), unit_diagonal_basis(random.Random(0), 6))
+    solve_identity_space(t3, IdentityKind.LIE_TRIPLE_DERIVATION)
+    assert len(costs) > 100
+    assert [c for c in costs if c[0] > c[1]] == []
 
 
 def dense_contract(t, x, y, out_dim):
