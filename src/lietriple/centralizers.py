@@ -29,14 +29,16 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .algebra import AlgebraElement, LinearOperator, StructureConstants, basis_tensor, memoized
+from .algebra import AlgebraElement, LinearOperator, StructureConstants, basis_tensor, center, memoized
 from .errors import DimensionMismatch, NotGMA, NotUnital
-from .gma import GMA, block_ranges
+from .gma import GMA, block_ranges, require_block_hypotheses
 from .linalg import (
     Matrix,
     Subspace,
     clear_denominators,
+    int_flats,
     kernel_of_rows,
+    row_values,
 )
 
 
@@ -214,10 +216,10 @@ def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> Id
     alg, u = _resolve(alg_or_gma, kind)
     n = alg.dim
     if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION:
-        flat = op.flatten()
-        for row in _sparsity_rows(n, u.dims):
-            ((pos, _),) = row.items()
-            if flat[pos] != 0:
+        rows = list(_sparsity_rows(n, u.dims))
+        for row, x in zip(rows, row_values(rows, op.flatten())):
+            if x:
+                ((pos, _),) = row.items()
                 c, r = divmod(pos, n)
                 return IdentityCheck(
                     False, (r, c), alg.element(op.matrix.col(c)), alg.zero()
@@ -468,10 +470,9 @@ def verify_thm31_conditions(u: GMA, d: BlockDecomposition) -> Thm31Report:
     failures = [
         (f"corner {name} must vanish", ()) for name in _VANISHING_CORNERS if not getattr(d, name).is_zero()
     ]
-    entries = (x for name in _SIX_MAP_FIELDS for col in zip(*getattr(d, name).data) for x in col)
-    flat = dict(clear_denominators([enumerate(entries)])[1][0])
+    (flat,) = int_flats([x for name in _SIX_MAP_FIELDS for col in zip(*getattr(d, name).data) for x in col])
     for label, tag, rows in _condition_rows(u):
-        if any(sum(flat[k] * c for k, c in row.items()) for row in rows):
+        if any(row_values(rows, flat)):
             failures.append((label, tag))
     return Thm31Report(not failures, tuple(failures))
 
@@ -517,14 +518,7 @@ class Cor32Report:
 
 def corollary32_strengthen(u: GMA, d: BlockDecomposition) -> Cor32Report:
     """range(alpha4) inside Z(B) and range(beta1) inside Z(A)."""
-    from .algebra import center
-    from .errors import AnnihilatorConditionsFail
-    from .gma import check_annihilating_conditions
-
-    if u.unit() is None:
-        raise NotUnital("the strengthened range check needs a unital algebra")
-    if not check_annihilating_conditions(u).holds:
-        raise AnnihilatorConditionsFail("annihilating conditions do not hold")
+    require_block_hypotheses(u, "the strengthened range check")
     zb = center(u.context.B)
     za = center(u.context.A)
     a4_ok = all(zb.contains_vector(d.alpha4.col(i)) for i in range(u.dim_a))

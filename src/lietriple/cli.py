@@ -3,7 +3,8 @@
 Commands: solve, proper, decompose, hypotheses, verify-paper.
 Exit codes: 0 success, 1 a mathematical check failed, 2 invalid input
 (a malformed document, one whose shapes do not fit together, or an
-algebra without the unit a command needs).
+algebra without the unit or the block structure a command needs), with
+one ``invalid input:`` line on stderr and nothing on stdout.
 Reports are deterministic: identical inputs give byte-identical output.
 """
 
@@ -25,7 +26,7 @@ from .centralizers import (
     verify_thm31_conditions,
 )
 from .derivations import check_thm41_hypotheses, decompose_generalized_ltd, GLTDDecomposition
-from .errors import DimensionMismatch, HashMismatch, LieTripleError, NotUnital
+from .errors import DimensionMismatch, HashMismatch, LieTripleError, NotGMA, NotUnital
 from .gma import block_center, check_annihilating_conditions, eta_map
 from .io import dump_json, load_json, operator_from_doc, parse_grid, vector_doc
 from .properness import (
@@ -65,8 +66,7 @@ def _cmd_solve(args) -> int:
     kind = _KIND_FLAGS[args.identity]
     target = entry.gma if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION else entry.algebra
     if target is None:
-        sys.stderr.write("this identity kind needs a block algebra\n")
-        return 2
+        raise NotGMA("this identity kind needs a block algebra")
     space = solve_identity_space(target, kind)
     report = {
         "command": ["solve", args.algebra, "--identity", args.identity],
@@ -142,8 +142,7 @@ def _cmd_proper(args) -> int:
 def _cmd_decompose(args) -> int:
     entry = resolve(args.algebra)
     if entry.gma is None:
-        sys.stderr.write("decompose needs a block algebra\n")
-        return 2
+        raise NotGMA("decompose needs a block algebra")
     op, op_hash = _load_operator(args.operator, entry)
     inputs = {"algebra_hash": entry.algebra.content_hash, "operator_hash": op_hash}
     if args.xi is None:
@@ -203,8 +202,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_hypotheses(args) -> int:
     entry = resolve(args.algebra)
     if entry.gma is None:
-        sys.stderr.write("hypotheses need a block algebra\n")
-        return 2
+        raise NotGMA("hypotheses need a block algebra")
     candidates = None
     if args.candidates_m0:
         candidates = parse_grid(load_json(args.candidates_m0))
@@ -399,7 +397,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, HashMismatch, DimensionMismatch, NotUnital) as exc:
+    except (OSError, ValueError, KeyError, HashMismatch, DimensionMismatch, NotUnital, NotGMA) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
     except LieTripleError as exc:

@@ -3,7 +3,8 @@
 The decomposition results are consumed as exact linear membership
 problems: the derivation space, the singular Jordan space and the
 center-valued triple-killing space are each solved once, and a target
-operator is split by solving against the stacked bases.  Splittings
+operator is split by solving against the stacked bases; the last is the
+kernel of ``properness.central_vanishing_rows``, which also checks psi.  Splittings
 are not unique; the echelon particular solution keeps them
 deterministic, and every returned component re-verifies its own
 defining identity before anything is handed back.
@@ -22,6 +23,7 @@ from .algebra import (
     center,
     double_commutator_span,
     find_unit,
+    largest_central_ideal,
     multiplication_operator,
 )
 from .centralizers import (
@@ -38,17 +40,24 @@ from .errors import (
     NotLTD,
     NotUnital,
 )
-from .gma import GMA, center_block_description, check_annihilating_conditions
+from .gma import GMA, center_block_description, check_annihilating_conditions, require_block_hypotheses
 from .linalg import (
     Matrix,
     Subspace,
-    is_zero_vec,
     kernel_of_rows,
     try_solve,
     unit_vec,
     zero_vec,
 )
-from .properness import Infeasible, PropernessCertificate, is_proper_direct, is_proper_thm33
+from .properness import (
+    Infeasible,
+    PropernessCertificate,
+    central_vanishing_rows,
+    central_vanishing_verdicts,
+    check_cor36_hypotheses,
+    is_proper_direct,
+    is_proper_thm33,
+)
 
 
 @dataclass(frozen=True)
@@ -188,18 +197,13 @@ def check_thm41_hypotheses(
     candidates_n0: Sequence[Sequence[Fraction]] | None = None,
 ) -> Thm41HypothesisReport:
     """Evaluate the hypothesis battery gating the decomposition."""
-    from .algebra import largest_central_ideal
-
     for block, candidates, dim in (("M", candidates_m0, u.dim_m), ("N", candidates_n0, u.dim_n)):
         for v in candidates or ():
             if len(v) != dim:
                 raise DimensionMismatch(
                     f"a candidate in {block} has length {len(v)}, dim {block} is {dim}"
                 )
-    if find_unit(u.algebra) is None:
-        raise NotUnital("hypothesis battery needs a unital algebra")
-    if not check_annihilating_conditions(u).holds:
-        raise AnnihilatorConditionsFail("annihilating conditions do not hold")
+    require_block_hypotheses(u, "hypothesis battery")
     ctx = u.context
     blocks = center_block_description(u)
     dcs_a_full = double_commutator_span(ctx.A).is_full()
@@ -245,22 +249,8 @@ def check_thm41_hypotheses(
 
 def central_vanishing_space(alg: StructureConstants) -> Subspace:
     """Operators with range in the center that kill all double commutators."""
-    n = alg.dim
-    z = center(alg)
-    ann = z.annihilator()
-    dc = double_commutator_span(alg)
-
-    def rows():
-        for c in range(n):
-            for f in ann.basis:
-                yield {c * n + l: f[l] for l in range(n) if f[l] != 0}
-        for w in dc.basis:
-            for l in range(n):
-                yield {
-                    c * n + l: w[c] for c in range(n) if w[c] != 0
-                }
-
-    return kernel_of_rows(n * n, rows())
+    into_center, kills_dc = central_vanishing_rows(alg)
+    return kernel_of_rows(alg.dim * alg.dim, into_center + kills_dc)
 
 
 @dataclass(frozen=True)
@@ -348,8 +338,6 @@ def decompose_generalized_ltd(
     corr = check_gltd_correspondence(alg, lam_op, xi)
     if not corr:
         raise NotGLTD(f"identity fails at basis triple {corr.witness}")
-    from .properness import check_cor36_hypotheses
-
     certified = True
     try:
         certified = check_cor36_hypotheses(u).satisfied
@@ -375,9 +363,7 @@ def decompose_generalized_ltd(
     psi = proper.chi + split.gamma
     lam = proper.lam
 
-    z = center(alg)
-    dc = double_commutator_span(alg)
-    n = alg.dim
+    into_center, kills_dc = central_vanishing_verdicts(alg, psi)
     total = (
         split.delta.matrix
         + split.singular.matrix
@@ -388,10 +374,9 @@ def decompose_generalized_ltd(
         ("delta is a derivation", bool(is_identity_member(alg, IdentityKind.DERIVATION, split.delta))),
         ("singular part is a singular Jordan derivation",
          bool(is_identity_member(u, IdentityKind.SINGULAR_JORDAN_DERIVATION, split.singular))),
-        ("psi maps into the center", all(z.contains_vector(psi.matrix.col(j)) for j in range(n))),
-        ("psi kills the double-commutator span",
-         all(is_zero_vec(psi.matrix.matvec(w)) for w in dc.basis)),
-        ("lambda is central", z.contains_vector(lam.coords)),
+        ("psi maps into the center", into_center),
+        ("psi kills the double-commutator span", kills_dc),
+        ("lambda is central", center(alg).contains_vector(lam.coords)),
         ("components sum to Lambda exactly", total == lam_op.matrix),
     )
     if not all(ok for _, ok in transcript):

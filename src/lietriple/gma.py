@@ -27,6 +27,7 @@ from .errors import (
     InvalidBlockStructure,
     NonUniqueEta,
     NotIdempotent,
+    NotUnital,
     OffDiagonalCenter,
     TrivialIdempotent,
 )
@@ -419,6 +420,14 @@ def check_annihilating_conditions(u: GMA) -> AnnihilatorReport:
     a_ann = kernel_of_rows(u.dim_a, [row_a for row_a, _ in rows])
     b_ann = kernel_of_rows(u.dim_b, [row_b for _, row_b in rows])
     return AnnihilatorReport(a_ann, b_ann)
+
+
+def require_block_hypotheses(u: GMA, what: str) -> None:
+    """Raise unless U is unital and the annihilating conditions hold; ``what`` names the caller."""
+    if find_unit(u.algebra) is None:
+        raise NotUnital(f"{what} needs a unital algebra")
+    if not check_annihilating_conditions(u).holds:
+        raise AnnihilatorConditionsFail("annihilating conditions do not hold")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ rejected against anything else.  A malformed rational, a grid that is
 not a list of lists, a document that is not an object or that lacks a
 required key, a label that is not a JSON string, or a ``dim`` that is
 not a JSON int >= 0 (for an algebra: equal to its table size) raises
-ValueError.
+ValueError, as does a file nested too deeply for the JSON reader.
 """
 
 from __future__ import annotations
@@ -154,7 +154,10 @@ def dump_json(doc: dict) -> str:
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def save_json(path: str, doc: dict) -> None:

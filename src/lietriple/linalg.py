@@ -16,7 +16,9 @@ ints go in as they are.  A row holding a Fraction is first scaled by
 that know a common denominator for a whole table (the structure
 constants, the basis forms) use it once per table and hand over int
 rows.  ``Subspace``, ``kernel``, ``kernel_of_rows``, ``solve`` and
-``rref`` all go through ``_echelon``.  ``contract`` is the only bilinear
+``rref`` all go through ``_echelon``.  ``row_values`` is the only
+evaluation of sparse rows on a vector, which ``int_flats`` scales to
+ints.  ``contract`` is the only bilinear
 product: it applies a structure tensor, held in the sparse form
 ``sparse_tensor`` builds, to a pair of coordinate vectors.
 """
@@ -213,6 +215,16 @@ def clear_denominators(rows: Iterable[Iterable[tuple]]) -> tuple[int, list[list[
     rows = [list(row) for row in rows]
     d = lcm(*(x.denominator for row in rows for _, x in row))
     return d, [[(c, x.numerator * (d // x.denominator)) for c, x in row] for row in rows]
+
+
+def int_flats(*vectors: Sequence) -> list[dict[int, int]]:
+    """The vectors times the common denominator of all their entries, as {index: int}."""
+    return [dict(v) for v in clear_denominators(enumerate(v) for v in vectors)[1]]
+
+
+def row_values(rows: Iterable[dict], flat) -> list:
+    """The value of each sparse row {k: c} on a flat vector: the sum of c * flat[k]."""
+    return [sum(c * flat[k] for k, c in row.items()) for row in rows]
 
 
 class _IntEchelon:

@@ -7,6 +7,9 @@ up the feasibility problem in the center coordinates alone and needs
 neither unitality nor the annihilating conditions, which is exactly
 what the twelve-dimensional counterexample requires.  Audits assert
 the two routes agree wherever both apply.
+The condition on chi is stated once, as the int rows of
+``central_vanishing_rows``: the direct route evaluates them on phi and on
+multiplication by the center basis, and every certificate on chi.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .algebra import (
     StructureConstants,
     center,
     double_commutator_span,
-    find_unit,
     multiplication_operator,
     require_unit,
 )
@@ -32,20 +34,16 @@ from .centralizers import (
     is_identity_member,
     solve_identity_space,
 )
-from .errors import (
-    AnnihilatorConditionsFail,
-    LieTripleError,
-    NotLTC,
-    NotUnital,
-)
-from .gma import GMA, center_block_description, check_annihilating_conditions, eta_map
+from .errors import LieTripleError, NotLTC
+from .gma import GMA, center_block_description, eta_map, require_block_hypotheses
 from .linalg import (
     Matrix,
     Subspace,
-    is_zero_vec,
+    clear_denominators,
+    int_flats,
+    row_values,
     try_solve,
-    vec_add,
-    vec_dot,
+    unit_vec,
     vec_sub,
     zero_vec,
 )
@@ -98,6 +96,31 @@ def _require_ltc(alg: StructureConstants, phi: LinearOperator) -> None:
         raise NotLTC(chk.witness)
 
 
+def central_vanishing_rows(alg: StructureConstants) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
+    """The condition on chi, as two groups of sparse int rows over its column-major coordinates.
+
+    chi maps into Z(U) iff the first group vanishes on it: {c*n + l: f_l}
+    for each column c and each f in ann(Z(U)).  chi kills [[U,U],U] iff
+    the second does: {c*n + l: w_c} for each w in the double-commutator
+    basis and each l.  The f and the w are each scaled once to ints.
+    """
+    n = alg.dim
+    ann, dc = (
+        clear_denominators(((k, x) for k, x in enumerate(v) if x) for v in space.basis)[1]
+        for space in (center(alg).annihilator(), double_commutator_span(alg))
+    )
+    return (
+        tuple({c * n + l: x for l, x in f} for c in range(n) for f in ann),
+        tuple({c * n + l: x for c, x in w} for w in dc for l in range(n)),
+    )
+
+
+def central_vanishing_verdicts(alg: StructureConstants, op: LinearOperator) -> tuple[bool, bool]:
+    """(op maps into the center, op kills the double commutators), on the shared rows."""
+    (flat,) = int_flats(op.flatten())
+    return tuple(not any(row_values(rows, flat)) for rows in central_vanishing_rows(alg))
+
+
 def _verify_certificate(
     alg: StructureConstants,
     phi: LinearOperator,
@@ -105,21 +128,24 @@ def _verify_certificate(
     chi: LinearOperator,
     extra: tuple[tuple[str, bool], ...] = (),
 ) -> tuple[tuple[str, bool], ...]:
-    z = center(alg)
-    mult = multiplication_operator(alg, lam_coords)
-    n = alg.dim
+    into_center, kills_dc = central_vanishing_verdicts(alg, chi)
     result = (
-        ("lambda is central", z.contains_vector(lam_coords)),
+        ("lambda is central", center(alg).contains_vector(lam_coords)),
         ("phi(X) = lambda X + chi(X) on every basis vector",
-         (mult.matrix + chi.matrix) == phi.matrix),
-        ("chi maps every basis vector into the center",
-         all(z.contains_vector(chi.matrix.col(j)) for j in range(n))),
-        ("chi vanishes on all double commutators",
-         all(is_zero_vec(chi.matrix.matvec(w)) for w in double_commutator_span(alg).basis)),
+         (multiplication_operator(alg, lam_coords).matrix + chi.matrix) == phi.matrix),
+        ("chi maps every basis vector into the center", into_center),
+        ("chi vanishes on all double commutators", kills_dc),
     ) + extra
     if not all(ok for _, ok in result):
         raise LieTripleError(f"certificate failed re-verification: {result}")
     return result
+
+
+def _solve_lambda(rows, mults, phi_flat):
+    """The echelon solution c of sum_t c_t R(z_t .) = R(phi) over the rows R, or None."""
+    lhs = [row_values(rows, m) for m in mults]
+    system = Matrix([[v[r] for v in lhs] for r in range(len(rows))], cols=len(mults))
+    return try_solve(system, row_values(rows, phi_flat))
 
 
 def is_proper_direct(
@@ -129,50 +155,31 @@ def is_proper_direct(
 ) -> PropernessCertificate | Infeasible:
     """Feasibility in the center coordinates only.
 
-    Searches for a central lambda whose residual chi = phi - lambda*(.)
-    is center-valued and kills the double-commutator span.  Works on
-    non-unital algebras; the only unknowns are lambda's coordinates in
-    the center basis.
+    Searches for a central lambda = sum of c_t z_t whose residual chi =
+    phi - lambda*(.) satisfies ``central_vanishing_rows``: a row R reads
+    sum_t c_t R(z_t .) = R(phi), in ints.  Works on non-unital algebras.
     """
     _require_ltc(alg, phi)
     n = alg.dim
     z = center(alg)
-    ann = z.annihilator()
-    dc = double_commutator_span(alg)
-    zdim = z.dim
-    mult_cols = []  # mult_cols[t] = matrix of x -> zeta_t * x
-    for t in range(zdim):
-        mult_cols.append(alg.left_mult_of(z.basis[t]))
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(n):
-        i_rows, i_rhs = _center_rows(ann, [m.col(i) for m in mult_cols], phi.matrix.col(i))
-        rows += i_rows
-        rhs += i_rhs
-    for w in dc.basis:
-        phi_w = phi.matrix.matvec(w)
-        zw = [m.matvec(w) for m in mult_cols]
-        for l in range(n):
-            rows.append([v[l] for v in zw])
-            rhs.append(phi_w[l])
-
-    res = try_solve(Matrix(rows, cols=zdim), rhs)
+    into_center, kills_dc = central_vanishing_rows(alg)
+    *mults, phi_flat = int_flats(
+        *([x for c in range(n) for x in alg.mul_coords(zt, unit_vec(n, c))] for zt in z.basis),
+        phi.flatten(),
+    )
+    res = _solve_lambda(into_center + kills_dc, mults, phi_flat)
     if res is None:
-        witness = _singleton_witness(alg, phi, z, ann, mult_cols, probes)
-        if witness is not None:
-            x, img = witness
-            return Infeasible(
-                "no central lambda leaves a center-valued residual; "
-                "the witness element's residual escapes the center for every choice",
-                witness_element=x,
-                witness_image=img,
-            )
-        return Infeasible("the joint feasibility system is inconsistent")
+        x = _singleton_witness(alg, into_center, mults, phi_flat, probes)
+        if x is None:
+            return Infeasible("the joint feasibility system is inconsistent")
+        return Infeasible(
+            "no central lambda leaves a center-valued residual; "
+            "the witness element's residual escapes the center for every choice",
+            witness_element=x,
+            witness_image=phi(x),
+        )
     coeffs, _hom = res
-    lam_coords = zero_vec(n)
-    for c, basis_vec in zip(coeffs, z.basis):
-        lam_coords = vec_add(lam_coords, tuple(c * x for x in basis_vec))
+    lam_coords = tuple(sum((c * v[i] for c, v in zip(coeffs, z.basis)), Fraction(0)) for i in range(n))
     chi = LinearOperator(alg, phi.matrix - alg.left_mult_of(lam_coords))
     transcript = _verify_certificate(alg, phi, lam_coords, chi)
     return PropernessCertificate(
@@ -184,23 +191,19 @@ def is_proper_direct(
     )
 
 
-def _center_rows(ann: Subspace, zx: Sequence, phi_x: Sequence[Fraction]) -> tuple[list, list]:
-    """The rows f.(z_t x) with right-hand sides f.phi(x), one per f in ann(Z).
+def _singleton_witness(alg, into_center, mults, phi_flat, probes):
+    """An element x with phi(x) - lambda x outside the center for all lambda.
 
-    Solved for c, they say phi(x) - sum of c_t z_t x lies in the center
-    Z; ``zx`` holds the products z_t x over the center basis z_t.
+    The into-center rows of each column c, weighted by x_c, say it is central.
     """
-    return [[vec_dot(f, v) for v in zx] for f in ann.basis], [vec_dot(f, phi_x) for f in ann.basis]
-
-
-def _singleton_witness(alg, phi, z, ann, mult_cols, probes):
-    """An element x with phi(x) - lambda x outside the center for all lambda."""
-    candidates = list(probes) + [alg.basis_element(i) for i in range(alg.dim)]
-    for x in candidates:
-        phi_x = phi.matrix.matvec(x.coords)
-        rows, rhs = _center_rows(ann, [m.matvec(x.coords) for m in mult_cols], phi_x)
-        if try_solve(Matrix(rows, cols=z.dim), rhs) is None:
-            return x, AlgebraElement(alg, phi_x)
+    per_col = len(into_center) // alg.dim
+    for x in (*probes, *alg.basis()):
+        at_x = [
+            {k: xc * v for c, xc in enumerate(x.coords) if xc for k, v in into_center[c * per_col + i].items()}
+            for i in range(per_col)
+        ]
+        if _solve_lambda(at_x, mults, phi_flat) is None:
+            return x
     return None
 
 
@@ -213,10 +216,7 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
     Range membership for the full corners is re-derived and enforced.
     """
     alg = u.algebra
-    if find_unit(alg) is None:
-        raise NotUnital("the block-form criterion needs a unital algebra")
-    if not check_annihilating_conditions(u).holds:
-        raise AnnihilatorConditionsFail("annihilating conditions do not hold")
+    require_block_hypotheses(u, "the block-form criterion")
     _require_ltc(alg, phi)
     d = block_decompose(u, phi)
     blocks = center_block_description(u)
@@ -312,10 +312,7 @@ class Cor36Report:
 
 def check_cor36_hypotheses(u: GMA) -> Cor36Report:
     """Evaluate the four subspace equalities behind the sufficiency test."""
-    if find_unit(u.algebra) is None:
-        raise NotUnital("hypothesis check needs a unital algebra")
-    if not check_annihilating_conditions(u).holds:
-        raise AnnihilatorConditionsFail("annihilating conditions do not hold")
+    require_block_hypotheses(u, "hypothesis check")
     blocks = center_block_description(u)
     a, b = u.context.A, u.context.B
     return Cor36Report(
@@ -355,10 +352,7 @@ def equivalence_audit(u: GMA, extra_random: int = 0, seed: int = 0) -> Equivalen
     inconsistent record.
     """
     alg = u.algebra
-    if find_unit(alg) is None:
-        raise NotUnital("equivalence audit needs a unital algebra")
-    if not check_annihilating_conditions(u).holds:
-        raise AnnihilatorConditionsFail("annihilating conditions do not hold")
+    require_block_hypotheses(u, "equivalence audit")
     blocks = center_block_description(u)
     one_a = require_unit(u.context.A).coords
     one_b = require_unit(u.context.B).coords

@@ -209,3 +209,16 @@ def first_nonassociative_triple(table):
         if lhs != rhs:
             return i, j, k
     return None
+
+
+def central_vanishing_basis(center_basis, dc_basis, n: int) -> tuple:
+    """Canonical basis of {chi : chi(U) in Z, chi([[U,U],U]) = 0}, flattened column-major.
+
+    Such a chi is a sum of x -> (g . x) z with z in the center and g a
+    functional vanishing on the double-commutator span, so those rank-one
+    maps, over the two given bases, span the space.
+    """
+    killers = kernel_basis(dc_basis, n)
+    return row_space_basis(
+        [g[c] * z[l] for c in range(n) for l in range(n)] for g in killers for z in center_basis
+    )

@@ -263,6 +263,33 @@ def test_certify_stdout_bytes_are_pinned(capsys, tmp_path, monkeypatch, spec, ar
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "upper_triangular(1)", "--identity", "sjder"),
+        ("decompose", "upper_triangular(1)", "op.json"),
+        ("hypotheses", "upper_triangular(1)"),
+    ],
+)
+def test_command_needing_block_structure_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:") and "block algebra" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("proper", "upper_triangular(2)", "deep.json"), ("solve", "m2(deep.json)", "--identity", "ltc")],
+    ids=["operator", "algebra"],
+)
+def test_deeply_nested_json_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:") and "nested too deeply" in err and err.count("\n") == 1
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "doc",

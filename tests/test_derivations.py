@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lietriple.algebra import LinearOperator, center, double_commutator_span, find_unit
-from lietriple.catalog import example_1_2, full_matrix_gma, upper_triangular_gma
+from lietriple.catalog import example_1_2, full_matrix_gma, resolve, standard_gmas, upper_triangular_gma
 from lietriple.centralizers import (
     IdentityKind,
     _identity_residuals,
@@ -23,7 +23,7 @@ from lietriple.derivations import (
 from lietriple.errors import NotLTD
 from lietriple.linalg import Matrix
 
-from oracles import identity_sides
+from oracles import central_vanishing_basis, identity_sides
 
 F = Fraction
 K = IdentityKind
@@ -183,6 +183,14 @@ class TestThm41Hypotheses:
         assert rep.cond_d_established_by is None
         # still satisfied through (iv) + nothing? no: ideal side is open now
         assert rep.structural_ok and not rep.ideal_ok and not rep.satisfied
+
+
+@pytest.mark.parametrize("name", [*standard_gmas(), "example_1_2"])
+def test_central_vanishing_space_matches_oracle(name):
+    """The space read off the shared rows equals the span of x -> (g . x) z."""
+    alg = resolve(name).algebra
+    expected = central_vanishing_basis(center(alg).basis, double_commutator_span(alg).basis, alg.dim)
+    assert central_vanishing_space(alg).basis == expected
 
 
 class TestDecomposeLtd:

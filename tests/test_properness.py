@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from lietriple.catalog import (
     dual_numbers,
     example_1_2,
     full_matrix_gma,
+    random_gma,
     rationals,
     triangular_context,
     upper_triangular_gma,
@@ -224,3 +226,29 @@ class TestEquivalence:
                 # and the direct route agrees this operator is improper
                 assert isinstance(is_proper_direct(u.algebra, phi), Infeasible)
         assert failures
+
+
+# sha256 over is_proper_direct on every LTC basis vector of the draws
+# random_gma(Random(s)), s = 0..39: verdict, lambda, chi, transcript,
+# reason and witness.  Recorded before the central-vanishing condition
+# was stated once as shared integer rows.
+_PINNED_DIRECT_RANDOM = "38a0bab9cb251a1bd6b4c5f7c2cb1c6b7de4c2108593cd26f2456e192ba112ec"
+
+
+def test_direct_route_on_random_draws_is_pinned():
+    h = hashlib.sha256()
+    verdicts = []
+    for s in range(40):
+        alg = random_gma(random.Random(s)).algebra
+        for v in solve_identity_space(alg, K.LIE_TRIPLE_CENTRALIZER).basis:
+            res = is_proper_direct(alg, LinearOperator.from_flat(alg, v))
+            if isinstance(res, PropernessCertificate):
+                verdicts.append("proper")
+                h.update(repr(("proper", res.lam.coords, res.chi.matrix.data, res.transcript)).encode())
+            else:
+                wit = res.witness_element is not None
+                verdicts.append("witnessed" if wit else "infeasible")
+                h.update(repr(("infeasible", res.reason,
+                               wit and res.witness_element.coords, wit and res.witness_image.coords)).encode())
+    assert (verdicts.count("proper"), verdicts.count("witnessed"), len(verdicts)) == (156, 12, 168)
+    assert h.hexdigest() == _PINNED_DIRECT_RANDOM
