@@ -23,7 +23,7 @@ from .linalg import (
     clear_denominators,
     contract,
     is_zero_vec,
-    kernel_of_rows,
+    preimage,
     rat,
     sparse_tensor,
     try_solve,
@@ -286,25 +286,23 @@ def require_unit(alg: StructureConstants) -> AlgebraElement:
     return u
 
 
+def ad_basis(alg: StructureConstants):
+    """The matrices of z -> z e_i - e_i z over every basis index i."""
+    return (alg.right_mult_basis(i) - alg.left_mult_basis(i) for i in range(alg.dim))
+
+
 @memoized
 def center(alg: StructureConstants) -> Subspace:
-    """Kernel of z -> (z e_i - e_i z) stacked over every basis index."""
-    rows: list[tuple] = []
-    for i in range(alg.dim):
-        diff = alg.right_mult_basis(i) - alg.left_mult_basis(i)
-        rows.extend(diff.data)
-    return kernel_of_rows(alg.dim, rows)
+    """The preimage of 0 under every z -> z e_i - e_i z."""
+    return preimage(ad_basis(alg), Subspace.zero(alg.dim))
 
 
 def commutant(alg: StructureConstants, s: Subspace) -> Subspace:
     """{a : a x = x a for every x in s}."""
     if s.ambient != alg.dim:
         raise DimensionMismatch("subspace does not live in the algebra")
-    rows: list[tuple] = []
-    for v in s.basis:
-        diff = alg.right_mult_of(v) - alg.left_mult_of(v)
-        rows.extend(diff.data)
-    return kernel_of_rows(alg.dim, rows)
+    diffs = (alg.right_mult_of(v) - alg.left_mult_of(v) for v in s.basis)
+    return preimage(diffs, Subspace.zero(alg.dim))
 
 
 def _int_table(alg: StructureConstants) -> tuple[int, list[list[list[tuple[int, int]]]]]:
@@ -373,14 +371,8 @@ def largest_central_ideal(alg: StructureConstants) -> Subspace:
     """
     v = center(alg)
     while not v.is_zero():
-        ann = v.annihilator()
-        rows: list[tuple] = []
-        for i in range(alg.dim):
-            for action in (alg.left_mult_basis(i), alg.right_mult_basis(i)):
-                for f in ann.basis:
-                    rows.append(tuple(sum(f[l] * action.data[l][j] for l in range(alg.dim)) for j in range(alg.dim)))
-        stable = kernel_of_rows(alg.dim, rows)
-        nxt = v.intersect(stable)
+        actions = (m for i in range(alg.dim) for m in (alg.left_mult_basis(i), alg.right_mult_basis(i)))
+        nxt = v.intersect(preimage(actions, v))
         if nxt == v:
             break
         v = nxt

@@ -26,6 +26,7 @@ from .gma import (
     m2_of,
     peirce_from_idempotent,
 )
+from .io import bimodule_from_doc, brief, load_json, sc_from_doc
 from .linalg import Subspace, unit_vec, zero_vec
 
 F = Fraction
@@ -45,42 +46,35 @@ def dual_numbers() -> StructureConstants:
     return StructureConstants(t, ["1", "x"])
 
 
-def _checked_dim(n: int, dim: int) -> int:
-    """dim, once n >= 1 and the dim^3 structure tensor can be indexed."""
+def _checked_dim(n: int, dim: int) -> None:
+    """Raise unless n >= 1 and the dim^3 structure tensor can be indexed."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if dim**3 > sys.maxsize:
         raise ValueError(f"matrix size {n} is too large to build")
-    return dim
 
 
-def full_matrix(n: int) -> StructureConstants:
-    """M_n(Q) on the matrix-unit basis e_ij, row-major."""
-    dim = _checked_dim(n, n * n)
-    idx = lambda i, j: i * n + j
-    t = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        t[idx(i, j)][idx(k, l)][idx(i, l)] = F(1)
-    labels = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    return StructureConstants(t, labels)
-
-
-def upper_triangular(n: int) -> StructureConstants:
-    """T_n(Q) on the matrix units e_ij with i <= j, lexicographic."""
-    dim = _checked_dim(n, n * (n + 1) // 2)
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
+def _matrix_units(cells: list[tuple[int, int]]) -> StructureConstants:
+    """The span of the matrix units e_ij over cells, with e_ij e_kl = delta_jk e_il, in cell order."""
     pos = {c: t for t, c in enumerate(cells)}
-    t = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    t = [[[F(0)] * len(cells) for _ in cells] for _ in cells]
     for (i, j), a in pos.items():
         for (k, l), b in pos.items():
             if j == k:
                 t[a][b][pos[(i, l)]] = F(1)
-    labels = [f"e{i + 1}{j + 1}" for i, j in cells]
-    return StructureConstants(t, labels)
+    return StructureConstants(t, [f"e{i + 1}{j + 1}" for i, j in cells])
+
+
+def full_matrix(n: int) -> StructureConstants:
+    """M_n(Q) on the matrix-unit basis e_ij, row-major."""
+    _checked_dim(n, n * n)
+    return _matrix_units([(i, j) for i in range(n) for j in range(n)])
+
+
+def upper_triangular(n: int) -> StructureConstants:
+    """T_n(Q) on the matrix units e_ij with i <= j, lexicographic."""
+    _checked_dim(n, n * (n + 1) // 2)
+    return _matrix_units([(i, j) for i in range(n) for j in range(i, n)])
 
 
 def direct_sum(a: StructureConstants, b: StructureConstants) -> StructureConstants:
@@ -364,8 +358,6 @@ def resolve(spec: str) -> CatalogEntry:
         )
     m = re.fullmatch(r"tri\(([^,]+),([^,]+),([^)]+)\)", spec)
     if m:
-        from .io import bimodule_from_doc, load_json, sc_from_doc
-
         a = sc_from_doc(load_json(m.group(1).strip()))
         b = sc_from_doc(load_json(m.group(3).strip()))
         mod = bimodule_from_doc(load_json(m.group(2).strip()), a.dim, b.dim)
@@ -373,9 +365,7 @@ def resolve(spec: str) -> CatalogEntry:
         return CatalogEntry(spec, gma.algebra, gma, "triangular context from documents")
     m = re.fullmatch(r"m2\(([^)]+)\)", spec)
     if m:
-        from .io import load_json, sc_from_doc
-
         a = sc_from_doc(load_json(m.group(1).strip()))
         gma = m2_of(a)
         return CatalogEntry(spec, gma.algebra, gma, "2x2 matrices over a document algebra")
-    raise ValueError(f"unrecognized algebra spec: {spec!r}")
+    raise ValueError(f"unrecognized algebra spec: {brief(spec)}")

@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 
-from .algebra import LinearOperator, center, double_commutator_span, find_unit
+from .algebra import LinearOperator, center, double_commutator_span
 from .catalog import CatalogEntry, example_1_2, resolve, standard_gmas
 from .centralizers import (
     CORNERS,
@@ -27,7 +27,7 @@ from .centralizers import (
 )
 from .derivations import check_thm41_hypotheses, decompose_generalized_ltd, GLTDDecomposition
 from .errors import DimensionMismatch, HashMismatch, LieTripleError, NotGMA, NotUnital
-from .gma import block_center, check_annihilating_conditions, eta_map
+from .gma import block_center, block_hypotheses_hold, eta_map
 from .io import dump_json, load_json, operator_from_doc, parse_grid, vector_doc
 from .properness import (
     Infeasible,
@@ -53,8 +53,10 @@ def _load_operator(path: str, entry: CatalogEntry) -> tuple[LinearOperator, str]
     return operator_from_doc(doc, entry.algebra), _operator_hash(doc)
 
 
-def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
+def _emit(fmt: str, command: list, inputs: dict, results: dict, text_lines: list[str], status: str = "ok") -> None:
+    """Write the report {command, inputs, results, status} as JSON, or the text lines."""
     if fmt == "json":
+        report = {"command": command, "inputs": inputs, "results": results, "status": status}
         sys.stdout.write(dump_json(report))
     else:
         for line in text_lines:
@@ -68,19 +70,15 @@ def _cmd_solve(args) -> int:
     if target is None:
         raise NotGMA("this identity kind needs a block algebra")
     space = solve_identity_space(target, kind)
-    report = {
-        "command": ["solve", args.algebra, "--identity", args.identity],
-        "inputs": {"algebra_hash": entry.algebra.content_hash},
-        "results": {
-            "dimension": space.dim,
-            "ambient": space.ambient,
-            "basis": [vector_doc(v) for v in space.basis],
-        },
-        "status": "ok",
+    results = {
+        "dimension": space.dim,
+        "ambient": space.ambient,
+        "basis": [vector_doc(v) for v in space.basis],
     }
     lines = [f"dim {space.dim}"]
     lines += [", ".join(str(x) for x in v) for v in space.basis]
-    _emit(report, args.format, lines)
+    command = ["solve", args.algebra, "--identity", args.identity]
+    _emit(args.format, command, {"algebra_hash": entry.algebra.content_hash}, results, lines)
     return 0
 
 
@@ -119,23 +117,14 @@ def _certificate_result(res) -> tuple[dict, list[str], int]:
 def _cmd_proper(args) -> int:
     entry = resolve(args.algebra)
     op, op_hash = _load_operator(args.operator, entry)
-    if (
-        entry.gma is not None
-        and find_unit(entry.algebra) is not None
-        and check_annihilating_conditions(entry.gma).holds
-    ):
+    if entry.gma is not None and block_hypotheses_hold(entry.gma):
         res = is_proper_thm33(entry.gma, op)
     else:
         probes = [entry.extras["a0"]] if "a0" in entry.extras else []
         res = is_proper_direct(entry.algebra, op, probes=probes)
     body, lines, code = _certificate_result(res)
-    report = {
-        "command": ["proper", args.algebra, args.operator],
-        "inputs": {"algebra_hash": entry.algebra.content_hash, "operator_hash": op_hash},
-        "results": body,
-        "status": "ok",
-    }
-    _emit(report, args.format, lines)
+    inputs = {"algebra_hash": entry.algebra.content_hash, "operator_hash": op_hash}
+    _emit(args.format, ["proper", args.algebra, args.operator], inputs, body, lines)
     return code
 
 
@@ -151,51 +140,37 @@ def _cmd_decompose(args) -> int:
             name: [vector_doc(row) for row in getattr(d, name).data] for name in CORNERS
         }
         rep = verify_thm31_conditions(entry.gma, d)
-        report = {
-            "command": ["decompose", args.algebra, args.operator],
-            "inputs": inputs,
-            "results": {"corners": corners, "block_form_conditions": rep.passed},
-            "status": "ok",
-        }
+        results = {"corners": corners, "block_form_conditions": rep.passed}
         lines = [f"block form conditions: {'pass' if rep.passed else 'fail'}"]
         for name in sorted(corners):
             mat = getattr(d, name)
             lines.append(f"{name}: " + ("0" if mat.is_zero() else repr(mat)))
-        _emit(report, args.format, lines)
+        _emit(args.format, ["decompose", args.algebra, args.operator], inputs, results, lines)
         return 0
     xi, xi_hash = _load_operator(args.xi, entry)
     inputs["xi_hash"] = xi_hash
+    command = ["decompose", args.algebra, args.operator, "--xi", args.xi]
     res = decompose_generalized_ltd(entry.gma, op, xi)
     if isinstance(res, Infeasible):
-        report = {
-            "command": ["decompose", args.algebra, args.operator, "--xi", args.xi],
-            "inputs": inputs,
-            "results": {"verdict": "infeasible", "reason": res.reason},
-            "status": "math-failure",
-        }
-        _emit(report, args.format, [f"INFEASIBLE: {res.reason}"])
+        results = {"verdict": "infeasible", "reason": res.reason}
+        _emit(args.format, command, inputs, results, [f"INFEASIBLE: {res.reason}"], "math-failure")
         return 1
     assert isinstance(res, GLTDDecomposition)
     n = entry.algebra.dim
-    report = {
-        "command": ["decompose", args.algebra, args.operator, "--xi", args.xi],
-        "inputs": inputs,
-        "results": {
-            "delta": [vector_doc(res.delta.matrix.col(j)) for j in range(n)],
-            "singular": [vector_doc(res.singular.matrix.col(j)) for j in range(n)],
-            "psi": [vector_doc(res.psi.matrix.col(j)) for j in range(n)],
-            "lambda": vector_doc(res.lam.coords),
-            "certified_hypotheses": res.certified_hypotheses,
-            "transcript": [[name, ok] for name, ok in res.transcript],
-        },
-        "status": "ok",
+    results = {
+        "delta": [vector_doc(res.delta.matrix.col(j)) for j in range(n)],
+        "singular": [vector_doc(res.singular.matrix.col(j)) for j in range(n)],
+        "psi": [vector_doc(res.psi.matrix.col(j)) for j in range(n)],
+        "lambda": vector_doc(res.lam.coords),
+        "certified_hypotheses": res.certified_hypotheses,
+        "transcript": [[name, ok] for name, ok in res.transcript],
     }
     lines = [
         "decomposed: Lambda = delta + singular + psi + lambda*X",
         f"lambda = {res.lam}",
         f"certified hypotheses: {res.certified_hypotheses}",
     ]
-    _emit(report, args.format, lines)
+    _emit(args.format, command, inputs, results, lines)
     return 0
 
 
@@ -237,12 +212,6 @@ def _cmd_hypotheses(args) -> int:
             "satisfied": thm.satisfied,
         },
     }
-    report = {
-        "command": ["hypotheses", args.algebra],
-        "inputs": {"algebra_hash": entry.algebra.content_hash},
-        "results": results,
-        "status": "ok",
-    }
     lines = [
         f"properness sufficiency satisfied: {cor.satisfied}",
         f"  pi_B(Z)=Z(B): {cor.pi_b_equals_center_b}  [[A,A],A]=A: {cor.triple_span_a_full}",
@@ -253,7 +222,8 @@ def _cmd_hypotheses(args) -> int:
         f"  (c): {results['decomposition_hypotheses']['c']}"
         f"  (d): {results['decomposition_hypotheses']['d']}",
     ]
-    _emit(report, args.format, lines)
+    inputs = {"algebra_hash": entry.algebra.content_hash}
+    _emit(args.format, ["hypotheses", args.algebra], inputs, results, lines)
     return 0
 
 
@@ -337,19 +307,14 @@ def reproduction_checks() -> list[dict]:
 def _cmd_verify_paper(args) -> int:
     checks = reproduction_checks()
     all_pass = all(c["passed"] for c in checks)
-    report = {
-        "command": ["verify-paper"],
-        "inputs": {},
-        "results": {"checks": checks, "all_passed": all_pass},
-        "status": "ok" if all_pass else "math-failure",
-    }
     lines = [
         f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}"
         + (f"  ({c['detail']})" if c["detail"] else "")
         for c in checks
     ]
     lines.append(f"{'all checks passed' if all_pass else 'SOME CHECKS FAILED'}")
-    _emit(report, args.format, lines)
+    results = {"checks": checks, "all_passed": all_pass}
+    _emit(args.format, ["verify-paper"], {}, results, lines, "ok" if all_pass else "math-failure")
     return 0 if all_pass else 1
 
 

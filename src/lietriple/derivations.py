@@ -20,9 +20,9 @@ from .algebra import (
     AlgebraElement,
     LinearOperator,
     StructureConstants,
+    ad_basis,
     center,
     double_commutator_span,
-    find_unit,
     largest_central_ideal,
     multiplication_operator,
 )
@@ -32,19 +32,13 @@ from .centralizers import (
     is_identity_member,
     solve_identity_space,
 )
-from .errors import (
-    AnnihilatorConditionsFail,
-    DimensionMismatch,
-    LieTripleError,
-    NotGLTD,
-    NotLTD,
-    NotUnital,
-)
-from .gma import GMA, center_block_description, check_annihilating_conditions, require_block_hypotheses
+from .errors import DimensionMismatch, LieTripleError, NotGLTD, NotLTD
+from .gma import GMA, block_hypotheses_hold, center_block_description, require_block_hypotheses
 from .linalg import (
     Matrix,
     Subspace,
     kernel_of_rows,
+    preimage,
     try_solve,
     unit_vec,
     zero_vec,
@@ -149,18 +143,7 @@ class Thm41HypothesisReport:
 def _commutator_into_center_forces_central(alg: StructureConstants) -> bool:
     """Does [x, alg] inside Z(alg) already force x central?"""
     z = center(alg)
-    ann = z.annihilator()
-    rows = []
-    n = alg.dim
-    for g in range(n):
-        cg = alg.right_mult_basis(g) - alg.left_mult_basis(g)
-        for f in ann.basis:
-            rows.append(
-                tuple(
-                    sum(f[l] * cg.data[l][m] for l in range(n)) for m in range(n)
-                )
-            )
-    return kernel_of_rows(n, rows) == z
+    return preimage(ad_basis(alg), z) == z
 
 
 def _center_shape_matches(u: GMA, m0: Sequence[Fraction] | None, n0: Sequence[Fraction] | None) -> bool:
@@ -338,16 +321,12 @@ def decompose_generalized_ltd(
     corr = check_gltd_correspondence(alg, lam_op, xi)
     if not corr:
         raise NotGLTD(f"identity fails at basis triple {corr.witness}")
-    certified = True
-    try:
-        certified = check_cor36_hypotheses(u).satisfied
-    except (NotUnital, AnnihilatorConditionsFail):
-        certified = False
+    block_form = block_hypotheses_hold(u)
+    certified = block_form and check_cor36_hypotheses(u).satisfied
 
     phi = lam_op - xi
     proper: PropernessCertificate | None = None
-    unital = find_unit(alg) is not None
-    if unital and check_annihilating_conditions(u).holds:
+    if block_form:
         res = is_proper_thm33(u, phi)
         if isinstance(res, PropernessCertificate):
             proper = res

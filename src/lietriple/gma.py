@@ -422,6 +422,11 @@ def check_annihilating_conditions(u: GMA) -> AnnihilatorReport:
     return AnnihilatorReport(a_ann, b_ann)
 
 
+def block_hypotheses_hold(u: GMA) -> bool:
+    """Is U unital with the annihilating conditions holding, as the block-form results assume?"""
+    return find_unit(u.algebra) is not None and check_annihilating_conditions(u).holds
+
+
 def require_block_hypotheses(u: GMA, what: str) -> None:
     """Raise unless U is unital and the annihilating conditions hold; ``what`` names the caller."""
     if find_unit(u.algebra) is None:
@@ -441,12 +446,7 @@ class CenterBlocks:
 
 def center_block_description(u: GMA) -> CenterBlocks:
     """Center as diagonal pairs; requires unitality + annihilating conditions."""
-    require_unit(u.algebra)
-    report = check_annihilating_conditions(u)
-    if not report.holds:
-        raise AnnihilatorConditionsFail(
-            "annihilating conditions fail; the block description does not apply"
-        )
+    require_block_hypotheses(u, "the center block description")
     z = center(u.algebra)
     for v in z.basis:
         if not is_zero_vec(u.project("M", v)) or not is_zero_vec(u.project("N", v)):

@@ -7,13 +7,16 @@ rejected against anything else.  A malformed rational, a grid that is
 not a list of lists, a document that is not an object or that lacks a
 required key, a label that is not a JSON string, or a ``dim`` that is
 not a JSON int >= 0 (for an algebra: equal to its table size) raises
-ValueError, as does a file nested too deeply for the JSON reader.
+ValueError, as does a file nested too deeply for the JSON reader.  A
+message echoes the offending value through ``brief``, so it stays one
+short line however large or deeply nested the value is.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import reprlib
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,12 +32,18 @@ def format_rat(x: Fraction) -> str:
     return str(x)
 
 
+def brief(value) -> str:
+    """reprlib's bounded repr of a value echoed in a message, cut to at most 80 characters."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def parse_rat(s) -> Fraction:
     """A JSON int (not a bool), or a "p" or "p/q" string with q != 0."""
     if isinstance(s, bool) or not (
         isinstance(s, int) or (isinstance(s, str) and _RATIONAL.fullmatch(s))
     ):
-        raise ValueError(f"not a rational: {s!r}")
+        raise ValueError(f"not a rational: {brief(s)}")
     return Fraction(s)
 
 
@@ -52,7 +61,7 @@ def _expect(value, kind: type, what: str, *keys: str):
 def _dim(value, what: str) -> int:
     """A JSON int (not a bool) that is at least 0."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{what} must be a JSON int >= 0, not {value!r}")
+        raise ValueError(f"{what} must be a JSON int >= 0, not {brief(value)}")
     return value
 
 
@@ -86,10 +95,10 @@ def sc_from_doc(doc: dict) -> StructureConstants:
     if labels is not None:
         for label in _expect(labels, list, "labels"):
             if not isinstance(label, str):
-                raise ValueError(f"labels must be JSON strings, not {label!r}")
+                raise ValueError(f"labels must be JSON strings, not {brief(label)}")
     table = _parse_planes(doc["table"])
     if "dim" in doc and _dim(doc["dim"], "algebra dim") != len(table):
-        raise ValueError(f"algebra dim {doc['dim']} but the table has size {len(table)}")
+        raise ValueError(f"algebra dim {brief(doc['dim'])} but the table has size {len(table)}")
     return StructureConstants(table, labels)
 
 
@@ -142,7 +151,7 @@ def operator_from_doc(doc: dict, algebra: StructureConstants) -> LinearOperator:
     if doc.get("algebra_hash") != algebra.content_hash:
         raise HashMismatch(
             "operator was saved against a different algebra "
-            f"({doc.get('algebra_hash')!r} != {algebra.content_hash!r})"
+            f"({brief(doc.get('algebra_hash'))} != {brief(algebra.content_hash)})"
         )
     return LinearOperator(algebra, Matrix.from_cols(parse_grid(doc["matrix"])))
 

@@ -16,7 +16,8 @@ ints go in as they are.  A row holding a Fraction is first scaled by
 that know a common denominator for a whole table (the structure
 constants, the basis forms) use it once per table and hand over int
 rows.  ``Subspace``, ``kernel``, ``kernel_of_rows``, ``solve`` and
-``rref`` all go through ``_echelon``.  ``row_values`` is the only
+``rref`` all go through ``_echelon``; ``preimage`` is the one statement of
+"x maps into a subspace", a ``kernel_of_rows``.  ``row_values`` is the only
 evaluation of sparse rows on a vector, which ``int_flats`` scales to
 ints.  ``contract`` is the only bilinear
 product: it applies a structure tensor, held in the sparse form
@@ -354,6 +355,29 @@ def kernel_of_rows(ambient: int, rows: Iterable[dict | Sequence]) -> Subspace:
     """
     rr, piv = _echelon(rows)
     return Subspace(ambient, _kernel_from_rref(rr, piv, ambient))
+
+
+def preimage(maps: Iterable[Matrix], target: Subspace) -> Subspace:
+    """{x : m x in target for every m}, for maps m of Q^n where n is target's ambient.
+
+    The kernel of the rows f m, over the maps m and the annihilator basis f
+    of target.  Each row is built in ints from the nonzeros of f and of m,
+    the annihilator basis and each map scaled once by their denominators.
+    """
+    n = target.ambient
+    _, ann = clear_denominators(((l, c) for l, c in enumerate(f) if c) for f in target.annihilator().basis)
+    rows = []
+    for m in maps:
+        if m.rows != n or m.cols != n:
+            raise DimensionMismatch(f"preimage: a {m.rows}x{m.cols} map on Q^{n}")
+        _, nonzeros = clear_denominators(((j, x) for j, x in enumerate(r) if x) for r in m.data)
+        for f in ann:
+            row: dict[int, int] = {}
+            for l, c in f:
+                for j, x in nonzeros[l]:
+                    row[j] = row.get(j, 0) + c * x
+            rows.append(row)
+    return kernel_of_rows(n, rows)
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -9,7 +9,10 @@ what the twelve-dimensional counterexample requires.  Audits assert
 the two routes agree wherever both apply.
 The condition on chi is stated once, as the int rows of
 ``central_vanishing_rows``: the direct route evaluates them on phi and on
-multiplication by the center basis, and every certificate on chi.
+multiplication by the center basis, and every certificate on chi.  The
+Thm 3.3 corner tests are each stated once too: ``_unit_failure`` (alpha4
+and beta1 at the units) and ``_ranges_inside`` (their whole ranges), read
+by the block-form route and by the audit.
 """
 
 from __future__ import annotations
@@ -29,13 +32,14 @@ from .algebra import (
     require_unit,
 )
 from .centralizers import (
+    BlockDecomposition,
     IdentityKind,
     block_decompose,
     is_identity_member,
     solve_identity_space,
 )
 from .errors import LieTripleError, NotLTC
-from .gma import GMA, center_block_description, eta_map, require_block_hypotheses
+from .gma import GMA, CenterBlocks, center_block_description, eta_map, require_block_hypotheses
 from .linalg import (
     Matrix,
     Subspace,
@@ -207,6 +211,27 @@ def _singleton_witness(alg, into_center, mults, phi_flat, probes):
     return None
 
 
+def _unit_failure(u: GMA, d: BlockDecomposition, blocks: CenterBlocks) -> PropernessFailure | None:
+    """The Thm 3.3 unit test: the first of alpha4(1_A) in pi_B(Z(U)), beta1(1_B) in pi_A(Z(U)) to fail, or None."""
+    for side, corner, one, target in (
+        ("A", d.alpha4, require_unit(u.context.A), blocks.pi_b),
+        ("B", d.beta1, require_unit(u.context.B), blocks.pi_a),
+    ):
+        value = corner.matvec(one.coords)
+        if not target.contains_vector(value):
+            return PropernessFailure(side, value, target)
+    return None
+
+
+def _ranges_inside(d: BlockDecomposition, blocks: CenterBlocks) -> bool:
+    """The Thm 3.3 range test: each column of alpha4 lies in pi_B(Z(U)), each of beta1 in pi_A(Z(U))."""
+    return all(
+        target.contains_vector(corner.col(i))
+        for corner, target in ((d.alpha4, blocks.pi_b), (d.beta1, blocks.pi_a))
+        for i in range(corner.cols)
+    )
+
+
 def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | PropernessFailure:
     """The unit-membership test first, then the explicit construction.
 
@@ -221,30 +246,19 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
     d = block_decompose(u, phi)
     blocks = center_block_description(u)
     eta = eta_map(u)
+    failure = _unit_failure(u, d, blocks)
+    if failure is not None:
+        return failure
+    # membership at the units forces the whole ranges into the projections
+    if not _ranges_inside(d, blocks):
+        raise LieTripleError(
+            "unit membership held but a corner range escapes pi_A(Z(U)) or pi_B(Z(U)); "
+            "this contradicts the equivalence chain"
+        )
+
+    da, db = u.dim_a, u.dim_b
     one_a = require_unit(u.context.A).coords
     one_b = require_unit(u.context.B).coords
-
-    alpha4_at_one = d.alpha4.matvec(one_a)
-    if not blocks.pi_b.contains_vector(alpha4_at_one):
-        return PropernessFailure("A", alpha4_at_one, blocks.pi_b)
-    beta1_at_one = d.beta1.matvec(one_b)
-    if not blocks.pi_a.contains_vector(beta1_at_one):
-        return PropernessFailure("B", beta1_at_one, blocks.pi_a)
-
-    # membership at the units forces the whole ranges into the projections
-    da, db = u.dim_a, u.dim_b
-    for i in range(da):
-        if not blocks.pi_b.contains_vector(d.alpha4.col(i)):
-            raise LieTripleError(
-                "unit membership held but the alpha4 range escapes pi_B(Z(U)); "
-                "this contradicts the equivalence chain"
-            )
-    for j in range(db):
-        if not blocks.pi_a.contains_vector(d.beta1.col(j)):
-            raise LieTripleError(
-                "unit membership held but the beta1 range escapes pi_A(Z(U))"
-            )
-
     alpha_bar = Matrix.from_cols(
         [vec_sub(d.alpha1.col(i), eta.apply_inverse(d.alpha4.col(i))) for i in range(da)]
     )
@@ -354,8 +368,6 @@ def equivalence_audit(u: GMA, extra_random: int = 0, seed: int = 0) -> Equivalen
     alg = u.algebra
     require_block_hypotheses(u, "equivalence audit")
     blocks = center_block_description(u)
-    one_a = require_unit(u.context.A).coords
-    one_b = require_unit(u.context.B).coords
     space = solve_identity_space(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER)
 
     candidates = [LinearOperator.from_flat(alg, v) for v in space.basis]
@@ -372,13 +384,8 @@ def equivalence_audit(u: GMA, extra_random: int = 0, seed: int = 0) -> Equivalen
     for phi in candidates:
         d = block_decompose(u, phi)
         direct = isinstance(is_proper_direct(alg, phi), PropernessCertificate)
-        ranges = all(
-            blocks.pi_b.contains_vector(d.alpha4.col(i)) for i in range(u.dim_a)
-        ) and all(blocks.pi_a.contains_vector(d.beta1.col(j)) for j in range(u.dim_b))
-        units = blocks.pi_b.contains_vector(
-            d.alpha4.matvec(one_a)
-        ) and blocks.pi_a.contains_vector(d.beta1.matvec(one_b))
-        records.append(EquivalenceRecord(direct, ranges, units))
+        units = _unit_failure(u, d, blocks) is None
+        records.append(EquivalenceRecord(direct, _ranges_inside(d, blocks), units))
         if not direct:
             improper += 1
     return EquivalenceReport(tuple(records), improper)

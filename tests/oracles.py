@@ -65,6 +65,25 @@ def kernel_basis(rows, ncols: int) -> tuple:
     return row_space_basis(free)
 
 
+def preimage_basis(maps, target_vectors, n: int) -> tuple:
+    """Canonical basis of {x : m x in span(target_vectors) for every n x n grid m}.
+
+    Each map gets its own unknowns y: the system is m x - T y = 0 with the
+    target vectors as the columns of T, stacked over the maps, and the
+    answer is the x-part of its kernel, by Gauss-Jordan alone.
+    """
+    t = len(target_vectors)
+    width = n + len(maps) * t
+    rows = []
+    for i, m in enumerate(maps):
+        for r in range(n):
+            row = [Fraction(x) for x in m[r]] + [Fraction(0)] * (width - n)
+            for s, b in enumerate(target_vectors):
+                row[n + i * t + s] = -Fraction(b[r])
+            rows.append(row)
+    return row_space_basis([v[:n] for v in kernel_basis(rows, width)])
+
+
 def _elem(alg, coords):
     return AlgebraElement(alg, coords)
 

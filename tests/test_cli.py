@@ -353,6 +353,34 @@ def _one_dim_documents(tmp_path, **overrides):
     return paths
 
 
+_DEEP = "1"
+for _ in range(500):
+    _DEEP = [_DEEP]
+
+
+@pytest.mark.parametrize(
+    "overrides, op_hash, spec",
+    [
+        ({"A": {"table": [[[_DEEP]]]}}, None, None),
+        ({"A": {"dim": "9" * 1000}}, None, None),
+        ({"M": {"dim": _DEEP}}, None, None),
+        ({"A": {"dim": 10**300}}, None, None),
+        ({"A": {"labels": [_DEEP]}}, None, None),
+        ({}, "f" * 1000, None),
+        ({}, None, "x" * 1000),
+    ],
+    ids=["rational", "algebra-dim", "bimodule-dim", "dim-mismatch", "label", "operator-hash", "algebra-spec"],
+)
+def test_echoed_input_value_is_bounded(capsys, tmp_path, overrides, op_hash, spec):
+    p = _one_dim_documents(tmp_path, **overrides)
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"algebra_hash": op_hash, "matrix": [["1"]]}))
+    code, out, err = run_cli(capsys, "proper", spec or f"tri({p['A']},{p['M']},{p['B']})", str(op))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert len(err) <= 201
+
+
 class TestShapeErrors:
     """Documents whose shapes do not fit exit 2 with one line, like malformed ones."""
 

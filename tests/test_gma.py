@@ -14,6 +14,7 @@ from lietriple.catalog import (
     random_gma,
     rationals,
     scalar_bimodule,
+    standard_gmas,
     strict_upper_3x3,
     triangular_context,
     upper_triangular,
@@ -35,6 +36,7 @@ from lietriple.gma import (
     MoritaContext,
     assemble,
     block_center,
+    block_hypotheses_hold,
     center_block_description,
     check_annihilating_conditions,
     context_of,
@@ -42,6 +44,7 @@ from lietriple.gma import (
     gma_from_block_algebra,
     m2_of,
     peirce_from_idempotent,
+    require_block_hypotheses,
 )
 from lietriple.linalg import Subspace, unit_vec
 
@@ -175,6 +178,29 @@ class TestAnnihilatingConditions:
         assert rep.a_annihilator.basis == ((F(0), F(1)),)  # witness a = x
         with pytest.raises(AnnihilatorConditionsFail):
             center_block_description(u)
+
+
+class TestBlockHypotheses:
+    def test_truth_table(self):
+        assert all(block_hypotheses_hold(u) for u in standard_gmas().values())
+        assert not block_hypotheses_hold(m2_of(strict_upper_3x3()))  # not unital
+        # the dual numbers acting on M = Q through 1 alone: x annihilates M
+        mod = Bimodule(1, 2, 1, (((1,),), ((0,),)), (((1,),),))
+        assert not block_hypotheses_hold(assemble(triangular_context(dual_numbers(), mod, rationals())))
+
+    @pytest.mark.parametrize("require_n", [True, None])
+    def test_agrees_with_the_raising_guard_on_random_contexts(self, require_n):
+        verdicts = set()
+        for seed in range(40):
+            u = random_gma(random.Random(seed), require_n=require_n)
+            try:
+                require_block_hypotheses(u, "the test")
+                raised = False
+            except (NotUnital, AnnihilatorConditionsFail):
+                raised = True
+            assert block_hypotheses_hold(u) is not raised
+            verdicts.add(raised)
+        assert verdicts == {True, False}
 
 
 class TestCenterDescription:

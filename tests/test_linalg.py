@@ -18,12 +18,13 @@ from lietriple.linalg import (
     contract,
     kernel,
     kernel_of_rows,
+    preimage,
     rref,
     solve,
     sparse_tensor,
     try_solve,
 )
-from oracles import kernel_basis, rebased, row_space_basis, unit_diagonal_basis
+from oracles import kernel_basis, preimage_basis, rebased, row_space_basis, unit_diagonal_basis
 
 F = Fraction
 
@@ -166,6 +167,15 @@ def block_systems(draw):
 
 
 @st.composite
+def preimage_problems(draw):
+    """(n, maps, target vectors): up to three n x n grids, half their entries zero, and a spanning list in Q^n."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(F(0)), small_frac)
+    maps = draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n), max_size=3))
+    return n, maps, draw(st.lists(st.lists(small_frac, min_size=n, max_size=n), max_size=n))
+
+
+@st.composite
 def dependent_systems(draw):
     """(ncols, rows): a tall integer system of rank k < ncols as {col: int} rows, shuffled.
 
@@ -255,6 +265,19 @@ class TestProperties:
         assert res is not None
         x, _ = res
         assert m.matvec(x) == m.matvec((F(1),) * m.cols)
+
+
+class TestPreimage:
+    @given(preimage_problems())
+    def test_matches_stacked_kernel_oracle(self, problem):
+        n, maps, target = problem
+        got = preimage([Matrix(m) for m in maps], Subspace(n, target))
+        assert got.ambient == n
+        assert got.basis == preimage_basis(maps, target, n)
+
+    def test_rejects_a_map_of_another_size(self):
+        with pytest.raises(DimensionMismatch):
+            preimage([Matrix([[1, 0, 0], [0, 1, 0]])], Subspace.zero(2))
 
 
 class TestKernelOfRows:
