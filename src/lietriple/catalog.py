@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import AlgebraElement, LinearOperator, StructureConstants, find_unit
+from .algebra import AlgebraElement, LinearOperator, StructureConstants, find_unit, memoized
 from .errors import LieTripleError
 from .gma import (
     GMA,
@@ -92,8 +92,13 @@ def direct_sum(a: StructureConstants, b: StructureConstants) -> StructureConstan
     return StructureConstants(t, labels)
 
 
-def _corner_split_gma(alg: StructureConstants, diagonal: list[int]) -> GMA:
-    """Peirce split along e = e_11 + ... + e_kk, given the basis positions of those units."""
+@memoized
+def _corner_split_gma(alg: StructureConstants, diagonal: tuple[int, ...]) -> GMA:
+    """Peirce split along e = e_11 + ... + e_kk, given the basis positions of those units.
+
+    Memoized through ``algebra.memoized`` under the raw algebra's content
+    hash, so every catalog entry point splits an algebra once per process.
+    """
     coords = [F(0)] * alg.dim
     for i in diagonal:
         coords[i] = F(1)
@@ -104,7 +109,7 @@ def full_matrix_gma(n: int, split: int = 1) -> GMA:
     """M_n(Q) as a generalized matrix algebra, split after `split` rows."""
     if not 1 <= split < n:
         raise ValueError("split must lie strictly inside the matrix")
-    return _corner_split_gma(full_matrix(n), [i * n + i for i in range(split)])
+    return _corner_split_gma(full_matrix(n), tuple(i * n + i for i in range(split)))
 
 
 def upper_triangular_gma(n: int, split: int = 1) -> GMA:
@@ -112,7 +117,7 @@ def upper_triangular_gma(n: int, split: int = 1) -> GMA:
     if not 1 <= split < n:
         raise ValueError("split must lie strictly inside the matrix")
     # e_ii opens row i, after the n - r cells of each row r < i
-    return _corner_split_gma(upper_triangular(n), [i * n - i * (i - 1) // 2 for i in range(split)])
+    return _corner_split_gma(upper_triangular(n), tuple(i * n - i * (i - 1) // 2 for i in range(split)))
 
 
 def triangular_context(a: StructureConstants, m: Bimodule, b: StructureConstants) -> MoritaContext:

@@ -70,13 +70,9 @@ def _cmd_solve(args) -> int:
     if target is None:
         raise NotGMA("this identity kind needs a block algebra")
     space = solve_identity_space(target, kind)
-    results = {
-        "dimension": space.dim,
-        "ambient": space.ambient,
-        "basis": [vector_doc(v) for v in space.basis],
-    }
-    lines = [f"dim {space.dim}"]
-    lines += [", ".join(str(x) for x in v) for v in space.basis]
+    basis = [vector_doc(v) for v in space.basis]
+    results = {"dimension": space.dim, "ambient": space.ambient, "basis": basis}
+    lines = [f"dim {space.dim}"] + [", ".join(doc) for doc in basis]
     command = ["solve", args.algebra, "--identity", args.identity]
     _emit(args.format, command, {"algebra_hash": entry.algebra.content_hash}, results, lines)
     return 0

@@ -162,11 +162,14 @@ def dump_json(doc: dict) -> str:
 
 
 def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The JSON document at path; an error names the path through ``brief``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    except OSError as exc:
+        raise OSError(exc.errno, f"{exc.strerror}: {brief(path)}") from None
+    except RecursionError:
+        raise ValueError(f"{brief(path)}: JSON nested too deeply to read") from None
 
 
 def save_json(path: str, doc: dict) -> None:

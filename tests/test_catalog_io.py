@@ -122,6 +122,46 @@ def test_ten_row_split_is_along_e11():
     assert [u.algebra.labels[i] for i in u.ranges["M"]] == [f"e1{j}" for j in range(2, 11)]
 
 
+def test_catalog_split_runs_once_per_algebra(monkeypatch):
+    import lietriple.algebra
+    import lietriple.catalog
+
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    calls = []
+    split = lietriple.catalog.peirce_from_idempotent
+
+    def counting(alg, e):
+        calls.append(alg.dim)
+        return split(alg, e)
+
+    monkeypatch.setattr(lietriple.catalog, "peirce_from_idempotent", counting)
+    first, second = resolve("full_matrix(3)"), resolve("full_matrix(3)")
+    assert calls == [9]
+    assert first.gma is second.gma and first.algebra is second.algebra
+
+
+def test_equal_m2_documents_share_one_assembly(monkeypatch, tmp_path):
+    import lietriple.algebra
+    import lietriple.gma
+
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    calls = []
+    exact = lietriple.gma.assemble
+
+    def counting(ctx):
+        calls.append(ctx.A.dim)
+        return exact(ctx)
+
+    monkeypatch.setattr(lietriple.gma, "assemble", counting)
+    paths = [tmp_path / "a.json", tmp_path / "copy" / "a.json"]
+    paths[1].parent.mkdir()
+    for path in paths:
+        save_json(str(path), sc_to_doc(upper_triangular(2)))
+    first, second = (resolve(f"m2({path})") for path in paths)
+    assert calls == [3]
+    assert first.gma is second.gma
+
+
 class TestDocuments:
     def test_structure_constants_round_trip(self):
         t2 = upper_triangular(2)

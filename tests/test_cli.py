@@ -213,6 +213,26 @@ def test_solve_stdout_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "spec, kind, digest",
+    [
+        ("upper_triangular(3)", "ltc", "3ee01e29027937e1107aec67881d3b02ceb86326c6361eca076c69bb2ab9d76a"),
+        ("upper_triangular(3)", "sjder", "48c05d4ace164edbcb45a4b0901cdcf0d41f3db86adf2e5d5fb9e9de84e02bea"),
+        ("example_1_2", "ltc", "dce9aa5ba8623b52f8f4863d024685c94b3f5508dd3a744f23aa8332f8f4d8f2"),
+        ("example_1_2", "sjder", "cd81cd9922eedd4c3d62ec32b51d88577e1681358c11f040e613d165edca857c"),
+    ],
+)
+def test_warm_cache_solve_prints_cold_bytes(capsys, monkeypatch, spec, kind, digest):
+    """A repeated request in one process, served from the memoized split and solve, prints the same bytes."""
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    argv = ("solve", spec, "--identity", kind, "--format", "json")
+    cold, warm = run_cli(capsys, *argv), run_cli(capsys, *argv)
+    assert cold == warm
+    code, out, _ = cold
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _fixed_combination(entry, kind):
     """The operator sum of (-1)^k (k mod 3 + 1) times the k-th solved basis vector."""
     space = solve_identity_space(entry.algebra, kind)
@@ -288,6 +308,19 @@ def test_deeply_nested_json_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("invalid input:") and "nested too deeply" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("proper", "full_matrix(2)", "{name}"), ("solve", "m2({name})", "--identity", "ltc")],
+    ids=["operator", "algebra"],
+)
+def test_overlong_path_exits_2_with_one_short_line(capsys, argv):
+    name = "x" * 295 + ".json"
+    code, out, err = run_cli(capsys, *(a.format(name=name) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert len(err.rstrip("\n")) <= 120
 
 
 class TestMalformedDocuments:
