@@ -22,7 +22,6 @@ from .algebra import (
     StructureConstants,
     ad_basis,
     center,
-    double_commutator_span,
     largest_central_ideal,
     multiplication_operator,
 )
@@ -33,7 +32,7 @@ from .centralizers import (
     solve_identity_space,
 )
 from .errors import DimensionMismatch, LieTripleError, NotGLTD, NotLTD
-from .gma import GMA, block_hypotheses_hold, center_block_description, require_block_hypotheses
+from .gma import GMA, block_hypotheses_hold, diagonal_kernel, require_block_hypotheses
 from .linalg import (
     Matrix,
     Subspace,
@@ -169,9 +168,7 @@ def _center_shape_matches(u: GMA, m0: Sequence[Fraction] | None, n0: Sequence[Fr
                 tuple(ctx.N.act_right(n0, unit_vec(da, i))[q] for i in range(da))
                 + tuple(-ctx.N.act_left(unit_vec(db, j), n0)[q] for j in range(db))
             )
-    pairs = kernel_of_rows(da + db, rows)
-    embedded = [u.element_from_corners(a=v[:da], b=v[da:]).coords for v in pairs.basis]
-    return Subspace(u.algebra.dim, embedded) == center(u.algebra)
+    return diagonal_kernel(u, rows) == center(u.algebra)
 
 
 def check_thm41_hypotheses(
@@ -188,11 +185,7 @@ def check_thm41_hypotheses(
                 )
     require_block_hypotheses(u, "hypothesis battery")
     ctx = u.context
-    blocks = center_block_description(u)
-    dcs_a_full = double_commutator_span(ctx.A).is_full()
-    dcs_b_full = double_commutator_span(ctx.B).is_full()
-    pi_a_eq = blocks.pi_a == center(ctx.A)
-    pi_b_eq = blocks.pi_b == center(ctx.B)
+    cor = check_cor36_hypotheses(u)
     forces = _commutator_into_center_forces_central(
         ctx.A
     ) or _commutator_into_center_forces_central(ctx.B)
@@ -214,10 +207,10 @@ def check_thm41_hypotheses(
             break
 
     return Thm41HypothesisReport(
-        cond_i=dcs_a_full and dcs_b_full,
-        cond_ii=pi_a_eq and dcs_a_full,
-        cond_iii=pi_b_eq and dcs_b_full,
-        cond_iv=pi_a_eq and pi_b_eq and forces,
+        cond_i=cor.triple_span_a_full and cor.triple_span_b_full,
+        cond_ii=cor.pi_a_equals_center_a and cor.triple_span_a_full,
+        cond_iii=cor.pi_b_equals_center_b and cor.triple_span_b_full,
+        cond_iv=cor.pi_a_equals_center_a and cor.pi_b_equals_center_b and forces,
         cond_a=largest_central_ideal(ctx.A).is_zero(),
         cond_b=largest_central_ideal(ctx.B).is_zero(),
         cond_c_established_by=c_found,

@@ -5,6 +5,9 @@ A context (A, B, M, N, zeta, psi) assembles into the block algebra
 N-block, B-block].  All bimodule and pairing axioms are validated in
 one stroke: the assembled multiplication table must be associative,
 and a failure reports the offending basis triple.
+
+eta is read off the echelon of Z(U)'s basis as pairs (a, b) and (b, a);
+a Peirce split reads its change of basis off the corner parts x e_j y.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from .linalg import (
     is_zero_vec,
     kernel_of_rows,
     rat,
-    rref,
-    solve,
     sparse_tensor,
     unit_vec,
     vec,
@@ -316,24 +317,15 @@ class PeirceDecomposition:
         return self.new_to_old.matvec(coords)
 
 
-def _invert(m: Matrix) -> Matrix:
-    n = m.rows
-    aug = Matrix([list(m.data[i]) + list(unit_vec(n, i)) for i in range(n)])
-    red = rref(aug)
-    for i in range(n):
-        if red.data[i][i] != 1:
-            raise DimensionMismatch("matrix is singular")
-    return Matrix([row[n:] for row in red.data], cols=n)
-
-
 def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> PeirceDecomposition:
     """Re-base a unital algebra along e into [[eAe, eAf], [fAe, fAf]].
 
     Everything runs on nonzeros.  The corner xAy (f = 1 - e) is spanned
-    by x (e_j y) over the old basis, two sparse products per basis
-    vector.  Each entry of the new table is the sparse product of two
-    new basis vectors, carried to new coordinates through the nonzero
-    columns of old_to_new that the product meets.
+    by the parts x (e_j y), two sparse products per old basis vector e_j;
+    their coefficients in the corner bases make column j of old_to_new.
+    Each entry of the new table is the sparse product of two new basis
+    vectors, carried to new coordinates through the nonzero columns of
+    old_to_new that the product meets.
     """
     one = require_unit(alg)
     if not (e * e == e):
@@ -343,17 +335,17 @@ def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> Peirce
     f = one - e
     n = alg.dim
     units = [unit_vec(n, j) for j in range(n)]
-    corners = [
-        Subspace(n, [alg.mul_coords(left.coords, alg.mul_coords(u, right.coords)) for u in units])
+    parts = [
+        [alg.mul_coords(left.coords, alg.mul_coords(u, right.coords)) for u in units]
         for left, right in ((e, e), (e, f), (f, e), (f, f))
     ]
+    corners = [Subspace(n, p) for p in parts]
     dims = tuple(s.dim for s in corners)
     if sum(dims) != n:
         raise InvalidBlockStructure("Peirce corners do not span")  # unreachable for true idempotents
     new_basis = [v for s in corners for v in s.basis]
-    new_to_old = Matrix.from_cols(new_basis)
-    old_to_new = _invert(new_to_old)
-    columns = [[(r, x) for r, x in enumerate(old_to_new.col(k)) if x != 0] for k in range(n)]
+    new_coords = [[x for s, p in zip(corners, parts) for x in s.coefficients_of(p[j])] for j in range(n)]
+    columns = [[(r, x) for r, x in enumerate(col) if x != 0] for col in new_coords]
 
     def to_new(v: Sequence[Fraction]) -> list[Fraction]:
         out = [Fraction(0)] * n
@@ -373,7 +365,7 @@ def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> Peirce
             labels.append(f"p{t}")
     sc = StructureConstants(table, labels)
     gma = gma_from_block_algebra(sc, dims)
-    return PeirceDecomposition(gma, new_to_old, old_to_new)
+    return PeirceDecomposition(gma, Matrix.from_cols(new_basis), Matrix.from_cols(new_coords))
 
 
 @dataclass(frozen=True)
@@ -463,24 +455,27 @@ def center_block_description(u: GMA) -> CenterBlocks:
     return CenterBlocks(z, pi_a, pi_b)
 
 
+def diagonal_kernel(u: GMA, rows) -> Subspace:
+    """{diag(a, b) : (a, b) kills every row}, for rows over the pairs (a, b) in Q^(dim A + dim B)."""
+    da = u.dim_a
+    pairs = kernel_of_rows(da + u.dim_b, rows)
+    return Subspace(u.algebra.dim, [u.element_from_corners(a=v[:da], b=v[da:]).coords for v in pairs.basis])
+
+
 def block_center(u: GMA) -> Subspace:
     """{diag(a,b) : am = mb, na = bn for all basis m, n}, from block data.
 
     Independent of the raw commutation kernel; used to cross-check the
     center description on qualifying algebras.
     """
-    da, db = u.dim_a, u.dim_b
-    rows = [row_a + tuple(-x for x in row_b) for row_a, row_b in _diagonal_action_rows(u)]
-    pairs = kernel_of_rows(da + db, rows)
-    embedded = [u.element_from_corners(a=v[:da], b=v[da:]).coords for v in pairs.basis]
-    return Subspace(u.algebra.dim, embedded)
+    return diagonal_kernel(u, [row_a + tuple(-x for x in row_b) for row_a, row_b in _diagonal_action_rows(u)])
 
 
 class EtaMap:
     """The diagonal-corner correspondence on the center of a GMA.
 
     For a in pi_A(Z(U)), eta(a) is the unique b with diag(a, b) central.
-    Verified at construction: single-valued, bijective, multiplicative,
+    ``eta_map`` verifies it: single-valued, bijective, multiplicative,
     and intertwining (a m = m eta(a), n a = eta(a) n on all basis pairs).
     """
 
@@ -496,47 +491,43 @@ class EtaMap:
         raise AttributeError("EtaMap is immutable")
 
     def apply(self, a: Sequence[Fraction]) -> tuple:
-        return self._map(self.domain, self.images, a, "domain")
+        return self._map(self.domain, self.codomain, self.images, a, "domain")
 
     def apply_inverse(self, b: Sequence[Fraction]) -> tuple:
-        return self._map(self.codomain, self.preimages, b, "codomain")
+        return self._map(self.codomain, self.domain, self.preimages, b, "codomain")
 
     @staticmethod
-    def _map(source: Subspace, targets: tuple, v: Sequence[Fraction], side: str) -> tuple:
-        """The combination of targets with v's coefficients in source's basis."""
+    def _map(source: Subspace, target: Subspace, images: tuple, v: Sequence[Fraction], side: str) -> tuple:
+        """The combination of images with v's coefficients in source's basis, in target's ambient."""
         coeffs = source.coefficients_of(v)
         if coeffs is None:
             raise DimensionMismatch(f"element outside the {side} of eta")
-        out = [Fraction(0)] * (len(targets[0]) if targets else 0)
-        for c, target in zip(coeffs, targets):
-            for t, x in enumerate(target):
+        out = [Fraction(0)] * target.ambient
+        for c, image in zip(coeffs, images):
+            for t, x in enumerate(image):
                 out[t] += c * x
         return tuple(out)
 
 
+def _partners(ambient: int, d: int, pairs: list[tuple]) -> list[tuple]:
+    """The partner y of each canonical basis vector x of the first d coordinates, read off the rref of the pairs x + y.
+
+    A pivot past the first d coordinates is a pair (0, y): partners are not unique.
+    """
+    span = Subspace(ambient, pairs)
+    if span.pivots and span.pivots[-1] >= d:
+        raise NonUniqueEta("diagonal partner is not unique")
+    return [v[d:] for v in span.basis]
+
+
 def eta_map(u: GMA) -> EtaMap:
+    """eta on the basis of pi_A(Z(U)) and its inverse on pi_B(Z(U)), read off Z(U)'s basis, then verified."""
     blocks = center_block_description(u)
     ctx = u.context
     da, db = u.dim_a, u.dim_b
-    ann_z = blocks.z.annihilator()
-    a_range, b_range = u.block_range("A"), u.block_range("B")
-
-    def partner(corner_coords, forward: bool) -> tuple:
-        # unknown corner y with diag(a, y) (or diag(y, b)) in Z(U)
-        fixed_range, free_range = (a_range, b_range) if forward else (b_range, a_range)
-        free_dim = db if forward else da
-        rows = [tuple(f[i] for i in free_range) for f in ann_z.basis]
-        rhs = [
-            -sum(f[i] * x for i, x in zip(fixed_range, corner_coords))
-            for f in ann_z.basis
-        ]
-        y, hom = solve(Matrix(rows, cols=free_dim), rhs)
-        if not hom.is_zero():
-            raise NonUniqueEta("diagonal partner is not unique")
-        return y
-
-    images = [partner(a, True) for a in blocks.pi_a.basis]
-    preimages = [partner(b, False) for b in blocks.pi_b.basis]
+    corners = [(u.project("A", v), u.project("B", v)) for v in blocks.z.basis]
+    images = _partners(da + db, da, [a + b for a, b in corners])
+    preimages = _partners(da + db, db, [b + a for a, b in corners])
     eta = EtaMap(blocks.pi_a, blocks.pi_b, images, preimages)
 
     # eta must be a bijection between the corner projections

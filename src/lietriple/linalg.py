@@ -473,15 +473,8 @@ class Subspace:
         return is_zero_vec(self.reduce(v))
 
     def coefficients_of(self, v: Sequence[Fraction]) -> Vector | None:
-        """Coefficients of v in the canonical basis, or None if outside."""
-        w = list(vec(v))
-        coeffs = []
-        for row, p in zip(self.basis, self.pivots):
-            f = w[p]
-            coeffs.append(f)
-            if f != 0:
-                w = [x - f * y for x, y in zip(w, row)]
-        return tuple(coeffs) if is_zero_vec(w) else None
+        """Coefficients of v in the canonical basis, or None if outside: a member's entries at the pivots."""
+        return tuple(rat(v[p]) for p in self.pivots) if self.contains_vector(v) else None
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)

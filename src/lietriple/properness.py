@@ -12,7 +12,8 @@ The condition on chi is stated once, as the int rows of
 multiplication by the center basis, and every certificate on chi.  The
 Thm 3.3 corner tests are each stated once too: ``_unit_failure`` (alpha4
 and beta1 at the units) and ``_ranges_inside`` (their whole ranges), read
-by the block-form route and by the audit.
+by the block-form route and by the audit.  ``build_from_blocks`` assembles
+the block-form chi from alpha4, beta1 and their images under eta^-1, eta.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .centralizers import (
     BlockDecomposition,
     IdentityKind,
     block_decompose,
+    build_from_blocks,
     is_identity_member,
     solve_identity_space,
 )
@@ -48,7 +50,6 @@ from .linalg import (
     row_values,
     try_solve,
     unit_vec,
-    vec_sub,
     zero_vec,
 )
 
@@ -256,37 +257,19 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
             "this contradicts the equivalence chain"
         )
 
-    da, db = u.dim_a, u.dim_b
-    one_a = require_unit(u.context.A).coords
-    one_b = require_unit(u.context.B).coords
-    alpha_bar = Matrix.from_cols(
-        [vec_sub(d.alpha1.col(i), eta.apply_inverse(d.alpha4.col(i))) for i in range(da)]
+    eta_inv_alpha4, eta_beta1 = (
+        Matrix.from_cols([f(m.col(i)) for i in range(m.cols)])
+        for f, m in ((eta.apply_inverse, d.alpha4), (eta.apply, d.beta1))
     )
-    beta_bar = Matrix.from_cols(
-        [vec_sub(d.beta4.col(j), eta.apply(d.beta1.col(j))) for j in range(db)]
-    )
-    a0 = alpha_bar.matvec(one_a)
-    b0 = beta_bar.matvec(one_b)
+    alpha_bar = d.alpha1 - eta_inv_alpha4
+    beta_bar = d.beta4 - eta_beta1
+    a0 = alpha_bar.matvec(require_unit(u.context.A).coords)
+    b0 = beta_bar.matvec(require_unit(u.context.B).coords)
     lam_coords = tuple(u.element_from_corners(a=a0, b=b0).coords)
-
-    n = alg.dim
-    chi_cols = []
-    for j in range(n):
-        if j in u.block_range("A"):
-            i = j - u.block_range("A").start
-            a4 = d.alpha4.col(i)
-            chi_cols.append(
-                u.element_from_corners(a=eta.apply_inverse(a4), b=a4).coords
-            )
-        elif j in u.block_range("B"):
-            i = j - u.block_range("B").start
-            b1 = d.beta1.col(i)
-            chi_cols.append(
-                u.element_from_corners(a=b1, b=eta.apply(b1)).coords
-            )
-        else:
-            chi_cols.append(zero_vec(n))
-    chi = LinearOperator(alg, Matrix.from_cols(chi_cols))
+    chi = build_from_blocks(
+        u, alpha1=eta_inv_alpha4, beta1=d.beta1, tau2=Matrix.zeros(u.dim_m, u.dim_m),
+        gamma3=Matrix.zeros(u.dim_n, u.dim_n), alpha4=d.alpha4, beta4=eta_beta1,
+    )
 
     extra = (
         ("lambda equals diag(alpha_bar(1_A), beta_bar(1_B))", True),

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from lietriple.errors import (
     AnnihilatorConditionsFail,
     DimensionMismatch,
     InvalidBlockStructure,
+    NonUniqueEta,
     NotAssociative,
     NotIdempotent,
     NotUnital,
@@ -34,6 +37,7 @@ from lietriple.gma import (
     Bimodule,
     EtaMap,
     MoritaContext,
+    _partners,
     assemble,
     block_center,
     block_hypotheses_hold,
@@ -258,6 +262,15 @@ class TestEta:
     def test_empty_map_is_vacuously_fine(self):
         eta = EtaMap(Subspace.zero(2), Subspace.zero(3), (), ())
         assert eta.images == ()
+        assert eta.apply((0, 0)) == (0, 0, 0)
+        assert eta.apply_inverse((0, 0, 0)) == (0, 0)
+
+    def test_partners_are_read_off_the_pair_echelon(self):
+        # pairs (a, b) spanning {(x, y, 2x)}: the canonical basis (1, 0), (0, 1) of Q^2 gets partners 2 and 0
+        assert _partners(3, 2, [(1, 0, 2), (1, 1, 2)]) == [(2,), (0,)]
+        # a pair (0, y) in the span is a pivot past the first corner
+        with pytest.raises(NonUniqueEta):
+            _partners(2, 1, [(1, 0), (1, 1)])
 
 
 class TestExampleTwelve:
@@ -376,6 +389,43 @@ class TestPeirceOffMatrixUnits:
             for y in new_basis:
                 product = _table_mul(new, _apply(pd.old_to_new, x), _apply(pd.old_to_new, y))
                 assert _apply(pd.new_to_old, product) == _table_mul(alg, x, y)
+
+
+def _pinned_idempotents():
+    """(algebra, idempotent coords) over M_n and T_n, n = 2..4: every diagonal split, then e11 + e1n and e11 - 3/2 e12."""
+    for family in (full_matrix, upper_triangular):
+        for n in (2, 3, 4):
+            alg = family(n)
+            pos = {label: t for t, label in enumerate(alg.labels)}
+
+            def element(**terms):
+                out = [F(0)] * alg.dim
+                for label, x in terms.items():
+                    out[pos[label]] += x
+                return tuple(out)
+
+            for k in range(1, n):
+                for subset in itertools.combinations(range(1, n + 1), k):
+                    yield alg, element(**{f"e{i}{i}": 1 for i in subset})
+            yield alg, element(e11=1, **{f"e1{n}": 1})
+            yield alg, element(e11=1, e12=F(-3, 2))
+
+
+# sha256 over peirce_from_idempotent on _pinned_idempotents(): new_to_old,
+# old_to_new, the block dims and the split algebra's content hash.
+# Recorded while old_to_new was found by inverting new_to_old.
+_PINNED_PEIRCE = "4de395f1ecc690ef35a4655b2da6e3447f85a5daf4d5ba455dc6c3ebc5e69c6b"
+
+
+def test_peirce_splits_are_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for alg, e in _pinned_idempotents():
+        pd = peirce_from_idempotent(alg, AlgebraElement(alg, e))
+        h.update(repr((pd.new_to_old.data, pd.old_to_new.data, pd.gma.dims, pd.gma.algebra.content_hash)).encode())
+        count += 1
+    assert count == 56
+    assert h.hexdigest() == _PINNED_PEIRCE
 
 
 @functools.lru_cache(maxsize=None)

@@ -116,6 +116,11 @@ class TestSubspaceLattice:
         assert coeffs == (3, -2)
         assert s.coefficients_of((1, 1, 0)) is None
 
+    @pytest.mark.parametrize("v", [(1, 2), (1, 2, 0, 5)])
+    def test_coefficients_of_a_wrong_length_vector_raises(self, v):
+        with pytest.raises(DimensionMismatch):
+            Subspace(3, [(1, 0, 0), (0, 1, 0)]).coefficients_of(v)
+
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Subspace(2, [(1, 0)]).sum(Subspace(3, [(1, 0, 0)]))

@@ -11,12 +11,14 @@ from lietriple.catalog import (
     full_matrix_gma,
     random_gma,
     rationals,
+    standard_gmas,
     triangular_context,
     upper_triangular_gma,
 )
 from lietriple.centralizers import IdentityKind, solve_identity_space
+from lietriple.derivations import check_thm41_hypotheses
 from lietriple.errors import NotLTC, NotUnital
-from lietriple.gma import Bimodule, assemble
+from lietriple.gma import Bimodule, assemble, block_hypotheses_hold, eta_map
 from lietriple.linalg import Matrix
 from lietriple.properness import (
     Infeasible,
@@ -252,3 +254,35 @@ def test_direct_route_on_random_draws_is_pinned():
                                wit and res.witness_element.coords, wit and res.witness_image.coords)).encode())
     assert (verdicts.count("proper"), verdicts.count("witnessed"), len(verdicts)) == (156, 12, 168)
     assert h.hexdigest() == _PINNED_DIRECT_RANDOM
+
+
+# sha256 over the block-form route on the four standard GMAs and on the
+# draws random_gma(Random(s)), s = 0..39, where the block hypotheses hold:
+# eta's images and preimages, the Thm 4.1 report, and is_proper_thm33 on
+# every LTC basis vector (lambda, chi, alpha_bar, beta_bar and the
+# transcript, or the failure's side, witness and target basis).  Recorded
+# while eta was still found by a linear solve per basis vector and chi
+# was assembled column by column.
+_PINNED_BLOCK_ROUTE = "84dc67ed95658d89df8ccbffe31685ffb8f1677bb9109a7c4e08a2f32f5d4180"
+
+
+def test_block_route_on_random_draws_is_pinned():
+    draws = [u for u in (random_gma(random.Random(s)) for s in range(40)) if block_hypotheses_hold(u)]
+    h = hashlib.sha256()
+    verdicts = []
+    for u in [*standard_gmas().values(), *draws]:
+        eta = eta_map(u)
+        h.update(repr((eta.images, eta.preimages)).encode())
+        h.update(repr(check_thm41_hypotheses(u)).encode())
+        for v in solve_identity_space(u.algebra, K.LIE_TRIPLE_CENTRALIZER).basis:
+            res = is_proper_thm33(u, LinearOperator.from_flat(u.algebra, v))
+            if isinstance(res, PropernessCertificate):
+                verdicts.append("proper")
+                h.update(repr((res.lam.coords, res.chi.matrix.data, res.alpha_bar.data,
+                               res.beta_bar.data, res.transcript)).encode())
+            else:
+                verdicts.append("failure")
+                h.update(repr((res.side, res.witness, res.target.basis)).encode())
+    # the standard four add 11 certificates to the draws' 112
+    assert (len(draws), verdicts.count("proper"), verdicts.count("failure")) == (33, 11 + 112, 12)
+    assert h.hexdigest() == _PINNED_BLOCK_ROUTE
