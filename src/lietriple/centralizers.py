@@ -9,12 +9,17 @@ slots phi enters on the right-hand side; a Lie triple centralizer is
 phi([[a,b],c]) = [[phi(a),b],c], a Lie triple derivation puts phi in
 all three slots of the same form.  Each basis tuple then contributes
 one vector equation.  ``_constraint_tuples`` is the only source of
-those equations: the solver turns them into sparse rows indexed by
-the column-major vectorization of the operator, deduplicated and fed
-to the exact kernel routine, and ``_identity_residuals`` evaluates the
-same equations on a given operator, so direct membership checking
-agrees with the solved space by construction of the rows, not by
-accident.
+those equations, and ``_tuple_sides`` the only evaluator of one of them
+on given operators.  ``_identity_residuals`` runs the evaluator over
+every tuple for a membership check.  The solver turns the tuples into
+sparse rows indexed by the column-major vectorization of the operator
+and feeds them, tuple by tuple, to one exact echelon.  Once a run of
+``_STALL`` tuples has added no rank and the kernel K of the rows so far
+has dimension at most ``_CLOSE_DIM``, it stops building rows: the
+evaluator checks every remaining tuple on the basis of K, and a tuple
+that fails there adds its rows and shrinks K.  The result is the kernel
+of every row, with the same canonical basis.  So direct membership
+checking agrees with the solved space by construction, not by accident.
 
 Both work on ints: the basis forms are ints times a scale, and the
 evaluator (like the Thm 3.1 verifier) scales its operators once by
@@ -35,6 +40,7 @@ from .gma import GMA, block_ranges, require_block_hypotheses
 from .linalg import (
     Matrix,
     Subspace,
+    _IntEchelon,
     clear_denominators,
     int_flats,
     kernel_of_rows,
@@ -121,25 +127,46 @@ def _identity_residuals(
     form, slots = _FORMS[kind]
     n = alg.dim
     ops = (matrix, *(slot_matrices or (matrix,) * len(slots)))
-    d, cols = clear_denominators(
-        ((r, x) for r, x in enumerate(col) if x) for m in ops for col in zip(*m.data)
-    )
-    phi, *mats = (list(map(dict, cols[k : k + n])) for k in range(0, len(cols), n))
+    d, (phi, *mats) = _int_columns(n, [x for m in ops for col in zip(*m.data) for x in col])
     s = basis_tensor(alg, form)[0] * d
     for tag, w, terms in _constraint_tuples(alg, kind):
-        lhs, rhs = [0] * n, [0] * n
-        for c, x in w:
-            for r, y in phi[c].items():
-                lhs[r] += x * y
-        for p, i, group in terms:
-            col = mats[p][i]
-            for lp, v in group:
-                y = col.get(lp)
-                if y:
-                    for l, c in v:
-                        rhs[l] += y * c
+        lhs, rhs = _tuple_sides(n, w, terms, phi, mats)
         if lhs != rhs:
             yield tag, tuple(Fraction(x, s) for x in lhs), tuple(Fraction(x, s) for x in rhs)
+
+
+def _int_columns(n: int, flat: Sequence) -> tuple[int, list[list[dict[int, int]]]]:
+    """(d, the operators) for operators given one after another by their columns.
+
+    Each operator is n columns of n entries in ``flat``; they come back
+    as lists of n columns {row: int}, times d, the common denominator of
+    every entry.
+    """
+    d, cols = clear_denominators(
+        ((r, x) for r, x in enumerate(flat[k : k + n]) if x) for k in range(0, len(flat), n)
+    )
+    return d, [list(map(dict, cols[k : k + n])) for k in range(0, len(cols), n)]
+
+
+def _tuple_sides(n: int, w, terms, phi: list[dict], mats: Sequence[list[dict]]) -> tuple[list[int], list[int]]:
+    """Both sides of one constraint tuple, as int lists, on operators held as int columns.
+
+    ``phi`` is the operator on the left-hand side and ``mats[p]`` the one
+    in the p-th slot phi enters on the right.  This is the one evaluator
+    of an identity: membership and the close of a solve both read it.
+    """
+    lhs, rhs = [0] * n, [0] * n
+    for c, x in w:
+        for r, y in phi[c].items():
+            lhs[r] += x * y
+    for p, i, group in terms:
+        col = mats[p][i]
+        for lp, v in group:
+            y = col.get(lp)
+            if y:
+                for l, c in v:
+                    rhs[l] += y * c
+    return lhs, rhs
 
 
 def _sparsity_rows(n: int, dims: tuple[int, int, int, int]) -> Iterator[dict[int, int]]:
@@ -175,27 +202,77 @@ def solve_identity_space(alg_or_gma, kind: IdentityKind) -> Subspace:
     return _solved_space(alg, kind, dims)
 
 
+# The solve stops building rows once _STALL tuples in a row have added no
+# rank while the kernel of the rows so far has dimension at most
+# _CLOSE_DIM; it then closes by evaluating the remaining tuples on that
+# kernel's basis.  Checking a tuple on one basis vector costs roughly a
+# twelfth to a twentieth of building and deduplicating its rows, so a
+# larger kernel keeps building rows: closing at 16 made M4 LTD (dimension
+# 16) and T4 LTC/LTD slower than building every row, at 12 no catalog
+# solve got slower.
+_STALL = 50
+_CLOSE_DIM = 12
+
+
+def _tuple_rows(n: int, w, terms) -> list[dict[int, int]]:
+    """The nonzero constraint rows of one tuple, holding their nonzero ints only.
+
+    Row l is sum_c w_c phi[l, c] - sum over terms of phi[l', i] * v_l,
+    with phi[r, c] at unknown c * n + r; the rows are homogeneous, so the
+    form's scale drops out.
+    """
+    rows = [{c * n + l: x for c, x in w} for l in range(n)]
+    for _p, i, group in terms:
+        for lp, v in group:
+            key = i * n + lp
+            for l, c in v:
+                row = rows[l]
+                x = row.get(key, 0) - c
+                if x:
+                    row[key] = x
+                else:
+                    del row[key]
+    return list(filter(None, rows))
+
+
 @memoized
 def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | None) -> Subspace:
+    """The kernel of every constraint row, closed by evaluation once the rank settles.
+
+    Rows go into one echelon tuple by tuple.  After the stop, each
+    remaining tuple is evaluated on the basis of the kernel K of the rows
+    so far; a tuple that fails there adds its rows and K shrinks.  Every
+    tuple is then eliminated or vanishes on K, and K is the kernel of a
+    subset of the rows, so K is the solution space, with its canonical basis.
+    """
     n = alg.dim
-
-    def rows() -> Iterator[dict[int, int]]:
-        # row l of a tuple: sum_c w_c phi[l, c] - sum over terms of
-        # phi[l', i] * v_l, with phi[r, c] at unknown c * n + r; the
-        # rows are homogeneous, so the form's scale drops out
-        for _tag, w, terms in _constraint_tuples(alg, kind):
-            tuple_rows = [{c * n + l: x for c, x in w} for l in range(n)]
-            for _p, i, group in terms:
-                for lp, v in group:
-                    key = i * n + lp
-                    for l, c in v:
-                        row = tuple_rows[l]
-                        row[key] = row.get(key, 0) - c
-            yield from filter(None, tuple_rows)
-        if dims is not None:
-            yield from _sparsity_rows(n, dims)
-
-    return kernel_of_rows(n * n, rows())
+    ambient = n * n
+    slots = len(_FORMS[kind][1])
+    ech = _IntEchelon()
+    if dims is not None:
+        for row in _sparsity_rows(n, dims):
+            ech.add(row)
+    tuples = _constraint_tuples(alg, kind)
+    stall = 0
+    for _tag, w, terms in tuples:
+        rank = ech.rank
+        for row in _tuple_rows(n, w, terms):
+            ech.add(row)
+        stall = stall + 1 if ech.rank == rank else 0
+        if stall >= _STALL and ambient - ech.rank <= _CLOSE_DIM:
+            break
+    else:
+        return ech.kernel(ambient)
+    while True:
+        space = ech.kernel(ambient)
+        _, ops = _int_columns(n, [x for v in space.basis for x in v])
+        for _tag, w, terms in tuples:
+            if any(lhs != rhs for lhs, rhs in (_tuple_sides(n, w, terms, phi, (phi,) * slots) for phi in ops)):
+                for row in _tuple_rows(n, w, terms):
+                    ech.add(row)
+                break
+        else:
+            return space
 
 
 @dataclass(frozen=True)

@@ -5,23 +5,25 @@ rounds.  Subspaces carry a canonical reduced-row-echelon basis, so two
 equal subspaces compare equal grid-by-grid and test output is
 reproducible.
 
-Each exact primitive is written once.  ``_echelon`` is the only row
-elimination: it brings each row to primitive integer form, drops
-duplicates and eliminates the rest fraction-free over the integers on
-sparse ``{col: int}`` rows, keeping the echelon reduced on every insert,
-so a row costs one elimination per pivot column it holds.  A Fraction is
-made only at the final division of each row by its pivot entry.  Rows of
-ints go in as they are.  A row holding a Fraction is first scaled by
+Each exact primitive is written once.  ``_IntEchelon`` is the only row
+elimination, and its ``add`` the only way in: it brings each row to
+primitive integer form, drops zero and duplicate rows and eliminates the
+rest fraction-free over the integers on sparse ``{col: int}`` rows,
+keeping the echelon reduced on every insert, so a row costs one
+elimination per pivot column it holds.  A Fraction is made only at the
+final division of each row by its pivot entry.  Rows of ints go in as
+they are.  A row holding a Fraction is first scaled by
 ``clear_denominators``, the one helper that clears denominators; callers
 that know a common denominator for a whole table (the structure
 constants, the basis forms) use it once per table and hand over int
 rows.  ``Subspace``, ``kernel``, ``kernel_of_rows``, ``solve`` and
-``rref`` all go through ``_echelon``; ``preimage`` is the one statement of
-"x maps into a subspace", a ``kernel_of_rows``.  ``row_values`` is the only
-evaluation of sparse rows on a vector, which ``int_flats`` scales to
-ints.  ``contract`` is the only bilinear
-product: it applies a structure tensor, held in the sparse form
-``sparse_tensor`` builds, to a pair of coordinate vectors.
+``rref`` fill one echelon through ``_echelon``; the identity solver of
+``centralizers`` fills one row by row and reads its kernel as it goes.
+``preimage`` is the one statement of "x maps into a subspace", a
+``kernel_of_rows``.  ``row_values`` is the only evaluation of sparse
+rows on a vector, which ``int_flats`` scales to ints.  ``contract`` is
+the only bilinear product: it applies a structure tensor, held in the
+sparse form ``sparse_tensor`` builds, to a pair of coordinate vectors.
 """
 
 from __future__ import annotations
@@ -233,11 +235,43 @@ class _IntEchelon:
 
     Each pivot row is a sparse {col: int} dict, primitive with a positive
     entry at its pivot, the least column it holds, and zero at every
-    other pivot column.
+    other pivot column.  ``add`` is the one way in: it normalises a row
+    and drops it if it is zero or was added before.
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> its row
+        self._seen: set[SparseRow] = set()
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: dict | Sequence) -> None:
+        """Insert a row in primitive integer form, unless it is zero or a repeat.
+
+        A row is a sparse dict {col: value} holding nonzero values only,
+        or a dense sequence, of ints or Fractions.  A row holding a
+        Fraction is scaled to ints first.
+        """
+        if isinstance(row, dict):
+            entries, values = sorted(row.items()), row.values()
+        else:
+            entries = [(c, x) for c, x in enumerate(row) if x]
+            values = [x for _, x in entries]
+        if not entries:
+            return
+        try:
+            g = gcd(*values)
+        except TypeError:  # gcd takes ints only: the row holds a Fraction
+            _, (entries,) = clear_denominators([entries])
+            g = gcd(*(x for _, x in entries))
+        if entries[0][1] < 0:
+            g = -g
+        sparse = tuple(entries) if g == 1 else tuple((c, x // g) for c, x in entries)
+        if sparse not in self._seen:
+            self._seen.add(sparse)
+            self.insert(dict(sparse))
 
     def insert(self, row: dict[int, int]) -> None:
         """Add a nonzero row, reducing it in place; a row in the span adds nothing.
@@ -263,6 +297,10 @@ class _IntEchelon:
         rows = self.rows
         pivots = sorted(rows)
         return [{c: Fraction(x, rows[p][p]) for c, x in rows[p].items()} for p in pivots], pivots
+
+    def kernel(self, ambient: int) -> "Subspace":
+        """{x in Q^ambient : every row added so far vanishes on x}."""
+        return Subspace(ambient, _kernel_from_rref(*self.rref_fraction_rows(), ambient))
 
 
 def _eliminate(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
@@ -293,36 +331,14 @@ def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
     return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
-def _echelon(rows: Iterable[dict | Sequence]) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduced row-echelon basis of the span of rows, as sparse rows, with its pivots.
-
-    Rows may be sparse dicts {col: value} or dense sequences, of ints or
-    Fractions.  A row holding a Fraction is scaled to ints first.  Zero
-    and duplicate rows are dropped before the integer echelon sees them.
-    """
+def _echelon(rows: Iterable[dict | Sequence]) -> _IntEchelon:
+    """The echelon of rows given as sparse dicts {col: value}, zeros allowed, or dense sequences."""
     ech = _IntEchelon()
-    seen: set[SparseRow] = set()
     for row in rows:
-        if isinstance(row, dict):
-            if 0 in row.values():
-                row = {c: x for c, x in row.items() if x}
-            entries = sorted(row.items())
-        else:
-            entries = [(c, x) for c, x in enumerate(row) if x]
-        if not entries:
-            continue
-        try:
-            g = gcd(*(x for _, x in entries))
-        except TypeError:  # gcd takes ints only: the row holds a Fraction
-            _, (entries,) = clear_denominators([entries])
-            g = gcd(*(x for _, x in entries))
-        if entries[0][1] < 0:
-            g = -g
-        sparse = tuple(entries) if g == 1 else tuple((c, x // g) for c, x in entries)
-        if sparse not in seen:
-            seen.add(sparse)
-            ech.insert(dict(sparse))
-    return ech.rref_fraction_rows()
+        if isinstance(row, dict) and 0 in row.values():
+            row = {c: x for c, x in row.items() if x}
+        ech.add(row)
+    return ech
 
 
 _ZERO = Fraction(0)
@@ -353,8 +369,7 @@ def kernel_of_rows(ambient: int, rows: Iterable[dict | Sequence]) -> Subspace:
     Rows may be sparse dicts {col: value} or dense sequences, of ints or
     Fractions.
     """
-    rr, piv = _echelon(rows)
-    return Subspace(ambient, _kernel_from_rref(rr, piv, ambient))
+    return _echelon(rows).kernel(ambient)
 
 
 def preimage(maps: Iterable[Matrix], target: Subspace) -> Subspace:
@@ -387,7 +402,7 @@ def kernel(m: Matrix) -> Subspace:
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form; same shape, row space preserved."""
-    rows, _ = _echelon(m.data)
+    rows, _ = _echelon(m.data).rref_fraction_rows()
     dense = [_dense(row, m.cols) for row in rows]
     return Matrix(dense + [zero_vec(m.cols)] * (m.rows - len(rows)), cols=m.cols)
 
@@ -401,7 +416,7 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Vector, "Subspace"]:
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"rhs length {len(rhs)} vs {m.rows} rows")
     n = m.cols
-    rows, pivots = _echelon([row + (rat(b),) for row, b in zip(m.data, rhs)])
+    rows, pivots = _echelon([row + (rat(b),) for row, b in zip(m.data, rhs)]).rref_fraction_rows()
     if pivots and pivots[-1] == n:
         raise Inconsistent("no solution")
     particular = [Fraction(0)] * n
@@ -432,7 +447,7 @@ class Subspace:
         for r in rows:
             if len(r) != ambient:
                 raise DimensionMismatch(f"vector of length {len(r)} in ambient {ambient}")
-        reduced, pivots = _echelon(rows)
+        reduced, pivots = _echelon(rows).rref_fraction_rows()
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(_dense(row, ambient) for row in reduced))
         object.__setattr__(self, "pivots", tuple(pivots))

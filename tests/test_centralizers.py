@@ -15,6 +15,8 @@ from lietriple.catalog import (
 )
 from lietriple.centralizers import (
     IdentityKind,
+    _constraint_tuples,
+    _sparsity_rows,
     block_decompose,
     build_from_blocks,
     corollary32_strengthen,
@@ -26,7 +28,8 @@ from lietriple.centralizers import (
     verify_thm31_conditions,
 )
 from lietriple.errors import DimensionMismatch, NotGMA
-from lietriple.linalg import Matrix, Subspace
+from lietriple.gma import GMA
+from lietriple.linalg import Matrix, Subspace, kernel_of_rows
 
 from oracles import (
     RATIONAL_BASIS,
@@ -521,17 +524,124 @@ def test_equal_algebras_built_apart_share_one_solve(monkeypatch):
     import lietriple.centralizers
 
     monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
-    calls = []
-    exact = lietriple.centralizers.kernel_of_rows
+    # a solve builds one echelon and feeds it the constraint rows
+    solves = []
+    echelon = lietriple.centralizers._IntEchelon
 
-    def counting(ambient, rows):
-        calls.append(ambient)
-        return exact(ambient, rows)
+    def counting():
+        solves.append(echelon())
+        return solves[-1]
 
-    monkeypatch.setattr(lietriple.centralizers, "kernel_of_rows", counting)
+    monkeypatch.setattr(lietriple.centralizers, "_IntEchelon", counting)
     first, second = upper_triangular(3), upper_triangular(3)
     assert first is not second
-    assert solve_identity_space(first, K.LIE_TRIPLE_CENTRALIZER) == solve_identity_space(
-        second, K.LIE_TRIPLE_CENTRALIZER
-    )
-    assert calls == [36]
+    space = solve_identity_space(first, K.LIE_TRIPLE_CENTRALIZER)
+    assert space == solve_identity_space(second, K.LIE_TRIPLE_CENTRALIZER)
+    assert len(solves) == 1 and solves[0].rank == 36 - space.dim
+
+
+# ---------------------------------------------------------------------------
+#  The early stop and the close by evaluation
+# ---------------------------------------------------------------------------
+
+_ALL_KINDS = _NET_KINDS + ("sjder",)
+_CLOSE_ALGEBRAS = {
+    "T2": lambda: upper_triangular_gma(2),
+    "T3": lambda: upper_triangular_gma(3),
+    "T4": lambda: upper_triangular_gma(4),
+    "M2": lambda: full_matrix_gma(2),
+    "M3": lambda: full_matrix_gma(3),
+    "example_1_2": lambda: example_1_2().gma,
+    "R1": lambda: random_gma(random.Random(1), require_n=True),
+    "M2q": _NET_ALGEBRAS["M2q"],
+}
+
+
+def _full_row_kernel(alg_or_gma, kind):
+    """kernel_of_rows over every row of every constraint tuple, with no early stop and no close."""
+    u = alg_or_gma if isinstance(alg_or_gma, GMA) else None
+    alg = u.algebra if u else alg_or_gma
+    n = alg.dim
+    rows = []
+    for _tag, w, terms in _constraint_tuples(alg, kind):
+        # row l: phi(w) - sum of the terms, read at l; zero entries may stay
+        tuple_rows = [{c * n + l: x for c, x in w} for l in range(n)]
+        for _p, i, group in terms:
+            for lp, v in group:
+                for l, c in v:
+                    tuple_rows[l][i * n + lp] = tuple_rows[l].get(i * n + lp, 0) - c
+        rows += tuple_rows
+    if kind is K.SINGULAR_JORDAN_DERIVATION:
+        rows += _sparsity_rows(n, u.dims)
+    return kernel_of_rows(n * n, rows)
+
+
+# M2q alone carries no block structure, so it has no singular kind
+@pytest.mark.parametrize(
+    "name, kind", [(a, k) for a in sorted(_CLOSE_ALGEBRAS) for k in _ALL_KINDS if (a, k) != ("M2q", "sjder")]
+)
+def test_solve_equals_the_full_row_kernel(name, kind):
+    target = _CLOSE_ALGEBRAS[name]()
+    if kind != "sjder" and isinstance(target, GMA):
+        target = target.algebra
+    assert solve_identity_space(target, K(kind)) == _full_row_kernel(target, K(kind))
+
+
+def test_matrix_algebra_solves_close_by_evaluation(monkeypatch):
+    """On M3 and M4 the small-kernel kinds stop building rows and evaluate the tuples left."""
+    import lietriple.algebra
+    import lietriple.centralizers
+
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    evaluated = []
+    sides = lietriple.centralizers._tuple_sides
+
+    def counting(*args):
+        evaluated.append(None)
+        return sides(*args)
+
+    monkeypatch.setattr(lietriple.centralizers, "_tuple_sides", counting)
+    m3, m4 = full_matrix(3), full_matrix(4)
+    for alg, kind in ((m3, "ltc"), (m3, "ltd"), (m4, "lc"), (m4, "ltc"), (m4, "jc")):
+        evaluated.clear()
+        solve_identity_space(alg, K(kind))
+        assert evaluated, (alg.dim, kind)
+
+
+@pytest.mark.parametrize("kind, dim", [("ltc", 5), ("ltd", 13)])
+def test_an_early_stop_on_a_large_kernel_repairs_to_the_catalog_space(monkeypatch, kind, dim):
+    """With no bound on the kernel at the stop, T4 stops early and failing tuples shrink K to the space."""
+    import lietriple.algebra
+    import lietriple.centralizers
+
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    alg = upper_triangular(4)
+    expected = _full_row_kernel(alg, K(kind))
+    kernels = []
+    kernel = lietriple.centralizers._IntEchelon.kernel
+
+    def recording(self, ambient):
+        space = kernel(self, ambient)
+        kernels.append(space.dim)
+        return space
+
+    monkeypatch.setattr(lietriple.centralizers, "_CLOSE_DIM", 10**9)
+    monkeypatch.setattr(lietriple.centralizers._IntEchelon, "kernel", recording)
+    space = solve_identity_space(alg, K(kind))
+    assert space == expected and space.dim == dim
+    assert len(kernels) > 1 and kernels[0] > dim == kernels[-1]
+
+
+# sha256 over the solved basis of full_matrix(5), recorded with every
+# constraint row built: these solves stop early and close by evaluation.
+_PINNED_M5 = {
+    "lc": "fd6292d8036a85dfd3106cdf05b758edaf66af81b01ca9bb8bfe91a9af30317b",
+    "ltc": "fd6292d8036a85dfd3106cdf05b758edaf66af81b01ca9bb8bfe91a9af30317b",
+    "jc": "512e1dbdafd89adafd961651185cf600bd625da845b5aa4f391dc6ef38e5c326",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_M5))
+def test_m5_solves_are_pinned(kind):
+    space = solve_identity_space(full_matrix(5), K(kind))
+    assert hashlib.sha256(repr(space.basis).encode()).hexdigest() == _PINNED_M5[kind]
