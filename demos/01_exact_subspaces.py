@@ -21,8 +21,9 @@ print("\nkernel of a rank-one matrix:", k)
 for v in k.basis:
     print("  basis vector:", v)
 
-# Solving reports the echelon particular solution and the full kernel.
-particular, homogeneous = solve(Matrix([[1, 1, 0], [0, 1, 1]]), (3, 5))
+# Solving takes a system as rows over Q^3, dense or sparse {column: value},
+# and reports the echelon particular solution and the full kernel.
+particular, homogeneous = solve(3, [(1, 1, 0), {1: 1, 2: 1}], (3, 5))
 print("\nparticular solution:", particular)
 print("homogeneous space:", homogeneous)
 

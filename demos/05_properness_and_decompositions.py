@@ -7,7 +7,7 @@ actions genuinely break this.  Properness then powers the full
 decomposition of generalized triple derivations.
 """
 
-from lietriple.algebra import LinearOperator, find_unit
+from lietriple.algebra import LinearOperator, commutator, find_unit
 from lietriple.catalog import (
     dual_numbers,
     full_matrix_gma,
@@ -64,8 +64,8 @@ t2 = upper_triangular_gma(2)
 a2 = t2.algebra
 print("\ndecomposition hypotheses on the triangular algebra:",
       check_thm41_hypotheses(t2).satisfied)
-ad = LinearOperator(a2, a2.left_mult_of(a2.basis_element(0).coords)
-                    - a2.right_mult_of(a2.basis_element(0).coords))
+# the inner derivation x -> [e0, x], from its images of the basis
+ad = LinearOperator.from_images(a2, [commutator(a2.basis_element(0), x) for x in a2.basis()])
 lam_op = ad + LinearOperator.identity(a2)
 res = decompose_generalized_ltd(t2, lam_op, ad)
 print("Lambda = delta + singular + psi + lambda*X with lambda =", res.lam)

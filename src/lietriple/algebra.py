@@ -22,6 +22,7 @@ from .linalg import (
     _dense,
     clear_denominators,
     contract,
+    int_flats,
     is_zero_vec,
     preimage,
     rat,
@@ -139,38 +140,6 @@ class StructureConstants:
     def mul_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple:
         return contract(self._sparse, x, y, self.dim)
 
-    # -- multiplication operators -----------------------------------------
-
-    @memoized
-    def left_mult_basis(self, i: int) -> Matrix:
-        """Matrix of x -> e_i * x."""
-        n = self.dim
-        return Matrix([[self.table[i][j][l] for j in range(n)] for l in range(n)])
-
-    @memoized
-    def right_mult_basis(self, i: int) -> Matrix:
-        """Matrix of x -> x * e_i."""
-        n = self.dim
-        return Matrix([[self.table[j][i][l] for j in range(n)] for l in range(n)])
-
-    def left_mult_of(self, coords: Sequence[Fraction]) -> Matrix:
-        return self._combine(coords, self.left_mult_basis)
-
-    def right_mult_of(self, coords: Sequence[Fraction]) -> Matrix:
-        return self._combine(coords, self.right_mult_basis)
-
-    def _combine(self, coords: Sequence[Fraction], basis_matrix) -> Matrix:
-        """sum_i coords[i] * basis_matrix(i)."""
-        n = self.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, xi in enumerate(coords):
-            if xi == 0:
-                continue
-            mat = basis_matrix(i)
-            for l in range(n):
-                rows[l] = [a + xi * b for a, b in zip(rows[l], mat.data[l])]
-        return Matrix(rows, cols=n)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StructureConstants)
@@ -261,15 +230,18 @@ def double_commutator(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement) -
 
 @memoized
 def _unit_coords(alg: StructureConstants) -> tuple | None:
-    """Solves u*e_j = e_j = e_j*u for all j."""
+    """Solves u*e_j = e_j = e_j*u for all j, on the products scaled by D.
+
+    Row (side, j, l) is coordinate l of u*e_j (side 0) or e_j*u (side 1), with rhs D * [l == j].
+    """
     n = alg.dim
-    rows: list[tuple] = []
-    rhs: list[Fraction] = []
-    for j in range(n):
-        for mat in (alg.right_mult_basis(j), alg.left_mult_basis(j)):
-            rows.extend(mat.data)
-            rhs.extend(unit_vec(n, j))
-    res = try_solve(Matrix(rows, cols=n), rhs)
+    d, table = basis_tensor(alg, "product")
+    rows: dict[tuple, dict] = {(side, j, l): {} for side in (0, 1) for j in range(n) for l in range(n)}
+    for (i, j), w in table.items():
+        for l, x in w:
+            rows[0, j, l][i] = x
+            rows[1, i, l][j] = x
+    res = try_solve(n, list(rows.values()), [d * (l == j) for _, j, l in rows])
     return None if res is None else res[0]
 
 
@@ -286,23 +258,25 @@ def require_unit(alg: StructureConstants) -> AlgebraElement:
     return u
 
 
-def ad_basis(alg: StructureConstants):
-    """The matrices of z -> z e_i - e_i z over every basis index i."""
-    return (alg.right_mult_basis(i) - alg.left_mult_basis(i) for i in range(alg.dim))
-
-
 @memoized
 def center(alg: StructureConstants) -> Subspace:
-    """The preimage of 0 under every z -> z e_i - e_i z."""
-    return preimage(ad_basis(alg), Subspace.zero(alg.dim))
+    """The preimage of 0 under every z -> [z, e_i]: the bracket's slot-0 columns."""
+    return preimage(_slot_terms(alg, "bracket", 0).values(), Subspace.zero(alg.dim))
 
 
 def commutant(alg: StructureConstants, s: Subspace) -> Subspace:
-    """{a : a x = x a for every x in s}."""
+    """{a : a x = x a for every x in s}: the preimage of 0 under a -> [a, v] over the basis v of s.
+
+    Column j of a -> [a, v] is the bracket's slot-1 columns at j weighted by v, scaled to ints.
+    """
     if s.ambient != alg.dim:
         raise DimensionMismatch("subspace does not live in the algebra")
-    diffs = (alg.right_mult_of(v) - alg.left_mult_of(v) for v in s.basis)
-    return preimage(diffs, Subspace.zero(alg.dim))
+    ad = _slot_terms(alg, "bracket", 1)
+    maps = (
+        [(j, _sparse_sum((v[i], w) for i, w in ad.get((j,), ()))) for j in range(alg.dim)]
+        for v in int_flats(*s.basis)
+    )
+    return preimage(maps, Subspace.zero(alg.dim))
 
 
 def _int_table(alg: StructureConstants) -> tuple[int, list[list[list[tuple[int, int]]]]]:
@@ -353,6 +327,20 @@ def basis_tensor(alg: StructureConstants, form: str) -> tuple[int, dict[tuple, t
 
 
 @memoized
+def _slot_terms(alg: StructureConstants, form: str, slot: int) -> dict[tuple, list]:
+    """The form's nonzero values grouped by the indices outside one slot.
+
+    Maps the other indices to [(l', the form with e_l' in the slot), ...],
+    l' increasing.  For a two-slot form, entry (i,) lists the int columns
+    of x -> form(e_i, x) (slot 1) or x -> form(x, e_i) (slot 0).
+    """
+    out: dict[tuple, list] = {}
+    for key, w in basis_tensor(alg, form)[1].items():
+        out.setdefault(key[:slot] + key[slot + 1 :], []).append((key[slot], w))
+    return out
+
+
+@memoized
 def double_commutator_span(alg: StructureConstants) -> Subspace:
     """Span of [[e_i, e_j], e_k] over all basis triples.
 
@@ -366,12 +354,12 @@ def double_commutator_span(alg: StructureConstants) -> Subspace:
 def largest_central_ideal(alg: StructureConstants) -> Subspace:
     """Largest subspace of the center stable under all basis multiplications.
 
-    Iterates V <- V /\\ {v : e_i v in V and v e_i in V for all i} from
-    V = Z(alg); the dimension strictly decreases until the fixed point.
+    Iterates V <- V /\\ {v : v e_i = e_i v in V for all i} from V = Z(alg),
+    on the product's slot-0 columns, until the dimension stops falling.
     """
     v = center(alg)
+    actions = _slot_terms(alg, "product", 0).values()
     while not v.is_zero():
-        actions = (m for i in range(alg.dim) for m in (alg.left_mult_basis(i), alg.right_mult_basis(i)))
         nxt = v.intersect(preimage(actions, v))
         if nxt == v:
             break
@@ -461,5 +449,6 @@ class LinearOperator:
 
 
 def multiplication_operator(alg: StructureConstants, coords: Sequence[Fraction]) -> LinearOperator:
-    """x -> c * x as an operator (left multiplication by c)."""
-    return LinearOperator(alg, alg.left_mult_of(coords))
+    """x -> c * x as an operator (left multiplication by c): column j is c * e_j."""
+    n = alg.dim
+    return LinearOperator(alg, Matrix.from_cols([alg.mul_coords(coords, unit_vec(n, j)) for j in range(n)]))

@@ -8,7 +8,8 @@ bracket [e_i, e_j], the Jordan product e_i o e_j or the triple bracket
 slots phi enters on the right-hand side; a Lie triple centralizer is
 phi([[a,b],c]) = [[phi(a),b],c], a Lie triple derivation puts phi in
 all three slots of the same form.  Each basis tuple then contributes
-one vector equation.  ``_constraint_tuples`` is the only source of
+one vector equation, read off the form grouped by slot in
+``algebra._slot_terms``.  ``_constraint_tuples`` is the only source of
 those equations, and ``_tuple_sides`` the only evaluator of one of them
 on given operators.  ``_identity_residuals`` runs the evaluator over
 every tuple for a membership check.  The solver turns the tuples into
@@ -34,7 +35,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .algebra import AlgebraElement, LinearOperator, StructureConstants, basis_tensor, center, memoized
+from .algebra import (
+    AlgebraElement, LinearOperator, StructureConstants, _slot_terms, basis_tensor, center, memoized,
+)
 from .errors import DimensionMismatch, NotGMA, NotUnital
 from .gma import GMA, block_ranges, require_block_hypotheses
 from .linalg import (
@@ -71,19 +74,6 @@ _FORMS = {
     IdentityKind.SINGULAR_JORDAN_DERIVATION: ("jordan", (0, 1)),
     IdentityKind.LIE_TRIPLE_DERIVATION: ("triple", (0, 1, 2)),
 }
-
-
-@memoized
-def _slot_terms(alg: StructureConstants, form: str, slot: int) -> dict[tuple, list]:
-    """The form's nonzero values grouped by the indices outside one slot.
-
-    Maps the other indices to [(l', the form with e_l' in the slot), ...],
-    l' increasing.
-    """
-    out: dict[tuple, list] = {}
-    for key, w in basis_tensor(alg, form)[1].items():
-        out.setdefault(key[:slot] + key[slot + 1 :], []).append((key[slot], w))
-    return out
 
 
 def _constraint_tuples(alg: StructureConstants, kind: IdentityKind) -> Iterator[tuple]:

@@ -20,7 +20,7 @@ from .algebra import (
     AlgebraElement,
     LinearOperator,
     StructureConstants,
-    ad_basis,
+    _slot_terms,
     center,
     largest_central_ideal,
     multiplication_operator,
@@ -34,7 +34,6 @@ from .centralizers import (
 from .errors import DimensionMismatch, LieTripleError, NotGLTD, NotLTD
 from .gma import GMA, block_hypotheses_hold, diagonal_kernel, require_block_hypotheses
 from .linalg import (
-    Matrix,
     Subspace,
     kernel_of_rows,
     preimage,
@@ -142,7 +141,7 @@ class Thm41HypothesisReport:
 def _commutator_into_center_forces_central(alg: StructureConstants) -> bool:
     """Does [x, alg] inside Z(alg) already force x central?"""
     z = center(alg)
-    return preimage(ad_basis(alg), z) == z
+    return preimage(_slot_terms(alg, "bracket", 0).values(), z) == z
 
 
 def _center_shape_matches(u: GMA, m0: Sequence[Fraction] | None, n0: Sequence[Fraction] | None) -> bool:
@@ -150,11 +149,8 @@ def _center_shape_matches(u: GMA, m0: Sequence[Fraction] | None, n0: Sequence[Fr
     ctx = u.context
     da, db = u.dim_a, u.dim_b
     za, zb = center(ctx.A), center(ctx.B)
-    rows: list[tuple] = []
-    for f in za.annihilator().basis:
-        rows.append(tuple(f) + zero_vec(db))
-    for f in zb.annihilator().basis:
-        rows.append(zero_vec(da) + tuple(f))
+    rows: list[dict | tuple] = [dict(enumerate(f)) for f in za.annihilator().basis]
+    rows += [{da + j: x for j, x in enumerate(f)} for f in zb.annihilator().basis]
     if m0 is not None:
         for q in range(u.dim_m):
             rows.append(
@@ -256,7 +252,7 @@ def decompose_ltd(u: GMA, xi: LinearOperator) -> LTDDecomposition | Infeasible:
             if xi.is_zero()
             else Infeasible("all component spaces are zero but xi is not")
         )
-    res = try_solve(Matrix.from_cols(cols), xi.flatten())
+    res = try_solve(len(cols), list(zip(*cols)), xi.flatten())
     if res is None:
         return Infeasible("xi is outside derivations + singular + central-vanishing")
     coeffs, _ = res

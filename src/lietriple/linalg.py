@@ -17,10 +17,11 @@ they are.  A row holding a Fraction is first scaled by
 that know a common denominator for a whole table (the structure
 constants, the basis forms) use it once per table and hand over int
 rows.  ``Subspace``, ``kernel``, ``kernel_of_rows``, ``solve`` and
-``rref`` fill one echelon through ``_echelon``; the identity solver of
-``centralizers`` fills one row by row and reads its kernel as it goes.
-``preimage`` is the one statement of "x maps into a subspace", a
-``kernel_of_rows``.  ``row_values`` is the only evaluation of sparse
+``rref`` fill one echelon through ``_echelon``, which rejects a row
+outside the ambient; the identity solver of ``centralizers`` fills one
+row by row and reads its kernel as it goes.  ``preimage`` is the one
+statement of "x maps into a subspace", a ``kernel_of_rows`` over maps
+given as sparse columns.  ``row_values`` is the only evaluation of sparse
 rows on a vector, which ``int_flats`` scales to ints.  ``contract`` is
 the only bilinear product: it applies a structure tensor, held in the
 sparse form ``sparse_tensor`` builds, to a pair of coordinate vectors.
@@ -331,13 +332,22 @@ def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
     return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
-def _echelon(rows: Iterable[dict | Sequence]) -> _IntEchelon:
-    """The echelon of rows given as sparse dicts {col: value}, zeros allowed, or dense sequences."""
+def _echelon(rows: Iterable[dict | Sequence], ambient: int) -> _IntEchelon:
+    """The echelon of rows in Q^ambient: sparse dicts {col: value}, zeros allowed, or dense sequences.
+
+    Rejects a dense row of another length, and a sparse column outside
+    range(ambient), which is nonzero in the echelon iff in some row.
+    """
     ech = _IntEchelon()
     for row in rows:
-        if isinstance(row, dict) and 0 in row.values():
-            row = {c: x for c, x in row.items() if x}
+        if isinstance(row, dict):
+            if 0 in row.values():
+                row = {c: x for c, x in row.items() if x}
+        elif len(row) != ambient:
+            raise DimensionMismatch(f"a row of {len(row)} entries in a system of {ambient} columns")
         ech.add(row)
+    if ech.rows and (min(ech.rows) < 0 or max(max(r) for r in ech.rows.values()) >= ambient):
+        raise DimensionMismatch(f"a row with a column outside range({ambient})")
     return ech
 
 
@@ -369,29 +379,24 @@ def kernel_of_rows(ambient: int, rows: Iterable[dict | Sequence]) -> Subspace:
     Rows may be sparse dicts {col: value} or dense sequences, of ints or
     Fractions.
     """
-    return _echelon(rows).kernel(ambient)
+    return _echelon(rows, ambient).kernel(ambient)
 
 
-def preimage(maps: Iterable[Matrix], target: Subspace) -> Subspace:
+def preimage(maps: Iterable[Sequence[tuple[int, Iterable[tuple]]]], target: Subspace) -> Subspace:
     """{x : m x in target for every m}, for maps m of Q^n where n is target's ambient.
 
-    The kernel of the rows f m, over the maps m and the annihilator basis f
-    of target.  Each row is built in ints from the nonzeros of f and of m,
-    the annihilator basis and each map scaled once by their denominators.
+    A map is given by its nonzero columns (j, ((l, value), ...)), meaning
+    m e_j = sum of value * e_l.  The answer is the kernel of the rows f m,
+    over the maps m and the annihilator basis f of target, scaled once to
+    ints: entry j of f m is the sum of f_l * value over column j.
     """
     n = target.ambient
-    _, ann = clear_denominators(((l, c) for l, c in enumerate(f) if c) for f in target.annihilator().basis)
+    ann = [dict(f) for f in clear_denominators(enumerate(f) for f in target.annihilator().basis)[1]]
     rows = []
     for m in maps:
-        if m.rows != n or m.cols != n:
-            raise DimensionMismatch(f"preimage: a {m.rows}x{m.cols} map on Q^{n}")
-        _, nonzeros = clear_denominators(((j, x) for j, x in enumerate(r) if x) for r in m.data)
-        for f in ann:
-            row: dict[int, int] = {}
-            for l, c in f:
-                for j, x in nonzeros[l]:
-                    row[j] = row.get(j, 0) + c * x
-            rows.append(row)
+        if not all(0 <= k < n for j, col in m for k in (j, *(l for l, _ in col))):
+            raise DimensionMismatch(f"preimage: a map with an index outside range({n})")
+        rows.extend({j: sum(f.get(l, 0) * x for l, x in col) for j, col in m} for f in ann)
     return kernel_of_rows(n, rows)
 
 
@@ -402,33 +407,36 @@ def kernel(m: Matrix) -> Subspace:
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form; same shape, row space preserved."""
-    rows, _ = _echelon(m.data).rref_fraction_rows()
+    rows, _ = _echelon(m.data, m.cols).rref_fraction_rows()
     dense = [_dense(row, m.cols) for row in rows]
     return Matrix(dense + [zero_vec(m.cols)] * (m.rows - len(rows)), cols=m.cols)
 
 
-def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Vector, "Subspace"]:
-    """Solve m x = rhs exactly.
+def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> tuple[Vector, "Subspace"]:
+    """Solve row . x = b exactly for x in Q^ambient, over the rows and their rhs entries b.
 
-    Returns the echelon particular solution (free variables zero) and the
-    homogeneous kernel; raises Inconsistent when no solution exists.
+    Rows are in any form ``kernel_of_rows`` takes.  Returns the echelon
+    particular solution (free variables zero) and the homogeneous kernel;
+    raises Inconsistent when no solution exists.
     """
-    if len(rhs) != m.rows:
-        raise DimensionMismatch(f"rhs length {len(rhs)} vs {m.rows} rows")
-    n = m.cols
-    rows, pivots = _echelon([row + (rat(b),) for row, b in zip(m.data, rhs)]).rref_fraction_rows()
-    if pivots and pivots[-1] == n:
+    if len(rhs) != len(rows):
+        raise DimensionMismatch(f"rhs length {len(rhs)} vs {len(rows)} rows")
+    if any(isinstance(row, dict) and ambient in row for row in rows):
+        raise DimensionMismatch(f"a row with a column outside range({ambient})")
+    augmented = ({**row, ambient: b} if isinstance(row, dict) else (*row, b) for row, b in zip(rows, rhs))
+    reduced, pivots = _echelon(augmented, ambient + 1).rref_fraction_rows()
+    if pivots and pivots[-1] == ambient:
         raise Inconsistent("no solution")
-    particular = [Fraction(0)] * n
-    for row, p in zip(rows, pivots):
-        particular[p] = row.get(n, _ZERO)
-    return tuple(particular), Subspace(n, _kernel_from_rref(rows, pivots, n))
+    particular = [_ZERO] * ambient
+    for row, p in zip(reduced, pivots):
+        particular[p] = row.get(ambient, _ZERO)
+    return tuple(particular), Subspace(ambient, _kernel_from_rref(reduced, pivots, ambient))
 
 
-def try_solve(m: Matrix, rhs: Sequence[Fraction]):
+def try_solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence):
     """Like solve, but None instead of raising on inconsistency."""
     try:
-        return solve(m, rhs)
+        return solve(ambient, rows, rhs)
     except Inconsistent:
         return None
 
@@ -443,11 +451,7 @@ class Subspace:
     __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
-        rows = [vec(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient:
-                raise DimensionMismatch(f"vector of length {len(r)} in ambient {ambient}")
-        reduced, pivots = _echelon(rows).rref_fraction_rows()
+        reduced, pivots = _echelon([vec(v) for v in vectors], ambient).rref_fraction_rows()
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(_dense(row, ambient) for row in reduced))
         object.__setattr__(self, "pivots", tuple(pivots))

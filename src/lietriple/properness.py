@@ -149,8 +149,7 @@ def _verify_certificate(
 def _solve_lambda(rows, mults, phi_flat):
     """The echelon solution c of sum_t c_t R(z_t .) = R(phi) over the rows R, or None."""
     lhs = [row_values(rows, m) for m in mults]
-    system = Matrix([[v[r] for v in lhs] for r in range(len(rows))], cols=len(mults))
-    return try_solve(system, row_values(rows, phi_flat))
+    return try_solve(len(mults), [[v[r] for v in lhs] for r in range(len(rows))], row_values(rows, phi_flat))
 
 
 def is_proper_direct(
@@ -185,7 +184,7 @@ def is_proper_direct(
         )
     coeffs, _hom = res
     lam_coords = tuple(sum((c * v[i] for c, v in zip(coeffs, z.basis)), Fraction(0)) for i in range(n))
-    chi = LinearOperator(alg, phi.matrix - alg.left_mult_of(lam_coords))
+    chi = phi - multiplication_operator(alg, lam_coords)
     transcript = _verify_certificate(alg, phi, lam_coords, chi)
     return PropernessCertificate(
         lam=AlgebraElement(alg, lam_coords),

@@ -7,7 +7,8 @@ plain element arithmetic, stacks the dense residuals, and takes a dense
 kernel.  Agreement between the two routes is what the dimension tests
 actually certify.  ``identity_sides`` evaluates both sides of an
 identity at one basis tuple the same way, to re-check a reported
-witness.
+witness.  ``left_mult`` and ``right_mult`` read the multiplication
+maps off the table by plain loops.
 
 Elimination here is a plain Fraction Gauss-Jordan that shares no code
 with the package's fraction-free integer echelon; kernels come back as
@@ -19,7 +20,7 @@ import itertools
 from fractions import Fraction
 
 from lietriple.algebra import AlgebraElement, StructureConstants
-from lietriple.linalg import zero_vec
+from lietriple.linalg import Matrix, zero_vec
 
 
 def gauss_jordan(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -82,6 +83,22 @@ def preimage_basis(maps, target_vectors, n: int) -> tuple:
                 row[n + i * t + s] = -Fraction(b[r])
             rows.append(row)
     return row_space_basis([v[:n] for v in kernel_basis(rows, width)])
+
+
+def left_mult(alg: StructureConstants, coords) -> Matrix:
+    """The matrix of x -> c x: entry (l, j) is the sum over i of c_i table[i][j][l]."""
+    n = alg.dim
+    return Matrix(
+        [[sum((Fraction(c) * alg.table[i][j][l] for i, c in enumerate(coords)), Fraction(0)) for j in range(n)] for l in range(n)]
+    )
+
+
+def right_mult(alg: StructureConstants, coords) -> Matrix:
+    """The matrix of x -> x c: entry (l, j) is the sum over i of c_i table[j][i][l]."""
+    n = alg.dim
+    return Matrix(
+        [[sum((Fraction(c) * alg.table[j][i][l] for i, c in enumerate(coords)), Fraction(0)) for j in range(n)] for l in range(n)]
+    )
 
 
 def _elem(alg, coords):

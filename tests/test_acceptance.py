@@ -44,7 +44,7 @@ from lietriple.properness import (
     is_proper_thm33,
 )
 
-from oracles import dense_identity_space
+from oracles import dense_identity_space, left_mult
 
 F = Fraction
 K = IdentityKind
@@ -186,7 +186,7 @@ def test_criterion_5_sufficiency_and_oracle_dimensions():
                 res = is_proper_thm33(u, phi)
                 assert isinstance(res, PropernessCertificate), name
                 # exact residual: phi(X) - lambda X - chi(X) = 0 entrywise
-                residual = phi.matrix - u.algebra.left_mult_of(res.lam.coords) - res.chi.matrix
+                residual = phi.matrix - left_mult(u.algebra, res.lam.coords) - res.chi.matrix
                 assert residual.is_zero()
         t2, m2 = catalog_gmas()["T2"].algebra, catalog_gmas()["M2"].algebra
         oracle_t2 = dense_identity_space(t2, "ltc")
@@ -215,7 +215,7 @@ def test_criterion_6_generalized_decomposition():
                     res.delta.matrix
                     + res.singular.matrix
                     + res.psi.matrix
-                    + alg.left_mult_of(res.lam.coords)
+                    + left_mult(alg, res.lam.coords)
                 )
                 assert total == lam_op.matrix
                 assert res.verified

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from lietriple.algebra import (
     LinearOperator,
+    multiplication_operator,
     StructureConstants,
     center,
     commutant,
@@ -17,15 +18,28 @@ from lietriple.algebra import (
     largest_central_ideal,
 )
 from lietriple.catalog import (
+    direct_sum,
+    dual_numbers,
     example_1_2,
     full_matrix,
+    random_gma,
     rationals,
     strict_upper_3x3,
     upper_triangular,
 )
+from lietriple.derivations import _commutator_into_center_forces_central
 from lietriple.errors import AlgebraMismatch, Inconsistent, NotAssociative
-from lietriple.linalg import Matrix, Subspace, solve, unit_vec
-from oracles import RATIONAL_BASIS, first_nonassociative_triple, inverse, rebased
+from lietriple.linalg import Matrix, Subspace, kernel_of_rows, solve, unit_vec
+from oracles import (
+    RATIONAL_BASIS,
+    first_nonassociative_triple,
+    inverse,
+    kernel_basis,
+    left_mult,
+    preimage_basis,
+    rebased,
+    right_mult,
+)
 
 F = Fraction
 
@@ -119,11 +133,11 @@ class TestFindUnit:
         a = strict_upper_3x3()
         rows, rhs = [], []
         for j in range(3):
-            for mat in (a.right_mult_basis(j), a.left_mult_basis(j)):
+            for mat in (right_mult(a, unit_vec(3, j)), left_mult(a, unit_vec(3, j))):
                 rows.extend(mat.data)
                 rhs.extend(unit_vec(3, j))
         with pytest.raises(Inconsistent):
-            solve(Matrix(rows, cols=3), rhs)
+            solve(3, rows, rhs)
 
 
 class TestBrackets:
@@ -168,11 +182,9 @@ class TestCenter:
         # Oracle: impose [z, e11] = [z, e12] = [z, e22] = 0 directly.
         rows = []
         for i in range(3):
-            diff = t2.right_mult_basis(i) - t2.left_mult_basis(i)
+            diff = right_mult(t2, unit_vec(3, i)) - left_mult(t2, unit_vec(3, i))
             rows.extend(diff.data)
-        from lietriple.linalg import kernel
-
-        assert kernel(Matrix(rows, cols=3)) == center(t2)
+        assert kernel_of_rows(3, rows) == center(t2)
         assert center(t2).basis == ((F(1), F(0), F(1)),)
 
 
@@ -265,3 +277,73 @@ class TestLinearOperator:
         op = LinearOperator.identity(m2)
         for i in range(4):
             assert op(m2.basis_element(i)) == m2.basis_element(i)
+
+
+def left_unit_algebra():
+    """e_i e_j = e_j on Q^2: every basis vector is a left unit, so the center is 0 and there is no unit."""
+    return StructureConstants([[[int(k == j) for k in range(2)] for j in range(2)] for _ in range(2)])
+
+
+_MULTIPLICATION_ALGEBRAS = {
+    "Q": rationals,
+    "dual": dual_numbers,
+    "M1": lambda: full_matrix(1),
+    "M2": lambda: full_matrix(2),
+    "M3": lambda: full_matrix(3),
+    "T2": lambda: upper_triangular(2),
+    "T3": lambda: upper_triangular(3),
+    "strict_upper": strict_upper_3x3,
+    "example_1_2": lambda: example_1_2().gma.algebra,
+    "M2+Q": lambda: direct_sum(full_matrix(2), rationals()),
+    "T2+dual": lambda: direct_sum(upper_triangular(2), dual_numbers()),
+    "left_unit": left_unit_algebra,
+    **{f"random{s}": (lambda s=s: random_gma(random.Random(s)).algebra) for s in range(40)},
+}
+
+
+def _ad(alg, coords) -> tuple:
+    """The grid of x -> x c - c x."""
+    return (right_mult(alg, coords) - left_mult(alg, coords)).data
+
+
+def _oracle_unit(alg):
+    """The unit read off the kernel of [u*e_j - e_j ; e_j*u - e_j] in (u, t): one vector with t != 0, or none."""
+    n = alg.dim
+    rows = []
+    for j in range(n):
+        ej = unit_vec(n, j)
+        for m in (right_mult(alg, ej), left_mult(alg, ej)):
+            rows.extend(list(m.data[l]) + [-ej[l]] for l in range(n))
+    ker = kernel_basis(rows, n + 1)
+    if len(ker) == 1 and ker[0][n] != 0:
+        return tuple(x / ker[0][n] for x in ker[0][:n])
+    return None
+
+
+@pytest.mark.parametrize("name", list(_MULTIPLICATION_ALGEBRAS))
+def test_multiplication_maps_match_the_table_oracle(name):
+    # Every multiplication map is read off the sparse basis forms; the
+    # oracle builds each one densely from the table and eliminates with
+    # its own Gauss-Jordan.
+    alg = _MULTIPLICATION_ALGEBRAS[name]()
+    n = alg.dim
+    rng = random.Random(name)
+    ads = [_ad(alg, unit_vec(n, i)) for i in range(n)]
+    z = kernel_basis([row for ad in ads for row in ad], n)
+    assert center(alg).basis == z
+    assert _commutator_into_center_forces_central(alg) == (preimage_basis(ads, z, n) == z)
+    for k in range(3):
+        s = Subspace(n, [[F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(n)] for _ in range(k)])
+        assert commutant(alg, s).basis == kernel_basis([row for v in s.basis for row in _ad(alg, v)], n)
+    # V <- {v in V : e_i v and v e_i in V for every i}, from V = Z, to its fixed point
+    actions = [Matrix.identity(n).data] + [
+        m.data for i in range(n) for m in (left_mult(alg, unit_vec(n, i)), right_mult(alg, unit_vec(n, i)))
+    ]
+    ideal = z
+    while ideal and (nxt := preimage_basis(actions, ideal, n)) != ideal:
+        ideal = nxt
+    assert largest_central_ideal(alg).basis == ideal
+    unit = find_unit(alg)
+    assert (None if unit is None else unit.coords) == _oracle_unit(alg)
+    coords = [F(rng.randint(-3, 3), rng.choice((1, 3))) for _ in range(n)]
+    assert multiplication_operator(alg, coords).matrix == left_mult(alg, coords)

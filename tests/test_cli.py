@@ -15,6 +15,7 @@ from lietriple.centralizers import IdentityKind, solve_identity_space
 from lietriple.cli import main
 from lietriple.io import context_from_doc, context_to_doc, operator_to_doc, save_json
 from lietriple.linalg import Matrix
+from oracles import left_mult, right_mult
 
 
 def run_cli(capsys, *argv):
@@ -116,8 +117,8 @@ class TestDecompose:
         alg = entry.algebra
         ad = LinearOperator(
             alg,
-            alg.left_mult_of(alg.basis_element(0).coords)
-            - alg.right_mult_of(alg.basis_element(0).coords),
+            left_mult(alg, alg.basis_element(0).coords)
+            - right_mult(alg, alg.basis_element(0).coords),
         )
         lam_op = ad + LinearOperator.identity(alg)
         xipath = write_operator(tmp_path, "xi.op", ad)

@@ -23,7 +23,7 @@ from lietriple.derivations import (
 from lietriple.errors import NotLTD
 from lietriple.linalg import Matrix
 
-from oracles import central_vanishing_basis, identity_sides
+from oracles import central_vanishing_basis, identity_sides, left_mult, right_mult
 
 F = Fraction
 K = IdentityKind
@@ -40,7 +40,7 @@ def m2g():
 
 
 def inner_derivation(alg, coords):
-    return LinearOperator(alg, alg.left_mult_of(coords) - alg.right_mult_of(coords))
+    return LinearOperator(alg, left_mult(alg, coords) - right_mult(alg, coords))
 
 
 def rand_member(space, alg, rng):
@@ -274,7 +274,7 @@ class TestDecomposeGeneralized:
             res.delta.matrix
             + res.singular.matrix
             + res.psi.matrix
-            + alg.left_mult_of(res.lam.coords)
+            + left_mult(alg, res.lam.coords)
         )
         assert total == lam_op.matrix
 

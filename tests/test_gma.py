@@ -51,6 +51,7 @@ from lietriple.gma import (
     require_block_hypotheses,
 )
 from lietriple.linalg import Subspace, unit_vec
+from oracles import left_mult, right_mult
 
 F = Fraction
 
@@ -284,8 +285,8 @@ class TestExampleTwelve:
         ex = example_1_2()
         alg = ex.gma.algebra
         for zvec in center(alg).basis:
-            assert alg.left_mult_of(zvec).is_zero()
-            assert alg.right_mult_of(zvec).is_zero()
+            assert left_mult(alg, zvec).is_zero()
+            assert right_mult(alg, zvec).is_zero()
 
 
 _LAYOUT_NAMES = ("T3", "M3", "example_1_2", "random0", "random1", "random2")

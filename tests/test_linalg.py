@@ -33,6 +33,11 @@ def M(rows):
     return Matrix(rows)
 
 
+def columns(grid):
+    """A grid's nonzero columns (j, ((l, value), ...)), the form preimage takes a map in."""
+    return [(j, tuple((l, row[j]) for l, row in enumerate(grid) if row[j])) for j in range(len(grid[0]))]
+
+
 class TestRref:
     def test_proportional_rows(self):
         assert rref(M([[2, 4], [1, 2]])) == M([[1, 2], [0, 0]])
@@ -68,23 +73,34 @@ class TestKernel:
 
 class TestSolve:
     def test_identity_system(self):
-        x, hom = solve(Matrix.identity(2), (3, 4))
+        x, hom = solve(2, Matrix.identity(2).data, (3, 4))
         assert x == (3, 4)
         assert hom == Subspace.zero(2)
 
     def test_free_variable_set_to_zero(self):
-        x, hom = solve(M([[1, 1]]), (2,))
+        x, hom = solve(2, [{0: 1, 1: 1}], (2,))
         assert x == (2, 0)
         assert hom == Subspace(2, [(1, -1)])
 
     def test_inconsistent(self):
         with pytest.raises(Inconsistent):
-            solve(M([[1], [1]]), (1, 2))
-        assert try_solve(M([[1], [1]]), (1, 2)) is None
+            solve(1, [(1,), {0: 1}], (1, 2))
+        assert try_solve(1, [(1,), {0: 1}], (1, 2)) is None
 
     def test_rhs_length_checked(self):
         with pytest.raises(DimensionMismatch):
-            solve(M([[1, 1]]), (1, 2))
+            solve(2, [(1, 1)], (1, 2))
+
+    def test_zero_unknowns(self):
+        # With no unknowns a system is consistent iff its rhs is zero.
+        x, hom = solve(0, [(), {}], (0, 0))
+        assert x == () and hom == Subspace.zero(0)
+        assert try_solve(0, [()], (1,)) is None
+
+    @pytest.mark.parametrize("row", [(1, 2, 3), (1,), {2: 1}, {0: 1, 5: 1}, {-1: 1}])
+    def test_rejects_a_row_of_another_width(self, row):
+        with pytest.raises(DimensionMismatch):
+            solve(2, [row], (1,))
 
 
 class TestSubspaceLattice:
@@ -266,7 +282,7 @@ class TestProperties:
 
     @given(matrices())
     def test_solve_consistency(self, m):
-        res = try_solve(m, m.matvec((F(1),) * m.cols))
+        res = try_solve(m.cols, m.data, m.matvec((F(1),) * m.cols))
         assert res is not None
         x, _ = res
         assert m.matvec(x) == m.matvec((F(1),) * m.cols)
@@ -276,13 +292,15 @@ class TestPreimage:
     @given(preimage_problems())
     def test_matches_stacked_kernel_oracle(self, problem):
         n, maps, target = problem
-        got = preimage([Matrix(m) for m in maps], Subspace(n, target))
+        got = preimage([columns(m) for m in maps], Subspace(n, target))
         assert got.ambient == n
         assert got.basis == preimage_basis(maps, target, n)
 
     def test_rejects_a_map_of_another_size(self):
         with pytest.raises(DimensionMismatch):
-            preimage([Matrix([[1, 0, 0], [0, 1, 0]])], Subspace.zero(2))
+            preimage([columns([[1, 0, 0], [0, 1, 0]])], Subspace.zero(2))
+        with pytest.raises(DimensionMismatch):
+            preimage([columns([[1, 0], [0, 1], [1, 1]])], Subspace.zero(2))
 
 
 class TestKernelOfRows:
@@ -293,6 +311,13 @@ class TestKernelOfRows:
 
     def test_no_rows_gives_full(self):
         assert kernel_of_rows(3, []) == Subspace.full(3)
+
+    @pytest.mark.parametrize("row", [(1, 2, 3), (1,), {2: 1}, {0: 1, 5: 1}])
+    def test_rejects_a_row_of_another_width(self, row):
+        # A dense row must have one entry per column and a sparse row may
+        # only name columns in range(ambient); none of these lives in Q^2.
+        with pytest.raises(DimensionMismatch):
+            kernel_of_rows(2, [row])
 
 
 def test_insert_costs_one_elimination_per_pivot_column(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietriple.algebra import LinearOperator, center, find_unit
+from lietriple.algebra import LinearOperator, StructureConstants, center, find_unit
 from lietriple.catalog import (
     dual_numbers,
     example_1_2,
@@ -135,6 +135,21 @@ class TestDirect:
     def test_example_infeasible_without_probes_too(self, ex12):
         res = is_proper_direct(ex12.gma.algebra, ex12.phi)
         assert isinstance(res, Infeasible)
+
+    def test_zero_center_leaves_no_lambda(self):
+        # e_i e_j = e_j on Q^2: the center is 0 and there is no unit, so
+        # lambda has no coordinates and the solve has zero unknowns.  The
+        # identity is a Lie triple centralizer, and e0 is its own residual,
+        # outside the zero center.
+        alg = StructureConstants([[[int(k == j) for k in range(2)] for j in range(2)] for _ in range(2)])
+        assert center(alg).is_zero() and find_unit(alg) is None
+        (v,) = solve_identity_space(alg, K.LIE_TRIPLE_CENTRALIZER).basis
+        phi = LinearOperator.from_flat(alg, v)
+        assert phi == LinearOperator.identity(alg)
+        res = is_proper_direct(alg, phi)
+        assert isinstance(res, Infeasible)
+        assert res.witness_element == alg.basis_element(0)
+        assert res.witness_image == alg.basis_element(0)
 
     def test_trace_map_agrees_with_block_route(self, gmas):
         u = gmas["M2"]
