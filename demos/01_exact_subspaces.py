@@ -6,17 +6,18 @@ that equal spaces literally print the same grid.
 
 from fractions import Fraction
 
-from lietriple.linalg import Matrix, Subspace, kernel, rref, solve
+from lietriple.linalg import Matrix, Subspace, kernel_of_rows, solve
 
 # Row reduction never rounds: pivots can be any rational.
 m = Matrix([[Fraction(1, 2), Fraction(1, 3)], [2, 4], [1, 2]])
 print("matrix:")
 print(m)
-print("rref:")
-print(rref(m))
+# The canonical basis of the row space is the nonzero rows of the rref.
+print("rref rows:")
+print(Matrix(Subspace(m.cols, m.data).basis, cols=m.cols))
 
-# Kernels come back as canonical subspaces.
-k = kernel(Matrix([[1, 2, 3], [2, 4, 6]]))
+# Kernels of rows over Q^3 come back as canonical subspaces.
+k = kernel_of_rows(3, [(1, 2, 3), (2, 4, 6)])
 print("\nkernel of a rank-one matrix:", k)
 for v in k.basis:
     print("  basis vector:", v)

@@ -422,14 +422,14 @@ class LinearOperator:
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         _same_algebra(self.algebra, other.algebra)
-        return LinearOperator(self.algebra, self.matrix + other.matrix)
+        return LinearOperator.from_flat(self.algebra, vec_add(self.flatten(), other.flatten()))
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
         _same_algebra(self.algebra, other.algebra)
-        return LinearOperator(self.algebra, self.matrix - other.matrix)
+        return LinearOperator.from_flat(self.algebra, vec_sub(self.flatten(), other.flatten()))
 
     def __rmul__(self, scalar) -> "LinearOperator":
-        return LinearOperator(self.algebra, self.matrix.scale(scalar))
+        return LinearOperator.from_flat(self.algebra, vec_scale(scalar, self.flatten()))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import (
-    AlgebraElement, LinearOperator, StructureConstants, _slot_terms, basis_tensor, center, memoized,
+    AlgebraElement, LinearOperator, StructureConstants, _same_algebra, _slot_terms, basis_tensor, center, memoized,
 )
 from .errors import DimensionMismatch, NotGMA, NotUnital
 from .gma import GMA, block_ranges, require_block_hypotheses
@@ -281,6 +281,7 @@ class IdentityCheck:
 def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> IdentityCheck:
     """Evaluate every constraint tuple on the operator directly."""
     alg, u = _resolve(alg_or_gma, kind)
+    _same_algebra(alg, op.algebra)
     n = alg.dim
     if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION:
         rows = list(_sparsity_rows(n, u.dims))
@@ -362,6 +363,7 @@ class BlockDecomposition:
 
 def block_decompose(u: GMA, op: LinearOperator) -> BlockDecomposition:
     """Slice an operator into its sixteen corner maps (exact reassembly)."""
+    _same_algebra(u.algebra, op.algebra)
     data = op.matrix.data
     corners = {}
     for name, (target, source) in CORNERS.items():

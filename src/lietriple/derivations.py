@@ -32,14 +32,14 @@ from .centralizers import (
     solve_identity_space,
 )
 from .errors import DimensionMismatch, LieTripleError, NotGLTD, NotLTD
-from .gma import GMA, block_hypotheses_hold, diagonal_kernel, require_block_hypotheses
+from .gma import GMA, block_hypotheses_hold, diagonal_kernel
 from .linalg import (
     Subspace,
+    combination,
     kernel_of_rows,
     preimage,
     try_solve,
     unit_vec,
-    zero_vec,
 )
 from .properness import (
     Infeasible,
@@ -179,7 +179,6 @@ def check_thm41_hypotheses(
                 raise DimensionMismatch(
                     f"a candidate in {block} has length {len(v)}, dim {block} is {dim}"
                 )
-    require_block_hypotheses(u, "hypothesis battery")
     ctx = u.context
     cor = check_cor36_hypotheses(u)
     forces = _commutator_into_center_forces_central(
@@ -257,24 +256,18 @@ def decompose_ltd(u: GMA, xi: LinearOperator) -> LTDDecomposition | Infeasible:
         return Infeasible("xi is outside derivations + singular + central-vanishing")
     coeffs, _ = res
 
-    def combine(basis, offset):
-        flat = zero_vec(alg.dim * alg.dim)
-        for t, v in enumerate(basis):
-            c = coeffs[offset + t]
-            if c != 0:
-                flat = tuple(a + c * b for a, b in zip(flat, v))
-        return LinearOperator.from_flat(alg, flat)
-
-    delta = combine(der.basis, 0)
-    singular = combine(sjd.basis, len(der.basis))
-    gamma = combine(cv.basis, len(der.basis) + len(sjd.basis))
+    d1, d2 = len(der.basis), len(der.basis) + len(sjd.basis)
+    delta, singular, gamma = (
+        LinearOperator.from_flat(alg, combination(c, space.basis, alg.dim * alg.dim))
+        for c, space in ((coeffs[:d1], der), (coeffs[d1:d2], sjd), (coeffs[d2:], cv))
+    )
     if not is_identity_member(alg, IdentityKind.DERIVATION, delta):
         raise LieTripleError("derivation part failed its identity")
     if not is_identity_member(u, IdentityKind.SINGULAR_JORDAN_DERIVATION, singular):
         raise LieTripleError("singular part failed its identity")
     if not cv.contains_vector(gamma.flatten()):
         raise LieTripleError("central part escaped its space")
-    if (delta + singular + gamma).matrix != xi.matrix:
+    if delta + singular + gamma != xi:
         raise LieTripleError("components do not sum back to xi")
     return LTDDecomposition(delta, singular, gamma)
 
@@ -332,12 +325,7 @@ def decompose_generalized_ltd(
     lam = proper.lam
 
     into_center, kills_dc = central_vanishing_verdicts(alg, psi)
-    total = (
-        split.delta.matrix
-        + split.singular.matrix
-        + psi.matrix
-        + multiplication_operator(alg, lam.coords).matrix
-    )
+    total = split.delta + split.singular + psi + multiplication_operator(alg, lam.coords)
     transcript = (
         ("delta is a derivation", bool(is_identity_member(alg, IdentityKind.DERIVATION, split.delta))),
         ("singular part is a singular Jordan derivation",
@@ -345,7 +333,7 @@ def decompose_generalized_ltd(
         ("psi maps into the center", into_center),
         ("psi kills the double-commutator span", kills_dc),
         ("lambda is central", center(alg).contains_vector(lam.coords)),
-        ("components sum to Lambda exactly", total == lam_op.matrix),
+        ("components sum to Lambda exactly", total == lam_op),
     )
     if not all(ok for _, ok in transcript):
         raise LieTripleError(f"decomposition failed re-verification: {transcript}")

@@ -38,6 +38,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     Subspace,
+    combination,
     contract,
     is_zero_vec,
     kernel_of_rows,
@@ -345,17 +346,7 @@ def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> Peirce
         raise InvalidBlockStructure("Peirce corners do not span")  # unreachable for true idempotents
     new_basis = [v for s in corners for v in s.basis]
     new_coords = [[x for s, p in zip(corners, parts) for x in s.coefficients_of(p[j])] for j in range(n)]
-    columns = [[(r, x) for r, x in enumerate(col) if x != 0] for col in new_coords]
-
-    def to_new(v: Sequence[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * n
-        for k, c in enumerate(v):
-            if c != 0:
-                for r, t in columns[k]:
-                    out[r] += c * t
-        return out
-
-    table = [[to_new(alg.mul_coords(x, y)) for y in new_basis] for x in new_basis]
+    table = [[combination(alg.mul_coords(x, y), new_coords, n) for y in new_basis] for x in new_basis]
     labels = []
     for t, v in enumerate(new_basis):
         support = [(i, x) for i, x in enumerate(v) if x != 0]
@@ -502,11 +493,7 @@ class EtaMap:
         coeffs = source.coefficients_of(v)
         if coeffs is None:
             raise DimensionMismatch(f"element outside the {side} of eta")
-        out = [Fraction(0)] * target.ambient
-        for c, image in zip(coeffs, images):
-            for t, x in enumerate(image):
-                out[t] += c * x
-        return tuple(out)
+        return combination(coeffs, images, target.ambient)
 
 
 def _partners(ambient: int, d: int, pairs: list[tuple]) -> list[tuple]:

@@ -16,15 +16,18 @@ they are.  A row holding a Fraction is first scaled by
 ``clear_denominators``, the one helper that clears denominators; callers
 that know a common denominator for a whole table (the structure
 constants, the basis forms) use it once per table and hand over int
-rows.  ``Subspace``, ``kernel``, ``kernel_of_rows``, ``solve`` and
-``rref`` fill one echelon through ``_echelon``, which rejects a row
-outside the ambient; the identity solver of ``centralizers`` fills one
-row by row and reads its kernel as it goes.  ``preimage`` is the one
-statement of "x maps into a subspace", a ``kernel_of_rows`` over maps
-given as sparse columns.  ``row_values`` is the only evaluation of sparse
-rows on a vector, which ``int_flats`` scales to ints.  ``contract`` is
-the only bilinear product: it applies a structure tensor, held in the
-sparse form ``sparse_tensor`` builds, to a pair of coordinate vectors.
+rows.  ``Subspace``, ``kernel_of_rows`` and ``solve`` fill one echelon
+through ``_echelon``, which rejects a row outside the ambient; the
+identity solver of ``centralizers`` fills one row by row and reads its
+kernel as it goes.  ``preimage`` is the one statement of "x maps into a
+subspace", a ``kernel_of_rows`` over maps given as sparse columns.
+``row_values`` is the only evaluation of sparse rows on a vector, which
+``int_flats`` scales to ints.  ``contract`` is the only bilinear product:
+it applies a structure tensor, held in the sparse form ``sparse_tensor``
+builds, to a pair of coordinate vectors.  ``combination`` is the only
+linear combination, the sum of c * v over coefficients and vectors.
+``Matrix`` holds data and has no arithmetic: operators are added and
+scaled as ``algebra.LinearOperator``s.
 """
 
 from __future__ import annotations
@@ -75,6 +78,16 @@ def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
+
+
+def combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> Vector:
+    """The sum of c * v in Q^n over the pairs (c, v), as Fractions; zero coefficients are skipped."""
+    out = [Fraction(0)] * n
+    for c, v in zip(coeffs, vectors, strict=True):
+        if c:
+            for i, x in enumerate(v):
+                out[i] += c * x
+    return tuple(out)
 
 
 # t[i][j] as the pairs (k, t[i][j][k]) with a nonzero coefficient
@@ -163,24 +176,6 @@ class Matrix:
             cols=other.cols,
         )
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            [vec_add(r, s) for r, s in zip(self.data, other.data)], cols=self.cols
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            [vec_sub(r, s) for r, s in zip(self.data, other.data)], cols=self.cols
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([vec_scale(-1, r) for r in self.data], cols=self.cols)
-
-    def scale(self, c) -> "Matrix":
-        return Matrix([vec_scale(c, r) for r in self.data], cols=self.cols)
-
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.data)
 
@@ -197,10 +192,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("shape mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +389,6 @@ def preimage(maps: Iterable[Sequence[tuple[int, Iterable[tuple]]]], target: Subs
             raise DimensionMismatch(f"preimage: a map with an index outside range({n})")
         rows.extend({j: sum(f.get(l, 0) * x for l, x in col) for j, col in m} for f in ann)
     return kernel_of_rows(n, rows)
-
-
-def kernel(m: Matrix) -> Subspace:
-    """{v : m v = 0} with its canonical echelon basis."""
-    return kernel_of_rows(m.cols, m.data)
-
-
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row-echelon form; same shape, row space preserved."""
-    rows, _ = _echelon(m.data, m.cols).rref_fraction_rows()
-    dense = [_dense(row, m.cols) for row in rows]
-    return Matrix(dense + [zero_vec(m.cols)] * (m.rows - len(rows)), cols=m.cols)
 
 
 def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> tuple[Vector, "Subspace"]:

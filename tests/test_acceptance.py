@@ -186,7 +186,7 @@ def test_criterion_5_sufficiency_and_oracle_dimensions():
                 res = is_proper_thm33(u, phi)
                 assert isinstance(res, PropernessCertificate), name
                 # exact residual: phi(X) - lambda X - chi(X) = 0 entrywise
-                residual = phi.matrix - left_mult(u.algebra, res.lam.coords) - res.chi.matrix
+                residual = phi - LinearOperator(u.algebra, left_mult(u.algebra, res.lam.coords)) - res.chi
                 assert residual.is_zero()
         t2, m2 = catalog_gmas()["T2"].algebra, catalog_gmas()["M2"].algebra
         oracle_t2 = dense_identity_space(t2, "ltc")
@@ -211,13 +211,8 @@ def test_criterion_6_generalized_decomposition():
                 assert check_gltd_correspondence(alg, lam_op, xi)
                 res = decompose_generalized_ltd(u, lam_op, xi)
                 assert isinstance(res, GLTDDecomposition)
-                total = (
-                    res.delta.matrix
-                    + res.singular.matrix
-                    + res.psi.matrix
-                    + left_mult(alg, res.lam.coords)
-                )
-                assert total == lam_op.matrix
+                total = res.delta + res.singular + res.psi + LinearOperator(alg, left_mult(alg, res.lam.coords))
+                assert total == lam_op
                 assert res.verified
                 pairs_done += 1
         assert pairs_done >= 25

@@ -27,7 +27,7 @@ from lietriple.centralizers import (
     solve_identity_space,
     verify_thm31_conditions,
 )
-from lietriple.errors import DimensionMismatch, NotGMA
+from lietriple.errors import AlgebraMismatch, DimensionMismatch, NotGMA
 from lietriple.gma import GMA
 from lietriple.linalg import Matrix, Subspace, kernel_of_rows
 
@@ -179,6 +179,11 @@ class TestMembership:
         )
         assert residual_is_zero(alg, op.matrix, "ltc_middle")
 
+    def test_operator_of_another_algebra_is_rejected(self):
+        # The 4x4 identity of M2 must not be read as an operator on the dim-3 T2.
+        with pytest.raises(AlgebraMismatch):
+            is_identity_member(upper_triangular(2), K.LIE_TRIPLE_CENTRALIZER, LinearOperator.identity(full_matrix(2)))
+
     def test_sjd_requires_block_structure(self):
         with pytest.raises(NotGMA):
             solve_identity_space(upper_triangular(2), K.SINGULAR_JORDAN_DERIVATION)
@@ -232,6 +237,10 @@ class TestBlockDecompose:
                       "tau1", "tau2", "tau3", "tau4",
                       "gamma1", "gamma2", "gamma3", "gamma4"):
             assert getattr(d, name).is_zero()
+
+    def test_operator_of_another_algebra_is_rejected(self):
+        with pytest.raises(AlgebraMismatch):
+            block_decompose(upper_triangular_gma(3), LinearOperator.identity(full_matrix_gma(3).algebra))
 
     def test_exact_reassembly(self, gmas):
         rng = random.Random(17)

@@ -115,10 +115,8 @@ class TestDecompose:
     def test_generalized_decomposition(self, capsys, tmp_path):
         entry = resolve("upper_triangular(2)")
         alg = entry.algebra
-        ad = LinearOperator(
-            alg,
-            left_mult(alg, alg.basis_element(0).coords)
-            - right_mult(alg, alg.basis_element(0).coords),
+        ad = LinearOperator(alg, left_mult(alg, alg.basis_element(0).coords)) - LinearOperator(
+            alg, right_mult(alg, alg.basis_element(0).coords)
         )
         lam_op = ad + LinearOperator.identity(alg)
         xipath = write_operator(tmp_path, "xi.op", ad)

@@ -15,11 +15,10 @@ from lietriple.linalg import (
     Matrix,
     _IntEchelon,
     Subspace,
+    combination,
     contract,
-    kernel,
     kernel_of_rows,
     preimage,
-    rref,
     solve,
     sparse_tensor,
     try_solve,
@@ -33,6 +32,11 @@ def M(rows):
     return Matrix(rows)
 
 
+def rref_rows(m):
+    """The nonzero rows of m's reduced row-echelon form: the canonical basis of its row space."""
+    return Subspace(m.cols, m.data).basis
+
+
 def columns(grid):
     """A grid's nonzero columns (j, ((l, value), ...)), the form preimage takes a map in."""
     return [(j, tuple((l, row[j]) for l, row in enumerate(grid) if row[j])) for j in range(len(grid[0]))]
@@ -40,30 +44,30 @@ def columns(grid):
 
 class TestRref:
     def test_proportional_rows(self):
-        assert rref(M([[2, 4], [1, 2]])) == M([[1, 2], [0, 0]])
+        assert rref_rows(M([[2, 4], [1, 2]])) == M([[1, 2]]).data
 
     def test_identity_fixed(self):
-        assert rref(Matrix.identity(3)) == Matrix.identity(3)
+        assert rref_rows(Matrix.identity(3)) == Matrix.identity(3).data
 
     def test_permutation(self):
-        assert rref(M([[0, 1], [1, 0]])) == Matrix.identity(2)
+        assert rref_rows(M([[0, 1], [1, 0]])) == Matrix.identity(2).data
 
     def test_fractional_pivots(self):
         m = M([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]])
-        assert rref(m) == M([[1, F(2, 3)], [0, 0]])
+        assert rref_rows(m) == M([[1, F(2, 3)]]).data
 
 
 class TestKernel:
     def test_line(self):
-        assert kernel(M([[1, 1]])) == Subspace(2, [(1, -1)])
+        assert kernel_of_rows(2, [(1, 1)]) == Subspace(2, [(1, -1)])
 
     def test_identity_trivial_kernel(self):
-        assert kernel(Matrix.identity(2)) == Subspace.zero(2)
+        assert kernel_of_rows(2, Matrix.identity(2).data) == Subspace.zero(2)
 
     def test_rank_one(self):
         # Hand elimination: x + 2y = 0, so the kernel is spanned by (-2, 1);
         # canonical form rescales to a leading 1.
-        ker = kernel(M([[1, 2], [2, 4]]))
+        ker = kernel_of_rows(2, [(1, 2), (2, 4)])
         assert ker == Subspace(2, [(-2, 1)])
         assert ker.basis == ((F(1), F(-1, 2)),)
         m = M([[1, 2], [2, 4]])
@@ -222,12 +226,12 @@ def dependent_systems(draw):
 class TestProperties:
     @given(matrices())
     def test_rref_idempotent(self, m):
-        assert rref(rref(m)) == rref(m)
+        assert Subspace(m.cols, rref_rows(m)).basis == rref_rows(m)
 
     @given(matrices())
     def test_rank_nullity_and_exactness(self, m):
-        ker = kernel(m)
-        rank = sum(1 for row in rref(m).data if any(x != 0 for x in row))
+        ker = kernel_of_rows(m.cols, m.data)
+        rank = sum(1 for row in rref_rows(m) if any(x != 0 for x in row))
         assert ker.dim + rank == m.cols
         for v in ker.basis:
             assert all(x == 0 for x in m.matvec(v))
@@ -248,10 +252,8 @@ class TestProperties:
         # The integer echelon against the independent Fraction Gauss-Jordan.
         oracle = kernel_basis(m.data, m.cols)
         assert kernel_of_rows(m.cols, list(m.data)).basis == oracle
-        assert kernel(m).basis == oracle
-        basis = row_space_basis(m.data)
-        zero_rows = ((F(0),) * m.cols,) * (m.rows - len(basis))
-        assert rref(m) == Matrix(basis + zero_rows, cols=m.cols)
+        assert kernel_of_rows(m.cols, m.data).basis == oracle
+        assert rref_rows(m) == row_space_basis(m.data)
 
     @given(block_systems())
     def test_kernel_of_rows_matches_dense_kernel_on_block_systems(self, system):
@@ -286,6 +288,43 @@ class TestProperties:
         assert res is not None
         x, _ = res
         assert m.matvec(x) == m.matvec((F(1),) * m.cols)
+
+
+@st.composite
+def combinations(draw):
+    """(coeffs, vectors, n): up to four vectors in Q^n, entries ints or Fractions, some coefficients zero."""
+    n = draw(st.integers(0, 4))
+    entry = st.one_of(st.just(0), st.integers(-5, 5), small_frac)
+    k = draw(st.integers(0, 4))
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return draw(st.lists(entry, min_size=k, max_size=k)), vectors, n
+
+
+class TestCombination:
+    @given(combinations())
+    def test_matches_a_double_loop(self, problem):
+        coeffs, vectors, n = problem
+        expected = [F(0)] * n
+        for c, v in zip(coeffs, vectors):
+            for i in range(n):
+                expected[i] += c * v[i]
+        got = combination(coeffs, vectors, n)
+        assert got == tuple(expected)
+        assert all(type(x) is F for x in got)
+
+    def test_no_vectors_give_fraction_zeros(self):
+        got = combination([], [], 3)
+        assert got == (0, 0, 0) and all(type(x) is F for x in got)
+
+    def test_int_data_comes_back_as_fractions(self):
+        got = combination([2, 0], [(1, 0), (5, 5)], 2)
+        assert got == (2, 0) and all(type(x) is F for x in got)
+
+    def test_count_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            combination([1, 2], [(1, 0)], 2)
+        with pytest.raises(ValueError):
+            combination([1], [(1, 0), (0, 1)], 2)
 
 
 class TestPreimage:

@@ -189,7 +189,9 @@ class TestCertificates:
                 r12 = is_proper_direct(u.algebra, phi1 + phi2)
             else:
                 r1, r2, r12 = (is_proper_thm33(u, p) for p in (phi1, phi2, phi1 + phi2))
-            assert (phi1 + phi2).matrix == phi1.matrix + phi2.matrix
+            assert (phi1 + phi2).matrix.data == tuple(
+                tuple(a + b for a, b in zip(r, s)) for r, s in zip(phi1.matrix.data, phi2.matrix.data)
+            )
             assert r12.lam.coords == tuple(
                 a + b for a, b in zip(r1.lam.coords, r2.lam.coords)
             )
@@ -212,6 +214,15 @@ class TestCor36:
         assert not rep.pi_a_equals_center_a
         assert not rep.triple_span_b_full
         assert not rep.satisfied
+
+    def test_hypotheses_are_tested_once(self, gmas, monkeypatch):
+        import lietriple.gma
+
+        calls = []
+        real = lietriple.gma.check_annihilating_conditions
+        monkeypatch.setattr(lietriple.gma, "check_annihilating_conditions", lambda u: calls.append(u) or real(u))
+        check_cor36_hypotheses(gmas["T2"])
+        assert len(calls) == 1
 
 
 class TestEquivalence:
