@@ -187,12 +187,12 @@ def _product_span(amb: StructureConstants, s: Subspace, t: Subspace) -> Subspace
     return Subspace(amb.dim, vecs)
 
 
-def random_gma(
-    rng: random.Random,
-    max_corner_dim: int = 2,
-    max_tries: int = 2000,
-    require_n: bool | None = None,
-) -> GMA:
+# random_gma's cap on every corner dimension, and its number of draws before it gives up
+_MAX_CORNER_DIM = 2
+_MAX_TRIES = 2000
+
+
+def random_gma(rng: random.Random, require_n: bool | None = None) -> GMA:
     """A random unital generalized matrix algebra with small corners.
 
     Corners are grown as subspaces of an ambient M_{p+q}(Q) and closed
@@ -201,7 +201,7 @@ def random_gma(
     retried.  Deterministic for a seeded rng.  ``require_n`` pins the
     N corner to be nonzero (True) or zero (False).
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         p = rng.choice((1, 1, 2))
         q = rng.choice((1, 2, 2))
         amb = full_matrix(p + q)
@@ -247,7 +247,7 @@ def random_gma(
             if (new_sa, new_sb, new_sm, new_sn) != (sa, sb, sm, sn):
                 changed = True
                 sa, sb, sm, sn = new_sa, new_sb, new_sm, new_sn
-            if max(sa.dim, sb.dim, sm.dim, sn.dim) > max_corner_dim:
+            if max(sa.dim, sb.dim, sm.dim, sn.dim) > _MAX_CORNER_DIM:
                 ok = False
         if not ok or sm.dim == 0:
             continue

@@ -36,7 +36,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import (
-    AlgebraElement, LinearOperator, StructureConstants, _same_algebra, _slot_terms, basis_tensor, center, memoized,
+    AlgebraElement, LinearOperator, StructureConstants, _same_algebra, _slot_terms, basis_tensor, center, find_unit,
+    memoized,
 )
 from .errors import DimensionMismatch, NotGMA, NotUnital
 from .gma import GMA, block_ranges, require_block_hypotheses
@@ -534,7 +535,7 @@ def verify_thm31_conditions(u: GMA, d: BlockDecomposition) -> Thm31Report:
     A condition fails when one of its ``_condition_rows`` does not vanish
     on the six maps, flattened column-major and scaled to ints.
     """
-    if u.unit() is None:
+    if find_unit(u.algebra) is None:
         raise NotUnital("block-form conditions need a unital algebra")
     failures = [
         (f"corner {name} must vanish", ()) for name in _VANISHING_CORNERS if not getattr(d, name).is_zero()

@@ -26,7 +26,7 @@ from .centralizers import (
     verify_thm31_conditions,
 )
 from .derivations import check_thm41_hypotheses, decompose_generalized_ltd, GLTDDecomposition
-from .errors import DimensionMismatch, HashMismatch, LieTripleError, NotGMA, NotUnital
+from .errors import AnnihilatorConditionsFail, DimensionMismatch, HashMismatch, LieTripleError, NotGMA, NotUnital
 from .gma import block_center, block_hypotheses_hold, eta_map
 from .io import dump_json, load_json, operator_from_doc, parse_grid, vector_doc
 from .properness import (
@@ -358,7 +358,9 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, HashMismatch, DimensionMismatch, NotUnital, NotGMA) as exc:
+    except (
+        OSError, ValueError, KeyError, HashMismatch, DimensionMismatch, NotUnital, AnnihilatorConditionsFail, NotGMA
+    ) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
     except LieTripleError as exc:

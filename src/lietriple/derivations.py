@@ -32,7 +32,7 @@ from .centralizers import (
     solve_identity_space,
 )
 from .errors import DimensionMismatch, LieTripleError, NotGLTD, NotLTD
-from .gma import GMA, block_hypotheses_hold, diagonal_kernel
+from .gma import GMA, _commutation_rows, block_hypotheses_hold, diagonal_kernel
 from .linalg import (
     Subspace,
     combination,
@@ -144,29 +144,6 @@ def _commutator_into_center_forces_central(alg: StructureConstants) -> bool:
     return preimage(_slot_terms(alg, "bracket", 0).values(), z) == z
 
 
-def _center_shape_matches(u: GMA, m0: Sequence[Fraction] | None, n0: Sequence[Fraction] | None) -> bool:
-    """Z(U) == {diag(a,b): a, b central, a m0 = m0 b} (or the n0 mirror)."""
-    ctx = u.context
-    da, db = u.dim_a, u.dim_b
-    za, zb = center(ctx.A), center(ctx.B)
-    rows: list[dict | tuple] = [dict(enumerate(f)) for f in za.annihilator().basis]
-    rows += [{da + j: x for j, x in enumerate(f)} for f in zb.annihilator().basis]
-    if m0 is not None:
-        for q in range(u.dim_m):
-            rows.append(
-                tuple(ctx.M.act_left(unit_vec(da, i), m0)[q] for i in range(da))
-                + tuple(-ctx.M.act_right(m0, unit_vec(db, j))[q] for j in range(db))
-            )
-    else:
-        assert n0 is not None
-        for q in range(u.dim_n):
-            rows.append(
-                tuple(ctx.N.act_right(n0, unit_vec(da, i))[q] for i in range(da))
-                + tuple(-ctx.N.act_left(unit_vec(db, j), n0)[q] for j in range(db))
-            )
-    return diagonal_kernel(u, rows) == center(u.algebra)
-
-
 def check_thm41_hypotheses(
     u: GMA,
     candidates_m0: Sequence[Sequence[Fraction]] | None = None,
@@ -185,21 +162,21 @@ def check_thm41_hypotheses(
         ctx.A
     ) or _commutator_into_center_forces_central(ctx.B)
 
-    if candidates_m0 is None:
-        candidates_m0 = [unit_vec(u.dim_m, p) for p in range(u.dim_m)]
-    if candidates_n0 is None:
-        candidates_n0 = [unit_vec(u.dim_n, q) for q in range(u.dim_n)]
+    # (c)/(d): Z(U) == {diag(a, b) : a, b central, diag(a, b) x0 = x0 diag(a, b)}
+    da, width = u.dim_a, u.dim_a + u.dim_b
+    central = [dict(enumerate(f)) for f in center(ctx.A).annihilator().basis]
+    central += [{da + j: x for j, x in enumerate(f)} for f in center(ctx.B).annihilator().basis]
+    planes = _commutation_rows(u)
+    z = center(u.algebra)
 
-    c_found = None
-    for m0 in candidates_m0:
-        if _center_shape_matches(u, m0, None):
-            c_found = tuple(m0)
-            break
-    d_found = None
-    for n0 in candidates_n0:
-        if _center_shape_matches(u, None, n0):
-            d_found = tuple(n0)
-            break
+    def established_by(block: str, candidates, dim: int) -> tuple | None:
+        if candidates is None:
+            candidates = [unit_vec(dim, p) for p in range(dim)]
+        for x0 in candidates:
+            rows = [combination(x0, [plane[q] for plane in planes[block]], width) for q in range(dim)]
+            if diagonal_kernel(u, central + rows) == z:
+                return tuple(x0)
+        return None
 
     return Thm41HypothesisReport(
         cond_i=cor.triple_span_a_full and cor.triple_span_b_full,
@@ -208,8 +185,8 @@ def check_thm41_hypotheses(
         cond_iv=cor.pi_a_equals_center_a and cor.pi_b_equals_center_b and forces,
         cond_a=largest_central_ideal(ctx.A).is_zero(),
         cond_b=largest_central_ideal(ctx.B).is_zero(),
-        cond_c_established_by=c_found,
-        cond_d_established_by=d_found,
+        cond_c_established_by=established_by("M", candidates_m0, u.dim_m),
+        cond_d_established_by=established_by("N", candidates_n0, u.dim_n),
     )
 
 

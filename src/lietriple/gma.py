@@ -6,8 +6,13 @@ N-block, B-block].  All bimodule and pairing axioms are validated in
 one stroke: the assembled multiplication table must be associative,
 and a failure reports the offending basis triple.
 
-eta is read off the echelon of Z(U)'s basis as pairs (a, b) and (b, a);
-a Peirce split reads its change of basis off the corner parts x e_j y.
+"diag(a, b) commutes with M and N" is stated once, as the rows of
+``_commutation_rows``: the annihilating conditions are the kernels of
+their A- and B-halves, the block center is their kernel, eta's
+intertwining check evaluates them on a + eta(a), and Thm 4.1's
+center-shape conditions weight them by a candidate m0 or n0.  eta is
+read off the echelon of Z(U)'s basis as pairs (a, b) and (b, a); a
+Peirce split reads its change of basis off the corner parts x e_j y.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .linalg import (
     sparse_tensor,
     unit_vec,
     vec,
+    vec_dot,
 )
 
 
@@ -198,9 +204,6 @@ class GMA:
     def standard_idempotent(self) -> AlgebraElement:
         one_a = require_unit(self.context.A)
         return self.element_from_corners(a=one_a.coords)
-
-    def unit(self) -> AlgebraElement | None:
-        return find_unit(self.algebra)
 
 
 # The block multiplication rule: each context tensor, as an attribute
@@ -383,32 +386,36 @@ class AnnihilatorReport:
         return self.holds_a and self.holds_b
 
 
-def _diagonal_action_rows(u: GMA) -> list[tuple[tuple, tuple]]:
-    """Paired rows (a-part, b-part) reading how A and B act on M and N.
+def _commutation_rows(u: GMA) -> dict[str, tuple]:
+    """The condition "diag(a, b) commutes with M and N", as rows over the pairs (a, b) in Q^(dim A + dim B).
 
-    For a basis vector m_p and a coordinate q, the a-part is (a m_p)_q as
-    a row over the basis of A and the b-part is (m_p b)_q as a row over
-    the basis of B; the rows for N hold (n_p a)_q and (b n_p)_q.
+    Entry [p][q] of block M reads coordinate q of a m_p - m_p b; entry
+    [p][q] of block N reads coordinate q of n_p a - b n_p.
     """
     M, N = u.context.M, u.context.N
     ra, rb = range(u.dim_a), range(u.dim_b)
-    rows = [
-        (tuple(M.left[i][p][q] for i in ra), tuple(M.right[p][j][q] for j in rb))
-        for p in range(M.dim)
-        for q in range(M.dim)
-    ]
-    return rows + [
-        (tuple(N.right[p][i][q] for i in ra), tuple(N.left[j][p][q] for j in rb))
-        for p in range(N.dim)
-        for q in range(N.dim)
-    ]
+    return {
+        "M": tuple(
+            tuple(tuple(M.left[i][p][q] for i in ra) + tuple(-M.right[p][j][q] for j in rb) for q in range(M.dim))
+            for p in range(M.dim)
+        ),
+        "N": tuple(
+            tuple(tuple(N.right[p][i][q] for i in ra) + tuple(-N.left[j][p][q] for j in rb) for q in range(N.dim))
+            for p in range(N.dim)
+        ),
+    }
+
+
+def _all_rows(planes: dict[str, tuple]) -> list[tuple]:
+    return [row for block in planes.values() for plane in block for row in plane]
 
 
 def check_annihilating_conditions(u: GMA) -> AnnihilatorReport:
-    """Compute {a : aM = 0, Na = 0} and {b : Mb = 0, bN = 0} as kernels."""
-    rows = _diagonal_action_rows(u)
-    a_ann = kernel_of_rows(u.dim_a, [row_a for row_a, _ in rows])
-    b_ann = kernel_of_rows(u.dim_b, [row_b for _, row_b in rows])
+    """Compute {a : aM = 0, Na = 0} and {b : Mb = 0, bN = 0} as the kernels of the commutation rows' halves."""
+    da = u.dim_a
+    rows = _all_rows(_commutation_rows(u))
+    a_ann = kernel_of_rows(da, [row[:da] for row in rows])
+    b_ann = kernel_of_rows(u.dim_b, [row[da:] for row in rows])
     return AnnihilatorReport(a_ann, b_ann)
 
 
@@ -454,12 +461,12 @@ def diagonal_kernel(u: GMA, rows) -> Subspace:
 
 
 def block_center(u: GMA) -> Subspace:
-    """{diag(a,b) : am = mb, na = bn for all basis m, n}, from block data.
+    """{diag(a,b) : am = mb, na = bn for all basis m, n}, the kernel of the commutation rows.
 
     Independent of the raw commutation kernel; used to cross-check the
     center description on qualifying algebras.
     """
-    return diagonal_kernel(u, [row_a + tuple(-x for x in row_b) for row_a, row_b in _diagonal_action_rows(u)])
+    return diagonal_kernel(u, _all_rows(_commutation_rows(u)))
 
 
 class EtaMap:
@@ -533,15 +540,11 @@ def eta_map(u: GMA) -> EtaMap:
             rhs = ctx.B.mul_coords(eta.apply(a1), eta.apply(a2))
             if lhs != rhs:
                 raise NonUniqueEta("eta is not multiplicative")
-    # intertwining identities on all basis pairs
+    # intertwining identities: the commutation rows vanish on a + eta(a)
+    planes = _commutation_rows(u)
     for a in blocks.pi_a.basis:
-        b = eta.apply(a)
-        for p in range(u.dim_m):
-            m = unit_vec(u.dim_m, p)
-            if ctx.M.act_left(a, m) != ctx.M.act_right(m, b):
-                raise NonUniqueEta("a m != m eta(a)")
-        for q in range(u.dim_n):
-            nq = unit_vec(u.dim_n, q)
-            if ctx.N.act_right(nq, a) != ctx.N.act_left(b, nq):
-                raise NonUniqueEta("n a != eta(a) n")
+        pair = a + eta.apply(a)
+        for block, message in (("M", "a m != m eta(a)"), ("N", "n a != eta(a) n")):
+            if any(vec_dot(row, pair) for plane in planes[block] for row in plane):
+                raise NonUniqueEta(message)
     return eta

@@ -150,13 +150,13 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, cols_data: Sequence[Sequence]) -> "Matrix":
-        cols = [vec(c) for c in cols_data]
+        cols = list(cols_data)
         if not cols:
             raise DimensionMismatch("from_cols needs at least one column")
         n = len(cols[0])
         if any(len(c) != n for c in cols):
             raise DimensionMismatch("ragged columns")
-        return cls([tuple(c[i] for c in cols) for i in range(n)], cols=len(cols))
+        return cls(zip(*cols), cols=len(cols))
 
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.data)

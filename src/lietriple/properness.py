@@ -41,7 +41,7 @@ from .centralizers import (
     solve_identity_space,
 )
 from .errors import LieTripleError, NotLTC
-from .gma import GMA, CenterBlocks, center_block_description, eta_map
+from .gma import GMA, center_block_description, eta_map
 from .linalg import (
     Matrix,
     Subspace,
@@ -212,11 +212,11 @@ def _singleton_witness(alg, into_center, mults, phi_flat, probes):
     return None
 
 
-def _unit_failure(u: GMA, d: BlockDecomposition, blocks: CenterBlocks) -> PropernessFailure | None:
+def _unit_failure(u: GMA, d: BlockDecomposition, pi_a: Subspace, pi_b: Subspace) -> PropernessFailure | None:
     """The Thm 3.3 unit test: the first of alpha4(1_A) in pi_B(Z(U)), beta1(1_B) in pi_A(Z(U)) to fail, or None."""
     for side, corner, one, target in (
-        ("A", d.alpha4, require_unit(u.context.A), blocks.pi_b),
-        ("B", d.beta1, require_unit(u.context.B), blocks.pi_a),
+        ("A", d.alpha4, require_unit(u.context.A), pi_b),
+        ("B", d.beta1, require_unit(u.context.B), pi_a),
     ):
         value = corner.matvec(one.coords)
         if not target.contains_vector(value):
@@ -224,11 +224,11 @@ def _unit_failure(u: GMA, d: BlockDecomposition, blocks: CenterBlocks) -> Proper
     return None
 
 
-def _ranges_inside(d: BlockDecomposition, blocks: CenterBlocks) -> bool:
+def _ranges_inside(d: BlockDecomposition, pi_a: Subspace, pi_b: Subspace) -> bool:
     """The Thm 3.3 range test: each column of alpha4 lies in pi_B(Z(U)), each of beta1 in pi_A(Z(U))."""
     return all(
         target.contains_vector(corner.col(i))
-        for corner, target in ((d.alpha4, blocks.pi_b), (d.beta1, blocks.pi_a))
+        for corner, target in ((d.alpha4, pi_b), (d.beta1, pi_a))
         for i in range(corner.cols)
     )
 
@@ -242,15 +242,14 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
     Range membership for the full corners is re-derived and enforced.
     """
     alg = u.algebra
-    blocks = center_block_description(u)
+    eta = eta_map(u)
     _require_ltc(alg, phi)
     d = block_decompose(u, phi)
-    eta = eta_map(u)
-    failure = _unit_failure(u, d, blocks)
+    failure = _unit_failure(u, d, eta.domain, eta.codomain)
     if failure is not None:
         return failure
     # membership at the units forces the whole ranges into the projections
-    if not _ranges_inside(d, blocks):
+    if not _ranges_inside(d, eta.domain, eta.codomain):
         raise LieTripleError(
             "unit membership held but a corner range escapes pi_A(Z(U)) or pi_B(Z(U)); "
             "this contradicts the equivalence chain"
@@ -363,8 +362,8 @@ def equivalence_audit(u: GMA, extra_random: int = 0, seed: int = 0) -> Equivalen
     for phi in candidates:
         d = block_decompose(u, phi)
         direct = isinstance(is_proper_direct(alg, phi), PropernessCertificate)
-        units = _unit_failure(u, d, blocks) is None
-        records.append(EquivalenceRecord(direct, _ranges_inside(d, blocks), units))
+        units = _unit_failure(u, d, blocks.pi_a, blocks.pi_b) is None
+        records.append(EquivalenceRecord(direct, _ranges_inside(d, blocks.pi_a, blocks.pi_b), units))
         if not direct:
             improper += 1
     return EquivalenceReport(tuple(records), improper)

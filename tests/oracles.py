@@ -258,3 +258,36 @@ def central_vanishing_basis(center_basis, dc_basis, n: int) -> tuple:
     return row_space_basis(
         [g[c] * z[l] for c in range(n) for l in range(n)] for g in killers for z in center_basis
     )
+
+
+def center_shape_holds(u, block: str, x0) -> bool:
+    """Is Z(U) = {diag(a, b) : a in Z(A), b in Z(B), diag(a, b) x0 = x0 diag(a, b)}, for x0 in block M or N?
+
+    Both sides are dense kernels read off U's own table.  An element d of
+    the A and B positions commutes with every basis vector of A and B iff
+    its corners are central in A and B, since B and A multiply to zero.
+    """
+    t, n = u.algebra.table, u.algebra.dim
+    unit = [[Fraction(int(k == j)) for j in range(n)] for k in range(n)]
+    x = [Fraction(0)] * n
+    for i, c in zip(u.ranges[block], x0, strict=True):
+        x[i] = Fraction(c)
+
+    def commuting(unknowns, ys) -> tuple:
+        # coordinate l of d y - y d, for d the combination of the unknown positions
+        rows = [
+            [sum((y[j] * (t[i][j][l] - t[j][i][l]) for j in range(n)), Fraction(0)) for i in unknowns]
+            for y in ys
+            for l in range(n)
+        ]
+        out = []
+        for v in kernel_basis(rows, len(unknowns)):
+            w = [Fraction(0)] * n
+            for i, c in zip(unknowns, v):
+                w[i] = c
+            out.append(tuple(w))
+        return tuple(out)
+
+    diagonal = [*u.ranges["A"], *u.ranges["B"]]
+    shaped = commuting(diagonal, [unit[k] for k in diagonal] + [x])
+    return shaped == commuting(range(n), unit)

@@ -443,6 +443,16 @@ class TestShapeErrors:
         assert code == 2 and out == ""
         assert err.startswith("invalid input:") and err.count("\n") == 1
 
+    def test_failed_annihilating_condition(self, capsys, tmp_path):
+        # the dual numbers acting on M = Q through 1 alone: x annihilates M
+        p = _one_dim_documents(
+            tmp_path,
+            A={"table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]},
+            M={"left": [[["1"]], [["0"]]]},
+        )
+        code, out, err = run_cli(capsys, "hypotheses", f"tri({p['A']},{p['M']},{p['B']})")
+        assert (code, out, err) == (2, "", "invalid input: annihilating conditions do not hold\n")
+
     def test_consistent_dims_are_accepted(self, capsys, tmp_path):
         p = _one_dim_documents(tmp_path, A={"dim": 1, "labels": ["1"]})
         spec = f"tri({p['A']},{p['M']},{p['B']})"

@@ -4,7 +4,17 @@ from fractions import Fraction
 import pytest
 
 from lietriple.algebra import LinearOperator, center, double_commutator_span, find_unit
-from lietriple.catalog import example_1_2, full_matrix_gma, resolve, standard_gmas, upper_triangular_gma
+from lietriple.catalog import (
+    direct_sum,
+    example_1_2,
+    full_matrix_gma,
+    random_gma,
+    rationals,
+    resolve,
+    standard_gmas,
+    triangular_context,
+    upper_triangular_gma,
+)
 from lietriple.centralizers import (
     IdentityKind,
     _identity_residuals,
@@ -21,9 +31,10 @@ from lietriple.derivations import (
     decompose_ltd,
 )
 from lietriple.errors import NotLTD
+from lietriple.gma import Bimodule, MoritaContext, assemble, block_hypotheses_hold
 from lietriple.linalg import Matrix
 
-from oracles import central_vanishing_basis, identity_sides, left_mult, right_mult
+from oracles import center_shape_holds, central_vanishing_basis, identity_sides, left_mult, right_mult
 
 F = Fraction
 K = IdentityKind
@@ -183,6 +194,77 @@ class TestThm41Hypotheses:
         assert rep.cond_d_established_by is None
         # still satisfied through (iv) + nothing? no: ideal side is open now
         assert rep.structural_ok and not rep.ideal_ok and not rep.satisfied
+
+
+@pytest.fixture(scope="module")
+def shape_draws():
+    """The draws random_gma(Random(s), require_n=True), s < 40, where the block hypotheses hold."""
+    return [u for u in (random_gma(random.Random(s), require_n=True) for s in range(40)) if block_hypotheses_hold(u)]
+
+
+class TestCenterShapeConditions:
+    """(c) and (d) against the dense oracle, with candidates other than unit vectors."""
+
+    @staticmethod
+    def _candidates(dim):
+        return [(0,) * dim, (1,) * dim, (2, -1)[:dim]]
+
+    @staticmethod
+    def _first_holding(u, block, candidates):
+        return next((tuple(F(x) for x in v) for v in candidates if center_shape_holds(u, block, v)), None)
+
+    def test_both_blocks_match_the_oracle(self, shape_draws):
+        seen = set()
+        for u in shape_draws:
+            cm, cn = self._candidates(u.dim_m), self._candidates(u.dim_n)
+            # each candidate alone, then the whole list, where the first that holds is reported
+            for m0s, n0s in [*(([v], [w]) for v, w in zip(cm, cn)), (cm, cn)]:
+                rep = check_thm41_hypotheses(u, candidates_m0=m0s, candidates_n0=n0s)
+                assert rep.cond_c_established_by == self._first_holding(u, "M", m0s)
+                assert rep.cond_d_established_by == self._first_holding(u, "N", n0s)
+                seen.update({("c", rep.cond_c_established_by is None), ("d", rep.cond_d_established_by is None)})
+        assert len(shape_draws) >= 5
+        assert seen == {("c", False), ("c", True), ("d", False), ("d", True)}
+
+    @pytest.mark.parametrize("block", ["M", "N"])
+    def test_a_nonzero_candidate_can_fail(self, block):
+        # A = Q x Q (or B, for N) acts on the two coordinates of a two-dimensional block one each:
+        # x0 = (1, 0) leaves the second corner coordinate free, (1, 1) ties both to the other corner
+        q, q2 = rationals(), direct_sum(rationals(), rationals())
+        coordinatewise = tuple(tuple(tuple(int(i == p == r) for r in range(2)) for p in range(2)) for i in range(2))
+        scalar = tuple((tuple(int(p == r) for r in range(2)),) for p in range(2))
+        if block == "M":
+            u = assemble(triangular_context(q2, Bimodule(2, 2, 1, coordinatewise, scalar), q))
+        else:
+            u = assemble(MoritaContext(q, q2, Bimodule.zero(1, 2), Bimodule(2, 2, 1, coordinatewise, scalar), (), ((), ())))
+        assert block_hypotheses_hold(u)
+        candidates = [(1, 0), (0, 1), (1, 1), (2, -1), (0, 0)]
+        verdicts = []
+        for x0 in candidates:
+            rep = check_thm41_hypotheses(u, **{"candidates_" + block.lower() + "0": [x0]})
+            found = rep.cond_c_established_by if block == "M" else rep.cond_d_established_by
+            assert (found is not None) == center_shape_holds(u, block, x0)
+            verdicts.append(found is not None)
+        assert verdicts == [False, False, True, True, False]
+
+    def test_default_candidates_are_the_unit_vectors(self, shape_draws):
+        for u in shape_draws:
+            rep = check_thm41_hypotheses(u)
+            for found, block, dim in ((rep.cond_c_established_by, "M", u.dim_m), (rep.cond_d_established_by, "N", u.dim_n)):
+                units = [tuple(int(i == p) for i in range(dim)) for p in range(dim)]
+                assert found == self._first_holding(u, block, units)
+
+
+def test_generalized_decomposition_tests_the_hypotheses_three_times(monkeypatch):
+    import lietriple.gma
+
+    calls = []
+    real = lietriple.gma.check_annihilating_conditions
+    monkeypatch.setattr(lietriple.gma, "check_annihilating_conditions", lambda u: calls.append(u) or real(u))
+    u = upper_triangular_gma(2)
+    decompose_generalized_ltd(u, LinearOperator.identity(u.algebra), LinearOperator.zero(u.algebra))
+    assert len(calls) == 3
+
 
 
 @pytest.mark.parametrize("name", [*standard_gmas(), "example_1_2"])

@@ -300,6 +300,15 @@ def combinations(draw):
     return draw(st.lists(entry, min_size=k, max_size=k)), vectors, n
 
 
+def test_from_cols_converts_each_entry_once(monkeypatch):
+    calls = []
+    real = linalg.rat
+    monkeypatch.setattr(linalg, "rat", lambda x: calls.append(x) or real(x))
+    m = Matrix.from_cols([(1, 2, 3), (4, 5, 6), (7, 8, 9)])
+    assert m.data == ((1, 4, 7), (2, 5, 8), (3, 6, 9))
+    assert len(calls) == 9
+
+
 class TestCombination:
     @given(combinations())
     def test_matches_a_double_loop(self, problem):

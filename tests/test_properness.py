@@ -224,6 +224,15 @@ class TestCor36:
         check_cor36_hypotheses(gmas["T2"])
         assert len(calls) == 1
 
+    def test_thm33_tests_the_hypotheses_once(self, gmas, monkeypatch):
+        import lietriple.gma
+
+        calls = []
+        real = lietriple.gma.check_annihilating_conditions
+        monkeypatch.setattr(lietriple.gma, "check_annihilating_conditions", lambda u: calls.append(u) or real(u))
+        is_proper_thm33(gmas["T3"], LinearOperator.identity(gmas["T3"].algebra))
+        assert len(calls) == 1
+
 
 class TestEquivalence:
     def test_catalog_audits_consistent(self, gmas):
