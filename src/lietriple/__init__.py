@@ -50,7 +50,7 @@ from .gma import (
     m2_of,
     peirce_from_idempotent,
 )
-from .linalg import Matrix, Subspace, kernel_of_rows, solve, try_solve
+from .linalg import Matrix, Subspace, kernel_of_rows, solve
 from .properness import (
     Cor36Report,
     Infeasible,

@@ -26,8 +26,8 @@ from .linalg import (
     is_zero_vec,
     preimage,
     rat,
+    solve,
     sparse_tensor,
-    try_solve,
     unit_vec,
     vec,
     vec_add,
@@ -138,7 +138,7 @@ class StructureConstants:
         return AlgebraElement(self, zero_vec(self.dim))
 
     def mul_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple:
-        return contract(self._sparse, x, y, self.dim)
+        return contract(self._sparse, x, y, self.dim, self.dim)
 
     def __eq__(self, other) -> bool:
         return (
@@ -241,7 +241,7 @@ def _unit_coords(alg: StructureConstants) -> tuple | None:
         for l, x in w:
             rows[0, j, l][i] = x
             rows[1, i, l][j] = x
-    res = try_solve(n, list(rows.values()), [d * (l == j) for _, j, l in rows])
+    res = solve(n, list(rows.values()), [d * (l == j) for _, j, l in rows])
     return None if res is None else res[0]
 
 

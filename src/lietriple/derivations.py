@@ -38,7 +38,7 @@ from .linalg import (
     combination,
     kernel_of_rows,
     preimage,
-    try_solve,
+    solve,
     unit_vec,
 )
 from .properness import (
@@ -220,22 +220,15 @@ def decompose_ltd(u: GMA, xi: LinearOperator) -> LTDDecomposition | Infeasible:
     sjd = solve_identity_space(u, IdentityKind.SINGULAR_JORDAN_DERIVATION)
     cv = central_vanishing_space(alg)
     cols = list(der.basis) + list(sjd.basis) + list(cv.basis)
-    if not cols:
-        return (
-            LTDDecomposition(
-                LinearOperator.zero(alg), LinearOperator.zero(alg), LinearOperator.zero(alg)
-            )
-            if xi.is_zero()
-            else Infeasible("all component spaces are zero but xi is not")
-        )
-    res = try_solve(len(cols), list(zip(*cols)), xi.flatten())
+    n = alg.dim * alg.dim
+    res = solve(len(cols), [[c[r] for c in cols] for r in range(n)], xi.flatten())
     if res is None:
         return Infeasible("xi is outside derivations + singular + central-vanishing")
     coeffs, _ = res
 
     d1, d2 = len(der.basis), len(der.basis) + len(sjd.basis)
     delta, singular, gamma = (
-        LinearOperator.from_flat(alg, combination(c, space.basis, alg.dim * alg.dim))
+        LinearOperator.from_flat(alg, combination(c, space.basis, n))
         for c, space in ((coeffs[:d1], der), (coeffs[d1:d2], sjd), (coeffs[d2:], cv))
     )
     if not is_identity_member(alg, IdentityKind.DERIVATION, delta):

@@ -9,10 +9,6 @@ class DimensionMismatch(LieTripleError):
     """Operands live in spaces of incompatible dimensions."""
 
 
-class Inconsistent(LieTripleError):
-    """A linear system has no solution."""
-
-
 class AlgebraMismatch(LieTripleError):
     """Elements or operators belong to different algebras."""
 

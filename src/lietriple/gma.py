@@ -104,10 +104,10 @@ class Bimodule:
         return cls(n, n, n, left, right)
 
     def act_left(self, a: Sequence[Fraction], m: Sequence[Fraction]) -> tuple:
-        return contract(self._left, a, m, self.dim)
+        return contract(self._left, a, m, self.dim, self.dim)
 
     def act_right(self, m: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
-        return contract(self._right, m, b, self.dim)
+        return contract(self._right, m, b, self.right_dim, self.dim)
 
 
 class MoritaContext:
@@ -145,10 +145,10 @@ class MoritaContext:
         raise AttributeError("MoritaContext is immutable")
 
     def pair_mn(self, m: Sequence[Fraction], n: Sequence[Fraction]) -> tuple:
-        return contract(self._zeta, m, n, self.A.dim)
+        return contract(self._zeta, m, n, self.N.dim, self.A.dim)
 
     def pair_nm(self, n: Sequence[Fraction], m: Sequence[Fraction]) -> tuple:
-        return contract(self._psi, n, m, self.B.dim)
+        return contract(self._psi, n, m, self.M.dim, self.B.dim)
 
 
 class GMA:

@@ -19,10 +19,14 @@ constants, the basis forms) use it once per table and hand over int
 rows.  ``Subspace``, ``kernel_of_rows`` and ``solve`` fill one echelon
 through ``_echelon``, which rejects a row outside the ambient; the
 identity solver of ``centralizers`` fills one row by row and reads its
-kernel as it goes.  ``preimage`` is the one statement of "x maps into a
-subspace", a ``kernel_of_rows`` over maps given as sparse columns.
-``row_values`` is the only evaluation of sparse rows on a vector, which
-``int_flats`` scales to ints.  ``contract`` is the only bilinear product:
+kernel as it goes.  ``solve`` returns None for an inconsistent system.
+Membership is read off the canonical basis without eliminating again: a
+member's coefficients are its entries at the pivots, and
+``Subspace.coefficients_of`` checks them through ``combination``.
+``preimage`` is the one statement of "x maps into a subspace", a
+``kernel_of_rows`` over maps given as sparse columns.  ``row_values`` is
+the only evaluation of sparse rows on a vector, which ``int_flats``
+scales to ints.  ``contract`` is the only bilinear product:
 it applies a structure tensor, held in the sparse form ``sparse_tensor``
 builds, to a pair of coordinate vectors.  ``combination`` is the only
 linear combination, the sum of c * v over coefficients and vectors.
@@ -37,7 +41,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
-from .errors import DimensionMismatch, Inconsistent
+from .errors import DimensionMismatch
 
 
 Vector = tuple[Fraction, ...]
@@ -101,8 +105,14 @@ def sparse_tensor(t) -> SparseTensor:
     )
 
 
-def contract(sp: SparseTensor, x: Sequence[Fraction], y: Sequence[Fraction], out_dim: int) -> Vector:
-    """sum over i, j, k of x_i y_j t[i][j][k] e_k, for sp = sparse_tensor(t)."""
+def contract(sp: SparseTensor, x: Sequence[Fraction], y: Sequence[Fraction], y_dim: int, out_dim: int) -> Vector:
+    """sum over i, j, k of x_i y_j t[i][j][k] e_k, for sp = sparse_tensor(t).
+
+    t has one plane per coordinate of x and one row per coordinate of y;
+    x must have len(sp) entries and y must have y_dim.
+    """
+    if len(x) != len(sp) or len(y) != y_dim:
+        raise DimensionMismatch(f"a product of Q^{len(sp)} x Q^{y_dim} given vectors of length {len(x)}, {len(y)}")
     out = [Fraction(0)] * out_dim
     for i, xi in enumerate(x):
         if xi == 0:
@@ -382,7 +392,7 @@ def preimage(maps: Iterable[Sequence[tuple[int, Iterable[tuple]]]], target: Subs
     ints: entry j of f m is the sum of f_l * value over column j.
     """
     n = target.ambient
-    ann = [dict(f) for f in clear_denominators(enumerate(f) for f in target.annihilator().basis)[1]]
+    ann = int_flats(*target.annihilator().basis)
     rows = []
     for m in maps:
         if not all(0 <= k < n for j, col in m for k in (j, *(l for l, _ in col))):
@@ -391,12 +401,12 @@ def preimage(maps: Iterable[Sequence[tuple[int, Iterable[tuple]]]], target: Subs
     return kernel_of_rows(n, rows)
 
 
-def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> tuple[Vector, "Subspace"]:
+def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> tuple[Vector, "Subspace"] | None:
     """Solve row . x = b exactly for x in Q^ambient, over the rows and their rhs entries b.
 
     Rows are in any form ``kernel_of_rows`` takes.  Returns the echelon
-    particular solution (free variables zero) and the homogeneous kernel;
-    raises Inconsistent when no solution exists.
+    particular solution (free variables zero) and the homogeneous kernel,
+    or None when no solution exists.
     """
     if len(rhs) != len(rows):
         raise DimensionMismatch(f"rhs length {len(rhs)} vs {len(rows)} rows")
@@ -405,19 +415,11 @@ def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> tuple
     augmented = ({**row, ambient: b} if isinstance(row, dict) else (*row, b) for row, b in zip(rows, rhs))
     reduced, pivots = _echelon(augmented, ambient + 1).rref_fraction_rows()
     if pivots and pivots[-1] == ambient:
-        raise Inconsistent("no solution")
+        return None
     particular = [_ZERO] * ambient
     for row, p in zip(reduced, pivots):
         particular[p] = row.get(ambient, _ZERO)
     return tuple(particular), Subspace(ambient, _kernel_from_rref(reduced, pivots, ambient))
-
-
-def try_solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence):
-    """Like solve, but None instead of raising on inconsistency."""
-    try:
-        return solve(ambient, rows, rhs)
-    except Inconsistent:
-        return None
 
 
 class Subspace:
@@ -430,7 +432,7 @@ class Subspace:
     __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
-        reduced, pivots = _echelon([vec(v) for v in vectors], ambient).rref_fraction_rows()
+        reduced, pivots = _echelon(vectors, ambient).rref_fraction_rows()
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(_dense(row, ambient) for row in reduced))
         object.__setattr__(self, "pivots", tuple(pivots))
@@ -456,23 +458,20 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient
 
-    def reduce(self, v: Sequence[Fraction]) -> Vector:
-        """Residual of v after elimination against the echelon basis."""
-        w = list(vec(v))
-        if len(w) != self.ambient:
-            raise DimensionMismatch("vector/ambient mismatch")
-        for row, p in zip(self.basis, self.pivots):
-            if w[p] != 0:
-                f = w[p]
-                w = [x - f * y for x, y in zip(w, row)]
-        return tuple(w)
-
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vec(self.reduce(v))
+        return self.coefficients_of(v) is not None
 
     def coefficients_of(self, v: Sequence[Fraction]) -> Vector | None:
-        """Coefficients of v in the canonical basis, or None if outside: a member's entries at the pivots."""
-        return tuple(rat(v[p]) for p in self.pivots) if self.contains_vector(v) else None
+        """Coefficients of v in the canonical basis, or None if outside.
+
+        A member's coefficients are its entries at the pivots, since each
+        basis vector is 1 at its own pivot and 0 at the others; v is a
+        member iff that combination gives v back.
+        """
+        if len(v) != self.ambient:
+            raise DimensionMismatch(f"a vector of length {len(v)} in Q^{self.ambient}")
+        coeffs = tuple(rat(v[p]) for p in self.pivots)
+        return coeffs if combination(coeffs, self.basis, self.ambient) == tuple(v) else None
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)
@@ -488,12 +487,6 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient)
-        if self.is_full():
-            return other
-        if other.is_full():
-            return self
         dual = self.annihilator().basis + other.annihilator().basis
         return kernel_of_rows(self.ambient, dual)
 

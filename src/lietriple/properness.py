@@ -49,7 +49,7 @@ from .linalg import (
     combination,
     int_flats,
     row_values,
-    try_solve,
+    solve,
     unit_vec,
     vec_sub,
 )
@@ -150,7 +150,7 @@ def _verify_certificate(
 def _solve_lambda(rows, mults, phi_flat):
     """The echelon solution c of sum_t c_t R(z_t .) = R(phi) over the rows R, or None."""
     lhs = [row_values(rows, m) for m in mults]
-    return try_solve(len(mults), [[v[r] for v in lhs] for r in range(len(rows))], row_values(rows, phi_flat))
+    return solve(len(mults), [[v[r] for v in lhs] for r in range(len(rows))], row_values(rows, phi_flat))
 
 
 def is_proper_direct(

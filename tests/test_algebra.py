@@ -28,7 +28,7 @@ from lietriple.catalog import (
     upper_triangular,
 )
 from lietriple.derivations import _commutator_into_center_forces_central
-from lietriple.errors import AlgebraMismatch, Inconsistent, NotAssociative
+from lietriple.errors import AlgebraMismatch, NotAssociative
 from lietriple.linalg import Matrix, Subspace, kernel_of_rows, solve, unit_vec
 from oracles import (
     RATIONAL_BASIS,
@@ -136,8 +136,7 @@ class TestFindUnit:
             for mat in (right_mult(a, unit_vec(3, j)), left_mult(a, unit_vec(3, j))):
                 rows.extend(mat.data)
                 rhs.extend(unit_vec(3, j))
-        with pytest.raises(Inconsistent):
-            solve(3, rows, rhs)
+        assert solve(3, rows, rhs) is None
 
 
 class TestBrackets:

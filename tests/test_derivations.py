@@ -226,26 +226,51 @@ class TestCenterShapeConditions:
         assert len(shape_draws) >= 5
         assert seen == {("c", False), ("c", True), ("d", False), ("d", True)}
 
-    @pytest.mark.parametrize("block", ["M", "N"])
-    def test_a_nonzero_candidate_can_fail(self, block):
-        # A = Q x Q (or B, for N) acts on the two coordinates of a two-dimensional block one each:
-        # x0 = (1, 0) leaves the second corner coordinate free, (1, 1) ties both to the other corner
+    @staticmethod
+    def _acting_on(block, coordinate_of):
+        """Q x Q acting on block M (or N) of dim len(coordinate_of), e_i on coordinate p iff coordinate_of[p] == i; the other corner Q acts by scalars."""
         q, q2 = rationals(), direct_sum(rationals(), rationals())
-        coordinatewise = tuple(tuple(tuple(int(i == p == r) for r in range(2)) for p in range(2)) for i in range(2))
-        scalar = tuple((tuple(int(p == r) for r in range(2)),) for p in range(2))
+        dim = len(coordinate_of)
+        left = tuple(tuple(tuple(int(p == r and coordinate_of[p] == i) for r in range(dim)) for p in range(dim)) for i in range(2))
+        scalar = tuple((tuple(int(p == r) for r in range(dim)),) for p in range(dim))
+        module = Bimodule(dim, 2, 1, left, scalar)
         if block == "M":
-            u = assemble(triangular_context(q2, Bimodule(2, 2, 1, coordinatewise, scalar), q))
+            u = assemble(triangular_context(q2, module, q))
         else:
-            u = assemble(MoritaContext(q, q2, Bimodule.zero(1, 2), Bimodule(2, 2, 1, coordinatewise, scalar), (), ((), ())))
+            u = assemble(MoritaContext(q, q2, Bimodule.zero(1, 2), module, (), ((),) * dim))
         assert block_hypotheses_hold(u)
-        candidates = [(1, 0), (0, 1), (1, 1), (2, -1), (0, 0)]
+        return u
+
+    @staticmethod
+    def _verdicts(u, block, candidates):
+        """Whether (c) (or (d), for N) is established by each candidate alone, checked against the oracle."""
         verdicts = []
         for x0 in candidates:
             rep = check_thm41_hypotheses(u, **{"candidates_" + block.lower() + "0": [x0]})
             found = rep.cond_c_established_by if block == "M" else rep.cond_d_established_by
             assert (found is not None) == center_shape_holds(u, block, x0)
             verdicts.append(found is not None)
+        return verdicts
+
+    @pytest.mark.parametrize("block", ["M", "N"])
+    def test_a_nonzero_candidate_can_fail(self, block):
+        # A = Q x Q (or B, for N) acts on the two coordinates of a two-dimensional block one each:
+        # x0 = (1, 0) leaves the second corner coordinate free, (1, 1) ties both to the other corner
+        u = self._acting_on(block, (0, 1))
+        verdicts = self._verdicts(u, block, [(1, 0), (0, 1), (1, 1), (2, -1), (0, 0)])
         assert verdicts == [False, False, True, True, False]
+
+    @pytest.mark.parametrize("block", ["M", "N"])
+    def test_a_candidate_and_its_reversal_differ(self, block):
+        # e1 acts on coordinates 0 and 1 of a three-dimensional block, e2 on coordinate 2, so
+        # Z(U) is the scalars: (0, 1, 1) ties both idempotents to the other corner, its
+        # reversal (1, 1, 0) and every unit vector tie only one
+        u = self._acting_on(block, (0, 0, 1))
+        assert center(u.algebra).dim == 1
+        verdicts = self._verdicts(u, block, [(0, 1, 1), (1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert verdicts == [True, False, False, False, False]
+        rep = check_thm41_hypotheses(u)
+        assert (rep.cond_c_established_by if block == "M" else rep.cond_d_established_by) is None
 
     def test_default_candidates_are_the_unit_vectors(self, shape_draws):
         for u in shape_draws:
