@@ -21,18 +21,15 @@ from .linalg import (
     Subspace,
     _dense,
     clear_denominators,
+    combination,
     contract,
     int_flats,
-    is_zero_vec,
     preimage,
     rat,
     solve,
     sparse_tensor,
     unit_vec,
     vec,
-    vec_add,
-    vec_scale,
-    vec_sub,
     zero_vec,
 )
 
@@ -176,25 +173,30 @@ class AlgebraElement:
         raise AttributeError("AlgebraElement is immutable")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _same_algebra(self.algebra, other.algebra)
-        return AlgebraElement(self.algebra, vec_add(self.coords, other.coords))
+        return self._combine((1, 1), other)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _same_algebra(self.algebra, other.algebra)
-        return AlgebraElement(self.algebra, vec_sub(self.coords, other.coords))
+        return self._combine((1, -1), other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, vec_scale(-1, self.coords))
+        return self._combine((-1,))
 
     def __rmul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, vec_scale(rat(scalar), self.coords))
+        return self._combine((rat(scalar),))
+
+    def _combine(self, coeffs: Sequence, *others: "AlgebraElement") -> "AlgebraElement":
+        """The sum of c * x over the coefficients and the elements (self, *others)."""
+        for x in others:
+            _same_algebra(self.algebra, x.algebra)
+        coords = [x.coords for x in (self, *others)]
+        return AlgebraElement(self.algebra, combination(coeffs, coords, self.algebra.dim))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_algebra(self.algebra, other.algebra)
         return AlgebraElement(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
 
     def is_zero(self) -> bool:
-        return is_zero_vec(self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other) -> bool:
         return (
@@ -421,15 +423,20 @@ class LinearOperator:
         return self.apply(x)
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        _same_algebra(self.algebra, other.algebra)
-        return LinearOperator.from_flat(self.algebra, vec_add(self.flatten(), other.flatten()))
+        return self._combine((1, 1), other)
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        _same_algebra(self.algebra, other.algebra)
-        return LinearOperator.from_flat(self.algebra, vec_sub(self.flatten(), other.flatten()))
+        return self._combine((1, -1), other)
 
     def __rmul__(self, scalar) -> "LinearOperator":
-        return LinearOperator.from_flat(self.algebra, vec_scale(scalar, self.flatten()))
+        return self._combine((rat(scalar),))
+
+    def _combine(self, coeffs: Sequence, *others: "LinearOperator") -> "LinearOperator":
+        """The sum of c * op over the coefficients and the operators (self, *others)."""
+        for op in others:
+            _same_algebra(self.algebra, op.algebra)
+        flats = [op.flatten() for op in (self, *others)]
+        return LinearOperator.from_flat(self.algebra, combination(coeffs, flats, self.algebra.dim ** 2))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()

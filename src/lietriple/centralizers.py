@@ -346,20 +346,35 @@ class BlockDecomposition:
     gamma3: Matrix
     gamma4: Matrix
 
+    def __post_init__(self):
+        for name, shape in _corner_shapes(self.gma).items():
+            mat = getattr(self, name)
+            if (mat.rows, mat.cols) != shape:
+                raise DimensionMismatch(f"corner {name} is {mat.rows}x{mat.cols}, expected {shape[0]}x{shape[1]}")
+
     def reassemble(self) -> LinearOperator:
         u = self.gma
         n = u.algebra.dim
         rows = [[Fraction(0)] * n for _ in range(n)]
         for name, (target, source) in CORNERS.items():
-            mat = getattr(self, name)
-            tr, sr = u.block_range(target), u.block_range(source)
-            if (mat.rows, mat.cols) != (len(tr), len(sr)):
-                raise DimensionMismatch(
-                    f"corner {name} is {mat.rows}x{mat.cols}, expected {len(tr)}x{len(sr)}"
-                )
-            for r, row in zip(tr, mat.data):
+            sr = u.block_range(source)
+            for r, row in zip(u.block_range(target), getattr(self, name).data):
                 rows[r][sr.start : sr.stop] = row
         return LinearOperator(u.algebra, Matrix(rows, cols=n))
+
+    def ranges_inside(self, a_side: Subspace, b_side: Subspace) -> tuple[bool, bool]:
+        """(every column of alpha4 lies in b_side, every column of beta1 in a_side): one verdict per side."""
+        return tuple(
+            all(target.contains_vector(corner.col(i)) for i in range(corner.cols))
+            for corner, target in ((self.alpha4, b_side), (self.beta1, a_side))
+        )
+
+
+def _same_gma(u: GMA, d: BlockDecomposition) -> None:
+    """Raise unless d slices an operator on u: the same algebra, cut into blocks of the same dims."""
+    _same_algebra(u.algebra, d.gma.algebra)
+    if d.gma.dims != u.dims:
+        raise DimensionMismatch(f"a decomposition into blocks of dims {d.gma.dims} on a GMA with blocks {u.dims}")
 
 
 def block_decompose(u: GMA, op: LinearOperator) -> BlockDecomposition:
@@ -535,6 +550,7 @@ def verify_thm31_conditions(u: GMA, d: BlockDecomposition) -> Thm31Report:
     A condition fails when one of its ``_condition_rows`` does not vanish
     on the six maps, flattened column-major and scaled to ints.
     """
+    _same_gma(u, d)
     if find_unit(u.algebra) is None:
         raise NotUnital("block-form conditions need a unital algebra")
     failures = [
@@ -588,9 +604,6 @@ class Cor32Report:
 
 def corollary32_strengthen(u: GMA, d: BlockDecomposition) -> Cor32Report:
     """range(alpha4) inside Z(B) and range(beta1) inside Z(A)."""
+    _same_gma(u, d)
     require_block_hypotheses(u, "the strengthened range check")
-    zb = center(u.context.B)
-    za = center(u.context.A)
-    a4_ok = all(zb.contains_vector(d.alpha4.col(i)) for i in range(u.dim_a))
-    b1_ok = all(za.contains_vector(d.beta1.col(j)) for j in range(u.dim_b))
-    return Cor32Report(a4_ok, b1_ok)
+    return Cor32Report(*d.ranges_inside(center(u.context.A), center(u.context.B)))

@@ -26,7 +26,15 @@ from .centralizers import (
     verify_thm31_conditions,
 )
 from .derivations import check_thm41_hypotheses, decompose_generalized_ltd, GLTDDecomposition
-from .errors import AnnihilatorConditionsFail, DimensionMismatch, HashMismatch, LieTripleError, NotGMA, NotUnital
+from .errors import (
+    AnnihilatorConditionsFail,
+    DimensionMismatch,
+    HashMismatch,
+    LieTripleError,
+    NotAssociative,
+    NotGMA,
+    NotUnital,
+)
 from .gma import block_center, block_hypotheses_hold, eta_map
 from .io import dump_json, load_json, operator_from_doc, parse_grid, vector_doc
 from .properness import (
@@ -359,7 +367,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        OSError, ValueError, KeyError, HashMismatch, DimensionMismatch, NotUnital, AnnihilatorConditionsFail, NotGMA
+        OSError, ValueError, KeyError, HashMismatch, DimensionMismatch, NotUnital, AnnihilatorConditionsFail, NotGMA,
+        NotAssociative,
     ) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2

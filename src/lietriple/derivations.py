@@ -26,6 +26,7 @@ from .algebra import (
     multiplication_operator,
 )
 from .centralizers import (
+    IdentityCheck,
     IdentityKind,
     _identity_residuals,
     is_identity_member,
@@ -52,26 +53,16 @@ from .properness import (
 )
 
 
-@dataclass(frozen=True)
-class GLTDCheck:
-    """Agreement of the two readings of the generalized triple identity."""
-
-    ok: bool
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def check_gltd_correspondence(
     alg: StructureConstants, lam_op: LinearOperator, xi: LinearOperator
-) -> GLTDCheck:
+) -> IdentityCheck:
     """Is Lambda a generalized triple derivation associated with xi?
 
     Decides it both ways: through membership of Lambda - xi in the
     triple-centralizer space, and by evaluating the defining identity,
     Lambda in the first slot and xi in the other two, directly on every
-    basis triple.  The verdicts must agree.
+    basis triple.  The verdicts must agree.  A failure carries the
+    first failing triple and the two sides of the identity there.
     """
     ltd = IdentityKind.LIE_TRIPLE_DERIVATION
     chk = is_identity_member(alg, ltd, xi)
@@ -83,17 +74,16 @@ def check_gltd_correspondence(
         )
     )
     slots = (lam_op.matrix, xi.matrix, xi.matrix)
-    witness = next(
-        (tag for tag, _lhs, _rhs in _identity_residuals(alg, ltd, lam_op.matrix, slots)),
-        None,
-    )
-    direct_ok = witness is None
-    if via_difference != direct_ok:
+    residual = next(_identity_residuals(alg, ltd, lam_op.matrix, slots), None)
+    if via_difference != (residual is None):
         raise LieTripleError(
             "difference-route and direct-route verdicts disagree; "
             "this contradicts the centralizer correspondence"
         )
-    return GLTDCheck(direct_ok, witness)
+    if residual is None:
+        return IdentityCheck(True)
+    tag, lhs, rhs = residual
+    return IdentityCheck(False, tag, alg.element(lhs), alg.element(rhs))
 
 
 # ---------------------------------------------------------------------------

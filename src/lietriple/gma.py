@@ -45,13 +45,11 @@ from .linalg import (
     Subspace,
     combination,
     contract,
-    is_zero_vec,
     kernel_of_rows,
     rat,
     sparse_tensor,
     unit_vec,
     vec,
-    vec_dot,
 )
 
 
@@ -446,7 +444,7 @@ def center_block_description(u: GMA) -> CenterBlocks:
     require_block_hypotheses(u, "the center block description")
     z = center(u.algebra)
     for v in z.basis:
-        if not is_zero_vec(u.project("M", v)) or not is_zero_vec(u.project("N", v)):
+        if any(u.project("M", v)) or any(u.project("N", v)):
             raise OffDiagonalCenter("central element with off-diagonal corner")
     pi_a = Subspace(u.dim_a, [u.project("A", v) for v in z.basis])
     pi_b = Subspace(u.dim_b, [u.project("B", v) for v in z.basis])
@@ -542,9 +540,13 @@ def eta_map(u: GMA) -> EtaMap:
                 raise NonUniqueEta("eta is not multiplicative")
     # intertwining identities: the commutation rows vanish on a + eta(a)
     planes = _commutation_rows(u)
+    checks = [
+        (Matrix([row for plane in planes[block] for row in plane], cols=da + db), message)
+        for block, message in (("M", "a m != m eta(a)"), ("N", "n a != eta(a) n"))
+    ]
     for a in blocks.pi_a.basis:
         pair = a + eta.apply(a)
-        for block, message in (("M", "a m != m eta(a)"), ("N", "n a != eta(a) n")):
-            if any(vec_dot(row, pair) for plane in planes[block] for row in plane):
+        for rows, message in checks:
+            if any(rows.matvec(pair)):
                 raise NonUniqueEta(message)
     return eta

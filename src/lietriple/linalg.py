@@ -29,9 +29,12 @@ the only evaluation of sparse rows on a vector, which ``int_flats``
 scales to ints.  ``contract`` is the only bilinear product:
 it applies a structure tensor, held in the sparse form ``sparse_tensor``
 builds, to a pair of coordinate vectors.  ``combination`` is the only
-linear combination, the sum of c * v over coefficients and vectors.
-``Matrix`` holds data and has no arithmetic: operators are added and
-scaled as ``algebra.LinearOperator``s.
+linear combination, the sum of c * v over coefficients and vectors; it
+skips zero coefficients and zero entries, so sparse data costs only its
+nonzeros.  ``Matrix`` holds data and has no arithmetic of its own: it
+applies to a vector, or to another matrix row by row, through
+``combination``, and operators are added and scaled as
+``algebra.LinearOperator``s, whose arithmetic is ``combination`` too.
 """
 
 from __future__ import annotations
@@ -63,34 +66,14 @@ def unit_vec(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Sequence[Fraction]) -> Vector:
-    c = rat(c)
-    return tuple(c * a for a in v)
-
-
-def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
-
-
-def is_zero_vec(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
-
-
 def combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> Vector:
-    """The sum of c * v in Q^n over the pairs (c, v), as Fractions; zero coefficients are skipped."""
+    """The sum of c * v in Q^n over the pairs (c, v), as Fractions; zero coefficients and entries are skipped."""
     out = [Fraction(0)] * n
     for c, v in zip(coeffs, vectors, strict=True):
         if c:
             for i, x in enumerate(v):
-                out[i] += c * x
+                if x:
+                    out[i] += c * x
     return tuple(out)
 
 
@@ -174,20 +157,16 @@ class Matrix:
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch(f"matvec: {self.cols} cols vs vector of length {len(v)}")
-        return tuple(vec_dot(row, v) for row in self.data)
+        return combination(v, [self.col(j) for j in range(self.cols)], self.rows)
 
     # No caller inside the package; kept as Matrix API (benchmarks/tracer.py wraps it by name).
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"matmul: {self.cols} != {other.rows}")
-        ot = tuple(zip(*other.data)) if other.data else ()
-        return Matrix(
-            [tuple(vec_dot(row, col) for col in ot) for row in self.data],
-            cols=other.cols,
-        )
+        return Matrix([combination(row, other.data, other.cols) for row in self.data], cols=other.cols)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.data)
+        return not any(map(any, self.data))
 
     def __eq__(self, other) -> bool:
         return (

@@ -11,9 +11,11 @@ The condition on chi is stated once, as the int rows of
 ``central_vanishing_rows``: the direct route evaluates them on phi and on
 multiplication by the center basis, and every certificate on chi.  The
 Thm 3.3 corner tests are each stated once too: ``_unit_failure`` (alpha4
-and beta1 at the units) and ``_ranges_inside`` (their whole ranges), read
-by the block-form route and by the audit.  ``build_from_blocks`` assembles
-the block-form chi from alpha4, beta1 and their images under eta^-1, eta.
+and beta1 at the units) and ``BlockDecomposition.ranges_inside`` (their
+whole ranges, which Cor 3.2 also reads with the corner centers as
+targets), read by the block-form route and by the audit.
+``build_from_blocks`` assembles the block-form chi from alpha4, beta1 and
+their images under eta^-1, eta.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ from .linalg import (
     int_flats,
     row_values,
     solve,
-    unit_vec,
-    vec_sub,
 )
 
 
@@ -168,10 +168,7 @@ def is_proper_direct(
     n = alg.dim
     z = center(alg)
     into_center, kills_dc = central_vanishing_rows(alg)
-    *mults, phi_flat = int_flats(
-        *([x for c in range(n) for x in alg.mul_coords(zt, unit_vec(n, c))] for zt in z.basis),
-        phi.flatten(),
-    )
+    *mults, phi_flat = int_flats(*(multiplication_operator(alg, zt).flatten() for zt in z.basis), phi.flatten())
     res = _solve_lambda(into_center + kills_dc, mults, phi_flat)
     if res is None:
         x = _singleton_witness(alg, into_center, mults, phi_flat, probes)
@@ -224,15 +221,6 @@ def _unit_failure(u: GMA, d: BlockDecomposition, pi_a: Subspace, pi_b: Subspace)
     return None
 
 
-def _ranges_inside(d: BlockDecomposition, pi_a: Subspace, pi_b: Subspace) -> bool:
-    """The Thm 3.3 range test: each column of alpha4 lies in pi_B(Z(U)), each of beta1 in pi_A(Z(U))."""
-    return all(
-        target.contains_vector(corner.col(i))
-        for corner, target in ((d.alpha4, pi_b), (d.beta1, pi_a))
-        for i in range(corner.cols)
-    )
-
-
 def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | PropernessFailure:
     """The unit-membership test first, then the explicit construction.
 
@@ -249,7 +237,7 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
     if failure is not None:
         return failure
     # membership at the units forces the whole ranges into the projections
-    if not _ranges_inside(d, eta.domain, eta.codomain):
+    if not all(d.ranges_inside(eta.domain, eta.codomain)):
         raise LieTripleError(
             "unit membership held but a corner range escapes pi_A(Z(U)) or pi_B(Z(U)); "
             "this contradicts the equivalence chain"
@@ -260,7 +248,7 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
         for f, m in ((eta.apply_inverse, d.alpha4), (eta.apply, d.beta1))
     )
     alpha_bar, beta_bar = (
-        Matrix.from_cols([vec_sub(m.col(i), e.col(i)) for i in range(m.cols)])
+        Matrix.from_cols([combination((1, -1), (m.col(i), e.col(i)), m.rows) for i in range(m.cols)])
         for m, e in ((d.alpha1, eta_inv_alpha4), (d.beta4, eta_beta1))
     )
     a0 = alpha_bar.matvec(require_unit(u.context.A).coords)
@@ -363,7 +351,7 @@ def equivalence_audit(u: GMA, extra_random: int = 0, seed: int = 0) -> Equivalen
         d = block_decompose(u, phi)
         direct = isinstance(is_proper_direct(alg, phi), PropernessCertificate)
         units = _unit_failure(u, d, blocks.pi_a, blocks.pi_b) is None
-        records.append(EquivalenceRecord(direct, _ranges_inside(d, blocks.pi_a, blocks.pi_b), units))
+        records.append(EquivalenceRecord(direct, all(d.ranges_inside(blocks.pi_a, blocks.pi_b)), units))
         if not direct:
             improper += 1
     return EquivalenceReport(tuple(records), improper)

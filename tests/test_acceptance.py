@@ -34,7 +34,7 @@ from lietriple.derivations import (
     check_gltd_correspondence,
     decompose_generalized_ltd,
 )
-from lietriple.linalg import is_zero_vec, unit_vec, vec_sub
+from lietriple.linalg import unit_vec
 from lietriple.properness import (
     Infeasible,
     PropernessCertificate,
@@ -88,14 +88,11 @@ def test_criterion_1_example_reproduction():
         checked = 0
         for i in range(n):
             for j in range(n):
-                br = vec_sub(
-                    alg.mul_coords(unit_vec(n, i), unit_vec(n, j)),
-                    alg.mul_coords(unit_vec(n, j), unit_vec(n, i)),
-                )
+                ei, ej = alg.basis_element(i), alg.basis_element(j)
+                br = ei * ej - ej * ei
                 for k in range(n):
-                    ek = unit_vec(n, k)
-                    w = vec_sub(alg.mul_coords(br, ek), alg.mul_coords(ek, br))
-                    assert is_zero_vec(w)
+                    ek = alg.basis_element(k)
+                    assert (br * ek - ek * br).is_zero()
                     checked += 1
         assert checked == 1728
 

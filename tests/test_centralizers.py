@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -242,6 +243,12 @@ class TestBlockDecompose:
         with pytest.raises(AlgebraMismatch):
             block_decompose(upper_triangular_gma(3), LinearOperator.identity(full_matrix_gma(3).algebra))
 
+    def test_corner_of_wrong_shape_is_rejected_on_construction(self, gmas):
+        u = gmas["T3"]
+        d = block_decompose(u, LinearOperator.identity(u.algebra))
+        with pytest.raises(DimensionMismatch, match="tau2"):
+            dataclasses.replace(d, tau2=Matrix.identity(1))
+
     def test_exact_reassembly(self, gmas):
         rng = random.Random(17)
         for u in gmas.values():
@@ -281,6 +288,23 @@ class TestThm31Conditions:
         for u in gmas.values():
             ltc = solve_identity_space(u.algebra, K.LIE_TRIPLE_CENTRALIZER)
             assert six_map_solution_space(u).dim == ltc.dim
+
+
+@pytest.mark.parametrize("check", [verify_thm31_conditions, corollary32_strengthen])
+class TestDecompositionOfAnotherGMA:
+    @pytest.mark.parametrize("names", [("T3", "M3"), ("M3", "T3")], ids=["T3-given-M3", "M3-given-T3"])
+    def test_another_algebra_is_rejected(self, gmas, check, names):
+        u, other = (gmas[name] for name in names)
+        with pytest.raises(AlgebraMismatch):
+            check(u, block_decompose(other, LinearOperator.identity(other.algebra)))
+
+    def test_other_block_dims_are_rejected(self, gmas, check):
+        # the same algebra as M3, cut by a context with corner dims (4, 2, 2, 1)
+        m3 = gmas["M3"]
+        u = GMA(m3.algebra, full_matrix_gma(3, split=2).context)
+        assert u.dims != m3.dims
+        with pytest.raises(DimensionMismatch, match="blocks"):
+            check(u, block_decompose(m3, LinearOperator.identity(m3.algebra)))
 
 
 def _random_matrix(rng, rows, cols):

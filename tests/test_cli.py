@@ -453,6 +453,21 @@ class TestShapeErrors:
         code, out, err = run_cli(capsys, "hypotheses", f"tri({p['A']},{p['M']},{p['B']})")
         assert (code, out, err) == (2, "", "invalid input: annihilating conditions do not hold\n")
 
+    @pytest.mark.parametrize("document", ["table", "context"])
+    def test_non_associative_document(self, capsys, tmp_path, document):
+        # e0 e1 = e0 and e1 e0 = 0, so (e0 e1) e0 = e0 while e0 (e1 e0) = 0;
+        # or Q acting on M = Q by 2 from the left: (1 * 1) m = 2m but 1 (1 m) = 4m
+        if document == "table":
+            path = tmp_path / "na.json"
+            path.write_text(json.dumps({"table": [[[1, 0], [1, 0]], [[0, 0], [0, 0]]]}))
+            spec = f"m2({path})"
+        else:
+            p = _one_dim_documents(tmp_path, M={"left": [[["2"]]]})
+            spec = f"tri({p['A']},{p['M']},{p['B']})"
+        code, out, err = run_cli(capsys, "solve", spec, "--identity", "ltc")
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input:") and err.count("\n") == 1
+
     def test_consistent_dims_are_accepted(self, capsys, tmp_path):
         p = _one_dim_documents(tmp_path, A={"dim": 1, "labels": ["1"]})
         spec = f"tri({p['A']},{p['M']},{p['B']})"

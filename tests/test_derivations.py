@@ -16,6 +16,7 @@ from lietriple.catalog import (
     upper_triangular_gma,
 )
 from lietriple.centralizers import (
+    IdentityCheck,
     IdentityKind,
     _identity_residuals,
     is_identity_member,
@@ -66,7 +67,7 @@ class TestCorrespondence:
     def test_lambda_equals_xi(self, t2g):
         alg = t2g.algebra
         xi = inner_derivation(alg, alg.basis_element(0).coords)
-        assert check_gltd_correspondence(alg, xi, xi)
+        assert check_gltd_correspondence(alg, xi, xi) == IdentityCheck(True)
 
     def test_lambda_xi_plus_identity(self, t2g):
         alg = t2g.algebra
@@ -84,7 +85,7 @@ class TestCorrespondence:
         chk = check_gltd_correspondence(alg, lam, xi)
         assert not chk and chk.witness is not None
         lhs, rhs = identity_sides(alg, "ltd", chk.witness, lam.matrix, xi.matrix)
-        assert lhs != rhs
+        assert lhs != rhs and (chk.lhs, chk.rhs) == (lhs, rhs)
 
     def test_rejects_non_ltd_xi(self, m2g):
         alg = m2g.algebra
@@ -144,6 +145,7 @@ class TestCorrespondence:
         assert tag == chk.witness
         sides = identity_sides(alg, "ltd", tag, bad.matrix, xi.matrix)
         assert sides[0] != sides[1] and sides == (alg.element(lhs), alg.element(rhs))
+        assert (chk.lhs, chk.rhs) == sides
 
 
 class TestDerivationLattice:

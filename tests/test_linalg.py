@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lietriple.algebra
-from lietriple.algebra import multiplication_operator
+from lietriple.algebra import AlgebraElement, LinearOperator, multiplication_operator
 from lietriple import linalg
 from lietriple.catalog import full_matrix, rationals, scalar_bimodule, triangular_context, upper_triangular
 from lietriple.centralizers import IdentityKind, solve_identity_space
@@ -360,6 +360,121 @@ class TestCombination:
             combination([1, 2], [(1, 0)], 2)
         with pytest.raises(ValueError):
             combination([1], [(1, 0), (0, 1)], 2)
+
+
+entries = st.one_of(st.just(0), st.integers(-5, 5), small_frac)
+
+
+def grids(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def matrix_products(draw):
+    """(a, b, v): a is r x k and b is k x c with r, k, c in 0..3, and v in Q^k; entries ints or Fractions."""
+    r, k, c = (draw(st.integers(0, 3)) for _ in range(3))
+    a, b = Matrix(draw(grids(r, k)), cols=k), Matrix(draw(grids(k, c)), cols=c)
+    return a, b, draw(st.lists(entries, min_size=k, max_size=k))
+
+
+_ALGEBRAS = (rationals(), upper_triangular(2), full_matrix(2))
+
+
+@st.composite
+def arithmetic_cases(draw, size):
+    """(alg, x, y, c): two lists of size(alg.dim) entries on a small algebra and a scalar, zeros included."""
+    alg = draw(st.sampled_from(_ALGEBRAS))
+    x, y = (draw(st.lists(entries, min_size=size(alg.dim), max_size=size(alg.dim))) for _ in range(2))
+    return alg, x, y, draw(entries)
+
+
+def _loops(x, y, c):
+    """x + y, x - y, -x and c * x, entry by entry, as Fraction lists."""
+    add, sub, neg, scaled = [], [], [], []
+    for a, b in zip(x, y):
+        add.append(F(a) + b)
+        sub.append(F(a) - b)
+        neg.append(-F(a))
+        scaled.append(F(c) * a)
+    return add, sub, neg, scaled
+
+
+def _all_fractions(values):
+    return all(type(v) is F for v in values)
+
+
+class TestArithmeticThroughCombination:
+    """Element and operator arithmetic and Matrix application against loops written here."""
+
+    @given(arithmetic_cases(lambda n: n))
+    def test_element_arithmetic(self, case):
+        alg, x, y, c = case
+        ex, ey = AlgebraElement(alg, x), AlgebraElement(alg, y)
+        for got, want in zip((ex + ey, ex - ey, -ex, c * ex), _loops(x, y, c)):
+            assert got.coords == tuple(want) and _all_fractions(got.coords)
+        zero = True
+        for a in x:
+            if a != 0:
+                zero = False
+        assert ex.is_zero() == zero
+
+    @given(arithmetic_cases(lambda n: n * n))
+    def test_operator_arithmetic(self, case):
+        alg, x, y, c = case
+        ox, oy = LinearOperator.from_flat(alg, x), LinearOperator.from_flat(alg, y)
+        for got, want in zip((ox + oy, ox - oy, F(-1) * ox, c * ox), _loops(x, y, c)):
+            assert got.flatten() == tuple(want) and _all_fractions(got.flatten())
+
+    @given(arithmetic_cases(lambda n: n * n), st.lists(entries, min_size=4, max_size=4))
+    def test_operator_apply(self, case, v):
+        alg, x, _, _ = case
+        n = alg.dim
+        want = [F(0)] * n
+        for j in range(n):
+            for i in range(n):
+                want[i] += x[j * n + i] * v[j]
+        got = LinearOperator.from_flat(alg, x).apply(AlgebraElement(alg, v[:n]))
+        assert got.coords == tuple(want) and _all_fractions(got.coords)
+
+    @given(matrix_products())
+    def test_matvec(self, case):
+        a, _, v = case
+        want = []
+        for row in a.data:
+            total = F(0)
+            for x, y in zip(row, v):
+                total += x * y
+            want.append(total)
+        got = a.matvec(v)
+        assert got == tuple(want) and _all_fractions(got)
+
+    @given(matrix_products())
+    def test_matmul(self, case):
+        a, b, _ = case
+        want = [[F(0)] * b.cols for _ in range(a.rows)]
+        for i in range(a.rows):
+            for j in range(b.cols):
+                for k in range(a.cols):
+                    want[i][j] += a.data[i][k] * b.data[k][j]
+        got = a @ b
+        assert (got.rows, got.cols) == (a.rows, b.cols)
+        assert got.data == tuple(map(tuple, want)) and _all_fractions(x for row in got.data for x in row)
+
+    @given(matrix_products())
+    def test_is_zero(self, case):
+        a, _, _ = case
+        zero = True
+        for row in a.data:
+            for x in row:
+                if x != 0:
+                    zero = False
+        assert a.is_zero() == zero
+
+    def test_matvec_length_is_checked(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix.zeros(0, 2).matvec((1,))
+        with pytest.raises(DimensionMismatch):
+            Matrix.zeros(2, 0) @ Matrix.zeros(1, 2)
 
 
 class TestPreimage:
