@@ -15,12 +15,13 @@ on given operators.  ``_identity_residuals`` runs the evaluator over
 every tuple for a membership check.  The solver turns the tuples into
 sparse rows indexed by the column-major vectorization of the operator
 and feeds them, tuple by tuple, to one exact echelon.  Once a run of
-``_STALL`` tuples has added no rank and the kernel K of the rows so far
-has dimension at most ``_CLOSE_DIM``, it stops building rows: the
-evaluator checks every remaining tuple on the basis of K, and a tuple
-that fails there adds its rows and shrinks K.  The result is the kernel
-of every row, with the same canonical basis.  So direct membership
-checking agrees with the solved space by construction, not by accident.
+``_STALL`` tuples has added no rank, it closes: the basis of the kernel
+K of the rows so far is packed into one int operator by Kronecker
+substitution (D. Harvey, J. Symbolic Comput. 44, 2009), so one call of
+the evaluator checks a remaining tuple on all of K.  A tuple that fails
+there adds its rows, and rows are built again until the next stall.
+The result is the kernel of every row, with the same canonical basis.
+So membership checks agree with the solved space by construction.
 
 Both work on ints: the basis forms are ints times a scale, and the
 evaluator (like the Thm 3.1 verifier) scales its operators once by
@@ -193,16 +194,9 @@ def solve_identity_space(alg_or_gma, kind: IdentityKind) -> Subspace:
     return _solved_space(alg, kind, dims)
 
 
-# The solve stops building rows once _STALL tuples in a row have added no
-# rank while the kernel of the rows so far has dimension at most
-# _CLOSE_DIM; it then closes by evaluating the remaining tuples on that
-# kernel's basis.  Checking a tuple on one basis vector costs roughly a
-# twelfth to a twentieth of building and deduplicating its rows, so a
-# larger kernel keeps building rows: closing at 16 made M4 LTD (dimension
-# 16) and T4 LTC/LTD slower than building every row, at 12 no catalog
-# solve got slower.
+# A solve closes on its packed kernel after this many tuples in a row add
+# no rank, whatever the dimension of that kernel.
 _STALL = 50
-_CLOSE_DIM = 12
 
 
 def _tuple_rows(n: int, w, terms) -> list[dict[int, int]]:
@@ -226,15 +220,41 @@ def _tuple_rows(n: int, w, terms) -> list[dict[int, int]]:
     return list(filter(None, rows))
 
 
+def _packed_kernel(alg: StructureConstants, kind: IdentityKind, vectors: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Int kernel vectors k_b, sparse over operator coordinates, as one operator sum_b k_b * 2^(B*b) in int columns.
+
+    This is Kronecker substitution.  The evaluator is linear, so each
+    coordinate of lhs - rhs on the packed operator is sum_b r_b * 2^(B*b),
+    with r_b that coordinate on k_b.  For m the largest |entry| of the
+    k_b, each side on k_b reads w and at most one slice of the form per
+    slot, so |r_b| <= m * (1 + #slots) * (sum of |values| of the form),
+    which B keeps below 2^(B-1); balanced digits that small are unique,
+    so the packed sides agree iff they agree on every k_b.
+    """
+    n = alg.dim
+    form, slots = _FORMS[kind]
+    m = max((abs(x) for v in vectors for x in v.values()), default=0)
+    total = sum(abs(x) for w in basis_tensor(alg, form)[1].values() for _, x in w)
+    shift = (m * (1 + len(slots)) * total).bit_length() + 1
+    packed = [{} for _ in range(n)]
+    for b, v in enumerate(vectors):
+        for k, x in v.items():
+            c, r = divmod(k, n)
+            packed[c][r] = packed[c].get(r, 0) + (x << shift * b)
+    return packed
+
+
 @memoized
 def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | None) -> Subspace:
-    """The kernel of every constraint row, closed by evaluation once the rank settles.
+    """The kernel of every constraint row, closed by evaluation whenever the rank stalls.
 
-    Rows go into one echelon tuple by tuple.  After the stop, each
-    remaining tuple is evaluated on the basis of the kernel K of the rows
-    so far; a tuple that fails there adds its rows and K shrinks.  Every
+    Rows go into one echelon tuple by tuple.  After ``_STALL`` tuples in a
+    row add no rank, each further tuple is evaluated on the kernel K of
+    the rows so far, packed into one operator; a tuple that fails there
+    adds its rows, and the smaller K is packed at the next stall.  Every
     tuple is then eliminated or vanishes on K, and K is the kernel of a
-    subset of the rows, so K is the solution space, with its canonical basis.
+    subset of the rows, so K is the solution space, with its canonical
+    basis.
     """
     n = alg.dim
     ambient = n * n
@@ -243,27 +263,20 @@ def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | Non
     if dims is not None:
         for row in _sparsity_rows(n, dims):
             ech.add(row)
-    tuples = _constraint_tuples(alg, kind)
-    stall = 0
-    for _tag, w, terms in tuples:
+    stall, packed = 0, None
+    for _tag, w, terms in _constraint_tuples(alg, kind):
+        if stall >= _STALL:
+            if packed is None:
+                packed = _packed_kernel(alg, kind, ech.kernel_vectors(ambient))
+            lhs, rhs = _tuple_sides(n, w, terms, packed, (packed,) * slots)
+            if lhs == rhs:
+                continue
+            packed = None
         rank = ech.rank
         for row in _tuple_rows(n, w, terms):
             ech.add(row)
         stall = stall + 1 if ech.rank == rank else 0
-        if stall >= _STALL and ambient - ech.rank <= _CLOSE_DIM:
-            break
-    else:
-        return ech.kernel(ambient)
-    while True:
-        space = ech.kernel(ambient)
-        _, ops = _int_columns(n, [x for v in space.basis for x in v])
-        for _tag, w, terms in tuples:
-            if any(lhs != rhs for lhs, rhs in (_tuple_sides(n, w, terms, phi, (phi,) * slots) for phi in ops)):
-                for row in _tuple_rows(n, w, terms):
-                    ech.add(row)
-                break
-        else:
-            return space
+    return ech.kernel(ambient)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ constants, the basis forms) use it once per table and hand over int
 rows.  ``Subspace``, ``kernel_of_rows`` and ``solve`` fill one echelon
 through ``_echelon``, which rejects a row outside the ambient; the
 identity solver of ``centralizers`` fills one row by row and reads its
-kernel as it goes.  ``solve`` returns None for an inconsistent system.
+int ``kernel_vectors`` as it goes.  Every kernel and ``solve`` read
+those too; ``solve`` returns None for an inconsistent system.
 Membership is read off the canonical basis without eliminating again: a
 member's coefficients are its entries at the pivots, and
 ``Subspace.coefficients_of`` checks them through ``combination``.
@@ -67,9 +68,11 @@ def unit_vec(n: int, i: int) -> Vector:
 
 
 def combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> Vector:
-    """The sum of c * v in Q^n over the pairs (c, v), as Fractions; zero coefficients and entries are skipped."""
+    """The sum of c * v in Q^n over the pairs (c, v), each v of n entries, as Fractions; zeros are skipped."""
     out = [Fraction(0)] * n
     for c, v in zip(coeffs, vectors, strict=True):
+        if len(v) != n:
+            raise DimensionMismatch(f"a vector of length {len(v)} in a combination in Q^{n}")
         if c:
             for i, x in enumerate(v):
                 if x:
@@ -279,9 +282,26 @@ class _IntEchelon:
         pivots = sorted(rows)
         return [{c: Fraction(x, rows[p][p]) for c, x in rows[p].items()} for p in pivots], pivots
 
+    def kernel_vectors(self, ambient: int) -> list[dict[int, int]]:
+        """A basis of the kernel in Z^ambient as sparse rows, one per free column f, f ascending.
+
+        Row f is 1 at f and -row[f] / row[p] at each pivot p whose row holds f, times the least int clearing that.
+        """
+        rows = self.rows
+        free = {f: {} for f in range(ambient) if f not in rows}
+        for p, row in rows.items():
+            for c, x in row.items():
+                if c != p:
+                    free[c][p] = x
+        out = []
+        for f, held in free.items():
+            s = lcm(*(rows[p][p] // gcd(x, rows[p][p]) for p, x in held.items()))
+            out.append({f: s, **{p: -x * s // rows[p][p] for p, x in held.items()}})
+        return out
+
     def kernel(self, ambient: int) -> "Subspace":
         """{x in Q^ambient : every row added so far vanishes on x}."""
-        return Subspace(ambient, _kernel_from_rref(*self.rref_fraction_rows(), ambient))
+        return Subspace(ambient, self.kernel_vectors(ambient))
 
 
 def _eliminate(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
@@ -341,18 +361,6 @@ def _dense(row: dict[int, Fraction], n: int) -> Vector:
     return tuple(out)
 
 
-def _kernel_from_rref(rows: list[dict[int, Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
-    pivot_set = set(pivots)
-    free = {f: [_ZERO] * ncols for f in range(ncols) if f not in pivot_set}
-    for f, v in free.items():
-        v[f] = Fraction(1)
-    for row, p in zip(rows, pivots):
-        for c, x in row.items():
-            if c in free:
-                free[c][p] = -x
-    return [tuple(v) for v in free.values()]
-
-
 def kernel_of_rows(ambient: int, rows: Iterable[dict | Sequence]) -> Subspace:
     """Exact kernel of a stack of constraint rows; no rows give Q^ambient.
 
@@ -392,13 +400,12 @@ def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> tuple
     if any(isinstance(row, dict) and ambient in row for row in rows):
         raise DimensionMismatch(f"a row with a column outside range({ambient})")
     augmented = ({**row, ambient: b} if isinstance(row, dict) else (*row, b) for row, b in zip(rows, rhs))
-    reduced, pivots = _echelon(augmented, ambient + 1).rref_fraction_rows()
-    if pivots and pivots[-1] == ambient:
+    ech = _echelon(augmented, ambient + 1)
+    if ambient in ech.rows:  # a row 0 = b with b nonzero
         return None
-    particular = [_ZERO] * ambient
-    for row, p in zip(reduced, pivots):
-        particular[p] = row.get(ambient, _ZERO)
-    return tuple(particular), Subspace(ambient, _kernel_from_rref(reduced, pivots, ambient))
+    # column ambient is free and last: its kernel vector is s * (-x, 1) for the particular solution x
+    *kernel, last = ech.kernel_vectors(ambient + 1)
+    return tuple(Fraction(-last.get(k, 0), last[ambient]) for k in range(ambient)), Subspace(ambient, kernel)
 
 
 class Subspace:

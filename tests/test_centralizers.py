@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from lietriple.algebra import LinearOperator
+from lietriple.algebra import LinearOperator, basis_tensor
 from lietriple.catalog import (
     example_1_2,
     full_matrix,
@@ -16,8 +17,11 @@ from lietriple.catalog import (
 )
 from lietriple.centralizers import (
     IdentityKind,
+    _FORMS,
     _constraint_tuples,
+    _packed_kernel,
     _sparsity_rows,
+    _tuple_sides,
     block_decompose,
     build_from_blocks,
     corollary32_strengthen,
@@ -30,7 +34,7 @@ from lietriple.centralizers import (
 )
 from lietriple.errors import AlgebraMismatch, DimensionMismatch, NotGMA
 from lietriple.gma import GMA
-from lietriple.linalg import Matrix, Subspace, kernel_of_rows
+from lietriple.linalg import Matrix, Subspace, int_flats, kernel_of_rows
 
 from oracles import (
     RATIONAL_BASIS,
@@ -621,7 +625,7 @@ def test_solve_equals_the_full_row_kernel(name, kind):
 
 
 def test_matrix_algebra_solves_close_by_evaluation(monkeypatch):
-    """On M3 and M4 the small-kernel kinds stop building rows and evaluate the tuples left."""
+    """On M3 and M4 these kinds stop building rows and evaluate the tuples left."""
     import lietriple.algebra
     import lietriple.centralizers
 
@@ -635,7 +639,7 @@ def test_matrix_algebra_solves_close_by_evaluation(monkeypatch):
 
     monkeypatch.setattr(lietriple.centralizers, "_tuple_sides", counting)
     m3, m4 = full_matrix(3), full_matrix(4)
-    for alg, kind in ((m3, "ltc"), (m3, "ltd"), (m4, "lc"), (m4, "ltc"), (m4, "jc")):
+    for alg, kind in ((m3, "ltc"), (m3, "ltd"), (m4, "lc"), (m4, "ltc"), (m4, "jc"), (m4, "ltd")):
         evaluated.clear()
         solve_identity_space(alg, K(kind))
         assert evaluated, (alg.dim, kind)
@@ -643,7 +647,7 @@ def test_matrix_algebra_solves_close_by_evaluation(monkeypatch):
 
 @pytest.mark.parametrize("kind, dim", [("ltc", 5), ("ltd", 13)])
 def test_an_early_stop_on_a_large_kernel_repairs_to_the_catalog_space(monkeypatch, kind, dim):
-    """With no bound on the kernel at the stop, T4 stops early and failing tuples shrink K to the space."""
+    """Closing after each tuple that adds no rank, T4 closes on large kernels; failing tuples shrink K to the space."""
     import lietriple.algebra
     import lietriple.centralizers
 
@@ -651,18 +655,132 @@ def test_an_early_stop_on_a_large_kernel_repairs_to_the_catalog_space(monkeypatc
     alg = upper_triangular(4)
     expected = _full_row_kernel(alg, K(kind))
     kernels = []
-    kernel = lietriple.centralizers._IntEchelon.kernel
+    packed_kernel = lietriple.centralizers._packed_kernel
 
-    def recording(self, ambient):
-        space = kernel(self, ambient)
-        kernels.append(space.dim)
-        return space
+    def recording(alg, kind, vectors):
+        kernels.append(len(vectors))
+        return packed_kernel(alg, kind, vectors)
 
-    monkeypatch.setattr(lietriple.centralizers, "_CLOSE_DIM", 10**9)
-    monkeypatch.setattr(lietriple.centralizers._IntEchelon, "kernel", recording)
+    monkeypatch.setattr(lietriple.centralizers, "_STALL", 1)
+    monkeypatch.setattr(lietriple.centralizers, "_packed_kernel", recording)
     space = solve_identity_space(alg, K(kind))
     assert space == expected and space.dim == dim
+    # each close after the first follows a tuple that failed on the packed kernel
     assert len(kernels) > 1 and kernels[0] > dim == kernels[-1]
+
+
+def _columns(n, vector):
+    """A sparse int vector over column-major operator coordinates as n int columns {row: int}."""
+    cols = [{} for _ in range(n)]
+    for k, x in vector.items():
+        if x:
+            cols[k // n][k % n] = x
+    return cols
+
+
+def _per_vector_residuals(alg, kind, w, terms, vectors):
+    """lhs - rhs of one tuple on each vector by itself, as int lists."""
+    n, slots = alg.dim, len(_FORMS[kind][1])
+    out = []
+    for v in vectors:
+        cols = _columns(n, v)
+        lhs, rhs = _tuple_sides(n, w, terms, cols, (cols,) * slots)
+        out.append([a - b for a, b in zip(lhs, rhs)])
+    return out
+
+
+_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=12)
+
+
+@st.composite
+def packing_cases(draw):
+    """(alg, kind, int vectors): 1-4 vectors, each a rational combination of the
+    solution space's basis, some moved off it at a few coordinates, scaled to
+    ints together.  A vector holding the largest |entry| may come back
+    negated, so entries at both +m and -m occur, and one vector may be split
+    into a multiple and a negative copy, so limbs of both signs meet."""
+    name = draw(st.sampled_from(sorted(_NET_ALGEBRAS)))
+    kind = K(draw(st.sampled_from(_NET_KINDS)))
+    alg = _NET_ALGEBRAS[name]()
+    basis = solve_identity_space(alg, kind).basis
+    ambient = alg.dim**2
+    vectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        v = [F(0)] * ambient
+        for bv in basis:
+            c = draw(_rationals)
+            v = [a + c * b for a, b in zip(v, bv)]
+        for _ in range(draw(st.integers(0, 2))):
+            v[draw(st.integers(0, ambient - 1))] += draw(_rationals)
+        vectors.append(v)
+    ints = int_flats(*vectors)
+    if draw(st.booleans()):
+        top = max(ints, key=lambda v: max(map(abs, v.values())))
+        ints.append({k: -x for k, x in top.items()})
+    if draw(st.booleans()):
+        # u * 2^j next to -u: their residuals cancel in the packing iff the limbs are j bits apart
+        i, j = draw(st.integers(0, len(ints) - 1)), draw(st.integers(1, 40))
+        ints[i : i + 1] = [{k: x << j for k, x in ints[i].items()}, {k: -x for k, x in ints[i].items()}]
+    return alg, kind, ints
+
+
+@given(packing_cases())
+def test_the_packed_verdict_equals_the_per_vector_verdict(case):
+    """A tuple vanishes on the packed kernel iff it vanishes on every vector packed into it."""
+    alg, kind, vectors = case
+    packed = _packed_kernel(alg, kind, vectors)
+    slots = len(_FORMS[kind][1])
+    for _tag, w, terms in _constraint_tuples(alg, kind):
+        lhs, rhs = _tuple_sides(alg.dim, w, terms, packed, (packed,) * slots)
+        per_vector = _per_vector_residuals(alg, kind, w, terms, vectors)
+        assert (lhs == rhs) == (not any(map(any, per_vector)))
+
+
+def test_no_two_limbs_cancel_in_the_packing():
+    """u * 2^j packed before -u vanishes on the packed operator iff the limbs are j bits apart; no j up to 64 does."""
+    alg, kind = upper_triangular(3), K.LIE_TRIPLE_CENTRALIZER
+    u = {1: 1, 7: -2}  # phi(e_0) = e_1, phi(e_1) = -2 e_1: no Lie triple centralizer of T3
+    tuples = list(_constraint_tuples(alg, kind))
+    assert any(any(r) for _, w, terms in tuples for r in _per_vector_residuals(alg, kind, w, terms, [u]))
+    for j in range(65):
+        packed = _packed_kernel(alg, kind, [{k: x << j for k, x in u.items()}, {k: -x for k, x in u.items()}])
+        sides = (_tuple_sides(alg.dim, w, terms, packed, (packed,)) for _, w, terms in tuples)
+        assert any(lhs != rhs for lhs, rhs in sides), j
+
+
+def test_m4_ltd_residuals_stay_below_the_packing_bound(monkeypatch):
+    """At the first close of the M4 LTD solve, every tuple's residual on each packed vector is below 2^(B-1)."""
+    import lietriple.algebra
+    import lietriple.centralizers
+
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    closes = []
+
+    def recording(alg, kind, vectors):
+        closes.append((vectors, _packed_kernel(alg, kind, vectors)))
+        return closes[-1][1]
+
+    monkeypatch.setattr(lietriple.centralizers, "_packed_kernel", recording)
+    alg, kind = full_matrix(4), K.LIE_TRIPLE_DERIVATION
+    space = solve_identity_space(alg, kind)
+    # the first close is on a kernel larger than the solution space, so some tuples fail on it
+    (vectors, packed), *_ = closes
+    assert len(vectors) > space.dim
+    total = sum(abs(x) for w in basis_tensor(alg, "triple")[1].values() for _, x in w)
+    shift = (max(abs(x) for v in vectors for x in v.values()) * (1 + 3) * total).bit_length() + 1
+    # the packed operator is sum_b k_b * 2^(shift*b): this shift is the one the solve used
+    expected = [{} for _ in range(alg.dim)]
+    for b, v in enumerate(vectors):
+        for k, x in v.items():
+            c, r = divmod(k, alg.dim)
+            expected[c][r] = expected[c].get(r, 0) + x * 2 ** (shift * b)
+    assert packed == expected
+    failing = 0
+    for _tag, w, terms in _constraint_tuples(alg, kind):
+        residuals = _per_vector_residuals(alg, kind, w, terms, vectors)
+        assert all(abs(x) < 2 ** (shift - 1) for r in residuals for x in r)
+        failing += any(map(any, residuals))
+    assert failing
 
 
 # sha256 over the solved basis of full_matrix(5), recorded with every
@@ -671,6 +789,10 @@ _PINNED_M5 = {
     "lc": "fd6292d8036a85dfd3106cdf05b758edaf66af81b01ca9bb8bfe91a9af30317b",
     "ltc": "fd6292d8036a85dfd3106cdf05b758edaf66af81b01ca9bb8bfe91a9af30317b",
     "jc": "512e1dbdafd89adafd961651185cf600bd625da845b5aa4f391dc6ef38e5c326",
+    "ltd": "ba19f9d5a0b0d8b015b05756ecf7c1f344d40bc9b8ad353709acf10ea7f324a5",
+    "der": "b6958499baedbbf42d8705f11802e2a3e92a710911cc8f397c3e1d3234c003ae",
+    "lieder": "ba19f9d5a0b0d8b015b05756ecf7c1f344d40bc9b8ad353709acf10ea7f324a5",
+    "jder": "b6958499baedbbf42d8705f11802e2a3e92a710911cc8f397c3e1d3234c003ae",
 }
 
 

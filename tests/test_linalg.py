@@ -15,11 +15,13 @@ from lietriple.gma import Bimodule, MoritaContext
 from lietriple.linalg import (
     Matrix,
     _IntEchelon,
+    _echelon,
     Subspace,
     combination,
     contract,
     kernel_of_rows,
     preimage,
+    row_values,
     solve,
     sparse_tensor,
 )
@@ -308,6 +310,20 @@ class TestProperties:
                 assert min(prow) == p and prow[p] > 0 and gcd(*prow.values()) == 1
                 assert not ech.rows.keys() & (prow.keys() - {p})
 
+    @given(dependent_systems())
+    def test_kernel_vectors_are_the_primitive_free_column_basis(self, system):
+        # one int vector per free column f, ascending: positive at f, zero at
+        # the other free columns, primitive, and every row vanishes on it
+        ncols, rows = system
+        ech = _echelon(rows, ncols)
+        vectors = ech.kernel_vectors(ncols)
+        free = [f for f in range(ncols) if f not in ech.rows]
+        assert len(vectors) == len(free) == ncols - ech.rank
+        for f, v in zip(free, vectors):
+            assert v[f] > 0 and not v.keys() & (set(free) - {f}) and gcd(*v.values()) == 1
+            assert all(type(x) is int for x in v.values())
+            assert not any(row_values(rows, [v.get(c, 0) for c in range(ncols)]))
+
     @given(matrices())
     def test_solve_consistency(self, m):
         res = solve(m.cols, m.data, m.matvec((F(1),) * m.cols))
@@ -360,6 +376,13 @@ class TestCombination:
             combination([1, 2], [(1, 0)], 2)
         with pytest.raises(ValueError):
             combination([1], [(1, 0), (0, 1)], 2)
+
+    @pytest.mark.parametrize("coeff", [1, 0])
+    @pytest.mark.parametrize("vector", [(1,), (1, 2, 3, 4)])
+    def test_a_vector_of_another_length_raises(self, coeff, vector):
+        # a short vector is not padded with zeros, a long one is not cut, even at coefficient 0
+        with pytest.raises(DimensionMismatch):
+            combination([coeff], [vector], 3)
 
 
 entries = st.one_of(st.just(0), st.integers(-5, 5), small_frac)
