@@ -33,10 +33,18 @@ from .linalg import (
     zero_vec,
 )
 
-# The package's one cache.  Keys start with the algebra's content hash,
+# The package's one cache.  A key starts with an algebra's content hash,
 # so equal algebras share entries even when built as separate objects
-# (every CLI request builds its own).
+# (every CLI request builds its own), or with a deterministic catalog
+# spec, so ``catalog.resolve`` builds each named algebra once.
 _CACHE: dict[tuple, object] = {}
+
+
+def cached(key: tuple, build):
+    """``_CACHE[key]``, made by ``build()`` on the first request."""
+    if key not in _CACHE:
+        _CACHE[key] = build()
+    return _CACHE[key]
 
 
 def memoized(fn):
@@ -45,10 +53,7 @@ def memoized(fn):
 
     @functools.wraps(fn)
     def wrapper(alg, *args):
-        key = (alg.content_hash, name, *args)
-        if key not in _CACHE:
-            _CACHE[key] = fn(alg, *args)
-        return _CACHE[key]
+        return cached((alg.content_hash, name, *args), lambda: fn(alg, *args))
 
     return wrapper
 

@@ -14,9 +14,10 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
-from .algebra import AlgebraElement, LinearOperator, StructureConstants, find_unit, memoized
+from .algebra import AlgebraElement, LinearOperator, StructureConstants, cached, find_unit, memoized
 from .errors import LieTripleError
 from .gma import (
     GMA,
@@ -298,7 +299,11 @@ class CatalogEntry:
     algebra: StructureConstants
     gma: GMA | None
     provenance: str
-    extras: dict = field(default_factory=dict)
+    extras: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        # ``resolve`` hands one entry to every caller, so none may change it
+        object.__setattr__(self, "extras", MappingProxyType(dict(self.extras)))
 
 
 def standard_gmas() -> dict[str, GMA]:
@@ -337,30 +342,39 @@ def _entry_example_1_2() -> CatalogEntry:
 _NAMED["example_1_2"] = _entry_example_1_2
 
 
+_MATRIX_SPEC = re.compile(r"(upper_triangular|full_matrix)\((\d+)\)")
+
+
+def _matrix_entry(spec: str, kind: str, n: int) -> CatalogEntry:
+    if n < 1:
+        raise ValueError("matrix size must be positive")
+    builder = upper_triangular_gma if kind == "upper_triangular" else full_matrix_gma
+    raw = upper_triangular if kind == "upper_triangular" else full_matrix
+    gma = builder(n) if n >= 2 else None
+    algebra = gma.algebra if gma is not None else raw(n)
+    return CatalogEntry(
+        name=spec,
+        algebra=algebra,
+        gma=gma,
+        provenance=f"{n}x{n} {'upper triangular' if kind == 'upper_triangular' else 'full'} matrices over Q",
+    )
+
+
 def resolve(spec: str) -> CatalogEntry:
     """Parse a CLI algebra spec into a catalog entry.
 
     Accepted forms: example_1_2, upper_triangular(n), full_matrix(n),
-    tri(A.json,M.json,B.json), m2(A.json).
+    tri(A.json,M.json,B.json), m2(A.json).  The first three do not
+    depend on anything outside the spec, so each is built once per
+    process, in ``algebra._CACHE`` under the stripped spec as given (the
+    entry's name echoes it); a document form reads its files every time.
     """
     spec = spec.strip()
     if spec in _NAMED:
-        return _NAMED[spec]()
-    m = re.fullmatch(r"(upper_triangular|full_matrix)\((\d+)\)", spec)
+        return cached((spec, "resolve"), _NAMED[spec])
+    m = _MATRIX_SPEC.fullmatch(spec)
     if m:
-        kind, n = m.group(1), int(m.group(2))
-        if n < 1:
-            raise ValueError("matrix size must be positive")
-        builder = upper_triangular_gma if kind == "upper_triangular" else full_matrix_gma
-        raw = upper_triangular if kind == "upper_triangular" else full_matrix
-        gma = builder(n) if n >= 2 else None
-        algebra = gma.algebra if gma is not None else raw(n)
-        return CatalogEntry(
-            name=spec,
-            algebra=algebra,
-            gma=gma,
-            provenance=f"{n}x{n} {'upper triangular' if kind == 'upper_triangular' else 'full'} matrices over Q",
-        )
+        return cached((spec, "resolve"), lambda: _matrix_entry(spec, m.group(1), int(m.group(2))))
     m = re.fullmatch(r"tri\(([^,]+),([^,]+),([^)]+)\)", spec)
     if m:
         a = sc_from_doc(load_json(m.group(1).strip()))

@@ -12,7 +12,15 @@ one vector equation, read off the form grouped by slot in
 ``algebra._slot_terms``.  ``_constraint_tuples`` is the only source of
 those equations, and ``_tuple_sides`` the only evaluator of one of them
 on given operators.  ``_identity_residuals`` runs the evaluator over
-every tuple for a membership check.  The solver turns the tuples into
+every tuple for a membership check.  For lieder, jder, sjder and ltd,
+phi fills both mirrored arguments of a form symmetric (Jordan) or
+antisymmetric (bracket, triple) in them, so the tuple (j, i, ...) only
+repeats or negates (i, j, ...), and the tuples with i > j are skipped;
+for bracket and triple, (i, i, ...) vanishes identically and is skipped
+too.  The first failing tuple keeps i <= j, so a witness is unchanged.
+The skip needs the same operator in every slot: ``_identity_residuals``
+with ``slot_matrices`` (the direct route of the generalized Lie triple
+derivation check) reads every tuple.  The solver turns the tuples into
 sparse rows indexed by the column-major vectorization of the operator
 and feeds them, tuple by tuple, to one exact echelon.  Once a run of
 ``_STALL`` tuples has added no rank, it closes: the basis of the kernel
@@ -78,20 +86,33 @@ _FORMS = {
 }
 
 
-def _constraint_tuples(alg: StructureConstants, kind: IdentityKind) -> Iterator[tuple]:
+def _tags(n: int, form: str, slots: tuple, every: bool) -> Iterator[tuple]:
+    """The basis tuples of a form in lexicographic order; unless ``every``, less the mirrored ones.
+
+    With phi in slots 0 and 1 of the Jordan form, only i <= j is kept;
+    of the bracket or the triple form, only i < j (module docstring).
+    """
+    if every or form == "product" or slots[:2] != (0, 1):
+        return itertools.product(range(n), repeat=3 if form == "triple" else 2)
+    pairs = (itertools.combinations_with_replacement if form == "jordan" else itertools.combinations)(range(n), 2)
+    return ((i, j, k) for i, j in pairs for k in range(n)) if form == "triple" else pairs
+
+
+def _constraint_tuples(alg: StructureConstants, kind: IdentityKind, every: bool = False) -> Iterator[tuple]:
     """Yield (tag, w, terms) with the equation phi(w) = sum of the terms.
 
-    ``tag`` runs over the basis tuples in lexicographic order and ``w``
-    is the form at ``tag``, both sparse.  A term (p, i, group) is the
-    form with phi(e_i) in the kind's p-th slot: the sum over (l', v) in
-    ``group`` of phi[l', i] * v.  Tuples whose w and terms all vanish
-    are skipped; their rows would be identically 0.  All values are the
-    ints of ``basis_tensor``, so both sides carry the form's scale.
+    ``tag`` runs over the basis tuples of ``_tags`` in lexicographic
+    order and ``w`` is the form at ``tag``, both sparse.  A term
+    (p, i, group) is the form with phi(e_i) in the kind's p-th slot: the
+    sum over (l', v) in ``group`` of phi[l', i] * v.  Tuples whose w and
+    terms all vanish are skipped; their rows would be identically 0.
+    All values are the ints of ``basis_tensor``, so both sides carry the
+    form's scale.
     """
     form, slots = _FORMS[kind]
     table = basis_tensor(alg, form)[1]
     groups = [_slot_terms(alg, form, s) for s in slots]
-    for tag in itertools.product(range(alg.dim), repeat=3 if form == "triple" else 2):
+    for tag in _tags(alg.dim, form, slots, every):
         terms = []
         for p, s in enumerate(slots):
             group = groups[p].get(tag[:s] + tag[s + 1 :])
@@ -121,7 +142,8 @@ def _identity_residuals(
     ops = (matrix, *(slot_matrices or (matrix,) * len(slots)))
     d, (phi, *mats) = _int_columns(n, [x for m in ops for col in zip(*m.data) for x in col])
     s = basis_tensor(alg, form)[0] * d
-    for tag, w, terms in _constraint_tuples(alg, kind):
+    # a mirrored tuple is a copy of its twin only when every slot holds phi
+    for tag, w, terms in _constraint_tuples(alg, kind, every=slot_matrices is not None):
         lhs, rhs = _tuple_sides(n, w, terms, phi, mats)
         if lhs != rhs:
             yield tag, tuple(Fraction(x, s) for x in lhs), tuple(Fraction(x, s) for x in rhs)

@@ -18,6 +18,7 @@ import json
 import re
 import reprlib
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .algebra import LinearOperator, StructureConstants
@@ -26,6 +27,7 @@ from .gma import Bimodule, MoritaContext
 from .linalg import Matrix
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def format_rat(x: Fraction) -> str:
@@ -157,8 +159,54 @@ def operator_from_doc(doc: dict, algebra: StructureConstants) -> LinearOperator:
 
 
 def dump_json(doc: dict) -> str:
-    """Canonical rendering: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical rendering: sorted keys, fixed separators, trailing newline.
+
+    The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+    With an indent, ``json.dumps`` runs its pure-Python encoder; here
+    each string goes through the C quoter of the json module, and a list
+    of strings (a rational vector) is joined in one call.  A document
+    holds dicts with str keys, lists, tuples, strs, ints, bools and None;
+    anything else, a float or a non-str key included, raises TypeError.
+    """
+    out: list[str] = []
+    _render(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(value, newline: str, out: list[str]) -> None:
+    """Append the JSON of value to out, ``newline`` being a line break and the indent of value's line."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append(_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        if isinstance(value, dict):
+            if not all(isinstance(key, str) for key in value):
+                raise TypeError("JSON object keys must be str")
+            out.append("{")
+            for k, key in enumerate(sorted(value)):
+                out += (sep if k else inner, _quote(key), ": ")
+                _render(value[key], inner, out)
+            out += (newline, "}")
+            return
+        try:
+            out += ("[", inner, sep.join(map(_quote, value)), newline, "]")
+        except TypeError:  # not every item is a str
+            out.append("[")
+            for k, item in enumerate(value):
+                out.append(sep if k else inner)
+                _render(item, inner, out)
+            out += (newline, "]")
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
 def load_json(path: str) -> dict:

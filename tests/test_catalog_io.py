@@ -1,7 +1,10 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lietriple.algebra import StructureConstants, center, find_unit
 from lietriple.catalog import (
@@ -160,6 +163,74 @@ def test_equal_m2_documents_share_one_assembly(monkeypatch, tmp_path):
     first, second = (resolve(f"m2({path})") for path in paths)
     assert calls == [3]
     assert first.gma is second.gma
+
+
+def test_a_deterministic_spec_is_built_once(monkeypatch):
+    import lietriple.algebra
+    import lietriple.catalog
+
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    calls = []
+    units = lietriple.catalog._matrix_units
+
+    def counting(cells):
+        calls.append(len(cells))
+        return units(cells)
+
+    monkeypatch.setattr(lietriple.catalog, "_matrix_units", counting)
+    for spec, dim in (("full_matrix(3)", 9), ("upper_triangular(2)", 3), ("full_matrix(1)", 1), ("example_1_2", 12)):
+        calls.clear()
+        first, second = resolve(spec), resolve(f" {spec}\n")
+        assert first is second and first.algebra.dim == dim
+        assert len(calls) == (spec != "example_1_2")
+    # the entry's name echoes the spec, so a spelling of its own is an entry of its own
+    padded = resolve("upper_triangular(02)")
+    assert padded.name == "upper_triangular(02)" and resolve("upper_triangular(2)").name == "upper_triangular(2)"
+    assert padded.algebra == resolve("upper_triangular(2)").algebra
+    # the algebra constructors still build afresh
+    assert full_matrix(3) is not full_matrix(3)
+
+
+def test_a_document_spec_reads_its_file_again(tmp_path):
+    path = tmp_path / "a.json"
+    save_json(str(path), sc_to_doc(upper_triangular(2)))
+    assert resolve(f"m2({path})").algebra.dim == 12
+    save_json(str(path), sc_to_doc(rationals()))
+    assert resolve(f"m2({path})").algebra.dim == 4
+
+
+def test_shared_entries_are_read_only():
+    entry = resolve("example_1_2")
+    with pytest.raises(TypeError):
+        entry.extras["phi"] = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.gma = None
+    assert resolve("example_1_2").extras["phi"] is entry.extras["phi"]
+
+
+_STRINGS = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té€\u2028\ud800\U0001f600') | st.characters(), max_size=6)
+_LEAVES = st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _STRINGS
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(_STRINGS, max_size=4)
+        | st.dictionaries(_STRINGS, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@given(_DOCUMENTS)
+def test_dump_json_writes_the_bytes_of_json_dumps(doc):
+    assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@given(_DOCUMENTS, st.sampled_from([1.5, float("nan"), F(1, 2), b"x", {"a"}, {1: "a"}, {None: 1}, {(1,): 2}]))
+def test_dump_json_refuses_what_it_does_not_render(doc, bad):
+    with pytest.raises(TypeError):
+        dump_json({"doc": doc, "bad": ["x", bad]})
 
 
 class TestDocuments:

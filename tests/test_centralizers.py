@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -595,12 +596,12 @@ _CLOSE_ALGEBRAS = {
 
 
 def _full_row_kernel(alg_or_gma, kind):
-    """kernel_of_rows over every row of every constraint tuple, with no early stop and no close."""
+    """kernel_of_rows over every row of every constraint tuple, mirrored ones too, with no early stop and no close."""
     u = alg_or_gma if isinstance(alg_or_gma, GMA) else None
     alg = u.algebra if u else alg_or_gma
     n = alg.dim
     rows = []
-    for _tag, w, terms in _constraint_tuples(alg, kind):
+    for _tag, w, terms in _constraint_tuples(alg, kind, every=True):
         # row l: phi(w) - sum of the terms, read at l; zero entries may stay
         tuple_rows = [{c * n + l: x for c, x in w} for l in range(n)]
         for _p, i, group in terms:
@@ -622,6 +623,66 @@ def test_solve_equals_the_full_row_kernel(name, kind):
     if kind != "sjder" and isinstance(target, GMA):
         target = target.algebra
     assert solve_identity_space(target, K(kind)) == _full_row_kernel(target, K(kind))
+
+
+_MIRRORED_KINDS = ("ltd", "lieder", "jder", "sjder")
+
+
+def _first_failing_tuple(alg, kind, matrix, slot_matrix=None):
+    """(tag, lhs, rhs) by the oracle at the first of every basis tuple, in lexicographic order, whose sides differ."""
+    oracle_kind = "jder" if kind == "sjder" else kind  # the sparsity pattern is checked apart
+    for tag in itertools.product(range(alg.dim), repeat=3 if kind == "ltd" else 2):
+        lhs, rhs = identity_sides(alg, oracle_kind, tag, matrix, slot_matrix)
+        if lhs != rhs:
+            return tag, lhs, rhs
+    return None
+
+
+# T3 has N = 0, so its only operator with the singular sparsity pattern is 0
+@pytest.mark.parametrize(
+    "name, kind", [(a, k) for a in ("M2", "R1", "T3") for k in _MIRRORED_KINDS if (a, k) != ("T3", "sjder")]
+)
+def test_the_witness_under_the_skip_is_the_first_failing_tuple(name, kind):
+    """Skipping mirrored tuples keeps the witness: the first failure over every tuple, with tag[0] <= tag[1]."""
+    u = _CLOSE_ALGEBRAS[name]()
+    alg = u.algebra
+    target = u if kind == "sjder" else alg
+    space = solve_identity_space(target, K(kind))
+    n = alg.dim
+    blocked = {k for row in _sparsity_rows(n, u.dims) for k in row} if kind == "sjder" else set()
+    rng = random.Random(f"mirror-{name}-{kind}")
+    for _ in range(3):
+        while True:
+            flat = [F(0) if k in blocked else F(rng.randint(-2, 2), rng.choice((1, 3))) for k in range(n * n)]
+            if not space.contains_vector(flat):
+                break
+        op = LinearOperator.from_flat(alg, flat)
+        chk = is_identity_member(target, K(kind), op)
+        assert not chk
+        assert chk.witness[0] <= chk.witness[1]
+        assert (chk.witness, chk.lhs, chk.rhs) == _first_failing_tuple(alg, kind, op.matrix)
+
+
+def test_the_gltd_direct_route_reads_the_mirrored_tuples():
+    """With Lambda in the first slot and xi in the others, (j, i, k) is no copy of (i, j, k): every tuple is read."""
+    from lietriple.centralizers import _identity_residuals
+    from lietriple.derivations import check_gltd_correspondence
+
+    alg = full_matrix(2)
+    ltd = solve_identity_space(alg, K.LIE_TRIPLE_DERIVATION)
+    xi = LinearOperator.from_flat(alg, [2 * a - b for a, b in zip(*ltd.basis[:2])])
+    rng = random.Random("gltd-mirror")
+    lam = xi + LinearOperator.from_flat(alg, [F(rng.randint(-2, 2)) for _ in range(alg.dim**2)])
+    slots = (lam.matrix, xi.matrix, xi.matrix)
+    failing = [tag for tag, _lhs, _rhs in _identity_residuals(alg, K.LIE_TRIPLE_DERIVATION, lam.matrix, slots)]
+    expected = [
+        tag for tag in itertools.product(range(alg.dim), repeat=3)
+        if len(set(identity_sides(alg, "ltd", tag, lam.matrix, xi.matrix))) == 2
+    ]
+    assert failing == expected
+    assert any(tag[0] > tag[1] for tag in failing) and any(tag[0] == tag[1] for tag in failing)
+    chk = check_gltd_correspondence(alg, lam, xi)
+    assert (chk.witness, chk.lhs, chk.rhs) == _first_failing_tuple(alg, "ltd", lam.matrix, xi.matrix)
 
 
 def test_matrix_algebra_solves_close_by_evaluation(monkeypatch):
