@@ -108,22 +108,37 @@ class StructureConstants:
 
         Both sides are compared on the table scaled by its common
         denominator D; each side then carries D^2, so this is exact.
+        Each pair (i, j) is checked on all k at once, on the packed
+        z = sum_k 2^(B*k) e_k (Kronecker substitution): coordinate l of
+        (e_i e_j) z - e_i (e_j z) is sum_k r_k 2^(B*k), with r_k that
+        coordinate at triple (i, j, k).  For m the largest |entry| of the
+        scaled table, |r_k| <= 2 n m^2 < 2^(B-1), so these balanced digits
+        are unique: the difference is 0 iff every r_k is, and its lowest
+        nonzero digit, read off its trailing zero bits, is the first
+        failing k.
         """
         n = self.dim
         _, sp = _int_table(self)
+        m = max((abs(x) for plane in sp for row in plane for _, x in row), default=0)
+        shift = (2 * n * m * m).bit_length() + 1
+        # zr[a][l]: coordinate l of e_a z
+        zr = [{} for _ in range(n)]
+        for a in range(n):
+            for k in range(n):
+                for l, x in sp[a][k]:
+                    zr[a][l] = zr[a].get(l, 0) + (x << shift * k)
         for i in range(n):
             for j in range(n):
-                vij = sp[i][j]
-                for k in range(n):
-                    lhs: dict[int, int] = {}
-                    for m, c in vij:
-                        for l, d in sp[m][k]:
-                            lhs[l] = lhs.get(l, 0) + c * d
-                    for m, c in sp[j][k]:
-                        for l, d in sp[i][m]:
-                            lhs[l] = lhs.get(l, 0) - c * d
-                    if any(lhs.values()):
-                        raise NotAssociative(i, j, k)
+                diff: dict[int, int] = {}
+                for a, c in sp[i][j]:
+                    for l, y in zr[a].items():
+                        diff[l] = diff.get(l, 0) + c * y
+                for a, y in zr[j].items():
+                    for l, c in sp[i][a]:
+                        diff[l] = diff.get(l, 0) - c * y
+                low = min(((x & -x).bit_length() for x in diff.values() if x), default=0)
+                if low:
+                    raise NotAssociative(i, j, (low - 1) // shift)
 
     # -- elements ----------------------------------------------------------
 

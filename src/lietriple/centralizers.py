@@ -22,14 +22,18 @@ The skip needs the same operator in every slot: ``_identity_residuals``
 with ``slot_matrices`` (the direct route of the generalized Lie triple
 derivation check) reads every tuple.  The solver turns the tuples into
 sparse rows indexed by the column-major vectorization of the operator
-and feeds them, tuple by tuple, to one exact echelon.  Once a run of
-``_STALL`` tuples has added no rank, it closes: the basis of the kernel
-K of the rows so far is packed into one int operator by Kronecker
-substitution (D. Harvey, J. Symbolic Comput. 44, 2009), so one call of
-the evaluator checks a remaining tuple on all of K.  A tuple that fails
-there adds its rows, and rows are built again until the next stall.
-The result is the kernel of every row, with the same canonical basis.
-So membership checks agree with the solved space by construction.
+and feeds them, tuple by tuple, to one exact echelon.  The basis of the
+kernel K of the rows so far can be packed into one int operator by
+Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009), so one
+call of the evaluator checks a tuple on all of K.  Once a pack exists,
+every tuple is evaluated on it before any row is built, and only a
+tuple that fails there adds its rows.  A pack made before later rows
+came in is the kernel of fewer rows, so it contains K, and a tuple
+vanishing there vanishes on K too.  A failing tuple that adds no rank
+was eliminated for nothing, and when that lost work reaches the least a
+pack costs, K is packed again.  The result is the kernel of every row,
+with the same canonical basis.  So membership checks agree with the
+solved space by construction.
 
 Both work on ints: the basis forms are ints times a scale, and the
 evaluator (like the Thm 3.1 verifier) scales its operators once by
@@ -216,11 +220,6 @@ def solve_identity_space(alg_or_gma, kind: IdentityKind) -> Subspace:
     return _solved_space(alg, kind, dims)
 
 
-# A solve closes on its packed kernel after this many tuples in a row add
-# no rank, whatever the dimension of that kernel.
-_STALL = 50
-
-
 def _tuple_rows(n: int, w, terms) -> list[dict[int, int]]:
     """The nonzero constraint rows of one tuple, holding their nonzero ints only.
 
@@ -242,6 +241,12 @@ def _tuple_rows(n: int, w, terms) -> list[dict[int, int]]:
     return list(filter(None, rows))
 
 
+@memoized
+def _form_weight(alg: StructureConstants, form: str) -> int:
+    """The sum of |values| of a basis form: the factor of the form in ``_packed_kernel``'s bound."""
+    return sum(abs(x) for w in basis_tensor(alg, form)[1].values() for _, x in w)
+
+
 def _packed_kernel(alg: StructureConstants, kind: IdentityKind, vectors: list[dict[int, int]]) -> list[dict[int, int]]:
     """Int kernel vectors k_b, sparse over operator coordinates, as one operator sum_b k_b * 2^(B*b) in int columns.
 
@@ -256,8 +261,7 @@ def _packed_kernel(alg: StructureConstants, kind: IdentityKind, vectors: list[di
     n = alg.dim
     form, slots = _FORMS[kind]
     m = max((abs(x) for v in vectors for x in v.values()), default=0)
-    total = sum(abs(x) for w in basis_tensor(alg, form)[1].values() for _, x in w)
-    shift = (m * (1 + len(slots)) * total).bit_length() + 1
+    shift = (m * (1 + len(slots)) * _form_weight(alg, form)).bit_length() + 1
     packed = [{} for _ in range(n)]
     for b, v in enumerate(vectors):
         for k, x in v.items():
@@ -268,15 +272,21 @@ def _packed_kernel(alg: StructureConstants, kind: IdentityKind, vectors: list[di
 
 @memoized
 def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | None) -> Subspace:
-    """The kernel of every constraint row, closed by evaluation whenever the rank stalls.
+    """The kernel of every constraint row, each tuple evaluated on a packed kernel before its rows are built.
 
-    Rows go into one echelon tuple by tuple.  After ``_STALL`` tuples in a
-    row add no rank, each further tuple is evaluated on the kernel K of
-    the rows so far, packed into one operator; a tuple that fails there
-    adds its rows, and the smaller K is packed at the next stall.  Every
-    tuple is then eliminated or vanishes on K, and K is the kernel of a
-    subset of the rows, so K is the solution space, with its canonical
-    basis.
+    Rows go into one echelon tuple by tuple.  Once the kernel K of the
+    rows so far is packed, every later tuple is evaluated on the pack
+    first: one that vanishes there is skipped, and only one that fails
+    adds its rows.  The pack may be stale, the kernel K' of fewer rows,
+    but K' contains K, so a tuple vanishing on K' vanishes on K.  A tuple
+    whose rows add no rank (a miss) was eliminated for nothing: the work
+    lost is counted as the entries of each of its rows, once plus once
+    per pivot column the row holds (one elimination each).  When the work
+    lost since the last pack reaches n^2, the least a pack costs (it
+    reads or writes every coordinate once), K is packed again; before
+    that, every tuple is eliminated.  Every tuple is then eliminated or
+    vanishes on K, and K is the kernel of a subset of the rows, so K is
+    the solution space, with its canonical basis.
     """
     n = alg.dim
     ambient = n * n
@@ -285,19 +295,21 @@ def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | Non
     if dims is not None:
         for row in _sparsity_rows(n, dims):
             ech.add(row)
-    stall, packed = 0, None
+    packed, lost = None, 0
     for _tag, w, terms in _constraint_tuples(alg, kind):
-        if stall >= _STALL:
-            if packed is None:
-                packed = _packed_kernel(alg, kind, ech.kernel_vectors(ambient))
+        if packed is not None:
             lhs, rhs = _tuple_sides(n, w, terms, packed, (packed,) * slots)
             if lhs == rhs:
                 continue
-            packed = None
         rank = ech.rank
-        for row in _tuple_rows(n, w, terms):
+        rows = _tuple_rows(n, w, terms)
+        for row in rows:
             ech.add(row)
-        stall = stall + 1 if ech.rank == rank else 0
+        if ech.rank == rank:
+            # a miss leaves the echelon as it was: each row met the pivots it holds
+            lost += sum(len(row) * (1 + sum(c in ech.rows for c in row)) for row in rows)
+            if lost >= ambient:
+                packed, lost = _packed_kernel(alg, kind, ech.kernel_vectors(ambient)), 0
     return ech.kernel(ambient)
 
 

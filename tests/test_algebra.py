@@ -59,6 +59,15 @@ def ex12():
     return example_1_2()
 
 
+_ASSOCIATIVE = (
+    lambda: upper_triangular(2),
+    lambda: full_matrix(2),
+    dual_numbers,
+    strict_upper_3x3,
+    lambda: rebased(full_matrix(2), RATIONAL_BASIS),
+)
+
+
 class TestConstruction:
     def test_rejects_non_associative_with_first_triple(self):
         # e0 e0 = e1 and e0 e1 = e0 cannot be associative: (e0 e0) e0 = 0
@@ -78,6 +87,39 @@ class TestConstruction:
         with pytest.raises(NotAssociative) as exc:
             StructureConstants(table)
         assert exc.value.triple == expected
+
+    @given(st.data())
+    def test_packed_check_names_the_first_failing_triple(self, data):
+        """The check on a packed third index fails, and names a triple, exactly where the triple loop does.
+
+        An associative table is scaled by a large int or a Fraction (both
+        sides scale by its square) and a few entries are moved.  A move adds
+        u * 2^j at e_a e_k and -u at e_a e_{k+1}: their residuals sit in
+        neighbouring digits and would cancel in a packing j bits wide.  A
+        move by a small multiple of the scale leaves residuals near the
+        bound 2 n m^2 of the packing.
+        """
+        table = data.draw(st.sampled_from(_ASSOCIATIVE))().table
+        scale = data.draw(st.sampled_from((1, -3, 2**70, F(1, 3), F(-7, 2**40))))
+        table = [[[x * scale for x in row] for row in plane] for plane in table]
+        n = len(table)
+        for _ in range(data.draw(st.integers(0, 3))):
+            a, k, l = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+            u = data.draw(
+                st.fractions(min_value=-(2**80), max_value=2**80, max_denominator=6).filter(bool)
+                | st.sampled_from((-2, -1, 1, 2)).map(lambda t: t * scale)
+            )
+            j = data.draw(st.integers(0, 90))
+            table[a][k][l] += u * 2**j
+            if k + 1 < n:
+                table[a][k + 1][l] -= u
+        expected = first_nonassociative_triple(table)
+        if expected is None:
+            assert StructureConstants(table).dim == n
+        else:
+            with pytest.raises(NotAssociative) as exc:
+                StructureConstants(table)
+            assert exc.value.triple == expected
 
     def test_distinct_prime_denominators_accepted(self):
         # e_i e_i = e_i / p_i: associative, with common denominator 210

@@ -579,7 +579,7 @@ def test_equal_algebras_built_apart_share_one_solve(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-#  The early stop and the close by evaluation
+#  Tuples evaluated on a packed kernel before their rows are built
 # ---------------------------------------------------------------------------
 
 _ALL_KINDS = _NET_KINDS + ("sjder",)
@@ -592,11 +592,15 @@ _CLOSE_ALGEBRAS = {
     "example_1_2": lambda: example_1_2().gma,
     "R1": lambda: random_gma(random.Random(1), require_n=True),
     "M2q": _NET_ALGEBRAS["M2q"],
+    # T3 in a seeded integer basis, as the solve-dense benchmark draws it: dense
+    # rows with growing coefficients, where most tuples are decided on a pack
+    "T3r": lambda: rebased(upper_triangular(3), unit_diagonal_basis(random.Random(0), 6)),
 }
+_BLOCKLESS = ("M2q", "T3r")
 
 
 def _full_row_kernel(alg_or_gma, kind):
-    """kernel_of_rows over every row of every constraint tuple, mirrored ones too, with no early stop and no close."""
+    """kernel_of_rows over every row of every constraint tuple, mirrored ones too, with no tuple decided on a pack."""
     u = alg_or_gma if isinstance(alg_or_gma, GMA) else None
     alg = u.algebra if u else alg_or_gma
     n = alg.dim
@@ -614,9 +618,10 @@ def _full_row_kernel(alg_or_gma, kind):
     return kernel_of_rows(n * n, rows)
 
 
-# M2q alone carries no block structure, so it has no singular kind
+# M2q and T3r carry no block structure, so they have no singular kind
 @pytest.mark.parametrize(
-    "name, kind", [(a, k) for a in sorted(_CLOSE_ALGEBRAS) for k in _ALL_KINDS if (a, k) != ("M2q", "sjder")]
+    "name, kind",
+    [(a, k) for a in sorted(_CLOSE_ALGEBRAS) for k in _ALL_KINDS if not (a in _BLOCKLESS and k == "sjder")],
 )
 def test_solve_equals_the_full_row_kernel(name, kind):
     target = _CLOSE_ALGEBRAS[name]()
@@ -707,27 +712,46 @@ def test_matrix_algebra_solves_close_by_evaluation(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, dim", [("ltc", 5), ("ltd", 13)])
-def test_an_early_stop_on_a_large_kernel_repairs_to_the_catalog_space(monkeypatch, kind, dim):
-    """Closing after each tuple that adds no rank, T4 closes on large kernels; failing tuples shrink K to the space."""
+def test_a_stale_pack_filters_to_the_catalog_space(monkeypatch, kind, dim):
+    """T4 packs kernels larger than the solution space, and some tuple fails on a pack made before the last rank increase.
+
+    Such a tuple is eliminated like any other, so the stale pack is only a
+    filter: the solve still ends on the kernel of every row.
+    """
     import lietriple.algebra
     import lietriple.centralizers
 
     monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     alg = upper_triangular(4)
     expected = _full_row_kernel(alg, K(kind))
-    kernels = []
-    packed_kernel = lietriple.centralizers._packed_kernel
+    echelons, packs, stale_failures = [], {}, []
+    echelon, packed_kernel, sides = (
+        lietriple.centralizers._IntEchelon, lietriple.centralizers._packed_kernel, lietriple.centralizers._tuple_sides,
+    )
 
-    def recording(alg, kind, vectors):
-        kernels.append(len(vectors))
-        return packed_kernel(alg, kind, vectors)
+    def recording_echelon():
+        echelons.append(echelon())
+        return echelons[-1]
 
-    monkeypatch.setattr(lietriple.centralizers, "_STALL", 1)
-    monkeypatch.setattr(lietriple.centralizers, "_packed_kernel", recording)
+    def recording_pack(alg, kind, vectors):
+        packed = packed_kernel(alg, kind, vectors)
+        packs[id(packed)] = (len(vectors), echelons[-1].rank)
+        return packed
+
+    def recording_sides(n, w, terms, phi, mats):
+        lhs, rhs = sides(n, w, terms, phi, mats)
+        dim_packed, rank_packed = packs[id(phi)]
+        if lhs != rhs and echelons[-1].rank > rank_packed:
+            stale_failures.append(dim_packed)
+        return lhs, rhs
+
+    monkeypatch.setattr(lietriple.centralizers, "_IntEchelon", recording_echelon)
+    monkeypatch.setattr(lietriple.centralizers, "_packed_kernel", recording_pack)
+    monkeypatch.setattr(lietriple.centralizers, "_tuple_sides", recording_sides)
     space = solve_identity_space(alg, K(kind))
     assert space == expected and space.dim == dim
-    # each close after the first follows a tuple that failed on the packed kernel
-    assert len(kernels) > 1 and kernels[0] > dim == kernels[-1]
+    assert len(echelons) == 1 and max(d for d, _ in packs.values()) > dim
+    assert stale_failures and max(stale_failures) > dim
 
 
 def _columns(n, vector):
@@ -845,7 +869,7 @@ def test_m4_ltd_residuals_stay_below_the_packing_bound(monkeypatch):
 
 
 # sha256 over the solved basis of full_matrix(5), recorded with every
-# constraint row built: these solves stop early and close by evaluation.
+# constraint row built: these solves decide most tuples on a packed kernel.
 _PINNED_M5 = {
     "lc": "fd6292d8036a85dfd3106cdf05b758edaf66af81b01ca9bb8bfe91a9af30317b",
     "ltc": "fd6292d8036a85dfd3106cdf05b758edaf66af81b01ca9bb8bfe91a9af30317b",

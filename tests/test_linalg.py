@@ -5,11 +5,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-import lietriple.algebra
 from lietriple.algebra import AlgebraElement, LinearOperator, multiplication_operator
 from lietriple import linalg
 from lietriple.catalog import full_matrix, rationals, scalar_bimodule, triangular_context, upper_triangular
-from lietriple.centralizers import IdentityKind, solve_identity_space
+from lietriple.centralizers import IdentityKind, _constraint_tuples, _tuple_rows
 from lietriple.errors import DimensionMismatch
 from lietriple.gma import Bimodule, MoritaContext
 from lietriple.linalg import (
@@ -535,11 +534,11 @@ class TestKernelOfRows:
 def test_insert_costs_one_elimination_per_pivot_column(monkeypatch):
     """Each insert eliminates once per pivot column its row holds, plus once per pivot row holding its new lead.
 
-    T3 LTD in a seeded integer basis gives dense rows, most of them
+    Every row of every T3 LTD tuple in a seeded integer basis, mirrored
+    tuples too, goes into one echelon: dense rows, most of them
     dependent; reducing by leading pivot only would walk a chain about
     twice as long as the row has nonzeros.
     """
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     eliminate, insert = linalg._eliminate, _IntEchelon.insert
     calls = [0]
     costs = []
@@ -560,7 +559,10 @@ def test_insert_costs_one_elimination_per_pivot_column(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
     monkeypatch.setattr(_IntEchelon, "insert", checked_insert)
     t3 = rebased(upper_triangular(3), unit_diagonal_basis(random.Random(0), 6))
-    solve_identity_space(t3, IdentityKind.LIE_TRIPLE_DERIVATION)
+    ech = _IntEchelon()
+    for _tag, w, terms in _constraint_tuples(t3, IdentityKind.LIE_TRIPLE_DERIVATION, every=True):
+        for row in _tuple_rows(t3.dim, w, terms):
+            ech.add(row)
     assert len(costs) > 100
     assert [c for c in costs if c[0] > c[1]] == []
 
