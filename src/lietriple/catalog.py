@@ -17,15 +17,15 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .algebra import AlgebraElement, LinearOperator, StructureConstants, cached, find_unit, memoized
+from .algebra import AlgebraElement, LinearOperator, StructureConstants, cached, find_unit
 from .errors import LieTripleError
 from .gma import (
     GMA,
     Bimodule,
     MoritaContext,
     assemble,
+    gma_from_block_algebra,
     m2_of,
-    peirce_from_idempotent,
 )
 from .io import bimodule_from_doc, brief, load_json, sc_from_doc
 from .linalg import Subspace, unit_vec, zero_vec
@@ -93,32 +93,35 @@ def direct_sum(a: StructureConstants, b: StructureConstants) -> StructureConstan
     return StructureConstants(t, labels)
 
 
-@memoized
-def _corner_split_gma(alg: StructureConstants, diagonal: tuple[int, ...]) -> GMA:
-    """Peirce split along e = e_11 + ... + e_kk, given the basis positions of those units.
+def _matrix_gma(kind: str, n: int, split: int, dim: int) -> GMA:
+    """The dim matrix units of ``kind(n)`` split along e = e_11 + ... + e_kk, k = split, built once per process.
 
-    Memoized through ``algebra.memoized`` under the raw algebra's content
-    hash, so every catalog entry point splits an algebra once per process.
+    Cells run in the order the Peirce split along e yields: corners A, M, N, B, row-major inside each.
     """
-    coords = [F(0)] * alg.dim
-    for i in diagonal:
-        coords[i] = F(1)
-    return peirce_from_idempotent(alg, AlgebraElement(alg, coords)).gma
+    if not 1 <= split < n:
+        raise ValueError("split must lie strictly inside the matrix")
+    _checked_dim(n, dim)
+
+    def build() -> GMA:
+        top, rest = range(split), range(split, n)
+        corners = [
+            [(i, j) for i in rows for j in cols if kind == "full_matrix" or i <= j]
+            for rows, cols in ((top, top), (top, rest), (rest, top), (rest, rest))
+        ]
+        units = _matrix_units([cell for corner in corners for cell in corner])
+        return gma_from_block_algebra(units, tuple(map(len, corners)))
+
+    return cached((f"{kind}({n})", "gma", split), build)
 
 
 def full_matrix_gma(n: int, split: int = 1) -> GMA:
     """M_n(Q) as a generalized matrix algebra, split after `split` rows."""
-    if not 1 <= split < n:
-        raise ValueError("split must lie strictly inside the matrix")
-    return _corner_split_gma(full_matrix(n), tuple(i * n + i for i in range(split)))
+    return _matrix_gma("full_matrix", n, split, n * n)
 
 
 def upper_triangular_gma(n: int, split: int = 1) -> GMA:
     """T_n(Q) as a triangular generalized matrix algebra (N corner zero)."""
-    if not 1 <= split < n:
-        raise ValueError("split must lie strictly inside the matrix")
-    # e_ii opens row i, after the n - r cells of each row r < i
-    return _corner_split_gma(upper_triangular(n), tuple(i * n - i * (i - 1) // 2 for i in range(split)))
+    return _matrix_gma("upper_triangular", n, split, n * (n + 1) // 2)
 
 
 def triangular_context(a: StructureConstants, m: Bimodule, b: StructureConstants) -> MoritaContext:

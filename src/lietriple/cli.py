@@ -80,7 +80,7 @@ def _cmd_solve(args) -> int:
     space = solve_identity_space(target, kind)
     basis = [vector_doc(v) for v in space.basis]
     results = {"dimension": space.dim, "ambient": space.ambient, "basis": basis}
-    lines = [f"dim {space.dim}"] + [", ".join(doc) for doc in basis]
+    lines = [] if args.format == "json" else [f"dim {space.dim}"] + [", ".join(doc) for doc in basis]
     command = ["solve", args.algebra, "--identity", args.identity]
     _emit(args.format, command, {"algebra_hash": entry.algebra.content_hash}, results, lines)
     return 0

@@ -283,16 +283,18 @@ def context_of(algebra: StructureConstants, dims: tuple[int, int, int, int]) -> 
 def gma_from_block_algebra(algebra: StructureConstants, dims: tuple[int, int, int, int]) -> GMA:
     """Wrap an existing algebra as a GMA, verifying the block rules.
 
-    The block table of the sliced context must reproduce the original
-    table; any product leaking outside its corner shows up as a
-    difference.  Equal tables are equally associative, so the table is
-    compared, not rebuilt into a second algebra.
+    Every nonzero c[i][j][k] must sit at a corner triple of ``_RULES``:
+    the block table of the sliced context copies exactly those entries
+    and is zero elsewhere, so this compares the two tables on nonzeros.
+    Equal tables are equally associative, so no second algebra is built.
     """
     ctx = context_of(algebra, dims)
-    if _block_table(ctx) != algebra.table:
-        raise InvalidBlockStructure(
-            "products do not respect the 2x2 block multiplication rules"
-        )
+    corner = "".join(block * d for block, d in zip("AMNB", dims))
+    allowed = set(_RULES.values())
+    for i, plane in enumerate(algebra._sparse):
+        for j, row in enumerate(plane):
+            if any(corner[i] + corner[j] + corner[k] not in allowed for k, _ in row):
+                raise InvalidBlockStructure("products do not respect the 2x2 block multiplication rules")
     return GMA(algebra, ctx)
 
 

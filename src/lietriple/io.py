@@ -24,7 +24,7 @@ from typing import Sequence
 from .algebra import LinearOperator, StructureConstants
 from .errors import HashMismatch
 from .gma import Bimodule, MoritaContext
-from .linalg import Matrix
+from .linalg import _ZERO, Matrix
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -226,4 +226,5 @@ def save_json(path: str, doc: dict) -> None:
 
 
 def vector_doc(v: Sequence[Fraction]) -> list:
-    return [format_rat(x) for x in v]
+    """v as rational strings; the shared zero ``Subspace`` fills in is written without ``Fraction.__str__``."""
+    return ["0" if x is _ZERO else format_rat(x) for x in v]

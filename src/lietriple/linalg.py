@@ -220,12 +220,16 @@ class _IntEchelon:
     Each pivot row is a sparse {col: int} dict, primitive with a positive
     entry at its pivot, the least column it holds, and zero at every
     other pivot column.  ``add`` is the one way in: it normalises a row
-    and drops it if it is zero or was added before.
+    and drops it if it is zero or was added before.  ``_held`` holds
+    every column a pivot row has ever held, a superset of the columns
+    they hold now, since eliminating by a row brings in only its
+    columns; a new lead outside it is in no pivot row.
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> its row
         self._seen: set[SparseRow] = set()
+        self._held: set[int] = set()
 
     @property
     def rank(self) -> int:
@@ -262,7 +266,8 @@ class _IntEchelon:
 
         One elimination per pivot column the row holds, as a pivot row is
         zero at the other pivots; a surviving row's lead is then
-        eliminated from the pivot rows that hold it.
+        eliminated from the pivot rows that hold it, which are looked for
+        only when the lead is in ``_held``.
         """
         rows = self.rows
         for p in [c for c in row if c in rows]:
@@ -271,9 +276,11 @@ class _IntEchelon:
             return
         lead = min(row)
         row = _primitive(row, lead)
-        for p, prow in rows.items():
-            if lead in prow:
-                rows[p] = _primitive(_eliminate(prow, row, lead), p)
+        if lead in self._held:
+            for p, prow in rows.items():
+                if lead in prow:
+                    rows[p] = _primitive(_eliminate(prow, row, lead), p)
+        self._held.update(row)
         rows[lead] = row
 
     def rref_fraction_rows(self) -> tuple[list[dict[int, Fraction]], list[int]]:

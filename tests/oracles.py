@@ -17,9 +17,12 @@ with ``Subspace.basis``.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
 from lietriple.algebra import AlgebraElement, StructureConstants
+from lietriple.errors import InvalidBlockStructure, LieTripleError
+from lietriple.gma import context_of
 from lietriple.linalg import Matrix, zero_vec
 
 
@@ -245,6 +248,41 @@ def first_nonassociative_triple(table):
         if lhs != rhs:
             return i, j, k
     return None
+
+
+# each context tensor with the corners of its left factor, right factor and product
+BLOCK_RULES = {
+    "A.table": "AAA",
+    "B.table": "BBB",
+    "M.left": "AMM",
+    "M.right": "MBM",
+    "N.left": "BNN",
+    "N.right": "NAN",
+    "zeta": "MNA",
+    "psi": "NMB",
+}
+
+
+def block_split_outcome(alg: StructureConstants, dims) -> type | None:
+    """None if alg splits as a GMA with block dims, else the LieTripleError class the split raises.
+
+    Slices the context, rebuilds the dense block table from its eight
+    tensors by plain loops, and compares it with alg's table.
+    """
+    try:
+        ctx = context_of(alg, dims)
+    except LieTripleError as exc:
+        return type(exc)
+    n = alg.dim
+    start = dict(zip("AMNB", itertools.accumulate((0, *dims[:3]))))
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for path, (x, y, z) in BLOCK_RULES.items():
+        for i, plane in enumerate(operator.attrgetter(path)(ctx)):
+            for j, row in enumerate(plane):
+                for k, v in enumerate(row):
+                    table[start[x] + i][start[y] + j][start[z] + k] = v
+    same = all(list(alg.table[i][j]) == table[i][j] for i in range(n) for j in range(n))
+    return None if same else InvalidBlockStructure
 
 
 def central_vanishing_basis(center_basis, dc_basis, n: int) -> tuple:

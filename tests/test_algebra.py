@@ -88,6 +88,21 @@ class TestConstruction:
             StructureConstants(table)
         assert exc.value.triple == expected
 
+    def test_residual_near_the_packing_bound_is_read_in_its_own_digit(self):
+        # e0 e0 = e1 + e2, e1 e0 = e2 e0 = e0 and e0 e1 = e0 e2 = -e0 give
+        # (e0 e0) e0 - e0 (e0 e0) = 4 e0: with n = 3 and m = 1 the residual
+        # 4 = 2^(n m^2).bit_length() lies within the bound 2 n m^2 = 6.  A
+        # packing (n m^2).bit_length() or (m^2).bit_length() bits wide
+        # carries it into the digit of k = 1 and names (0, 0, 1).
+        table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        table[0][0] = [0, 1, 1]
+        table[1][0][0] = table[2][0][0] = 1
+        table[0][1][0] = table[0][2][0] = -1
+        assert first_nonassociative_triple(table) == (0, 0, 0)
+        with pytest.raises(NotAssociative) as exc:
+            StructureConstants(table)
+        assert exc.value.triple == (0, 0, 0)
+
     @given(st.data())
     def test_packed_check_names_the_first_failing_triple(self, data):
         """The check on a packed third index fails, and names a triple, exactly where the triple loop does.

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from lietriple.catalog import (
     upper_triangular_gma,
 )
 from lietriple.errors import HashMismatch
-from lietriple.gma import check_annihilating_conditions
+from lietriple.gma import check_annihilating_conditions, context_of, peirce_from_idempotent
 from lietriple.io import (
     bimodule_to_doc,
     context_from_doc,
@@ -33,6 +34,7 @@ from lietriple.io import (
 )
 from lietriple.algebra import LinearOperator
 from lietriple.linalg import Matrix
+from oracles import BLOCK_RULES
 
 F = Fraction
 
@@ -131,16 +133,35 @@ def test_catalog_split_runs_once_per_algebra(monkeypatch):
 
     monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     calls = []
-    split = lietriple.catalog.peirce_from_idempotent
+    build = lietriple.catalog._matrix_units
 
-    def counting(alg, e):
-        calls.append(alg.dim)
-        return split(alg, e)
+    def counting(cells):
+        calls.append(len(cells))
+        return build(cells)
 
-    monkeypatch.setattr(lietriple.catalog, "peirce_from_idempotent", counting)
+    monkeypatch.setattr(lietriple.catalog, "_matrix_units", counting)
     first, second = resolve("full_matrix(3)"), resolve("full_matrix(3)")
+    assert full_matrix_gma(3) is first.gma
     assert calls == [9]
     assert first.gma is second.gma and first.algebra is second.algebra
+
+
+@pytest.mark.parametrize(
+    "raw, direct", [(full_matrix, full_matrix_gma), (upper_triangular, upper_triangular_gma)], ids=["full", "upper"]
+)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_catalog_gma_is_the_peirce_split_along_the_leading_units(raw, direct, n):
+    # the GMA built from matrix units in block order is the Peirce split
+    # of the row-major algebra along e = e_11 + ... + e_kk, for every k
+    alg = raw(n)
+    tensors = operator.attrgetter(*BLOCK_RULES)
+    for split in range(1, n):
+        e = alg.element([int(label in {f"e{i}{i}" for i in range(1, split + 1)}) for label in alg.labels])
+        peirce, built = peirce_from_idempotent(alg, e).gma, direct(n, split)
+        assert built.algebra.content_hash == peirce.algebra.content_hash
+        assert built.algebra.labels == peirce.algebra.labels
+        assert built.dims == peirce.dims
+        assert tensors(context_of(built.algebra, built.dims)) == tensors(context_of(peirce.algebra, peirce.dims))
 
 
 def test_equal_m2_documents_share_one_assembly(monkeypatch, tmp_path):

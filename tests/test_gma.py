@@ -27,6 +27,7 @@ from lietriple.errors import (
     AnnihilatorConditionsFail,
     DimensionMismatch,
     InvalidBlockStructure,
+    LieTripleError,
     NonUniqueEta,
     NotAssociative,
     NotIdempotent,
@@ -51,7 +52,7 @@ from lietriple.gma import (
     require_block_hypotheses,
 )
 from lietriple.linalg import Subspace, unit_vec
-from oracles import left_mult, right_mult
+from oracles import block_split_outcome, left_mult, right_mult
 
 F = Fraction
 
@@ -95,6 +96,31 @@ class TestAssemble:
         # the rule M.M = 0, since e12 e21 = e11.
         with pytest.raises(InvalidBlockStructure):
             gma_from_block_algebra(full_matrix(2), (1, 2, 0, 1))
+
+
+def _split_outcome(alg, dims):
+    try:
+        gma_from_block_algebra(alg, dims)
+    except LieTripleError as exc:
+        return type(exc)
+    return None
+
+
+def test_block_check_on_nonzeros_matches_the_dense_table_oracle():
+    # every split of T3, M3 and two random draws into four corner sizes:
+    # the check on nonzeros and the dense table comparison agree
+    algebras = [upper_triangular_gma(3).algebra, full_matrix_gma(3).algebra]
+    algebras += [random_gma(random.Random(seed)).algebra for seed in (3, 8)]
+    seen = set()
+    for alg in algebras:
+        n = alg.dim
+        for a, m, nn in itertools.product(range(n + 1), repeat=3):
+            if a + m + nn <= n:
+                dims = (a, m, nn, n - a - m - nn)
+                expected = block_split_outcome(alg, dims)
+                assert _split_outcome(alg, dims) is expected, dims
+                seen.add(expected)
+    assert {None, InvalidBlockStructure, NotAssociative} <= seen
 
 
 class TestM2Of:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +24,7 @@ from lietriple.linalg import (
     solve,
     sparse_tensor,
 )
-from oracles import kernel_basis, preimage_basis, rebased, row_space_basis, unit_diagonal_basis
+from oracles import gauss_jordan, kernel_basis, preimage_basis, rebased, row_space_basis, unit_diagonal_basis
 
 F = Fraction
 
@@ -529,6 +529,43 @@ class TestKernelOfRows:
         # only name columns in range(ambient); none of these lives in Q^2.
         with pytest.raises(DimensionMismatch):
             kernel_of_rows(2, [row])
+
+
+@st.composite
+def rows_then_units(draw):
+    """(ncols, rows): sparse int rows over up to 8 columns, then unit rows {c: 1} at increasing columns c.
+
+    A unit row whose column some pivot row holds but none leads is a new
+    lead that must be eliminated from the pivot rows already there.
+    """
+    ncols = draw(st.integers(1, 8))
+    row = st.dictionaries(st.integers(0, ncols - 1), st.integers(-1000, 1000).filter(bool), max_size=ncols)
+    rows = draw(st.lists(row, max_size=ncols + 2))
+    return ncols, rows + [{c: 1} for c in sorted(draw(st.sets(st.integers(0, ncols - 1))))]
+
+
+def _primitive_form(row: list[F]) -> dict[int, int]:
+    """A rational row with a positive lead as the primitive int row {col: value} over its nonzeros."""
+    d = lcm(*(x.denominator for x in row))
+    ints = {c: int(x * d) for c, x in enumerate(row) if x}
+    g = gcd(*ints.values())
+    return {c: x // g for c, x in ints.items()}
+
+
+@given(rows_then_units())
+def test_echelon_rows_are_the_primitive_gauss_jordan_rows_after_every_insert(system):
+    # each pivot row is the oracle's rref row scaled to primitive ints,
+    # and so zero at every other pivot, however few pivot rows an insert
+    # looks through
+    ncols, rows = system
+    ech = _IntEchelon()
+    for t, row in enumerate(rows):
+        ech.add(row)
+        reduced, pivots = gauss_jordan([[F(r.get(c, 0)) for c in range(ncols)] for r in rows[: t + 1]])
+        assert sorted(ech.rows) == pivots
+        for p, want in zip(pivots, reduced):
+            assert ech.rows[p] == _primitive_form(want)
+            assert not ech.rows[p].keys() & (set(pivots) - {p})
 
 
 def test_insert_costs_one_elimination_per_pivot_column(monkeypatch):
