@@ -20,6 +20,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _dense,
+    checked_tensor,
     clear_denominators,
     combination,
     contract,
@@ -27,7 +28,6 @@ from .linalg import (
     preimage,
     rat,
     solve,
-    sparse_tensor,
     unit_vec,
     vec,
     zero_vec,
@@ -70,12 +70,11 @@ class StructureConstants:
     )
 
     def __init__(self, table, labels: Sequence[str] | None = None):
-        tbl = tuple(tuple(vec(row) for row in plane) for plane in table)
-        n = len(tbl)
+        table = tuple(table)
+        n = len(table)
         if n < 1:
             raise DimensionMismatch("algebra dimension must be at least 1")
-        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in tbl):
-            raise DimensionMismatch("structure tensor must be dim x dim x dim")
+        tbl, sparse = checked_tensor(table, (n, n, n), "structure")
         if labels is None:
             labels = tuple(f"e{i}" for i in range(n))
         else:
@@ -85,7 +84,7 @@ class StructureConstants:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "table", tbl)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_sparse", sparse_tensor(tbl))
+        object.__setattr__(self, "_sparse", sparse)
         self._check_associativity()
         payload = json.dumps(
             {

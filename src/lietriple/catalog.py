@@ -15,15 +15,15 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .algebra import AlgebraElement, LinearOperator, StructureConstants, cached, find_unit
-from .errors import LieTripleError
+from .algebra import AlgebraElement, LinearOperator, StructureConstants, cached
 from .gma import (
     GMA,
     Bimodule,
     MoritaContext,
     assemble,
+    block_labels,
     gma_from_block_algebra,
     m2_of,
 )
@@ -182,7 +182,7 @@ def example_1_2() -> Example12:
 
 
 # ---------------------------------------------------------------------------
-#  Random associativity-valid Morita contexts
+#  Random generalized matrix algebras
 # ---------------------------------------------------------------------------
 
 
@@ -200,10 +200,11 @@ def random_gma(rng: random.Random, require_n: bool | None = None) -> GMA:
     """A random unital generalized matrix algebra with small corners.
 
     Corners are grown as subspaces of an ambient M_{p+q}(Q) and closed
-    under all products, so the assembled context is associative by
-    construction; draws whose closure overflows the corner cap are
-    retried.  Deterministic for a seeded rng.  ``require_n`` pins the
-    N corner to be nonzero (True) or zero (False).
+    under all products, so together they span a subalgebra holding the
+    identity; its table in the corner-ordered basis sa + sm + sn + sb is
+    wrapped by ``gma_from_block_algebra``.  Draws whose closure overflows
+    the corner cap are retried.  Deterministic for a seeded rng.
+    ``require_n`` pins the N corner to be nonzero (True) or zero (False).
     """
     for _ in range(_MAX_TRIES):
         p = rng.choice((1, 1, 2))
@@ -258,36 +259,26 @@ def random_gma(rng: random.Random, require_n: bool | None = None) -> GMA:
         if require_n is not None and (sn.dim > 0) != require_n:
             continue
 
-        def coeffs(space: Subspace, v):
-            c = space.coefficients_of(v)
-            assert c is not None  # closure guarantees membership
-            return c
+        top, rest = range(p), range(p, tot)
+        corners = (sa, sm, sn, sb)
+        cells = [[i * tot + j for i in rows for j in cols] for rows in (top, rest) for cols in (top, rest)]
 
-        da, db, dm, dn = sa.dim, sb.dim, sm.dim, sn.dim
-        a_tab = [[coeffs(sa, amb.mul_coords(x, y)) for y in sa.basis] for x in sa.basis]
-        b_tab = [[coeffs(sb, amb.mul_coords(x, y)) for y in sb.basis] for x in sb.basis]
-        m_left = [[coeffs(sm, amb.mul_coords(a, m)) for m in sm.basis] for a in sa.basis]
-        m_right = [[coeffs(sm, amb.mul_coords(m, b)) for b in sb.basis] for m in sm.basis]
-        n_left = [[coeffs(sn, amb.mul_coords(b, nn)) for nn in sn.basis] for b in sb.basis]
-        n_right = [[coeffs(sn, amb.mul_coords(nn, a)) for a in sa.basis] for nn in sn.basis]
-        zeta = [[coeffs(sa, amb.mul_coords(m, nn)) for nn in sn.basis] for m in sm.basis]
-        psi = [[coeffs(sb, amb.mul_coords(nn, m)) for m in sm.basis] for nn in sn.basis]
+        def coords(v):
+            """v's coefficients in the basis sa + sm + sn + sb, read off its part on each corner's cells."""
+            out = []
+            for space, corner in zip(corners, cells):
+                part = [F(0)] * len(v)
+                for k in corner:
+                    part[k] = v[k]
+                c = space.coefficients_of(part)
+                assert c is not None  # closure makes every corner part a member
+                out += c
+            return out
 
-        try:
-            ctx = MoritaContext(
-                StructureConstants(a_tab),
-                StructureConstants(b_tab),
-                Bimodule(dm, da, db, m_left, m_right),
-                Bimodule(dn, db, da, n_left, n_right),
-                zeta,
-                psi,
-            )
-            u = assemble(ctx)
-        except LieTripleError:  # pragma: no cover - closure should prevent this
-            continue
-        if find_unit(u.algebra) is None:  # pragma: no cover
-            continue
-        return u
+        basis = [v for space in corners for v in space.basis]
+        table = [[coords(amb.mul_coords(x, y)) for y in basis] for x in basis]
+        labels = block_labels([f"e{i}" for i in range(sa.dim)], sm.dim, sn.dim, [f"e{i}" for i in range(sb.dim)])
+        return gma_from_block_algebra(StructureConstants(table, labels), (sa.dim, sm.dim, sn.dim, sb.dim))
     raise RuntimeError("could not draw a valid random context")
 
 
@@ -301,7 +292,6 @@ class CatalogEntry:
     name: str
     algebra: StructureConstants
     gma: GMA | None
-    provenance: str
     extras: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
@@ -319,48 +309,20 @@ def standard_gmas() -> dict[str, GMA]:
     }
 
 
-_NAMED: dict[str, Callable[[], CatalogEntry]] = {}
-
-
 def _entry_example_1_2() -> CatalogEntry:
     ex = example_1_2()
-    return CatalogEntry(
-        name="example_1_2",
-        algebra=ex.gma.algebra,
-        gma=ex.gma,
-        provenance=(
-            "2x2 matrices over the strictly upper triangular 3x3 algebra; "
-            "rational coefficients stand in for the complex ones since every "
-            "identity involved is field-agnostic"
-        ),
-        extras={
-            "phi": ex.phi,
-            "a0": ex.a0,
-            "b0": ex.b0,
-            "expected_center": ex.expected_center,
-        },
-    )
-
-
-_NAMED["example_1_2"] = _entry_example_1_2
+    extras = {"phi": ex.phi, "a0": ex.a0, "b0": ex.b0, "expected_center": ex.expected_center}
+    return CatalogEntry("example_1_2", ex.gma.algebra, ex.gma, extras)
 
 
 _MATRIX_SPEC = re.compile(r"(upper_triangular|full_matrix)\((\d+)\)")
 
 
 def _matrix_entry(spec: str, kind: str, n: int) -> CatalogEntry:
-    if n < 1:
-        raise ValueError("matrix size must be positive")
     builder = upper_triangular_gma if kind == "upper_triangular" else full_matrix_gma
     raw = upper_triangular if kind == "upper_triangular" else full_matrix
     gma = builder(n) if n >= 2 else None
-    algebra = gma.algebra if gma is not None else raw(n)
-    return CatalogEntry(
-        name=spec,
-        algebra=algebra,
-        gma=gma,
-        provenance=f"{n}x{n} {'upper triangular' if kind == 'upper_triangular' else 'full'} matrices over Q",
-    )
+    return CatalogEntry(spec, gma.algebra if gma is not None else raw(n), gma)
 
 
 def resolve(spec: str) -> CatalogEntry:
@@ -373,8 +335,8 @@ def resolve(spec: str) -> CatalogEntry:
     entry's name echoes it); a document form reads its files every time.
     """
     spec = spec.strip()
-    if spec in _NAMED:
-        return cached((spec, "resolve"), _NAMED[spec])
+    if spec == "example_1_2":
+        return cached((spec, "resolve"), _entry_example_1_2)
     m = _MATRIX_SPEC.fullmatch(spec)
     if m:
         return cached((spec, "resolve"), lambda: _matrix_entry(spec, m.group(1), int(m.group(2))))
@@ -384,10 +346,9 @@ def resolve(spec: str) -> CatalogEntry:
         b = sc_from_doc(load_json(m.group(3).strip()))
         mod = bimodule_from_doc(load_json(m.group(2).strip()), a.dim, b.dim)
         gma = assemble(triangular_context(a, mod, b))
-        return CatalogEntry(spec, gma.algebra, gma, "triangular context from documents")
+        return CatalogEntry(spec, gma.algebra, gma)
     m = re.fullmatch(r"m2\(([^)]+)\)", spec)
     if m:
-        a = sc_from_doc(load_json(m.group(1).strip()))
-        gma = m2_of(a)
-        return CatalogEntry(spec, gma.algebra, gma, "2x2 matrices over a document algebra")
+        gma = m2_of(sc_from_doc(load_json(m.group(1).strip())))
+        return CatalogEntry(spec, gma.algebra, gma)
     raise ValueError(f"unrecognized algebra spec: {brief(spec)}")

@@ -43,11 +43,11 @@ from .errors import (
 from .linalg import (
     Matrix,
     Subspace,
+    checked_tensor,
     combination,
     contract,
     kernel_of_rows,
     rat,
-    sparse_tensor,
     unit_vec,
     vec,
 )
@@ -65,24 +65,15 @@ class Bimodule:
     __slots__ = ("dim", "left_dim", "right_dim", "left", "right", "_left", "_right")
 
     def __init__(self, dim: int, left_dim: int, right_dim: int, left, right):
-        left = tuple(tuple(vec(row) for row in plane) for plane in left)
-        right = tuple(tuple(vec(row) for row in plane) for plane in right)
-        if len(left) != left_dim or any(
-            len(plane) != dim or any(len(row) != dim for row in plane) for plane in left
-        ):
-            raise DimensionMismatch("left action tensor has wrong shape")
-        if len(right) != dim or any(
-            len(plane) != right_dim or any(len(row) != dim for row in plane)
-            for plane in right
-        ):
-            raise DimensionMismatch("right action tensor has wrong shape")
+        left, sparse_left = checked_tensor(left, (left_dim, dim, dim), "left action")
+        right, sparse_right = checked_tensor(right, (dim, right_dim, dim), "right action")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "left_dim", left_dim)
         object.__setattr__(self, "right_dim", right_dim)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_left", sparse_tensor(left))
-        object.__setattr__(self, "_right", sparse_tensor(right))
+        object.__setattr__(self, "_left", sparse_left)
+        object.__setattr__(self, "_right", sparse_right)
 
     def __setattr__(self, *_):
         raise AttributeError("Bimodule is immutable")
@@ -94,12 +85,7 @@ class Bimodule:
     @classmethod
     def regular(cls, alg: StructureConstants) -> "Bimodule":
         """The algebra acting on itself by multiplication on both sides."""
-        n = alg.dim
-        left = alg.table
-        right = tuple(
-            tuple(alg.table[p][j] for j in range(n)) for p in range(n)
-        )
-        return cls(n, n, n, left, right)
+        return cls(alg.dim, alg.dim, alg.dim, alg.table, alg.table)
 
     def act_left(self, a: Sequence[Fraction], m: Sequence[Fraction]) -> tuple:
         return contract(self._left, a, m, self.dim, self.dim)
@@ -118,26 +104,16 @@ class MoritaContext:
             raise DimensionMismatch("M must be an (A, B)-bimodule")
         if N.left_dim != B.dim or N.right_dim != A.dim:
             raise DimensionMismatch("N must be a (B, A)-bimodule")
-        zeta = tuple(tuple(vec(row) for row in plane) for plane in zeta)
-        psi = tuple(tuple(vec(row) for row in plane) for plane in psi)
-        if len(zeta) != M.dim or any(
-            len(plane) != N.dim or any(len(row) != A.dim for row in plane)
-            for plane in zeta
-        ):
-            raise DimensionMismatch("zeta tensor must be M.dim x N.dim x A.dim")
-        if len(psi) != N.dim or any(
-            len(plane) != M.dim or any(len(row) != B.dim for row in plane)
-            for plane in psi
-        ):
-            raise DimensionMismatch("psi tensor must be N.dim x M.dim x B.dim")
+        zeta, sparse_zeta = checked_tensor(zeta, (M.dim, N.dim, A.dim), "zeta")
+        psi, sparse_psi = checked_tensor(psi, (N.dim, M.dim, B.dim), "psi")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "_zeta", sparse_tensor(zeta))
-        object.__setattr__(self, "_psi", sparse_tensor(psi))
+        object.__setattr__(self, "_zeta", sparse_zeta)
+        object.__setattr__(self, "_psi", sparse_psi)
 
     def __setattr__(self, *_):
         raise AttributeError("MoritaContext is immutable")
@@ -246,18 +222,23 @@ def _block_table(ctx: MoritaContext) -> tuple:
     return tuple(tuple(map(tuple, plane)) for plane in c)
 
 
+def block_labels(a_labels: Sequence[str], dim_m: int, dim_n: int, b_labels: Sequence[str]) -> tuple[str, ...]:
+    """The basis labels of a block algebra in corner order: a:<label>, m<p>, n<q>, b:<label>."""
+    return (
+        tuple(f"a:{s}" for s in a_labels)
+        + tuple(f"m{p}" for p in range(dim_m))
+        + tuple(f"n{q}" for q in range(dim_n))
+        + tuple(f"b:{s}" for s in b_labels)
+    )
+
+
 def assemble(ctx: MoritaContext) -> GMA:
     """Build the block algebra of a Morita context.
 
     Raises NotAssociative (with the failing basis triple) when the
     context violates any bimodule or pairing axiom.
     """
-    labels = (
-        tuple(f"a:{s}" for s in ctx.A.labels)
-        + tuple(f"m{p}" for p in range(ctx.M.dim))
-        + tuple(f"n{q}" for q in range(ctx.N.dim))
-        + tuple(f"b:{s}" for s in ctx.B.labels)
-    )
+    labels = block_labels(ctx.A.labels, ctx.M.dim, ctx.N.dim, ctx.B.labels)
     return GMA(StructureConstants(_block_table(ctx), labels), ctx)
 
 

@@ -30,10 +30,6 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def format_rat(x: Fraction) -> str:
-    return str(x)
-
-
 def brief(value) -> str:
     """reprlib's bounded repr of a value echoed in a message, cut to at most 80 characters."""
     text = reprlib.repr(value)
@@ -68,7 +64,7 @@ def _dim(value, what: str) -> int:
 
 
 def _grid(rows) -> list:
-    return [[format_rat(x) for x in row] for row in rows]
+    return [[str(x) for x in row] for row in rows]
 
 
 def parse_grid(rows) -> list:
@@ -144,7 +140,7 @@ def operator_to_doc(op: LinearOperator) -> dict:
     n = op.algebra.dim
     return {
         "algebra_hash": op.algebra.content_hash,
-        "matrix": [[format_rat(x) for x in op.matrix.col(j)] for j in range(n)],
+        "matrix": [[str(x) for x in op.matrix.col(j)] for j in range(n)],
     }
 
 
@@ -227,4 +223,4 @@ def save_json(path: str, doc: dict) -> None:
 
 def vector_doc(v: Sequence[Fraction]) -> list:
     """v as rational strings; the shared zero ``Subspace`` fills in is written without ``Fraction.__str__``."""
-    return ["0" if x is _ZERO else format_rat(x) for x in v]
+    return ["0" if x is _ZERO else str(x) for x in v]

@@ -6,20 +6,21 @@ equal subspaces compare equal grid-by-grid and test output is
 reproducible.
 
 Each exact primitive is written once.  ``_IntEchelon`` is the only row
-elimination, and its ``add`` the only way in: it brings each row to
-primitive integer form, drops zero and duplicate rows and eliminates the
-rest fraction-free over the integers on sparse ``{col: int}`` rows,
-keeping the echelon reduced on every insert, so a row costs one
-elimination per pivot column it holds.  A Fraction is made only at the
-final division of each row by its pivot entry.  Rows of ints go in as
-they are.  A row holding a Fraction is first scaled by
-``clear_denominators``, the one helper that clears denominators; callers
-that know a common denominator for a whole table (the structure
-constants, the basis forms) use it once per table and hand over int
-rows.  ``Subspace``, ``kernel_of_rows`` and ``solve`` fill one echelon
-through ``_echelon``, which rejects a row outside the ambient; the
-identity solver of ``centralizers`` fills one row by row and reads its
-int ``kernel_vectors`` as it goes.  Every kernel and ``solve`` read
+elimination, and its ``add`` the only way in: it takes sparse
+``{col: int}`` rows of nonzero ints, brings each to primitive form,
+drops empty and duplicate rows and eliminates the rest fraction-free
+over the integers, keeping the echelon reduced on every insert, so a
+row costs one elimination per pivot column it holds.  A Fraction is
+made only at the final division of each row by its pivot entry.
+``clear_denominators`` is the one helper that clears denominators, once
+per system or table: ``_echelon`` scales a system with it from its
+first row holding a Fraction on, and callers that know a common
+denominator for a whole table (the structure constants, the basis
+forms) use it once per table and hand over int rows.  ``Subspace``, ``kernel_of_rows`` and ``solve`` fill
+one echelon through ``_echelon``, which rejects a row outside the
+ambient and passes a system of ints through as it is; the identity
+solver of ``centralizers`` fills one row by row and reads its int
+``kernel_vectors`` as it goes.  Every kernel and ``solve`` read
 those too; ``solve`` returns None for an inconsistent system.
 Membership is read off the canonical basis without eliminating again: a
 member's coefficients are its entries at the pivots, and
@@ -29,10 +30,11 @@ member's coefficients are its entries at the pivots, and
 the only evaluation of sparse rows on a vector, which ``int_flats``
 scales to ints.  ``contract`` is the only bilinear product:
 it applies a structure tensor, held in the sparse form ``sparse_tensor``
-builds, to a pair of coordinate vectors.  ``combination`` is the only
-linear combination, the sum of c * v over coefficients and vectors; it
-skips zero coefficients and zero entries, so sparse data costs only its
-nonzeros.  ``Matrix`` holds data and has no arithmetic of its own: it
+builds, to a pair of coordinate vectors.  ``checked_tensor`` is the one
+shape check of a tensor and the one way to its sparse form.
+``combination`` is the only linear combination, the sum of c * v over
+coefficients and vectors; it skips zero coefficients and zero entries,
+so sparse data costs only its nonzeros.  ``Matrix`` holds data and has no arithmetic of its own: it
 applies to a vector, or to another matrix row by row, through
 ``combination``, and operators are added and scaled as
 ``algebra.LinearOperator``s, whose arithmetic is ``combination`` too.
@@ -89,6 +91,15 @@ def sparse_tensor(t) -> SparseTensor:
         tuple(tuple((k, x) for k, x in enumerate(row) if x != 0) for row in plane)
         for plane in t
     )
+
+
+def checked_tensor(t, shape: tuple[int, int, int], what: str) -> tuple[tuple, SparseTensor]:
+    """(t as planes of Fraction rows, its sparse form), for t of the given shape a x b x c; ``what`` names it."""
+    dense = tuple(tuple(vec(row) for row in plane) for plane in t)
+    a, b, c = shape
+    if len(dense) != a or any(len(plane) != b or any(len(row) != c for row in plane) for plane in dense):
+        raise DimensionMismatch(f"{what} tensor must be {a} x {b} x {c}")
+    return dense, sparse_tensor(dense)
 
 
 def contract(sp: SparseTensor, x: Sequence[Fraction], y: Sequence[Fraction], y_dim: int, out_dim: int) -> Vector:
@@ -219,8 +230,8 @@ class _IntEchelon:
 
     Each pivot row is a sparse {col: int} dict, primitive with a positive
     entry at its pivot, the least column it holds, and zero at every
-    other pivot column.  ``add`` is the one way in: it normalises a row
-    and drops it if it is zero or was added before.  ``_held`` holds
+    other pivot column.  ``add`` is the one way in: it normalises an int
+    row and drops it if it is empty or was added before.  ``_held`` holds
     every column a pivot row has ever held, a superset of the columns
     they hold now, since eliminating by a row brings in only its
     columns; a new lead outside it is in no pivot row.
@@ -235,25 +246,12 @@ class _IntEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, row: dict | Sequence) -> None:
-        """Insert a row in primitive integer form, unless it is zero or a repeat.
-
-        A row is a sparse dict {col: value} holding nonzero values only,
-        or a dense sequence, of ints or Fractions.  A row holding a
-        Fraction is scaled to ints first.
-        """
-        if isinstance(row, dict):
-            entries, values = sorted(row.items()), row.values()
-        else:
-            entries = [(c, x) for c, x in enumerate(row) if x]
-            values = [x for _, x in entries]
-        if not entries:
+    def add(self, row: dict[int, int]) -> None:
+        """Insert a sparse row {col: int} of nonzero ints in primitive form, unless it is empty or a repeat."""
+        if not row:
             return
-        try:
-            g = gcd(*values)
-        except TypeError:  # gcd takes ints only: the row holds a Fraction
-            _, (entries,) = clear_denominators([entries])
-            g = gcd(*(x for _, x in entries))
+        entries = sorted(row.items())
+        g = gcd(*row.values())
         if entries[0][1] < 0:
             g = -g
         sparse = tuple(entries) if g == 1 else tuple((c, x // g) for c, x in entries)
@@ -344,15 +342,25 @@ def _echelon(rows: Iterable[dict | Sequence], ambient: int) -> _IntEchelon:
 
     Rejects a dense row of another length, and a sparse column outside
     range(ambient), which is nonzero in the echelon iff in some row.
+    Rows of ints go in as they come; from the first row holding a
+    Fraction on, the rest of the system is scaled to ints at once.
     """
-    ech = _IntEchelon()
-    for row in rows:
+
+    def nonzeros(row) -> list[tuple]:
         if isinstance(row, dict):
-            if 0 in row.values():
-                row = {c: x for c, x in row.items() if x}
-        elif len(row) != ambient:
+            return [(c, x) for c, x in row.items() if x]
+        if len(row) != ambient:
             raise DimensionMismatch(f"a row of {len(row)} entries in a system of {ambient} columns")
-        ech.add(row)
+        return [(c, x) for c, x in enumerate(row) if x]
+
+    ech = _IntEchelon()
+    rows = map(nonzeros, rows)
+    for row in rows:
+        if all(type(x) is int for _, x in row):
+            ech.add(dict(row))
+        else:  # takes every row left, so the loop ends here
+            for scaled in clear_denominators([row, *rows])[1]:
+                ech.add(dict(scaled))
     if ech.rows and (min(ech.rows) < 0 or max(max(r) for r in ech.rows.values()) >= ambient):
         raise DimensionMismatch(f"a row with a column outside range({ambient})")
     return ech

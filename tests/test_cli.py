@@ -443,6 +443,14 @@ class TestShapeErrors:
         assert code == 2 and out == ""
         assert err.startswith("invalid input:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_action_of_wrong_shape(self, capsys, tmp_path, side):
+        # a 1 x 1 x 2 action on M = Q, which must be 1 x 1 x 1
+        p = _one_dim_documents(tmp_path, M={side: [[["1", "0"]]]})
+        code, out, err = run_cli(capsys, "solve", f"tri({p['A']},{p['M']},{p['B']})", "--identity", "ltc")
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: {side} action tensor must be 1 x 1 x 1\n"
+
     def test_failed_annihilating_condition(self, capsys, tmp_path):
         # the dual numbers acting on M = Q through 1 alone: x annihilates M
         p = _one_dim_documents(

@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from lietriple.algebra import AlgebraElement, LinearOperator, multiplication_operator
+from lietriple.algebra import AlgebraElement, LinearOperator, StructureConstants, multiplication_operator
 from lietriple import linalg
 from lietriple.catalog import full_matrix, rationals, scalar_bimodule, triangular_context, upper_triangular
 from lietriple.centralizers import IdentityKind, _constraint_tuples, _tuple_rows
@@ -16,13 +16,13 @@ from lietriple.linalg import (
     _IntEchelon,
     _echelon,
     Subspace,
+    checked_tensor,
     combination,
     contract,
     kernel_of_rows,
     preimage,
     row_values,
     solve,
-    sparse_tensor,
 )
 from oracles import gauss_jordan, kernel_basis, preimage_basis, rebased, row_space_basis, unit_diagonal_basis
 
@@ -626,7 +626,74 @@ def tensors_with_operands():
 @given(tensors_with_operands())
 def test_contract_matches_dense_triple_loop(case):
     t, x, y, out_dim = case
-    assert contract(sparse_tensor(t), x, y, len(y), out_dim) == dense_contract(t, x, y, out_dim)
+    _, sparse = checked_tensor(t, (len(x), len(y), out_dim), "t")
+    assert contract(sparse, x, y, len(y), out_dim) == dense_contract(t, x, y, out_dim)
+
+
+def _zeros(a, b, c):
+    return [[[0] * c for _ in range(b)] for _ in range(a)]
+
+
+def _tensor_builders():
+    """(name, shape, build) for each tensor a constructor checks, the others given the right shape.
+
+    A = Q and B = T2, with M of dim 2 and N of dim 1: every action and
+    pairing is zero, and no two of the three axes of a shape agree by accident.
+    """
+    a, b = rationals(), upper_triangular(2)
+    m = Bimodule(2, 1, 3, _zeros(1, 2, 2), _zeros(2, 3, 2))
+    n = Bimodule(1, 3, 1, _zeros(3, 1, 1), _zeros(1, 1, 1))
+    return [
+        ("structure", (2, 2, 2), StructureConstants),
+        ("left action", (1, 2, 2), lambda t: Bimodule(2, 1, 3, t, _zeros(2, 3, 2))),
+        ("right action", (2, 3, 2), lambda t: Bimodule(2, 1, 3, _zeros(1, 2, 2), t)),
+        ("zeta", (2, 1, 1), lambda t: MoritaContext(a, b, m, n, t, _zeros(1, 2, 3))),
+        ("psi", (1, 2, 3), lambda t: MoritaContext(a, b, m, n, _zeros(2, 1, 1), t)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "what, shape, build", _tensor_builders(), ids=["structure", "left-action", "right-action", "zeta", "psi"]
+)
+def test_each_structure_tensor_names_itself_and_its_shape(what, shape, build):
+    build(_zeros(*shape))
+    # a structure tensor's shape follows from its number of planes, so only its rows and entries can be off
+    for axis in range(1 if what == "structure" else 0, 3):
+        wrong = [d + (i == axis) for i, d in enumerate(shape)]
+        with pytest.raises(DimensionMismatch) as exc:
+            build(_zeros(*wrong))
+        assert str(exc.value) == f"{what} tensor must be {' x '.join(map(str, shape))}"
+
+
+def test_echelon_hands_its_rows_to_add_as_nonzero_ints(monkeypatch):
+    """Every row reaches ``_IntEchelon.add`` as nonzero ints: a system is scaled once, from its first row holding a Fraction on."""
+    add, received = _IntEchelon.add, []
+
+    def recording_add(self, row):
+        received.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(_IntEchelon, "add", recording_add)
+    rows = [(F(1, 2), F(0), F(-3, 4)), (F(2), F(4), F(0)), (F(0), F(0), F(0)), (F(2, 3), F(1), F(1, 6))]
+    assert Subspace(3, rows).dim == 3
+    assert kernel_of_rows(3, [{0: F(1, 3), 2: F(0)}, {1: F(5, 2), 2: F(-1)}]).dim == 1
+    x, kernel = solve(3, rows[:2], [F(1, 5), F(2)])
+    assert kernel.dim == 1 and (x[0] / 2 - 3 * x[2] / 4, 2 * x[0] + 4 * x[1]) == (F(1, 5), F(2))
+    # int rows go in as they come; the rows from the first Fraction on are scaled together
+    mixed = [(1, 0, -3), {1: F(5, 2), 2: 1}, (2, 0, -6)]
+    assert kernel_of_rows(3, mixed).basis == ((F(1), F(-2, 15), F(1, 3)),)
+    maps = [[(0, ((1, F(1, 2)),)), (2, ((0, F(-2, 3)),))]]
+    assert preimage(maps, Subspace(3, [(F(1), F(1, 7), F(0))])).dim == 2
+    assert len(received) > 10
+    assert [row for row in received if not all(type(v) is int and v for v in row.values())] == []
+
+
+def test_int_systems_skip_clearing_denominators(monkeypatch):
+    def fail(*_):
+        raise AssertionError("an int system was rebuilt")
+
+    monkeypatch.setattr(linalg, "clear_denominators", fail)
+    assert kernel_of_rows(3, [(1, 0, -3), {1: 2, 2: 0}]).basis == ((F(1), F(0), F(1, 3)),)
 
 
 def _block_products():
