@@ -33,27 +33,37 @@ from .linalg import (
     zero_vec,
 )
 
-# The package's one cache.  A key starts with an algebra's content hash,
-# so equal algebras share entries even when built as separate objects
-# (every CLI request builds its own), or with a deterministic catalog
-# spec, so ``catalog.resolve`` builds each named algebra once.
+# The package's one cache.  A key starts with the content hash of an
+# algebra or of a GMA (the algebra's hash and its block dims), so equal
+# ones share entries even when built as separate objects (every CLI
+# request builds its own), or with a deterministic catalog spec, so
+# ``catalog.resolve`` builds each named algebra once.  It also holds each
+# membership verdict of ``is_identity_member``, keyed by the operator's
+# exact coordinates, so the verdicts grow with the number of distinct
+# operators checked; nothing is evicted.
 _CACHE: dict[tuple, object] = {}
 
 
 def cached(key: tuple, build):
-    """``_CACHE[key]``, made by ``build()`` on the first request."""
-    if key not in _CACHE:
-        _CACHE[key] = build()
-    return _CACHE[key]
+    """``_CACHE[key]``, made by ``build()`` on the first request; a hit hashes the key once."""
+    try:
+        return _CACHE[key]
+    except KeyError:
+        pass
+    value = _CACHE[key] = build()
+    return value
 
 
 def memoized(fn):
-    """Cache ``fn(alg, *args)`` under ``(alg.content_hash, name, *args)``."""
+    """Cache ``fn(x, *args)`` under ``(x.content_hash, name, *args)``, for x an algebra or a GMA.
+
+    A call that raises stores nothing, so it raises again on every call.
+    """
     name = fn.__qualname__
 
     @functools.wraps(fn)
-    def wrapper(alg, *args):
-        return cached((alg.content_hash, name, *args), lambda: fn(alg, *args))
+    def wrapper(x, *args):
+        return cached((x.content_hash, name, *args), lambda: fn(x, *args))
 
     return wrapper
 

@@ -49,8 +49,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import (
-    AlgebraElement, LinearOperator, StructureConstants, _same_algebra, _slot_terms, basis_tensor, center, find_unit,
-    memoized,
+    AlgebraElement, LinearOperator, StructureConstants, _same_algebra, _slot_terms, basis_tensor, cached, center,
+    find_unit, memoized,
 )
 from .errors import DimensionMismatch, NotGMA, NotUnital
 from .gma import GMA, block_ranges, require_block_hypotheses
@@ -327,20 +327,34 @@ class IdentityCheck:
 
 
 def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> IdentityCheck:
-    """Evaluate every constraint tuple on the operator directly."""
+    """Evaluate every constraint tuple on the operator directly.
+
+    The verdict, witness included, is computed once per process for each
+    algebra, kind, block dims (``sjder`` only) and operator.  The operator
+    is keyed by its exact nonzero coordinates as (index, numerator,
+    denominator) ints: they hash without ``Fraction`` and hold no copy of
+    its zeros.
+    """
     alg, u = _resolve(alg_or_gma, kind)
     _same_algebra(alg, op.algebra)
+    dims = u.dims if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION else None
+    coords = tuple((k, x.numerator, x.denominator) for k, x in enumerate(op.flatten()) if x)
+    return cached(
+        (alg.content_hash, "is_identity_member", kind, dims, coords),
+        lambda: _membership(alg, kind, dims, op.matrix),
+    )
+
+
+def _membership(alg: StructureConstants, kind: IdentityKind, dims: tuple | None, matrix: Matrix) -> IdentityCheck:
+    """The verdict of ``is_identity_member``; ``dims`` adds the singular kind's sparsity pattern."""
     n = alg.dim
-    if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION:
-        rows = list(_sparsity_rows(n, u.dims))
-        for row, x in zip(rows, row_values(rows, op.flatten())):
-            if x:
-                ((pos, _),) = row.items()
-                c, r = divmod(pos, n)
-                return IdentityCheck(
-                    False, (r, c), alg.element(op.matrix.col(c)), alg.zero()
-                )
-    for tag, lhs, rhs in _identity_residuals(alg, kind, op.matrix):
+    if dims is not None:
+        for row in _sparsity_rows(n, dims):
+            ((pos, _),) = row.items()
+            c, r = divmod(pos, n)
+            if matrix.data[r][c]:
+                return IdentityCheck(False, (r, c), alg.element(matrix.col(c)), alg.zero())
+    for tag, lhs, rhs in _identity_residuals(alg, kind, matrix):
         return IdentityCheck(False, tag, alg.element(lhs), alg.element(rhs))
     return IdentityCheck(True)
 

@@ -7,7 +7,11 @@ operator is split by solving against the stacked bases; the last is the
 kernel of ``properness.central_vanishing_rows``, which also checks psi.  Splittings
 are not unique; the echelon particular solution keeps them
 deterministic, and every returned component re-verifies its own
-defining identity before anything is handed back.
+defining identity before anything is handed back.  A membership verdict
+is evaluated once per process for each exact operator, so a component
+checked twice (by ``decompose_ltd`` and again in the transcript of
+``decompose_generalized_ltd``) is evaluated once and read back the
+second time; the two checks are the same exact check.
 """
 
 from __future__ import annotations

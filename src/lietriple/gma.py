@@ -126,9 +126,16 @@ class MoritaContext:
 
 
 class GMA:
-    """An assembled generalized matrix algebra with its block geometry."""
+    """An assembled generalized matrix algebra with its block geometry.
 
-    __slots__ = ("algebra", "context", "dims", "ranges")
+    A GMA's context is its algebra's corner slices: ``assemble`` builds
+    the algebra from the context's block table, and
+    ``gma_from_block_algebra`` slices the context out of the algebra.  So
+    the algebra and the block dims fix the GMA, and ``content_hash``, the
+    algebra's hash with the dims, keys its entries in ``algebra._CACHE``.
+    """
+
+    __slots__ = ("algebra", "context", "dims", "ranges", "content_hash")
 
     def __init__(self, algebra: StructureConstants, context: MoritaContext):
         dims = _block_dims(context)
@@ -138,6 +145,7 @@ class GMA:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "ranges", block_ranges(dims))
+        object.__setattr__(self, "content_hash", f"{algebra.content_hash}/{','.join(map(str, dims))}")
 
     def __setattr__(self, *_):
         raise AttributeError("GMA is immutable")
@@ -367,6 +375,7 @@ class AnnihilatorReport:
         return self.holds_a and self.holds_b
 
 
+@memoized
 def _commutation_rows(u: GMA) -> dict[str, tuple]:
     """The condition "diag(a, b) commutes with M and N", as rows over the pairs (a, b) in Q^(dim A + dim B).
 
@@ -391,6 +400,7 @@ def _all_rows(planes: dict[str, tuple]) -> list[tuple]:
     return [row for block in planes.values() for plane in block for row in plane]
 
 
+@memoized
 def check_annihilating_conditions(u: GMA) -> AnnihilatorReport:
     """Compute {a : aM = 0, Na = 0} and {b : Mb = 0, bN = 0} as the kernels of the commutation rows' halves."""
     da = u.dim_a
@@ -422,6 +432,7 @@ class CenterBlocks:
     pi_b: Subspace
 
 
+@memoized
 def center_block_description(u: GMA) -> CenterBlocks:
     """Center as diagonal pairs; requires unitality + annihilating conditions."""
     require_block_hypotheses(u, "the center block description")
@@ -495,6 +506,7 @@ def _partners(ambient: int, d: int, pairs: list[tuple]) -> list[tuple]:
     return [v[d:] for v in span.basis]
 
 
+@memoized
 def eta_map(u: GMA) -> EtaMap:
     """eta on the basis of pi_A(Z(U)) and its inverse on pi_B(Z(U)), read off Z(U)'s basis, then verified."""
     blocks = center_block_description(u)

@@ -31,6 +31,7 @@ from .algebra import (
     StructureConstants,
     center,
     double_commutator_span,
+    memoized,
     multiplication_operator,
     require_unit,
 )
@@ -102,6 +103,7 @@ def _require_ltc(alg: StructureConstants, phi: LinearOperator) -> None:
         raise NotLTC(chk.witness)
 
 
+@memoized
 def central_vanishing_rows(alg: StructureConstants) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
     """The condition on chi, as two groups of sparse int rows over its column-major coordinates.
 
@@ -109,6 +111,7 @@ def central_vanishing_rows(alg: StructureConstants) -> tuple[tuple[dict, ...], t
     for each column c and each f in ann(Z(U)).  chi kills [[U,U],U] iff
     the second does: {c*n + l: w_c} for each w in the double-commutator
     basis and each l.  The f and the w are each scaled once to ints.
+    Built once per algebra; every caller only reads the rows.
     """
     n = alg.dim
     ann, dc = (
@@ -168,7 +171,7 @@ def is_proper_direct(
     n = alg.dim
     z = center(alg)
     into_center, kills_dc = central_vanishing_rows(alg)
-    *mults, phi_flat = int_flats(*(multiplication_operator(alg, zt).flatten() for zt in z.basis), phi.flatten())
+    *mults, phi_flat = int_flats(*_center_multiplications(alg), phi.flatten())
     res = _solve_lambda(into_center + kills_dc, mults, phi_flat)
     if res is None:
         x = _singleton_witness(alg, into_center, mults, phi_flat, probes)
@@ -191,6 +194,12 @@ def is_proper_direct(
         beta_bar=None,
         transcript=transcript,
     )
+
+
+@memoized
+def _center_multiplications(alg: StructureConstants) -> tuple[tuple, ...]:
+    """The column-major flats of x -> z_t x over the basis z_t of the center."""
+    return tuple(multiplication_operator(alg, zt).flatten() for zt in center(alg).basis)
 
 
 def _singleton_witness(alg, into_center, mults, phi_flat, probes):

@@ -18,6 +18,13 @@ from lietriple.linalg import Matrix
 from oracles import left_mult, right_mult
 
 
+# sha256 of the verify-paper stdout in each format
+VERIFY_PAPER_DIGESTS = {
+    "text": "b26cdec685a19d1b1ac66c8d24897ba3bd50d485a3b4e09c77b8aadb2cbc2c81",
+    "json": "cc0e624c811f1cebc4b9be8b961316d32535b9a940467d7e652039d0009ecdab",
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -179,13 +186,7 @@ class TestVerifyPaper:
         assert doc["results"]["all_passed"] is True
 
 
-    @pytest.mark.parametrize(
-        "fmt, digest",
-        [
-            ("text", "b26cdec685a19d1b1ac66c8d24897ba3bd50d485a3b4e09c77b8aadb2cbc2c81"),
-            ("json", "cc0e624c811f1cebc4b9be8b961316d32535b9a940467d7e652039d0009ecdab"),
-        ],
-    )
+    @pytest.mark.parametrize("fmt, digest", list(VERIFY_PAPER_DIGESTS.items()))
     def test_stdout_bytes_are_pinned(self, fmt, digest):
         cmd = [sys.executable, "-m", "lietriple.cli", "verify-paper", "--format", fmt]
         proc = subprocess.run(cmd, capture_output=True)
@@ -280,6 +281,33 @@ def test_certify_stdout_bytes_are_pinned(capsys, tmp_path, monkeypatch, spec, ar
     code, out, _ = run_cli(capsys, argv[0], spec, *argv[1:], "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_warm_cache_certify_commands_print_cold_bytes(capsys, tmp_path, monkeypatch):
+    """proper, decompose, decompose --xi and hypotheses on T3, M3 and T4 print the same bytes cold and warm."""
+    monkeypatch.chdir(tmp_path)
+    argvs = []
+    for spec in ("upper_triangular(3)", "full_matrix(3)", "upper_triangular(4)"):
+        entry = resolve(spec)
+        phi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_CENTRALIZER)
+        xi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_DERIVATION)
+        for name, op in (("phi", phi), ("xi", xi), ("lam", phi + xi)):
+            save_json(f"{name}-{spec}.json", operator_to_doc(op))
+        for fmt in ("text", "json"):
+            argvs += [
+                ("proper", spec, f"phi-{spec}.json", "--format", fmt),
+                ("decompose", spec, f"phi-{spec}.json", "--format", fmt),
+                ("decompose", spec, f"lam-{spec}.json", "--xi", f"xi-{spec}.json", "--format", fmt),
+                ("hypotheses", spec, "--format", fmt),
+            ]
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    cold, warm = ([run_cli(capsys, *argv) for argv in argvs] for _ in range(2))
+    assert [code for code, _, _ in cold] == [0] * len(argvs)
+    assert cold == warm
+    for fmt, digest in VERIFY_PAPER_DIGESTS.items():
+        code, out, _ = run_cli(capsys, "verify-paper", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
