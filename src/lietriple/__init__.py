@@ -46,7 +46,6 @@ from .gma import (
     check_annihilating_conditions,
     context_of,
     eta_map,
-    gma_from_block_algebra,
     m2_of,
     peirce_from_idempotent,
 )

@@ -24,7 +24,6 @@ from .gma import (
     MoritaContext,
     assemble,
     block_labels,
-    gma_from_block_algebra,
     m2_of,
 )
 from .io import bimodule_from_doc, brief, load_json, sc_from_doc
@@ -109,7 +108,7 @@ def _matrix_gma(kind: str, n: int, split: int, dim: int) -> GMA:
             for rows, cols in ((top, top), (top, rest), (rest, top), (rest, rest))
         ]
         units = _matrix_units([cell for corner in corners for cell in corner])
-        return gma_from_block_algebra(units, tuple(map(len, corners)))
+        return GMA(units, tuple(map(len, corners)))
 
     return cached((f"{kind}({n})", "gma", split), build)
 
@@ -201,8 +200,8 @@ def random_gma(rng: random.Random, require_n: bool | None = None) -> GMA:
 
     Corners are grown as subspaces of an ambient M_{p+q}(Q) and closed
     under all products, so together they span a subalgebra holding the
-    identity; its table in the corner-ordered basis sa + sm + sn + sb is
-    wrapped by ``gma_from_block_algebra``.  Draws whose closure overflows
+    identity; its table in the corner-ordered basis sa + sm + sn + sb,
+    with the corner dims, makes the ``GMA``.  Draws whose closure overflows
     the corner cap are retried.  Deterministic for a seeded rng.
     ``require_n`` pins the N corner to be nonzero (True) or zero (False).
     """
@@ -278,7 +277,7 @@ def random_gma(rng: random.Random, require_n: bool | None = None) -> GMA:
         basis = [v for space in corners for v in space.basis]
         table = [[coords(amb.mul_coords(x, y)) for y in basis] for x in basis]
         labels = block_labels([f"e{i}" for i in range(sa.dim)], sm.dim, sn.dim, [f"e{i}" for i in range(sb.dim)])
-        return gma_from_block_algebra(StructureConstants(table, labels), (sa.dim, sm.dim, sn.dim, sb.dim))
+        return GMA(StructureConstants(table, labels), (sa.dim, sm.dim, sn.dim, sb.dim))
     raise RuntimeError("could not draw a valid random context")
 
 

@@ -1,10 +1,13 @@
-"""Generalized matrix algebras assembled from Morita contexts.
+"""Generalized matrix algebras: an algebra with its basis cut into corners.
 
-A context (A, B, M, N, zeta, psi) assembles into the block algebra
-[[A, M], [N, B]] on the fixed basis ordering [A-block, M-block,
-N-block, B-block].  All bimodule and pairing axioms are validated in
-one stroke: the assembled multiplication table must be associative,
-and a failure reports the offending basis triple.
+``GMA(algebra, dims)`` is the one way to build one.  It slices the
+Morita context (A, B, M, N, zeta, psi) out of the algebra's table on
+the basis ordering [A-block, M-block, N-block, B-block] and checks on
+nonzeros that every product obeys the 2x2 block rules.  ``assemble``
+writes a context's block algebra [[A, M], [N, B]] and hands it to
+``GMA``, so all bimodule and pairing axioms are validated in one
+stroke: the assembled multiplication table must be associative, and a
+failure reports the offending basis triple.
 
 "diag(a, b) commutes with M and N" is stated once, as the rows of
 ``_commutation_rows``: the annihilating conditions are the kernels of
@@ -126,21 +129,27 @@ class MoritaContext:
 
 
 class GMA:
-    """An assembled generalized matrix algebra with its block geometry.
+    """An algebra with its basis cut into the corners A, M, N, B, in that order.
 
-    A GMA's context is its algebra's corner slices: ``assemble`` builds
-    the algebra from the context's block table, and
-    ``gma_from_block_algebra`` slices the context out of the algebra.  So
-    the algebra and the block dims fix the GMA, and ``content_hash``, the
-    algebra's hash with the dims, keys its entries in ``algebra._CACHE``.
+    The context is sliced out of the algebra, and every nonzero c[i][j][k]
+    must sit at a corner triple of ``_RULES``, where the sliced context's
+    block table copies it: the two tables are equal, so no second algebra
+    is built.  The algebra and the dims thus fix the GMA, and
+    ``content_hash``, the algebra's hash with the dims, keys its entries
+    in ``algebra._CACHE``.
     """
 
     __slots__ = ("algebra", "context", "dims", "ranges", "content_hash")
 
-    def __init__(self, algebra: StructureConstants, context: MoritaContext):
-        dims = _block_dims(context)
-        if algebra.dim != sum(dims):
-            raise DimensionMismatch("algebra dimension does not match block dims")
+    def __init__(self, algebra: StructureConstants, dims: tuple[int, int, int, int]):
+        context = context_of(algebra, dims)
+        dims = tuple(dims)
+        corner = "".join(block * d for block, d in zip("AMNB", dims))
+        allowed = set(_RULES.values())
+        for i, plane in enumerate(algebra._sparse):
+            for j, row in enumerate(plane):
+                if any(corner[i] + corner[j] + corner[k] not in allowed for k, _ in row):
+                    raise InvalidBlockStructure("products do not respect the 2x2 block multiplication rules")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "dims", dims)
@@ -244,14 +253,17 @@ def assemble(ctx: MoritaContext) -> GMA:
     """Build the block algebra of a Morita context.
 
     Raises NotAssociative (with the failing basis triple) when the
-    context violates any bimodule or pairing axiom.
+    context violates any bimodule or pairing axiom.  The GMA holds the
+    algebra's corner slices, which carry ctx's tensors.
     """
     labels = block_labels(ctx.A.labels, ctx.M.dim, ctx.N.dim, ctx.B.labels)
-    return GMA(StructureConstants(_block_table(ctx), labels), ctx)
+    return GMA(StructureConstants(_block_table(ctx), labels), _block_dims(ctx))
 
 
 def context_of(algebra: StructureConstants, dims: tuple[int, int, int, int]) -> MoritaContext:
-    """Slice a block algebra's table back into a Morita context."""
+    """Slice a block algebra's table into a Morita context; dims are four ints >= 0, not bools."""
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 4 and all(type(d) is int and d >= 0 for d in dims)):
+        raise DimensionMismatch("block dims must be four integers >= 0")
     if algebra.dim != sum(dims):
         raise DimensionMismatch("block dims do not sum to the algebra dimension")
     ranges = block_ranges(dims)
@@ -267,24 +279,6 @@ def context_of(algebra: StructureConstants, dims: tuple[int, int, int, int]) -> 
     M = Bimodule(dm, da, db, part["M.left"], part["M.right"])
     N = Bimodule(dn, db, da, part["N.left"], part["N.right"])
     return MoritaContext(A, B, M, N, part["zeta"], part["psi"])
-
-
-def gma_from_block_algebra(algebra: StructureConstants, dims: tuple[int, int, int, int]) -> GMA:
-    """Wrap an existing algebra as a GMA, verifying the block rules.
-
-    Every nonzero c[i][j][k] must sit at a corner triple of ``_RULES``:
-    the block table of the sliced context copies exactly those entries
-    and is zero elsewhere, so this compares the two tables on nonzeros.
-    Equal tables are equally associative, so no second algebra is built.
-    """
-    ctx = context_of(algebra, dims)
-    corner = "".join(block * d for block, d in zip("AMNB", dims))
-    allowed = set(_RULES.values())
-    for i, plane in enumerate(algebra._sparse):
-        for j, row in enumerate(plane):
-            if any(corner[i] + corner[j] + corner[k] not in allowed for k, _ in row):
-                raise InvalidBlockStructure("products do not respect the 2x2 block multiplication rules")
-    return GMA(algebra, ctx)
 
 
 @memoized
@@ -347,7 +341,7 @@ def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> Peirce
         else:
             labels.append(f"p{t}")
     sc = StructureConstants(table, labels)
-    gma = gma_from_block_algebra(sc, dims)
+    gma = GMA(sc, dims)
     return PeirceDecomposition(gma, Matrix.from_cols(new_basis), Matrix.from_cols(new_coords))
 
 

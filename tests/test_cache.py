@@ -4,9 +4,12 @@ A GMA's entries are keyed by its algebra's content hash and its block
 dims, an algebra's by its content hash, a membership verdict also by the
 kind and the operator's exact nonzero coordinates.  A value read warm must be the
 value computed cold, and two GMAs on one algebra must not share entries.
+A GMA holds its algebra's corner slices, so the hash and the dims fix it;
+a split the slices do not fit raises before anything is cached.
 """
 
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
@@ -19,20 +22,35 @@ from lietriple.catalog import (
     full_matrix,
     full_matrix_gma,
     rationals,
+    scalar_bimodule,
     standard_gmas,
+    strict_upper_3x3,
+    triangular_context,
     upper_triangular,
     upper_triangular_gma,
 )
 from lietriple.centralizers import IdentityKind, is_identity_member
 from lietriple.derivations import central_vanishing_space, check_thm41_hypotheses
-from lietriple.errors import AlgebraMismatch, LieTripleError, NotGMA, NotUnital
+from lietriple.errors import (
+    AlgebraMismatch,
+    DimensionMismatch,
+    InvalidBlockStructure,
+    LieTripleError,
+    NotAssociative,
+    NotGMA,
+    NotUnital,
+)
 from lietriple.gma import (
+    GMA,
+    _RULES,
+    Bimodule,
+    MoritaContext,
     _commutation_rows,
+    assemble,
     block_center,
     center_block_description,
     check_annihilating_conditions,
     eta_map,
-    gma_from_block_algebra,
     m2_of,
 )
 from lietriple.properness import (
@@ -41,6 +59,7 @@ from lietriple.properness import (
     check_cor36_hypotheses,
     equivalence_audit,
 )
+from test_gma import MALFORMED_DIMS
 
 LTC = IdentityKind.LIE_TRIPLE_CENTRALIZER
 SJDER = IdentityKind.SINGULAR_JORDAN_DERIVATION
@@ -51,7 +70,7 @@ ALGEBRA_FACTS = (central_vanishing_rows, _center_multiplications)
 
 def _m2_plus_q(dims):
     """M2(Q) + Q in the basis e11, e12, e21, e22, f: one algebra, split as (1, 1, 1, 2) or as (4, 0, 0, 1)."""
-    return gma_from_block_algebra(direct_sum(full_matrix(2), rationals()), dims)
+    return GMA(direct_sum(full_matrix(2), rationals()), dims)
 
 
 def _gmas():
@@ -114,6 +133,50 @@ def test_two_splits_of_one_algebra_keep_separate_entries(monkeypatch):
     name = check_annihilating_conditions.__wrapped__.__qualname__
     keys = [key for key in lietriple.algebra._CACHE if key[1] == name]
     assert sorted(keys) == sorted([(split1.content_hash, name), (split4.content_hash, name)])
+
+
+@pytest.mark.parametrize(
+    "algebra, dims, error",
+    [
+        (lambda: full_matrix_gma(3).algebra, (4, 2, 2, 1), NotAssociative),
+        (lambda: upper_triangular_gma(3).algebra, (2, 1, 0, 3), InvalidBlockStructure),
+        *((lambda: direct_sum(full_matrix(2), rationals()), dims, DimensionMismatch) for dims in MALFORMED_DIMS),
+    ],
+    ids=["M3-4221", "T3-2103", "negative", "five", "float", "bool"],
+)
+def test_a_failing_split_stores_nothing(monkeypatch, algebra, dims, error):
+    # a GMA holds its algebra's corner slices, so a split the slices do not
+    # fit raises before any fact can be cached under the algebra's hash
+    alg = algebra()
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    with pytest.raises(error):
+        GMA(alg, dims)
+    assert lietriple.algebra._CACHE == {}
+
+
+def _m2_context(alg):
+    """The context m2_of builds: alg in all four corners, acting on itself, paired by its product."""
+    reg = Bimodule.regular(alg)
+    return MoritaContext(alg, alg, reg, reg, alg.table, alg.table)
+
+
+@pytest.mark.parametrize(
+    "context, built",
+    [
+        (lambda: _m2_context(upper_triangular(2)), lambda: m2_of(upper_triangular(2))),
+        (lambda: _m2_context(strict_upper_3x3()), lambda: example_1_2().gma),
+        (lambda: triangular_context(rationals(), scalar_bimodule(), rationals()), None),
+    ],
+    ids=["m2(T2)", "example_1_2", "tri(Q,Q,Q)"],
+)
+def test_an_assembled_gma_holds_the_context_it_was_given(context, built):
+    # tensors, not hashes: the sliced A and B carry the block labels a:... and b:...
+    ctx = context()
+    gmas = [assemble(ctx)] + ([built()] if built else [])
+    for u in gmas:
+        assert u.dims == (ctx.A.dim, ctx.M.dim, ctx.N.dim, ctx.B.dim)
+        for path in _RULES:
+            assert attrgetter(path)(u.context) == attrgetter(path)(ctx), path
 
 
 def test_a_failing_call_stores_nothing_and_raises_again(monkeypatch):

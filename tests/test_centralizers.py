@@ -9,10 +9,12 @@ from hypothesis import given, strategies as st
 
 from lietriple.algebra import LinearOperator, basis_tensor
 from lietriple.catalog import (
+    direct_sum,
     example_1_2,
     full_matrix,
     full_matrix_gma,
     random_gma,
+    rationals,
     upper_triangular,
     upper_triangular_gma,
 )
@@ -303,13 +305,13 @@ class TestDecompositionOfAnotherGMA:
         with pytest.raises(AlgebraMismatch):
             check(u, block_decompose(other, LinearOperator.identity(other.algebra)))
 
-    def test_other_block_dims_are_rejected(self, gmas, check):
-        # the same algebra as M3, cut by a context with corner dims (4, 2, 2, 1)
-        m3 = gmas["M3"]
-        u = GMA(m3.algebra, full_matrix_gma(3, split=2).context)
-        assert u.dims != m3.dims
-        with pytest.raises(DimensionMismatch, match="blocks"):
-            check(u, block_decompose(m3, LinearOperator.identity(m3.algebra)))
+    def test_other_block_dims_are_rejected(self, check):
+        # one algebra, M2(Q) + Q, split as (1, 1, 1, 2) and as (4, 0, 0, 1)
+        alg = direct_sum(full_matrix(2), rationals())
+        splits = [GMA(alg, (1, 1, 1, 2)), GMA(alg, (4, 0, 0, 1))]
+        for u, other in (splits, splits[::-1]):
+            with pytest.raises(DimensionMismatch, match="blocks"):
+                check(u, block_decompose(other, LinearOperator.identity(alg)))
 
 
 def _random_matrix(rng, rows, cols):

@@ -10,10 +10,10 @@ import pytest
 
 import lietriple
 from lietriple.algebra import LinearOperator
-from lietriple.catalog import full_matrix_gma, resolve
+from lietriple.catalog import full_matrix_gma, resolve, strict_upper_3x3, upper_triangular
 from lietriple.centralizers import IdentityKind, solve_identity_space
 from lietriple.cli import main
-from lietriple.io import context_from_doc, context_to_doc, operator_to_doc, save_json
+from lietriple.io import context_from_doc, context_to_doc, operator_to_doc, save_json, sc_to_doc
 from lietriple.linalg import Matrix
 from oracles import left_mult, right_mult
 
@@ -411,6 +411,36 @@ def _one_dim_documents(tmp_path, **overrides):
         path.write_text(json.dumps({**doc, **overrides.get(name, {})}))
         paths[name] = str(path)
     return paths
+
+
+# sha256 over the exit code, stdout and stderr of every command below on
+# the m2(FILE) and tri(A,M,B) specs, the CLI paths through ``assemble``
+DOCUMENT_SPEC_DIGEST = "a8af42f456ed61462865c15e70fbbdf912c923e814994e539f6aa422c6340b9c"
+
+
+def test_document_spec_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    """solve (every kind), hypotheses, proper and decompose on document specs, in text and JSON."""
+    monkeypatch.chdir(tmp_path)
+    save_json("T2.json", sc_to_doc(upper_triangular(2)))
+    save_json("N3.json", sc_to_doc(strict_upper_3x3()))
+    _one_dim_documents(Path("."))
+    h = hashlib.sha256()
+    for spec in ("m2(T2.json)", "m2(N3.json)", "tri(A.json,M.json,B.json)"):
+        entry = resolve(spec)
+        phi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_CENTRALIZER)
+        xi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_DERIVATION)
+        for name, op in (("phi", phi), ("xi", xi), ("lam", phi + xi)):
+            save_json(f"{name}.json", operator_to_doc(op))
+        argvs = [("solve", spec, "--identity", kind.value) for kind in IdentityKind] + [
+            ("hypotheses", spec),
+            ("proper", spec, "phi.json"),
+            ("decompose", spec, "phi.json"),
+            ("decompose", spec, "lam.json", "--xi", "xi.json"),
+        ]
+        for fmt in ("text", "json"):
+            for argv in argvs:
+                h.update(json.dumps([argv, *run_cli(capsys, *argv, "--format", fmt)]).encode())
+    assert h.hexdigest() == DOCUMENT_SPEC_DIGEST
 
 
 _DEEP = "1"

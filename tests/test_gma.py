@@ -35,6 +35,7 @@ from lietriple.errors import (
     TrivialIdempotent,
 )
 from lietriple.gma import (
+    GMA,
     Bimodule,
     EtaMap,
     MoritaContext,
@@ -46,7 +47,6 @@ from lietriple.gma import (
     check_annihilating_conditions,
     context_of,
     eta_map,
-    gma_from_block_algebra,
     m2_of,
     peirce_from_idempotent,
     require_block_hypotheses,
@@ -95,12 +95,26 @@ class TestAssemble:
         # Pretending M2's off-diagonal units are both in the M corner breaks
         # the rule M.M = 0, since e12 e21 = e11.
         with pytest.raises(InvalidBlockStructure):
-            gma_from_block_algebra(full_matrix(2), (1, 2, 0, 1))
+            GMA(full_matrix(2), (1, 2, 0, 1))
+
+
+# A negative corner, five corners, a float and a bool, on M2(Q) + Q; the
+# bool would build the GMA (1, 1, 1, 2) under a second content hash.
+MALFORMED_DIMS = [(1, -1, 1, 4), (1, 1, 1, 2, 0), (1.0, 1, 1, 2), (True, 1, 1, 2)]
+
+
+@pytest.mark.parametrize("build", [GMA, context_of])
+@pytest.mark.parametrize("dims", MALFORMED_DIMS, ids=["negative", "five", "float", "bool"])
+def test_malformed_dims_are_rejected_before_slicing(build, dims):
+    alg = direct_sum(full_matrix(2), rationals())
+    with pytest.raises(DimensionMismatch, match="^block dims must be four integers >= 0$"):
+        build(alg, dims)
+    assert GMA(alg, [1, 1, 1, 2]).content_hash == f"{alg.content_hash}/1,1,1,2"
 
 
 def _split_outcome(alg, dims):
     try:
-        gma_from_block_algebra(alg, dims)
+        GMA(alg, dims)
     except LieTripleError as exc:
         return type(exc)
     return None
