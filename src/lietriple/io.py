@@ -26,7 +26,7 @@ from .errors import HashMismatch
 from .gma import Bimodule, MoritaContext
 from .linalg import _ZERO, Matrix
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
@@ -37,12 +37,15 @@ def brief(value) -> str:
 
 
 def parse_rat(s) -> Fraction:
-    """A JSON int (not a bool), or a "p" or "p/q" string with q != 0."""
-    if isinstance(s, bool) or not (
-        isinstance(s, int) or (isinstance(s, str) and _RATIONAL.fullmatch(s))
-    ):
-        raise ValueError(f"not a rational: {brief(s)}")
-    return Fraction(s)
+    """A JSON int (not a bool), or a "p" or "p/q" string with q != 0, read off one regex match."""
+    if isinstance(s, str):
+        m = _RATIONAL.fullmatch(s)
+        if m:
+            num, den = m.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    elif isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    raise ValueError(f"not a rational: {brief(s)}")
 
 
 def _expect(value, kind: type, what: str, *keys: str):

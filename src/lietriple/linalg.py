@@ -10,18 +10,25 @@ elimination, and its ``add`` the only way in: it takes sparse
 ``{col: int}`` rows of nonzero ints, brings each to primitive form,
 drops empty and duplicate rows and eliminates the rest fraction-free
 over the integers, keeping the echelon reduced on every insert, so a
-row costs one elimination per pivot column it holds.  A Fraction is
-made only at the final division of each row by its pivot entry.
-``clear_denominators`` is the one helper that clears denominators, once
-per system or table: ``_echelon`` scales a system with it from its
-first row holding a Fraction on, and callers that know a common
-denominator for a whole table (the structure constants, the basis
-forms) use it once per table and hand over int rows.  ``Subspace``, ``kernel_of_rows`` and ``solve`` fill
-one echelon through ``_echelon``, which rejects a row outside the
-ambient and passes a system of ints through as it is; the identity
-solver of ``centralizers`` fills one row by row and reads its int
-``kernel_vectors`` as it goes.  Every kernel and ``solve`` read
-those too; ``solve`` returns None for an inconsistent system.
+row costs one elimination per pivot column it holds.  A row's pivot is
+its greatest column, so the kernel vector of a free column f holds only
+f and pivots above f: it is the canonical basis vector of pivot f up to
+scale, and a kernel is read off the echelon with no second elimination.
+A Fraction is made only at the final division of each row by its pivot
+entry.  ``clear_denominators`` is the one helper that clears
+denominators, once per system or table: ``_echelon`` scales a system
+with it from its first row holding a Fraction on, and callers that know
+a common denominator for a whole table (the structure constants, the
+basis forms) use it once per table and hand over int rows.
+``Subspace``, ``kernel_of_rows`` and ``solve`` fill one echelon through
+``_echelon``, which rejects a row outside the ambient and passes a
+system of ints through as it is; the identity solver of
+``centralizers`` fills one row by row and reads its int
+``kernel_vectors`` as it goes.  ``Subspace`` and ``solve`` number
+columns from the end (c -> n - 1 - c, ``_mirrored``), so their echelon
+pivots on least columns: ``Subspace`` reads its canonical basis off the
+pivot rows, and ``solve`` sees an inconsistent system as a pivot at its
+right-hand side, which is column 0, and returns None for it.
 Membership is read off the canonical basis without eliminating again: a
 member's coefficients are its entries at the pivots, and
 ``Subspace.coefficients_of`` checks them through ``combination``.
@@ -229,12 +236,17 @@ class _IntEchelon:
     """Exact row echelon over Z (representing a Q row space), kept reduced on insert.
 
     Each pivot row is a sparse {col: int} dict, primitive with a positive
-    entry at its pivot, the least column it holds, and zero at every
+    entry at its pivot, the greatest column it holds, and zero at every
     other pivot column.  ``add`` is the one way in: it normalises an int
     row and drops it if it is empty or was added before.  ``_held`` holds
     every column a pivot row has ever held, a superset of the columns
     they hold now, since eliminating by a row brings in only its
     columns; a new lead outside it is in no pivot row.
+
+    A pivot row holds only its pivot and free columns below it, so the
+    kernel vector of a free column f holds only f and pivots above f: it
+    is zero at every other free column and least at f, which makes the
+    kernel vectors the canonical basis of the kernel up to scale.
     """
 
     def __init__(self):
@@ -252,7 +264,7 @@ class _IntEchelon:
             return
         entries = sorted(row.items())
         g = gcd(*row.values())
-        if entries[0][1] < 0:
+        if entries[-1][1] < 0:
             g = -g
         sparse = tuple(entries) if g == 1 else tuple((c, x // g) for c, x in entries)
         if sparse not in self._seen:
@@ -263,16 +275,16 @@ class _IntEchelon:
         """Add a nonzero row, reducing it in place; a row in the span adds nothing.
 
         One elimination per pivot column the row holds, as a pivot row is
-        zero at the other pivots; a surviving row's lead is then
-        eliminated from the pivot rows that hold it, which are looked for
-        only when the lead is in ``_held``.
+        zero at the other pivots; a surviving row's lead, its greatest
+        column, is then eliminated from the pivot rows that hold it, which
+        are looked for only when the lead is in ``_held``.
         """
         rows = self.rows
         for p in [c for c in row if c in rows]:
             row = _eliminate(row, rows[p], p)
         if not row:
             return
-        lead = min(row)
+        lead = max(row)
         row = _primitive(row, lead)
         if lead in self._held:
             for p, prow in rows.items():
@@ -281,16 +293,10 @@ class _IntEchelon:
         self._held.update(row)
         rows[lead] = row
 
-    def rref_fraction_rows(self) -> tuple[list[dict[int, Fraction]], list[int]]:
-        """The unique rref as sparse rows, in pivot order; only dividing by each pivot makes Fractions."""
-        rows = self.rows
-        pivots = sorted(rows)
-        return [{c: Fraction(x, rows[p][p]) for c, x in rows[p].items()} for p in pivots], pivots
+    def _free_columns(self, ambient: int) -> dict[int, dict[int, int]]:
+        """{f: {p: row p at f}} over the free columns f in range(ambient), ascending, and the pivots p whose row holds f.
 
-    def kernel_vectors(self, ambient: int) -> list[dict[int, int]]:
-        """A basis of the kernel in Z^ambient as sparse rows, one per free column f, f ascending.
-
-        Row f is 1 at f and -row[f] / row[p] at each pivot p whose row holds f, times the least int clearing that.
+        Every such p is above f, since a pivot row's pivot is its greatest column.
         """
         rows = self.rows
         free = {f: {} for f in range(ambient) if f not in rows}
@@ -298,15 +304,34 @@ class _IntEchelon:
             for c, x in row.items():
                 if c != p:
                     free[c][p] = x
+        return free
+
+    def kernel_vectors(self, ambient: int) -> list[dict[int, int]]:
+        """A basis of the kernel in Z^ambient as sparse rows, one per free column f, f ascending.
+
+        Row f is 1 at f and -row[f] / row[p] at each pivot p whose row
+        holds f, times the least int clearing that.  Every such p is
+        above f, so row f is the canonical basis vector of pivot f times
+        its entry at f.
+        """
+        rows = self.rows
         out = []
-        for f, held in free.items():
+        for f, held in self._free_columns(ambient).items():
             s = lcm(*(rows[p][p] // gcd(x, rows[p][p]) for p, x in held.items()))
             out.append({f: s, **{p: -x * s // rows[p][p] for p, x in held.items()}})
         return out
 
     def kernel(self, ambient: int) -> "Subspace":
-        """{x in Q^ambient : every row added so far vanishes on x}."""
-        return Subspace(ambient, self.kernel_vectors(ambient))
+        """{x in Q^ambient : every row added so far vanishes on x}, with no second elimination.
+
+        The canonical basis vector of pivot f is the kernel vector of free
+        column f divided by its entry at f: 1 at f and -row[f] / row[p] at
+        each pivot p whose row holds f.
+        """
+        rows = self.rows
+        free = self._free_columns(ambient)
+        reduced = [{f: _ONE, **{p: Fraction(-x, rows[p][p]) for p, x in held.items()}} for f, held in free.items()]
+        return Subspace._reduced(ambient, reduced, free)
 
 
 def _eliminate(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
@@ -361,12 +386,24 @@ def _echelon(rows: Iterable[dict | Sequence], ambient: int) -> _IntEchelon:
         else:  # takes every row left, so the loop ends here
             for scaled in clear_denominators([row, *rows])[1]:
                 ech.add(dict(scaled))
-    if ech.rows and (min(ech.rows) < 0 or max(max(r) for r in ech.rows.values()) >= ambient):
+    if ech.rows and (max(ech.rows) >= ambient or min(min(r) for r in ech.rows.values()) < 0):
         raise DimensionMismatch(f"a row with a column outside range({ambient})")
     return ech
 
 
+def _mirrored(rows: Iterable[dict | Sequence], ambient: int) -> Iterable[dict | Sequence]:
+    """The rows with column c numbered ambient - 1 - c: a dense row reversed, a sparse row's keys renumbered.
+
+    A greatest-column pivot of the mirrored rows is a least-column pivot
+    of the rows, and a column outside range(ambient) stays outside.
+    """
+    last = ambient - 1
+    for row in rows:
+        yield {last - c: x for c, x in row.items()} if isinstance(row, dict) else row[::-1]
+
+
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _dense(row: dict[int, Fraction], n: int) -> Vector:
@@ -380,7 +417,9 @@ def kernel_of_rows(ambient: int, rows: Iterable[dict | Sequence]) -> Subspace:
     """Exact kernel of a stack of constraint rows; no rows give Q^ambient.
 
     Rows may be sparse dicts {col: value} or dense sequences, of ints or
-    Fractions.
+    Fractions.  The echelon pivots on each row's greatest column, so its
+    kernel vectors, one per free column, are the canonical basis up to
+    scale and are not eliminated again.
     """
     return _echelon(rows, ambient).kernel(ambient)
 
@@ -415,25 +454,42 @@ def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> tuple
     if any(isinstance(row, dict) and ambient in row for row in rows):
         raise DimensionMismatch(f"a row with a column outside range({ambient})")
     augmented = ({**row, ambient: b} if isinstance(row, dict) else (*row, b) for row, b in zip(rows, rhs))
-    ech = _echelon(augmented, ambient + 1)
-    if ambient in ech.rows:  # a row 0 = b with b nonzero
+    # mirrored, the rhs column is 0 and x_k is column ambient - k: the pivots are those of the rref
+    ech = _echelon(_mirrored(augmented, ambient + 1), ambient + 1)
+    if 0 in ech.rows:  # a row 0 = b with b nonzero
         return None
-    # column ambient is free and last: its kernel vector is s * (-x, 1) for the particular solution x
-    *kernel, last = ech.kernel_vectors(ambient + 1)
-    return tuple(Fraction(-last.get(k, 0), last[ambient]) for k in range(ambient)), Subspace(ambient, kernel)
+    # column 0 is free and first: its kernel vector is s * (1, -x) with x mirrored, x the particular solution
+    first, *kernel = ech.kernel_vectors(ambient + 1)
+    x = tuple(Fraction(-first.get(ambient - k, 0), first[0]) for k in range(ambient))
+    return x, Subspace(ambient, _mirrored(kernel, ambient + 1))
 
 
 class Subspace:
     """A subspace of Q^n with a canonical reduced-echelon basis.
 
     The constructor canonicalizes, so equal subspaces have identical
-    basis grids and ``==`` is grid equality.
+    basis grids and ``==`` is grid equality.  A basis vector is 1 at its
+    pivot, its least column, and 0 at every other pivot.
     """
 
     __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
-        reduced, pivots = _echelon(vectors, ambient).rref_fraction_rows()
+        # the echelon of the mirrored vectors pivots on their least columns
+        last = ambient - 1
+        rows = _echelon(_mirrored(vectors, ambient), ambient).rows
+        pivots = sorted(rows, reverse=True)
+        reduced = [{last - c: Fraction(x, rows[p][p]) for c, x in rows[p].items()} for p in pivots]
+        self._fill(ambient, reduced, [last - p for p in pivots])
+
+    @classmethod
+    def _reduced(cls, ambient: int, reduced: Iterable[dict[int, Fraction]], pivots: Iterable[int]) -> "Subspace":
+        """The subspace with this canonical basis: sparse rows, each 1 at its pivot and 0 at the others, pivots ascending."""
+        space = cls.__new__(cls)
+        space._fill(ambient, reduced, pivots)
+        return space
+
+    def _fill(self, ambient: int, reduced: Iterable[dict[int, Fraction]], pivots: Iterable[int]) -> None:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(_dense(row, ambient) for row in reduced))
         object.__setattr__(self, "pivots", tuple(pivots))

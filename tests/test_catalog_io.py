@@ -26,9 +26,11 @@ from lietriple.io import (
     bimodule_to_doc,
     context_from_doc,
     context_to_doc,
+    brief,
     dump_json,
     operator_from_doc,
     operator_to_doc,
+    parse_rat,
     save_json,
     sc_from_doc,
     sc_to_doc,
@@ -314,3 +316,19 @@ class TestDocuments:
         assert list(u.block_range("B")) == [3]
         ut = upper_triangular_gma(3)
         assert ut.dims == (1, 2, 0, 3)
+
+
+@given(st.one_of(st.from_regex(r"[+-]?[0-9]{1,40}(/0*[1-9][0-9]{0,40})?", fullmatch=True), st.integers()))
+def test_parse_rat_reads_a_rational_as_fraction_does(s):
+    got = parse_rat(s)
+    assert type(got) is Fraction and got == Fraction(s)
+
+
+@pytest.mark.parametrize(
+    "s", ["1/0", "1/00", " 1", "1 ", "\uff11", "1_0", "+-1", "1/-2", "1.5", "1e3", "", "/2", True, 1.0, None]
+)
+def test_parse_rat_rejects_what_is_not_a_json_rational(s):
+    # Fraction reads " 1", the fullwidth one, "1_0", "1.5" and 1.0; "1/0" would divide by zero
+    with pytest.raises(ValueError) as exc:
+        parse_rat(s)
+    assert str(exc.value) == f"not a rational: {brief(s)}"

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lietriple.algebra import AlgebraElement, LinearOperator, StructureConstants, multiplication_operator
+import lietriple.algebra
 from lietriple import linalg
 from lietriple.catalog import full_matrix, rationals, scalar_bimodule, triangular_context, upper_triangular
-from lietriple.centralizers import IdentityKind, _constraint_tuples, _tuple_rows
+from lietriple.centralizers import IdentityKind, _constraint_tuples, _tuple_rows, solve_identity_space
 from lietriple.errors import DimensionMismatch
 from lietriple.gma import Bimodule, MoritaContext
 from lietriple.linalg import (
@@ -57,6 +58,12 @@ class TestRref:
         m = M([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]])
         assert rref_rows(m) == M([[1, F(2, 3)]]).data
 
+    def test_canonical_basis_of_a_spanning_set_is_pinned(self):
+        # pivots are least columns; the fourth vector is the sum of the first and third
+        s = Subspace(5, [(0, 2, 4, F(1, 3), 6), (0, 1, 2, 0, -1), (3, 0, 1, 1, 0), (3, 2, 5, F(4, 3), 6)])
+        assert s.pivots == (0, 1, 3)
+        assert s.basis == ((1, 0, F(1, 3), 0, -8), (0, 1, 2, 0, -1), (0, 0, 0, 1, 24))
+
 
 class TestKernel:
     def test_line(self):
@@ -104,6 +111,33 @@ class TestSolve:
     def test_rejects_a_row_of_another_width(self, row):
         with pytest.raises(DimensionMismatch):
             solve(2, [row], (1,))
+
+    @pytest.mark.parametrize(
+        "ambient, rows, rhs, x, kernel",
+        [
+            (
+                5,
+                [{0: 2, 1: 4, 3: 1}, {2: 3, 3: 6, 4: F(-1, 2)}],
+                (3, F(1, 2)),
+                ("3/2", "0", "1/6", "0", "0"),
+                (("1", "0", "0", "-2", "-24"), ("0", "1", "0", "-4", "-48"), ("0", "0", "1", "0", "6")),
+            ),
+            (
+                4,
+                [(1, F(1, 3), 2, 0), (2, F(2, 3), 5, F(-3, 4)), (3, 1, 7, F(-3, 4))],
+                (1, 3, 4),
+                ("-1", "0", "1", "0"),
+                (("1", "0", "-1/2", "-2/3"), ("0", "1", "-1/6", "-2/9")),
+            ),
+        ],
+        ids=["sparse", "dense-dependent"],
+    )
+    def test_particular_solution_and_kernel_are_pinned(self, ambient, rows, rhs, x, kernel):
+        # free variables zero, and the kernel's canonical basis, as the
+        # least-column Gauss-Jordan gives them
+        got, hom = solve(ambient, rows, rhs)
+        assert got == tuple(map(F, x))
+        assert hom.basis == tuple(tuple(map(F, v)) for v in kernel)
 
 
 class TestSubspaceLattice:
@@ -297,7 +331,7 @@ class TestProperties:
     @given(dependent_systems())
     def test_echelon_stays_reduced_on_dependent_systems(self, system):
         # After every insert each pivot row is primitive, positive at its
-        # pivot, which is its least column, and holds no other pivot column.
+        # pivot, which is its greatest column, and holds no other pivot column.
         ncols, rows = system
         dense = [[F(r.get(c, 0)) for c in range(ncols)] for r in rows]
         assert kernel_of_rows(ncols, rows).basis == kernel_basis(dense, ncols)
@@ -306,7 +340,7 @@ class TestProperties:
             if row:
                 ech.insert(dict(row))
             for p, prow in ech.rows.items():
-                assert min(prow) == p and prow[p] > 0 and gcd(*prow.values()) == 1
+                assert max(prow) == p and prow[p] > 0 and gcd(*prow.values()) == 1
                 assert not ech.rows.keys() & (prow.keys() - {p})
 
     @given(dependent_systems())
@@ -329,6 +363,38 @@ class TestProperties:
         assert res is not None
         x, _ = res
         assert m.matvec(x) == m.matvec((F(1),) * m.cols)
+
+
+@st.composite
+def kernel_systems(draw):
+    """(ambient, rows): up to ambient + 2 rows over 0-5 columns, dense or sparse, of ints or Fractions.
+
+    Zero rows and explicit zeros occur, and so do no rows at all; with
+    the scaled unit rows appended, the system has full rank.
+    """
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(-6, 6), small_frac)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 2))
+    if draw(st.booleans()):
+        rows.append([0] * n)
+    if draw(st.booleans()):
+        rows += [[draw(st.integers(1, 4)) * (i == j) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        return n, [{c: x for c, x in enumerate(row) if x or draw(st.booleans())} for row in rows]
+    return n, rows
+
+
+@given(kernel_systems())
+def test_kernel_of_rows_needs_no_second_elimination(system):
+    # the kernel read straight off the echelon is the canonical basis that
+    # eliminating its kernel vectors again gives, and the oracle's
+    ambient, rows = system
+    dense = [[row.get(c, 0) for c in range(ambient)] if isinstance(row, dict) else row for row in rows]
+    ker = kernel_of_rows(ambient, rows)
+    again = Subspace(ambient, _echelon(rows, ambient).kernel_vectors(ambient))
+    assert (ker.basis, ker.pivots) == (again.basis, again.pivots)
+    assert ker.basis == kernel_basis(dense, ambient)
+    assert all(type(x) is F for v in ker.basis for x in v)
 
 
 @st.composite
@@ -554,18 +620,19 @@ def _primitive_form(row: list[F]) -> dict[int, int]:
 
 @given(rows_then_units())
 def test_echelon_rows_are_the_primitive_gauss_jordan_rows_after_every_insert(system):
-    # each pivot row is the oracle's rref row scaled to primitive ints,
-    # and so zero at every other pivot, however few pivot rows an insert
-    # looks through
+    # each pivot row is the oracle's rref row over the reversed columns,
+    # where a greatest column leads, scaled to primitive ints, and so zero
+    # at every other pivot, however few pivot rows an insert looks through
     ncols, rows = system
+    last = ncols - 1
     ech = _IntEchelon()
     for t, row in enumerate(rows):
         ech.add(row)
-        reduced, pivots = gauss_jordan([[F(r.get(c, 0)) for c in range(ncols)] for r in rows[: t + 1]])
-        assert sorted(ech.rows) == pivots
+        reduced, pivots = gauss_jordan([[F(r.get(last - c, 0)) for c in range(ncols)] for r in rows[: t + 1]])
+        assert sorted(ech.rows) == sorted(last - p for p in pivots)
         for p, want in zip(pivots, reduced):
-            assert ech.rows[p] == _primitive_form(want)
-            assert not ech.rows[p].keys() & (set(pivots) - {p})
+            assert ech.rows[last - p] == {last - c: x for c, x in _primitive_form(want).items()}
+            assert not ech.rows[last - p].keys() & ({last - q for q in pivots} - {last - p})
 
 
 def test_insert_costs_one_elimination_per_pivot_column(monkeypatch):
@@ -602,6 +669,34 @@ def test_insert_costs_one_elimination_per_pivot_column(monkeypatch):
             ech.add(row)
     assert len(costs) > 100
     assert [c for c in costs if c[0] > c[1]] == []
+
+
+def test_rebased_t3_solves_cost_at_most_three_quarters_of_the_least_column_eliminations(monkeypatch):
+    """The seeded rebased T3 LTD and LTC solves make at most 0.75x the eliminations of least-column pivots.
+
+    The T3 basis is the one of ``test_insert_costs_one_elimination_per_pivot_column``,
+    and the cache is cleared.  With each row's least column as its pivot
+    (and a second elimination of the kernel vectors), the LTD solve made
+    1,280 eliminations and the LTC solve 898; with its greatest column,
+    773 and 603.
+    """
+    calls = [0]
+    eliminate = linalg._eliminate
+
+    def counting_eliminate(*args):
+        calls[0] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    t3 = rebased(upper_triangular(3), unit_diagonal_basis(random.Random(0), 6))
+    for kind, least_column, dim in [
+        (IdentityKind.LIE_TRIPLE_DERIVATION, 1280, 8),
+        (IdentityKind.LIE_TRIPLE_CENTRALIZER, 898, 4),
+    ]:
+        calls[0] = 0
+        assert solve_identity_space(t3, kind).dim == dim
+        assert calls[0] <= 0.75 * least_column, kind
 
 
 def dense_contract(t, x, y, out_dim):
