@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import re
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -22,12 +21,13 @@ from .gma import (
     GMA,
     Bimodule,
     MoritaContext,
+    _block_table,
     assemble,
     block_labels,
     m2_of,
 )
 from .io import bimodule_from_doc, brief, load_json, sc_from_doc
-from .linalg import Subspace, unit_vec, zero_vec
+from .linalg import MAX_TENSOR_ENTRIES, Subspace, dense_tensor, unit_vec, zero_vec
 
 F = Fraction
 
@@ -39,30 +39,23 @@ def rationals() -> StructureConstants:
 
 def dual_numbers() -> StructureConstants:
     """Q[x]/(x^2): basis 1, x with x*x = 0."""
-    t = [[[0] * 2 for _ in range(2)] for _ in range(2)]
-    t[0][0][0] = 1
-    t[0][1][1] = 1
-    t[1][0][1] = 1
-    return StructureConstants(t, ["1", "x"])
+    return StructureConstants(dense_tensor((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}), ["1", "x"])
 
 
 def _checked_dim(n: int, dim: int) -> None:
-    """Raise unless n >= 1 and the dim^3 structure tensor can be indexed."""
+    """Raise ValueError unless n >= 1 and the dim^3 table fits MAX_TENSOR_ENTRIES, before any cell is listed."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if dim**3 > sys.maxsize:
+    if dim**3 > MAX_TENSOR_ENTRIES:
         raise ValueError(f"matrix size {n} is too large to build")
 
 
 def _matrix_units(cells: list[tuple[int, int]]) -> StructureConstants:
-    """The span of the matrix units e_ij over cells, with e_ij e_kl = delta_jk e_il, in cell order."""
+    """The span of the matrix units e_ij over cells, with the products e_ij e_jl = e_il, in cell order."""
     pos = {c: t for t, c in enumerate(cells)}
-    t = [[[F(0)] * len(cells) for _ in cells] for _ in cells]
-    for (i, j), a in pos.items():
-        for (k, l), b in pos.items():
-            if j == k:
-                t[a][b][pos[(i, l)]] = F(1)
-    return StructureConstants(t, [f"e{i + 1}{j + 1}" for i, j in cells])
+    n = len(cells)
+    products = {(a, b, pos[i, l]): 1 for (i, j), a in pos.items() for (k, l), b in pos.items() if j == k}
+    return StructureConstants(dense_tensor((n, n, n), products), [f"e{i + 1}{j + 1}" for i, j in cells])
 
 
 def full_matrix(n: int) -> StructureConstants:
@@ -78,18 +71,9 @@ def upper_triangular(n: int) -> StructureConstants:
 
 
 def direct_sum(a: StructureConstants, b: StructureConstants) -> StructureConstants:
-    n = a.dim + b.dim
-    t = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                t[i][j][k] = a.table[i][j][k]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k in range(b.dim):
-                t[a.dim + i][a.dim + j][a.dim + k] = b.table[i][j][k]
-    labels = [f"l:{s}" for s in a.labels] + [f"r:{s}" for s in b.labels]
-    return StructureConstants(t, labels)
+    """A x B, labelled l:<label> then r:<label>: the block table of the context (A, 0, B)."""
+    table = _block_table(triangular_context(a, Bimodule.zero(a.dim, b.dim), b))
+    return StructureConstants(table, [f"l:{s}" for s in a.labels] + [f"r:{s}" for s in b.labels])
 
 
 def _matrix_gma(kind: str, n: int, split: int, dim: int) -> GMA:
@@ -143,9 +127,7 @@ def scalar_bimodule(left_dim: int = 1, right_dim: int = 1) -> Bimodule:
 
 def strict_upper_3x3() -> StructureConstants:
     """Strictly upper triangular 3x3 matrices: u1 u2 = u3, all else zero."""
-    t = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
-    t[0][1][2] = F(1)
-    return StructureConstants(t, ["u1", "u2", "u3"])
+    return StructureConstants(dense_tensor((3, 3, 3), {(0, 1, 2): 1}), ["u1", "u2", "u3"])
 
 
 @dataclass(frozen=True)

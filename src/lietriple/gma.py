@@ -49,8 +49,10 @@ from .linalg import (
     checked_tensor,
     combination,
     contract,
+    dense_tensor,
     kernel_of_rows,
     rat,
+    sparse_tensor,
     unit_vec,
     vec,
 )
@@ -224,19 +226,18 @@ def block_ranges(dims: Sequence[int]) -> dict[str, range]:
     return ranges
 
 
-def _block_table(ctx: MoritaContext) -> tuple:
-    """The multiplication table of a context's block algebra, shaped like ``StructureConstants.table``."""
+def _block_table(ctx: MoritaContext) -> list:
+    """A context's block algebra table: the nonzeros of its eight tensors, each at the corners ``_RULES`` gives it."""
     dims = _block_dims(ctx)
     ranges = block_ranges(dims)
-    n = sum(dims)
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    nonzeros = {}
     for path, corners in _RULES.items():
         ri, rj, rk = (ranges[x] for x in corners)
-        for i, plane in zip(ri, attrgetter(path)(ctx)):
+        for i, plane in zip(ri, sparse_tensor(attrgetter(path)(ctx))):
             for j, row in zip(rj, plane):
-                for k, x in zip(rk, row):
-                    c[i][j][k] = x
-    return tuple(tuple(map(tuple, plane)) for plane in c)
+                nonzeros.update(((i, j, rk[k]), x) for k, x in row)
+    n = sum(dims)
+    return dense_tensor((n, n, n), nonzeros)
 
 
 def block_labels(a_labels: Sequence[str], dim_m: int, dim_n: int, b_labels: Sequence[str]) -> tuple[str, ...]:

@@ -35,10 +35,11 @@ member's coefficients are its entries at the pivots, and
 ``preimage`` is the one statement of "x maps into a subspace", a
 ``kernel_of_rows`` over maps given as sparse columns.  ``row_values`` is
 the only evaluation of sparse rows on a vector, which ``int_flats``
-scales to ints.  ``contract`` is the only bilinear product:
-it applies a structure tensor, held in the sparse form ``sparse_tensor``
-builds, to a pair of coordinate vectors.  ``checked_tensor`` is the one
-shape check of a tensor and the one way to its sparse form.
+scales to ints.  ``dense_tensor`` is the one way to write a tensor,
+from its nonzeros ``{(i, j, k): value}``, and ``sparse_tensor`` the one
+way to read one: ``contract``, the only bilinear product, applies a
+tensor in that sparse form to a pair of coordinate vectors, and
+``checked_tensor`` is the one shape check of a tensor.
 ``combination`` is the only linear combination, the sum of c * v over
 coefficients and vectors; it skips zero coefficients and zero entries,
 so sparse data costs only its nonzeros.  ``Matrix`` holds data and has no arithmetic of its own: it
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 from .errors import DimensionMismatch
@@ -91,6 +92,21 @@ def combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> Vector
 
 # t[i][j] as the pairs (k, t[i][j][k]) with a nonzero coefficient
 SparseTensor = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+
+
+# the most entries dense_tensor lays out: a structure table of dim 161 at most
+MAX_TENSOR_ENTRIES = 2**22
+
+
+def dense_tensor(shape: tuple[int, int, int], nonzeros: Mapping[tuple[int, int, int], object]) -> list:
+    """The a x b x c tensor of Fractions with nonzeros at their (i, j, k), one shared zero elsewhere; ValueError past the cap."""
+    a, b, c = shape
+    if a * b * c > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"a {a} x {b} x {c} tensor is too large to build")
+    t = [[[_ZERO] * c for _ in range(b)] for _ in range(a)]
+    for (i, j, k), x in nonzeros.items():
+        t[i][j][k] = rat(x)
+    return t
 
 
 def sparse_tensor(t) -> SparseTensor:

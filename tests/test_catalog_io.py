@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from lietriple.algebra import StructureConstants, center, find_unit
 from lietriple.catalog import (
+    direct_sum,
+    dual_numbers,
     example_1_2,
     full_matrix,
     full_matrix_gma,
@@ -17,11 +19,13 @@ from lietriple.catalog import (
     rationals,
     resolve,
     standard_gmas,
+    strict_upper_3x3,
+    triangular_context,
     upper_triangular,
     upper_triangular_gma,
 )
 from lietriple.errors import HashMismatch
-from lietriple.gma import check_annihilating_conditions, context_of, peirce_from_idempotent
+from lietriple.gma import assemble, check_annihilating_conditions, context_of, m2_of, peirce_from_idempotent
 from lietriple.io import (
     bimodule_to_doc,
     context_from_doc,
@@ -136,6 +140,71 @@ _PINNED_SPLITS = {
 def test_catalog_split_is_pinned(spec):
     entry = resolve(spec)
     assert (entry.algebra.content_hash, entry.gma.dims) == _PINNED_SPLITS[spec]
+
+
+def _table_hashes() -> dict[str, str]:
+    """The content hash of every table the package writes: named algebras, direct sums, block assemblies, matrix splits."""
+    algebras = {"rationals": rationals(), "dual_numbers": dual_numbers(), "strict_upper_3x3": strict_upper_3x3()}
+    algebras.update({f"full_matrix({n})": full_matrix(n) for n in range(1, 6)})
+    algebras.update({f"upper_triangular({n})": upper_triangular(n) for n in range(1, 7)})
+    algebras["direct_sum(full_matrix(2), rationals())"] = direct_sum(full_matrix(2), rationals())
+    algebras["direct_sum(upper_triangular(2), dual_numbers())"] = direct_sum(upper_triangular(2), dual_numbers())
+    algebras["direct_sum(strict_upper_3x3(), upper_triangular(3))"] = direct_sum(strict_upper_3x3(), upper_triangular(3))
+    algebras["m2_of(strict_upper_3x3())"] = m2_of(strict_upper_3x3()).algebra
+    t4 = upper_triangular_gma(4, 2).context
+    algebras["triangular_context(T4 corners)"] = assemble(triangular_context(t4.A, t4.M, t4.B)).algebra
+    hashes = {name: alg.content_hash for name, alg in algebras.items()}
+    for n in range(2, 6):
+        for split in range(1, n):
+            hashes[f"full_matrix_gma({n}, {split})"] = full_matrix_gma(n, split).content_hash
+            hashes[f"upper_triangular_gma({n}, {split})"] = upper_triangular_gma(n, split).content_hash
+    return hashes
+
+
+# sha256 over the sorted JSON of ``_table_hashes()`` (39 content hashes),
+# recorded while each of these tables was still a hand-filled dense zero table.
+_PINNED_TABLES = "4a62fd8cbbde08563945bbb6f49f2576f4b9bdd3170dabf52c684be839cc168f"
+
+
+def test_every_written_table_is_pinned():
+    hashes = _table_hashes()
+    assert len(hashes) == 39
+    assert hashlib.sha256(json.dumps(hashes, sort_keys=True).encode()).hexdigest() == _PINNED_TABLES
+
+
+def _no_table(cells):
+    raise AssertionError(f"the {len(cells)} cells of a table were listed")
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(full_matrix, 13), (upper_triangular, 18), (full_matrix_gma, 13), (upper_triangular_gma, 18)],
+    ids=["full", "upper", "full-gma", "upper-gma"],
+)
+def test_an_oversized_matrix_size_is_refused_before_a_cell_is_listed(monkeypatch, build, n):
+    import lietriple.algebra
+    import lietriple.catalog
+
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    monkeypatch.setattr(lietriple.catalog, "_matrix_units", _no_table)
+    with pytest.raises(ValueError, match=f"^matrix size {n} is too large to build$"):
+        build(n)
+
+
+@pytest.mark.parametrize(
+    "build, n, dim",
+    [(full_matrix, 12, 144), (upper_triangular, 17, 153), (full_matrix_gma, 12, 144), (upper_triangular_gma, 17, 153)],
+    ids=["full", "upper", "full-gma", "upper-gma"],
+)
+def test_the_largest_matrix_sizes_reach_their_table(monkeypatch, build, n, dim):
+    # dim^3 <= 2**22 < (dim + 1)^3 holds for dim 161; these are the largest sizes within it
+    import lietriple.algebra
+    import lietriple.catalog
+
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    monkeypatch.setattr(lietriple.catalog, "_matrix_units", _no_table)
+    with pytest.raises(AssertionError, match=f"^the {dim} cells of a table were listed$"):
+        build(n)
 
 
 def test_ten_row_split_is_along_e11():

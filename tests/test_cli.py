@@ -541,13 +541,38 @@ class TestShapeErrors:
         assert code == 0 and out.startswith("dim ")
 
 
-    # Only this 20-digit size: it is rejected before anything is allocated,
-    # while a size that fits an index would try to build an n^6 tensor.
     @pytest.mark.parametrize("kind", ["full_matrix", "upper_triangular"])
     def test_matrix_size_too_large(self, capsys, kind):
         code, out, err = run_cli(capsys, "solve", f"{kind}(99999999999999999999)", "--identity", "ltc")
         assert code == 2 and out == ""
         assert err.startswith("invalid input:") and err.count("\n") == 1
+
+    # full_matrix(40) would ask for a 1600^3 table; the size is refused before
+    # a cell is listed, so a helper that fails when called is never reached
+    def test_table_past_the_entry_bound_is_refused_unbuilt(self, capsys, monkeypatch):
+        def unbuilt(cells):
+            raise AssertionError("a table was listed")
+
+        monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+        monkeypatch.setattr(lietriple.catalog, "_matrix_units", unbuilt)
+        code, out, err = run_cli(capsys, "solve", "full_matrix(40)", "--identity", "lc")
+        assert (code, out, err) == (2, "", "invalid input: matrix size 40 is too large to build\n")
+
+    # 4 x 41 = 164 and 1 + 160 + 1 = 162 exceed dim 161, the largest table of
+    # at most 2**22 entries: both block tables are refused before allocation
+    @pytest.mark.parametrize("route", ["m2", "tri"])
+    def test_block_table_past_the_entry_bound_exits_2(self, capsys, tmp_path, route):
+        if route == "m2":
+            path = tmp_path / "Z.json"
+            path.write_text(json.dumps({"table": [[[0] * 41] * 41] * 41}))
+            spec, dim = f"m2({path})", 164
+        else:
+            zero = lambda a, b, c: [[[0] * c] * b] * a
+            p = _one_dim_documents(tmp_path, M={"dim": 160, "left": zero(1, 160, 160), "right": zero(160, 1, 160)})
+            spec, dim = f"tri({p['A']},{p['M']},{p['B']})", 162
+        code, out, err = run_cli(capsys, "solve", spec, "--identity", "ltc")
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: a {dim} x {dim} x {dim} tensor is too large to build\n"
 
 
 class TestPreconditionErrors:

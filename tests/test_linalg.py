@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -723,6 +724,57 @@ def test_contract_matches_dense_triple_loop(case):
     t, x, y, out_dim = case
     _, sparse = checked_tensor(t, (len(x), len(y), out_dim), "t")
     assert contract(sparse, x, y, len(y), out_dim) == dense_contract(t, x, y, out_dim)
+
+
+@st.composite
+def shapes_with_entries(draw):
+    """(shape, {(i, j, k): value}) with dims 0..3; values may be zero, ints or Fractions."""
+    shape = draw(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
+    if not all(shape):
+        return shape, {}
+    cells = st.tuples(*(st.integers(0, d - 1) for d in shape))
+    return shape, draw(st.dictionaries(cells, st.one_of(st.just(0), st.integers(-3, 3), small_frac), max_size=10))
+
+
+def _entries(sparse):
+    return {(i, j, k): x for i, plane in enumerate(sparse) for j, row in enumerate(plane) for k, x in row}
+
+
+@given(shapes_with_entries())
+def test_sparse_tensor_reads_back_the_nonzeros_dense_tensor_writes(case):
+    shape, entries = case
+    t = linalg.dense_tensor(shape, entries)
+    read = _entries(linalg.sparse_tensor(t))
+    assert read == {cell: x for cell, x in entries.items() if x != 0}
+    assert all(type(x) is F for plane in t for row in plane for x in row)
+    # every cell outside the entries holds the one shared zero
+    unset = [
+        x for i, plane in enumerate(t) for j, row in enumerate(plane) for k, x in enumerate(row) if (i, j, k) not in entries
+    ]
+    assert not any(unset) and all(x is unset[0] for x in unset)
+
+
+@given(tensors_with_operands())
+def test_dense_tensor_of_a_tables_nonzeros_rebuilds_it(case):
+    t, x, y, out_dim = case
+    shape = (len(x), len(y), out_dim)
+    rebuilt = linalg.dense_tensor(shape, _entries(linalg.sparse_tensor(t)))
+    assert rebuilt == [[list(row) for row in plane] for plane in t]
+
+
+def test_dense_tensor_refuses_an_oversized_shape_before_allocating():
+    cap = linalg.MAX_TENSOR_ENTRIES
+    assert cap == 2**22 and 161**3 <= cap < 162**3
+    assert len(linalg.dense_tensor((1, 1, cap), {})[0][0]) == cap
+    tracemalloc.start()
+    try:
+        for shape in ((1, 1, cap + 1), (162, 162, 162), (10**9, 10**9, 10**9)):
+            with pytest.raises(ValueError, match="tensor is too large to build$"):
+                linalg.dense_tensor(shape, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def _zeros(a, b, c):
