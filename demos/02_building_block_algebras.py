@@ -33,7 +33,7 @@ print("triangular block algebra: dims", t2.dims, " unit:", find_unit(t2.algebra)
 # A broken pairing is caught immediately, with the failing triple.
 reg = Bimodule.regular(q)
 try:
-    assemble(MoritaContext(q, q, reg, reg, (((-1,),),), q.table))
+    assemble(MoritaContext(q, q, reg, reg, {(0, 0, 0): -1}, {(0, 0, 0): 1}))
 except NotAssociative as exc:
     print("sign-flipped pairing rejected at basis triple", exc.triple)
 

@@ -47,8 +47,10 @@ print("audit over the whole solved space:",
 
 # Degenerate corner actions produce genuinely improper solutions.
 dn = dual_numbers()
-mod = Bimodule(2, 2, 1, dn.table,
-               tuple((tuple(1 if p == q else 0 for q in range(2)),) for p in range(2)))
+# A tensor is given by its nonzeros {(i, j, k): value}: dn acts on itself
+# through its own table, and Q acts on the right by scalars.
+mod = Bimodule(2, 2, 1, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
+               {(p, 0, p): 1 for p in range(2)})
 weird = assemble(triangular_context(dn, mod, rationals()))
 print("\ndual-number context sufficiency:", check_cor36_hypotheses(weird).satisfied)
 space = solve_identity_space(weird.algebra, IdentityKind.LIE_TRIPLE_CENTRALIZER)

@@ -1,10 +1,12 @@
 """Finite-dimensional algebras presented by structure constants.
 
 An algebra is a multiplication tensor ``c[i][j][k]`` over the rationals,
-meaning ``e_i * e_j = sum_k c[i][j][k] e_k``.  Associativity is checked
-exhaustively at construction time, so everything downstream may assume
-it.  Non-unital algebras are first-class: operations that genuinely need
-a unit raise ``NotUnital`` instead of guessing one.
+meaning ``e_i * e_j = sum_k c[i][j][k] e_k``, given by its nonzeros
+``{(i, j, k): c[i][j][k]}`` and held in sparse form: a dense grid is
+written only on reading ``StructureConstants.table``.  Associativity is
+checked exhaustively at construction time, so everything downstream may
+assume it.  Non-unital algebras are first-class: operations that
+genuinely need a unit raise ``NotUnital`` instead of guessing one.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from .linalg import (
     clear_denominators,
     combination,
     contract,
+    dense_tensor,
     int_flats,
     preimage,
     rat,
     solve,
+    tensor_entries,
     unit_vec,
     vec,
     zero_vec,
@@ -69,45 +73,30 @@ def memoized(fn):
 
 
 class StructureConstants:
-    """An algebra given by its basis-indexed multiplication tensor."""
+    """An algebra given by its dim and the nonzeros of its multiplication tensor, held with the tensor times D in ints."""
 
-    __slots__ = (
-        "dim",
-        "table",
-        "labels",
-        "content_hash",
-        "_sparse",
-    )
+    __slots__ = ("dim", "labels", "content_hash", "_sparse", "_int_table")
 
-    def __init__(self, table, labels: Sequence[str] | None = None):
-        table = tuple(table)
-        n = len(table)
+    def __init__(self, dim: int, nonzeros, labels: Sequence[str] | None = None):
+        n = dim
         if n < 1:
             raise DimensionMismatch("algebra dimension must be at least 1")
-        tbl, sparse = checked_tensor(table, (n, n, n), "structure")
-        if labels is None:
-            labels = tuple(f"e{i}" for i in range(n))
-        else:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != n:
-                raise DimensionMismatch("label count must equal dim")
+        sparse = checked_tensor((n, n, n), nonzeros, "structure")
+        labels = tuple(f"e{i}" for i in range(n)) if labels is None else tuple(map(str, labels))
+        if len(labels) != n:
+            raise DimensionMismatch("label count must equal dim")
+        d, rows = clear_denominators(row for plane in sparse for row in plane)
         object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "table", tbl)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_sparse", sparse)
+        object.__setattr__(self, "_int_table", (d, [rows[i * n : (i + 1) * n] for i in range(n)]))
         self._check_associativity()
-        payload = json.dumps(
-            {
-                "dim": n,
-                "labels": list(labels),
-                "table": [[[str(x) for x in row] for row in plane] for plane in tbl],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        object.__setattr__(
-            self, "content_hash", hashlib.sha256(payload.encode()).hexdigest()
-        )
+        object.__setattr__(self, "content_hash", _content_hash(n, labels, sparse))
+
+    @property
+    def table(self) -> list:
+        """The dense grid c[i][j][k] of Fractions, written afresh from the nonzeros."""
+        return dense_tensor((self.dim,) * 3, tensor_entries(self._sparse))
 
     def __setattr__(self, *_):
         raise AttributeError("StructureConstants is immutable")
@@ -127,7 +116,7 @@ class StructureConstants:
         failing k.
         """
         n = self.dim
-        _, sp = _int_table(self)
+        _, sp = self._int_table
         m = max((abs(x) for plane in sp for row in plane for _, x in row), default=0)
         shift = (2 * n * m * m).bit_length() + 1
         # zr[a][l]: coordinate l of e_a z
@@ -177,6 +166,21 @@ class StructureConstants:
 
     def __repr__(self) -> str:
         return f"StructureConstants(dim={self.dim})"
+
+
+def _content_hash(n: int, labels: tuple[str, ...], sparse) -> str:
+    """sha256 of the JSON {"dim", "labels", "table"}, sorted keys, no spaces, the table in full: "0" off the sparse form."""
+
+    def row_json(row) -> str:
+        cells = ['"0"'] * n
+        for k, x in row:
+            cells[k] = f'"{x}"'
+        return "[" + ",".join(cells) + "]"
+
+    table = ",".join("[" + ",".join(map(row_json, plane)) + "]" for plane in sparse)
+    labels_json = json.dumps(list(labels), separators=(",", ":"))
+    payload = f'{{"dim":{n},"labels":{labels_json},"table":[{table}]}}'
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _same_algebra(a: StructureConstants, b: StructureConstants) -> None:
@@ -310,13 +314,6 @@ def commutant(alg: StructureConstants, s: Subspace) -> Subspace:
     return preimage(maps, Subspace.zero(alg.dim))
 
 
-def _int_table(alg: StructureConstants) -> tuple[int, list[list[list[tuple[int, int]]]]]:
-    """(D, D * table) as sparse int rows: D is the common denominator of the table."""
-    n = alg.dim
-    d, rows = clear_denominators(row for plane in alg._sparse for row in plane)
-    return d, [rows[i * n : (i + 1) * n] for i in range(n)]
-
-
 def _sparse_sum(terms) -> tuple[tuple[int, int], ...]:
     """The (coord, value) pairs of sum of c * v over (c, v) in terms, nonzero and sorted."""
     out: dict[int, int] = {}
@@ -347,7 +344,7 @@ def basis_tensor(alg: StructureConstants, form: str) -> tuple[int, dict[tuple, t
             for k in range(n)
         )
         return d * d, {key: v for key, v in values if v}
-    d, table = _int_table(alg)
+    d, table = alg._int_table
     signs = {"product": (1,), "bracket": (1, -1), "jordan": (1, 1)}[form]
     values = (
         ((i, j), _sparse_sum(zip(signs, (table[i][j], table[j][i]))))

@@ -27,19 +27,19 @@ from .gma import (
     m2_of,
 )
 from .io import bimodule_from_doc, brief, load_json, sc_from_doc
-from .linalg import MAX_TENSOR_ENTRIES, Subspace, dense_tensor, unit_vec, zero_vec
+from .linalg import MAX_TENSOR_ENTRIES, Subspace, unit_vec, zero_vec
 
 F = Fraction
 
 
 def rationals() -> StructureConstants:
     """The one-dimensional algebra Q."""
-    return StructureConstants([[[1]]], ["1"])
+    return StructureConstants(1, {(0, 0, 0): 1}, ["1"])
 
 
 def dual_numbers() -> StructureConstants:
     """Q[x]/(x^2): basis 1, x with x*x = 0."""
-    return StructureConstants(dense_tensor((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}), ["1", "x"])
+    return StructureConstants(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}, ["1", "x"])
 
 
 def _checked_dim(n: int, dim: int) -> None:
@@ -55,7 +55,7 @@ def _matrix_units(cells: list[tuple[int, int]]) -> StructureConstants:
     pos = {c: t for t, c in enumerate(cells)}
     n = len(cells)
     products = {(a, b, pos[i, l]): 1 for (i, j), a in pos.items() for (k, l), b in pos.items() if j == k}
-    return StructureConstants(dense_tensor((n, n, n), products), [f"e{i + 1}{j + 1}" for i, j in cells])
+    return StructureConstants(n, products, [f"e{i + 1}{j + 1}" for i, j in cells])
 
 
 def full_matrix(n: int) -> StructureConstants:
@@ -73,7 +73,7 @@ def upper_triangular(n: int) -> StructureConstants:
 def direct_sum(a: StructureConstants, b: StructureConstants) -> StructureConstants:
     """A x B, labelled l:<label> then r:<label>: the block table of the context (A, 0, B)."""
     table = _block_table(triangular_context(a, Bimodule.zero(a.dim, b.dim), b))
-    return StructureConstants(table, [f"l:{s}" for s in a.labels] + [f"r:{s}" for s in b.labels])
+    return StructureConstants(a.dim + b.dim, table, [f"l:{s}" for s in a.labels] + [f"r:{s}" for s in b.labels])
 
 
 def _matrix_gma(kind: str, n: int, split: int, dim: int) -> GMA:
@@ -109,15 +109,12 @@ def upper_triangular_gma(n: int, split: int = 1) -> GMA:
 
 def triangular_context(a: StructureConstants, m: Bimodule, b: StructureConstants) -> MoritaContext:
     """A Morita context with N = 0 (a triangular algebra)."""
-    n = Bimodule.zero(b.dim, a.dim)
-    zeta = tuple(() for _ in range(m.dim))
-    psi = ()
-    return MoritaContext(a, b, m, n, zeta, psi)
+    return MoritaContext(a, b, m, Bimodule.zero(b.dim, a.dim), {}, {})
 
 
-def scalar_bimodule(left_dim: int = 1, right_dim: int = 1) -> Bimodule:
+def scalar_bimodule() -> Bimodule:
     """Q as a (Q, Q)-bimodule with both units acting as the identity."""
-    return Bimodule(1, left_dim, right_dim, (((F(1),),),), (((F(1),),),))
+    return Bimodule(1, 1, 1, {(0, 0, 0): 1}, {(0, 0, 0): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +124,7 @@ def scalar_bimodule(left_dim: int = 1, right_dim: int = 1) -> Bimodule:
 
 def strict_upper_3x3() -> StructureConstants:
     """Strictly upper triangular 3x3 matrices: u1 u2 = u3, all else zero."""
-    return StructureConstants(dense_tensor((3, 3, 3), {(0, 1, 2): 1}), ["u1", "u2", "u3"])
+    return StructureConstants(3, {(0, 1, 2): 1}, ["u1", "u2", "u3"])
 
 
 @dataclass(frozen=True)
@@ -257,9 +254,10 @@ def random_gma(rng: random.Random, require_n: bool | None = None) -> GMA:
             return out
 
         basis = [v for space in corners for v in space.basis]
-        table = [[coords(amb.mul_coords(x, y)) for y in basis] for x in basis]
+        products = ((i, j, amb.mul_coords(x, y)) for i, x in enumerate(basis) for j, y in enumerate(basis))
+        table = {(i, j, k): c for i, j, w in products for k, c in enumerate(coords(w)) if c}
         labels = block_labels([f"e{i}" for i in range(sa.dim)], sm.dim, sn.dim, [f"e{i}" for i in range(sb.dim)])
-        return GMA(StructureConstants(table, labels), (sa.dim, sm.dim, sn.dim, sb.dim))
+        return GMA(StructureConstants(len(basis), table, labels), (sa.dim, sm.dim, sn.dim, sb.dim))
     raise RuntimeError("could not draw a valid random context")
 
 

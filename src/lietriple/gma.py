@@ -1,13 +1,14 @@
 """Generalized matrix algebras: an algebra with its basis cut into corners.
 
 ``GMA(algebra, dims)`` is the one way to build one.  It slices the
-Morita context (A, B, M, N, zeta, psi) out of the algebra's table on
-the basis ordering [A-block, M-block, N-block, B-block] and checks on
-nonzeros that every product obeys the 2x2 block rules.  ``assemble``
-writes a context's block algebra [[A, M], [N, B]] and hands it to
-``GMA``, so all bimodule and pairing axioms are validated in one
-stroke: the assembled multiplication table must be associative, and a
-failure reports the offending basis triple.
+Morita context (A, B, M, N, zeta, psi) out of the nonzeros of the
+algebra's table on the basis ordering [A-block, M-block, N-block,
+B-block], refusing a product that breaks the 2x2 block rules.  Each
+context tensor is given as its nonzeros and held in sparse form, like
+an algebra's table.  ``assemble`` hands the nonzeros of a context's
+block algebra [[A, M], [N, B]] to ``GMA``, so all bimodule and pairing
+axioms are validated in one stroke: the assembled multiplication table
+must be associative, and a failure reports the offending basis triple.
 
 "diag(a, b) commutes with M and N" is stated once, as the rows of
 ``_commutation_rows``: the annihilating conditions are the kernels of
@@ -44,53 +45,50 @@ from .errors import (
     TrivialIdempotent,
 )
 from .linalg import (
+    _ZERO,
     Matrix,
     Subspace,
     checked_tensor,
     combination,
     contract,
-    dense_tensor,
     kernel_of_rows,
     rat,
-    sparse_tensor,
+    tensor_entries,
     unit_vec,
     vec,
 )
 
 
 class Bimodule:
-    """A bimodule presented by left/right action tensors.
+    """A bimodule presented by the nonzeros of its left/right action tensors.
 
-    ``left[i][p][q]``: basis vector i of the left-acting algebra sends
-    module basis p to sum_q left[i][p][q] m_q; ``right[p][j][q]`` is the
-    mirror for the right-acting algebra.  Module axioms are not checked
-    here; the assembled algebra's associativity check covers them.
+    ``left[i, p, q]``: basis vector i of the left-acting algebra sends
+    module basis p to the sum over q of left[i, p, q] m_q; ``right[p, j, q]``
+    is the mirror for the right-acting algebra.  Module axioms are not
+    checked here; the assembled algebra's associativity check covers them.
     """
 
-    __slots__ = ("dim", "left_dim", "right_dim", "left", "right", "_left", "_right")
+    __slots__ = ("dim", "left_dim", "right_dim", "_left", "_right")
 
     def __init__(self, dim: int, left_dim: int, right_dim: int, left, right):
-        left, sparse_left = checked_tensor(left, (left_dim, dim, dim), "left action")
-        right, sparse_right = checked_tensor(right, (dim, right_dim, dim), "right action")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "left_dim", left_dim)
         object.__setattr__(self, "right_dim", right_dim)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_left", sparse_left)
-        object.__setattr__(self, "_right", sparse_right)
+        object.__setattr__(self, "_left", checked_tensor((left_dim, dim, dim), left, "left action"))
+        object.__setattr__(self, "_right", checked_tensor((dim, right_dim, dim), right, "right action"))
 
     def __setattr__(self, *_):
         raise AttributeError("Bimodule is immutable")
 
     @classmethod
     def zero(cls, left_dim: int, right_dim: int) -> "Bimodule":
-        return cls(0, left_dim, right_dim, ((),) * left_dim, ())
+        return cls(0, left_dim, right_dim, {}, {})
 
     @classmethod
     def regular(cls, alg: StructureConstants) -> "Bimodule":
         """The algebra acting on itself by multiplication on both sides."""
-        return cls(alg.dim, alg.dim, alg.dim, alg.table, alg.table)
+        table = tensor_entries(alg._sparse)
+        return cls(alg.dim, alg.dim, alg.dim, table, table)
 
     def act_left(self, a: Sequence[Fraction], m: Sequence[Fraction]) -> tuple:
         return contract(self._left, a, m, self.dim, self.dim)
@@ -100,25 +98,21 @@ class Bimodule:
 
 
 class MoritaContext:
-    """Two algebras, two bimodules and the two pairings between them."""
+    """Two algebras, two bimodules and the nonzeros of the two pairings between them."""
 
-    __slots__ = ("A", "B", "M", "N", "zeta", "psi", "_zeta", "_psi")
+    __slots__ = ("A", "B", "M", "N", "_zeta", "_psi")
 
     def __init__(self, A: StructureConstants, B: StructureConstants, M: Bimodule, N: Bimodule, zeta, psi):
         if M.left_dim != A.dim or M.right_dim != B.dim:
             raise DimensionMismatch("M must be an (A, B)-bimodule")
         if N.left_dim != B.dim or N.right_dim != A.dim:
             raise DimensionMismatch("N must be a (B, A)-bimodule")
-        zeta, sparse_zeta = checked_tensor(zeta, (M.dim, N.dim, A.dim), "zeta")
-        psi, sparse_psi = checked_tensor(psi, (N.dim, M.dim, B.dim), "psi")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "_zeta", sparse_zeta)
-        object.__setattr__(self, "_psi", sparse_psi)
+        object.__setattr__(self, "_zeta", checked_tensor((M.dim, N.dim, A.dim), zeta, "zeta"))
+        object.__setattr__(self, "_psi", checked_tensor((N.dim, M.dim, B.dim), psi, "psi"))
 
     def __setattr__(self, *_):
         raise AttributeError("MoritaContext is immutable")
@@ -133,10 +127,10 @@ class MoritaContext:
 class GMA:
     """An algebra with its basis cut into the corners A, M, N, B, in that order.
 
-    The context is sliced out of the algebra, and every nonzero c[i][j][k]
-    must sit at a corner triple of ``_RULES``, where the sliced context's
-    block table copies it: the two tables are equal, so no second algebra
-    is built.  The algebra and the dims thus fix the GMA, and
+    The context is sliced out of the algebra by ``context_of``, which
+    refuses a nonzero c[i][j][k] off the corner triples of ``_RULES``: the
+    sliced context's block table is then the algebra's, so no second
+    algebra is built.  The algebra and the dims thus fix the GMA, and
     ``content_hash``, the algebra's hash with the dims, keys its entries
     in ``algebra._CACHE``.
     """
@@ -146,12 +140,6 @@ class GMA:
     def __init__(self, algebra: StructureConstants, dims: tuple[int, int, int, int]):
         context = context_of(algebra, dims)
         dims = tuple(dims)
-        corner = "".join(block * d for block, d in zip("AMNB", dims))
-        allowed = set(_RULES.values())
-        for i, plane in enumerate(algebra._sparse):
-            for j, row in enumerate(plane):
-                if any(corner[i] + corner[j] + corner[k] not in allowed for k, _ in row):
-                    raise InvalidBlockStructure("products do not respect the 2x2 block multiplication rules")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "dims", dims)
@@ -199,17 +187,18 @@ class GMA:
         return self.element_from_corners(a=one_a.coords)
 
 
-# The block multiplication rule: each context tensor, as an attribute
-# path, with the corners of its left factor, right factor and product.
+# The block multiplication rule: each context tensor, as the attribute
+# path of its held form, with the corners of its left factor, right
+# factor and product.
 _RULES = {
-    "A.table": "AAA",
-    "B.table": "BBB",
-    "M.left": "AMM",  # A acting on M from the left
-    "M.right": "MBM",  # B acting on M from the right
-    "N.left": "BNN",  # B acting on N from the left
-    "N.right": "NAN",  # A acting on N from the right
-    "zeta": "MNA",  # pairing M x N -> A
-    "psi": "NMB",  # pairing N x M -> B
+    "A._sparse": "AAA",
+    "B._sparse": "BBB",
+    "M._left": "AMM",  # A acting on M from the left
+    "M._right": "MBM",  # B acting on M from the right
+    "N._left": "BNN",  # B acting on N from the left
+    "N._right": "NAN",  # A acting on N from the right
+    "_zeta": "MNA",  # pairing M x N -> A
+    "_psi": "NMB",  # pairing N x M -> B
 }
 
 
@@ -226,18 +215,14 @@ def block_ranges(dims: Sequence[int]) -> dict[str, range]:
     return ranges
 
 
-def _block_table(ctx: MoritaContext) -> list:
-    """A context's block algebra table: the nonzeros of its eight tensors, each at the corners ``_RULES`` gives it."""
-    dims = _block_dims(ctx)
-    ranges = block_ranges(dims)
-    nonzeros = {}
-    for path, corners in _RULES.items():
-        ri, rj, rk = (ranges[x] for x in corners)
-        for i, plane in zip(ri, sparse_tensor(attrgetter(path)(ctx))):
-            for j, row in zip(rj, plane):
-                nonzeros.update(((i, j, rk[k]), x) for k, x in row)
-    n = sum(dims)
-    return dense_tensor((n, n, n), nonzeros)
+def _block_table(ctx: MoritaContext) -> dict:
+    """A context's block algebra table as nonzeros: those of its eight tensors, each at the corners ``_RULES`` gives it."""
+    ranges = block_ranges(_block_dims(ctx))
+    return {
+        tuple(ranges[block][p] for block, p in zip(corners, key)): x
+        for path, corners in _RULES.items()
+        for key, x in tensor_entries(attrgetter(path)(ctx)).items()
+    }
 
 
 def block_labels(a_labels: Sequence[str], dim_m: int, dim_n: int, b_labels: Sequence[str]) -> tuple[str, ...]:
@@ -258,36 +243,45 @@ def assemble(ctx: MoritaContext) -> GMA:
     algebra's corner slices, which carry ctx's tensors.
     """
     labels = block_labels(ctx.A.labels, ctx.M.dim, ctx.N.dim, ctx.B.labels)
-    return GMA(StructureConstants(_block_table(ctx), labels), _block_dims(ctx))
+    dims = _block_dims(ctx)
+    return GMA(StructureConstants(sum(dims), _block_table(ctx), labels), dims)
 
 
 def context_of(algebra: StructureConstants, dims: tuple[int, int, int, int]) -> MoritaContext:
-    """Slice a block algebra's table into a Morita context; dims are four ints >= 0, not bools."""
+    """Slice a block algebra's table into a Morita context; dims are four ints >= 0, not bools.
+
+    Each nonzero c[i][j][k] goes to the tensor of ``_RULES`` for the corners
+    of i, j and k; one at no such corner triple raises InvalidBlockStructure
+    once A and B are built (a corner that is not associative raises first).
+    """
     if not (isinstance(dims, (tuple, list)) and len(dims) == 4 and all(type(d) is int and d >= 0 for d in dims)):
         raise DimensionMismatch("block dims must be four integers >= 0")
     if algebra.dim != sum(dims):
         raise DimensionMismatch("block dims do not sum to the algebra dimension")
     ranges = block_ranges(dims)
-    t = algebra.table
-    part = {}
-    for path, corners in _RULES.items():
-        ri, rj, rk = (ranges[x] for x in corners)
-        part[path] = tuple(tuple(tuple(t[i][j][k] for k in rk) for j in rj) for i in ri)
-    ra, rb = ranges["A"], ranges["B"]
+    corner = [block for block in "AMNB" for _ in ranges[block]]
+    place = [i - ranges[block].start for i, block in enumerate(corner)]
+    path_of = {corners: path for path, corners in _RULES.items()}
+    part = {path: {} for path in _RULES}
+    for (i, j, k), x in tensor_entries(algebra._sparse).items():
+        # an entry at no corner triple of _RULES goes to part[None]
+        part.setdefault(path_of.get(corner[i] + corner[j] + corner[k]), {})[place[i], place[j], place[k]] = x
     da, dm, dn, db = dims
-    A = StructureConstants(part["A.table"], algebra.labels[ra.start : ra.stop])
-    B = StructureConstants(part["B.table"], algebra.labels[rb.start : rb.stop])
-    M = Bimodule(dm, da, db, part["M.left"], part["M.right"])
-    N = Bimodule(dn, db, da, part["N.left"], part["N.right"])
-    return MoritaContext(A, B, M, N, part["zeta"], part["psi"])
+    A = StructureConstants(da, part["A._sparse"], [algebra.labels[i] for i in ranges["A"]])
+    B = StructureConstants(db, part["B._sparse"], [algebra.labels[i] for i in ranges["B"]])
+    if None in part:
+        raise InvalidBlockStructure("products do not respect the 2x2 block multiplication rules")
+    M = Bimodule(dm, da, db, part["M._left"], part["M._right"])
+    N = Bimodule(dn, db, da, part["N._left"], part["N._right"])
+    return MoritaContext(A, B, M, N, part["_zeta"], part["_psi"])
 
 
 @memoized
 def m2_of(alg: StructureConstants) -> GMA:
     """The 2x2 matrix algebra over alg, as a GMA with four equal corners (memoized)."""
     reg = Bimodule.regular(alg)
-    ctx = MoritaContext(alg, alg, reg, reg, alg.table, alg.table)
-    return assemble(ctx)
+    table = tensor_entries(alg._sparse)
+    return assemble(MoritaContext(alg, alg, reg, reg, table, table))
 
 
 @dataclass(frozen=True)
@@ -333,7 +327,8 @@ def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> Peirce
         raise InvalidBlockStructure("Peirce corners do not span")  # unreachable for true idempotents
     new_basis = [v for s in corners for v in s.basis]
     new_coords = [[x for s, p in zip(corners, parts) for x in s.coefficients_of(p[j])] for j in range(n)]
-    table = [[combination(alg.mul_coords(x, y), new_coords, n) for y in new_basis] for x in new_basis]
+    products = ((a, b, alg.mul_coords(x, y)) for a, x in enumerate(new_basis) for b, y in enumerate(new_basis))
+    table = {(a, b, k): v for a, b, w in products for k, v in enumerate(combination(w, new_coords, n)) if v}
     labels = []
     for t, v in enumerate(new_basis):
         support = [(i, x) for i, x in enumerate(v) if x != 0]
@@ -341,7 +336,7 @@ def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> Peirce
             labels.append(alg.labels[support[0][0]])
         else:
             labels.append(f"p{t}")
-    sc = StructureConstants(table, labels)
+    sc = StructureConstants(n, table, labels)
     gma = GMA(sc, dims)
     return PeirceDecomposition(gma, Matrix.from_cols(new_basis), Matrix.from_cols(new_coords))
 
@@ -378,17 +373,17 @@ def _commutation_rows(u: GMA) -> dict[str, tuple]:
     [p][q] of block N reads coordinate q of n_p a - b n_p.
     """
     M, N = u.context.M, u.context.N
-    ra, rb = range(u.dim_a), range(u.dim_b)
-    return {
-        "M": tuple(
-            tuple(tuple(M.left[i][p][q] for i in ra) + tuple(-M.right[p][j][q] for j in rb) for q in range(M.dim))
-            for p in range(M.dim)
-        ),
-        "N": tuple(
-            tuple(tuple(N.right[p][i][q] for i in ra) + tuple(-N.left[j][p][q] for j in rb) for q in range(N.dim))
-            for p in range(N.dim)
-        ),
-    }
+    da, width = u.dim_a, u.dim_a + u.dim_b
+    rows = {block: [[[_ZERO] * width for _ in range(mod.dim)] for _ in range(mod.dim)] for block, mod in (("M", M), ("N", N))}
+    # each nonzero term as (block, p, q, column, value)
+    for block, p, q, col, x in (
+        *(("M", p, q, i, x) for (i, p, q), x in tensor_entries(M._left).items()),
+        *(("M", p, q, da + j, -x) for (p, j, q), x in tensor_entries(M._right).items()),
+        *(("N", p, q, i, x) for (p, i, q), x in tensor_entries(N._right).items()),
+        *(("N", p, q, da + j, -x) for (j, p, q), x in tensor_entries(N._left).items()),
+    ):
+        rows[block][p][q][col] = x
+    return {block: tuple(tuple(map(tuple, plane)) for plane in planes) for block, planes in rows.items()}
 
 
 def _all_rows(planes: dict[str, tuple]) -> list[tuple]:

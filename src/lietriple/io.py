@@ -24,7 +24,7 @@ from typing import Sequence
 from .algebra import LinearOperator, StructureConstants
 from .errors import HashMismatch
 from .gma import Bimodule, MoritaContext
-from .linalg import _ZERO, Matrix
+from .linalg import _ZERO, Matrix, dense_tensor, grid_nonzeros, tensor_entries
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -66,10 +66,6 @@ def _dim(value, what: str) -> int:
     return value
 
 
-def _grid(rows) -> list:
-    return [[str(x) for x in row] for row in rows]
-
-
 def parse_grid(rows) -> list:
     """A JSON list of lists of rationals."""
     return [
@@ -82,11 +78,16 @@ def _parse_planes(planes) -> list:
     return [parse_grid(plane) for plane in _expect(planes, list, "tensor")]
 
 
+def _planes(sp, shape: tuple[int, int, int]) -> list:
+    """A held tensor of the given shape as the planes of its document, written in full."""
+    return [[vector_doc(row) for row in plane] for plane in dense_tensor(shape, tensor_entries(sp))]
+
+
 def sc_to_doc(alg: StructureConstants) -> dict:
     return {
         "dim": alg.dim,
         "labels": list(alg.labels),
-        "table": [_grid(plane) for plane in alg.table],
+        "table": _planes(alg._sparse, (alg.dim,) * 3),
     }
 
 
@@ -98,25 +99,26 @@ def sc_from_doc(doc: dict) -> StructureConstants:
             if not isinstance(label, str):
                 raise ValueError(f"labels must be JSON strings, not {brief(label)}")
     table = _parse_planes(doc["table"])
-    if "dim" in doc and _dim(doc["dim"], "algebra dim") != len(table):
-        raise ValueError(f"algebra dim {brief(doc['dim'])} but the table has size {len(table)}")
-    return StructureConstants(table, labels)
+    n = len(table)
+    if "dim" in doc and _dim(doc["dim"], "algebra dim") != n:
+        raise ValueError(f"algebra dim {brief(doc['dim'])} but the table has size {n}")
+    return StructureConstants(n, grid_nonzeros(table, (n, n, n), "structure"), labels)
 
 
 def bimodule_to_doc(m: Bimodule) -> dict:
     return {
         "dim": m.dim,
-        "left": [_grid(plane) for plane in m.left],
-        "right": [_grid(plane) for plane in m.right],
+        "left": _planes(m._left, (m.left_dim, m.dim, m.dim)),
+        "right": _planes(m._right, (m.dim, m.right_dim, m.dim)),
     }
 
 
 def bimodule_from_doc(doc: dict, left_dim: int, right_dim: int) -> Bimodule:
     _expect(doc, dict, "bimodule document", "dim", "left", "right")
     dim = _dim(doc["dim"], "bimodule dim")
-    return Bimodule(
-        dim, left_dim, right_dim, _parse_planes(doc["left"]), _parse_planes(doc["right"])
-    )
+    left, right = _parse_planes(doc["left"]), _parse_planes(doc["right"])
+    left = grid_nonzeros(left, (left_dim, dim, dim), "left action")
+    return Bimodule(dim, left_dim, right_dim, left, grid_nonzeros(right, (dim, right_dim, dim), "right action"))
 
 
 def context_to_doc(ctx: MoritaContext) -> dict:
@@ -125,8 +127,8 @@ def context_to_doc(ctx: MoritaContext) -> dict:
         "B": sc_to_doc(ctx.B),
         "M": bimodule_to_doc(ctx.M),
         "N": bimodule_to_doc(ctx.N),
-        "zeta": [_grid(plane) for plane in ctx.zeta],
-        "psi": [_grid(plane) for plane in ctx.psi],
+        "zeta": _planes(ctx._zeta, (ctx.M.dim, ctx.N.dim, ctx.A.dim)),
+        "psi": _planes(ctx._psi, (ctx.N.dim, ctx.M.dim, ctx.B.dim)),
     }
 
 
@@ -136,7 +138,9 @@ def context_from_doc(doc: dict) -> MoritaContext:
     b = sc_from_doc(doc["B"])
     m = bimodule_from_doc(doc["M"], a.dim, b.dim)
     n = bimodule_from_doc(doc["N"], b.dim, a.dim)
-    return MoritaContext(a, b, m, n, _parse_planes(doc["zeta"]), _parse_planes(doc["psi"]))
+    zeta, psi = _parse_planes(doc["zeta"]), _parse_planes(doc["psi"])
+    zeta = grid_nonzeros(zeta, (m.dim, n.dim, a.dim), "zeta")
+    return MoritaContext(a, b, m, n, zeta, grid_nonzeros(psi, (n.dim, m.dim, b.dim), "psi"))
 
 
 def operator_to_doc(op: LinearOperator) -> dict:

@@ -6,46 +6,33 @@ equal subspaces compare equal grid-by-grid and test output is
 reproducible.
 
 Each exact primitive is written once.  ``_IntEchelon`` is the only row
-elimination, and its ``add`` the only way in: it takes sparse
-``{col: int}`` rows of nonzero ints, brings each to primitive form,
-drops empty and duplicate rows and eliminates the rest fraction-free
-over the integers, keeping the echelon reduced on every insert, so a
-row costs one elimination per pivot column it holds.  A row's pivot is
-its greatest column, so the kernel vector of a free column f holds only
-f and pivots above f: it is the canonical basis vector of pivot f up to
-scale, and a kernel is read off the echelon with no second elimination.
-A Fraction is made only at the final division of each row by its pivot
-entry.  ``clear_denominators`` is the one helper that clears
-denominators, once per system or table: ``_echelon`` scales a system
-with it from its first row holding a Fraction on, and callers that know
-a common denominator for a whole table (the structure constants, the
-basis forms) use it once per table and hand over int rows.
-``Subspace``, ``kernel_of_rows`` and ``solve`` fill one echelon through
-``_echelon``, which rejects a row outside the ambient and passes a
-system of ints through as it is; the identity solver of
-``centralizers`` fills one row by row and reads its int
-``kernel_vectors`` as it goes.  ``Subspace`` and ``solve`` number
-columns from the end (c -> n - 1 - c, ``_mirrored``), so their echelon
-pivots on least columns: ``Subspace`` reads its canonical basis off the
-pivot rows, and ``solve`` sees an inconsistent system as a pivot at its
-right-hand side, which is column 0, and returns None for it.
-Membership is read off the canonical basis without eliminating again: a
-member's coefficients are its entries at the pivots, and
-``Subspace.coefficients_of`` checks them through ``combination``.
-``preimage`` is the one statement of "x maps into a subspace", a
-``kernel_of_rows`` over maps given as sparse columns.  ``row_values`` is
-the only evaluation of sparse rows on a vector, which ``int_flats``
-scales to ints.  ``dense_tensor`` is the one way to write a tensor,
-from its nonzeros ``{(i, j, k): value}``, and ``sparse_tensor`` the one
-way to read one: ``contract``, the only bilinear product, applies a
-tensor in that sparse form to a pair of coordinate vectors, and
-``checked_tensor`` is the one shape check of a tensor.
-``combination`` is the only linear combination, the sum of c * v over
-coefficients and vectors; it skips zero coefficients and zero entries,
-so sparse data costs only its nonzeros.  ``Matrix`` holds data and has no arithmetic of its own: it
-applies to a vector, or to another matrix row by row, through
-``combination``, and operators are added and scaled as
-``algebra.LinearOperator``s, whose arithmetic is ``combination`` too.
+elimination, and its ``add`` the only way in: it brings sparse
+``{col: int}`` rows to primitive form, drops empty and duplicate rows
+and eliminates the rest fraction-free, keeping the echelon reduced on
+every insert.  A row's pivot is its greatest column, so the kernel
+vector of a free column f holds only f and pivots above f, and a kernel
+is read off the echelon with no second elimination; a Fraction is made
+only at the final division of a row by its pivot entry.
+``clear_denominators`` is the one helper that clears denominators, once
+per system or table.  ``Subspace``, ``kernel_of_rows`` and ``solve``
+fill one echelon through ``_echelon``; the identity solver of
+``centralizers`` fills one row by row.  ``Subspace`` and ``solve``
+number columns from the end (``_mirrored``), so their echelon pivots on
+least columns: ``Subspace`` reads its canonical basis off the pivot
+rows, and ``solve`` sees an inconsistent system as a pivot at its
+right-hand side, column 0.  A member's coefficients are its entries at
+the pivots, which ``Subspace.coefficients_of`` checks through
+``combination``, the only linear combination; it skips zeros, so sparse
+data costs only its nonzeros.  ``preimage`` is the one statement of "x
+maps into a subspace", and ``row_values`` the only evaluation of sparse
+rows on a vector.  A tensor is given as its nonzeros ``{(i, j, k):
+value}`` and held in the sparse form of ``checked_tensor``, the one
+check of its shape and of ``MAX_TENSOR_ENTRIES``; ``contract``, the
+only bilinear product, applies a held tensor.  Dense grids appear only
+where a tensor is written out in full: ``dense_tensor`` lays one out
+for a JSON document or ``StructureConstants.table``, and
+``grid_nonzeros`` reads a document's grid back.  ``Matrix`` holds data
+and applies to a vector through ``combination``.
 """
 
 from __future__ import annotations
@@ -90,43 +77,62 @@ def combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> Vector
     return tuple(out)
 
 
-# t[i][j] as the pairs (k, t[i][j][k]) with a nonzero coefficient
+# a tensor's held form: t[i][j] as the pairs (k, t[i][j][k]) with a nonzero coefficient, k increasing
 SparseTensor = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
 
 
-# the most entries dense_tensor lays out: a structure table of dim 161 at most
+# the most entries a tensor may span: a structure table of dim 161 at most
 MAX_TENSOR_ENTRIES = 2**22
 
 
-def dense_tensor(shape: tuple[int, int, int], nonzeros: Mapping[tuple[int, int, int], object]) -> list:
-    """The a x b x c tensor of Fractions with nonzeros at their (i, j, k), one shared zero elsewhere; ValueError past the cap."""
+def _refuse_oversized(shape: tuple[int, int, int]) -> None:
     a, b, c = shape
     if a * b * c > MAX_TENSOR_ENTRIES:
         raise ValueError(f"a {a} x {b} x {c} tensor is too large to build")
+
+
+def checked_tensor(shape: tuple[int, int, int], nonzeros: Mapping[tuple[int, int, int], object], what: str) -> SparseTensor:
+    """The held form of the a x b x c tensor with these nonzeros {(i, j, k): value}, zeros dropped; ``what`` names it.
+
+    ValueError past the cap, before anything of size a * b * c is made; DimensionMismatch off the shape.
+    """
+    _refuse_oversized(shape)
+    a, b, c = shape
+    rows = [[[] for _ in range(b)] for _ in range(a)]
+    for (i, j, k), x in sorted(nonzeros.items()):
+        if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
+            raise DimensionMismatch(f"{what} tensor must be {a} x {b} x {c}")
+        x = rat(x)
+        if x:
+            rows[i][j].append((k, x))
+    return tuple(tuple(map(tuple, plane)) for plane in rows)
+
+
+def tensor_entries(sp: SparseTensor) -> dict[tuple[int, int, int], Fraction]:
+    """The nonzeros {(i, j, k): value} of a held tensor, the input form of ``checked_tensor``."""
+    return {(i, j, k): x for i, plane in enumerate(sp) for j, row in enumerate(plane) for k, x in row}
+
+
+def dense_tensor(shape: tuple[int, int, int], nonzeros: Mapping[tuple[int, int, int], object]) -> list:
+    """The a x b x c grid of Fractions with nonzeros at their (i, j, k), one shared zero elsewhere; ValueError past the cap."""
+    _refuse_oversized(shape)
+    a, b, c = shape
     t = [[[_ZERO] * c for _ in range(b)] for _ in range(a)]
     for (i, j, k), x in nonzeros.items():
         t[i][j][k] = rat(x)
     return t
 
 
-def sparse_tensor(t) -> SparseTensor:
-    return tuple(
-        tuple(tuple((k, x) for k, x in enumerate(row) if x != 0) for row in plane)
-        for plane in t
-    )
-
-
-def checked_tensor(t, shape: tuple[int, int, int], what: str) -> tuple[tuple, SparseTensor]:
-    """(t as planes of Fraction rows, its sparse form), for t of the given shape a x b x c; ``what`` names it."""
-    dense = tuple(tuple(vec(row) for row in plane) for plane in t)
+def grid_nonzeros(t, shape: tuple[int, int, int], what: str) -> dict[tuple[int, int, int], Fraction]:
+    """The nonzeros {(i, j, k): value} of a grid t of the given shape a x b x c; ``what`` names it."""
     a, b, c = shape
-    if len(dense) != a or any(len(plane) != b or any(len(row) != c for row in plane) for plane in dense):
+    if len(t) != a or any(len(plane) != b or any(len(row) != c for row in plane) for plane in t):
         raise DimensionMismatch(f"{what} tensor must be {a} x {b} x {c}")
-    return dense, sparse_tensor(dense)
+    return {(i, j, k): x for i, plane in enumerate(t) for j, row in enumerate(plane) for k, x in enumerate(row) if x != 0}
 
 
 def contract(sp: SparseTensor, x: Sequence[Fraction], y: Sequence[Fraction], y_dim: int, out_dim: int) -> Vector:
-    """sum over i, j, k of x_i y_j t[i][j][k] e_k, for sp = sparse_tensor(t).
+    """sum over i, j, k of x_i y_j t[i][j][k] e_k, for sp the held form of t.
 
     t has one plane per coordinate of x and one row per coordinate of y;
     x must have len(sp) entries and y must have y_dim.

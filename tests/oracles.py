@@ -8,7 +8,12 @@ kernel.  Agreement between the two routes is what the dimension tests
 actually certify.  ``identity_sides`` evaluates both sides of an
 identity at one basis tuple the same way, to re-check a reported
 witness.  ``left_mult`` and ``right_mult`` read the multiplication
-maps off the table by plain loops.
+maps off the table by plain loops.  ``grid_algebra`` builds an algebra
+from a dense grid by listing its nonzeros, and ``context_grids`` reads a
+context's tensors back as dense grids off its JSON document.
+``dense_content_hash`` renders an algebra's content-hash payload from a
+dense grid with ``json.dumps``, and ``dimension_law`` states every
+solution dimension on T_n and M_n as a function of n alone.
 
 Elimination here is a plain Fraction Gauss-Jordan that shares no code
 with the package's fraction-free integer echelon; kernels come back as
@@ -16,14 +21,24 @@ canonical (reduced row-echelon) basis tuples, so they compare directly
 with ``Subspace.basis``.
 """
 
+import hashlib
 import itertools
-import operator
+import json
 from fractions import Fraction
 
 from lietriple.algebra import AlgebraElement, StructureConstants
 from lietriple.errors import InvalidBlockStructure, LieTripleError
 from lietriple.gma import context_of
+from lietriple.io import context_to_doc
 from lietriple.linalg import Matrix, zero_vec
+
+
+def grid_algebra(table, labels=None) -> StructureConstants:
+    """The algebra of a dense n x n x n grid, handed over as its nonzeros."""
+    nonzeros = {
+        (i, j, k): x for i, plane in enumerate(table) for j, row in enumerate(plane) for k, x in enumerate(row) if x != 0
+    }
+    return StructureConstants(len(table), nonzeros, labels)
 
 
 def gauss_jordan(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -90,17 +105,17 @@ def preimage_basis(maps, target_vectors, n: int) -> tuple:
 
 def left_mult(alg: StructureConstants, coords) -> Matrix:
     """The matrix of x -> c x: entry (l, j) is the sum over i of c_i table[i][j][l]."""
-    n = alg.dim
+    n, t = alg.dim, alg.table
     return Matrix(
-        [[sum((Fraction(c) * alg.table[i][j][l] for i, c in enumerate(coords)), Fraction(0)) for j in range(n)] for l in range(n)]
+        [[sum((Fraction(c) * t[i][j][l] for i, c in enumerate(coords)), Fraction(0)) for j in range(n)] for l in range(n)]
     )
 
 
 def right_mult(alg: StructureConstants, coords) -> Matrix:
     """The matrix of x -> x c: entry (l, j) is the sum over i of c_i table[j][i][l]."""
-    n = alg.dim
+    n, t = alg.dim, alg.table
     return Matrix(
-        [[sum((Fraction(c) * alg.table[j][i][l] for i, c in enumerate(coords)), Fraction(0)) for j in range(n)] for l in range(n)]
+        [[sum((Fraction(c) * t[j][i][l] for i, c in enumerate(coords)), Fraction(0)) for j in range(n)] for l in range(n)]
     )
 
 
@@ -207,7 +222,7 @@ def rebased(alg: StructureConstants, p) -> StructureConstants:
     n = alg.dim
     pinv = inverse(p)
     f = [tuple(Fraction(p[a][i]) for a in range(n)) for i in range(n)]
-    return StructureConstants(
+    return grid_algebra(
         [
             [
                 [sum((pinv[k][c] * x for c, x in enumerate(alg.mul_coords(f[i], f[j]))), Fraction(0)) for k in range(n)]
@@ -250,7 +265,8 @@ def first_nonassociative_triple(table):
     return None
 
 
-# each context tensor with the corners of its left factor, right factor and product
+# each context tensor, by its path in the context's document, with the
+# corners of its left factor, right factor and product
 BLOCK_RULES = {
     "A.table": "AAA",
     "B.table": "BBB",
@@ -261,6 +277,18 @@ BLOCK_RULES = {
     "zeta": "MNA",
     "psi": "NMB",
 }
+
+
+def context_grids(ctx) -> dict:
+    """Each tensor of BLOCK_RULES as a dense grid of Fractions, read off the context's document."""
+    doc = context_to_doc(ctx)
+    grids = {}
+    for path in BLOCK_RULES:
+        planes = doc
+        for key in path.split("."):
+            planes = planes[key]
+        grids[path] = [[[Fraction(x) for x in row] for row in plane] for plane in planes]
+    return grids
 
 
 def block_split_outcome(alg: StructureConstants, dims) -> type | None:
@@ -276,12 +304,14 @@ def block_split_outcome(alg: StructureConstants, dims) -> type | None:
     n = alg.dim
     start = dict(zip("AMNB", itertools.accumulate((0, *dims[:3]))))
     table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    grids = context_grids(ctx)
     for path, (x, y, z) in BLOCK_RULES.items():
-        for i, plane in enumerate(operator.attrgetter(path)(ctx)):
+        for i, plane in enumerate(grids[path]):
             for j, row in enumerate(plane):
                 for k, v in enumerate(row):
                     table[start[x] + i][start[y] + j][start[z] + k] = v
-    same = all(list(alg.table[i][j]) == table[i][j] for i in range(n) for j in range(n))
+    t = alg.table
+    same = all(list(t[i][j]) == table[i][j] for i in range(n) for j in range(n))
     return None if same else InvalidBlockStructure
 
 
@@ -329,3 +359,38 @@ def center_shape_holds(u, block: str, x0) -> bool:
     diagonal = [*u.ranges["A"], *u.ranges["B"]]
     shaped = commuting(diagonal, [unit[k] for k in diagonal] + [x])
     return shaped == commuting(range(n), unit)
+
+
+def dense_content_hash(table, labels) -> str:
+    """sha256 of the canonical JSON of {"dim", "labels", "table"}, every entry of the dense grid as its rational string."""
+    grid = [[[str(Fraction(x)) for x in row] for row in plane] for plane in table]
+    payload = json.dumps({"dim": len(table), "labels": list(labels), "table": grid}, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def dimension_law(family: str, n: int, kind: str) -> int:
+    """The dimension of the solution space of ``kind`` on T_n (family "T") or M_n ("M"), for n >= 2.
+
+    Every derivation of T_n and M_n is inner (N - 1 of them, N = dim U),
+    every Jordan derivation is a derivation, and every Lie-type map is
+    standard: a derivation (for the derivation kinds) or a multiple of
+    the identity (for the centralizers), plus a center-valued map killing
+    [[U,U],U].  The center is the scalars, and [[U,U],U] spans U but the
+    diagonal on T_n, so n directions remain, and all of U but one
+    direction on M_n.  sjder is read on the split after the first row,
+    whose pairings leave no singular Jordan derivation.
+    """
+    if family not in ("T", "M") or n < 2:
+        raise ValueError(f"no law for {family}_{n}")
+    big = n * (n + 1) // 2 if family == "T" else n * n
+    outside = n if family == "T" else 1  # dim U - dim [[U,U],U]
+    return {
+        "lc": 1 + outside,
+        "ltc": 1 + outside,
+        "jc": 1,
+        "der": big - 1,
+        "jder": big - 1,
+        "lieder": big - 1 + outside,
+        "ltd": big - 1 + outside,
+        "sjder": 0,
+    }[kind]

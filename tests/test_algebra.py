@@ -33,6 +33,7 @@ from lietriple.linalg import Matrix, Subspace, kernel_of_rows, solve, unit_vec
 from oracles import (
     RATIONAL_BASIS,
     first_nonassociative_triple,
+    grid_algebra,
     inverse,
     kernel_basis,
     left_mult,
@@ -74,7 +75,7 @@ class TestConstruction:
         # while e0 (e0 e0) = e0.
         table = [[[0, 1], [1, 0]], [[0, 0], [0, 0]]]
         with pytest.raises(NotAssociative) as exc:
-            StructureConstants(table)
+            grid_algebra(table)
         assert exc.value.triple == (0, 0, 0)
 
     def test_rational_table_reports_first_failing_triple(self):
@@ -85,7 +86,7 @@ class TestConstruction:
         expected = first_nonassociative_triple(table)
         assert expected is not None
         with pytest.raises(NotAssociative) as exc:
-            StructureConstants(table)
+            grid_algebra(table)
         assert exc.value.triple == expected
 
     def test_residual_near_the_packing_bound_is_read_in_its_own_digit(self):
@@ -100,7 +101,7 @@ class TestConstruction:
         table[0][1][0] = table[0][2][0] = -1
         assert first_nonassociative_triple(table) == (0, 0, 0)
         with pytest.raises(NotAssociative) as exc:
-            StructureConstants(table)
+            grid_algebra(table)
         assert exc.value.triple == (0, 0, 0)
 
     @given(st.data())
@@ -130,10 +131,10 @@ class TestConstruction:
                 table[a][k + 1][l] -= u
         expected = first_nonassociative_triple(table)
         if expected is None:
-            assert StructureConstants(table).dim == n
+            assert grid_algebra(table).dim == n
         else:
             with pytest.raises(NotAssociative) as exc:
-                StructureConstants(table)
+                grid_algebra(table)
             assert exc.value.triple == expected
 
     def test_distinct_prime_denominators_accepted(self):
@@ -143,13 +144,13 @@ class TestConstruction:
             [[F(1, p) if i == j == k else 0 for k in range(4)] for j in range(4)]
             for i, p in enumerate(primes)
         ]
-        alg = StructureConstants(table)
+        alg = grid_algebra(table)
         assert first_nonassociative_triple(alg.table) is None
         assert alg.table[3][3][3] == F(1, 7)
 
     def test_dim_at_least_one(self):
         with pytest.raises(Exception):
-            StructureConstants([])
+            StructureConstants(0, {})
 
     def test_content_hash_stable(self, t2):
         assert t2 == upper_triangular(2)
@@ -296,7 +297,7 @@ class TestDoubleCommutatorSpan:
             ]
             for i in range(4)
         ]
-        conj = StructureConstants(table)
+        conj = grid_algebra(table)
         span_new = double_commutator_span(conj)
         transported = Subspace(4, [p.matvec(v) for v in span_new.basis])
         assert transported == double_commutator_span(m2)
@@ -337,7 +338,7 @@ class TestLinearOperator:
 
 def left_unit_algebra():
     """e_i e_j = e_j on Q^2: every basis vector is a left unit, so the center is 0 and there is no unit."""
-    return StructureConstants([[[int(k == j) for k in range(2)] for j in range(2)] for _ in range(2)])
+    return StructureConstants(2, {(i, j, j): 1 for i in range(2) for j in range(2)})
 
 
 _MULTIPLICATION_ALGEBRAS = {

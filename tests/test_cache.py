@@ -53,6 +53,7 @@ from lietriple.gma import (
     eta_map,
     m2_of,
 )
+from lietriple.linalg import tensor_entries
 from lietriple.properness import (
     _center_multiplications,
     central_vanishing_rows,
@@ -157,7 +158,8 @@ def test_a_failing_split_stores_nothing(monkeypatch, algebra, dims, error):
 def _m2_context(alg):
     """The context m2_of builds: alg in all four corners, acting on itself, paired by its product."""
     reg = Bimodule.regular(alg)
-    return MoritaContext(alg, alg, reg, reg, alg.table, alg.table)
+    table = tensor_entries(alg._sparse)
+    return MoritaContext(alg, alg, reg, reg, table, table)
 
 
 @pytest.mark.parametrize(

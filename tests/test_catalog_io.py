@@ -1,8 +1,8 @@
 import dataclasses
 import hashlib
 import json
-import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,7 +25,7 @@ from lietriple.catalog import (
     upper_triangular_gma,
 )
 from lietriple.errors import HashMismatch
-from lietriple.gma import assemble, check_annihilating_conditions, context_of, m2_of, peirce_from_idempotent
+from lietriple.gma import Bimodule, assemble, check_annihilating_conditions, context_of, m2_of, peirce_from_idempotent
 from lietriple.io import (
     bimodule_to_doc,
     context_from_doc,
@@ -41,7 +41,7 @@ from lietriple.io import (
 )
 from lietriple.algebra import LinearOperator
 from lietriple.linalg import Matrix
-from oracles import BLOCK_RULES
+from oracles import RATIONAL_BASIS, context_grids, dense_content_hash, rebased
 
 F = Fraction
 
@@ -112,14 +112,23 @@ class TestCatalogEntries:
 _PINNED_RANDOM_DRAWS = "5f8f4e92bade97657b2451f9fa0af810d58a27b37c7fad68ee6059d462eeb8ea"
 
 
-def test_random_gma_draws_are_pinned_and_unital():
+@pytest.fixture(scope="module")
+def pinned_draws() -> list:
+    """(s, require_n, random_gma(Random(s), require_n)) for the pinned draws."""
+    return [(s, r, random_gma(random.Random(s), require_n=r)) for s in range(60) for r in (None, True, False)]
+
+
+def test_random_gma_draws_are_pinned_and_unital(pinned_draws):
     digest = hashlib.sha256()
-    for s in range(60):
-        for require_n in (None, True, False):
-            u = random_gma(random.Random(s), require_n=require_n)
-            assert find_unit(u.algebra) is not None
-            digest.update(f"{s}|{require_n}|{u.algebra.content_hash}|{u.dims}|{u.algebra.labels}\n".encode())
+    for s, require_n, u in pinned_draws:
+        assert find_unit(u.algebra) is not None
+        digest.update(f"{s}|{require_n}|{u.algebra.content_hash}|{u.dims}|{u.algebra.labels}\n".encode())
     assert digest.hexdigest() == _PINNED_RANDOM_DRAWS
+
+
+def test_every_pinned_draw_hashes_as_its_dense_payload(pinned_draws):
+    for _, _, u in pinned_draws:
+        assert u.algebra.content_hash == dense_content_hash(u.algebra.table, u.algebra.labels)
 
 
 # Content hash (table, labels and basis order) and block dims of each
@@ -170,6 +179,104 @@ def test_every_written_table_is_pinned():
     hashes = _table_hashes()
     assert len(hashes) == 39
     assert hashlib.sha256(json.dumps(hashes, sort_keys=True).encode()).hexdigest() == _PINNED_TABLES
+
+
+def _peirce(alg, units):
+    """The Peirce split of alg along the sum of the named basis vectors."""
+    return peirce_from_idempotent(alg, alg.element([int(label in units) for label in alg.labels])).gma.algebra
+
+
+# every builder that writes a table, each once
+_BUILT = {
+    **{f"full_matrix({n})": (lambda n=n: full_matrix(n)) for n in range(1, 6)},
+    **{f"upper_triangular({n})": (lambda n=n: upper_triangular(n)) for n in range(1, 6)},
+    "rationals": rationals,
+    "dual_numbers": dual_numbers,
+    "strict_upper_3x3": strict_upper_3x3,
+    "direct_sum(M2, Q)": lambda: direct_sum(full_matrix(2), rationals()),
+    "direct_sum(T2, dual)": lambda: direct_sum(upper_triangular(2), dual_numbers()),
+    "example_1_2": lambda: example_1_2().gma.algebra,
+    "m2_of(T2)": lambda: m2_of(upper_triangular(2)).algebra,
+    "m2_of(rebased M2)": lambda: m2_of(rebased(full_matrix(2), RATIONAL_BASIS)).algebra,
+    "assemble(T4 corners)": lambda: assemble(triangular_context(*(lambda c: (c.A, c.M, c.B))(upper_triangular_gma(4, 2).context))).algebra,
+    "full_matrix_gma(4, 2)": lambda: full_matrix_gma(4, 2).algebra,
+    "peirce(M3, e11)": lambda: _peirce(full_matrix(3), {"e11"}),
+    "peirce(T3, e11 + e22)": lambda: _peirce(upper_triangular(3), {"e11", "e22"}),
+    "peirce(M2, e11 + e12)": lambda: _peirce(full_matrix(2), {"e11", "e12"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT))
+def test_a_built_table_hashes_as_its_dense_payload(name):
+    alg = _BUILT[name]()
+    assert alg.content_hash == dense_content_hash(alg.table, alg.labels)
+
+
+@given(
+    st.sampled_from(sorted(_BUILT)),
+    st.fractions(max_denominator=12).filter(bool),
+    st.data(),
+)
+def test_a_scaled_table_with_explicit_zeros_hashes_as_its_dense_payload(name, scale, data):
+    # c -> s c keeps a table associative; the zeros handed over explicitly
+    # must write as "0" like every entry left out, and any label as json writes it
+    base = _BUILT[name]()
+    n = base.dim
+    table = [[[x * scale for x in row] for row in plane] for plane in base.table]
+    cells = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    zeros = data.draw(st.lists(st.sampled_from(cells), max_size=8))
+    nonzeros = {cell: 0 for cell in zeros}
+    nonzeros.update({(i, j, k): x for i, j, k in cells if (x := table[i][j][k])})
+    labels = data.draw(st.none() | st.lists(st.text(max_size=3), min_size=n, max_size=n))
+    alg = StructureConstants(n, nonzeros, labels)
+    assert alg.content_hash == dense_content_hash(table, alg.labels)
+    assert alg.labels == (tuple(f"e{i}" for i in range(n)) if labels is None else tuple(labels))
+
+
+def _refused_unbuilt(build, dim: int) -> None:
+    """build() raises the cap's ValueError, its traced peak under a quarter of any dense dim^3 grid.
+
+    A grid of dim^3 entries holds at least one 8-byte pointer an entry.
+    """
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large to build$"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * dim**3
+
+
+def _tri_documents(tmp_path, m_dim: int) -> str:
+    """The spec tri(Q, M, Q) for a zero bimodule document M of the given dim."""
+    q = {"table": [[["1"]]]}
+    m = {"dim": m_dim, "left": [[["0"] * m_dim] * m_dim], "right": [[["0"] * m_dim]] * m_dim}
+    paths = []
+    for name, doc in (("A", q), ("M", m), ("B", q)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return f"tri({','.join(paths)})"
+
+
+# 162^3 > 2**22: each path to a table past dim 161 is refused before any
+# structure of that size is made; M2(M9) has dim 4 * 81 = 324
+@pytest.mark.parametrize("route", ["catalog", "direct_sum", "assemble", "m2_of", "document"])
+def test_each_path_refuses_an_oversized_table_before_allocating_it(monkeypatch, tmp_path, route):
+    import lietriple.algebra
+
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    # the corners and the documents are made before the measurement
+    m9, tri = full_matrix(9), _tri_documents(tmp_path, 160)
+    builds = {
+        "catalog": (lambda: resolve("full_matrix(13)"), 169),
+        "direct_sum": (lambda: direct_sum(m9, m9), 162),
+        "assemble": (lambda: assemble(triangular_context(m9, Bimodule.zero(81, 81), m9)), 162),
+        "m2_of": (lambda: m2_of(m9), 324),
+        "document": (lambda: resolve(tri), 162),
+    }
+    _refused_unbuilt(*builds[route])
 
 
 def _no_table(cells):
@@ -242,7 +349,7 @@ def test_catalog_gma_is_the_peirce_split_along_the_leading_units(raw, direct, n)
     # the GMA built from matrix units in block order is the Peirce split
     # of the row-major algebra along e = e_11 + ... + e_kk, for every k
     alg = raw(n)
-    tensors = operator.attrgetter(*BLOCK_RULES)
+    tensors = context_grids
     for split in range(1, n):
         e = alg.element([int(label in {f"e{i}{i}" for i in range(1, split + 1)}) for label in alg.labels])
         peirce, built = peirce_from_idempotent(alg, e).gma, direct(n, split)
@@ -350,7 +457,7 @@ class TestDocuments:
         assert again == t2 and again.labels == t2.labels
 
     def test_rationals_serialize_as_fraction_strings(self):
-        alg = StructureConstants([[[F(1, 2)]]])
+        alg = StructureConstants(1, {(0, 0, 0): F(1, 2)})
         doc = sc_to_doc(alg)
         assert doc["table"][0][0][0] == "1/2"
         assert sc_from_doc(doc).table[0][0][0] == F(1, 2)

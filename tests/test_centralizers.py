@@ -42,6 +42,7 @@ from lietriple.linalg import Matrix, Subspace, int_flats, kernel_of_rows
 from oracles import (
     RATIONAL_BASIS,
     dense_identity_space,
+    dimension_law,
     identity_sides,
     inverse,
     rebased,
@@ -207,8 +208,7 @@ class TestMembership:
 
         q = rationals()
         reg = Bimodule.regular(q)
-        zero_pairing = (((0,),),)
-        u = assemble(MoritaContext(q, q, reg, reg, zero_pairing, zero_pairing))
+        u = assemble(MoritaContext(q, q, reg, reg, {}, {}))
         space = solve_identity_space(u, K.SINGULAR_JORDAN_DERIVATION)
         assert space.dim == 2  # the two off-diagonal swaps survive
         jder = solve_identity_space(u.algebra, K.JORDAN_DERIVATION)
@@ -887,3 +887,16 @@ _PINNED_M5 = {
 def test_m5_solves_are_pinned(kind):
     space = solve_identity_space(full_matrix(5), K(kind))
     assert hashlib.sha256(repr(space.basis).encode()).hexdigest() == _PINNED_M5[kind]
+
+
+# T_2..T_6 and M_2..M_5, each kind checked against a law in n alone
+_LAW_CASES = [(family, n) for family, sizes in (("T", range(2, 7)), ("M", range(2, 6))) for n in sizes]
+
+
+@pytest.mark.parametrize("kind", [k.value for k in IdentityKind])
+@pytest.mark.parametrize("family, n", _LAW_CASES, ids=[f"{f}{n}" for f, n in _LAW_CASES])
+def test_solution_dimensions_follow_the_laws_in_n(family, n, kind):
+    u = (upper_triangular_gma if family == "T" else full_matrix_gma)(n)
+    kind = IdentityKind(kind)
+    target = u if kind is K.SINGULAR_JORDAN_DERIVATION else u.algebra
+    assert solve_identity_space(target, kind).dim == dimension_law(family, n, kind.value)

@@ -233,13 +233,13 @@ class TestCenterShapeConditions:
         """Q x Q acting on block M (or N) of dim len(coordinate_of), e_i on coordinate p iff coordinate_of[p] == i; the other corner Q acts by scalars."""
         q, q2 = rationals(), direct_sum(rationals(), rationals())
         dim = len(coordinate_of)
-        left = tuple(tuple(tuple(int(p == r and coordinate_of[p] == i) for r in range(dim)) for p in range(dim)) for i in range(2))
-        scalar = tuple((tuple(int(p == r) for r in range(dim)),) for p in range(dim))
+        left = {(coordinate_of[p], p, p): 1 for p in range(dim)}
+        scalar = {(p, 0, p): 1 for p in range(dim)}
         module = Bimodule(dim, 2, 1, left, scalar)
         if block == "M":
             u = assemble(triangular_context(q2, module, q))
         else:
-            u = assemble(MoritaContext(q, q2, Bimodule.zero(1, 2), module, (), ((),) * dim))
+            u = assemble(MoritaContext(q, q2, Bimodule.zero(1, 2), module, {}, {}))
         assert block_hypotheses_hold(u)
         return u
 
@@ -346,8 +346,7 @@ class TestDecomposeLtd:
 
         q = rationals()
         reg = Bimodule.regular(q)
-        zp = (((0,),),)
-        u = assemble(MoritaContext(q, q, reg, reg, zp, zp))
+        u = assemble(MoritaContext(q, q, reg, reg, {}, {}))
         alg = u.algebra
         swap = LinearOperator(
             alg, Matrix.from_cols([(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 0)])

@@ -76,14 +76,15 @@ class TestAssemble:
     def test_unit_pairings_give_m2(self):
         q = rationals()
         reg = Bimodule.regular(q)
-        u = assemble(MoritaContext(q, q, reg, reg, q.table, q.table))
+        unit = {(0, 0, 0): 1}
+        u = assemble(MoritaContext(q, q, reg, reg, unit, unit))
         assert u.algebra.table == full_matrix(2).table
 
     def test_sign_perturbed_pairing_fails(self):
         q = rationals()
         reg = Bimodule.regular(q)
         with pytest.raises(NotAssociative) as exc:
-            assemble(MoritaContext(q, q, reg, reg, (((-1,),),), q.table))
+            assemble(MoritaContext(q, q, reg, reg, {(0, 0, 0): -1}, {(0, 0, 0): 1}))
         i, j, k = exc.value.triple
         assert 0 <= i and 0 <= j and 0 <= k  # concrete failing triple reported
 
@@ -207,7 +208,7 @@ class TestAnnihilatingConditions:
     def test_zero_modules_fail_with_unit_witness(self):
         q = rationals()
         ctx = MoritaContext(
-            q, q, Bimodule.zero(1, 1), Bimodule.zero(1, 1), (), ()
+            q, q, Bimodule.zero(1, 1), Bimodule.zero(1, 1), {}, {}
         )
         rep = check_annihilating_conditions(assemble(ctx))
         assert not rep.holds_a and not rep.holds_b
@@ -216,7 +217,7 @@ class TestAnnihilatingConditions:
     def test_dual_numbers_acting_as_zero_fail(self):
         dn = dual_numbers()
         # 1 acts as identity on M = Q, x acts as zero.
-        mod = Bimodule(1, 2, 1, (((1,),), ((0,),)), (((1,),),))
+        mod = Bimodule(1, 2, 1, {(0, 0, 0): 1, (1, 0, 0): 0}, {(0, 0, 0): 1})
         u = assemble(triangular_context(dn, mod, rationals()))
         rep = check_annihilating_conditions(u)
         assert not rep.holds_a
@@ -230,7 +231,7 @@ class TestBlockHypotheses:
         assert all(block_hypotheses_hold(u) for u in standard_gmas().values())
         assert not block_hypotheses_hold(m2_of(strict_upper_3x3()))  # not unital
         # the dual numbers acting on M = Q through 1 alone: x annihilates M
-        mod = Bimodule(1, 2, 1, (((1,),), ((0,),)), (((1,),),))
+        mod = Bimodule(1, 2, 1, {(0, 0, 0): 1, (1, 0, 0): 0}, {(0, 0, 0): 1})
         assert not block_hypotheses_hold(assemble(triangular_context(dual_numbers(), mod, rationals())))
 
     @pytest.mark.parametrize("require_n", [True, None])
@@ -351,9 +352,9 @@ class TestElementFromCorners:
 
 def _table_mul(alg, x, y):
     """x y from the raw structure constants, by the defining triple sum."""
-    n = alg.dim
+    n, t = alg.dim, alg.table
     return tuple(
-        sum((x[i] * y[j] * alg.table[i][j][k] for i in range(n) for j in range(n)), F(0))
+        sum((x[i] * y[j] * t[i][j][k] for i in range(n) for j in range(n)), F(0))
         for k in range(n)
     )
 

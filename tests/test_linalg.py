@@ -26,7 +26,7 @@ from lietriple.linalg import (
     row_values,
     solve,
 )
-from oracles import gauss_jordan, kernel_basis, preimage_basis, rebased, row_space_basis, unit_diagonal_basis
+from oracles import context_grids, gauss_jordan, kernel_basis, preimage_basis, rebased, row_space_basis, unit_diagonal_basis
 
 F = Fraction
 
@@ -722,8 +722,9 @@ def tensors_with_operands():
 @given(tensors_with_operands())
 def test_contract_matches_dense_triple_loop(case):
     t, x, y, out_dim = case
-    _, sparse = checked_tensor(t, (len(x), len(y), out_dim), "t")
-    assert contract(sparse, x, y, len(y), out_dim) == dense_contract(t, x, y, out_dim)
+    shape = (len(x), len(y), out_dim)
+    held = checked_tensor(shape, linalg.grid_nonzeros(t, shape, "t"), "t")
+    assert contract(held, x, y, len(y), out_dim) == dense_contract(t, x, y, out_dim)
 
 
 @st.composite
@@ -736,15 +737,11 @@ def shapes_with_entries(draw):
     return shape, draw(st.dictionaries(cells, st.one_of(st.just(0), st.integers(-3, 3), small_frac), max_size=10))
 
 
-def _entries(sparse):
-    return {(i, j, k): x for i, plane in enumerate(sparse) for j, row in enumerate(plane) for k, x in row}
-
-
 @given(shapes_with_entries())
-def test_sparse_tensor_reads_back_the_nonzeros_dense_tensor_writes(case):
+def test_grid_nonzeros_reads_back_the_nonzeros_dense_tensor_writes(case):
     shape, entries = case
     t = linalg.dense_tensor(shape, entries)
-    read = _entries(linalg.sparse_tensor(t))
+    read = linalg.grid_nonzeros(t, shape, "t")
     assert read == {cell: x for cell, x in entries.items() if x != 0}
     assert all(type(x) is F for plane in t for row in plane for x in row)
     # every cell outside the entries holds the one shared zero
@@ -754,48 +751,71 @@ def test_sparse_tensor_reads_back_the_nonzeros_dense_tensor_writes(case):
     assert not any(unset) and all(x is unset[0] for x in unset)
 
 
+@given(shapes_with_entries())
+def test_a_held_tensor_keeps_exactly_the_nonzeros(case):
+    shape, entries = case
+    held = checked_tensor(shape, entries, "t")
+    assert linalg.tensor_entries(held) == {cell: F(x) for cell, x in entries.items() if x != 0}
+    assert all(type(x) is F for plane in held for row in plane for _, x in row)
+    # each row lists its columns in increasing order
+    assert all([k for k, _ in row] == sorted(k for k, _ in row) for plane in held for row in plane)
+
+
 @given(tensors_with_operands())
 def test_dense_tensor_of_a_tables_nonzeros_rebuilds_it(case):
     t, x, y, out_dim = case
     shape = (len(x), len(y), out_dim)
-    rebuilt = linalg.dense_tensor(shape, _entries(linalg.sparse_tensor(t)))
+    rebuilt = linalg.dense_tensor(shape, linalg.grid_nonzeros(t, shape, "t"))
     assert rebuilt == [[list(row) for row in plane] for plane in t]
 
 
-def test_dense_tensor_refuses_an_oversized_shape_before_allocating():
-    cap = linalg.MAX_TENSOR_ENTRIES
-    assert cap == 2**22 and 161**3 <= cap < 162**3
-    assert len(linalg.dense_tensor((1, 1, cap), {})[0][0]) == cap
+def _refused_unbuilt(build) -> None:
+    """build() raises the cap's ValueError with less than 64 KiB traced."""
     tracemalloc.start()
     try:
-        for shape in ((1, 1, cap + 1), (162, 162, 162), (10**9, 10**9, 10**9)):
-            with pytest.raises(ValueError, match="tensor is too large to build$"):
-                linalg.dense_tensor(shape, {})
+        with pytest.raises(ValueError, match="tensor is too large to build$"):
+            build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**16
 
 
-def _zeros(a, b, c):
-    return [[[0] * c for _ in range(b)] for _ in range(a)]
+def test_dense_tensor_refuses_an_oversized_shape_before_allocating():
+    cap = linalg.MAX_TENSOR_ENTRIES
+    assert cap == 2**22 and 161**3 <= cap < 162**3
+    assert len(linalg.dense_tensor((1, 1, cap), {})[0][0]) == cap
+    for shape in ((1, 1, cap + 1), (162, 162, 162), (10**9, 10**9, 10**9)):
+        _refused_unbuilt(lambda: linalg.dense_tensor(shape, {}))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2**22 + 1), (162, 162, 162), (10**9, 10**9, 10**9)])
+def test_checked_tensor_refuses_an_oversized_shape_before_allocating(shape):
+    _refused_unbuilt(lambda: checked_tensor(shape, {(0, 0, 0): 1}, "t"))
+
+
+def test_each_constructor_refuses_an_oversized_shape_before_allocating():
+    # zeta spans dim M * dim N * dim A entries, no more than M's left or N's right action, and psi
+    # likewise: a pairing within the cap only follows bimodules within it, so only these two can overflow
+    _refused_unbuilt(lambda: StructureConstants(162, {(0, 0, 0): 1}))
+    _refused_unbuilt(lambda: Bimodule(2049, 1, 1, {}, {}))
 
 
 def _tensor_builders():
-    """(name, shape, build) for each tensor a constructor checks, the others given the right shape.
+    """(name, shape, build) for each tensor a constructor checks, the others given no nonzeros.
 
     A = Q and B = T2, with M of dim 2 and N of dim 1: every action and
     pairing is zero, and no two of the three axes of a shape agree by accident.
     """
     a, b = rationals(), upper_triangular(2)
-    m = Bimodule(2, 1, 3, _zeros(1, 2, 2), _zeros(2, 3, 2))
-    n = Bimodule(1, 3, 1, _zeros(3, 1, 1), _zeros(1, 1, 1))
+    m = Bimodule(2, 1, 3, {}, {})
+    n = Bimodule(1, 3, 1, {}, {})
     return [
-        ("structure", (2, 2, 2), StructureConstants),
-        ("left action", (1, 2, 2), lambda t: Bimodule(2, 1, 3, t, _zeros(2, 3, 2))),
-        ("right action", (2, 3, 2), lambda t: Bimodule(2, 1, 3, _zeros(1, 2, 2), t)),
-        ("zeta", (2, 1, 1), lambda t: MoritaContext(a, b, m, n, t, _zeros(1, 2, 3))),
-        ("psi", (1, 2, 3), lambda t: MoritaContext(a, b, m, n, _zeros(2, 1, 1), t)),
+        ("structure", (2, 2, 2), lambda t: StructureConstants(2, t)),
+        ("left action", (1, 2, 2), lambda t: Bimodule(2, 1, 3, t, {})),
+        ("right action", (2, 3, 2), lambda t: Bimodule(2, 1, 3, {}, t)),
+        ("zeta", (2, 1, 1), lambda t: MoritaContext(a, b, m, n, t, {})),
+        ("psi", (1, 2, 3), lambda t: MoritaContext(a, b, m, n, {}, t)),
     ]
 
 
@@ -803,13 +823,15 @@ def _tensor_builders():
     "what, shape, build", _tensor_builders(), ids=["structure", "left-action", "right-action", "zeta", "psi"]
 )
 def test_each_structure_tensor_names_itself_and_its_shape(what, shape, build):
-    build(_zeros(*shape))
-    # a structure tensor's shape follows from its number of planes, so only its rows and entries can be off
-    for axis in range(1 if what == "structure" else 0, 3):
-        wrong = [d + (i == axis) for i, d in enumerate(shape)]
+    # an explicit zero at the last cell is dropped; a nonzero one step past it on any axis is refused
+    build({tuple(d - 1 for d in shape): 0})
+    for axis in range(3):
+        wrong = tuple(d - 1 + (i == axis) for i, d in enumerate(shape))
         with pytest.raises(DimensionMismatch) as exc:
-            build(_zeros(*wrong))
+            build({wrong: 1})
         assert str(exc.value) == f"{what} tensor must be {' x '.join(map(str, shape))}"
+    with pytest.raises(DimensionMismatch):
+        build({(0, -1, 0): 1})
 
 
 def test_echelon_hands_its_rows_to_add_as_nonzero_ints(monkeypatch):
@@ -851,20 +873,21 @@ def _block_products():
     t2 = upper_triangular(2)
     m2 = full_matrix(2)
     reg = Bimodule.regular(m2)
-    full = MoritaContext(m2, m2, reg, reg, m2.table, m2.table)
+    full = MoritaContext(m2, m2, reg, reg, linalg.tensor_entries(m2._sparse), linalg.tensor_entries(m2._sparse))
+    grids = {"tri": context_grids(tri), "full": context_grids(full)}
     return {
-        "zero.act_left": (zero.act_left, zero.left, 2, 0, 0),
-        "zero.act_right": (zero.act_right, zero.right, 0, 1, 0),
-        "tri.pair_mn": (tri.pair_mn, tri.zeta, 1, 0, 1),
-        "tri.pair_nm": (tri.pair_nm, tri.psi, 0, 1, 1),
-        "tri.M.act_left": (tri.M.act_left, tri.M.left, 1, 1, 1),
-        "tri.M.act_right": (tri.M.act_right, tri.M.right, 1, 1, 1),
-        "tri.N.act_left": (tri.N.act_left, tri.N.left, 1, 0, 0),
-        "tri.N.act_right": (tri.N.act_right, tri.N.right, 0, 1, 0),
-        "full.pair_mn": (full.pair_mn, full.zeta, 4, 4, 4),
-        "full.pair_nm": (full.pair_nm, full.psi, 4, 4, 4),
-        "full.M.act_left": (full.M.act_left, full.M.left, 4, 4, 4),
-        "full.M.act_right": (full.M.act_right, full.M.right, 4, 4, 4),
+        "zero.act_left": (zero.act_left, [[]] * 2, 2, 0, 0),
+        "zero.act_right": (zero.act_right, [], 0, 1, 0),
+        "tri.pair_mn": (tri.pair_mn, grids["tri"]["zeta"], 1, 0, 1),
+        "tri.pair_nm": (tri.pair_nm, grids["tri"]["psi"], 0, 1, 1),
+        "tri.M.act_left": (tri.M.act_left, grids["tri"]["M.left"], 1, 1, 1),
+        "tri.M.act_right": (tri.M.act_right, grids["tri"]["M.right"], 1, 1, 1),
+        "tri.N.act_left": (tri.N.act_left, grids["tri"]["N.left"], 1, 0, 0),
+        "tri.N.act_right": (tri.N.act_right, grids["tri"]["N.right"], 0, 1, 0),
+        "full.pair_mn": (full.pair_mn, grids["full"]["zeta"], 4, 4, 4),
+        "full.pair_nm": (full.pair_nm, grids["full"]["psi"], 4, 4, 4),
+        "full.M.act_left": (full.M.act_left, grids["full"]["M.left"], 4, 4, 4),
+        "full.M.act_right": (full.M.act_right, grids["full"]["M.right"], 4, 4, 4),
         "t2.mul_coords": (t2.mul_coords, t2.table, 3, 3, 3),
     }
 

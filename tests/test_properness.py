@@ -67,7 +67,8 @@ def trace_map(u):
 def faithful_dual_number_triangular():
     """Tri(A, A, Q) with A = Q[x]/(x^2) acting regularly on itself."""
     dn = dual_numbers()
-    mod = Bimodule(2, 2, 1, dn.table, tuple((tuple(F(1 if p == q else 0) for q in range(2)),) for p in range(2)))
+    regular = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}  # dn's own table
+    mod = Bimodule(2, 2, 1, regular, {(p, 0, p): 1 for p in range(2)})
     return assemble(triangular_context(dn, mod, rationals()))
 
 
@@ -142,7 +143,7 @@ class TestDirect:
         # lambda has no coordinates and the solve has zero unknowns.  The
         # identity is a Lie triple centralizer, and e0 is its own residual,
         # outside the zero center.
-        alg = StructureConstants([[[int(k == j) for k in range(2)] for j in range(2)] for _ in range(2)])
+        alg = StructureConstants(2, {(i, j, j): 1 for i in range(2) for j in range(2)})
         assert center(alg).is_zero() and find_unit(alg) is None
         (v,) = solve_identity_space(alg, K.LIE_TRIPLE_CENTRALIZER).basis
         phi = LinearOperator.from_flat(alg, v)
