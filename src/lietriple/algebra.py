@@ -21,7 +21,6 @@ from .errors import AlgebraMismatch, DimensionMismatch, NotAssociative, NotUnita
 from .linalg import (
     Matrix,
     Subspace,
-    _dense,
     checked_tensor,
     clear_denominators,
     combination,
@@ -134,8 +133,8 @@ class StructureConstants:
                 for a, y in zr[j].items():
                     for l, c in sp[i][a]:
                         diff[l] = diff.get(l, 0) - c * y
-                low = min(((x & -x).bit_length() for x in diff.values() if x), default=0)
-                if low:
+                if any(diff.values()):
+                    low = min((x & -x).bit_length() for x in diff.values() if x)
                     raise NotAssociative(i, j, (low - 1) // shift)
 
     # -- elements ----------------------------------------------------------
@@ -171,7 +170,11 @@ class StructureConstants:
 def _content_hash(n: int, labels: tuple[str, ...], sparse) -> str:
     """sha256 of the JSON {"dim", "labels", "table"}, sorted keys, no spaces, the table in full: "0" off the sparse form."""
 
+    zero_row = "[" + ",".join(['"0"'] * n) + "]"
+
     def row_json(row) -> str:
+        if not row:
+            return zero_row
         cells = ['"0"'] * n
         for k, x in row:
             cells[k] = f'"{x}"'
@@ -373,10 +376,9 @@ def double_commutator_span(alg: StructureConstants) -> Subspace:
     """Span of [[e_i, e_j], e_k] over all basis triples.
 
     The span does not change under the form's scale, so the int values
-    go in as they are.
+    go in as they are, one sparse row per triple.
     """
-    n = alg.dim
-    return Subspace(n, {_dense(dict(w), n) for w in basis_tensor(alg, "triple")[1].values()})
+    return Subspace(alg.dim, map(dict, basis_tensor(alg, "triple")[1].values()))
 
 
 def largest_central_ideal(alg: StructureConstants) -> Subspace:

@@ -164,9 +164,10 @@ def example_1_2() -> Example12:
 # ---------------------------------------------------------------------------
 
 
-def _product_span(amb: StructureConstants, s: Subspace, t: Subspace) -> Subspace:
-    vecs = [amb.mul_coords(x, y) for x in s.basis for y in t.basis]
-    return Subspace(amb.dim, vecs)
+def _grown(amb: StructureConstants, s: Subspace, *pairs: tuple[Subspace, Subspace]) -> Subspace:
+    """The span of s and of every product x y, for x in the left and y in the right space of a pair, in one elimination."""
+    products = (amb.mul_coords(x, y) for left, right in pairs for x in left.basis for y in right.basis)
+    return Subspace(amb.dim, [*s.basis, *products])
 
 
 # random_gma's cap on every corner dimension, and its number of draws before it gives up
@@ -223,10 +224,10 @@ def random_gma(rng: random.Random, require_n: bool | None = None) -> GMA:
         changed = True
         while changed and ok:
             changed = False
-            new_sa = sa.sum(_product_span(amb, sa, sa)).sum(_product_span(amb, sm, sn))
-            new_sb = sb.sum(_product_span(amb, sb, sb)).sum(_product_span(amb, sn, sm))
-            new_sm = sm.sum(_product_span(amb, new_sa, sm)).sum(_product_span(amb, sm, new_sb))
-            new_sn = sn.sum(_product_span(amb, new_sb, sn)).sum(_product_span(amb, sn, new_sa))
+            new_sa = _grown(amb, sa, (sa, sa), (sm, sn))
+            new_sb = _grown(amb, sb, (sb, sb), (sn, sm))
+            new_sm = _grown(amb, sm, (new_sa, sm), (sm, new_sb))
+            new_sn = _grown(amb, sn, (new_sb, sn), (sn, new_sa))
             if (new_sa, new_sb, new_sm, new_sn) != (sa, sb, sm, sn):
                 changed = True
                 sa, sb, sm, sn = new_sa, new_sb, new_sm, new_sn

@@ -6,13 +6,14 @@ equal subspaces compare equal grid-by-grid and test output is
 reproducible.
 
 Each exact primitive is written once.  ``_IntEchelon`` is the only row
-elimination, and its ``add`` the only way in: it brings sparse
-``{col: int}`` rows to primitive form, drops empty and duplicate rows
-and eliminates the rest fraction-free, keeping the echelon reduced on
-every insert.  A row's pivot is its greatest column, so the kernel
-vector of a free column f holds only f and pivots above f, and a kernel
-is read off the echelon with no second elimination; a Fraction is made
-only at the final division of a row by its pivot entry.
+elimination, and its ``add`` the only way in: it skips an empty sparse
+``{col: int}`` row and eliminates any other fraction-free as it comes,
+keeping the echelon reduced, each pivot row primitive, on every insert;
+a dependent row, a repeat included, reduces to nothing.  A row's pivot
+is its greatest column, so the kernel vector of a free column f holds
+only f and pivots above f, and a kernel is read off the echelon with no
+second elimination; a Fraction is made only at the final division of a
+row by its pivot entry.
 ``clear_denominators`` is the one helper that clears denominators, once
 per system or table.  ``Subspace``, ``kernel_of_rows`` and ``solve``
 fill one echelon through ``_echelon``; the identity solver of
@@ -230,9 +231,6 @@ class Matrix:
 # Elimination
 # ---------------------------------------------------------------------------
 
-SparseRow = tuple[tuple[int, int], ...]  # ((col, integer coeff), ...) sorted
-
-
 def clear_denominators(rows: Iterable[Iterable[tuple]]) -> tuple[int, list[list[tuple]]]:
     """(D, the rows times D) for rows of (key, value) pairs.
 
@@ -259,11 +257,12 @@ class _IntEchelon:
 
     Each pivot row is a sparse {col: int} dict, primitive with a positive
     entry at its pivot, the greatest column it holds, and zero at every
-    other pivot column.  ``add`` is the one way in: it normalises an int
-    row and drops it if it is empty or was added before.  ``_held`` holds
-    every column a pivot row has ever held, a superset of the columns
-    they hold now, since eliminating by a row brings in only its
-    columns; a new lead outside it is in no pivot row.
+    other pivot column.  ``add`` is the one way in and takes rows at any
+    scale, repeats included: ``insert`` reduces a dependent row to nothing
+    and brings a survivor to primitive form, so no record of past rows is
+    kept.  ``_held`` holds every column a pivot row has ever held, a
+    superset of the columns they hold now, since eliminating by a row
+    brings in only its columns; a new lead outside it is in no pivot row.
 
     A pivot row holds only its pivot and free columns below it, so the
     kernel vector of a free column f holds only f and pivots above f: it
@@ -273,7 +272,6 @@ class _IntEchelon:
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> its row
-        self._seen: set[SparseRow] = set()
         self._held: set[int] = set()
 
     @property
@@ -281,17 +279,9 @@ class _IntEchelon:
         return len(self.rows)
 
     def add(self, row: dict[int, int]) -> None:
-        """Insert a sparse row {col: int} of nonzero ints in primitive form, unless it is empty or a repeat."""
-        if not row:
-            return
-        entries = sorted(row.items())
-        g = gcd(*row.values())
-        if entries[-1][1] < 0:
-            g = -g
-        sparse = tuple(entries) if g == 1 else tuple((c, x // g) for c, x in entries)
-        if sparse not in self._seen:
-            self._seen.add(sparse)
-            self.insert(dict(sparse))
+        """Insert a copy of a sparse row {col: int} of nonzero ints, unless it is empty; the caller's row is left as it was."""
+        if row:
+            self.insert(dict(row))
 
     def insert(self, row: dict[int, int]) -> None:
         """Add a nonzero row, reducing it in place; a row in the span adds nothing.
@@ -393,20 +383,20 @@ def _echelon(rows: Iterable[dict | Sequence], ambient: int) -> _IntEchelon:
     Fraction on, the rest of the system is scaled to ints at once.
     """
 
-    def nonzeros(row) -> list[tuple]:
+    def nonzeros(row) -> dict:
         if isinstance(row, dict):
-            return [(c, x) for c, x in row.items() if x]
+            return {c: x for c, x in row.items() if x}
         if len(row) != ambient:
             raise DimensionMismatch(f"a row of {len(row)} entries in a system of {ambient} columns")
-        return [(c, x) for c, x in enumerate(row) if x]
+        return {c: x for c, x in enumerate(row) if x}
 
     ech = _IntEchelon()
     rows = map(nonzeros, rows)
     for row in rows:
-        if all(type(x) is int for _, x in row):
-            ech.add(dict(row))
+        if all(type(x) is int for x in row.values()):
+            ech.add(row)
         else:  # takes every row left, so the loop ends here
-            for scaled in clear_denominators([row, *rows])[1]:
+            for scaled in clear_denominators(r.items() for r in (row, *rows))[1]:
                 ech.add(dict(scaled))
     if ech.rows and (max(ech.rows) >= ambient or min(min(r) for r in ech.rows.values()) < 0):
         raise DimensionMismatch(f"a row with a column outside range({ambient})")

@@ -40,6 +40,7 @@ from oracles import (
     preimage_basis,
     rebased,
     right_mult,
+    unit_diagonal_basis,
 )
 
 F = Fraction
@@ -267,12 +268,39 @@ class TestCommutant:
         assert com.contains(commutant(m2, bigger))
 
 
+def _rebased_t3() -> StructureConstants:
+    alg = rebased(upper_triangular(3), unit_diagonal_basis(random.Random(0), 6))
+    assert alg._int_table[0] > 1  # D > 1, so the triple form holds the table times D^2
+    return alg
+
+
+_SPAN_ALGEBRAS = {
+    "M2": lambda: full_matrix(2),
+    "T3": lambda: upper_triangular(3),
+    "T4": lambda: upper_triangular(4),
+    "M3": lambda: full_matrix(3),
+    "example_1_2": lambda: example_1_2().gma.algebra,
+    "strict_upper_3x3": strict_upper_3x3,
+    "T3r": _rebased_t3,
+    **{f"random_gma({seed})": (lambda seed=seed: random_gma(random.Random(seed)).algebra) for seed in range(5)},
+}
+
+
 class TestDoubleCommutatorSpan:
     def test_m2_trace_zero(self, m2):
         # Oracle: 64 explicit triples span the trace-zero plane.
         span = double_commutator_span(m2)
         assert span.dim == 3
         assert span == Subspace(4, [(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)])
+
+    @pytest.mark.parametrize("name", list(_SPAN_ALGEBRAS))
+    def test_span_is_that_of_every_basis_double_commutator(self, name):
+        # Oracle: every [[e_i, e_j], e_k] through element products; the span
+        # takes the triple form's int rows as they come, repeats included.
+        alg = _SPAN_ALGEBRAS[name]()
+        basis = alg.basis()
+        triples = [double_commutator(x, y, z).coords for x in basis for y in basis for z in basis]
+        assert double_commutator_span(alg) == Subspace(alg.dim, triples)
 
     def test_example_span_is_zero(self, ex12):
         alg = ex12.gma.algebra

@@ -358,6 +358,25 @@ class TestProperties:
             assert all(type(x) is int for x in v.values())
             assert not any(row_values(rows, [v.get(c, 0) for c in range(ncols)]))
 
+    @given(dependent_systems(), st.data())
+    def test_rows_fed_again_at_any_scale_leave_the_echelon_as_it_was(self, system, data):
+        # every row a second time, times a nonzero int of either sign: each
+        # repeat reduces to nothing in insert, with no record of past rows,
+        # and add leaves the rows it was given as they were
+        ncols, rows = system
+        given_rows = [dict(row) for row in rows]
+        scales = data.draw(st.lists(st.integers(-(10**6), 10**6).filter(bool), min_size=len(rows), max_size=len(rows)))
+        again = [{c: s * x for c, x in row.items()} for s, row in zip(scales, rows)]
+        ech = _IntEchelon()
+        for row in rows:
+            ech.add(row)
+        first = {p: dict(prow) for p, prow in ech.rows.items()}
+        for row in again:
+            ech.add(row)
+        assert ech.rows == first
+        assert rows == given_rows
+        assert kernel_of_rows(ncols, rows + again) == kernel_of_rows(ncols, rows)
+
     @given(matrices())
     def test_solve_consistency(self, m):
         res = solve(m.cols, m.data, m.matvec((F(1),) * m.cols))
