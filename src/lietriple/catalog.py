@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
@@ -28,6 +27,7 @@ from .gma import (
 )
 from .io import bimodule_from_doc, brief, load_json, sc_from_doc
 from .linalg import MAX_TENSOR_ENTRIES, Subspace, unit_vec, zero_vec
+from .record import Record
 
 F = Fraction
 
@@ -127,8 +127,7 @@ def strict_upper_3x3() -> StructureConstants:
     return StructureConstants(3, {(0, 1, 2): 1}, ["u1", "u2", "u3"])
 
 
-@dataclass(frozen=True)
-class Example12:
+class Example12(Record):
     """The motivating example: phi swaps the diagonal corners of M2(A)."""
 
     gma: GMA
@@ -267,12 +266,11 @@ def random_gma(rng: random.Random, require_n: bool | None = None) -> GMA:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     algebra: StructureConstants
     gma: GMA | None
-    extras: Mapping = field(default_factory=dict)
+    extras: Mapping = MappingProxyType({})
 
     def __post_init__(self):
         # ``resolve`` hands one entry to every caller, so none may change it

@@ -43,7 +43,6 @@ their common denominator.  Fractions are made only for a witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -63,6 +62,7 @@ from .linalg import (
     kernel_of_rows,
     row_values,
 )
+from .record import Record
 
 
 class IdentityKind(Enum):
@@ -313,8 +313,7 @@ def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | Non
     return ech.kernel(ambient)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     """Outcome of a direct membership check, with the first witness."""
 
     ok: bool
@@ -380,8 +379,7 @@ def _corner_shapes(u: GMA) -> dict[str, tuple[int, int]]:
     }
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(Record):
     """The sixteen corner maps of an operator on a block algebra.
 
     Index convention: suffix 1 targets A, 2 targets M, 3 targets N and
@@ -591,8 +589,7 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
                 )
 
 
-@dataclass(frozen=True)
-class Thm31Report:
+class Thm31Report(Record):
     """Outcome of the block-form verification, with named failures."""
 
     passed: bool
@@ -648,8 +645,7 @@ def six_maps_from_flat(u: GMA, flat: Sequence[Fraction]) -> dict[str, Matrix]:
     return out
 
 
-@dataclass(frozen=True)
-class Cor32Report:
+class Cor32Report(Record):
     """Strengthened range conditions under the annihilating hypotheses."""
 
     alpha4_into_center_b: bool

@@ -16,7 +16,6 @@ second time; the two checks are the same exact check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,6 +54,7 @@ from .properness import (
     is_proper_direct,
     is_proper_thm33,
 )
+from .record import Record
 
 
 def check_gltd_correspondence(
@@ -95,8 +95,7 @@ def check_gltd_correspondence(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Thm41HypothesisReport:
+class Thm41HypothesisReport(Record):
     """Verdicts for the structural conditions (i)-(iv) and (a)-(d).
 
     The center-shape conditions (c)/(d) are existential over elements
@@ -195,8 +194,7 @@ def central_vanishing_space(alg: StructureConstants) -> Subspace:
     return kernel_of_rows(alg.dim * alg.dim, into_center + kills_dc)
 
 
-@dataclass(frozen=True)
-class LTDDecomposition:
+class LTDDecomposition(Record):
     """A triple derivation split as derivation + singular + central."""
 
     delta: LinearOperator
@@ -236,8 +234,7 @@ def decompose_ltd(u: GMA, xi: LinearOperator) -> LTDDecomposition | Infeasible:
     return LTDDecomposition(delta, singular, gamma)
 
 
-@dataclass(frozen=True)
-class GLTDDecomposition:
+class GLTDDecomposition(Record):
     """Lambda(X) = delta(X) + singular(X) + psi(X) + lam * X, verified."""
 
     delta: LinearOperator

@@ -21,7 +21,6 @@ Peirce split reads its change of basis off the corner parts x e_j y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Sequence
@@ -57,6 +56,7 @@ from .linalg import (
     unit_vec,
     vec,
 )
+from .record import Record
 
 
 class Bimodule:
@@ -284,8 +284,7 @@ def m2_of(alg: StructureConstants) -> GMA:
     return assemble(MoritaContext(alg, alg, reg, reg, table, table))
 
 
-@dataclass(frozen=True)
-class PeirceDecomposition:
+class PeirceDecomposition(Record):
     """Result of splitting a unital algebra along an idempotent."""
 
     gma: GMA
@@ -341,8 +340,7 @@ def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> Peirce
     return PeirceDecomposition(gma, Matrix.from_cols(new_basis), Matrix.from_cols(new_coords))
 
 
-@dataclass(frozen=True)
-class AnnihilatorReport:
+class AnnihilatorReport(Record):
     """Per-side result of the annihilating-condition check.
 
     A side holds when the corresponding annihilator subspace is zero;
@@ -413,8 +411,7 @@ def require_block_hypotheses(u: GMA, what: str) -> None:
         raise AnnihilatorConditionsFail("annihilating conditions do not hold")
 
 
-@dataclass(frozen=True)
-class CenterBlocks:
+class CenterBlocks(Record):
     """The center of a GMA together with its two corner projections."""
 
     z: Subspace

@@ -21,7 +21,6 @@ their images under eta^-1, eta.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,10 +53,10 @@ from .linalg import (
     row_values,
     solve,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PropernessCertificate:
+class PropernessCertificate(Record):
     """A verified splitting phi(X) = lambda X + chi(X).
 
     ``transcript`` lists every invariant that was re-checked, so the
@@ -76,8 +75,7 @@ class PropernessCertificate:
         return all(ok for _, ok in self.transcript)
 
 
-@dataclass(frozen=True)
-class PropernessFailure:
+class PropernessFailure(Record):
     """Corner-map witness that the unit-membership test fails on one side."""
 
     side: str  # "A": alpha4(1_A) outside pi_B(Z);  "B": beta1(1_B) outside pi_A(Z)
@@ -88,8 +86,7 @@ class PropernessFailure:
         return not self.target.contains_vector(self.witness)
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Record):
     """No central lambda makes the residual a center-valued triple killer."""
 
     reason: str
@@ -282,8 +279,7 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
     )
 
 
-@dataclass(frozen=True)
-class Cor36Report:
+class Cor36Report(Record):
     """Which sufficient disjunct holds on each side, if any."""
 
     pi_b_equals_center_b: bool
@@ -316,8 +312,7 @@ def check_cor36_hypotheses(u: GMA) -> Cor36Report:
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceRecord:
+class EquivalenceRecord(Record):
     direct_feasible: bool
     ranges_inside: bool
     units_inside: bool
@@ -327,8 +322,7 @@ class EquivalenceRecord:
         return self.direct_feasible == self.ranges_inside == self.units_inside
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     records: tuple[EquivalenceRecord, ...]
     improper_count: int
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -19,6 +18,8 @@ from lietriple.catalog import (
     upper_triangular_gma,
 )
 from lietriple.centralizers import (
+    CORNERS,
+    BlockDecomposition,
     IdentityKind,
     _FORMS,
     _constraint_tuples,
@@ -253,8 +254,9 @@ class TestBlockDecompose:
     def test_corner_of_wrong_shape_is_rejected_on_construction(self, gmas):
         u = gmas["T3"]
         d = block_decompose(u, LinearOperator.identity(u.algebra))
+        corners = {name: getattr(d, name) for name in CORNERS}
         with pytest.raises(DimensionMismatch, match="tau2"):
-            dataclasses.replace(d, tau2=Matrix.identity(1))
+            BlockDecomposition(gma=u, **{**corners, "tau2": Matrix.identity(1)})
 
     def test_exact_reassembly(self, gmas):
         rng = random.Random(17)

@@ -592,12 +592,19 @@ class TestPreconditionErrors:
 
 
 def test_cli_import_leaves_numpy_unloaded():
+    # Start-up imports nothing the CLI does not use: not numpy, and not
+    # dataclasses or the inspect it pulls in.  Only what the import adds
+    # counts, so a site hook that preloads one of them does not fail this.
     src = str(Path(lietriple.__file__).resolve().parents[1])
+    script = (
+        "import sys; before = set(sys.modules); import lietriple.cli; "
+        "print(' '.join(sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, lietriple.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == ""
 
 
 def test_warm_request_leaves_no_cyclic_garbage(capsys):
