@@ -100,6 +100,9 @@ class StructureConstants:
     def __setattr__(self, *_):
         raise AttributeError("StructureConstants is immutable")
 
+    def __reduce__(self):
+        return StructureConstants, (self.dim, tensor_entries(self._sparse), self.labels)
+
     def _check_associativity(self) -> None:
         """(e_i e_j) e_k = e_i (e_j e_k) for every basis triple, in ints.
 
@@ -207,6 +210,9 @@ class AlgebraElement:
 
     def __setattr__(self, *_):
         raise AttributeError("AlgebraElement is immutable")
+
+    def __reduce__(self):
+        return AlgebraElement, (self.algebra, self.coords)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self._combine((1, 1), other)
@@ -371,6 +377,29 @@ def _slot_terms(alg: StructureConstants, form: str, slot: int) -> dict[tuple, li
     return out
 
 
+def _tuple_rows(n: int, w, terms) -> list[dict[int, int]]:
+    """The nonzero rows of phi(w) = sum of the terms at one basis tuple of a form, holding their nonzero ints only.
+
+    ``w`` is the form at the tuple and a term (p, i, group) a slot's group
+    of ``_slot_terms`` with phi(e_i) in that slot, all sparse.  Row l is
+    sum_c w_c phi[l, c] - sum over terms of phi[l', i] * v_l,
+    with phi[r, c] at unknown c * n + r; the rows are homogeneous, so the
+    form's scale drops out.
+    """
+    rows = [{c * n + l: x for c, x in w} for l in range(n)]
+    for _p, i, group in terms:
+        for lp, v in group:
+            key = i * n + lp
+            for l, c in v:
+                row = rows[l]
+                x = row.get(key, 0) - c
+                if x:
+                    row[key] = x
+                else:
+                    del row[key]
+    return list(filter(None, rows))
+
+
 @memoized
 def double_commutator_span(alg: StructureConstants) -> Subspace:
     """Span of [[e_i, e_j], e_k] over all basis triples.
@@ -410,6 +439,9 @@ class LinearOperator:
 
     def __setattr__(self, *_):
         raise AttributeError("LinearOperator is immutable")
+
+    def __reduce__(self):
+        return LinearOperator, (self.algebra, self.matrix)
 
     @classmethod
     def identity(cls, algebra: StructureConstants) -> "LinearOperator":
@@ -484,6 +516,14 @@ class LinearOperator:
 
 
 def multiplication_operator(alg: StructureConstants, coords: Sequence[Fraction]) -> LinearOperator:
-    """x -> c * x as an operator (left multiplication by c): column j is c * e_j."""
+    """x -> c * x as an operator (left multiplication by c): column j is c * e_j, the sum of c_i e_i e_j off the held table."""
     n = alg.dim
-    return LinearOperator(alg, Matrix.from_cols([alg.mul_coords(coords, unit_vec(n, j)) for j in range(n)]))
+    if len(coords) != n:
+        raise DimensionMismatch(f"{len(coords)} coordinates for a dim-{n} algebra")
+    cols = [[Fraction(0)] * n for _ in range(n)]
+    for c, plane in zip(coords, alg._sparse):
+        if c:
+            for col, row in zip(cols, plane):
+                for k, x in row:
+                    col[k] += c * x
+    return LinearOperator(alg, Matrix.from_cols(cols))

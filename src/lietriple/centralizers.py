@@ -10,9 +10,10 @@ phi([[a,b],c]) = [[phi(a),b],c], a Lie triple derivation puts phi in
 all three slots of the same form.  Each basis tuple then contributes
 one vector equation, read off the form grouped by slot in
 ``algebra._slot_terms``.  ``_constraint_tuples`` is the only source of
-those equations, and ``_tuple_sides`` the only evaluator of one of them
-on given operators.  ``_identity_residuals`` runs the evaluator over
-every tuple for a membership check.  For lieder, jder, sjder and ltd,
+those equations on a walk over the tuples (``symmetry.triple_tuple``
+reads one tuple's off the bracket form), and ``_tuple_sides`` the only
+evaluator of one of them on given operators.  ``_identity_residuals``
+runs the evaluator over every tuple for a membership check.  For lieder, jder, sjder and ltd,
 phi fills both mirrored arguments of a form symmetric (Jordan) or
 antisymmetric (bracket, triple) in them, so the tuple (j, i, ...) only
 repeats or negates (i, j, ...), and the tuples with i > j are skipped;
@@ -33,7 +34,12 @@ vanishing there vanishes on K too.  A failing tuple that adds no rank
 was eliminated for nothing, and when that lost work reaches the least a
 pack costs, K is packed again.  The result is the kernel of every row,
 with the same canonical basis.  So membership checks agree with the
-solved space by construction.
+solved space by construction.  On the matrix units of M_m, in any basis
+order, the two triple kinds stop before the walk: the rows of one tuple
+per orbit of the algebra's symmetry group, read off the bracket form
+and closed under the group's generators, already span every row, which
+``symmetry`` proves.  There the membership checks,
+which still walk every tuple, are an independent check of the solver.
 
 Both work on ints: the basis forms are ints times a scale, and the
 evaluator (like the Thm 3.1 verifier) scales its operators once by
@@ -48,8 +54,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .algebra import (
-    AlgebraElement, LinearOperator, StructureConstants, _same_algebra, _slot_terms, basis_tensor, cached, center,
-    find_unit, memoized,
+    AlgebraElement, LinearOperator, StructureConstants, _same_algebra, _slot_terms, _tuple_rows, basis_tensor, cached,
+    center, find_unit, memoized,
 )
 from .errors import DimensionMismatch, NotGMA, NotUnital
 from .gma import GMA, block_ranges, require_block_hypotheses
@@ -63,6 +69,7 @@ from .linalg import (
     row_values,
 )
 from .record import Record
+from .symmetry import symmetric_space
 
 
 class IdentityKind(Enum):
@@ -115,6 +122,8 @@ def _constraint_tuples(alg: StructureConstants, kind: IdentityKind, every: bool 
     """
     form, slots = _FORMS[kind]
     table = basis_tensor(alg, form)[1]
+    if not table:  # the form vanishes identically, and so does every tuple
+        return
     groups = [_slot_terms(alg, form, s) for s in slots]
     for tag in _tags(alg.dim, form, slots, every):
         terms = []
@@ -220,27 +229,6 @@ def solve_identity_space(alg_or_gma, kind: IdentityKind) -> Subspace:
     return _solved_space(alg, kind, dims)
 
 
-def _tuple_rows(n: int, w, terms) -> list[dict[int, int]]:
-    """The nonzero constraint rows of one tuple, holding their nonzero ints only.
-
-    Row l is sum_c w_c phi[l, c] - sum over terms of phi[l', i] * v_l,
-    with phi[r, c] at unknown c * n + r; the rows are homogeneous, so the
-    form's scale drops out.
-    """
-    rows = [{c * n + l: x for c, x in w} for l in range(n)]
-    for _p, i, group in terms:
-        for lp, v in group:
-            key = i * n + lp
-            for l, c in v:
-                row = rows[l]
-                x = row.get(key, 0) - c
-                if x:
-                    row[key] = x
-                else:
-                    del row[key]
-    return list(filter(None, rows))
-
-
 @memoized
 def _form_weight(alg: StructureConstants, form: str) -> int:
     """The sum of |values| of a basis form: the factor of the form in ``_packed_kernel``'s bound."""
@@ -274,8 +262,15 @@ def _packed_kernel(alg: StructureConstants, kind: IdentityKind, vectors: list[di
 def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | None) -> Subspace:
     """The kernel of every constraint row, each tuple evaluated on a packed kernel before its rows are built.
 
-    Rows go into one echelon tuple by tuple.  Once the kernel K of the
-    rows so far is packed, every later tuple is evaluated on the pack
+    A triple kind on the matrix units of M_m, in any basis order, returns
+    before the walk with ``symmetry.symmetric_space``: the echelon takes
+    the rows of one tuple per orbit and then, until none raises the rank,
+    the image under every generator of each row that did.  Its kernel is
+    the solution space, with the same canonical basis (``symmetry`` holds
+    the proof), and no other tuple is read.
+
+    Otherwise rows go into one echelon tuple by tuple.  Once the kernel K
+    of the rows so far is packed, every later tuple is evaluated on the pack
     first: one that vanishes there is skipped, and only one that fails
     adds its rows.  The pack may be stale, the kernel K' of fewer rows,
     but K' contains K, so a tuple vanishing on K' vanishes on K.  A tuple
@@ -288,9 +283,12 @@ def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | Non
     vanishes on K, and K is the kernel of a subset of the rows, so K is
     the solution space, with its canonical basis.
     """
+    form, slots = _FORMS[kind]
+    space = symmetric_space(alg, slots) if form == "triple" else None
+    if space is not None:
+        return space
     n = alg.dim
     ambient = n * n
-    slots = len(_FORMS[kind][1])
     ech = _IntEchelon()
     if dims is not None:
         for row in _sparsity_rows(n, dims):
@@ -298,7 +296,7 @@ def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | Non
     packed, lost = None, 0
     for _tag, w, terms in _constraint_tuples(alg, kind):
         if packed is not None:
-            lhs, rhs = _tuple_sides(n, w, terms, packed, (packed,) * slots)
+            lhs, rhs = _tuple_sides(n, w, terms, packed, (packed,) * len(slots))
             if lhs == rhs:
                 continue
         rank = ech.rank

@@ -80,6 +80,9 @@ class Bimodule:
     def __setattr__(self, *_):
         raise AttributeError("Bimodule is immutable")
 
+    def __reduce__(self):
+        return Bimodule, (self.dim, self.left_dim, self.right_dim, tensor_entries(self._left), tensor_entries(self._right))
+
     @classmethod
     def zero(cls, left_dim: int, right_dim: int) -> "Bimodule":
         return cls(0, left_dim, right_dim, {}, {})
@@ -117,6 +120,9 @@ class MoritaContext:
     def __setattr__(self, *_):
         raise AttributeError("MoritaContext is immutable")
 
+    def __reduce__(self):
+        return MoritaContext, (self.A, self.B, self.M, self.N, tensor_entries(self._zeta), tensor_entries(self._psi))
+
     def pair_mn(self, m: Sequence[Fraction], n: Sequence[Fraction]) -> tuple:
         return contract(self._zeta, m, n, self.N.dim, self.A.dim)
 
@@ -148,6 +154,15 @@ class GMA:
 
     def __setattr__(self, *_):
         raise AttributeError("GMA is immutable")
+
+    def __reduce__(self):
+        return GMA, (self.algebra, self.dims)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GMA) and self.content_hash == other.content_hash
+
+    def __hash__(self) -> int:
+        return hash(self.content_hash)
 
     @property
     def dim_a(self) -> int:

@@ -177,6 +177,9 @@ class Matrix:
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return Matrix, (self.data, self.cols)
+
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([unit_vec(n, i) for i in range(n)], cols=n)
@@ -508,6 +511,9 @@ class Subspace:
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
+
+    def __reduce__(self):
+        return Subspace, (self.ambient, self.basis)
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":

@@ -695,11 +695,13 @@ def test_the_gltd_direct_route_reads_the_mirrored_tuples():
 
 
 def test_matrix_algebra_solves_close_by_evaluation(monkeypatch):
-    """On M3 and M4 these kinds stop building rows and evaluate the tuples left."""
+    """On M3 and M4 these kinds stop building rows and evaluate the tuples left, on the plain walk."""
     import lietriple.algebra
     import lietriple.centralizers
 
     monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    # ltc and ltd on M_m would take the symmetric path, which walks no tuple
+    monkeypatch.setattr(lietriple.centralizers, "symmetric_space", lambda alg, slots: None)
     evaluated = []
     sides = lietriple.centralizers._tuple_sides
 
@@ -843,6 +845,8 @@ def test_m4_ltd_residuals_stay_below_the_packing_bound(monkeypatch):
     import lietriple.centralizers
 
     monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    # the plain walk: the symmetric path of M_m packs no kernel
+    monkeypatch.setattr(lietriple.centralizers, "symmetric_space", lambda alg, slots: None)
     closes = []
 
     def recording(alg, kind, vectors):
