@@ -35,6 +35,7 @@ from .linalg import (
     vec,
     zero_vec,
 )
+from .record import Frozen
 
 # The package's one cache.  A key starts with the content hash of an
 # algebra or of a GMA (the algebra's hash and its block dims), so equal
@@ -71,7 +72,7 @@ def memoized(fn):
     return wrapper
 
 
-class StructureConstants:
+class StructureConstants(Frozen):
     """An algebra given by its dim and the nonzeros of its multiplication tensor, held with the tensor times D in ints."""
 
     __slots__ = ("dim", "labels", "content_hash", "_sparse", "_int_table")
@@ -96,9 +97,6 @@ class StructureConstants:
     def table(self) -> list:
         """The dense grid c[i][j][k] of Fractions, written afresh from the nonzeros."""
         return dense_tensor((self.dim,) * 3, tensor_entries(self._sparse))
-
-    def __setattr__(self, *_):
-        raise AttributeError("StructureConstants is immutable")
 
     def __reduce__(self):
         return StructureConstants, (self.dim, tensor_entries(self._sparse), self.labels)
@@ -157,14 +155,8 @@ class StructureConstants:
     def mul_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple:
         return contract(self._sparse, x, y, self.dim, self.dim)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StructureConstants)
-            and self.content_hash == other.content_hash
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.content_hash)
+    def _key(self):
+        return self.content_hash
 
     def __repr__(self) -> str:
         return f"StructureConstants(dim={self.dim})"
@@ -194,7 +186,7 @@ def _same_algebra(a: StructureConstants, b: StructureConstants) -> None:
         raise AlgebraMismatch("operands live in different algebras")
 
 
-class AlgebraElement:
+class AlgebraElement(Frozen):
     """An element of a fixed algebra, stored by basis coordinates."""
 
     __slots__ = ("algebra", "coords")
@@ -207,9 +199,6 @@ class AlgebraElement:
             )
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coords", cs)
-
-    def __setattr__(self, *_):
-        raise AttributeError("AlgebraElement is immutable")
 
     def __reduce__(self):
         return AlgebraElement, (self.algebra, self.coords)
@@ -240,15 +229,8 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra == other.algebra
-            and self.coords == other.coords
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.algebra.content_hash, self.coords))
+    def _key(self):
+        return (self.algebra.content_hash, self.coords)
 
     def __repr__(self) -> str:
         labels = self.algebra.labels
@@ -324,12 +306,13 @@ def commutant(alg: StructureConstants, s: Subspace) -> Subspace:
 
 
 def _sparse_sum(terms) -> tuple[tuple[int, int], ...]:
-    """The (coord, value) pairs of sum of c * v over (c, v) in terms, nonzero and sorted."""
+    """The nonzero (coord, value) pairs of sum of c * v over (c, v) in terms, in first-seen coord order."""
     out: dict[int, int] = {}
     for c, v in terms:
         for l, x in v:
             out[l] = out.get(l, 0) + c * x
-    return tuple(sorted((l, x) for l, x in out.items() if x))
+    # tuple(genexpr) over-allocates and shrinks, and pymalloc keeps the larger block
+    return tuple([(l, x) for l, x in out.items() if x])
 
 
 @memoized
@@ -426,7 +409,7 @@ def largest_central_ideal(alg: StructureConstants) -> Subspace:
     return v
 
 
-class LinearOperator:
+class LinearOperator(Frozen):
     """A linear map on a fixed algebra; column j is the image of e_j."""
 
     __slots__ = ("algebra", "matrix")
@@ -436,9 +419,6 @@ class LinearOperator:
             raise DimensionMismatch("operator matrix must be dim x dim")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LinearOperator is immutable")
 
     def __reduce__(self):
         return LinearOperator, (self.algebra, self.matrix)
@@ -501,15 +481,8 @@ class LinearOperator:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearOperator)
-            and self.algebra == other.algebra
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.algebra.content_hash, self.matrix))
+    def _key(self):
+        return (self.algebra.content_hash, self.matrix)
 
     def __repr__(self) -> str:
         return f"LinearOperator(on dim {self.algebra.dim})"

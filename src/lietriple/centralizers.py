@@ -210,10 +210,12 @@ def _sparsity_rows(n: int, dims: tuple[int, int, int, int]) -> Iterator[dict[int
                 yield {c * n + r: 1}
 
 
-def _resolve(alg_or_gma, kind: IdentityKind) -> tuple[StructureConstants, GMA | None]:
+def _resolve(alg_or_gma, kind: IdentityKind) -> tuple[StructureConstants, tuple | None]:
+    """(algebra, dims): the singular kind's sparsity pattern reads the GMA's block dims, no other kind does."""
+    sjder = kind is IdentityKind.SINGULAR_JORDAN_DERIVATION
     if isinstance(alg_or_gma, GMA):
-        return alg_or_gma.algebra, alg_or_gma
-    if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION:
+        return alg_or_gma.algebra, alg_or_gma.dims if sjder else None
+    if sjder:
         raise NotGMA("singular Jordan derivations need block structure")
     return alg_or_gma, None
 
@@ -223,9 +225,7 @@ def solve_identity_space(alg_or_gma, kind: IdentityKind) -> Subspace:
 
     The ambient space is dim^2 with column-major operator coordinates.
     """
-    alg, u = _resolve(alg_or_gma, kind)
-    # the singular kind's sparsity pattern depends on the block geometry
-    dims = u.dims if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION else None
+    alg, dims = _resolve(alg_or_gma, kind)
     return _solved_space(alg, kind, dims)
 
 
@@ -332,9 +332,8 @@ def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> Id
     denominator) ints: they hash without ``Fraction`` and hold no copy of
     its zeros.
     """
-    alg, u = _resolve(alg_or_gma, kind)
+    alg, dims = _resolve(alg_or_gma, kind)
     _same_algebra(alg, op.algebra)
-    dims = u.dims if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION else None
     coords = tuple((k, x.numerator, x.denominator) for k, x in enumerate(op.flatten()) if x)
     return cached(
         (alg.content_hash, "is_identity_member", kind, dims, coords),

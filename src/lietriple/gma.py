@@ -56,10 +56,10 @@ from .linalg import (
     unit_vec,
     vec,
 )
-from .record import Record
+from .record import Frozen, Record
 
 
-class Bimodule:
+class Bimodule(Frozen):
     """A bimodule presented by the nonzeros of its left/right action tensors.
 
     ``left[i, p, q]``: basis vector i of the left-acting algebra sends
@@ -76,9 +76,6 @@ class Bimodule:
         object.__setattr__(self, "right_dim", right_dim)
         object.__setattr__(self, "_left", checked_tensor((left_dim, dim, dim), left, "left action"))
         object.__setattr__(self, "_right", checked_tensor((dim, right_dim, dim), right, "right action"))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Bimodule is immutable")
 
     def __reduce__(self):
         return Bimodule, (self.dim, self.left_dim, self.right_dim, tensor_entries(self._left), tensor_entries(self._right))
@@ -100,7 +97,7 @@ class Bimodule:
         return contract(self._right, m, b, self.right_dim, self.dim)
 
 
-class MoritaContext:
+class MoritaContext(Frozen):
     """Two algebras, two bimodules and the nonzeros of the two pairings between them."""
 
     __slots__ = ("A", "B", "M", "N", "_zeta", "_psi")
@@ -117,9 +114,6 @@ class MoritaContext:
         object.__setattr__(self, "_zeta", checked_tensor((M.dim, N.dim, A.dim), zeta, "zeta"))
         object.__setattr__(self, "_psi", checked_tensor((N.dim, M.dim, B.dim), psi, "psi"))
 
-    def __setattr__(self, *_):
-        raise AttributeError("MoritaContext is immutable")
-
     def __reduce__(self):
         return MoritaContext, (self.A, self.B, self.M, self.N, tensor_entries(self._zeta), tensor_entries(self._psi))
 
@@ -130,7 +124,7 @@ class MoritaContext:
         return contract(self._psi, n, m, self.M.dim, self.B.dim)
 
 
-class GMA:
+class GMA(Frozen):
     """An algebra with its basis cut into the corners A, M, N, B, in that order.
 
     The context is sliced out of the algebra by ``context_of``, which
@@ -152,17 +146,11 @@ class GMA:
         object.__setattr__(self, "ranges", block_ranges(dims))
         object.__setattr__(self, "content_hash", f"{algebra.content_hash}/{','.join(map(str, dims))}")
 
-    def __setattr__(self, *_):
-        raise AttributeError("GMA is immutable")
-
     def __reduce__(self):
         return GMA, (self.algebra, self.dims)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GMA) and self.content_hash == other.content_hash
-
-    def __hash__(self) -> int:
-        return hash(self.content_hash)
+    def _key(self):
+        return self.content_hash
 
     @property
     def dim_a(self) -> int:
@@ -463,7 +451,7 @@ def block_center(u: GMA) -> Subspace:
     return diagonal_kernel(u, _all_rows(_commutation_rows(u)))
 
 
-class EtaMap:
+class EtaMap(Frozen):
     """The diagonal-corner correspondence on the center of a GMA.
 
     For a in pi_A(Z(U)), eta(a) is the unique b with diag(a, b) central.
@@ -478,9 +466,6 @@ class EtaMap:
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "images", tuple(vec(v) for v in images))
         object.__setattr__(self, "preimages", tuple(vec(v) for v in preimages))
-
-    def __setattr__(self, *_):
-        raise AttributeError("EtaMap is immutable")
 
     def apply(self, a: Sequence[Fraction]) -> tuple:
         return self._map(self.domain, self.codomain, self.images, a, "domain")

@@ -44,6 +44,7 @@ from typing import Iterable, Mapping, Sequence
 
 
 from .errors import DimensionMismatch
+from .record import Frozen
 
 
 Vector = tuple[Fraction, ...]
@@ -154,7 +155,7 @@ def contract(sp: SparseTensor, x: Sequence[Fraction], y: Sequence[Fraction], y_d
     return tuple(out)
 
 
-class Matrix:
+class Matrix(Frozen):
     """Immutable dense matrix of Fractions, row-major."""
 
     __slots__ = ("rows", "cols", "data")
@@ -173,9 +174,6 @@ class Matrix:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Matrix is immutable")
 
     def __reduce__(self):
         return Matrix, (self.data, self.cols)
@@ -215,15 +213,8 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self.data))
+    def _key(self):
+        return (self.cols, self.data)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -479,7 +470,7 @@ def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> tuple
     return x, Subspace(ambient, _mirrored(kernel, ambient + 1))
 
 
-class Subspace:
+class Subspace(Frozen):
     """A subspace of Q^n with a canonical reduced-echelon basis.
 
     The constructor canonicalizes, so equal subspaces have identical
@@ -508,9 +499,6 @@ class Subspace:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(_dense(row, ambient) for row in reduced))
         object.__setattr__(self, "pivots", tuple(pivots))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Subspace is immutable")
 
     def __reduce__(self):
         return Subspace, (self.ambient, self.basis)
@@ -565,15 +553,8 @@ class Subspace:
         dual = self.annihilator().basis + other.annihilator().basis
         return kernel_of_rows(self.ambient, dual)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
+    def _key(self):
+        return (self.ambient, self.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"

@@ -1,16 +1,44 @@
-"""Frozen records: the result types of the package, each a class of named fields.
+"""Immutable values: ``Frozen``, the base of every value type, and ``Record``.
 
-A subclass lists its fields as annotations, in order, after those of the
-record it extends; a class-level value is that field's default.  The
-annotations are read as names only, never evaluated.  A record takes its
-fields by position or keyword, runs ``__post_init__`` once all are set
-and is immutable afterwards.  Records of the same class are equal when
-their fields are, hash by their fields and print as
+``Frozen`` states immutability, equality and hashing once.  No attribute
+can be set or deleted (a constructor fills its slots through
+``object.__setattr__``), and values of one class are equal, and hash, by
+their ``_key()``, which by default is the value's identity.
+
+``Record`` is the ``Frozen`` class of named fields behind the result
+types.  A subclass lists its fields as annotations, in order, after
+those of the record it extends; a class-level value is that field's
+default.  The annotations are read as names only, never evaluated.  A
+record takes its fields by position or keyword, runs ``__post_init__``
+once all are set and is immutable afterwards.  Records of the same class
+are equal when their fields are, hash by their fields and print as
 ``Name(field=value, ...)``.
 """
 
 
-class Record:
+class Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__qualname__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__qualname__} is immutable")
+
+    def _key(self):
+        """What equality and hashing read; by default the value's identity."""
+        return id(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Record(Frozen):
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
 
@@ -47,16 +75,8 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _values(self) -> tuple:
+    def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -77,6 +77,14 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", "full_matrix(2)", "--identity", "sjder")
         assert code == 0 and out.splitlines()[0] == "dim 0"
 
+    def test_the_shared_gma_keeps_its_dims(self, capsys):
+        """The catalog's GMA refuses ``del``, so the next singular solve in the process still reads its block dims."""
+        with pytest.raises(AttributeError, match="^GMA is immutable$"):
+            del resolve("full_matrix(2)").gma.dims
+        code, out, _ = run_cli(capsys, "solve", "full_matrix(2)", "--identity", "sjder")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == "702872b8f8e907b7b8d752d072d9d8bb4285f7dfbd79694e85ace9a0a74cf347"
+
 
 class TestProper:
     def test_identity_on_m2_is_proper(self, capsys, tmp_path):

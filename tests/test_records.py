@@ -6,6 +6,8 @@ call, immutability, equality, hashing and ``repr``.  The reference for
 ``repr`` and ``hash`` is a ``dataclasses.make_dataclass(..., frozen=True)``
 twin holding the same values.  Records pickle, and so do the immutable
 value types they hold, each rebuilt from its constructor arguments.
+Those value types share ``Frozen``'s immutability, and each keyed one
+its hash, as pinned here too.
 """
 
 import dataclasses
@@ -15,13 +17,13 @@ from types import MappingProxyType
 
 import pytest
 
-from lietriple import catalog, centralizers, derivations, gma, properness
+from lietriple import algebra, catalog, centralizers, derivations, gma, linalg, properness
 from lietriple.algebra import LinearOperator
 from lietriple.catalog import CatalogEntry, Example12, upper_triangular_gma
 from lietriple.centralizers import BlockDecomposition, Cor32Report, IdentityCheck, Thm31Report, block_decompose
 from lietriple.derivations import GLTDDecomposition, LTDDecomposition, Thm41HypothesisReport
 from lietriple.gma import AnnihilatorReport, CenterBlocks, PeirceDecomposition
-from lietriple.linalg import Subspace
+from lietriple.linalg import Matrix, Subspace
 from lietriple.properness import (
     Cor36Report,
     EquivalenceRecord,
@@ -30,7 +32,7 @@ from lietriple.properness import (
     PropernessCertificate,
     PropernessFailure,
 )
-from lietriple.record import Record
+from lietriple.record import Frozen, Record
 
 _CORNER_FIELDS = tuple(f"{side}{k}" for side in ("alpha", "beta", "tau", "gamma") for k in range(1, 5))
 
@@ -204,14 +206,86 @@ def _value_samples() -> dict:
         "Matrix": op.matrix,
         "Subspace": Subspace(alg.dim, [(1, 2, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0)]),
         "GMA": u,
+        "Bimodule": u.context.M,
+        "MoritaContext": u.context,
+        "EtaMap": gma.eta_map(u),
     }
 
 
-@pytest.mark.parametrize("name", list(_value_samples()))
+# each keyed value type's hash, written out from its fields
+HASHES = {
+    "StructureConstants": lambda x: hash(x.content_hash),
+    "AlgebraElement": lambda x: hash((x.algebra.content_hash, x.coords)),
+    "LinearOperator": lambda x: hash((x.algebra.content_hash, x.matrix)),
+    "Matrix": lambda x: hash((x.cols, x.data)),
+    "Subspace": lambda x: hash((x.ambient, x.basis)),
+    "GMA": lambda x: hash(x.content_hash),
+}
+
+VALUES = pytest.mark.parametrize("name", list(_value_samples()))
+KEYED = pytest.mark.parametrize("name", list(HASHES))
+
+
+def _slot_copy(value):
+    """A second object of the value's class holding the same slot values."""
+    copy = object.__new__(type(value))
+    for slot in type(value).__slots__:
+        object.__setattr__(copy, slot, getattr(value, slot))
+    return copy
+
+
+@KEYED
 def test_value_types_pickle_by_their_constructor_arguments(name):
     value = _value_samples()[name]
     copy = pickle.loads(pickle.dumps(value))
     assert copy == value and copy is not value and type(copy) is type(value)
+
+
+def test_every_value_type_is_frozen():
+    found = {
+        value.__name__
+        for module in (algebra, gma, linalg)
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, Frozen) and not issubclass(value, Record)
+        and value.__module__ == module.__name__
+    }
+    assert found == {type(value).__name__ for value in _value_samples().values()}
+
+
+@VALUES
+def test_value_slots_can_be_neither_assigned_nor_deleted(name):
+    value = _value_samples()[name]
+    before = {slot: getattr(value, slot) for slot in type(value).__slots__}
+    for slot in (*before, "bogus"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, slot, None)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(value, slot)
+    assert all(getattr(value, slot) is x for slot, x in before.items())
+
+
+@KEYED
+def test_a_keyed_value_keeps_its_hash(name):
+    value = _value_samples()[name]
+    assert hash(value) == HASHES[name](value)
+
+
+@VALUES
+def test_equality_is_by_class_and_key(name):
+    value = _value_samples()[name]
+    copy = _slot_copy(value)
+    assert value == value and value != value._key()
+    if name in HASHES:
+        assert copy == value and hash(copy) == hash(value)
+    else:
+        assert copy != value
+    assert value != next(v for n, v in _value_samples().items() if n != name)
+
+
+def test_equal_keys_of_two_classes_are_unequal_values():
+    matrix, space = Matrix([[1, 0]]), Subspace(2, [(1, 0)])
+    assert matrix._key() == space._key()
+    assert matrix != space and space != matrix
 
 
 def test_a_context_pickles_with_its_tensors():
