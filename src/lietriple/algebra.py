@@ -95,7 +95,11 @@ class StructureConstants(Frozen):
 
     @property
     def table(self) -> list:
-        """The dense grid c[i][j][k] of Fractions, written afresh from the nonzeros."""
+        """The dense grid c[i][j][k] of Fractions, written afresh from the nonzeros.
+
+        Kept only for ``benchmarks/``, which reads it, until ROADMAP
+        item 1 or 8; the package itself works on the held nonzeros.
+        """
         return dense_tensor((self.dim,) * 3, tensor_entries(self._sparse))
 
     def __reduce__(self):

@@ -49,7 +49,6 @@ from .linalg import (
     Subspace,
     checked_tensor,
     combination,
-    contract,
     kernel_of_rows,
     rat,
     tensor_entries,
@@ -90,12 +89,6 @@ class Bimodule(Frozen):
         table = tensor_entries(alg._sparse)
         return cls(alg.dim, alg.dim, alg.dim, table, table)
 
-    def act_left(self, a: Sequence[Fraction], m: Sequence[Fraction]) -> tuple:
-        return contract(self._left, a, m, self.dim, self.dim)
-
-    def act_right(self, m: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
-        return contract(self._right, m, b, self.right_dim, self.dim)
-
 
 class MoritaContext(Frozen):
     """Two algebras, two bimodules and the nonzeros of the two pairings between them."""
@@ -116,12 +109,6 @@ class MoritaContext(Frozen):
 
     def __reduce__(self):
         return MoritaContext, (self.A, self.B, self.M, self.N, tensor_entries(self._zeta), tensor_entries(self._psi))
-
-    def pair_mn(self, m: Sequence[Fraction], n: Sequence[Fraction]) -> tuple:
-        return contract(self._zeta, m, n, self.N.dim, self.A.dim)
-
-    def pair_nm(self, n: Sequence[Fraction], m: Sequence[Fraction]) -> tuple:
-        return contract(self._psi, n, m, self.M.dim, self.B.dim)
 
 
 class GMA(Frozen):
@@ -184,10 +171,6 @@ class GMA(Frozen):
                 for i, x in zip(positions, part):
                     out[i] = rat(x)
         return AlgebraElement(self.algebra, out)
-
-    def standard_idempotent(self) -> AlgebraElement:
-        one_a = require_unit(self.context.A)
-        return self.element_from_corners(a=one_a.coords)
 
 
 # The block multiplication rule: each context tensor, as the attribute
@@ -293,12 +276,6 @@ class PeirceDecomposition(Record):
     gma: GMA
     new_to_old: Matrix  # columns = new basis vectors in old coordinates
     old_to_new: Matrix
-
-    def to_new_coords(self, coords: Sequence[Fraction]) -> tuple:
-        return self.old_to_new.matvec(coords)
-
-    def to_old_coords(self, coords: Sequence[Fraction]) -> tuple:
-        return self.new_to_old.matvec(coords)
 
 
 def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> PeirceDecomposition:
@@ -466,6 +443,12 @@ class EtaMap(Frozen):
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "images", tuple(vec(v) for v in images))
         object.__setattr__(self, "preimages", tuple(vec(v) for v in preimages))
+
+    def __reduce__(self):
+        return EtaMap, (self.domain, self.codomain, self.images, self.preimages)
+
+    def _key(self):
+        return (self.domain, self.codomain, self.images, self.preimages)
 
     def apply(self, a: Sequence[Fraction]) -> tuple:
         return self._map(self.domain, self.codomain, self.images, a, "domain")

@@ -1,4 +1,4 @@
-"""JSON document forms for algebras, contexts and operators.
+"""The JSON readers for algebra, bimodule and operator documents, and the canonical writer.
 
 Rationals appear as "p/q" strings ("p" when the denominator is 1) in
 every document; a plain JSON integer is also read.  Operator documents
@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .algebra import LinearOperator, StructureConstants
 from .errors import HashMismatch
-from .gma import Bimodule, MoritaContext
-from .linalg import _ZERO, Matrix, dense_tensor, grid_nonzeros, tensor_entries
+from .gma import Bimodule
+from .linalg import _ZERO, Matrix, grid_nonzeros
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -78,19 +78,6 @@ def _parse_planes(planes) -> list:
     return [parse_grid(plane) for plane in _expect(planes, list, "tensor")]
 
 
-def _planes(sp, shape: tuple[int, int, int]) -> list:
-    """A held tensor of the given shape as the planes of its document, written in full."""
-    return [[vector_doc(row) for row in plane] for plane in dense_tensor(shape, tensor_entries(sp))]
-
-
-def sc_to_doc(alg: StructureConstants) -> dict:
-    return {
-        "dim": alg.dim,
-        "labels": list(alg.labels),
-        "table": _planes(alg._sparse, (alg.dim,) * 3),
-    }
-
-
 def sc_from_doc(doc: dict) -> StructureConstants:
     _expect(doc, dict, "algebra document", "table")
     labels = doc.get("labels")
@@ -105,50 +92,12 @@ def sc_from_doc(doc: dict) -> StructureConstants:
     return StructureConstants(n, grid_nonzeros(table, (n, n, n), "structure"), labels)
 
 
-def bimodule_to_doc(m: Bimodule) -> dict:
-    return {
-        "dim": m.dim,
-        "left": _planes(m._left, (m.left_dim, m.dim, m.dim)),
-        "right": _planes(m._right, (m.dim, m.right_dim, m.dim)),
-    }
-
-
 def bimodule_from_doc(doc: dict, left_dim: int, right_dim: int) -> Bimodule:
     _expect(doc, dict, "bimodule document", "dim", "left", "right")
     dim = _dim(doc["dim"], "bimodule dim")
     left, right = _parse_planes(doc["left"]), _parse_planes(doc["right"])
     left = grid_nonzeros(left, (left_dim, dim, dim), "left action")
     return Bimodule(dim, left_dim, right_dim, left, grid_nonzeros(right, (dim, right_dim, dim), "right action"))
-
-
-def context_to_doc(ctx: MoritaContext) -> dict:
-    return {
-        "A": sc_to_doc(ctx.A),
-        "B": sc_to_doc(ctx.B),
-        "M": bimodule_to_doc(ctx.M),
-        "N": bimodule_to_doc(ctx.N),
-        "zeta": _planes(ctx._zeta, (ctx.M.dim, ctx.N.dim, ctx.A.dim)),
-        "psi": _planes(ctx._psi, (ctx.N.dim, ctx.M.dim, ctx.B.dim)),
-    }
-
-
-def context_from_doc(doc: dict) -> MoritaContext:
-    _expect(doc, dict, "context document", "A", "B", "M", "N", "zeta", "psi")
-    a = sc_from_doc(doc["A"])
-    b = sc_from_doc(doc["B"])
-    m = bimodule_from_doc(doc["M"], a.dim, b.dim)
-    n = bimodule_from_doc(doc["N"], b.dim, a.dim)
-    zeta, psi = _parse_planes(doc["zeta"]), _parse_planes(doc["psi"])
-    zeta = grid_nonzeros(zeta, (m.dim, n.dim, a.dim), "zeta")
-    return MoritaContext(a, b, m, n, zeta, grid_nonzeros(psi, (n.dim, m.dim, b.dim), "psi"))
-
-
-def operator_to_doc(op: LinearOperator) -> dict:
-    n = op.algebra.dim
-    return {
-        "algebra_hash": op.algebra.content_hash,
-        "matrix": [[str(x) for x in op.matrix.col(j)] for j in range(n)],
-    }
 
 
 def operator_from_doc(doc: dict, algebra: StructureConstants) -> LinearOperator:
@@ -221,11 +170,6 @@ def load_json(path: str) -> dict:
         raise OSError(exc.errno, f"{exc.strerror}: {brief(path)}") from None
     except RecursionError:
         raise ValueError(f"{brief(path)}: JSON nested too deeply to read") from None
-
-
-def save_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(doc))
 
 
 def vector_doc(v: Sequence[Fraction]) -> list:

@@ -31,9 +31,9 @@ value}`` and held in the sparse form of ``checked_tensor``, the one
 check of its shape and of ``MAX_TENSOR_ENTRIES``; ``contract``, the
 only bilinear product, applies a held tensor.  Dense grids appear only
 where a tensor is written out in full: ``dense_tensor`` lays one out
-for a JSON document or ``StructureConstants.table``, and
-``grid_nonzeros`` reads a document's grid back.  ``Matrix`` holds data
-and applies to a vector through ``combination``.
+for ``StructureConstants.table``, and ``grid_nonzeros`` reads a
+document's grid back.  ``Matrix`` holds data and applies to a vector
+through ``combination``.
 """
 
 from __future__ import annotations
@@ -204,7 +204,8 @@ class Matrix(Frozen):
             raise DimensionMismatch(f"matvec: {self.cols} cols vs vector of length {len(v)}")
         return combination(v, [self.col(j) for j in range(self.cols)], self.rows)
 
-    # No caller inside the package; kept as Matrix API (benchmarks/tracer.py wraps it by name).
+    # No caller inside the package; kept only for benchmarks/tracer.py, which
+    # wraps it by name, until ROADMAP item 1 or 8.
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"matmul: {self.cols} != {other.rows}")

@@ -232,7 +232,8 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
 
     On success the certificate is built from the corner maps through
     the center correspondence and exhaustively re-verified; on failure
-    the offending corner value and the subspace it misses are returned.
+    the offending corner value and the subspace it misses are returned,
+    once ``PropernessFailure.sound`` has re-checked that it misses it.
     Range membership for the full corners is re-derived and enforced.
     """
     alg = u.algebra
@@ -241,6 +242,8 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
     d = block_decompose(u, phi)
     failure = _unit_failure(u, d, eta.domain, eta.codomain)
     if failure is not None:
+        if not failure.sound():
+            raise LieTripleError(f"the side {failure.side} corner witness lies in its target after all")
         return failure
     # membership at the units forces the whole ranges into the projections
     if not all(d.ranges_inside(eta.domain, eta.codomain)):

@@ -9,11 +9,15 @@ actually certify.  ``identity_sides`` evaluates both sides of an
 identity at one basis tuple the same way, to re-check a reported
 witness.  ``left_mult`` and ``right_mult`` read the multiplication
 maps off the table by plain loops.  ``grid_algebra`` builds an algebra
-from a dense grid by listing its nonzeros, and ``context_grids`` reads a
-context's tensors back as dense grids off its JSON document.
-``dense_content_hash`` renders an algebra's content-hash payload from a
-dense grid with ``json.dumps``, and ``dimension_law`` states every
-solution dimension on T_n and M_n as a function of n alone.
+from a dense grid by listing its nonzeros, ``context_grids`` lays a
+context's tensors out as dense grids from the nonzeros it holds, and
+``dense_contract`` applies such a grid by a triple loop.
+``algebra_doc``, ``bimodule_doc`` and ``operator_doc`` write the
+documents README describes from the same nonzeros, and ``write_doc``
+saves one with ``json.dumps``.  ``dense_content_hash`` renders an
+algebra's content-hash payload from a dense grid with ``json.dumps``,
+and ``dimension_law`` states every solution dimension on T_n and M_n as
+a function of n alone.
 
 Elimination here is a plain Fraction Gauss-Jordan that shares no code
 with the package's fraction-free integer echelon; kernels come back as
@@ -25,12 +29,12 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 from lietriple.algebra import AlgebraElement, StructureConstants
 from lietriple.errors import InvalidBlockStructure, LieTripleError
 from lietriple.gma import context_of
-from lietriple.io import context_to_doc
-from lietriple.linalg import Matrix, zero_vec
+from lietriple.linalg import Matrix, tensor_entries, zero_vec
 
 
 def grid_algebra(table, labels=None) -> StructureConstants:
@@ -279,16 +283,66 @@ BLOCK_RULES = {
 }
 
 
+def held_grid(sp, shape) -> list:
+    """The a x b x c grid of Fractions of a held tensor, its nonzeros placed by a plain loop."""
+    a, b, c = shape
+    grid = [[[Fraction(0)] * c for _ in range(b)] for _ in range(a)]
+    for (i, j, k), x in tensor_entries(sp).items():
+        grid[i][j][k] = Fraction(x)
+    return grid
+
+
 def context_grids(ctx) -> dict:
-    """Each tensor of BLOCK_RULES as a dense grid of Fractions, read off the context's document."""
-    doc = context_to_doc(ctx)
-    grids = {}
-    for path in BLOCK_RULES:
-        planes = doc
-        for key in path.split("."):
-            planes = planes[key]
-        grids[path] = [[[Fraction(x) for x in row] for row in plane] for plane in planes]
-    return grids
+    """Each tensor of BLOCK_RULES as a dense grid of Fractions, laid out from the nonzeros the context holds."""
+    dims = {"A": ctx.A.dim, "M": ctx.M.dim, "N": ctx.N.dim, "B": ctx.B.dim}
+    held = {
+        "A.table": ctx.A._sparse,
+        "B.table": ctx.B._sparse,
+        "M.left": ctx.M._left,
+        "M.right": ctx.M._right,
+        "N.left": ctx.N._left,
+        "N.right": ctx.N._right,
+        "zeta": ctx._zeta,
+        "psi": ctx._psi,
+    }
+    return {path: held_grid(held[path], [dims[c] for c in corners]) for path, corners in BLOCK_RULES.items()}
+
+
+def dense_contract(t, x, y, out_dim):
+    """The triple loop sum over i, j of x_i y_j t[i][j][k], entry by entry."""
+    return tuple(
+        sum((x[i] * y[j] * t[i][j][k] for i in range(len(x)) for j in range(len(y))), Fraction(0))
+        for k in range(out_dim)
+    )
+
+
+def _strings(grid) -> list:
+    return [[[str(x) for x in row] for row in plane] for plane in grid]
+
+
+def algebra_doc(alg: StructureConstants) -> dict:
+    """The algebra document {"dim", "labels", "table"}, every entry a rational string."""
+    n = alg.dim
+    return {"dim": n, "labels": list(alg.labels), "table": _strings(held_grid(alg._sparse, (n, n, n)))}
+
+
+def bimodule_doc(m) -> dict:
+    """The bimodule document {"dim", "left", "right"} of ``tri(A,M,B)``."""
+    return {
+        "dim": m.dim,
+        "left": _strings(held_grid(m._left, (m.left_dim, m.dim, m.dim))),
+        "right": _strings(held_grid(m._right, (m.dim, m.right_dim, m.dim))),
+    }
+
+
+def operator_doc(op) -> dict:
+    """The operator document {"algebra_hash", "matrix"}, column j the image of basis vector j."""
+    n = op.algebra.dim
+    return {"algebra_hash": op.algebra.content_hash, "matrix": [[str(x) for x in op.matrix.col(j)] for j in range(n)]}
+
+
+def write_doc(path, doc) -> None:
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def block_split_outcome(alg: StructureConstants, dims) -> type | None:

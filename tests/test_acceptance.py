@@ -44,7 +44,7 @@ from lietriple.properness import (
     is_proper_thm33,
 )
 
-from oracles import dense_identity_space, left_mult
+from oracles import context_grids, dense_contract, dense_identity_space, left_mult
 
 F = Fraction
 K = IdentityKind
@@ -155,15 +155,15 @@ def test_criterion_3_center_description_audit():
             assert check_annihilating_conditions(u).holds, name
             assert block_center(u) == center(u.algebra), name
             eta = eta_map(u)  # constructor re-verifies multiplicativity
-            ctx = u.context
+            grids = context_grids(u.context)
             for a in eta.domain.basis:
                 b = eta.apply(a)
                 for p in range(u.dim_m):
                     m = unit_vec(u.dim_m, p)
-                    assert ctx.M.act_left(a, m) == ctx.M.act_right(m, b)
+                    assert dense_contract(grids["M.left"], a, m, u.dim_m) == dense_contract(grids["M.right"], m, b, u.dim_m)
                 for q in range(u.dim_n):
                     nv = unit_vec(u.dim_n, q)
-                    assert ctx.N.act_right(nv, a) == ctx.N.act_left(b, nv)
+                    assert dense_contract(grids["N.right"], nv, a, u.dim_n) == dense_contract(grids["N.left"], b, nv, u.dim_n)
 
 
 def test_criterion_4_properness_equivalence():

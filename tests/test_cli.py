@@ -10,12 +10,11 @@ import pytest
 
 import lietriple
 from lietriple.algebra import LinearOperator
-from lietriple.catalog import full_matrix_gma, resolve, strict_upper_3x3, upper_triangular
+from lietriple.catalog import resolve, strict_upper_3x3, upper_triangular
 from lietriple.centralizers import IdentityKind, solve_identity_space
 from lietriple.cli import main
-from lietriple.io import context_from_doc, context_to_doc, operator_to_doc, save_json, sc_to_doc
 from lietriple.linalg import Matrix
-from oracles import left_mult, right_mult
+from oracles import algebra_doc, left_mult, operator_doc, right_mult, write_doc
 
 
 # sha256 of the verify-paper stdout in each format
@@ -33,7 +32,7 @@ def run_cli(capsys, *argv):
 
 def write_operator(tmp_path, name, op):
     path = tmp_path / name
-    save_json(str(path), operator_to_doc(op))
+    write_doc(path, operator_doc(op))
     return str(path)
 
 
@@ -285,7 +284,7 @@ def test_certify_stdout_bytes_are_pinned(capsys, tmp_path, monkeypatch, spec, ar
     phi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_CENTRALIZER)
     xi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_DERIVATION)
     for name, op in (("phi.json", phi), ("xi.json", xi), ("lam.json", phi + xi)):
-        save_json(name, operator_to_doc(op))
+        write_doc(name, operator_doc(op))
     code, out, _ = run_cli(capsys, argv[0], spec, *argv[1:], "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -300,7 +299,7 @@ def test_warm_cache_certify_commands_print_cold_bytes(capsys, tmp_path, monkeypa
         phi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_CENTRALIZER)
         xi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_DERIVATION)
         for name, op in (("phi", phi), ("xi", xi), ("lam", phi + xi)):
-            save_json(f"{name}-{spec}.json", operator_to_doc(op))
+            write_doc(f"{name}-{spec}.json", operator_doc(op))
         for fmt in ("text", "json"):
             argvs += [
                 ("proper", spec, f"phi-{spec}.json", "--format", fmt),
@@ -397,14 +396,6 @@ class TestMalformedDocuments:
         assert code == 2 and out == ""
         assert err == f'invalid input: {kind} document is missing "{key}"\n'
 
-    def test_context_missing_key_names_document_and_key(self):
-        # no subcommand reads a context document; the loader's ValueError
-        # is what cli.main turns into exit 2
-        doc = context_to_doc(full_matrix_gma(2).context)
-        del doc["zeta"]
-        with pytest.raises(ValueError, match='^context document is missing "zeta"$'):
-            context_from_doc(doc)
-
 
 def _one_dim_documents(tmp_path, **overrides):
     """Paths of A, M and B documents for tri(A,M,B) over Q, with overrides."""
@@ -429,8 +420,8 @@ DOCUMENT_SPEC_DIGEST = "a8af42f456ed61462865c15e70fbbdf912c923e814994e539f6aa422
 def test_document_spec_bytes_are_pinned(capsys, tmp_path, monkeypatch):
     """solve (every kind), hypotheses, proper and decompose on document specs, in text and JSON."""
     monkeypatch.chdir(tmp_path)
-    save_json("T2.json", sc_to_doc(upper_triangular(2)))
-    save_json("N3.json", sc_to_doc(strict_upper_3x3()))
+    write_doc("T2.json", algebra_doc(upper_triangular(2)))
+    write_doc("N3.json", algebra_doc(strict_upper_3x3()))
     _one_dim_documents(Path("."))
     h = hashlib.sha256()
     for spec in ("m2(T2.json)", "m2(N3.json)", "tri(A.json,M.json,B.json)"):
@@ -438,7 +429,7 @@ def test_document_spec_bytes_are_pinned(capsys, tmp_path, monkeypatch):
         phi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_CENTRALIZER)
         xi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_DERIVATION)
         for name, op in (("phi", phi), ("xi", xi), ("lam", phi + xi)):
-            save_json(f"{name}.json", operator_to_doc(op))
+            write_doc(f"{name}.json", operator_doc(op))
         argvs = [("solve", spec, "--identity", kind.value) for kind in IdentityKind] + [
             ("hypotheses", spec),
             ("proper", spec, "phi.json"),

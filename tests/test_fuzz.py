@@ -26,8 +26,7 @@ from lietriple.algebra import LinearOperator
 from lietriple.catalog import dual_numbers, rationals, resolve, scalar_bimodule
 from lietriple.centralizers import IdentityKind
 from lietriple.cli import main
-from lietriple.io import bimodule_to_doc, operator_to_doc, save_json, sc_to_doc
-from oracles import left_mult, right_mult
+from oracles import algebra_doc, bimodule_doc, left_mult, operator_doc, right_mult, write_doc
 
 _ALG = "upper_triangular(2)"
 
@@ -106,16 +105,16 @@ def documents(tmp_path_factory):
     e = alg.basis_element(0).coords
     ad = LinearOperator(alg, left_mult(alg, e)) - LinearOperator(alg, right_mult(alg, e))
     docs = {
-        "Q": sc_to_doc(rationals()),
-        "dual": sc_to_doc(dual_numbers()),
-        "M": bimodule_to_doc(scalar_bimodule()),
-        "lam": operator_to_doc(ad + LinearOperator.identity(alg)),
-        "xi": operator_to_doc(ad),
+        "Q": algebra_doc(rationals()),
+        "dual": algebra_doc(dual_numbers()),
+        "M": bimodule_doc(scalar_bimodule()),
+        "lam": operator_doc(ad + LinearOperator.identity(alg)),
+        "xi": operator_doc(ad),
         "m0": [["1"]],
     }
     paths = {name: str(root / f"{name}.json") for name in docs}
     for name, doc in docs.items():
-        save_json(paths[name], doc)
+        write_doc(paths[name], doc)
     return root, paths, docs
 
 

@@ -52,7 +52,7 @@ from lietriple.gma import (
     require_block_hypotheses,
 )
 from lietriple.linalg import Subspace, unit_vec
-from oracles import block_split_outcome, left_mult, right_mult
+from oracles import BLOCK_RULES, block_split_outcome, context_grids, dense_contract, left_mult, right_mult
 
 F = Fraction
 
@@ -147,11 +147,6 @@ class TestM2Of:
         assert u.algebra.dim == 12
         assert find_unit(u.algebra) is None
 
-    def test_standard_idempotent_needs_unital_corner(self):
-        u = m2_of(strict_upper_3x3())
-        with pytest.raises(NotUnital):
-            u.standard_idempotent()
-
 
 class TestPeirce:
     def test_m2_split(self):
@@ -178,13 +173,14 @@ class TestPeirce:
             y = [rng.randint(-3, 3) for _ in range(5)]
             prod_old = ds.mul_coords(x, y)
             prod_new = pd.gma.algebra.mul_coords(
-                pd.to_new_coords(x), pd.to_new_coords(y)
+                pd.old_to_new.matvec(x), pd.old_to_new.matvec(y)
             )
-            assert pd.to_old_coords(prod_new) == tuple(prod_old)
+            assert pd.new_to_old.matvec(prod_new) == tuple(prod_old)
 
     def test_standard_idempotent_reproduces_corner_dims(self):
         for u in standard_four().values():
-            pd = peirce_from_idempotent(u.algebra, u.standard_idempotent())
+            e = u.element_from_corners(a=find_unit(u.context.A).coords)
+            pd = peirce_from_idempotent(u.algebra, e)
             assert pd.gma.dims == u.dims
 
     def test_error_paths(self):
@@ -490,23 +486,14 @@ def _corner_basis(u, corner):
 
 
 class TestBlockLayout:
-    """The block layout read from the context's own operations, not from the assembly tables."""
+    """The block layout read from the tensors the context holds, by dense loops, not from the assembly tables."""
 
     @pytest.mark.parametrize("name", _LAYOUT_NAMES)
     def test_corner_products_follow_the_block_rules(self, name):
         u = _layout_gma(name)
-        ctx = u.context
-        # (left corner, right corner) -> (product corner, product in context terms)
-        rules = {
-            ("A", "A"): ("A", ctx.A.mul_coords),
-            ("B", "B"): ("B", ctx.B.mul_coords),
-            ("A", "M"): ("M", ctx.M.act_left),
-            ("M", "B"): ("M", ctx.M.act_right),
-            ("B", "N"): ("N", ctx.N.act_left),
-            ("N", "A"): ("N", ctx.N.act_right),
-            ("M", "N"): ("A", ctx.pair_mn),
-            ("N", "M"): ("B", ctx.pair_nm),
-        }
+        grids = context_grids(u.context)
+        # (left corner, right corner) -> (product corner, the context tensor that multiplies them)
+        rules = {(left, right): (corner, path) for path, (left, right, corner) in BLOCK_RULES.items()}
         for left in "AMNB":
             for right in "AMNB":
                 rule = rules.get((left, right))
@@ -516,8 +503,9 @@ class TestBlockLayout:
                         if rule is None:  # e.g. M.M, A.N and M.A
                             assert product.is_zero(), (left, right, x, y)
                         else:
-                            corner, mul = rule
-                            expected = u.element_from_corners(**{corner.lower(): mul(x, y)})
+                            corner, path = rule
+                            value = dense_contract(grids[path], x, y, u.dims["AMNB".index(corner)])
+                            expected = u.element_from_corners(**{corner.lower(): value})
                             assert product == expected, (left, right, x, y)
 
     @pytest.mark.parametrize("name", _LAYOUT_NAMES)

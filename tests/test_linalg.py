@@ -26,7 +26,7 @@ from lietriple.linalg import (
     row_values,
     solve,
 )
-from oracles import context_grids, gauss_jordan, kernel_basis, preimage_basis, rebased, row_space_basis, unit_diagonal_basis
+from oracles import context_grids, dense_contract, gauss_jordan, kernel_basis, preimage_basis, rebased, row_space_basis, unit_diagonal_basis
 
 F = Fraction
 
@@ -719,14 +719,6 @@ def test_rebased_t3_solves_cost_at_most_three_quarters_of_the_least_column_elimi
         assert calls[0] <= 0.75 * least_column, kind
 
 
-def dense_contract(t, x, y, out_dim):
-    """The triple loop sum over i, j of x_i y_j t[i][j][k], entry by entry."""
-    return tuple(
-        sum((x[i] * y[j] * t[i][j][k] for i in range(len(x)) for j in range(len(y))), F(0))
-        for k in range(out_dim)
-    )
-
-
 def tensors_with_operands():
     """(t, x, y, out_dim) with t of shape len(x) x len(y) x out_dim, dims 0..3."""
     def draw(dims):
@@ -885,7 +877,11 @@ def test_int_systems_skip_clearing_denominators(monkeypatch):
 
 
 def _block_products():
-    """Every block product, named, with its raw tensor and operand dims."""
+    """Every block product, named, with its raw tensor and operand dims.
+
+    Each action and pairing is ``linalg.contract`` on the tensor the
+    bimodule or context holds; the algebra product is ``mul_coords``.
+    """
     q = rationals()
     tri = triangular_context(q, scalar_bimodule(), q)
     zero = Bimodule.zero(2, 1)
@@ -894,19 +890,23 @@ def _block_products():
     reg = Bimodule.regular(m2)
     full = MoritaContext(m2, m2, reg, reg, linalg.tensor_entries(m2._sparse), linalg.tensor_entries(m2._sparse))
     grids = {"tri": context_grids(tri), "full": context_grids(full)}
+
+    def held(sp, y_dim, out_dim):
+        return lambda x, y: linalg.contract(sp, x, y, y_dim, out_dim)
+
     return {
-        "zero.act_left": (zero.act_left, [[]] * 2, 2, 0, 0),
-        "zero.act_right": (zero.act_right, [], 0, 1, 0),
-        "tri.pair_mn": (tri.pair_mn, grids["tri"]["zeta"], 1, 0, 1),
-        "tri.pair_nm": (tri.pair_nm, grids["tri"]["psi"], 0, 1, 1),
-        "tri.M.act_left": (tri.M.act_left, grids["tri"]["M.left"], 1, 1, 1),
-        "tri.M.act_right": (tri.M.act_right, grids["tri"]["M.right"], 1, 1, 1),
-        "tri.N.act_left": (tri.N.act_left, grids["tri"]["N.left"], 1, 0, 0),
-        "tri.N.act_right": (tri.N.act_right, grids["tri"]["N.right"], 0, 1, 0),
-        "full.pair_mn": (full.pair_mn, grids["full"]["zeta"], 4, 4, 4),
-        "full.pair_nm": (full.pair_nm, grids["full"]["psi"], 4, 4, 4),
-        "full.M.act_left": (full.M.act_left, grids["full"]["M.left"], 4, 4, 4),
-        "full.M.act_right": (full.M.act_right, grids["full"]["M.right"], 4, 4, 4),
+        "zero.act_left": (held(zero._left, 0, 0), [[]] * 2, 2, 0, 0),
+        "zero.act_right": (held(zero._right, 1, 0), [], 0, 1, 0),
+        "tri.pair_mn": (held(tri._zeta, 0, 1), grids["tri"]["zeta"], 1, 0, 1),
+        "tri.pair_nm": (held(tri._psi, 1, 1), grids["tri"]["psi"], 0, 1, 1),
+        "tri.M.act_left": (held(tri.M._left, 1, 1), grids["tri"]["M.left"], 1, 1, 1),
+        "tri.M.act_right": (held(tri.M._right, 1, 1), grids["tri"]["M.right"], 1, 1, 1),
+        "tri.N.act_left": (held(tri.N._left, 0, 0), grids["tri"]["N.left"], 1, 0, 0),
+        "tri.N.act_right": (held(tri.N._right, 1, 0), grids["tri"]["N.right"], 0, 1, 0),
+        "full.pair_mn": (held(full._zeta, 4, 4), grids["full"]["zeta"], 4, 4, 4),
+        "full.pair_nm": (held(full._psi, 4, 4), grids["full"]["psi"], 4, 4, 4),
+        "full.M.act_left": (held(full.M._left, 4, 4), grids["full"]["M.left"], 4, 4, 4),
+        "full.M.act_right": (held(full.M._right, 4, 4), grids["full"]["M.right"], 4, 4, 4),
         "t2.mul_coords": (t2.mul_coords, t2.table, 3, 3, 3),
     }
 

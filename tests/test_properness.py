@@ -11,16 +11,18 @@ from lietriple.catalog import (
     full_matrix_gma,
     random_gma,
     rationals,
+    resolve,
     standard_gmas,
     triangular_context,
     upper_triangular_gma,
 )
 from lietriple.centralizers import IdentityKind, solve_identity_space
+from lietriple.cli import main
 from lietriple.derivations import check_thm41_hypotheses
 from lietriple.errors import NotLTC, NotUnital
 from lietriple.gma import Bimodule, assemble, block_hypotheses_hold, eta_map
 from lietriple.linalg import Matrix
-from oracles import row_space_basis
+from oracles import algebra_doc, bimodule_doc, operator_doc, row_space_basis, write_doc
 from lietriple.properness import (
     Infeasible,
     PropernessCertificate,
@@ -258,6 +260,55 @@ class TestEquivalence:
                 # and the direct route agrees this operator is improper
                 assert isinstance(is_proper_direct(u.algebra, phi), Infeasible)
         assert failures
+
+
+# sha256 of the stdout of ``proper`` on the improper draw below, recorded
+# before ``proper`` re-checked a failure through ``PropernessFailure.sound``
+_IMPROPER_DRAW_DIGESTS = {
+    "text": "bf8f15f7bc3ede67a725da3e90418f5349108926549f247b0c786bf890fa9cdd",
+    "json": "47aab5ec110a67cfdb713d4ff15c8f2b5fc032238ccc1c413c09bf0b9a05070b",
+}
+
+
+@pytest.fixture
+def improper_draw(tmp_path, monkeypatch):
+    """``proper``'s arguments for random_gma(Random(1)) as tri(A,M,B) documents and its improper LTC basis vector 2.
+
+    The draw's improper codimension is 1: its other four LTC basis
+    vectors are proper, and the proper ones form a subspace.
+    """
+    monkeypatch.chdir(tmp_path)
+    u = random_gma(random.Random(1))
+    ctx = u.context
+    # unlabelled corners, so tri(...) labels the blocks as random_gma does
+    write_doc("A.json", {"table": algebra_doc(ctx.A)["table"]})
+    write_doc("M.json", bimodule_doc(ctx.M))
+    write_doc("B.json", {"table": algebra_doc(ctx.B)["table"]})
+    spec = "tri(A.json,M.json,B.json)"
+    assert resolve(spec).gma == u and equivalence_audit(u).improper_count == 1
+    phi = LinearOperator.from_flat(u.algebra, solve_identity_space(u.algebra, K.LIE_TRIPLE_CENTRALIZER).basis[2])
+    assert isinstance(is_proper_thm33(u, phi), PropernessFailure)
+    write_doc("phi.json", operator_doc(phi))
+    return ["proper", spec, "phi.json"]
+
+
+def test_proper_rechecks_a_failure_and_keeps_its_bytes(improper_draw, monkeypatch, capsys):
+    sound, verdicts = PropernessFailure.sound, []
+    monkeypatch.setattr(PropernessFailure, "sound", lambda self: verdicts.append(sound(self)) or verdicts[-1])
+    for fmt, digest in _IMPROPER_DRAW_DIGESTS.items():
+        code = main([*improper_draw, "--format", fmt])
+        out = capsys.readouterr()
+        assert code == 0 and out.err == ""
+        assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+    assert verdicts == [True, True]
+
+
+def test_proper_refuses_a_failure_that_is_not_sound(improper_draw, monkeypatch, capsys):
+    monkeypatch.setattr(PropernessFailure, "sound", lambda self: False)
+    code = main(improper_draw)
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("mathematical check failed: ")
 
 
 # sha256 over is_proper_direct on every LTC basis vector of the draws

@@ -220,6 +220,7 @@ HASHES = {
     "Matrix": lambda x: hash((x.cols, x.data)),
     "Subspace": lambda x: hash((x.ambient, x.basis)),
     "GMA": lambda x: hash(x.content_hash),
+    "EtaMap": lambda x: hash((x.domain, x.codomain, x.images, x.preimages)),
 }
 
 VALUES = pytest.mark.parametrize("name", list(_value_samples()))
