@@ -329,25 +329,38 @@ def basis_tensor(alg: StructureConstants, form: str) -> tuple[int, dict[tuple, t
     denominator D for the three products and D^2 for the triple bracket,
     so a value divided by the scale is the form's rational coordinate.
     Only nonzero values are kept.  Keys run in lexicographic order;
-    tuples where the form vanishes are left out.
+    tuples where the form vanishes are left out.  A value lists its
+    coordinates in the order they are first met: those of e_i e_j, then
+    any others of e_j e_i (bracket and Jordan); for the triple bracket,
+    those of [e_m, e_k] over the terms c e_m of [e_i, e_j] in turn.
+    Constraint rows and slot groups are read in this order.
     """
     n = alg.dim
+    out: dict[tuple, tuple] = {}
     if form == "triple":
         d, brackets = basis_tensor(alg, "bracket")
-        values = (
-            ((i, j, k), _sparse_sum((c, brackets.get((m, k), ())) for m, c in b))
-            for (i, j), b in brackets.items()
-            for k in range(n)
-        )
-        return d * d, {key: v for key, v in values if v}
+        columns = [[brackets.get((m, k), ()) for k in range(n)] for m in range(n)]  # [e_m, e_k]
+        for (i, j), b in brackets.items():
+            for k in range(n):
+                acc = {}
+                for m, c in b:
+                    for l, x in columns[m][k]:
+                        acc[l] = acc.get(l, 0) + c * x
+                v = tuple([(l, x) for l, x in acc.items() if x])
+                if v:
+                    out[i, j, k] = v
+        return d * d, out
     d, table = alg._int_table
-    signs = {"product": (1,), "bracket": (1, -1), "jordan": (1, 1)}[form]
-    values = (
-        ((i, j), _sparse_sum(zip(signs, (table[i][j], table[j][i]))))
-        for i in range(n)
-        for j in range(n)
-    )
-    return d, {key: v for key, v in values if v}
+    sign = {"product": 0, "bracket": -1, "jordan": 1}[form]
+    for i in range(n):
+        for j in range(n):
+            acc = dict(table[i][j])
+            for l, x in table[j][i] if sign else ():  # the product has no e_j e_i term
+                acc[l] = acc.get(l, 0) + sign * x
+            v = tuple([(l, x) for l, x in acc.items() if x])
+            if v:
+                out[i, j] = v
+    return d, out
 
 
 @memoized
@@ -430,10 +443,6 @@ class LinearOperator(Frozen):
     @classmethod
     def identity(cls, algebra: StructureConstants) -> "LinearOperator":
         return cls(algebra, Matrix.identity(algebra.dim))
-
-    @classmethod
-    def zero(cls, algebra: StructureConstants) -> "LinearOperator":
-        return cls(algebra, Matrix.zeros(algebra.dim, algebra.dim))
 
     @classmethod
     def from_images(cls, algebra: StructureConstants, images: Sequence[AlgebraElement]) -> "LinearOperator":

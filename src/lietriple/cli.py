@@ -71,7 +71,7 @@ def _emit(fmt: str, command: list, inputs: dict, results: dict, text_lines: list
             sys.stdout.write(line + "\n")
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
     entry = resolve(args.algebra)
     kind = _KIND_FLAGS[args.identity]
     target = entry.gma if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION else entry.algebra
@@ -118,7 +118,7 @@ def _certificate_result(res) -> tuple[dict, list[str], int]:
     return doc, lines, 0
 
 
-def _cmd_proper(args) -> int:
+def _cmd_proper(args: argparse.Namespace) -> int:
     entry = resolve(args.algebra)
     op, op_hash = _load_operator(args.operator, entry)
     if entry.gma is not None and block_hypotheses_hold(entry.gma):
@@ -132,7 +132,7 @@ def _cmd_proper(args) -> int:
     return code
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> int:
     entry = resolve(args.algebra)
     if entry.gma is None:
         raise NotGMA("decompose needs a block algebra")
@@ -178,7 +178,7 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_hypotheses(args) -> int:
+def _cmd_hypotheses(args: argparse.Namespace) -> int:
     entry = resolve(args.algebra)
     if entry.gma is None:
         raise NotGMA("hypotheses need a block algebra")
@@ -308,7 +308,7 @@ def reproduction_checks() -> list[dict]:
     return checks
 
 
-def _cmd_verify_paper(args) -> int:
+def _cmd_verify_paper(args: argparse.Namespace) -> int:
     checks = reproduction_checks()
     all_pass = all(c["passed"] for c in checks)
     lines = [

@@ -74,8 +74,24 @@ def parse_grid(rows) -> list:
     ]
 
 
+class _Rationals(dict):
+    """A document's rational strings, each read by ``parse_rat`` on its first lookup."""
+
+    def __missing__(self, cell: str) -> Fraction:
+        x = self[cell] = parse_rat(cell)
+        return x
+
+
 def _parse_planes(planes) -> list:
-    return [parse_grid(plane) for plane in _expect(planes, list, "tensor")]
+    """The planes of a tensor as grids of rationals, each distinct string of the document parsed once."""
+    parsed = _Rationals()
+    return [
+        [
+            [parsed[x] if type(x) is str else parse_rat(x) for x in _expect(row, list, "grid row")]
+            for row in _expect(plane, list, "grid")
+        ]
+        for plane in _expect(planes, list, "tensor")
+    ]
 
 
 def sc_from_doc(doc: dict) -> StructureConstants:

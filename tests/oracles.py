@@ -8,7 +8,7 @@ kernel.  Agreement between the two routes is what the dimension tests
 actually certify.  ``identity_sides`` evaluates both sides of an
 identity at one basis tuple the same way, to re-check a reported
 witness.  ``left_mult`` and ``right_mult`` read the multiplication
-maps off the table by plain loops.  ``grid_algebra`` builds an algebra
+maps off the table by plain loops, and ``zero_operator`` is the zero map.  ``grid_algebra`` builds an algebra
 from a dense grid by listing its nonzeros, ``context_grids`` lays a
 context's tensors out as dense grids from the nonzeros it holds, and
 ``dense_contract`` applies such a grid by a triple loop.
@@ -31,7 +31,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from lietriple.algebra import AlgebraElement, StructureConstants
+from lietriple.algebra import AlgebraElement, LinearOperator, StructureConstants
 from lietriple.errors import InvalidBlockStructure, LieTripleError
 from lietriple.gma import context_of
 from lietriple.linalg import Matrix, tensor_entries, zero_vec
@@ -121,6 +121,11 @@ def right_mult(alg: StructureConstants, coords) -> Matrix:
     return Matrix(
         [[sum((Fraction(c) * t[j][i][l] for i, c in enumerate(coords)), Fraction(0)) for j in range(n)] for l in range(n)]
     )
+
+
+def zero_operator(alg: StructureConstants) -> LinearOperator:
+    """The zero map on an algebra."""
+    return LinearOperator(alg, Matrix.zeros(alg.dim, alg.dim))
 
 
 def _elem(alg, coords):

@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +11,7 @@ from lietriple.algebra import (
     LinearOperator,
     multiplication_operator,
     StructureConstants,
+    basis_tensor,
     center,
     commutant,
     commutator,
@@ -432,3 +436,71 @@ def test_multiplication_maps_match_the_table_oracle(name):
     assert (None if unit is None else unit.coords) == _oracle_unit(alg)
     coords = [F(rng.randint(-3, 3), rng.choice((1, 3))) for _ in range(n)]
     assert multiplication_operator(alg, coords).matrix == left_mult(alg, coords)
+
+
+_FORM_ALGEBRAS = {name: _SPAN_ALGEBRAS[name] for name in ("T3", "T4", "M3", "example_1_2", "strict_upper_3x3", "T3r")}
+
+# sha256 of repr(basis_tensor(alg, form)), recorded before the forms were
+# built in direct loops: constraint rows and slot groups read the keys and
+# the coordinates inside each value in this order, so a rewrite keeps both
+_FORM_DIGESTS = {
+    ("T3", "product"): "b6714065c02f9b707eb7e171cf05810e4995f039a59f7d57579f98b3ef19aaf7",
+    ("T3", "bracket"): "dee85998864a9ac3b8da62ba935e06aa195ddd29e0dbd160e8d44fec3c2bcf15",
+    ("T3", "jordan"): "b5fa109526ae1b1baa0f0857afa49b265e657a48c01abd471e799f3a679de407",
+    ("T3", "triple"): "da593c4129da3c22a1af369138ed08677bcee0f8883979b9e41053701f198d70",
+    ("T4", "product"): "f750b3d2e4779f1bee53877aacf0a7db85e9700dfbd3ff771e506ea29706a2a4",
+    ("T4", "bracket"): "29401db07a8035766483d90e3e53060ec92591478625f10d03b0771fb79d5369",
+    ("T4", "jordan"): "2e3fee1f199f67158663cd919135ec717c24cbf5665627b30af94efc27f80d2e",
+    ("T4", "triple"): "172efc594bc068eb3eceef54c0a18d67703c078913a5be6033e72c0fcc2a4d99",
+    ("M3", "product"): "f861f3fbb1df053a6034f75db644324bb960564e295511ecab185d0eda7c2c7e",
+    ("M3", "bracket"): "b5a67b89a70a468d7bfe00c8e04c44d4836a568189dd638e8786e7766073f9c0",
+    ("M3", "jordan"): "2f2d5d6538c622c63498705747e6599f0ae7fa520bf0b421f3c7e805201e5504",
+    ("M3", "triple"): "6f1bb009ab9641a43a3cfb4ec470a336d8d9d830e1dac5baa7681c873965db80",
+    ("example_1_2", "product"): "d71cd13386935955a529be638443b8b84a57947736dca6acd171ccdf2411a5f8",
+    ("example_1_2", "bracket"): "b3085541d565b41a2920d60cd453bb7e04b878ba39f94f43426c531233e40cde",
+    ("example_1_2", "jordan"): "f5fd6d9ab988c0bdaba9334849860ece2e96055b0dab47e62e57461185b7c2ec",
+    ("example_1_2", "triple"): "bca09f14b9dd58403c3c3fc1dcab7212dfdfbfbfea4e683d3024a82415c60f14",
+    ("strict_upper_3x3", "product"): "77643e6cbe83600c4e6e9a0d0b2a9e1078420a896226a7b981e013d905511cc7",
+    ("strict_upper_3x3", "bracket"): "f02cec1314226ac3831ae7e8f63cc99fb18743806f951737810d6bc09c94fc1a",
+    ("strict_upper_3x3", "jordan"): "1d6bcbc8059dbc6991cd438fc7e7993e1b9336935eb967a5bbde1bff8f1825ab",
+    ("strict_upper_3x3", "triple"): "bca09f14b9dd58403c3c3fc1dcab7212dfdfbfbfea4e683d3024a82415c60f14",
+    ("T3r", "product"): "3406871cc50c101eb0c8665c98e127fe5467be8426080d7143d1cf841e271ab0",
+    ("T3r", "bracket"): "97d813285fba76b4df8ccced0371789c12b4d8d2e533457bb4e284f2f42c30c1",
+    ("T3r", "jordan"): "be596fc7b830209ffe69a9ee335232e03130ef1d79ad2577df26a1b43efffae8",
+    ("T3r", "triple"): "3a823d59f61b6a0d6828f55d644df212157b8171a8df567a414bd24b47400fcf",
+}
+
+_FORM_PRODUCTS = {
+    "product": lambda x, y: x * y,
+    "bracket": commutator,
+    "jordan": jordan_product,
+    "triple": double_commutator,
+}
+
+
+def _form_oracle(alg: StructureConstants, form: str) -> tuple[int, dict]:
+    """(scale, {key: {coord: value times the scale}}) over the nonzero values of a form, by element products.
+
+    The scale is the least common denominator D of the table, squared for
+    the triple bracket.
+    """
+    basis = alg.basis()
+    d = lcm(*(x.denominator for plane in alg.table for row in plane for x in row))
+    scale = d * d if form == "triple" else d
+    out = {}
+    for key in itertools.product(range(alg.dim), repeat=3 if form == "triple" else 2):
+        v = _FORM_PRODUCTS[form](*(basis[i] for i in key))
+        if not v.is_zero():
+            out[key] = {l: x * scale for l, x in enumerate(v.coords) if x}
+    return scale, out
+
+
+@pytest.mark.parametrize("form", list(_FORM_PRODUCTS))
+@pytest.mark.parametrize("name", list(_FORM_ALGEBRAS))
+def test_basis_form_is_the_element_products_in_its_pinned_order(name, form):
+    alg = _FORM_ALGEBRAS[name]()
+    scale, table = basis_tensor(alg, form)
+    assert (scale, {key: dict(v) for key, v in table.items()}) == _form_oracle(alg, form)
+    assert all(type(x) is int and len(dict(v)) == len(v) for v in table.values() for _, x in v)
+    assert list(table) == sorted(table)
+    assert hashlib.sha256(repr((scale, table)).encode()).hexdigest() == _FORM_DIGESTS[name, form]

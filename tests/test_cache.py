@@ -60,6 +60,7 @@ from lietriple.properness import (
     check_cor36_hypotheses,
     equivalence_audit,
 )
+from oracles import zero_operator
 from test_gma import MALFORMED_DIMS
 
 LTC = IdentityKind.LIE_TRIPLE_CENTRALIZER
@@ -191,7 +192,7 @@ def test_a_failing_call_stores_nothing_and_raises_again(monkeypatch):
     names = {fn.__wrapped__.__qualname__ for fn in (center_block_description, eta_map)}
     assert not [key for key in lietriple.algebra._CACHE if key[1] in names]
     with pytest.raises(NotGMA):
-        is_identity_member(u.algebra, SJDER, LinearOperator.zero(u.algebra))
+        is_identity_member(u.algebra, SJDER, zero_operator(u.algebra))
 
 
 def _evaluations(monkeypatch):

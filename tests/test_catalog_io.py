@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lietriple.algebra import StructureConstants, center, find_unit
+from lietriple.cli import main
 from lietriple.catalog import (
     direct_sum,
     dual_numbers,
@@ -27,13 +28,14 @@ from lietriple.errors import HashMismatch
 from lietriple.gma import Bimodule, assemble, check_annihilating_conditions, context_of, m2_of, peirce_from_idempotent
 from lietriple.io import brief, dump_json, operator_from_doc, parse_rat, sc_from_doc
 from lietriple.algebra import LinearOperator
-from lietriple.linalg import Matrix
+from lietriple.linalg import Matrix, tensor_entries
 from oracles import (
     RATIONAL_BASIS,
     algebra_doc,
     bimodule_doc,
     context_grids,
     dense_content_hash,
+    grid_algebra,
     operator_doc,
     rebased,
     write_doc,
@@ -494,3 +496,107 @@ def test_parse_rat_rejects_what_is_not_a_json_rational(s):
     with pytest.raises(ValueError) as exc:
         parse_rat(s)
     assert str(exc.value) == f"not a rational: {brief(s)}"
+
+
+def _spellings(x: Fraction) -> list:
+    """Ways a document may write the rational x: canonical, unreduced, signed, zero-padded, and a JSON int."""
+    p, q = x.numerator, x.denominator
+    out = [str(x), f"{2 * p}/{2 * q}", f"{p}/0{q}"]
+    if p >= 0:
+        out += [f"+{p}/{q}", f"0{p}/{q}"]
+    if q == 1:
+        out.append(p)
+    return out
+
+
+# tables whose documents repeat strings: M_2 in a rational basis (denominators 2, 3, 6 and 9), T_2 scaled
+# by -3/4 (still associative: (x o y) o z = x o (y o z) = 9/16 xyz), and the zero-heavy strict upper 3 x 3
+_REPEATING_TABLES = {
+    "M2q": lambda: rebased(full_matrix(2), RATIONAL_BASIS),
+    "T2 * -3/4": lambda: StructureConstants(
+        3, {key: F(-3, 4) * x for key, x in tensor_entries(upper_triangular(2)._sparse).items()}
+    ),
+    "strict_upper_3x3": strict_upper_3x3,
+}
+
+
+def _cells(alg: StructureConstants) -> list:
+    """The table's cells in row-major order, as Fractions."""
+    return [x for plane in alg.table for row in plane for x in row]
+
+
+def _document(alg: StructureConstants, cells: list) -> dict:
+    n = alg.dim
+    rows = [cells[r * n : (r + 1) * n] for r in range(n * n)]
+    return {"labels": list(alg.labels), "table": [rows[i * n : (i + 1) * n] for i in range(n)]}
+
+
+@given(st.sampled_from(list(_REPEATING_TABLES)), st.data())
+def test_a_document_spelling_its_rationals_several_ways_hashes_as_read_cell_by_cell(name, data):
+    # the reader parses each distinct string once and hands every repeat the
+    # same value; reading every cell afresh must give the same algebra
+    alg = _REPEATING_TABLES[name]()
+    cells = [data.draw(st.sampled_from(_spellings(x))) for x in _cells(alg)]
+    doc = _document(alg, cells)
+    assert len(set(map(repr, cells))) < len(cells)
+    afresh = grid_algebra([[list(map(parse_rat, row)) for row in plane] for plane in doc["table"]], doc["labels"])
+    assert sc_from_doc(doc).content_hash == afresh.content_hash == alg.content_hash
+
+
+_MALFORMED = ["1/0", "1.5", " 1", "x", "1/-2", "", "1/2 ", True, False, None, 1.0, [1], {"1": 2}]
+
+
+@given(
+    st.sampled_from(list(_REPEATING_TABLES)),
+    st.sampled_from([x for x in _MALFORMED if isinstance(x, str)]),
+    st.lists(st.sampled_from(_MALFORMED), max_size=2),
+    st.data(),
+)
+def test_a_malformed_string_in_two_cells_is_reported_at_the_first_malformed_cell(name, bad, others, data):
+    # the malformed string sits in two cells, and other malformed values
+    # elsewhere: unhashable ones, and True and False among JSON ints 1 and 0.
+    # The message names the first in row-major order.
+    alg = _REPEATING_TABLES[name]()
+    cells = [data.draw(st.sampled_from(_spellings(x))) for x in _cells(alg)]
+    count = 2 + len(others)
+    spots = data.draw(st.lists(st.integers(0, len(cells) - 1), min_size=count, max_size=count, unique=True))
+    for spot, value in zip(spots, [bad, bad, *others]):
+        cells[spot] = value
+    with pytest.raises(ValueError) as exc:
+        sc_from_doc(_document(alg, cells))
+    assert str(exc.value) == f"not a rational: {brief(cells[min(spots)])}"
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_a_bool_after_the_json_int_it_equals_is_refused(bad):
+    # True == 1 and False == 0 as dict keys: a bool must not find the value of an earlier JSON int
+    alg = strict_upper_3x3()
+    cells = [int(x) for x in _cells(alg)]
+    cells[-1] = bad
+    with pytest.raises(ValueError) as exc:
+        sc_from_doc(_document(alg, cells))
+    assert str(exc.value) == f"not a rational: {bad}"
+
+
+@pytest.mark.parametrize("bad", [[1], {"1": 2}], ids=["list", "object"])
+def test_an_unhashable_cell_before_a_malformed_string_is_the_one_reported(bad):
+    alg = strict_upper_3x3()
+    cells = [str(x) for x in _cells(alg)]
+    cells[1], cells[2], cells[-1] = bad, "1/0", "1/0"
+    with pytest.raises(ValueError) as exc:
+        sc_from_doc(_document(alg, cells))
+    assert str(exc.value) == f"not a rational: {brief(bad)}"
+
+
+@pytest.mark.parametrize("bad", ["1/0", "2/4/8", "one"])
+def test_solve_on_a_document_with_a_repeated_malformed_string_exits_2_with_one_line(capsys, tmp_path, bad):
+    alg = rebased(full_matrix(2), RATIONAL_BASIS)
+    cells = [str(x) for x in _cells(alg)]
+    first = cells.index("0")
+    cells[first] = cells[cells.index("0", first + 1)] = bad
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_document(alg, cells)))
+    code = main(["solve", f"m2({path})", "--identity", "lc"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"invalid input: not a rational: {brief(bad)}\n"

@@ -49,6 +49,7 @@ from oracles import (
     rebased,
     residual_is_zero,
     unit_diagonal_basis,
+    zero_operator,
 )
 
 F = Fraction
@@ -151,7 +152,7 @@ class TestMembership:
         for u in gmas.values():
             for kind in K:
                 target = u if kind is K.SINGULAR_JORDAN_DERIVATION else u.algebra
-                assert is_identity_member(target, kind, LinearOperator.zero(u.algebra))
+                assert is_identity_member(target, kind, zero_operator(u.algebra))
 
     def test_membership_agrees_with_subspace(self, gmas):
         rng = random.Random(9)
@@ -451,7 +452,7 @@ class TestCorollary32:
 
     def test_zero_operator_passes(self, gmas):
         u = gmas["T2"]
-        rep = corollary32_strengthen(u, block_decompose(u, LinearOperator.zero(u.algebra)))
+        rep = corollary32_strengthen(u, block_decompose(u, zero_operator(u.algebra)))
         assert rep.passed
 
 

@@ -35,7 +35,7 @@ from lietriple.errors import NotLTD
 from lietriple.gma import Bimodule, MoritaContext, assemble, block_hypotheses_hold
 from lietriple.linalg import Matrix
 
-from oracles import center_shape_holds, central_vanishing_basis, identity_sides, left_mult, right_mult
+from oracles import center_shape_holds, central_vanishing_basis, identity_sides, left_mult, right_mult, zero_operator
 
 F = Fraction
 K = IdentityKind
@@ -286,7 +286,7 @@ def test_generalized_decomposition_tests_the_hypotheses_once(annihilator_checks)
     # the block-form test, Cor 3.6 and Thm 3.3 all read one computation, and a warm cache none
     u = upper_triangular_gma(2)
     for _ in range(2):
-        decompose_generalized_ltd(u, LinearOperator.identity(u.algebra), LinearOperator.zero(u.algebra))
+        decompose_generalized_ltd(u, LinearOperator.identity(u.algebra), zero_operator(u.algebra))
         assert annihilator_checks == [u]
 
 

@@ -73,6 +73,7 @@ def test_every_private_helper_is_referenced():
 # public names that nothing in src/ calls and __init__.py does not export, each with why it stays
 KEPT = {
     "algebra.StructureConstants.table": "benchmarks/check.py and benchmarks/workloads.py read it, until ROADMAP item 1 or 8",
+    "algebra.LinearOperator.identity": "the identity map, the unit of the operator ring; demos/05 uses it",
     "catalog.rationals": "Q as an algebra, a corner of the triangular algebras of demos 02 and 05",
     "catalog.dual_numbers": "Q[x]/(x^2), the corner of demo 05's triangular algebra with improper centralizers",
     "catalog.scalar_bimodule": "Q as a (Q, Q)-bimodule, the M of demo 02's triangular algebra",
@@ -99,21 +100,119 @@ def _public_definitions() -> dict[str, str]:
     return found
 
 
-def _uncalled() -> list[str]:
-    """Public definitions that src/ neither names nor exports: a method counts as called only as an attribute."""
-    names, attrs = Counter(), Counter()
+class _Receivers:
+    """The class of the receiver x of a read x.name, where the package's source says it.
+
+    A receiver resolves to "module.Class" when it is a class of the
+    package, ``self`` or ``cls`` in that class's body, a call of the class
+    or of a function annotated to return it, or a parameter or local
+    whose every binding says so (an annotation ``X | None`` reads as X).
+    It resolves to "" when that names a type from outside the package
+    (``args: argparse.Namespace``), and to None when the source does not
+    say, as for a name a loop binds.
+    """
+
+    def __init__(self):
+        self.classes, self.returns = {}, {}
+        for module, tree in MODULES.items():
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    self.classes[node.name] = f"{module[:-3]}.{node.name}"
+                elif isinstance(node, ast.FunctionDef):
+                    self.returns[node.name] = node.returns
+
+    def annotated(self, ann) -> str | None:
+        if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
+            sides = [s for s in (ann.left, ann.right) if not (isinstance(s, ast.Constant) and s.value is None)]
+            return self.annotated(sides[0]) if len(sides) == 1 else None
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            return self.annotated(ast.parse(ann.value, mode="eval").body)
+        if isinstance(ann, ast.Name):
+            return self.classes.get(ann.id, "")
+        return "" if isinstance(ann, ast.Attribute) else None
+
+    def of(self, expr, scope: dict) -> str | None:
+        if isinstance(expr, ast.Name):
+            return self.classes.get(expr.id) or scope.get(expr.id)
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+            name = expr.func.id
+            return self.classes.get(name) or (self.annotated(self.returns[name]) if name in self.returns else None)
+        return None
+
+    def scope(self, fn, owner: str | None, outer: dict) -> dict:
+        """The enclosing scope updated with what fn (a def or a lambda) binds: its parameters and its locals."""
+        bound: dict[str, set] = {}
+        args = fn.args
+        for a in args.posonlyargs + args.args + args.kwonlyargs:
+            if a.arg in ("self", "cls") and owner:
+                bound[a.arg] = {owner}
+            else:
+                bound[a.arg] = {None if a.annotation is None else self.annotated(a.annotation)}
+        for a in (args.vararg, args.kwarg):
+            if a:
+                bound[a.arg] = {None}  # a tuple or dict of what the annotation names
+        params = {name: cls for name, (cls,) in bound.items()}
+        plain = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                plain.add(node.targets[0])
+                bound.setdefault(node.targets[0].id, set()).add(self.of(node.value, {**outer, **params}))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                plain.add(node.target)
+                bound.setdefault(node.target.id, set()).add(self.annotated(node.annotation))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node not in plain:
+                bound.setdefault(node.id, set()).add(None)
+        return {**outer, **{name: found.pop() if len(found) == 1 else None for name, found in bound.items()}}
+
+
+def _attribute_reads() -> Counter:
+    """{(name, the receiver's class by ``_Receivers.of``): count} over the attribute reads of src/ but ``__init__.py``."""
+    receivers, reads = _Receivers(), Counter()
+
+    def visit(node, owner, scope):
+        if isinstance(node, ast.ClassDef):
+            owner = receivers.classes.get(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            scope = receivers.scope(node, owner, scope)
+        elif isinstance(node, ast.Attribute):
+            reads[node.attr, receivers.of(node.value, scope)] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, scope)
+
     for module, tree in MODULES.items():
         if module != "__init__.py":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                    names[node.id] += 1
-                elif isinstance(node, ast.Attribute):
-                    attrs[node.attr] += 1
+            visit(tree, None, {})
+    return reads
+
+
+def _uncalled() -> list[str]:
+    """Public definitions that src/ neither names nor exports.
+
+    A method counts as called only through an attribute read.  A read
+    whose receiver resolves to a class defining the method counts for
+    that class alone, one that resolves outside the package for none, and
+    any other for every class defining the name: ``Subspace.zero(n)``
+    calls ``Subspace.zero`` and not ``Bimodule.zero``.
+    """
+    names, attrs, reads = Counter(), Counter(), Counter()
+    definers: dict[str, set] = {}
+    for qualname, name in _public_definitions().items():
+        if qualname.count(".") == 2:
+            definers.setdefault(name, set()).add(qualname.rpartition(".")[0])
+    for module, tree in MODULES.items():
+        if module != "__init__.py":
+            names.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store))
+    for (name, owner), count in _attribute_reads().items():
+        attrs[name] += count
+        if owner != "":
+            reads[name, owner if owner in definers.get(name, ()) else None] += count
     exported = set(_imported(MODULES["__init__.py"]))
     uncalled = []
     for qualname, name in _public_definitions().items():
-        method = qualname.count(".") == 2
-        called = attrs[name] if method else (names[name] + attrs[name] or name in exported)
+        if qualname.count(".") == 2:
+            called = reads[name, qualname.rpartition(".")[0]] + reads[name, None]
+        else:
+            called = names[name] + attrs[name] or name in exported
         if not called:
             uncalled.append(qualname)
     return uncalled

@@ -22,7 +22,7 @@ from lietriple.derivations import check_thm41_hypotheses
 from lietriple.errors import NotLTC, NotUnital
 from lietriple.gma import Bimodule, assemble, block_hypotheses_hold, eta_map
 from lietriple.linalg import Matrix
-from oracles import algebra_doc, bimodule_doc, operator_doc, row_space_basis, write_doc
+from oracles import algebra_doc, bimodule_doc, operator_doc, row_space_basis, write_doc, zero_operator
 from lietriple.properness import (
     Infeasible,
     PropernessCertificate,
@@ -116,7 +116,7 @@ class TestThm33:
 
 class TestDirect:
     def test_zero_operator(self, gmas):
-        res = is_proper_direct(gmas["T2"].algebra, LinearOperator.zero(gmas["T2"].algebra))
+        res = is_proper_direct(gmas["T2"].algebra, zero_operator(gmas["T2"].algebra))
         assert isinstance(res, PropernessCertificate)
         assert all(x == 0 for x in res.lam.coords)
         assert res.chi.is_zero()
