@@ -43,7 +43,7 @@ for name, ok in cert.transcript:
 print("\nsufficiency on the matrix catalog:",
       check_cor36_hypotheses(u).satisfied)
 print("audit over the whole solved space:",
-      equivalence_audit(u, extra_random=10, seed=1).improper_count, "improper found")
+      equivalence_audit(u).improper_codimension, "improper found")
 
 # Degenerate corner actions produce genuinely improper solutions.
 dn = dual_numbers()

@@ -471,16 +471,21 @@ def build_from_blocks(
 _SIX_MAP_FIELDS = ("alpha1", "beta1", "tau2", "gamma3", "alpha4", "beta4")
 
 
-def six_map_shapes(u: GMA) -> dict[str, tuple[int, int]]:
-    shapes = _corner_shapes(u)
-    return {name: shapes[name] for name in _SIX_MAP_FIELDS}
+def _six_map_layout(u: GMA) -> tuple[int, dict[str, list[list[int]]]]:
+    """(n, grids): the six maps fill Q^n in field order, each column-major; map entry (i, j) is coordinate grids[map][i][j]."""
+    shapes, grids, pos = _corner_shapes(u), {}, 0
+    for name in _SIX_MAP_FIELDS:
+        r, c = shapes[name]
+        grids[name] = [[pos + j * r + i for j in range(c)] for i in range(r)]
+        pos += r * c
+    return pos, grids
 
 
 def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
     """Yield (label, tag, rows): the block-form conditions as constraint rows.
 
     A row is one residual coordinate, sparse over the six maps in the
-    layout of ``six_maps_from_flat``; a condition holds iff its rows vanish
+    layout of ``_six_map_layout``; a condition holds iff its rows vanish
     on the flattened maps.  Each term of a residual is sign * post(f(pre))
     for a map f: ``pre`` is sparse over f's source, ``post`` pairs (r, image
     of f's output coordinate r), None for the identity.  Both are int
@@ -498,22 +503,19 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
     tensors = (ctx._zeta, ctx._psi, M._left, M._right, N._left, N._right)
     ints = iter(clear_denominators(row for t in tensors for plane in t for row in plane)[1])
     zeta, psi, m_left, m_right, n_left, n_right = [[[next(ints) for _ in p] for p in t] for t in tensors]
-    layout, pos = {}, 0
-    for name, (r, c) in six_map_shapes(u).items():
-        layout[name] = (pos, tuple((i, ((i, 1),)) for i in range(r)))
-        pos += r * c
+    grids = _six_map_layout(u)[1]
+    identity = {name: tuple((i, ((i, 1),)) for i in range(len(grid))) for name, grid in grids.items()}
 
     def rows(*terms) -> list[dict]:
         out: dict[int, dict] = {}
         for sign, name, pre, post in terms:
-            start, identity = layout[name]
-            post = identity if post is None else tuple(post)
+            grid, post = grids[name], identity[name] if post is None else tuple(post)
             for k, x in pre:
-                col = start + k * len(identity)
                 for r, v in post:
+                    col = grid[r][k]
                     for l, c in v:
                         row = out.setdefault(l, {})
-                        row[col + r] = row.get(col + r, 0) + sign * x * c
+                        row[col] = row.get(col, 0) + sign * x * c
         return list(out.values())
 
     def unit(i: int) -> tuple:
@@ -603,7 +605,7 @@ def verify_thm31_conditions(u: GMA, d: BlockDecomposition) -> Thm31Report:
     """Check the sixteen-corner shape and all structure conditions.
 
     A condition fails when one of its ``_condition_rows`` does not vanish
-    on the six maps, flattened column-major and scaled to ints.
+    on the six maps, laid out by ``_six_map_layout`` and scaled to ints.
     """
     _same_gma(u, d)
     if find_unit(u.algebra) is None:
@@ -611,7 +613,9 @@ def verify_thm31_conditions(u: GMA, d: BlockDecomposition) -> Thm31Report:
     failures = [
         (f"corner {name} must vanish", ()) for name in _VANISHING_CORNERS if not getattr(d, name).is_zero()
     ]
-    (flat,) = int_flats([x for name in _SIX_MAP_FIELDS for col in zip(*getattr(d, name).data) for x in col])
+    total, grids = _six_map_layout(u)
+    at = {k: x for name, grid in grids.items() for ks, xs in zip(grid, getattr(d, name).data) for k, x in zip(ks, xs)}
+    (flat,) = int_flats([at[k] for k in range(total)])
     for label, tag, rows in _condition_rows(u):
         if any(row_values(rows, flat)):
             failures.append((label, tag))
@@ -621,25 +625,19 @@ def verify_thm31_conditions(u: GMA, d: BlockDecomposition) -> Thm31Report:
 def six_map_solution_space(u: GMA) -> Subspace:
     """All six-map tuples satisfying the structure conditions, as a subspace.
 
-    Unknowns are the six matrices in the fixed field order, each
-    column-major.  The rows are ``_condition_rows``, the ones the
-    verifier evaluates, so both read one statement of the conditions.
+    Unknowns are the six matrices, laid out by ``_six_map_layout``.  The
+    rows are ``_condition_rows``, the ones the verifier evaluates, so both
+    read one statement of the conditions.
     """
-    total = sum(r * c for r, c in six_map_shapes(u).values())
-    return kernel_of_rows(total, (row for _label, _tag, rows in _condition_rows(u) for row in rows))
+    return kernel_of_rows(_six_map_layout(u)[0], (row for _label, _tag, rows in _condition_rows(u) for row in rows))
 
 
 def six_maps_from_flat(u: GMA, flat: Sequence[Fraction]) -> dict[str, Matrix]:
-    """Split a flat vector into the six maps, each read column-major."""
-    shapes = six_map_shapes(u)
-    total = sum(r * c for r, c in shapes.values())
+    """Split a flat vector into the six maps, laid out by ``_six_map_layout``."""
+    (total, grids), shapes = _six_map_layout(u), _corner_shapes(u)
     if len(flat) != total:
         raise DimensionMismatch(f"six-map vector has {len(flat)} entries, expected {total}")
-    out, pos = {}, 0
-    for fname, (r, c) in shapes.items():
-        out[fname] = Matrix([[flat[pos + j * r + i] for j in range(c)] for i in range(r)], cols=c)
-        pos += r * c
-    return out
+    return {name: Matrix([[flat[k] for k in ks] for ks in grid], cols=shapes[name][1]) for name, grid in grids.items()}
 
 
 class Cor32Report(Record):

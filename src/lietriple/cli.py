@@ -291,7 +291,7 @@ def reproduction_checks() -> list[dict]:
         record(
             f"properness criteria [{name}]: direct, range and unit tests coincide",
             audit.all_consistent,
-            f"{len(audit.records)} operators, {audit.improper_count} improper",
+            f"{audit.ltc.dim} operators, {audit.improper_codimension} improper",
         )
         cor = check_cor36_hypotheses(u)
         proper_all = all(

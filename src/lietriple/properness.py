@@ -5,23 +5,22 @@ equivalence chain through the corner maps at the units and constructs
 the certificate from the center correspondence; the direct route sets
 up the feasibility problem in the center coordinates alone and needs
 neither unitality nor the annihilating conditions, which is exactly
-what the twelve-dimensional counterexample requires.  Audits assert
-the two routes agree wherever both apply.
+what the twelve-dimensional counterexample requires.
 The condition on chi is stated once, as the int rows of
 ``central_vanishing_rows``: the direct route evaluates them on phi and on
 multiplication by the center basis, and every certificate on chi.  The
 Thm 3.3 corner tests are each stated once too: ``_unit_failure`` (alpha4
 and beta1 at the units) and ``BlockDecomposition.ranges_inside`` (their
 whole ranges, which Cor 3.2 also reads with the corner centers as
-targets), read by the block-form route and by the audit.
+targets), read by the block-form route.  ``equivalence_audit`` decides
+the direct, range and unit criteria as subspaces of the LTC space, each
+cut out by linear rows, and the three agree iff the subspaces are equal.
 ``build_from_blocks`` assembles the block-form chi from alpha4, beta1 and
 their images under eta^-1, eta.
 """
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
@@ -50,6 +49,7 @@ from .linalg import (
     clear_denominators,
     combination,
     int_flats,
+    kernel_of_rows,
     row_values,
     solve,
 )
@@ -315,49 +315,48 @@ def check_cor36_hypotheses(u: GMA) -> Cor36Report:
     )
 
 
-class EquivalenceRecord(Record):
-    direct_feasible: bool
-    ranges_inside: bool
-    units_inside: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.direct_feasible == self.ranges_inside == self.units_inside
-
-
 class EquivalenceReport(Record):
-    records: tuple[EquivalenceRecord, ...]
-    improper_count: int
+    """The LTC space and, inside it, the subspace each properness criterion accepts."""
+
+    ltc: Subspace
+    direct: Subspace
+    ranges: Subspace
+    units: Subspace
 
     @property
     def all_consistent(self) -> bool:
-        return all(r.consistent for r in self.records)
+        return self.direct == self.ranges == self.units
+
+    @property
+    def improper_codimension(self) -> int:
+        return self.ltc.dim - self.direct.dim
 
 
-def equivalence_audit(u: GMA, extra_random: int = 0, seed: int = 0) -> EquivalenceReport:
-    """Check that the three properness criteria agree across LTC space.
+def equivalence_audit(u: GMA) -> EquivalenceReport:
+    """Decide the three properness criteria on the whole LTC space.
 
-    Runs over every basis solution and optionally over random rational
-    combinations; any disagreement between the routes shows up as an
-    inconsistent record.
+    Each criterion is linear in phi, so each is a subspace, and they agree
+    iff the subspaces are equal.  Direct is L(Z) + CV, multiplication by a
+    central element plus a map ``central_vanishing_rows`` accepts, and must
+    lie in the LTC space.  Ranges and units are the LTCs on which the rows
+    {c*n + r: f_l} vanish, f over the annihilator of the target (pi_B(Z)
+    for the columns c of alpha4, pi_A(Z) for those of beta1): every row,
+    or per f the sum of its rows weighted by the source corner's unit.
     """
-    alg = u.algebra
+    alg, n = u.algebra, u.algebra.dim
     blocks = center_block_description(u)
-    space = solve_identity_space(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER)
-
-    candidates = [LinearOperator.from_flat(alg, v) for v in space.basis]
-    rng = random.Random(seed)
-    for _ in range(extra_random):
-        coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in space.basis]
-        candidates.append(LinearOperator.from_flat(alg, combination(coeffs, space.basis, space.ambient)))
-
-    records = []
-    improper = 0
-    for phi in candidates:
-        d = block_decompose(u, phi)
-        direct = isinstance(is_proper_direct(alg, phi), PropernessCertificate)
-        units = _unit_failure(u, d, blocks.pi_a, blocks.pi_b) is None
-        records.append(EquivalenceRecord(direct, all(d.ranges_inside(blocks.pi_a, blocks.pi_b)), units))
-        if not direct:
-            improper += 1
-    return EquivalenceReport(tuple(records), improper)
+    ltc = solve_identity_space(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER)
+    cv = kernel_of_rows(n * n, (row for rows in central_vanishing_rows(alg) for row in rows))
+    direct = cv.sum(Subspace(n * n, _center_multiplications(alg)))
+    if not ltc.contains(direct):
+        raise LieTripleError("a map in L(Z) + CV is not a Lie triple centralizer")
+    ranges, units = [], []
+    for source, target, pi in (("A", "B", blocks.pi_b), ("B", "A", blocks.pi_a)):
+        one = require_unit(getattr(u.context, source)).coords
+        into = u.block_range(target)
+        for f in int_flats(*pi.annihilator().basis):
+            cols = [{c * n + into[l]: x for l, x in f.items() if x} for c in u.block_range(source)]
+            ranges += cols
+            units.append({k: w * x for w, col in zip(one, cols) if w for k, x in col.items()})
+    dual = ltc.annihilator().basis
+    return EquivalenceReport(ltc, direct, *(kernel_of_rows(n * n, (*dual, *rows)) for rows in (ranges, units)))

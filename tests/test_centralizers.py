@@ -24,13 +24,13 @@ from lietriple.centralizers import (
     _FORMS,
     _constraint_tuples,
     _packed_kernel,
+    _six_map_layout,
     _sparsity_rows,
     _tuple_sides,
     block_decompose,
     build_from_blocks,
     corollary32_strengthen,
     is_identity_member,
-    six_map_shapes,
     six_map_solution_space,
     six_maps_from_flat,
     solve_identity_space,
@@ -325,12 +325,16 @@ def _random_matrix(rng, rows, cols):
     )
 
 
+def _six_map_shapes(u):
+    return {name: (m.rows, m.cols) for name, m in six_maps_from_flat(u, [F(0)] * _six_map_layout(u)[0]).items()}
+
+
 def _thm31_digest(u, rng):
     """sha256 over Thm 3.1 failures on seeded operators and the six-map basis."""
     h = hashlib.sha256()
     n = u.algebra.dim
     ops = [
-        build_from_blocks(u, **{name: _random_matrix(rng, r, c) for name, (r, c) in six_map_shapes(u).items()})
+        build_from_blocks(u, **{name: _random_matrix(rng, r, c) for name, (r, c) in _six_map_shapes(u).items()})
         for _ in range(3)
     ]
     ops.append(LinearOperator(u.algebra, _random_matrix(rng, n, n)))
@@ -418,15 +422,25 @@ class TestBuildFromBlocks:
     def test_corner_of_wrong_shape_is_rejected(self, gmas):
         u = gmas["T3"]
         assert u.dims == (1, 2, 0, 3)
-        maps = six_maps_from_flat(u, [F(1)] * sum(r * c for r, c in six_map_shapes(u).values()))
+        maps = six_maps_from_flat(u, [F(1)] * _six_map_layout(u)[0])
         maps["alpha1"] = Matrix.identity(2)  # alpha1 maps A (dim 1) to A
         with pytest.raises(DimensionMismatch, match="alpha1"):
             build_from_blocks(u, **maps)
 
+    def test_six_map_layout_is_field_order_then_column_major(self, gmas):
+        u = gmas["T3"]
+        total, grids = _six_map_layout(u)
+        flat = [F(k) for k in range(total)]
+        maps = six_maps_from_flat(u, flat)
+        assert list(maps) == ["alpha1", "beta1", "tau2", "gamma3", "alpha4", "beta4"]
+        assert [x for m in maps.values() for col in range(m.cols) for x in m.col(col)] == flat
+        d = block_decompose(u, build_from_blocks(u, **maps))
+        assert all(getattr(d, name) == m for name, m in maps.items())
+
     @pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
     def test_flat_vector_of_wrong_length_is_rejected(self, gmas, extra):
         u = gmas["T3"]
-        total = sum(r * c for r, c in six_map_shapes(u).values())
+        total = _six_map_layout(u)[0]
         with pytest.raises(DimensionMismatch, match=f"expected {total}"):
             six_maps_from_flat(u, [F(1)] * (total + extra))
 

@@ -80,17 +80,15 @@ KEPT = {
     "catalog.direct_sum": "the direct sum of two algebras, the catalog's decomposable algebra",
     "catalog.random_gma": "the random GMAs of the property tests and of ROADMAP item 4's census",
     "linalg.Subspace.full": "the whole ambient space, the top of the subspace lattice beside Subspace.zero",
-    "linalg.Subspace.contains": "inclusion, the order of the subspace lattice",
-    "linalg.Subspace.sum": "the lattice sum beside intersect; demos/01_exact_subspaces.py uses it",
     "derivations.GLTDDecomposition.verified": "the decomposition's verdict: every check of its transcript held",
     "properness.PropernessCertificate.verified": "the certificate's verdict: every check of its transcript held",
 }
 
 
-def _public_definitions() -> dict[str, str]:
+def _public_definitions(modules: dict) -> dict[str, str]:
     """{"module.name" or "module.Class.method": name} for every public def and class, and every public method."""
     found = {}
-    for module, tree in MODULES.items():
+    for module, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 found[f"{module[:-3]}.{node.name}"] = node.name
@@ -112,9 +110,9 @@ class _Receivers:
     say, as for a name a loop binds.
     """
 
-    def __init__(self):
+    def __init__(self, modules: dict):
         self.classes, self.returns = {}, {}
-        for module, tree in MODULES.items():
+        for module, tree in modules.items():
             for node in tree.body:
                 if isinstance(node, ast.ClassDef):
                     self.classes[node.name] = f"{module[:-3]}.{node.name}"
@@ -165,9 +163,9 @@ class _Receivers:
         return {**outer, **{name: found.pop() if len(found) == 1 else None for name, found in bound.items()}}
 
 
-def _attribute_reads() -> Counter:
+def _attribute_reads(modules: dict) -> Counter:
     """{(name, the receiver's class by ``_Receivers.of``): count} over the attribute reads of src/ but ``__init__.py``."""
-    receivers, reads = _Receivers(), Counter()
+    receivers, reads = _Receivers(modules), Counter()
 
     def visit(node, owner, scope):
         if isinstance(node, ast.ClassDef):
@@ -179,40 +177,116 @@ def _attribute_reads() -> Counter:
         for child in ast.iter_child_nodes(node):
             visit(child, owner, scope)
 
-    for module, tree in MODULES.items():
+    for module, tree in modules.items():
         if module != "__init__.py":
             visit(tree, None, {})
     return reads
 
 
-def _uncalled() -> list[str]:
+_SCOPES = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound(scope) -> set[str]:
+    """The names a def, lambda or comprehension binds: its parameters, targets and nested defs.
+
+    Names its nested scopes bind count too.  That can only hide a use, so
+    a wrong verdict fails the caller test instead of passing dead code.
+    """
+    bound = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node is not scope:
+            bound.add(node.name)
+    return bound
+
+
+def _origins(modules: dict) -> dict[str, dict[str, str]]:
+    """{module: {name it sees: "module.name" where that name is defined}}, following imports within the package.
+
+    A module is seen under its own name as ``"<module>."`` (``from . import x``).
+    """
+    defined = {
+        module[:-3]: {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        for module, tree in modules.items()
+    }
+    imports = {}
+    for module, tree in modules.items():
+        found = imports[module[:-3]] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    seen = f"{node.module}.{alias.name}" if node.module else f"{alias.name}."
+                    found[alias.asname or alias.name] = seen
+
+    def origin(qualname: str) -> str:
+        module, _, name = qualname.partition(".")
+        if name in defined.get(module, ()) or name not in imports.get(module, {}):
+            return qualname
+        return origin(imports[module][name])
+
+    return {
+        module: {**{name: f"{module}.{name}" for name in names}, **{n: origin(q) for n, q in imports[module].items()}}
+        for module, names in defined.items()
+    }
+
+
+def _module_level_reads(modules: dict) -> Counter:
+    """{"module.name": count} over src/ but ``__init__.py``, for the module-level definitions.
+
+    A use is a load of the name where the module that defines or imports
+    it sees it, unless a local binding hides it there, or an attribute
+    read on the module that defines it.
+    """
+    reads = Counter()
+
+    def visit(node, sees, hidden):
+        if isinstance(node, _SCOPES):
+            hidden = hidden | _bound(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in hidden:
+            reads[sees.get(node.id)] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id not in hidden:
+            module = sees.get(node.value.id, "")
+            if module.endswith("."):
+                reads[module + node.attr] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, sees, hidden)
+
+    origins = _origins(modules)
+    for module, tree in modules.items():
+        if module != "__init__.py":
+            visit(tree, origins[module[:-3]], frozenset())
+    return reads
+
+
+def _uncalled(modules: dict = MODULES) -> list[str]:
     """Public definitions that src/ neither names nor exports.
 
+    A module-level definition counts as called by ``_module_level_reads``.
     A method counts as called only through an attribute read.  A read
     whose receiver resolves to a class defining the method counts for
     that class alone, one that resolves outside the package for none, and
     any other for every class defining the name: ``Subspace.zero(n)``
     calls ``Subspace.zero`` and not ``Bimodule.zero``.
     """
-    names, attrs, reads = Counter(), Counter(), Counter()
+    public, reads = _public_definitions(modules), Counter()
     definers: dict[str, set] = {}
-    for qualname, name in _public_definitions().items():
+    for qualname, name in public.items():
         if qualname.count(".") == 2:
             definers.setdefault(name, set()).add(qualname.rpartition(".")[0])
-    for module, tree in MODULES.items():
-        if module != "__init__.py":
-            names.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store))
-    for (name, owner), count in _attribute_reads().items():
-        attrs[name] += count
+    for (name, owner), count in _attribute_reads(modules).items():
         if owner != "":
             reads[name, owner if owner in definers.get(name, ()) else None] += count
-    exported = set(_imported(MODULES["__init__.py"]))
+    exported = set(_origins(modules)["__init__"].values())
+    module_level = _module_level_reads(modules)
     uncalled = []
-    for qualname, name in _public_definitions().items():
+    for qualname, name in public.items():
         if qualname.count(".") == 2:
             called = reads[name, qualname.rpartition(".")[0]] + reads[name, None]
         else:
-            called = names[name] + attrs[name] or name in exported
+            called = module_level[qualname] or qualname in exported
         if not called:
             uncalled.append(qualname)
     return uncalled
@@ -221,3 +295,19 @@ def _uncalled() -> list[str]:
 def test_every_public_name_has_a_caller():
     # every uncalled name has its reason in KEPT, and an entry whose name gained a caller, or went, leaves KEPT
     assert sorted(_uncalled()) == sorted(KEPT)
+
+
+def test_a_local_named_like_a_function_does_not_call_it():
+    # rationals and shadowed are named only by locals of run, which hide them;
+    # imported is called by its imported name and by_module through its module
+    a = "def rationals(): pass\ndef shadowed(): pass\ndef imported(): pass\ndef by_module(): pass\n"
+    b = """
+from . import a
+from .a import imported, shadowed
+
+def run(shadowed):
+    rationals = [shadowed for shadowed in ()]
+    return rationals, imported(), a.by_module()
+"""
+    modules = {name: ast.parse(text) for name, text in {"__init__.py": "", "a.py": a, "b.py": b}.items()}
+    assert _uncalled(modules) == ["a.rationals", "a.shadowed", "b.run"]

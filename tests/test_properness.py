@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,17 +17,26 @@ from lietriple.catalog import (
     triangular_context,
     upper_triangular_gma,
 )
-from lietriple.centralizers import IdentityKind, solve_identity_space
+from lietriple import properness
+from lietriple.centralizers import IdentityKind, block_decompose, solve_identity_space
 from lietriple.cli import main
 from lietriple.derivations import check_thm41_hypotheses
-from lietriple.errors import NotLTC, NotUnital
-from lietriple.gma import Bimodule, assemble, block_hypotheses_hold, eta_map
-from lietriple.linalg import Matrix
+from lietriple.errors import AnnihilatorConditionsFail, LieTripleError, NotLTC, NotUnital
+from lietriple.gma import (
+    Bimodule,
+    CenterBlocks,
+    assemble,
+    block_hypotheses_hold,
+    center_block_description,
+    eta_map,
+)
+from lietriple.linalg import Matrix, Subspace, combination
 from oracles import algebra_doc, bimodule_doc, operator_doc, row_space_basis, write_doc, zero_operator
 from lietriple.properness import (
     Infeasible,
     PropernessCertificate,
     PropernessFailure,
+    _unit_failure,
     check_cor36_hypotheses,
     equivalence_audit,
     is_proper_direct,
@@ -231,18 +241,65 @@ class TestCor36:
             assert annihilator_checks == [gmas["T3"]]
 
 
+def _audited_gmas():
+    return {
+        **standard_gmas(),
+        "dual numbers": faithful_dual_number_triangular(),
+        "R1": random_gma(random.Random(1)),
+    }
+
+
+def _operators(rep, rng):
+    """Every LTC basis vector, then three seeded random combinations of the LTC basis and three of the direct basis."""
+    flats = list(rep.ltc.basis)
+    for space in (rep.ltc, rep.direct) * 3:
+        coeffs = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in space.basis]
+        flats.append(combination(coeffs, space.basis, space.ambient))
+    return flats
+
+
 class TestEquivalence:
     def test_catalog_audits_consistent(self, gmas):
         for u in gmas.values():
-            rep = equivalence_audit(u, extra_random=10, seed=5)
+            rep = equivalence_audit(u)
             assert rep.all_consistent
-            assert rep.improper_count == 0
+            assert rep.improper_codimension == 0 and rep.direct == rep.ltc
 
     def test_improper_exists_on_dual_number_context(self):
-        u = faithful_dual_number_triangular()
-        rep = equivalence_audit(u, extra_random=10, seed=5)
+        rep = equivalence_audit(faithful_dual_number_triangular())
         assert rep.all_consistent
-        assert rep.improper_count > 0
+        assert (rep.ltc.dim, rep.direct.dim, rep.improper_codimension) == (5, 4, 1)
+
+    @pytest.mark.parametrize("name", sorted(_audited_gmas()))
+    def test_each_per_operator_route_agrees_with_the_audit(self, name):
+        # the routes read the corner maps and the certificates, the audit its own rows
+        u = _audited_gmas()[name]
+        rep = equivalence_audit(u)
+        blocks = center_block_description(u)
+        for v in _operators(rep, random.Random(name)):
+            phi = LinearOperator.from_flat(u.algebra, v)
+            d = block_decompose(u, phi)
+            direct = isinstance(is_proper_direct(u.algebra, phi), PropernessCertificate)
+            assert direct == rep.direct.contains_vector(v)
+            assert (_unit_failure(u, d, blocks.pi_a, blocks.pi_b) is None) == rep.units.contains_vector(v)
+            assert all(d.ranges_inside(blocks.pi_a, blocks.pi_b)) == rep.ranges.contains_vector(v)
+            assert isinstance(is_proper_thm33(u, phi), PropernessCertificate) == rep.units.contains_vector(v)
+
+    def test_a_wrong_target_projection_shows_as_inconsistent(self, monkeypatch):
+        # with pi_B(Z) taken as 0, alpha4 = 0 is demanded: ranges and units shrink, direct does not
+        u = upper_triangular_gma(2)
+        blocks = center_block_description(u)
+        wrong = CenterBlocks(blocks.z, blocks.pi_a, Subspace.zero(blocks.pi_b.ambient))
+        monkeypatch.setattr(properness, "center_block_description", lambda _u: wrong)
+        rep = equivalence_audit(u)
+        assert not rep.all_consistent
+        assert rep.units.dim == rep.ranges.dim < rep.direct.dim == rep.ltc.dim
+
+    def test_a_proper_map_outside_the_ltc_space_is_refused(self, monkeypatch):
+        u = full_matrix_gma(2)
+        monkeypatch.setattr(properness, "solve_identity_space", lambda alg, kind: Subspace.zero(alg.dim**2))
+        with pytest.raises(LieTripleError, match="L\\(Z\\) \\+ CV"):
+            equivalence_audit(u)
 
     def test_failure_witness_is_sound(self):
         u = faithful_dual_number_triangular()
@@ -260,6 +317,27 @@ class TestEquivalence:
                 # and the direct route agrees this operator is improper
                 assert isinstance(is_proper_direct(u.algebra, phi), Infeasible)
         assert failures
+
+
+# The census of ROADMAP item 4: the catalog GMAs and random_gma(Random(s),
+# require_n=r) for s in 0..39 and r in (None, True).  These draws have
+# improper codimension 1 and meet the block hypotheses; 28 draws fail them.
+_IMPROPER_DRAWS = {(s, None) for s in (1, 4, 6, 8, 12, 17, 21, 27, 29, 31, 38)}
+
+
+def test_census_of_catalog_and_random_draws_is_pinned():
+    draws = {(s, r): random_gma(random.Random(s), require_n=r) for s in range(40) for r in (None, True)}
+    outcomes = Counter()
+    for name, u in {**standard_gmas(), **draws}.items():
+        try:
+            rep = equivalence_audit(u)
+        except AnnihilatorConditionsFail:
+            outcomes["fails the block hypotheses"] += 1
+            continue
+        assert rep.all_consistent, name
+        assert rep.improper_codimension == (name in _IMPROPER_DRAWS), name
+        outcomes[rep.improper_codimension] += 1
+    assert outcomes == {0: 45, 1: 11, "fails the block hypotheses": 28}
 
 
 # sha256 of the stdout of ``proper`` on the improper draw below, recorded
@@ -285,7 +363,7 @@ def improper_draw(tmp_path, monkeypatch):
     write_doc("M.json", bimodule_doc(ctx.M))
     write_doc("B.json", {"table": algebra_doc(ctx.B)["table"]})
     spec = "tri(A.json,M.json,B.json)"
-    assert resolve(spec).gma == u and equivalence_audit(u).improper_count == 1
+    assert resolve(spec).gma == u and equivalence_audit(u).improper_codimension == 1
     phi = LinearOperator.from_flat(u.algebra, solve_identity_space(u.algebra, K.LIE_TRIPLE_CENTRALIZER).basis[2])
     assert isinstance(is_proper_thm33(u, phi), PropernessFailure)
     write_doc("phi.json", operator_doc(phi))

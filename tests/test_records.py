@@ -26,7 +26,6 @@ from lietriple.gma import AnnihilatorReport, CenterBlocks, PeirceDecomposition
 from lietriple.linalg import Matrix, Subspace
 from lietriple.properness import (
     Cor36Report,
-    EquivalenceRecord,
     EquivalenceReport,
     Infeasible,
     PropernessCertificate,
@@ -56,8 +55,7 @@ FIELDS = {
     PropernessFailure: ("side", "witness", "target"),
     Infeasible: ("reason", "witness_element", "witness_image"),
     Cor36Report: ("pi_b_equals_center_b", "triple_span_a_full", "pi_a_equals_center_a", "triple_span_b_full"),
-    EquivalenceRecord: ("direct_feasible", "ranges_inside", "units_inside"),
-    EquivalenceReport: ("records", "improper_count"),
+    EquivalenceReport: ("ltc", "direct", "ranges", "units"),
 }
 
 DEFAULTS = {
