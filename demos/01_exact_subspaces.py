@@ -23,8 +23,11 @@ for v in k.basis:
     print("  basis vector:", v)
 
 # Solving takes a system as rows over Q^3, dense or sparse {column: value},
-# and reports the echelon particular solution and the full kernel.
-particular, homogeneous = solve(3, [(1, 1, 0), {1: 1, 2: 1}], (3, 5))
+# and reports the echelon particular solution; every other solution adds
+# a vector of the kernel of the same rows.
+rows = [(1, 1, 0), {1: 1, 2: 1}]
+particular = solve(3, rows, (3, 5))
+homogeneous = kernel_of_rows(3, rows)
 print("\nparticular solution:", particular)
 print("homogeneous space:", homogeneous)
 

@@ -30,7 +30,6 @@ from .derivations import (
     GLTDDecomposition,
     LTDDecomposition,
     Thm41HypothesisReport,
-    central_vanishing_space,
     check_gltd_correspondence,
     check_thm41_hypotheses,
     decompose_generalized_ltd,
@@ -55,6 +54,7 @@ from .properness import (
     Infeasible,
     PropernessCertificate,
     PropernessFailure,
+    central_vanishing_space,
     check_cor36_hypotheses,
     equivalence_audit,
     is_proper_direct,

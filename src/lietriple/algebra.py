@@ -271,8 +271,7 @@ def _unit_coords(alg: StructureConstants) -> tuple | None:
         for l, x in w:
             rows[0, j, l][i] = x
             rows[1, i, l][j] = x
-    res = solve(n, list(rows.values()), [d * (l == j) for _, j, l in rows])
-    return None if res is None else res[0]
+    return solve(n, list(rows.values()), [d * (l == j) for _, j, l in rows])
 
 
 def find_unit(alg: StructureConstants) -> AlgebraElement | None:
@@ -502,14 +501,8 @@ class LinearOperator(Frozen):
 
 
 def multiplication_operator(alg: StructureConstants, coords: Sequence[Fraction]) -> LinearOperator:
-    """x -> c * x as an operator (left multiplication by c): column j is c * e_j, the sum of c_i e_i e_j off the held table."""
+    """x -> c * x as an operator (left multiplication by c): column j is the product c * e_j."""
     n = alg.dim
     if len(coords) != n:
         raise DimensionMismatch(f"{len(coords)} coordinates for a dim-{n} algebra")
-    cols = [[Fraction(0)] * n for _ in range(n)]
-    for c, plane in zip(coords, alg._sparse):
-        if c:
-            for col, row in zip(cols, plane):
-                for k, x in row:
-                    col[k] += c * x
-    return LinearOperator(alg, Matrix.from_cols(cols))
+    return LinearOperator(alg, Matrix.from_cols([alg.mul_coords(coords, unit_vec(n, j)) for j in range(n)]))

@@ -20,7 +20,7 @@ repeats or negates (i, j, ...), and the tuples with i > j are skipped;
 for bracket and triple, (i, i, ...) vanishes identically and is skipped
 too.  The first failing tuple keeps i <= j, so a witness is unchanged.
 The skip needs the same operator in every slot: ``_identity_residuals``
-with ``slot_matrices`` (the direct route of the generalized Lie triple
+with ``slot_flats`` (the direct route of the generalized Lie triple
 derivation check) reads every tuple.  The solver turns the tuples into
 sparse rows indexed by the column-major vectorization of the operator
 and feeds them, tuple by tuple, to one exact echelon.  The basis of the
@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     AlgebraElement, LinearOperator, StructureConstants, _same_algebra, _slot_terms, _tuple_rows, basis_tensor, cached,
@@ -137,42 +137,40 @@ def _constraint_tuples(alg: StructureConstants, kind: IdentityKind, every: bool 
 
 
 def _identity_residuals(
-    alg: StructureConstants,
-    kind: IdentityKind,
-    matrix: Matrix,
-    slot_matrices: Sequence[Matrix] | None = None,
+    alg: StructureConstants, kind: IdentityKind, flat: Sequence, slot_flats: Sequence[Sequence] | None = None
 ) -> Iterator[tuple[tuple, tuple, tuple]]:
     """Yield (tag, lhs, rhs) for each constraint tuple whose two sides differ on an operator.
 
-    ``matrix`` is phi on the left-hand side.  On the right, the p-th slot
-    phi enters holds ``slot_matrices[p]``, by default ``matrix`` itself.
-    The operators, times their common denominator d, are int columns
-    {row: int}, so both sides are int lists times s = (form scale) * d;
-    only a differing pair is divided by s into Fractions.
+    ``flat`` is phi on the left-hand side, column-major.  On the right,
+    the p-th slot phi enters holds ``slot_flats[p]``, by default ``flat``
+    itself.  The operators, times their common denominator d, are int
+    columns {row: int}, so both sides are int lists times s = (form
+    scale) * d; only a differing pair is divided by s into Fractions.
     """
     form, slots = _FORMS[kind]
     n = alg.dim
-    ops = (matrix, *(slot_matrices or (matrix,) * len(slots)))
-    d, (phi, *mats) = _int_columns(n, [x for m in ops for col in zip(*m.data) for x in col])
+    ops = (flat, *(slot_flats or (flat,) * len(slots)))
+    d, ints = clear_denominators(((k, x) for k, x in enumerate(op) if x) for op in ops)
+    phi, *mats = (_columns(n, (v,), 0) for v in ints)
     s = basis_tensor(alg, form)[0] * d
     # a mirrored tuple is a copy of its twin only when every slot holds phi
-    for tag, w, terms in _constraint_tuples(alg, kind, every=slot_matrices is not None):
+    for tag, w, terms in _constraint_tuples(alg, kind, every=slot_flats is not None):
         lhs, rhs = _tuple_sides(n, w, terms, phi, mats)
         if lhs != rhs:
             yield tag, tuple(Fraction(x, s) for x in lhs), tuple(Fraction(x, s) for x in rhs)
 
 
-def _int_columns(n: int, flat: Sequence) -> tuple[int, list[list[dict[int, int]]]]:
-    """(d, the operators) for operators given one after another by their columns.
+def _columns(n: int, vectors: Iterable[Iterable[tuple[int, int]]], shift: int) -> list[dict[int, int]]:
+    """The n int columns {r: int} of sum_b v_b * 2^(shift*b), each int vector v_b as pairs (c*n + r, x).
 
-    Each operator is n columns of n entries in ``flat``; they come back
-    as lists of n columns {row: int}, times d, the common denominator of
-    every entry.
+    One vector at shift 0 gives its own operator; several give a pack.
     """
-    d, cols = clear_denominators(
-        ((r, x) for r, x in enumerate(flat[k : k + n]) if x) for k in range(0, len(flat), n)
-    )
-    return d, [list(map(dict, cols[k : k + n])) for k in range(0, len(cols), n)]
+    cols = [{} for _ in range(n)]
+    for b, v in enumerate(vectors):
+        for k, x in v:
+            c, r = divmod(k, n)
+            cols[c][r] = cols[c].get(r, 0) + (x << shift * b)
+    return cols
 
 
 def _tuple_sides(n: int, w, terms, phi: list[dict], mats: Sequence[list[dict]]) -> tuple[list[int], list[int]]:
@@ -250,12 +248,7 @@ def _packed_kernel(alg: StructureConstants, kind: IdentityKind, vectors: list[di
     form, slots = _FORMS[kind]
     m = max((abs(x) for v in vectors for x in v.values()), default=0)
     shift = (m * (1 + len(slots)) * _form_weight(alg, form)).bit_length() + 1
-    packed = [{} for _ in range(n)]
-    for b, v in enumerate(vectors):
-        for k, x in v.items():
-            c, r = divmod(k, n)
-            packed[c][r] = packed[c].get(r, 0) + (x << shift * b)
-    return packed
+    return _columns(n, (v.items() for v in vectors), shift)
 
 
 @memoized
@@ -334,23 +327,24 @@ def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> Id
     """
     alg, dims = _resolve(alg_or_gma, kind)
     _same_algebra(alg, op.algebra)
-    coords = tuple((k, x.numerator, x.denominator) for k, x in enumerate(op.flatten()) if x)
+    flat = op.flatten()
+    coords = tuple((k, x.numerator, x.denominator) for k, x in enumerate(flat) if x)
     return cached(
         (alg.content_hash, "is_identity_member", kind, dims, coords),
-        lambda: _membership(alg, kind, dims, op.matrix),
+        lambda: _membership(alg, kind, dims, flat),
     )
 
 
-def _membership(alg: StructureConstants, kind: IdentityKind, dims: tuple | None, matrix: Matrix) -> IdentityCheck:
-    """The verdict of ``is_identity_member``; ``dims`` adds the singular kind's sparsity pattern."""
+def _membership(alg: StructureConstants, kind: IdentityKind, dims: tuple | None, flat: Sequence) -> IdentityCheck:
+    """The verdict of ``is_identity_member`` on a column-major flat; ``dims`` adds the singular kind's sparsity pattern."""
     n = alg.dim
     if dims is not None:
         for row in _sparsity_rows(n, dims):
             ((pos, _),) = row.items()
-            c, r = divmod(pos, n)
-            if matrix.data[r][c]:
-                return IdentityCheck(False, (r, c), alg.element(matrix.col(c)), alg.zero())
-    for tag, lhs, rhs in _identity_residuals(alg, kind, matrix):
+            if flat[pos]:
+                c, r = divmod(pos, n)
+                return IdentityCheck(False, (r, c), alg.element(flat[c * n : (c + 1) * n]), alg.zero())
+    for tag, lhs, rhs in _identity_residuals(alg, kind, flat):
         return IdentityCheck(False, tag, alg.element(lhs), alg.element(rhs))
     return IdentityCheck(True)
 

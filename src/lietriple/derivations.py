@@ -3,9 +3,10 @@
 The decomposition results are consumed as exact linear membership
 problems: the derivation space, the singular Jordan space and the
 center-valued triple-killing space are each solved once, and a target
-operator is split by solving against the stacked bases; the last is the
-kernel of ``properness.central_vanishing_rows``, which also checks psi.  Splittings
-are not unique; the echelon particular solution keeps them
+operator is split by solving against the stacked bases; the last is
+``properness.central_vanishing_space``, the kernel of the rows of
+``properness.central_vanishing_rows``, which also check gamma and psi.
+Splittings are not unique; the echelon particular solution keeps them
 deterministic, and every returned component re-verifies its own
 defining identity before anything is handed back.  A membership verdict
 is evaluated once per process for each exact operator, so a component
@@ -37,18 +38,11 @@ from .centralizers import (
 )
 from .errors import DimensionMismatch, LieTripleError, NotGLTD, NotLTD
 from .gma import GMA, _commutation_rows, block_hypotheses_hold, diagonal_kernel
-from .linalg import (
-    Subspace,
-    combination,
-    kernel_of_rows,
-    preimage,
-    solve,
-    unit_vec,
-)
+from .linalg import combination, preimage, solve, unit_vec
 from .properness import (
     Infeasible,
     PropernessCertificate,
-    central_vanishing_rows,
+    central_vanishing_space,
     central_vanishing_verdicts,
     check_cor36_hypotheses,
     is_proper_direct,
@@ -77,8 +71,8 @@ def check_gltd_correspondence(
             alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, lam_op - xi
         )
     )
-    slots = (lam_op.matrix, xi.matrix, xi.matrix)
-    residual = next(_identity_residuals(alg, ltd, lam_op.matrix, slots), None)
+    lam_flat, xi_flat = lam_op.flatten(), xi.flatten()
+    residual = next(_identity_residuals(alg, ltd, lam_flat, (lam_flat, xi_flat, xi_flat)), None)
     if via_difference != (residual is None):
         raise LieTripleError(
             "difference-route and direct-route verdicts disagree; "
@@ -188,12 +182,6 @@ def check_thm41_hypotheses(
 # ---------------------------------------------------------------------------
 
 
-def central_vanishing_space(alg: StructureConstants) -> Subspace:
-    """Operators with range in the center that kill all double commutators."""
-    into_center, kills_dc = central_vanishing_rows(alg)
-    return kernel_of_rows(alg.dim * alg.dim, into_center + kills_dc)
-
-
 class LTDDecomposition(Record):
     """A triple derivation split as derivation + singular + central."""
 
@@ -213,10 +201,9 @@ def decompose_ltd(u: GMA, xi: LinearOperator) -> LTDDecomposition | Infeasible:
     cv = central_vanishing_space(alg)
     cols = list(der.basis) + list(sjd.basis) + list(cv.basis)
     n = alg.dim * alg.dim
-    res = solve(len(cols), [[c[r] for c in cols] for r in range(n)], xi.flatten())
-    if res is None:
+    coeffs = solve(len(cols), [[c[r] for c in cols] for r in range(n)], xi.flatten())
+    if coeffs is None:
         return Infeasible("xi is outside derivations + singular + central-vanishing")
-    coeffs, _ = res
 
     d1, d2 = len(der.basis), len(der.basis) + len(sjd.basis)
     delta, singular, gamma = (
@@ -227,7 +214,7 @@ def decompose_ltd(u: GMA, xi: LinearOperator) -> LTDDecomposition | Infeasible:
         raise LieTripleError("derivation part failed its identity")
     if not is_identity_member(u, IdentityKind.SINGULAR_JORDAN_DERIVATION, singular):
         raise LieTripleError("singular part failed its identity")
-    if not cv.contains_vector(gamma.flatten()):
+    if not all(central_vanishing_verdicts(alg, gamma)):
         raise LieTripleError("central part escaped its space")
     if delta + singular + gamma != xi:
         raise LieTripleError("components do not sum back to xi")

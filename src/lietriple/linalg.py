@@ -21,7 +21,8 @@ fill one echelon through ``_echelon``; the identity solver of
 number columns from the end (``_mirrored``), so their echelon pivots on
 least columns: ``Subspace`` reads its canonical basis off the pivot
 rows, and ``solve`` sees an inconsistent system as a pivot at its
-right-hand side, column 0.  A member's coefficients are its entries at
+right-hand side, column 0, and reads its particular solution off the
+pivot rows' entries there.  A member's coefficients are its entries at
 the pivots, which ``Subspace.coefficients_of`` checks through
 ``combination``, the only linear combination; it skips zeros, so sparse
 data costs only its nonzeros.  ``preimage`` is the one statement of "x
@@ -449,12 +450,12 @@ def preimage(maps: Iterable[Sequence[tuple[int, Iterable[tuple]]]], target: Subs
     return kernel_of_rows(n, rows)
 
 
-def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> tuple[Vector, "Subspace"] | None:
+def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> Vector | None:
     """Solve row . x = b exactly for x in Q^ambient, over the rows and their rhs entries b.
 
     Rows are in any form ``kernel_of_rows`` takes.  Returns the echelon
-    particular solution (free variables zero) and the homogeneous kernel,
-    or None when no solution exists.
+    particular solution (free variables zero), or None when no solution
+    exists; the homogeneous solutions are ``kernel_of_rows`` of the rows.
     """
     if len(rhs) != len(rows):
         raise DimensionMismatch(f"rhs length {len(rhs)} vs {len(rows)} rows")
@@ -462,13 +463,11 @@ def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> tuple
         raise DimensionMismatch(f"a row with a column outside range({ambient})")
     augmented = ({**row, ambient: b} if isinstance(row, dict) else (*row, b) for row, b in zip(rows, rhs))
     # mirrored, the rhs column is 0 and x_k is column ambient - k: the pivots are those of the rref
-    ech = _echelon(_mirrored(augmented, ambient + 1), ambient + 1)
-    if 0 in ech.rows:  # a row 0 = b with b nonzero
+    piv = _echelon(_mirrored(augmented, ambient + 1), ambient + 1).rows
+    if 0 in piv:  # a row 0 = b with b nonzero
         return None
-    # column 0 is free and first: its kernel vector is s * (1, -x) with x mirrored, x the particular solution
-    first, *kernel = ech.kernel_vectors(ambient + 1)
-    x = tuple(Fraction(-first.get(ambient - k, 0), first[0]) for k in range(ambient))
-    return x, Subspace(ambient, _mirrored(kernel, ambient + 1))
+    # pivot row p = ambient - k reads row[p] * x_k = row[0], the free x_k being zero
+    return tuple(Fraction(piv[p].get(0, 0), piv[p][p]) if (p := ambient - k) in piv else _ZERO for k in range(ambient))
 
 
 class Subspace(Frozen):

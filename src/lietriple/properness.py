@@ -8,7 +8,8 @@ neither unitality nor the annihilating conditions, which is exactly
 what the twelve-dimensional counterexample requires.
 The condition on chi is stated once, as the int rows of
 ``central_vanishing_rows``: the direct route evaluates them on phi and on
-multiplication by the center basis, and every certificate on chi.  The
+multiplication by the center basis, and every certificate on chi; their
+kernel, ``central_vanishing_space`` (CV), is built once per algebra.  The
 Thm 3.3 corner tests are each stated once too: ``_unit_failure`` (alpha4
 and beta1 at the units) and ``BlockDecomposition.ranges_inside`` (their
 whole ranges, which Cor 3.2 also reads with the corner centers as
@@ -121,6 +122,12 @@ def central_vanishing_rows(alg: StructureConstants) -> tuple[tuple[dict, ...], t
     )
 
 
+@memoized
+def central_vanishing_space(alg: StructureConstants) -> Subspace:
+    """CV: the operators with range in the center that kill all double commutators, the kernel of ``central_vanishing_rows``."""
+    return kernel_of_rows(alg.dim * alg.dim, (row for rows in central_vanishing_rows(alg) for row in rows))
+
+
 def central_vanishing_verdicts(alg: StructureConstants, op: LinearOperator) -> tuple[bool, bool]:
     """(op maps into the center, op kills the double commutators), on the shared rows."""
     (flat,) = int_flats(op.flatten())
@@ -169,8 +176,8 @@ def is_proper_direct(
     z = center(alg)
     into_center, kills_dc = central_vanishing_rows(alg)
     *mults, phi_flat = int_flats(*_center_multiplications(alg), phi.flatten())
-    res = _solve_lambda(into_center + kills_dc, mults, phi_flat)
-    if res is None:
+    coeffs = _solve_lambda(into_center + kills_dc, mults, phi_flat)
+    if coeffs is None:
         x = _singleton_witness(alg, into_center, mults, phi_flat, probes)
         if x is None:
             return Infeasible("the joint feasibility system is inconsistent")
@@ -180,7 +187,6 @@ def is_proper_direct(
             witness_element=x,
             witness_image=phi(x),
         )
-    coeffs, _hom = res
     lam_coords = combination(coeffs, z.basis, n)
     chi = phi - multiplication_operator(alg, lam_coords)
     transcript = _verify_certificate(alg, phi, lam_coords, chi)
@@ -337,7 +343,7 @@ def equivalence_audit(u: GMA) -> EquivalenceReport:
 
     Each criterion is linear in phi, so each is a subspace, and they agree
     iff the subspaces are equal.  Direct is L(Z) + CV, multiplication by a
-    central element plus a map ``central_vanishing_rows`` accepts, and must
+    central element plus a map in ``central_vanishing_space``, and must
     lie in the LTC space.  Ranges and units are the LTCs on which the rows
     {c*n + r: f_l} vanish, f over the annihilator of the target (pi_B(Z)
     for the columns c of alpha4, pi_A(Z) for those of beta1): every row,
@@ -346,8 +352,7 @@ def equivalence_audit(u: GMA) -> EquivalenceReport:
     alg, n = u.algebra, u.algebra.dim
     blocks = center_block_description(u)
     ltc = solve_identity_space(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER)
-    cv = kernel_of_rows(n * n, (row for rows in central_vanishing_rows(alg) for row in rows))
-    direct = cv.sum(Subspace(n * n, _center_multiplications(alg)))
+    direct = central_vanishing_space(alg).sum(Subspace(n * n, _center_multiplications(alg)))
     if not ltc.contains(direct):
         raise LieTripleError("a map in L(Z) + CV is not a Lie triple centralizer")
     ranges, units = [], []

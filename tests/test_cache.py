@@ -30,7 +30,7 @@ from lietriple.catalog import (
     upper_triangular_gma,
 )
 from lietriple.centralizers import IdentityKind, is_identity_member
-from lietriple.derivations import central_vanishing_space, check_thm41_hypotheses
+from lietriple.derivations import check_thm41_hypotheses
 from lietriple.errors import (
     AlgebraMismatch,
     DimensionMismatch,
@@ -57,6 +57,7 @@ from lietriple.linalg import tensor_entries
 from lietriple.properness import (
     _center_multiplications,
     central_vanishing_rows,
+    central_vanishing_space,
     check_cor36_hypotheses,
     equivalence_audit,
 )
@@ -67,7 +68,7 @@ LTC = IdentityKind.LIE_TRIPLE_CENTRALIZER
 SJDER = IdentityKind.SINGULAR_JORDAN_DERIVATION
 
 GMA_FACTS = (check_annihilating_conditions, _commutation_rows, center_block_description, eta_map)
-ALGEBRA_FACTS = (central_vanishing_rows, _center_multiplications)
+ALGEBRA_FACTS = (central_vanishing_rows, central_vanishing_space, _center_multiplications)
 
 
 def _m2_plus_q(dims):
@@ -106,7 +107,6 @@ def _read_the_facts(u):
     """Run the certificate code that reads the cached facts; none of it may change them."""
     for fn in (equivalence_audit, check_thm41_hypotheses, block_center, check_cor36_hypotheses):
         _outcome(fn, u)
-    central_vanishing_space(u.algebra)
 
 
 def test_warm_facts_equal_cold_ones(monkeypatch):
@@ -200,9 +200,9 @@ def _evaluations(monkeypatch):
     calls = []
     real = lietriple.centralizers._identity_residuals
 
-    def counting(alg, kind, matrix, slot_matrices=None):
-        calls.append(matrix)
-        return real(alg, kind, matrix, slot_matrices)
+    def counting(alg, kind, flat, slot_flats=None):
+        calls.append(flat)
+        return real(alg, kind, flat, slot_flats)
 
     monkeypatch.setattr(lietriple.centralizers, "_identity_residuals", counting)
     return calls

@@ -697,8 +697,8 @@ def test_the_gltd_direct_route_reads_the_mirrored_tuples():
     xi = LinearOperator.from_flat(alg, [2 * a - b for a, b in zip(*ltd.basis[:2])])
     rng = random.Random("gltd-mirror")
     lam = xi + LinearOperator.from_flat(alg, [F(rng.randint(-2, 2)) for _ in range(alg.dim**2)])
-    slots = (lam.matrix, xi.matrix, xi.matrix)
-    failing = [tag for tag, _lhs, _rhs in _identity_residuals(alg, K.LIE_TRIPLE_DERIVATION, lam.matrix, slots)]
+    slots = (lam.flatten(), xi.flatten(), xi.flatten())
+    failing = [tag for tag, _lhs, _rhs in _identity_residuals(alg, K.LIE_TRIPLE_DERIVATION, lam.flatten(), slots)]
     expected = [
         tag for tag in itertools.product(range(alg.dim), repeat=3)
         if len(set(identity_sides(alg, "ltd", tag, lam.matrix, xi.matrix))) == 2

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package in this checkout, printing the pinned bytes."""
+"""Every demo script runs to completion against the package in this checkout, warning-free, printing the pinned bytes."""
 
 import hashlib
 import os
@@ -27,7 +27,8 @@ STDOUT_SHA256 = {
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo):
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        # development mode with every warning an error: a warning on a library path fails the demo
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": SRC},
         timeout=120,

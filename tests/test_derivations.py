@@ -1,8 +1,12 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+import lietriple.algebra
+import lietriple.derivations
+import lietriple.properness
 from lietriple.algebra import LinearOperator, center, double_commutator_span, find_unit
 from lietriple.catalog import (
     direct_sum,
@@ -34,6 +38,7 @@ from lietriple.derivations import (
 from lietriple.errors import NotLTD
 from lietriple.gma import Bimodule, MoritaContext, assemble, block_hypotheses_hold
 from lietriple.linalg import Matrix
+from lietriple.properness import equivalence_audit
 
 from oracles import center_shape_holds, central_vanishing_basis, identity_sides, left_mult, right_mult, zero_operator
 
@@ -140,8 +145,8 @@ class TestCorrespondence:
         bad = phi + swap
         chk = check_gltd_correspondence(alg, bad, xi)
         assert not chk
-        slots = (bad.matrix, xi.matrix, xi.matrix)
-        tag, lhs, rhs = next(_identity_residuals(alg, K.LIE_TRIPLE_DERIVATION, bad.matrix, slots))
+        slots = (bad.flatten(), xi.flatten(), xi.flatten())
+        tag, lhs, rhs = next(_identity_residuals(alg, K.LIE_TRIPLE_DERIVATION, bad.flatten(), slots))
         assert tag == chk.witness
         sides = identity_sides(alg, "ltd", tag, bad.matrix, xi.matrix)
         assert sides[0] != sides[1] and sides == (alg.element(lhs), alg.element(rhs))
@@ -288,6 +293,29 @@ def test_generalized_decomposition_tests_the_hypotheses_once(annihilator_checks)
     for _ in range(2):
         decompose_generalized_ltd(u, LinearOperator.identity(u.algebra), zero_operator(u.algebra))
         assert annihilator_checks == [u]
+
+
+def test_the_audit_and_the_split_build_the_central_vanishing_space_once(monkeypatch):
+    # counted like the annihilating conditions: a memoized counting body under the real one's name,
+    # bound where properness defines it and where derivations imports it
+    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    calls = []
+    body = lietriple.properness.central_vanishing_space.__wrapped__
+
+    @functools.wraps(body)
+    def counting(alg):
+        calls.append(alg)
+        return body(alg)
+
+    counted = lietriple.algebra.memoized(counting)
+    for module in (lietriple.properness, lietriple.derivations):
+        monkeypatch.setattr(module, "central_vanishing_space", counted)
+    u = upper_triangular_gma(3)
+    equivalence_audit(u)
+    assert calls == [u.algebra]
+    xi = LinearOperator.from_flat(u.algebra, solve_identity_space(u.algebra, K.LIE_TRIPLE_DERIVATION).basis[-1])
+    assert isinstance(decompose_ltd(u, xi), LTDDecomposition)
+    assert calls == [u.algebra]
 
 
 

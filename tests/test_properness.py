@@ -7,6 +7,7 @@ import pytest
 
 from lietriple.algebra import LinearOperator, StructureConstants, center, find_unit
 from lietriple.catalog import (
+    _matrix_units,
     dual_numbers,
     example_1_2,
     full_matrix_gma,
@@ -23,6 +24,7 @@ from lietriple.cli import main
 from lietriple.derivations import check_thm41_hypotheses
 from lietriple.errors import AnnihilatorConditionsFail, LieTripleError, NotLTC, NotUnital
 from lietriple.gma import (
+    GMA,
     Bimodule,
     CenterBlocks,
     assemble,
@@ -269,6 +271,17 @@ class TestEquivalence:
         rep = equivalence_audit(faithful_dual_number_triangular())
         assert rep.all_consistent
         assert (rep.ltc.dim, rep.direct.dim, rep.improper_codimension) == (5, 4, 1)
+
+    def test_unit_rows_weight_every_column_of_the_source_unit(self):
+        # the incidence algebra of the poset 1<4, 2<3, 2<4, split after point 2: A = Q x Q, whose
+        # unit e11 + e22 is no basis vector, so rows reading one column of A would accept 7 maps
+        cells = [(0, 0), (1, 1), (0, 3), (1, 2), (1, 3), (2, 2), (3, 3)]
+        u = GMA(_matrix_units(cells), (2, 3, 0, 2))
+        assert u.content_hash.startswith("8d33ac24")
+        rep = equivalence_audit(u)
+        assert rep.ltc.dim == 7
+        assert rep.direct == rep.ranges == rep.units and rep.units.dim == 5
+        assert rep.improper_codimension == 2
 
     @pytest.mark.parametrize("name", sorted(_audited_gmas()))
     def test_each_per_operator_route_agrees_with_the_audit(self, name):
