@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -37,37 +38,47 @@ from .linalg import (
 )
 from .record import Frozen
 
-# The package's one cache.  A key starts with the content hash of an
-# algebra or of a GMA (the algebra's hash and its block dims), so equal
-# ones share entries even when built as separate objects (every CLI
-# request builds its own), or with a deterministic catalog spec, so
-# ``catalog.resolve`` builds each named algebra once.  It also holds each
-# membership verdict of ``is_identity_member``, keyed by the operator's
-# exact coordinates, so the verdicts grow with the number of distinct
-# operators checked; nothing is evicted.
-_CACHE: dict[tuple, object] = {}
+
+class _Facts(dict):
+    """The facts derived about one algebra or GMA, keyed ``(function name, *args)``."""
+
+    __slots__ = ("__weakref__",)
 
 
-def cached(key: tuple, build):
-    """``_CACHE[key]``, made by ``build()`` on the first request; a hit hashes the key once."""
+# The package's one cache: the fact table (basis forms, slot groups,
+# solved spaces, membership verdicts) of each live algebra and GMA by its
+# content hash, held weakly.  Each one holds its table in ``_facts``, so
+# equal ones built apart (every CLI request builds its own) share it while
+# any of them is alive, and it is freed with the last of them.
+_CACHE: weakref.WeakValueDictionary[str, _Facts] = weakref.WeakValueDictionary()
+
+
+def _fact_table(content_hash: str) -> _Facts:
+    """The table of the live algebras or GMAs with this hash, or a new empty one if none is alive."""
+    return _CACHE.setdefault(content_hash, _Facts())
+
+
+def cached(table: dict, key: tuple, build):
+    """``table[key]``, made by ``build()`` on the first request; a hit hashes the key once."""
     try:
-        return _CACHE[key]
+        return table[key]
     except KeyError:
         pass
-    value = _CACHE[key] = build()
+    value = table[key] = build()
     return value
 
 
 def memoized(fn):
-    """Cache ``fn(x, *args)`` under ``(x.content_hash, name, *args)``, for x an algebra or a GMA.
+    """Cache ``fn(x, *args)`` under ``(name, *args)`` in ``x._facts``, for x an algebra or a GMA.
 
-    A call that raises stores nothing, so it raises again on every call.
+    The value lives as long as x or an equal algebra or GMA does.  A call
+    that raises stores nothing, so it raises again on every call.
     """
     name = fn.__qualname__
 
     @functools.wraps(fn)
     def wrapper(x, *args):
-        return cached((x.content_hash, name, *args), lambda: fn(x, *args))
+        return cached(x._facts, (name, *args), lambda: fn(x, *args))
 
     return wrapper
 
@@ -75,7 +86,7 @@ def memoized(fn):
 class StructureConstants(Frozen):
     """An algebra given by its dim and the nonzeros of its multiplication tensor, held with the tensor times D in ints."""
 
-    __slots__ = ("dim", "labels", "content_hash", "_sparse", "_int_table")
+    __slots__ = ("dim", "labels", "content_hash", "_facts", "_sparse", "_int_table")
 
     def __init__(self, dim: int, nonzeros, labels: Sequence[str] | None = None):
         n = dim
@@ -92,6 +103,7 @@ class StructureConstants(Frozen):
         object.__setattr__(self, "_int_table", (d, [rows[i * n : (i + 1) * n] for i in range(n)]))
         self._check_associativity()
         object.__setattr__(self, "content_hash", _content_hash(n, labels, sparse))
+        object.__setattr__(self, "_facts", _fact_table(self.content_hash))
 
     @property
     def table(self) -> list:

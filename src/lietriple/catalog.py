@@ -31,6 +31,9 @@ from .record import Record
 
 F = Fraction
 
+# The entries named by a deterministic spec, kept for the whole process.
+_NAMED: dict[tuple, object] = {}
+
 
 def rationals() -> StructureConstants:
     """The one-dimensional algebra Q."""
@@ -94,7 +97,7 @@ def _matrix_gma(kind: str, n: int, split: int, dim: int) -> GMA:
         units = _matrix_units([cell for corner in corners for cell in corner])
         return GMA(units, tuple(map(len, corners)))
 
-    return cached((f"{kind}({n})", "gma", split), build)
+    return cached(_NAMED, (f"{kind}({n})", "gma", split), build)
 
 
 def full_matrix_gma(n: int, split: int = 1) -> GMA:
@@ -309,15 +312,16 @@ def resolve(spec: str) -> CatalogEntry:
     Accepted forms: example_1_2, upper_triangular(n), full_matrix(n),
     tri(A.json,M.json,B.json), m2(A.json).  The first three do not
     depend on anything outside the spec, so each is built once per
-    process, in ``algebra._CACHE`` under the stripped spec as given (the
-    entry's name echoes it); a document form reads its files every time.
+    process, in ``_NAMED`` under the stripped spec as given (the entry's
+    name echoes it); a document form reads its files every time, and its
+    algebra's facts are freed with the entry.
     """
     spec = spec.strip()
     if spec == "example_1_2":
-        return cached((spec, "resolve"), _entry_example_1_2)
+        return cached(_NAMED, (spec, "resolve"), _entry_example_1_2)
     m = _MATRIX_SPEC.fullmatch(spec)
     if m:
-        return cached((spec, "resolve"), lambda: _matrix_entry(spec, m.group(1), int(m.group(2))))
+        return cached(_NAMED, (spec, "resolve"), lambda: _matrix_entry(spec, m.group(1), int(m.group(2))))
     m = re.fullmatch(r"tri\(([^,]+),([^,]+),([^)]+)\)", spec)
     if m:
         a = sc_from_doc(load_json(m.group(1).strip()))

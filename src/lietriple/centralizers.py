@@ -319,8 +319,8 @@ class IdentityCheck(Record):
 def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> IdentityCheck:
     """Evaluate every constraint tuple on the operator directly.
 
-    The verdict, witness included, is computed once per process for each
-    algebra, kind, block dims (``sjder`` only) and operator.  The operator
+    The verdict, witness included, is computed once per live algebra for
+    each kind, block dims (``sjder`` only) and operator.  The operator
     is keyed by its exact nonzero coordinates as (index, numerator,
     denominator) ints: they hash without ``Fraction`` and hold no copy of
     its zeros.
@@ -329,10 +329,8 @@ def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> Id
     _same_algebra(alg, op.algebra)
     flat = op.flatten()
     coords = tuple((k, x.numerator, x.denominator) for k, x in enumerate(flat) if x)
-    return cached(
-        (alg.content_hash, "is_identity_member", kind, dims, coords),
-        lambda: _membership(alg, kind, dims, flat),
-    )
+    key = ("is_identity_member", kind, dims, coords)
+    return cached(alg._facts, key, lambda: _membership(alg, kind, dims, flat))
 
 
 def _membership(alg: StructureConstants, kind: IdentityKind, dims: tuple | None, flat: Sequence) -> IdentityCheck:

@@ -28,6 +28,7 @@ from typing import Sequence
 from .algebra import (
     AlgebraElement,
     StructureConstants,
+    _fact_table,
     center,
     find_unit,
     memoized,
@@ -118,11 +119,11 @@ class GMA(Frozen):
     refuses a nonzero c[i][j][k] off the corner triples of ``_RULES``: the
     sliced context's block table is then the algebra's, so no second
     algebra is built.  The algebra and the dims thus fix the GMA, and
-    ``content_hash``, the algebra's hash with the dims, keys its entries
-    in ``algebra._CACHE``.
+    ``content_hash``, the algebra's hash with the dims, finds the table of
+    its facts: shared with every equal live GMA, freed with the last one.
     """
 
-    __slots__ = ("algebra", "context", "dims", "ranges", "content_hash")
+    __slots__ = ("algebra", "context", "dims", "ranges", "content_hash", "_facts")
 
     def __init__(self, algebra: StructureConstants, dims: tuple[int, int, int, int]):
         context = context_of(algebra, dims)
@@ -132,6 +133,7 @@ class GMA(Frozen):
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "ranges", block_ranges(dims))
         object.__setattr__(self, "content_hash", f"{algebra.content_hash}/{','.join(map(str, dims))}")
+        object.__setattr__(self, "_facts", _fact_table(self.content_hash))
 
     def __reduce__(self):
         return GMA, (self.algebra, self.dims)

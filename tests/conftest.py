@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import lietriple.algebra
+import lietriple.catalog
 import lietriple.gma
 
 settings.register_profile(
@@ -17,9 +18,25 @@ settings.load_profile("exact")
 
 
 @pytest.fixture
-def annihilator_checks(monkeypatch):
+def cold_cache(monkeypatch):
+    """Start the test with nothing cached; the value empties the cache again when called.
+
+    Every live fact table is emptied in place, and the catalog's named
+    entries are set aside until the test ends.
+    """
+
+    def clear():
+        for table in list(lietriple.algebra._CACHE.values()):
+            table.clear()
+        monkeypatch.setattr(lietriple.catalog, "_NAMED", {})
+
+    clear()
+    return clear
+
+
+@pytest.fixture
+def annihilator_checks(cold_cache, monkeypatch):
     """The GMAs whose annihilating conditions are computed, on a cleared cache; a cache hit adds none."""
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     calls = []
     body = lietriple.gma.check_annihilating_conditions.__wrapped__
 

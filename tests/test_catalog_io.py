@@ -261,10 +261,7 @@ def _tri_documents(tmp_path, m_dim: int) -> str:
 # 162^3 > 2**22: each path to a table past dim 161 is refused before any
 # structure of that size is made; M2(M9) has dim 4 * 81 = 324
 @pytest.mark.parametrize("route", ["catalog", "direct_sum", "assemble", "m2_of", "document"])
-def test_each_path_refuses_an_oversized_table_before_allocating_it(monkeypatch, tmp_path, route):
-    import lietriple.algebra
-
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+def test_each_path_refuses_an_oversized_table_before_allocating_it(cold_cache, tmp_path, route):
     # the corners and the documents are made before the measurement
     m9, tri = full_matrix(9), _tri_documents(tmp_path, 160)
     builds = {
@@ -286,11 +283,9 @@ def _no_table(cells):
     [(full_matrix, 13), (upper_triangular, 18), (full_matrix_gma, 13), (upper_triangular_gma, 18)],
     ids=["full", "upper", "full-gma", "upper-gma"],
 )
-def test_an_oversized_matrix_size_is_refused_before_a_cell_is_listed(monkeypatch, build, n):
-    import lietriple.algebra
+def test_an_oversized_matrix_size_is_refused_before_a_cell_is_listed(cold_cache, monkeypatch, build, n):
     import lietriple.catalog
 
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     monkeypatch.setattr(lietriple.catalog, "_matrix_units", _no_table)
     with pytest.raises(ValueError, match=f"^matrix size {n} is too large to build$"):
         build(n)
@@ -301,12 +296,10 @@ def test_an_oversized_matrix_size_is_refused_before_a_cell_is_listed(monkeypatch
     [(full_matrix, 12, 144), (upper_triangular, 17, 153), (full_matrix_gma, 12, 144), (upper_triangular_gma, 17, 153)],
     ids=["full", "upper", "full-gma", "upper-gma"],
 )
-def test_the_largest_matrix_sizes_reach_their_table(monkeypatch, build, n, dim):
+def test_the_largest_matrix_sizes_reach_their_table(cold_cache, monkeypatch, build, n, dim):
     # dim^3 <= 2**22 < (dim + 1)^3 holds for dim 161; these are the largest sizes within it
-    import lietriple.algebra
     import lietriple.catalog
 
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     monkeypatch.setattr(lietriple.catalog, "_matrix_units", _no_table)
     with pytest.raises(AssertionError, match=f"^the {dim} cells of a table were listed$"):
         build(n)
@@ -320,11 +313,9 @@ def test_ten_row_split_is_along_e11():
     assert [u.algebra.labels[i] for i in u.ranges["M"]] == [f"e1{j}" for j in range(2, 11)]
 
 
-def test_catalog_split_runs_once_per_algebra(monkeypatch):
-    import lietriple.algebra
+def test_catalog_split_runs_once_per_algebra(cold_cache, monkeypatch):
     import lietriple.catalog
 
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     calls = []
     build = lietriple.catalog._matrix_units
 
@@ -357,11 +348,9 @@ def test_catalog_gma_is_the_peirce_split_along_the_leading_units(raw, direct, n)
         assert tensors(context_of(built.algebra, built.dims)) == tensors(context_of(peirce.algebra, peirce.dims))
 
 
-def test_equal_m2_documents_share_one_assembly(monkeypatch, tmp_path):
-    import lietriple.algebra
+def test_equal_m2_documents_share_one_assembly(cold_cache, monkeypatch, tmp_path):
     import lietriple.gma
 
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     calls = []
     exact = lietriple.gma.assemble
 
@@ -379,11 +368,9 @@ def test_equal_m2_documents_share_one_assembly(monkeypatch, tmp_path):
     assert first.gma is second.gma
 
 
-def test_a_deterministic_spec_is_built_once(monkeypatch):
-    import lietriple.algebra
+def test_a_deterministic_spec_is_built_once(cold_cache, monkeypatch):
     import lietriple.catalog
 
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     calls = []
     units = lietriple.catalog._matrix_units
 

@@ -576,11 +576,9 @@ def test_member_checks_build_no_fraction(monkeypatch):
     assert check_gltd_correspondence(alg, phi + xi, xi)
 
 
-def test_equal_algebras_built_apart_share_one_solve(monkeypatch):
-    import lietriple.algebra
+def test_equal_algebras_built_apart_share_one_solve(cold_cache, monkeypatch):
     import lietriple.centralizers
 
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     # a solve builds one echelon and feeds it the constraint rows
     solves = []
     echelon = lietriple.centralizers._IntEchelon
@@ -709,12 +707,10 @@ def test_the_gltd_direct_route_reads_the_mirrored_tuples():
     assert (chk.witness, chk.lhs, chk.rhs) == _first_failing_tuple(alg, "ltd", lam.matrix, xi.matrix)
 
 
-def test_matrix_algebra_solves_close_by_evaluation(monkeypatch):
+def test_matrix_algebra_solves_close_by_evaluation(cold_cache, monkeypatch):
     """On M3 and M4 these kinds stop building rows and evaluate the tuples left, on the plain walk."""
-    import lietriple.algebra
     import lietriple.centralizers
 
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     # ltc and ltd on M_m would take the symmetric path, which walks no tuple
     monkeypatch.setattr(lietriple.centralizers, "symmetric_space", lambda alg, slots: None)
     evaluated = []
@@ -733,16 +729,14 @@ def test_matrix_algebra_solves_close_by_evaluation(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, dim", [("ltc", 5), ("ltd", 13)])
-def test_a_stale_pack_filters_to_the_catalog_space(monkeypatch, kind, dim):
+def test_a_stale_pack_filters_to_the_catalog_space(cold_cache, monkeypatch, kind, dim):
     """T4 packs kernels larger than the solution space, and some tuple fails on a pack made before the last rank increase.
 
     Such a tuple is eliminated like any other, so the stale pack is only a
     filter: the solve still ends on the kernel of every row.
     """
-    import lietriple.algebra
     import lietriple.centralizers
 
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     alg = upper_triangular(4)
     expected = _full_row_kernel(alg, K(kind))
     echelons, packs, stale_failures = [], {}, []
@@ -854,12 +848,10 @@ def test_no_two_limbs_cancel_in_the_packing():
         assert any(lhs != rhs for lhs, rhs in sides), j
 
 
-def test_m4_ltd_residuals_stay_below_the_packing_bound(monkeypatch):
+def test_m4_ltd_residuals_stay_below_the_packing_bound(cold_cache, monkeypatch):
     """At the first close of the M4 LTD solve, every tuple's residual on each packed vector is below 2^(B-1)."""
-    import lietriple.algebra
     import lietriple.centralizers
 
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     # the plain walk: the symmetric path of M_m packs no kernel
     monkeypatch.setattr(lietriple.centralizers, "symmetric_space", lambda alg, slots: None)
     closes = []

@@ -229,9 +229,8 @@ def test_solve_stdout_bytes_are_pinned(capsys, argv, digest):
         ("example_1_2", "sjder", "cd81cd9922eedd4c3d62ec32b51d88577e1681358c11f040e613d165edca857c"),
     ],
 )
-def test_warm_cache_solve_prints_cold_bytes(capsys, monkeypatch, spec, kind, digest):
+def test_warm_cache_solve_prints_cold_bytes(cold_cache, capsys, spec, kind, digest):
     """A repeated request in one process, served from the memoized split and solve, prints the same bytes."""
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     argv = ("solve", spec, "--identity", kind, "--format", "json")
     cold, warm = run_cli(capsys, *argv), run_cli(capsys, *argv)
     assert cold == warm
@@ -290,7 +289,7 @@ def test_certify_stdout_bytes_are_pinned(capsys, tmp_path, monkeypatch, spec, ar
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_warm_cache_certify_commands_print_cold_bytes(capsys, tmp_path, monkeypatch):
+def test_warm_cache_certify_commands_print_cold_bytes(cold_cache, capsys, tmp_path, monkeypatch):
     """proper, decompose, decompose --xi and hypotheses on T3, M3 and T4 print the same bytes cold and warm."""
     monkeypatch.chdir(tmp_path)
     argvs = []
@@ -307,7 +306,7 @@ def test_warm_cache_certify_commands_print_cold_bytes(capsys, tmp_path, monkeypa
                 ("decompose", spec, f"lam-{spec}.json", "--xi", f"xi-{spec}.json", "--format", fmt),
                 ("hypotheses", spec, "--format", fmt),
             ]
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    cold_cache()
     cold, warm = ([run_cli(capsys, *argv) for argv in argvs] for _ in range(2))
     assert [code for code, _, _ in cold] == [0] * len(argvs)
     assert cold == warm
@@ -548,11 +547,10 @@ class TestShapeErrors:
 
     # full_matrix(40) would ask for a 1600^3 table; the size is refused before
     # a cell is listed, so a helper that fails when called is never reached
-    def test_table_past_the_entry_bound_is_refused_unbuilt(self, capsys, monkeypatch):
+    def test_table_past_the_entry_bound_is_refused_unbuilt(self, cold_cache, capsys, monkeypatch):
         def unbuilt(cells):
             raise AssertionError("a table was listed")
 
-        monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
         monkeypatch.setattr(lietriple.catalog, "_matrix_units", unbuilt)
         code, out, err = run_cli(capsys, "solve", "full_matrix(40)", "--identity", "lc")
         assert (code, out, err) == (2, "", "invalid input: matrix size 40 is too large to build\n")

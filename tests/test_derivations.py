@@ -295,10 +295,9 @@ def test_generalized_decomposition_tests_the_hypotheses_once(annihilator_checks)
         assert annihilator_checks == [u]
 
 
-def test_the_audit_and_the_split_build_the_central_vanishing_space_once(monkeypatch):
+def test_the_audit_and_the_split_build_the_central_vanishing_space_once(cold_cache, monkeypatch):
     # counted like the annihilating conditions: a memoized counting body under the real one's name,
     # bound where properness defines it and where derivations imports it
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     calls = []
     body = lietriple.properness.central_vanishing_space.__wrapped__
 

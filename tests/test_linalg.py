@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lietriple.algebra import AlgebraElement, LinearOperator, StructureConstants, multiplication_operator
-import lietriple.algebra
 from lietriple import linalg
 from lietriple.catalog import full_matrix, rationals, scalar_bimodule, triangular_context, upper_triangular
 from lietriple.centralizers import IdentityKind, _constraint_tuples, _tuple_rows, solve_identity_space
@@ -687,7 +686,7 @@ def test_insert_costs_one_elimination_per_pivot_column(monkeypatch):
     assert [c for c in costs if c[0] > c[1]] == []
 
 
-def test_rebased_t3_solves_cost_at_most_three_quarters_of_the_least_column_eliminations(monkeypatch):
+def test_rebased_t3_solves_cost_at_most_three_quarters_of_the_least_column_eliminations(cold_cache, monkeypatch):
     """The seeded rebased T3 LTD and LTC solves make at most 0.75x the eliminations of least-column pivots.
 
     The T3 basis is the one of ``test_insert_costs_one_elimination_per_pivot_column``,
@@ -704,7 +703,6 @@ def test_rebased_t3_solves_cost_at_most_three_quarters_of_the_least_column_elimi
         return eliminate(*args)
 
     monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     t3 = rebased(upper_triangular(3), unit_diagonal_basis(random.Random(0), 6))
     for kind, least_column, dim in [
         (IdentityKind.LIE_TRIPLE_DERIVATION, 1280, 8),

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-import lietriple.algebra
 import lietriple.centralizers
 import lietriple.symmetry
 from lietriple.algebra import LinearOperator, StructureConstants
@@ -62,12 +61,12 @@ ORDERS = {
 @pytest.mark.parametrize("kind", TRIPLE_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("m", range(2, 7))
-def test_the_symmetric_solve_gives_the_plain_walks_basis(monkeypatch, m, order, kind):
+def test_the_symmetric_solve_gives_the_plain_walks_basis(cold_cache, monkeypatch, m, order, kind):
     alg = ORDERS[order](m)
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    cold_cache()
     assert matrix_unit_symmetry(alg) is not None
     symmetric = solve_identity_space(alg, kind)
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
+    cold_cache()
     monkeypatch.setattr(lietriple.centralizers, "symmetric_space", lambda alg, slots: None)
     assert solve_identity_space(alg, kind) == symmetric
 
@@ -155,31 +154,29 @@ def test_the_representatives_stop_growing_at_m_6(mirrored):
 
 
 @pytest.mark.parametrize("kind", TRIPLE_KINDS, ids=lambda k: k.value)
-def test_the_symmetric_solve_builds_no_triple_form(monkeypatch, kind):
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
-    solve_identity_space(full_matrix(4), kind)
-    assert not [key for key in lietriple.algebra._CACHE if key[1:] == ("basis_tensor", "triple")]
+def test_the_symmetric_solve_builds_no_triple_form(cold_cache, kind):
+    alg = full_matrix(4)
+    solve_identity_space(alg, kind)
+    assert ("basis_tensor", "triple") not in alg._facts
 
 
 @pytest.mark.parametrize("kind", [k for k in IdentityKind if k not in TRIPLE_KINDS], ids=lambda k: k.value)
-def test_other_kinds_never_ask_for_the_symmetry(monkeypatch, kind):
+def test_other_kinds_never_ask_for_the_symmetry(cold_cache, monkeypatch, kind):
     def refuse(alg, slots):
         raise AssertionError("symmetric path asked")
 
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     monkeypatch.setattr(lietriple.centralizers, "symmetric_space", refuse)
     target = full_matrix_gma(3) if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION else full_matrix(3)
     solve_identity_space(target, kind)
 
 
 @pytest.mark.parametrize("kind", TRIPLE_KINDS, ids=lambda k: k.value)
-def test_a_vanishing_form_walks_no_tuple(monkeypatch, kind):
+def test_a_vanishing_form_walks_no_tuple(cold_cache, monkeypatch, kind):
     """[[x, y], z] = 0 on example_1_2: its solve and its membership checks read no basis tuple."""
 
     def refuse(*args):
         raise AssertionError("a tuple was walked")
 
-    monkeypatch.setattr(lietriple.algebra, "_CACHE", {})
     monkeypatch.setattr(lietriple.centralizers, "_tags", refuse)
     alg = example_1_2().gma.algebra
     assert solve_identity_space(alg, kind).is_full()
