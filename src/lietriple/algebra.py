@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import weakref
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AlgebraMismatch, DimensionMismatch, NotAssociative, NotUnital
 from .linalg import (
@@ -83,6 +85,11 @@ def memoized(fn):
     return wrapper
 
 
+def held(fn, x, *args):
+    """The value of the ``memoized`` fn(x, *args) if x's fact table already holds it, else None; nothing is computed."""
+    return x._facts.get((fn.__qualname__, *args))
+
+
 class StructureConstants(Frozen):
     """An algebra given by its dim and the nonzeros of its multiplication tensor, held with the tensor times D in ints."""
 
@@ -135,12 +142,7 @@ class StructureConstants(Frozen):
         _, sp = self._int_table
         m = max((abs(x) for plane in sp for row in plane for _, x in row), default=0)
         shift = (2 * n * m * m).bit_length() + 1
-        # zr[a][l]: coordinate l of e_a z
-        zr = [{} for _ in range(n)]
-        for a in range(n):
-            for k in range(n):
-                for l, x in sp[a][k]:
-                    zr[a][l] = zr[a].get(l, 0) + (x << shift * k)
+        zr = [_packed(enumerate(sp[a]), shift) for a in range(n)]  # zr[a][l]: coordinate l of e_a z
         for i in range(n):
             for j in range(n):
                 diff: dict[int, int] = {}
@@ -409,6 +411,67 @@ def _tuple_rows(n: int, w, terms) -> list[dict[int, int]]:
                 else:
                     del row[key]
     return list(filter(None, rows))
+
+
+@memoized
+def _form_weight(alg: StructureConstants, form: str) -> int:
+    """The sum of |values| of a basis form: the factor of the form in ``_digit_shift``'s bound."""
+    return sum(abs(x) for w in basis_tensor(alg, form)[1].values() for _, x in w)
+
+
+def _digit_shift(alg: StructureConstants, form: str, slots: tuple, m: int) -> int:
+    """B with |r| < 2^(B-1) for every coordinate r of lhs - rhs at one tuple, on int operators of |entries| <= m.
+
+    Each side reads w, or one slice of the form per slot, on one operator column: |r| <= m (1 + #slots) sum |form|.
+    """
+    return (m * (1 + len(slots)) * _form_weight(alg, form)).bit_length() + 1
+
+
+def _packed(terms: Iterable[tuple[int, Iterable[tuple[int, int]]]], shift: int) -> dict[int, int]:
+    """{l: the sum of x * 2^(shift*k)} over the pairs (l, x) of each (k, pairs) of ``terms``."""
+    out: dict[int, int] = {}
+    for k, v in terms:
+        for l, x in v:
+            out[l] = out.get(l, 0) + (x << shift * k)
+    return out
+
+
+def _failing_tags(alg: StructureConstants, form: str, slots: tuple, tags, phi: list, mats: Sequence[list]) -> Iterator:
+    """Each tuple of ``tags`` (lexicographic) at which an identity fails: phi on the left, ``mats[p]`` in the p-th slot.
+
+    The operators are n int columns {row: int}.  A tuple is a prefix, (i,
+    j) or (i,), and a last index k, packed at 2^(B*k) on the form's side
+    and, in the last slot, on the operator's rows (Kronecker substitution;
+    D. Harvey, J. Symbolic Comput. 44, 2009): coordinate l of a prefix's
+    residual is sum_k r_k 2^(B*k), r_k that of lhs - rhs at (prefix, k).
+    With B from ``_digit_shift``, |r_k| < 2^(B-1), so adding 2^(B-1) to
+    every digit makes each r_k + 2^(B-1) a plain B-bit digit: r_k is 0 iff
+    that digit is 2^(B-1).
+    """
+    n, last = alg.dim, 2 if form == "triple" else 1
+    m = max((abs(x) for op in (phi, *mats) for col in op for x in col.values()), default=0)
+    shift, groups = _digit_shift(alg, form, slots, m), _slot_terms(alg, form, last)
+    half, mask = 1 << shift - 1, (1 << shift) - 1
+    offset = sum(half << shift * k for k in range(n))  # 2^(B-1) in every digit
+    packs = {prefix: _packed(group, shift) for prefix, group in groups.items()}
+    inner = [(s, op) for s, op in zip(slots, mats) if s != last]
+    outer = [_packed(enumerate(col.items() for col in op), shift) for s, op in zip(slots, mats) if s == last]
+    for prefix, read in itertools.groupby(tags, itemgetter(slice(-1))):
+        res = [0] * n
+        for c, x in packs.get(prefix, {}).items():
+            for r, y in phi[c].items():
+                res[r] += x * y
+        for s, op in inner:  # the form with phi(e_i) at slot s, i = prefix[s]
+            for lp, y in op[prefix[s]].items():
+                for l, x in packs.get(prefix[:s] + (lp,) + prefix[s + 1 :], {}).items():
+                    res[l] -= x * y
+        for rows in outer:  # the form at (prefix, phi(e_k))
+            for lp, v in groups.get(prefix, ()):
+                for l, x in v if lp in rows else ():
+                    res[l] -= x * rows[lp]
+        if any(res):
+            failing = {k for x in res if x for k in range(n) if (x + offset) >> shift * k & mask != half}
+            yield from (tag for tag in read if tag[-1] in failing)
 
 
 @memoized

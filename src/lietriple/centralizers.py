@@ -10,11 +10,12 @@ phi([[a,b],c]) = [[phi(a),b],c], a Lie triple derivation puts phi in
 all three slots of the same form.  Each basis tuple then contributes
 one vector equation, read off the form grouped by slot in
 ``algebra._slot_terms``.  ``_constraint_tuples`` is the only source of
-those equations on a walk over the tuples (``symmetry.triple_tuple``
-reads one tuple's off the bracket form), and ``_tuple_sides`` the only
-evaluator of one of them on given operators.  ``_identity_residuals``
-runs the evaluator over every tuple for a membership check.  For lieder, jder, sjder and ltd,
-phi fills both mirrored arguments of a form symmetric (Jordan) or
+those equations (``symmetry.triple_tuple`` reads one tuple's off the
+bracket form), and ``_tuple_sides`` the only evaluator of one of them on
+given operators.  ``_identity_residuals`` finds the tuples that fail on
+given operators with ``algebra._failing_tags``, one packed pass per prefix
+of the tuples, and evaluates those alone.  For lieder, jder, sjder and
+ltd, phi fills both mirrored arguments of a form symmetric (Jordan) or
 antisymmetric (bracket, triple) in them, so the tuple (j, i, ...) only
 repeats or negates (i, j, ...), and the tuples with i > j are skipped;
 for bracket and triple, (i, i, ...) vanishes identically and is skipped
@@ -33,13 +34,15 @@ came in is the kernel of fewer rows, so it contains K, and a tuple
 vanishing there vanishes on K too.  A failing tuple that adds no rank
 was eliminated for nothing, and when that lost work reaches the least a
 pack costs, K is packed again.  The result is the kernel of every row,
-with the same canonical basis.  So membership checks agree with the
-solved space by construction.  On the matrix units of M_m, in any basis
+with the same canonical basis.  On the matrix units of M_m, in any basis
 order, the two triple kinds stop before the walk: the rows of one tuple
 per orbit of the algebra's symmetry group, read off the bracket form
 and closed under the group's generators, already span every row, which
-``symmetry`` proves.  There the membership checks,
-which still walk every tuple, are an independent check of the solver.
+``symmetry`` proves.  ``is_identity_member`` reads "holds" off a solved
+space the fact table already holds, and walks the tuples otherwise or
+for a non-member.  The re-checks of the solver's own output go through
+``_walked_membership``, which always walks, so they stay an independent
+check of the solver.
 
 Both work on ints: the basis forms are ints times a scale, and the
 evaluator (like the Thm 3.1 verifier) scales its operators once by
@@ -54,8 +57,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
-    AlgebraElement, LinearOperator, StructureConstants, _same_algebra, _slot_terms, _tuple_rows, basis_tensor, cached,
-    center, find_unit, memoized,
+    AlgebraElement, LinearOperator, StructureConstants, _digit_shift, _failing_tags, _packed, _same_algebra,
+    _slot_terms, _tuple_rows, basis_tensor, cached, center, find_unit, held, memoized,
 )
 from .errors import DimensionMismatch, NotGMA, NotUnital
 from .gma import GMA, block_ranges, require_block_hypotheses
@@ -109,23 +112,23 @@ def _tags(n: int, form: str, slots: tuple, every: bool) -> Iterator[tuple]:
     return ((i, j, k) for i, j in pairs for k in range(n)) if form == "triple" else pairs
 
 
-def _constraint_tuples(alg: StructureConstants, kind: IdentityKind, every: bool = False) -> Iterator[tuple]:
+def _constraint_tuples(alg: StructureConstants, kind: IdentityKind, tags: Iterable[tuple] | None = None) -> Iterator[tuple]:
     """Yield (tag, w, terms) with the equation phi(w) = sum of the terms.
 
-    ``tag`` runs over the basis tuples of ``_tags`` in lexicographic
-    order and ``w`` is the form at ``tag``, both sparse.  A term
-    (p, i, group) is the form with phi(e_i) in the kind's p-th slot: the
-    sum over (l', v) in ``group`` of phi[l', i] * v.  Tuples whose w and
-    terms all vanish are skipped; their rows would be identically 0.
-    All values are the ints of ``basis_tensor``, so both sides carry the
-    form's scale.
+    ``tag`` runs over ``tags``, by default the basis tuples of ``_tags``
+    less the mirrored ones, in lexicographic order, and ``w`` is the form
+    at ``tag``, both sparse.  A term (p, i, group) is the form with
+    phi(e_i) in the kind's p-th slot: the sum over (l', v) in ``group`` of
+    phi[l', i] * v.  Tuples whose w and terms all vanish are skipped;
+    their rows would be identically 0.  All values are the ints of
+    ``basis_tensor``, so both sides carry the form's scale.
     """
     form, slots = _FORMS[kind]
     table = basis_tensor(alg, form)[1]
     if not table:  # the form vanishes identically, and so does every tuple
         return
     groups = [_slot_terms(alg, form, s) for s in slots]
-    for tag in _tags(alg.dim, form, slots, every):
+    for tag in _tags(alg.dim, form, slots, False) if tags is None else tags:
         terms = []
         for p, s in enumerate(slots):
             group = groups[p].get(tag[:s] + tag[s + 1 :])
@@ -144,20 +147,24 @@ def _identity_residuals(
     ``flat`` is phi on the left-hand side, column-major.  On the right,
     the p-th slot phi enters holds ``slot_flats[p]``, by default ``flat``
     itself.  The operators, times their common denominator d, are int
-    columns {row: int}, so both sides are int lists times s = (form
-    scale) * d; only a differing pair is divided by s into Fractions.
+    columns {row: int}.  ``algebra._failing_tags`` finds the failing tuples,
+    one packed pass per prefix, and ``_tuple_sides`` evaluates each: both
+    sides are int lists times s = (form scale) * d, divided by s into
+    Fractions.
     """
     form, slots = _FORMS[kind]
     n = alg.dim
-    ops = (flat, *(slot_flats or (flat,) * len(slots)))
-    d, ints = clear_denominators(((k, x) for k, x in enumerate(op) if x) for op in ops)
+    d, ints = clear_denominators(((k, x) for k, x in enumerate(op) if x) for op in (flat, *(slot_flats or ())))
     phi, *mats = (_columns(n, (v,), 0) for v in ints)
-    s = basis_tensor(alg, form)[0] * d
+    mats = mats or (phi,) * len(slots)
+    scale, table = basis_tensor(alg, form)
+    if not table:  # the form vanishes identically, and so does every tuple
+        return
     # a mirrored tuple is a copy of its twin only when every slot holds phi
-    for tag, w, terms in _constraint_tuples(alg, kind, every=slot_flats is not None):
+    for tag in _failing_tags(alg, form, slots, _tags(n, form, slots, slot_flats is not None), phi, mats):
+        ((_, w, terms),) = _constraint_tuples(alg, kind, (tag,))
         lhs, rhs = _tuple_sides(n, w, terms, phi, mats)
-        if lhs != rhs:
-            yield tag, tuple(Fraction(x, s) for x in lhs), tuple(Fraction(x, s) for x in rhs)
+        yield tag, tuple(Fraction(x, scale * d) for x in lhs), tuple(Fraction(x, scale * d) for x in rhs)
 
 
 def _columns(n: int, vectors: Iterable[Iterable[tuple[int, int]]], shift: int) -> list[dict[int, int]]:
@@ -166,10 +173,8 @@ def _columns(n: int, vectors: Iterable[Iterable[tuple[int, int]]], shift: int) -
     One vector at shift 0 gives its own operator; several give a pack.
     """
     cols = [{} for _ in range(n)]
-    for b, v in enumerate(vectors):
-        for k, x in v:
-            c, r = divmod(k, n)
-            cols[c][r] = cols[c].get(r, 0) + (x << shift * b)
+    for k, x in _packed(enumerate(vectors), shift).items():
+        cols[k // n][k % n] = x
     return cols
 
 
@@ -227,28 +232,18 @@ def solve_identity_space(alg_or_gma, kind: IdentityKind) -> Subspace:
     return _solved_space(alg, kind, dims)
 
 
-@memoized
-def _form_weight(alg: StructureConstants, form: str) -> int:
-    """The sum of |values| of a basis form: the factor of the form in ``_packed_kernel``'s bound."""
-    return sum(abs(x) for w in basis_tensor(alg, form)[1].values() for _, x in w)
-
-
 def _packed_kernel(alg: StructureConstants, kind: IdentityKind, vectors: list[dict[int, int]]) -> list[dict[int, int]]:
     """Int kernel vectors k_b, sparse over operator coordinates, as one operator sum_b k_b * 2^(B*b) in int columns.
 
     This is Kronecker substitution.  The evaluator is linear, so each
     coordinate of lhs - rhs on the packed operator is sum_b r_b * 2^(B*b),
     with r_b that coordinate on k_b.  For m the largest |entry| of the
-    k_b, each side on k_b reads w and at most one slice of the form per
-    slot, so |r_b| <= m * (1 + #slots) * (sum of |values| of the form),
-    which B keeps below 2^(B-1); balanced digits that small are unique,
-    so the packed sides agree iff they agree on every k_b.
+    k_b, ``algebra._digit_shift`` gives B with |r_b| < 2^(B-1); balanced
+    digits that small are unique, so the packed sides agree iff they
+    agree on every k_b.
     """
-    n = alg.dim
-    form, slots = _FORMS[kind]
     m = max((abs(x) for v in vectors for x in v.values()), default=0)
-    shift = (m * (1 + len(slots)) * _form_weight(alg, form)).bit_length() + 1
-    return _columns(n, (v.items() for v in vectors), shift)
+    return _columns(alg.dim, (v.items() for v in vectors), _digit_shift(alg, *_FORMS[kind], m))
 
 
 @memoized
@@ -317,13 +312,28 @@ class IdentityCheck(Record):
 
 
 def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> IdentityCheck:
-    """Evaluate every constraint tuple on the operator directly.
+    """Decide whether the operator satisfies the identity.
+
+    A member of the solved space the fact table already holds for the
+    kind and block dims (``sjder`` only) is answered off that space.
+    Otherwise ``_walked_membership`` walks the tuples, and a non-member's
+    witness is the first failing one.
+    """
+    alg, dims = _resolve(alg_or_gma, kind)
+    _same_algebra(alg, op.algebra)
+    space = held(_solved_space, alg, kind, dims)
+    if space is not None and space.contains_vector(op.flatten()):
+        return IdentityCheck(True)
+    return _walked_membership(alg_or_gma, kind, op)
+
+
+def _walked_membership(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> IdentityCheck:
+    """The verdict of walking every constraint tuple on the operator: the re-checks of a solver's output read this alone.
 
     The verdict, witness included, is computed once per live algebra for
-    each kind, block dims (``sjder`` only) and operator.  The operator
-    is keyed by its exact nonzero coordinates as (index, numerator,
-    denominator) ints: they hash without ``Fraction`` and hold no copy of
-    its zeros.
+    each kind, block dims and operator.  The operator is keyed by its
+    exact nonzero coordinates as (index, numerator, denominator) ints:
+    they hash without ``Fraction`` and hold no copy of its zeros.
     """
     alg, dims = _resolve(alg_or_gma, kind)
     _same_algebra(alg, op.algebra)
@@ -334,7 +344,7 @@ def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> Id
 
 
 def _membership(alg: StructureConstants, kind: IdentityKind, dims: tuple | None, flat: Sequence) -> IdentityCheck:
-    """The verdict of ``is_identity_member`` on a column-major flat; ``dims`` adds the singular kind's sparsity pattern."""
+    """The verdict of ``_walked_membership`` on a column-major flat; ``dims`` adds the singular kind's sparsity pattern."""
     n = alg.dim
     if dims is not None:
         for row in _sparsity_rows(n, dims):

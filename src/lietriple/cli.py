@@ -16,7 +16,7 @@ import json
 import sys
 
 from .algebra import LinearOperator, center, double_commutator_span
-from .catalog import CatalogEntry, example_1_2, resolve, standard_gmas
+from .catalog import CatalogEntry, resolve, standard_gmas
 from .centralizers import (
     CORNERS,
     IdentityKind,
@@ -238,8 +238,9 @@ def reproduction_checks() -> list[dict]:
     def record(name: str, passed: bool, detail: str = "") -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    ex = example_1_2()
-    alg = ex.gma.algebra
+    entry = resolve("example_1_2")  # a named entry, assembled once per process
+    alg = entry.algebra
+    phi, a0, b0, expected_center = (entry.extras[k] for k in ("phi", "a0", "b0", "expected_center"))
     record(
         "example: all double commutators vanish",
         double_commutator_span(alg).is_zero(),
@@ -247,10 +248,10 @@ def reproduction_checks() -> list[dict]:
     )
     record(
         "example: swap map satisfies the triple-centralizer identity",
-        bool(is_identity_member(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, ex.phi)),
+        bool(is_identity_member(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, phi)),
     )
-    lhs = ex.phi((ex.a0 * ex.b0) - (ex.b0 * ex.a0))
-    rhs = (ex.phi(ex.a0) * ex.b0) - (ex.b0 * ex.phi(ex.a0))
+    lhs = phi((a0 * b0) - (b0 * a0))
+    rhs = (phi(a0) * b0) - (b0 * phi(a0))
     record(
         "example: swap map fails the Lie-centralizer identity at the witnesses",
         lhs != rhs,
@@ -258,13 +259,13 @@ def reproduction_checks() -> list[dict]:
     )
     record(
         "example: center is the corner grid of dimension 4",
-        center(alg) == ex.expected_center and ex.expected_center.dim == 4,
+        center(alg) == expected_center and expected_center.dim == 4,
     )
-    res = is_proper_direct(alg, ex.phi, probes=[ex.a0])
+    res = is_proper_direct(alg, phi, probes=[a0])
     witness_ok = (
         isinstance(res, Infeasible)
         and res.witness_element is not None
-        and res.witness_element.coords == ex.a0.coords
+        and res.witness_element.coords == a0.coords
         and not center(alg).contains_vector(res.witness_image.coords)
     )
     record("example: no proper splitting; the image of A0 escapes the center", witness_ok)

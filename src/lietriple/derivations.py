@@ -33,6 +33,7 @@ from .centralizers import (
     IdentityCheck,
     IdentityKind,
     _identity_residuals,
+    _walked_membership,
     is_identity_member,
     solve_identity_space,
 )
@@ -210,9 +211,9 @@ def decompose_ltd(u: GMA, xi: LinearOperator) -> LTDDecomposition | Infeasible:
         LinearOperator.from_flat(alg, combination(c, space.basis, n))
         for c, space in ((coeffs[:d1], der), (coeffs[d1:d2], sjd), (coeffs[d2:], cv))
     )
-    if not is_identity_member(alg, IdentityKind.DERIVATION, delta):
+    if not _walked_membership(alg, IdentityKind.DERIVATION, delta):
         raise LieTripleError("derivation part failed its identity")
-    if not is_identity_member(u, IdentityKind.SINGULAR_JORDAN_DERIVATION, singular):
+    if not _walked_membership(u, IdentityKind.SINGULAR_JORDAN_DERIVATION, singular):
         raise LieTripleError("singular part failed its identity")
     if not all(central_vanishing_verdicts(alg, gamma)):
         raise LieTripleError("central part escaped its space")
@@ -275,9 +276,9 @@ def decompose_generalized_ltd(
     into_center, kills_dc = central_vanishing_verdicts(alg, psi)
     total = split.delta + split.singular + psi + multiplication_operator(alg, lam.coords)
     transcript = (
-        ("delta is a derivation", bool(is_identity_member(alg, IdentityKind.DERIVATION, split.delta))),
+        ("delta is a derivation", bool(_walked_membership(alg, IdentityKind.DERIVATION, split.delta))),
         ("singular part is a singular Jordan derivation",
-         bool(is_identity_member(u, IdentityKind.SINGULAR_JORDAN_DERIVATION, split.singular))),
+         bool(_walked_membership(u, IdentityKind.SINGULAR_JORDAN_DERIVATION, split.singular))),
         ("psi maps into the center", into_center),
         ("psi kills the double-commutator span", kills_dc),
         ("lambda is central", center(alg).contains_vector(lam.coords)),

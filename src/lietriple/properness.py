@@ -348,6 +348,9 @@ def equivalence_audit(u: GMA) -> EquivalenceReport:
     {c*n + r: f_l} vanish, f over the annihilator of the target (pi_B(Z)
     for the columns c of alpha4, pi_A(Z) for those of beta1): every row,
     or per f the sum of its rows weighted by the source corner's unit.
+    Each is solved on the coefficients of the LTC basis, dim LTC unknowns.
+    That basis is 1 at each pivot, its least column, and 0 at the others,
+    so it maps the kernel's canonical basis to a canonical one.
     """
     alg, n = u.algebra, u.algebra.dim
     blocks = center_block_description(u)
@@ -363,5 +366,11 @@ def equivalence_audit(u: GMA) -> EquivalenceReport:
             cols = [{c * n + into[l]: x for l, x in f.items() if x} for c in u.block_range(source)]
             ranges += cols
             units.append({k: w * x for w, col in zip(one, cols) if w for k, x in col.items()})
-    dual = ltc.annihilator().basis
-    return EquivalenceReport(ltc, direct, *(kernel_of_rows(n * n, (*dual, *rows)) for rows in (ranges, units)))
+    basis = int_flats(*ltc.basis)
+
+    def inside(rows: list[dict]) -> Subspace:
+        kernel = kernel_of_rows(ltc.dim, zip(*(row_values(rows, v) for v in basis)))
+        vectors = (dict(enumerate(combination(c, ltc.basis, n * n))) for c in kernel.basis)
+        return Subspace._reduced(n * n, vectors, [ltc.pivots[q] for q in kernel.pivots])
+
+    return EquivalenceReport(ltc, direct, inside(ranges), inside(units))

@@ -45,9 +45,11 @@ t's negated), and for phi in K, E_gt(phi) = g E_t(g^-1.phi) = 0 by (a),
 since g^-1.phi is in K.  So K = S, and R' = R, which the echelon holds
 in reduced form: the kernel's canonical basis is the plain walk's.  The
 rows of a representative are read off the bracket form alone, so the
-triple form over all n^3 tuples is never built.  Membership checks
-still walk every tuple, which keeps them an independent check of this
-argument.  A table that fails any test gets None and the plain walk.
+triple form over all n^3 tuples is never built.  The re-checks of a
+solver's output (``centralizers._walked_membership``) still walk every
+tuple, which keeps them an independent check of this argument; a plain
+membership check may read the solved space instead.  A table that fails
+any test gets None and the plain walk.
 """
 
 from __future__ import annotations

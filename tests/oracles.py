@@ -149,17 +149,19 @@ def _jrd(x, y):
 
 
 # kind -> (phi, g, *elements) -> (lhs, rhs); g is phi in every slot after the first
+# kind -> (f, s, *basis elements) -> (lhs, rhs): f is the map on the
+# left-hand side and s[p] the map in the p-th slot it enters on the right
 _IDENTITIES = {
-    "lc": lambda f, g, x, y: (f(_brk(x, y)), _brk(f(x), y)),
-    "jc": lambda f, g, x, y: (f(_jrd(x, y)), _jrd(f(x), y)),
-    "der": lambda f, g, x, y: (f(x * y), f(x) * y + x * g(y)),
-    "lieder": lambda f, g, x, y: (f(_brk(x, y)), _brk(f(x), y) + _brk(x, g(y))),
-    "jder": lambda f, g, x, y: (f(_jrd(x, y)), _jrd(f(x), y) + _jrd(x, g(y))),
-    "ltc": lambda f, g, x, y, z: (f(_brk(_brk(x, y), z)), _brk(_brk(f(x), y), z)),
-    "ltc_middle": lambda f, g, x, y, z: (f(_brk(_brk(x, y), z)), _brk(_brk(x, f(y)), z)),
-    "ltd": lambda f, g, x, y, z: (
+    "lc": lambda f, s, x, y: (f(_brk(x, y)), _brk(s[0](x), y)),
+    "jc": lambda f, s, x, y: (f(_jrd(x, y)), _jrd(s[0](x), y)),
+    "der": lambda f, s, x, y: (f(x * y), s[0](x) * y + x * s[1](y)),
+    "lieder": lambda f, s, x, y: (f(_brk(x, y)), _brk(s[0](x), y) + _brk(x, s[1](y))),
+    "jder": lambda f, s, x, y: (f(_jrd(x, y)), _jrd(s[0](x), y) + _jrd(x, s[1](y))),
+    "ltc": lambda f, s, x, y, z: (f(_brk(_brk(x, y), z)), _brk(_brk(s[0](x), y), z)),
+    "ltc_middle": lambda f, s, x, y, z: (f(_brk(_brk(x, y), z)), _brk(_brk(x, s[0](y)), z)),
+    "ltd": lambda f, s, x, y, z: (
         f(_brk(_brk(x, y), z)),
-        _brk(_brk(f(x), y), z) + _brk(_brk(x, g(y)), z) + _brk(_brk(x, y), g(z)),
+        _brk(_brk(s[0](x), y), z) + _brk(_brk(x, s[1](y)), z) + _brk(_brk(x, y), s[2](z)),
     ),
 }
 
@@ -176,7 +178,7 @@ def _operator(alg, op_matrix):
 def _residual_stream(alg: StructureConstants, images, kind: str):
     f = lambda x: _apply(alg, images, x)
     for args in itertools.product(alg.basis(), repeat=_arity(kind)):
-        lhs, rhs = _IDENTITIES[kind](f, f, *args)
+        lhs, rhs = _IDENTITIES[kind](f, (f, f, f), *args)
         yield (lhs - rhs).coords
 
 
@@ -185,11 +187,17 @@ def identity_sides(alg: StructureConstants, kind: str, tag, op_matrix, slot_matr
 
     phi is ``op_matrix`` on the left and in the first slot; in the other
     slots it is ``slot_matrix`` when given, as xi is in the generalized
-    Lie triple derivation identity with Lambda = ``op_matrix``.
+    Lie triple derivation identity with Lambda = ``op_matrix``.  A tuple
+    of matrices as ``slot_matrix`` gives the map in every slot phi
+    enters, the first included.
     """
     f = _operator(alg, op_matrix)
-    g = f if slot_matrix is None else _operator(alg, slot_matrix)
-    return _IDENTITIES[kind](f, g, *(alg.basis_element(i) for i in tag))
+    if isinstance(slot_matrix, tuple):
+        slots = tuple(_operator(alg, m) for m in slot_matrix)
+    else:
+        g = f if slot_matrix is None else _operator(alg, slot_matrix)
+        slots = (f, g, g)
+    return _IDENTITIES[kind](f, slots, *(alg.basis_element(i) for i in tag))
 
 
 def dense_identity_space(alg: StructureConstants, kind: str) -> tuple:

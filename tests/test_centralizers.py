@@ -26,6 +26,7 @@ from lietriple.centralizers import (
     _packed_kernel,
     _six_map_layout,
     _sparsity_rows,
+    _tags,
     _tuple_sides,
     block_decompose,
     build_from_blocks,
@@ -622,7 +623,7 @@ def _full_row_kernel(alg_or_gma, kind):
     alg = u.algebra if u else alg_or_gma
     n = alg.dim
     rows = []
-    for _tag, w, terms in _constraint_tuples(alg, kind, every=True):
+    for _tag, w, terms in _constraint_tuples(alg, kind, _tags(alg.dim, *_FORMS[kind], True)):
         # row l: phi(w) - sum of the terms, read at l; zero entries may stay
         tuple_rows = [{c * n + l: x for c, x in w} for l in range(n)]
         for _p, i, group in terms:

@@ -316,6 +316,24 @@ def test_warm_cache_certify_commands_print_cold_bytes(cold_cache, capsys, tmp_pa
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_reproduction_checks_assemble_example_1_2_once_per_process(cold_cache, monkeypatch):
+    """Three in-process runs read example 1.2 through its named entry: one assembly, and equal checks each time."""
+    import lietriple.gma
+    from lietriple.cli import reproduction_checks
+
+    assembled = []
+    real = lietriple.gma.assemble
+
+    def counting(ctx):
+        assembled.append(real(ctx))
+        return assembled[-1]
+
+    monkeypatch.setattr(lietriple.gma, "assemble", counting)
+    runs = [reproduction_checks() for _ in range(3)]
+    assert runs[0] == runs[1] == runs[2] and all(check["passed"] for check in runs[0])
+    assert [u.content_hash for u in assembled] == [resolve("example_1_2").gma.content_hash]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

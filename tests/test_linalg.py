@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from lietriple.algebra import AlgebraElement, LinearOperator, StructureConstants, multiplication_operator
 from lietriple import linalg
 from lietriple.catalog import full_matrix, rationals, scalar_bimodule, triangular_context, upper_triangular
-from lietriple.centralizers import IdentityKind, _constraint_tuples, _tuple_rows, solve_identity_space
+from lietriple.centralizers import _FORMS, IdentityKind, _constraint_tuples, _tags, _tuple_rows, solve_identity_space
 from lietriple.errors import DimensionMismatch
 from lietriple.gma import Bimodule, MoritaContext
 from lietriple.linalg import (
@@ -679,7 +679,8 @@ def test_insert_costs_one_elimination_per_pivot_column(monkeypatch):
     monkeypatch.setattr(_IntEchelon, "insert", checked_insert)
     t3 = rebased(upper_triangular(3), unit_diagonal_basis(random.Random(0), 6))
     ech = _IntEchelon()
-    for _tag, w, terms in _constraint_tuples(t3, IdentityKind.LIE_TRIPLE_DERIVATION, every=True):
+    ltd = IdentityKind.LIE_TRIPLE_DERIVATION
+    for _tag, w, terms in _constraint_tuples(t3, ltd, _tags(t3.dim, *_FORMS[ltd], True)):
         for row in _tuple_rows(t3.dim, w, terms):
             ech.add(row)
     assert len(costs) > 100
