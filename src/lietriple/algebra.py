@@ -24,10 +24,10 @@ from .errors import AlgebraMismatch, DimensionMismatch, NotAssociative, NotUnita
 from .linalg import (
     Matrix,
     Subspace,
+    _over,
     checked_tensor,
     clear_denominators,
     combination,
-    contract,
     dense_tensor,
     int_flats,
     preimage,
@@ -171,7 +171,20 @@ class StructureConstants(Frozen):
         return AlgebraElement(self, zero_vec(self.dim))
 
     def mul_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple:
-        return contract(self._sparse, x, y, self.dim, self.dim)
+        """The coordinates of x y: x and y scaled to ints by their common denominator s, on the table times D, over D s^2."""
+        n = self.dim
+        if len(x) != n or len(y) != n:
+            raise DimensionMismatch(f"a product of Q^{n} x Q^{n} given vectors of length {len(x)}, {len(y)}")
+        d, table = self._int_table
+        s, (xs, ys) = clear_denominators([(i, c) for i, c in enumerate(v) if c] for v in (x, y))
+        out = [0] * n
+        for i, a in xs:
+            plane = table[i]
+            for j, b in ys:
+                f = a * b
+                for k, c in plane[j]:
+                    out[k] += f * c
+        return _over(out, d * s * s)
 
     def _key(self):
         return self.content_hash
@@ -273,8 +286,8 @@ def double_commutator(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement) -
 
 
 @memoized
-def _unit_coords(alg: StructureConstants) -> tuple | None:
-    """Solves u*e_j = e_j = e_j*u for all j, on the products scaled by D.
+def find_unit(alg: StructureConstants) -> AlgebraElement | None:
+    """Two-sided unit, or None: solves u*e_j = e_j = e_j*u for all j, on the products scaled by D.
 
     Row (side, j, l) is coordinate l of u*e_j (side 0) or e_j*u (side 1), with rhs D * [l == j].
     """
@@ -285,12 +298,7 @@ def _unit_coords(alg: StructureConstants) -> tuple | None:
         for l, x in w:
             rows[0, j, l][i] = x
             rows[1, i, l][j] = x
-    return solve(n, list(rows.values()), [d * (l == j) for _, j, l in rows])
-
-
-def find_unit(alg: StructureConstants) -> AlgebraElement | None:
-    """Two-sided unit, or None."""
-    coords = _unit_coords(alg)
+    coords = solve(n, list(rows.values()), [d * (l == j) for _, j, l in rows])
     return None if coords is None else AlgebraElement(alg, coords)
 
 
@@ -576,8 +584,15 @@ class LinearOperator(Frozen):
 
 
 def multiplication_operator(alg: StructureConstants, coords: Sequence[Fraction]) -> LinearOperator:
-    """x -> c * x as an operator (left multiplication by c): column j is the product c * e_j."""
+    """x -> c * x as an operator (left multiplication by c): column j, c * e_j, read off the int table."""
     n = alg.dim
     if len(coords) != n:
         raise DimensionMismatch(f"{len(coords)} coordinates for a dim-{n} algebra")
-    return LinearOperator(alg, Matrix.from_cols([alg.mul_coords(coords, unit_vec(n, j)) for j in range(n)]))
+    d, table = alg._int_table
+    s, (cs,) = clear_denominators([[(i, x) for i, x in enumerate(coords) if x]])
+    cols = [[0] * n for _ in range(n)]
+    for i, c in cs:
+        for col, row in zip(cols, table[i]):
+            for k, x in row:
+                col[k] += c * x
+    return LinearOperator(alg, Matrix.from_cols([_over(col, d * s) for col in cols]))

@@ -45,8 +45,11 @@ for a non-member.  The re-checks of the solver's own output go through
 check of the solver.
 
 Both work on ints: the basis forms are ints times a scale, and the
-evaluator (like the Thm 3.1 verifier) scales its operators once by
-their common denominator.  Fractions are made only for a witness.
+evaluator scales its operators once by their common denominator.  So
+does the Thm 3.1 verifier, on the six maps: it reads the rows of
+``_condition_rows``, built once per GMA and held in its fact table as
+(column, int) pairs, which ``six_map_solution_space`` solves.
+Fractions are made only for a witness.
 """
 
 from __future__ import annotations
@@ -371,6 +374,7 @@ CORNERS = {
 }
 
 
+@memoized
 def _corner_shapes(u: GMA) -> dict[str, tuple[int, int]]:
     return {
         name: (len(u.block_range(target)), len(u.block_range(source)))
@@ -483,15 +487,17 @@ def _six_map_layout(u: GMA) -> tuple[int, dict[str, list[list[int]]]]:
     return pos, grids
 
 
-def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
-    """Yield (label, tag, rows): the block-form conditions as constraint rows.
+@memoized
+def _condition_rows(u: GMA) -> tuple[tuple[str, tuple, tuple[tuple[tuple[int, int], ...], ...]], ...]:
+    """(label, tag, rows) for each block-form condition, built once per GMA and held.
 
-    A row is one residual coordinate, sparse over the six maps in the
-    layout of ``_six_map_layout``; a condition holds iff its rows vanish
-    on the flattened maps.  Each term of a residual is sign * post(f(pre))
-    for a map f: ``pre`` is sparse over f's source, ``post`` pairs (r, image
-    of f's output coordinate r), None for the identity.  Both are int
-    slices of the basis forms or of the context's scaled sparse tensors.
+    A row is one residual coordinate, held as its nonzero (column, int)
+    pairs over the six maps in the layout of ``_six_map_layout``; a
+    condition holds iff its rows vanish on the flattened maps.  Each term
+    of a residual is sign * post(f(pre)) for a map f: ``pre`` is sparse
+    over f's source, ``post`` pairs (r, image of f's output coordinate r),
+    None for the identity.  Both are int slices of the basis forms or of
+    the context's scaled sparse tensors.
 
     The two pairing conditions are implemented in the domain-corrected
     orientation: the second reads beta4(nm) - alpha4(mn) = n tau2(m)
@@ -505,10 +511,10 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
     tensors = (ctx._zeta, ctx._psi, M._left, M._right, N._left, N._right)
     ints = iter(clear_denominators(row for t in tensors for plane in t for row in plane)[1])
     zeta, psi, m_left, m_right, n_left, n_right = [[[next(ints) for _ in p] for p in t] for t in tensors]
-    grids = _six_map_layout(u)[1]
+    grids, conditions, shared = _six_map_layout(u)[1], [], {}  # one held copy of equal pairs and rows
     identity = {name: tuple((i, ((i, 1),)) for i in range(len(grid))) for name, grid in grids.items()}
 
-    def rows(*terms) -> list[dict]:
+    def rows(*terms) -> tuple:
         out: dict[int, dict] = {}
         for sign, name, pre, post in terms:
             grid, post = grids[name], identity[name] if post is None else tuple(post)
@@ -518,7 +524,8 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
                     for l, c in v:
                         row = out.setdefault(l, {})
                         row[col] = row.get(col, 0) + sign * x * c
-        return list(out.values())
+        held = (tuple([shared.setdefault(p, p) for p in row.items() if p[1]]) for row in out.values())
+        return tuple([shared.setdefault(row, row) for row in held if row])
 
     def unit(i: int) -> tuple:
         return ((i, 1),)
@@ -530,7 +537,7 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
     ):
         for tag, w, terms in _constraint_tuples(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER):
             slots = ((-1, name, unit(i), group) for _p, i, group in terms)
-            yield label, tag, rows((1, name, w, None), *slots)
+            conditions.append((label, tag, rows((1, name, w, None), *slots)))
 
     # alpha4 lands in the double commutant of B; beta1 in that of A
     for label, name, source, target in (
@@ -540,7 +547,7 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
         groups = sorted(_slot_terms(target, "triple", 0).items())
         for i in range(source.dim):
             for rest, group in groups:
-                yield label, (i, *rest), rows((1, name, unit(i), group))
+                conditions.append((label, (i, *rest), rows((1, name, unit(i), group))))
 
     # alpha4 and beta1 kill second commutators of their source corners
     for label, name, source in (
@@ -548,7 +555,7 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
         ("beta1 kills [[B,B],B]", "beta1", B),
     ):
         for tag, w in basis_tensor(source, "triple")[1].items():
-            yield label, tag, rows((1, name, w, None))
+            conditions.append((label, tag, rows((1, name, w, None))))
 
     # pairing conditions over all basis m, n
     for p in range(M.dim):
@@ -562,7 +569,7 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
                 ("beta4(nm) - alpha4(mn) = n tau2(m)", lead_b, "tau2", p, psi[q]),
                 ("beta4(nm) - alpha4(mn) = gamma3(n) m", lead_b, "gamma3", q, [t[p] for t in psi]),
             ):
-                yield label, (p, q), rows(*lead, (-1, name, unit(i), enumerate(post)))
+                conditions.append((label, (p, q), rows(*lead, (-1, name, unit(i), enumerate(post)))))
 
     # module conditions of t = tau2 on M and t = gamma3 on N: for x in the
     # source corner acting on the given side, t(x.m) = x.t(m) and t(x.m)
@@ -582,12 +589,13 @@ def _condition_rows(u: GMA) -> Iterator[tuple[str, tuple, list[dict]]]:
         for i, x_acts in enumerate(act):
             for p, xm in enumerate(x_acts):
                 t_xm = (1, t, xm, None)
-                yield label_x, (i, p), rows(t_xm, (-1, t, unit(p), enumerate(x_acts)))
-                yield label_same, (i, p), rows(
+                conditions.append((label_x, (i, p), rows(t_xm, (-1, t, unit(p), enumerate(x_acts)))))
+                conditions.append((label_same, (i, p), rows(
                     t_xm,
                     (-1, same, unit(i), enumerate(y[p] for y in act)),
                     (1, cross, unit(i), enumerate(y[p] for y in cross_act)),
-                )
+                )))
+    return tuple(conditions)
 
 
 class Thm31Report(Record):
@@ -631,7 +639,7 @@ def six_map_solution_space(u: GMA) -> Subspace:
     rows are ``_condition_rows``, the ones the verifier evaluates, so both
     read one statement of the conditions.
     """
-    return kernel_of_rows(_six_map_layout(u)[0], (row for _label, _tag, rows in _condition_rows(u) for row in rows))
+    return kernel_of_rows(_six_map_layout(u)[0], (dict(row) for _label, _tag, rows in _condition_rows(u) for row in rows))
 
 
 def six_maps_from_flat(u: GMA, flat: Sequence[Fraction]) -> dict[str, Matrix]:

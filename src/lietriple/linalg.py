@@ -25,14 +25,15 @@ right-hand side, column 0, and reads its particular solution off the
 pivot rows' entries there.  A member's coefficients are its entries at
 the pivots, which ``Subspace.coefficients_of`` checks through
 ``combination``, the only linear combination; it skips zeros, so sparse
-data costs only its nonzeros.  ``preimage`` is the one statement of "x
-maps into a subspace", and ``row_values`` the only evaluation of sparse
-rows on a vector.  A tensor is given as its nonzeros ``{(i, j, k):
-value}`` and held in the sparse form of ``checked_tensor``, the one
-check of its shape and of ``MAX_TENSOR_ENTRIES``; ``contract``, the
-only bilinear product, applies a held tensor.  Dense grids appear only
-where a tensor is written out in full: ``dense_tensor`` lays one out
-for ``StructureConstants.table``, and ``grid_nonzeros`` reads a
+data costs only its nonzeros, and sums ints, its data scaled once per
+call.  ``preimage`` is the one statement of "x maps into a subspace",
+and ``row_values`` the only evaluation of sparse rows, held as (column,
+value) pairs, on a vector.  A tensor is given as its nonzeros ``{(i,
+j, k): value}`` and held in the sparse form of ``checked_tensor``, the
+one check of its shape and of ``MAX_TENSOR_ENTRIES``; the algebra
+product applies the structure table scaled to ints.  Dense grids appear
+only where a tensor is written out in full: ``dense_tensor`` lays one
+out for ``StructureConstants.table``, and ``grid_nonzeros`` reads a
 document's grid back.  ``Matrix`` holds data and applies to a vector
 through ``combination``.
 """
@@ -68,16 +69,29 @@ def unit_vec(n: int, i: int) -> Vector:
 
 
 def combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> Vector:
-    """The sum of c * v in Q^n over the pairs (c, v), each v of n entries, as Fractions; zeros are skipped."""
-    out = [Fraction(0)] * n
+    """The sum of c * v in Q^n over the pairs (c, v), each v of n entries, as Fractions; zeros are skipped.
+
+    The nonzero coefficients and the entries of their vectors are scaled
+    once by their common denominator D and summed as ints; a Fraction is
+    made only for a nonzero entry of the sum, which is over D^2.
+    """
+    terms = []
     for c, v in zip(coeffs, vectors, strict=True):
         if len(v) != n:
             raise DimensionMismatch(f"a vector of length {len(v)} in a combination in Q^{n}")
         if c:
-            for i, x in enumerate(v):
-                if x:
-                    out[i] += c * x
-    return tuple(out)
+            terms.append(((-1, c), *((i, x) for i, x in enumerate(v) if x)))  # the coefficient keyed -1
+    d, scaled = clear_denominators(terms)
+    out = [0] * n
+    for (_, c), *v in scaled:
+        for i, x in v:
+            out[i] += c * x
+    return _over(out, d * d)
+
+
+def _over(ints: Iterable[int], d: int) -> Vector:
+    """Each int divided by d, as Fractions; the shared zero for each 0."""
+    return tuple([Fraction(x, d) if x else _ZERO for x in ints])
 
 
 # a tensor's held form: t[i][j] as the pairs (k, t[i][j][k]) with a nonzero coefficient, k increasing
@@ -132,28 +146,6 @@ def grid_nonzeros(t, shape: tuple[int, int, int], what: str) -> dict[tuple[int, 
     if len(t) != a or any(len(plane) != b or any(len(row) != c for row in plane) for plane in t):
         raise DimensionMismatch(f"{what} tensor must be {a} x {b} x {c}")
     return {(i, j, k): x for i, plane in enumerate(t) for j, row in enumerate(plane) for k, x in enumerate(row) if x != 0}
-
-
-def contract(sp: SparseTensor, x: Sequence[Fraction], y: Sequence[Fraction], y_dim: int, out_dim: int) -> Vector:
-    """sum over i, j, k of x_i y_j t[i][j][k] e_k, for sp the held form of t.
-
-    t has one plane per coordinate of x and one row per coordinate of y;
-    x must have len(sp) entries and y must have y_dim.
-    """
-    if len(x) != len(sp) or len(y) != y_dim:
-        raise DimensionMismatch(f"a product of Q^{len(sp)} x Q^{y_dim} given vectors of length {len(x)}, {len(y)}")
-    out = [Fraction(0)] * out_dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        plane = sp[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            f = xi * yj
-            for k, c in plane[j]:
-                out[k] += f * c
-    return tuple(out)
 
 
 class Matrix(Frozen):
@@ -243,9 +235,9 @@ def int_flats(*vectors: Sequence) -> list[dict[int, int]]:
     return [dict(v) for v in clear_denominators(enumerate(v) for v in vectors)[1]]
 
 
-def row_values(rows: Iterable[dict], flat) -> list:
-    """The value of each sparse row {k: c} on a flat vector: the sum of c * flat[k]."""
-    return [sum(c * flat[k] for k, c in row.items()) for row in rows]
+def row_values(rows: Iterable[Iterable[tuple]], flat) -> list:
+    """The value of each sparse row, pairs (k, c), on a flat vector: the sum of c * flat[k]."""
+    return [sum(c * flat[k] for k, c in row) for row in rows]
 
 
 class _IntEchelon:

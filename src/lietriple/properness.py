@@ -102,14 +102,15 @@ def _require_ltc(alg: StructureConstants, phi: LinearOperator) -> None:
 
 
 @memoized
-def central_vanishing_rows(alg: StructureConstants) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
+def central_vanishing_rows(alg: StructureConstants) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
     """The condition on chi, as two groups of sparse int rows over its column-major coordinates.
 
-    chi maps into Z(U) iff the first group vanishes on it: {c*n + l: f_l}
-    for each column c and each f in ann(Z(U)).  chi kills [[U,U],U] iff
-    the second does: {c*n + l: w_c} for each w in the double-commutator
-    basis and each l.  The f and the w are each scaled once to ints.
-    Built once per algebra; every caller only reads the rows.
+    Each row is held as (column, int) pairs.  chi maps into Z(U) iff the
+    first group vanishes on it: (c*n + l, f_l) for each column c and each
+    f in ann(Z(U)).  chi kills [[U,U],U] iff the second does: (c*n + l,
+    w_c) for each w in the double-commutator basis and each l.  The f and
+    the w are each scaled once to ints.  Built once per algebra; every
+    caller only reads the rows.
     """
     n = alg.dim
     ann, dc = (
@@ -117,15 +118,15 @@ def central_vanishing_rows(alg: StructureConstants) -> tuple[tuple[dict, ...], t
         for space in (center(alg).annihilator(), double_commutator_span(alg))
     )
     return (
-        tuple({c * n + l: x for l, x in f} for c in range(n) for f in ann),
-        tuple({c * n + l: x for c, x in w} for w in dc for l in range(n)),
+        tuple(tuple([(c * n + l, x) for l, x in f]) for c in range(n) for f in ann),
+        tuple(tuple([(c * n + l, x) for c, x in w]) for w in dc for l in range(n)),
     )
 
 
 @memoized
 def central_vanishing_space(alg: StructureConstants) -> Subspace:
     """CV: the operators with range in the center that kill all double commutators, the kernel of ``central_vanishing_rows``."""
-    return kernel_of_rows(alg.dim * alg.dim, (row for rows in central_vanishing_rows(alg) for row in rows))
+    return kernel_of_rows(alg.dim * alg.dim, (dict(row) for rows in central_vanishing_rows(alg) for row in rows))
 
 
 def central_vanishing_verdicts(alg: StructureConstants, op: LinearOperator) -> tuple[bool, bool]:
@@ -213,7 +214,7 @@ def _singleton_witness(alg, into_center, mults, phi_flat, probes):
     per_col = len(into_center) // alg.dim
     for x in (*probes, *alg.basis()):
         at_x = [
-            {k: xc * v for c, xc in enumerate(x.coords) if xc for k, v in into_center[c * per_col + i].items()}
+            [(k, xc * v) for c, xc in enumerate(x.coords) if xc for k, v in into_center[c * per_col + i]]
             for i in range(per_col)
         ]
         if _solve_lambda(at_x, mults, phi_flat) is None:
@@ -363,12 +364,12 @@ def equivalence_audit(u: GMA) -> EquivalenceReport:
         one = require_unit(getattr(u.context, source)).coords
         into = u.block_range(target)
         for f in int_flats(*pi.annihilator().basis):
-            cols = [{c * n + into[l]: x for l, x in f.items() if x} for c in u.block_range(source)]
+            cols = [[(c * n + into[l], x) for l, x in f.items() if x] for c in u.block_range(source)]
             ranges += cols
-            units.append({k: w * x for w, col in zip(one, cols) if w for k, x in col.items()})
+            units.append([(k, w * x) for w, col in zip(one, cols) if w for k, x in col])
     basis = int_flats(*ltc.basis)
 
-    def inside(rows: list[dict]) -> Subspace:
+    def inside(rows: list[list[tuple]]) -> Subspace:
         kernel = kernel_of_rows(ltc.dim, zip(*(row_values(rows, v) for v in basis)))
         vectors = (dict(enumerate(combination(c, ltc.basis, n * n))) for c in kernel.basis)
         return Subspace._reduced(n * n, vectors, [ltc.pivots[q] for q in kernel.pivots])

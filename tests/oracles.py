@@ -10,8 +10,9 @@ identity at one basis tuple the same way, to re-check a reported
 witness.  ``left_mult`` and ``right_mult`` read the multiplication
 maps off the table by plain loops, and ``zero_operator`` is the zero map.  ``grid_algebra`` builds an algebra
 from a dense grid by listing its nonzeros, ``context_grids`` lays a
-context's tensors out as dense grids from the nonzeros it holds, and
-``dense_contract`` applies such a grid by a triple loop.
+context's tensors out as dense grids from the nonzeros it holds,
+``dense_contract`` applies such a grid by a triple loop, and
+``plain_combination`` sums c * v entry by entry in Fractions.
 ``algebra_doc``, ``bimodule_doc`` and ``operator_doc`` write the
 documents README describes from the same nonzeros, and ``write_doc``
 saves one with ``json.dumps``.  ``dense_content_hash`` renders an
@@ -327,6 +328,15 @@ def dense_contract(t, x, y, out_dim):
         sum((x[i] * y[j] * t[i][j][k] for i in range(len(x)) for j in range(len(y))), Fraction(0))
         for k in range(out_dim)
     )
+
+
+def plain_combination(coeffs, vectors, n: int) -> tuple:
+    """The sum of c * v over the pairs (c, v), entry by entry, in Fractions from a Fraction zero."""
+    out = [Fraction(0)] * n
+    for c, v in zip(coeffs, vectors):
+        for i in range(n):
+            out[i] += Fraction(c) * Fraction(v[i])
+    return tuple(out)
 
 
 def _strings(grid) -> list:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lietriple.algebra import (
     LinearOperator,
@@ -36,6 +37,7 @@ from lietriple.errors import AlgebraMismatch, NotAssociative
 from lietriple.linalg import Matrix, Subspace, kernel_of_rows, solve, unit_vec
 from oracles import (
     RATIONAL_BASIS,
+    dense_contract,
     first_nonassociative_triple,
     grid_algebra,
     inverse,
@@ -436,6 +438,46 @@ def test_multiplication_maps_match_the_table_oracle(name):
     assert (None if unit is None else unit.coords) == _oracle_unit(alg)
     coords = [F(rng.randint(-3, 3), rng.choice((1, 3))) for _ in range(n)]
     assert multiplication_operator(alg, coords).matrix == left_mult(alg, coords)
+
+
+_Q_ENTRIES = (F(-1, 2), F(1, 3), F(2, 3))
+# the int product and left multiplication against the Fraction loops, on
+# catalog tables (D = 1) and on T3 and M3 in rational bases (D > 1)
+_PRODUCT_ALGEBRAS = {
+    "Q": rationals,
+    "dual": dual_numbers,
+    "U3": strict_upper_3x3,
+    "T3": lambda: upper_triangular(3),
+    "M2": lambda: full_matrix(2),
+    "example_1_2": lambda: example_1_2().gma.algebra,
+    "T3q": lambda: rebased(upper_triangular(3), unit_diagonal_basis(random.Random(6), 6, entries=_Q_ENTRIES)),
+    "M3q": lambda: rebased(full_matrix(3), unit_diagonal_basis(random.Random(9), 9, entries=_Q_ENTRIES)),
+}
+# zeros, negatives, and p/q with p and q sharing factors
+_ENTRIES = st.one_of(st.just(0), st.integers(-7, 7), st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12))))
+
+
+@functools.cache
+def _product_algebra(name: str) -> tuple[StructureConstants, list]:
+    """The algebra and its dense grid of Fractions."""
+    alg = _PRODUCT_ALGEBRAS[name]()
+    return alg, alg.table
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_ALGEBRAS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_the_int_product_and_left_multiplication_match_the_fraction_loops(name, data):
+    alg, grid = _product_algebra(name)
+    n = alg.dim
+    assert (alg._int_table[0] > 1) is name.endswith("q")
+    x, y = (data.draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(2))
+    got = alg.mul_coords(x, y)
+    assert got == dense_contract(grid, x, y, n)
+    assert all(type(v) is F for v in got)
+    op = multiplication_operator(alg, x)
+    assert op.matrix == left_mult(alg, x)
+    assert all(type(v) is F for row in op.matrix.data for v in row)
 
 
 _FORM_ALGEBRAS = {name: _SPAN_ALGEBRAS[name] for name in ("T3", "T4", "M3", "example_1_2", "strict_upper_3x3", "T3r")}

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -6,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import lietriple.algebra
+import lietriple.centralizers
 from lietriple.algebra import LinearOperator, basis_tensor
 from lietriple.catalog import (
     direct_sum,
@@ -14,6 +17,7 @@ from lietriple.catalog import (
     full_matrix_gma,
     random_gma,
     rationals,
+    standard_gmas,
     upper_triangular,
     upper_triangular_gma,
 )
@@ -22,6 +26,7 @@ from lietriple.centralizers import (
     BlockDecomposition,
     IdentityKind,
     _FORMS,
+    _condition_rows,
     _constraint_tuples,
     _packed_kernel,
     _six_map_layout,
@@ -37,6 +42,7 @@ from lietriple.centralizers import (
     solve_identity_space,
     verify_thm31_conditions,
 )
+from lietriple.cli import main, reproduction_checks
 from lietriple.errors import AlgebraMismatch, DimensionMismatch, NotGMA
 from lietriple.gma import GMA
 from lietriple.linalg import Matrix, Subspace, int_flats, kernel_of_rows
@@ -47,9 +53,11 @@ from oracles import (
     dimension_law,
     identity_sides,
     inverse,
+    operator_doc,
     rebased,
     residual_is_zero,
     unit_diagonal_basis,
+    write_doc,
     zero_operator,
 )
 
@@ -365,6 +373,72 @@ _THM31_GMAS = {
 @pytest.mark.parametrize("name", sorted(_THM31_GMAS))
 def test_thm31_reports_and_six_map_basis_are_pinned(name):
     assert _thm31_digest(_THM31_GMAS[name](), random.Random(name)) == _PINNED_THM31[name]
+
+
+@pytest.fixture
+def condition_builds(cold_cache, monkeypatch):
+    """The GMAs whose Thm 3.1 condition rows are built, on a cleared cache; rows already held add none."""
+    calls = []
+    body = lietriple.centralizers._condition_rows.__wrapped__
+
+    @functools.wraps(body)
+    def counting(u):
+        calls.append(u)
+        return body(u)
+
+    # the same qualified name, so the counting version fills the real one's cache entries
+    monkeypatch.setattr(lietriple.centralizers, "_condition_rows", lietriple.algebra.memoized(counting))
+    return calls
+
+
+def test_the_checks_on_one_gma_build_its_condition_rows_once(condition_builds, tmp_path, capsys):
+    # verify-paper checks every solved LTC basis element of each standard GMA against Thm 3.1
+    assert all(check["passed"] for check in reproduction_checks())
+    gmas = standard_gmas()
+    assert sorted(u.content_hash for u in condition_builds) == sorted(u.content_hash for u in gmas.values())
+    # decompose and the six-map solve read the rows verify-paper left held
+    u = gmas["upper_triangular(3)"]
+    ltc = solve_identity_space(u.algebra, K.LIE_TRIPLE_CENTRALIZER)
+    write_doc(tmp_path / "op.json", operator_doc(LinearOperator.from_flat(u.algebra, ltc.basis[-1])))
+    assert main(["decompose", "upper_triangular(3)", str(tmp_path / "op.json")]) == 0
+    assert "block form conditions: pass" in capsys.readouterr().out
+    assert six_map_solution_space(u).dim == ltc.dim
+    assert [v.content_hash for v in condition_builds].count(u.content_hash) == 1
+
+
+def test_a_second_split_of_one_algebra_builds_its_own_rows(condition_builds):
+    # M2(Q) + Q, split as (1, 1, 1, 2) and as (4, 0, 0, 1)
+    alg = direct_sum(full_matrix(2), rationals())
+    first, second = GMA(alg, (1, 1, 1, 2)), GMA(alg, (4, 0, 0, 1))
+    for u in (first, second, first, second):
+        assert verify_thm31_conditions(u, block_decompose(u, LinearOperator.identity(u.algebra))).passed
+    assert condition_builds == [first, second]
+    assert _condition_rows(first) != _condition_rows(second)
+
+
+def test_the_six_map_solve_leaves_the_held_rows_unchanged(cold_cache):
+    u = full_matrix_gma(3)
+    rows = _condition_rows(u)
+    fresh = lietriple.centralizers._condition_rows.__wrapped__(u)
+    assert rows == fresh and rows is not fresh
+    six_map_solution_space(u)
+    assert _condition_rows(u) is rows and rows == fresh
+    assert all(type(row) is tuple and all(x for _, x in row) for _label, _tag, held in rows for row in held)
+
+
+@pytest.mark.parametrize("name", ["T3", "M3", "T4/2"])
+def test_a_perturbed_six_map_operator_fails_alike_warm_and_cold(cold_cache, name):
+    def failures():
+        u = _THM31_GMAS[name]()
+        space = six_map_solution_space(u)
+        maps = six_maps_from_flat(u, rand_combination(space, random.Random(name)))
+        maps["tau2"] = Matrix([[x + (i == j == 0) for j, x in enumerate(row)] for i, row in enumerate(maps["tau2"].data)])
+        return verify_thm31_conditions(u, block_decompose(u, build_from_blocks(u, **maps))).failures
+
+    cold = failures()
+    assert cold and failures() == cold  # warm: the rows are held
+    cold_cache()
+    assert failures() == cold
 
 
 class TestBuildFromBlocks:

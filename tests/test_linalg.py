@@ -19,13 +19,22 @@ from lietriple.linalg import (
     Subspace,
     checked_tensor,
     combination,
-    contract,
     kernel_of_rows,
     preimage,
     row_values,
     solve,
 )
-from oracles import context_grids, dense_contract, gauss_jordan, kernel_basis, preimage_basis, rebased, row_space_basis, unit_diagonal_basis
+from oracles import (
+    context_grids,
+    dense_contract,
+    gauss_jordan,
+    kernel_basis,
+    plain_combination,
+    preimage_basis,
+    rebased,
+    row_space_basis,
+    unit_diagonal_basis,
+)
 
 F = Fraction
 
@@ -352,7 +361,7 @@ class TestProperties:
         for f, v in zip(free, vectors):
             assert v[f] > 0 and not v.keys() & (set(free) - {f}) and gcd(*v.values()) == 1
             assert all(type(x) is int for x in v.values())
-            assert not any(row_values(rows, [v.get(c, 0) for c in range(ncols)]))
+            assert not any(row_values([row.items() for row in rows], [v.get(c, 0) for c in range(ncols)]))
 
     @given(dependent_systems(), st.data())
     def test_rows_fed_again_at_any_scale_leave_the_echelon_as_it_was(self, system, data):
@@ -414,12 +423,18 @@ def test_kernel_of_rows_needs_no_second_elimination(system):
 
 @st.composite
 def combinations(draw):
-    """(coeffs, vectors, n): up to four vectors in Q^n, entries ints or Fractions, some coefficients zero."""
-    n = draw(st.integers(0, 4))
-    entry = st.one_of(st.just(0), st.integers(-5, 5), small_frac)
+    """(coeffs, vectors, n): up to four vectors in Q^n, some of them zero, and some coefficients zero.
+
+    Entries are ints of either sign, Fractions, and p/q with q in 1, 2, 3,
+    4, 6, 12 and p sharing factors with q: the denominators share factors,
+    and a scaled entry may cancel.
+    """
+    n = draw(st.integers(0, 5))
+    unreduced = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12)))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), small_frac, unreduced)
+    vector = st.one_of(st.just([0] * n), st.lists(entry, min_size=n, max_size=n))
     k = draw(st.integers(0, 4))
-    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
-    return draw(st.lists(entry, min_size=k, max_size=k)), vectors, n
+    return draw(st.lists(entry, min_size=k, max_size=k)), draw(st.lists(vector, min_size=k, max_size=k)), n
 
 
 def test_from_cols_converts_each_entry_once(monkeypatch):
@@ -432,16 +447,16 @@ def test_from_cols_converts_each_entry_once(monkeypatch):
 
 
 class TestCombination:
-    @given(combinations())
-    def test_matches_a_double_loop(self, problem):
+    @given(combinations(), st.sampled_from((-1, 1)))
+    def test_matches_a_double_loop(self, problem, off):
+        # the sum is taken in ints over the common denominator D^2 and divided back once
         coeffs, vectors, n = problem
-        expected = [F(0)] * n
-        for c, v in zip(coeffs, vectors):
-            for i in range(n):
-                expected[i] += c * v[i]
         got = combination(coeffs, vectors, n)
-        assert got == tuple(expected)
+        assert got == plain_combination(coeffs, vectors, n)
         assert all(type(x) is F for x in got)
+        # a vector one entry off the length raises, under a zero coefficient too
+        with pytest.raises(DimensionMismatch):
+            combination([*coeffs, 0], [*vectors, [1] * (n + off) if n + off >= 0 else [1]], n)
 
     def test_no_vectors_give_fraction_zeros(self):
         got = combination([], [], 3)
@@ -725,12 +740,32 @@ def tensors_with_operands():
     return st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).flatmap(draw)
 
 
+def held_product(sp, y_dim, out_dim):
+    """x, y -> the sum of x_i y_j t_ijk e_k over the nonzeros ``tensor_entries`` reads off a held tensor t.
+
+    Vectors whose lengths disagree with the held shape (len(sp) planes,
+    y_dim rows) raise DimensionMismatch.
+    """
+    entries = linalg.tensor_entries(sp)
+
+    def product(x, y):
+        if len(x) != len(sp) or len(y) != y_dim:
+            raise DimensionMismatch(f"a product of Q^{len(sp)} x Q^{y_dim} given vectors of length {len(x)}, {len(y)}")
+        out = [F(0)] * out_dim
+        for (i, j, k), v in entries.items():
+            out[k] += x[i] * y[j] * v
+        return tuple(out)
+
+    return product
+
+
 @given(tensors_with_operands())
 def test_contract_matches_dense_triple_loop(case):
+    # the held form of a drawn grid, applied through its nonzeros, is the grid's triple loop
     t, x, y, out_dim = case
     shape = (len(x), len(y), out_dim)
     held = checked_tensor(shape, linalg.grid_nonzeros(t, shape, "t"), "t")
-    assert contract(held, x, y, len(y), out_dim) == dense_contract(t, x, y, out_dim)
+    assert held_product(held, len(y), out_dim)(x, y) == dense_contract(t, x, y, out_dim)
 
 
 @st.composite
@@ -874,8 +909,9 @@ def test_int_systems_skip_clearing_denominators(monkeypatch):
 def _block_products():
     """Every block product, named, with its raw tensor and operand dims.
 
-    Each action and pairing is ``linalg.contract`` on the tensor the
-    bimodule or context holds; the algebra product is ``mul_coords``.
+    Each action and pairing is ``held_product`` on the tensor the bimodule
+    or context holds, read through ``tensor_entries``; the algebra product
+    is ``mul_coords``.
     """
     q = rationals()
     tri = triangular_context(q, scalar_bimodule(), q)
@@ -885,23 +921,19 @@ def _block_products():
     reg = Bimodule.regular(m2)
     full = MoritaContext(m2, m2, reg, reg, linalg.tensor_entries(m2._sparse), linalg.tensor_entries(m2._sparse))
     grids = {"tri": context_grids(tri), "full": context_grids(full)}
-
-    def held(sp, y_dim, out_dim):
-        return lambda x, y: linalg.contract(sp, x, y, y_dim, out_dim)
-
     return {
-        "zero.act_left": (held(zero._left, 0, 0), [[]] * 2, 2, 0, 0),
-        "zero.act_right": (held(zero._right, 1, 0), [], 0, 1, 0),
-        "tri.pair_mn": (held(tri._zeta, 0, 1), grids["tri"]["zeta"], 1, 0, 1),
-        "tri.pair_nm": (held(tri._psi, 1, 1), grids["tri"]["psi"], 0, 1, 1),
-        "tri.M.act_left": (held(tri.M._left, 1, 1), grids["tri"]["M.left"], 1, 1, 1),
-        "tri.M.act_right": (held(tri.M._right, 1, 1), grids["tri"]["M.right"], 1, 1, 1),
-        "tri.N.act_left": (held(tri.N._left, 0, 0), grids["tri"]["N.left"], 1, 0, 0),
-        "tri.N.act_right": (held(tri.N._right, 1, 0), grids["tri"]["N.right"], 0, 1, 0),
-        "full.pair_mn": (held(full._zeta, 4, 4), grids["full"]["zeta"], 4, 4, 4),
-        "full.pair_nm": (held(full._psi, 4, 4), grids["full"]["psi"], 4, 4, 4),
-        "full.M.act_left": (held(full.M._left, 4, 4), grids["full"]["M.left"], 4, 4, 4),
-        "full.M.act_right": (held(full.M._right, 4, 4), grids["full"]["M.right"], 4, 4, 4),
+        "zero.act_left": (held_product(zero._left, 0, 0), [[]] * 2, 2, 0, 0),
+        "zero.act_right": (held_product(zero._right, 1, 0), [], 0, 1, 0),
+        "tri.pair_mn": (held_product(tri._zeta, 0, 1), grids["tri"]["zeta"], 1, 0, 1),
+        "tri.pair_nm": (held_product(tri._psi, 1, 1), grids["tri"]["psi"], 0, 1, 1),
+        "tri.M.act_left": (held_product(tri.M._left, 1, 1), grids["tri"]["M.left"], 1, 1, 1),
+        "tri.M.act_right": (held_product(tri.M._right, 1, 1), grids["tri"]["M.right"], 1, 1, 1),
+        "tri.N.act_left": (held_product(tri.N._left, 0, 0), grids["tri"]["N.left"], 1, 0, 0),
+        "tri.N.act_right": (held_product(tri.N._right, 1, 0), grids["tri"]["N.right"], 0, 1, 0),
+        "full.pair_mn": (held_product(full._zeta, 4, 4), grids["full"]["zeta"], 4, 4, 4),
+        "full.pair_nm": (held_product(full._psi, 4, 4), grids["full"]["psi"], 4, 4, 4),
+        "full.M.act_left": (held_product(full.M._left, 4, 4), grids["full"]["M.left"], 4, 4, 4),
+        "full.M.act_right": (held_product(full.M._right, 4, 4), grids["full"]["M.right"], 4, 4, 4),
         "t2.mul_coords": (t2.mul_coords, t2.table, 3, 3, 3),
     }
 

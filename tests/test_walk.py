@@ -95,11 +95,11 @@ _ALGEBRAS = {
     "T3q": lambda: rebased(upper_triangular(3), _rational_basis(6)),
     "M3q": lambda: rebased(full_matrix(3), _rational_basis(9)),
 }
-# the oracle reads every tuple by element arithmetic, about 6 ms per LTD
-# tuple of M3q: the triple kinds run on the others, T4 and M3 on non-members
-# only (the triple bracket of example_1_2 vanishes: no tuple is read)
+# the oracle reads every tuple by element arithmetic: the triple kinds run
+# on T3, T3q and M3q, T4 and M3 on non-members only (the triple bracket of
+# example_1_2 vanishes: no tuple is read)
 _CASES = [(a, k, member) for a in _ALGEBRAS for k in _TWO_SLOT for member in (True, False)]
-_CASES += [(a, k, member) for a in ("T3", "T3q") for k in _TRIPLE for member in (True, False)]
+_CASES += [(a, k, member) for a in ("T3", "T3q", "M3q") for k in _TRIPLE for member in (True, False)]
 _CASES += [("T4", "ltd", False), ("M3", "ltc", False)]
 
 
