@@ -27,13 +27,13 @@ print("triple-centralizer space on the 3x3 triangular algebra: dim", space.dim)
 
 # Forward: each solved basis element passes the corner conditions.
 for v in space.basis:
-    op = LinearOperator.from_flat(u.algebra, v)
+    op = LinearOperator(u.algebra, v)
     report = verify_thm31_conditions(u, block_decompose(u, op))
     assert report.passed
 print("every basis solution passes the block-form conditions")
 
 # The corner picture of one solution:
-d = block_decompose(u, LinearOperator.from_flat(u.algebra, space.basis[0]))
+d = block_decompose(u, LinearOperator(u.algebra, space.basis[0]))
 for name in ("alpha1", "beta1", "tau2", "gamma3", "alpha4", "beta4"):
     print(f"  {name}:", getattr(d, name))
 
@@ -52,7 +52,7 @@ op = build_from_blocks(
     maps["gamma3"], maps["alpha4"], maps["beta4"],
 )
 print("random valid tuple assembles into the solved space:",
-      space.contains_vector(op.flatten()))
+      space.contains_vector(op.coords))
 
 # On the full matrix algebra the space is just scalars + trace-like maps.
 m2 = full_matrix_gma(2)

@@ -18,7 +18,6 @@ from lietriple.catalog import (
 from lietriple.centralizers import IdentityKind, solve_identity_space
 from lietriple.derivations import check_thm41_hypotheses, decompose_generalized_ltd
 from lietriple.gma import Bimodule, assemble
-from lietriple.linalg import Matrix
 from lietriple.properness import (
     PropernessCertificate,
     PropernessFailure,
@@ -31,8 +30,9 @@ from lietriple.properness import (
 u = full_matrix_gma(2)
 alg = u.algebra
 one = find_unit(alg).coords
+# an operator is its column-major coordinates: column j is the image of e_j
 cols = [one if j in (0, 3) else (0, 0, 0, 0) for j in range(4)]
-trace = LinearOperator(alg, Matrix.from_cols(cols))
+trace = LinearOperator(alg, [x for col in cols for x in col])
 cert = is_proper_thm33(u, trace)
 assert isinstance(cert, PropernessCertificate)
 print("trace map: lambda =", cert.lam, " chi equals the map itself:", cert.chi == trace)
@@ -56,7 +56,7 @@ print("\ndual-number context sufficiency:", check_cor36_hypotheses(weird).satisf
 space = solve_identity_space(weird.algebra, IdentityKind.LIE_TRIPLE_CENTRALIZER)
 improper = [
     v for v in space.basis
-    if isinstance(is_proper_thm33(weird, LinearOperator.from_flat(weird.algebra, v)),
+    if isinstance(is_proper_thm33(weird, LinearOperator(weird.algebra, v)),
                   PropernessFailure)
 ]
 print("improper basis solutions found:", len(improper), "of", space.dim)

@@ -7,6 +7,9 @@ written only on reading ``StructureConstants.table``.  Associativity is
 checked exhaustively at construction time, so everything downstream may
 assume it.  Non-unital algebras are first-class: operations that
 genuinely need a unit raise ``NotUnital`` instead of guessing one.
+An element and an operator are held by their coordinates alone, an
+operator's column-major (entry c * n + r is coordinate r of phi(e_c)),
+and share one linear structure.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import AlgebraMismatch, DimensionMismatch, NotAssociative, NotUnital
 from .linalg import (
-    Matrix,
     Subspace,
     _over,
     checked_tensor,
@@ -217,51 +219,60 @@ def _same_algebra(a: StructureConstants, b: StructureConstants) -> None:
         raise AlgebraMismatch("operands live in different algebras")
 
 
-class AlgebraElement(Frozen):
-    """An element of a fixed algebra, stored by basis coordinates."""
+class _Coordinates(Frozen):
+    """A value on a fixed algebra held by its coordinates: dim of them for an element, dim^2 for an operator.
+
+    The linear structure is written here once: ``+``, ``-`` and scalar
+    ``*`` are each one ``combination`` of the coordinates.
+    """
 
     __slots__ = ("algebra", "coords")
+    _power, _of = 1, "a"  # dim^_power coordinates; the message names the value by _of
 
     def __init__(self, algebra: StructureConstants, coords: Iterable):
         cs = vec(coords)
-        if len(cs) != algebra.dim:
-            raise DimensionMismatch(
-                f"{len(cs)} coordinates for a dim-{algebra.dim} algebra"
-            )
+        if len(cs) != algebra.dim**self._power:
+            raise DimensionMismatch(f"{len(cs)} coordinates for {self._of} dim-{algebra.dim} algebra")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coords", cs)
 
     def __reduce__(self):
-        return AlgebraElement, (self.algebra, self.coords)
+        return type(self), (self.algebra, self.coords)
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __add__(self, other):
         return self._combine((1, 1), other)
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __sub__(self, other):
         return self._combine((1, -1), other)
 
-    def __neg__(self) -> "AlgebraElement":
+    def __neg__(self):
         return self._combine((-1,))
 
-    def __rmul__(self, scalar) -> "AlgebraElement":
+    def __rmul__(self, scalar):
         return self._combine((rat(scalar),))
 
-    def _combine(self, coeffs: Sequence, *others: "AlgebraElement") -> "AlgebraElement":
-        """The sum of c * x over the coefficients and the elements (self, *others)."""
+    def _combine(self, coeffs: Sequence, *others):
+        """The sum of c * x over the coefficients and the values (self, *others)."""
         for x in others:
             _same_algebra(self.algebra, x.algebra)
         coords = [x.coords for x in (self, *others)]
-        return AlgebraElement(self.algebra, combination(coeffs, coords, self.algebra.dim))
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _same_algebra(self.algebra, other.algebra)
-        return AlgebraElement(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
+        return type(self)(self.algebra, combination(coeffs, coords, len(self.coords)))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
     def _key(self):
         return (self.algebra.content_hash, self.coords)
+
+
+class AlgebraElement(_Coordinates):
+    """An element of a fixed algebra, stored by basis coordinates."""
+
+    __slots__ = ()
+
+    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        _same_algebra(self.algebra, other.algebra)
+        return AlgebraElement(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
 
     def __repr__(self) -> str:
         labels = self.algebra.labels
@@ -508,23 +519,15 @@ def largest_central_ideal(alg: StructureConstants) -> Subspace:
     return v
 
 
-class LinearOperator(Frozen):
-    """A linear map on a fixed algebra; column j is the image of e_j."""
+class LinearOperator(_Coordinates):
+    """A linear map on a fixed algebra by its column-major coordinates: entry c * n + r is coordinate r of phi(e_c)."""
 
-    __slots__ = ("algebra", "matrix")
-
-    def __init__(self, algebra: StructureConstants, matrix: Matrix):
-        if matrix.rows != algebra.dim or matrix.cols != algebra.dim:
-            raise DimensionMismatch("operator matrix must be dim x dim")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __reduce__(self):
-        return LinearOperator, (self.algebra, self.matrix)
+    __slots__ = ()
+    _power, _of = 2, "an operator on a"
 
     @classmethod
     def identity(cls, algebra: StructureConstants) -> "LinearOperator":
-        return cls(algebra, Matrix.identity(algebra.dim))
+        return cls.from_images(algebra, algebra.basis())
 
     @classmethod
     def from_images(cls, algebra: StructureConstants, images: Sequence[AlgebraElement]) -> "LinearOperator":
@@ -532,52 +535,27 @@ class LinearOperator(Frozen):
             raise DimensionMismatch("need one image per basis vector")
         for x in images:
             _same_algebra(algebra, x.algebra)
-        return cls(algebra, Matrix.from_cols([x.coords for x in images]))
+        return cls(algebra, [c for x in images for c in x.coords])
 
     @classmethod
     def from_flat(cls, algebra: StructureConstants, flat: Sequence[Fraction]) -> "LinearOperator":
-        """Inverse of flatten: column-major coordinates over the basis."""
-        n = algebra.dim
-        if len(flat) != n * n:
-            raise DimensionMismatch("flat vector must have dim^2 entries")
-        return cls(algebra, Matrix.from_cols([flat[c * n : (c + 1) * n] for c in range(n)]))
+        """The operator with these column-major coordinates: the constructor, kept for ``benchmarks/``."""
+        return cls(algebra, flat)
 
     def flatten(self) -> tuple:
-        """Column-major vectorization (the fixed unknown ordering)."""
-        return tuple(
-            self.matrix.data[r][c]
-            for c in range(self.algebra.dim)
-            for r in range(self.algebra.dim)
-        )
+        """The column-major coordinates: ``coords``, kept for ``benchmarks/``."""
+        return self.coords
 
-    def apply(self, x: AlgebraElement) -> AlgebraElement:
-        _same_algebra(self.algebra, x.algebra)
-        return AlgebraElement(self.algebra, self.matrix.matvec(x.coords))
+    def column(self, j: int) -> tuple:
+        """phi(e_j) as coordinates."""
+        n = self.algebra.dim
+        return self.coords[j * n : (j + 1) * n]
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        return self.apply(x)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        return self._combine((1, 1), other)
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        return self._combine((1, -1), other)
-
-    def __rmul__(self, scalar) -> "LinearOperator":
-        return self._combine((rat(scalar),))
-
-    def _combine(self, coeffs: Sequence, *others: "LinearOperator") -> "LinearOperator":
-        """The sum of c * op over the coefficients and the operators (self, *others)."""
-        for op in others:
-            _same_algebra(self.algebra, op.algebra)
-        flats = [op.flatten() for op in (self, *others)]
-        return LinearOperator.from_flat(self.algebra, combination(coeffs, flats, self.algebra.dim ** 2))
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
-
-    def _key(self):
-        return (self.algebra.content_hash, self.matrix)
+        """phi(x): the combination of the columns with x's coordinates."""
+        _same_algebra(self.algebra, x.algebra)
+        n = self.algebra.dim
+        return AlgebraElement(self.algebra, combination(x.coords, [self.column(j) for j in range(n)], n))
 
     def __repr__(self) -> str:
         return f"LinearOperator(on dim {self.algebra.dim})"
@@ -585,14 +563,12 @@ class LinearOperator(Frozen):
 
 def multiplication_operator(alg: StructureConstants, coords: Sequence[Fraction]) -> LinearOperator:
     """x -> c * x as an operator (left multiplication by c): column j, c * e_j, read off the int table."""
-    n = alg.dim
-    if len(coords) != n:
-        raise DimensionMismatch(f"{len(coords)} coordinates for a dim-{n} algebra")
+    n, coords = alg.dim, alg.element(coords).coords  # the element's length check
     d, table = alg._int_table
     s, (cs,) = clear_denominators([[(i, x) for i, x in enumerate(coords) if x]])
-    cols = [[0] * n for _ in range(n)]
+    flat = [0] * (n * n)
     for i, c in cs:
-        for col, row in zip(cols, table[i]):
+        for j, row in enumerate(table[i]):
             for k, x in row:
-                col[k] += c * x
-    return LinearOperator(alg, Matrix.from_cols([_over(col, d * s) for col in cols]))
+                flat[j * n + k] += c * x
+    return LinearOperator(alg, _over(flat, d * s))

@@ -325,7 +325,7 @@ def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> Id
     alg, dims = _resolve(alg_or_gma, kind)
     _same_algebra(alg, op.algebra)
     space = held(_solved_space, alg, kind, dims)
-    if space is not None and space.contains_vector(op.flatten()):
+    if space is not None and space.contains_vector(op.coords):
         return IdentityCheck(True)
     return _walked_membership(alg_or_gma, kind, op)
 
@@ -340,7 +340,7 @@ def _walked_membership(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> Id
     """
     alg, dims = _resolve(alg_or_gma, kind)
     _same_algebra(alg, op.algebra)
-    flat = op.flatten()
+    flat = op.coords
     coords = tuple((k, x.numerator, x.denominator) for k, x in enumerate(flat) if x)
     key = ("is_identity_member", kind, dims, coords)
     return cached(alg._facts, key, lambda: _membership(alg, kind, dims, flat))
@@ -415,14 +415,15 @@ class BlockDecomposition(Record):
                 raise DimensionMismatch(f"corner {name} is {mat.rows}x{mat.cols}, expected {shape[0]}x{shape[1]}")
 
     def reassemble(self) -> LinearOperator:
+        """The operator whose entry (r, c), coordinate c * n + r, each corner holds at r in its target, c in its source."""
         u = self.gma
         n = u.algebra.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        flat = [Fraction(0)] * (n * n)
         for name, (target, source) in CORNERS.items():
             sr = u.block_range(source)
             for r, row in zip(u.block_range(target), getattr(self, name).data):
-                rows[r][sr.start : sr.stop] = row
-        return LinearOperator(u.algebra, Matrix(rows, cols=n))
+                flat[sr.start * n + r : sr.stop * n + r : n] = row  # the coordinates c * n + r, c in sr
+        return LinearOperator(u.algebra, flat)
 
     def ranges_inside(self, a_side: Subspace, b_side: Subspace) -> tuple[bool, bool]:
         """(every column of alpha4 lies in b_side, every column of beta1 in a_side): one verdict per side."""
@@ -442,13 +443,11 @@ def _same_gma(u: GMA, d: BlockDecomposition) -> None:
 def block_decompose(u: GMA, op: LinearOperator) -> BlockDecomposition:
     """Slice an operator into its sixteen corner maps (exact reassembly)."""
     _same_algebra(u.algebra, op.algebra)
-    data = op.matrix.data
+    n, flat = u.algebra.dim, op.coords
     corners = {}
     for name, (target, source) in CORNERS.items():
-        sr = u.block_range(source)
-        corners[name] = Matrix(
-            [data[r][sr.start : sr.stop] for r in u.block_range(target)], cols=len(sr)
-        )
+        sr = u.block_range(source)  # row r of a corner is the coordinates c * n + r, c in sr
+        corners[name] = Matrix([flat[sr.start * n + r : sr.stop * n + r : n] for r in u.block_range(target)], cols=len(sr))
     return BlockDecomposition(gma=u, **corners)
 
 

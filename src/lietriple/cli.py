@@ -86,12 +86,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _columns_doc(op: LinearOperator) -> list:
+    """An operator's columns, phi(e_j) for each j, as rational vectors."""
+    return [vector_doc(op.column(j)) for j in range(op.algebra.dim)]
+
+
 def _certificate_result(res) -> tuple[dict, list[str], int]:
     if isinstance(res, PropernessCertificate):
         doc = {
             "verdict": "proper",
             "lambda": vector_doc(res.lam.coords),
-            "chi": [vector_doc(res.chi.matrix.col(j)) for j in range(res.chi.algebra.dim)],
+            "chi": _columns_doc(res.chi),
             "transcript": [[name, ok] for name, ok in res.transcript],
         }
         lam_zero = all(x == 0 for x in res.lam.coords)
@@ -160,11 +165,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         _emit(args.format, command, inputs, results, [f"INFEASIBLE: {res.reason}"], "math-failure")
         return 1
     assert isinstance(res, GLTDDecomposition)
-    n = entry.algebra.dim
     results = {
-        "delta": [vector_doc(res.delta.matrix.col(j)) for j in range(n)],
-        "singular": [vector_doc(res.singular.matrix.col(j)) for j in range(n)],
-        "psi": [vector_doc(res.psi.matrix.col(j)) for j in range(n)],
+        "delta": _columns_doc(res.delta),
+        "singular": _columns_doc(res.singular),
+        "psi": _columns_doc(res.psi),
         "lambda": vector_doc(res.lam.coords),
         "certified_hypotheses": res.certified_hypotheses,
         "transcript": [[name, ok] for name, ok in res.transcript],
@@ -283,7 +287,7 @@ def reproduction_checks() -> list[dict]:
         space = solve_identity_space(u.algebra, IdentityKind.LIE_TRIPLE_CENTRALIZER)
         ok = all(
             verify_thm31_conditions(
-                u, block_decompose(u, LinearOperator.from_flat(u.algebra, v))
+                u, block_decompose(u, LinearOperator(u.algebra, v))
             ).passed
             for v in space.basis
         )
@@ -297,7 +301,7 @@ def reproduction_checks() -> list[dict]:
         cor = check_cor36_hypotheses(u)
         proper_all = all(
             isinstance(
-                is_proper_thm33(u, LinearOperator.from_flat(u.algebra, v)),
+                is_proper_thm33(u, LinearOperator(u.algebra, v)),
                 PropernessCertificate,
             )
             for v in space.basis

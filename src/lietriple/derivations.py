@@ -72,7 +72,7 @@ def check_gltd_correspondence(
             alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, lam_op - xi
         )
     )
-    lam_flat, xi_flat = lam_op.flatten(), xi.flatten()
+    lam_flat, xi_flat = lam_op.coords, xi.coords
     residual = next(_identity_residuals(alg, ltd, lam_flat, (lam_flat, xi_flat, xi_flat)), None)
     if via_difference != (residual is None):
         raise LieTripleError(
@@ -202,13 +202,13 @@ def decompose_ltd(u: GMA, xi: LinearOperator) -> LTDDecomposition | Infeasible:
     cv = central_vanishing_space(alg)
     cols = list(der.basis) + list(sjd.basis) + list(cv.basis)
     n = alg.dim * alg.dim
-    coeffs = solve(len(cols), [[c[r] for c in cols] for r in range(n)], xi.flatten())
+    coeffs = solve(len(cols), [[c[r] for c in cols] for r in range(n)], xi.coords)
     if coeffs is None:
         return Infeasible("xi is outside derivations + singular + central-vanishing")
 
     d1, d2 = len(der.basis), len(der.basis) + len(sjd.basis)
     delta, singular, gamma = (
-        LinearOperator.from_flat(alg, combination(c, space.basis, n))
+        LinearOperator(alg, combination(c, space.basis, n))
         for c, space in ((coeffs[:d1], der), (coeffs[d1:d2], sjd), (coeffs[d2:], cv))
     )
     if not _walked_membership(alg, IdentityKind.DERIVATION, delta):

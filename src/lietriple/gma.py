@@ -52,6 +52,7 @@ from .linalg import (
     combination,
     kernel_of_rows,
     rat,
+    row_values,
     tensor_entries,
     unit_vec,
     vec,
@@ -507,13 +508,9 @@ def eta_map(u: GMA) -> EtaMap:
                 raise NonUniqueEta("eta is not multiplicative")
     # intertwining identities: the commutation rows vanish on a + eta(a)
     planes = _commutation_rows(u)
-    checks = [
-        (Matrix([row for plane in planes[block] for row in plane], cols=da + db), message)
-        for block, message in (("M", "a m != m eta(a)"), ("N", "n a != eta(a) n"))
-    ]
     for a in blocks.pi_a.basis:
         pair = a + eta.apply(a)
-        for rows, message in checks:
-            if any(rows.matvec(pair)):
+        for block, message in (("M", "a m != m eta(a)"), ("N", "n a != eta(a) n")):
+            if any(row_values((enumerate(row) for plane in planes[block] for row in plane), pair)):
                 raise NonUniqueEta(message)
     return eta

@@ -22,9 +22,9 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .algebra import LinearOperator, StructureConstants
-from .errors import HashMismatch
+from .errors import DimensionMismatch, HashMismatch
 from .gma import Bimodule
-from .linalg import _ZERO, Matrix, grid_nonzeros
+from .linalg import _ZERO, grid_nonzeros
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -123,7 +123,10 @@ def operator_from_doc(doc: dict, algebra: StructureConstants) -> LinearOperator:
             "operator was saved against a different algebra "
             f"({brief(doc.get('algebra_hash'))} != {brief(algebra.content_hash)})"
         )
-    return LinearOperator(algebra, Matrix.from_cols(parse_grid(doc["matrix"])))
+    cols, n = parse_grid(doc["matrix"]), algebra.dim
+    if len(cols) != n or any(len(col) != n for col in cols):
+        raise DimensionMismatch(f"an operator on a dim-{n} algebra needs {n} columns of {n} entries each")
+    return LinearOperator(algebra, [x for col in cols for x in col])
 
 
 def dump_json(doc: dict) -> str:

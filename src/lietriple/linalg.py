@@ -34,8 +34,10 @@ one check of its shape and of ``MAX_TENSOR_ENTRIES``; the algebra
 product applies the structure table scaled to ints.  Dense grids appear
 only where a tensor is written out in full: ``dense_tensor`` lays one
 out for ``StructureConstants.table``, and ``grid_nonzeros`` reads a
-document's grid back.  ``Matrix`` holds data and applies to a vector
-through ``combination``.
+document's grid back.  ``Matrix`` is a rectangular map, a corner of a
+block form or a change of basis (an operator on an algebra is held as
+its column-major coordinates, in ``algebra``); it holds data and
+applies to a vector through ``combination``.
 """
 
 from __future__ import annotations
@@ -170,10 +172,6 @@ class Matrix(Frozen):
 
     def __reduce__(self):
         return Matrix, (self.data, self.cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([unit_vec(n, i) for i in range(n)], cols=n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":

@@ -131,7 +131,7 @@ def central_vanishing_space(alg: StructureConstants) -> Subspace:
 
 def central_vanishing_verdicts(alg: StructureConstants, op: LinearOperator) -> tuple[bool, bool]:
     """(op maps into the center, op kills the double commutators), on the shared rows."""
-    (flat,) = int_flats(op.flatten())
+    (flat,) = int_flats(op.coords)
     return tuple(not any(row_values(rows, flat)) for rows in central_vanishing_rows(alg))
 
 
@@ -176,7 +176,7 @@ def is_proper_direct(
     n = alg.dim
     z = center(alg)
     into_center, kills_dc = central_vanishing_rows(alg)
-    *mults, phi_flat = int_flats(*_center_multiplications(alg), phi.flatten())
+    *mults, phi_flat = int_flats(*_center_multiplications(alg), phi.coords)
     coeffs = _solve_lambda(into_center + kills_dc, mults, phi_flat)
     if coeffs is None:
         x = _singleton_witness(alg, into_center, mults, phi_flat, probes)
@@ -203,7 +203,7 @@ def is_proper_direct(
 @memoized
 def _center_multiplications(alg: StructureConstants) -> tuple[tuple, ...]:
     """The column-major flats of x -> z_t x over the basis z_t of the center."""
-    return tuple(multiplication_operator(alg, zt).flatten() for zt in center(alg).basis)
+    return tuple(multiplication_operator(alg, zt).coords for zt in center(alg).basis)
 
 
 def _singleton_witness(alg, into_center, mults, phi_flat, probes):

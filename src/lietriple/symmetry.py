@@ -160,12 +160,8 @@ def triple_tuple(alg: StructureConstants, slots: tuple, tag: tuple) -> tuple:
     x, y, z = tag
     xy = brackets.get((x, y), ())
 
-    def with_z(v) -> list:  # [v, e_z], its nonzeros in any order
-        out: dict[int, int] = {}
-        for k, c in v:
-            for l, b in brackets.get((k, z), ()):
-                out[l] = out.get(l, 0) + c * b
-        return [(l, b) for l, b in out.items() if b]
+    def with_z(v) -> tuple:  # [v, e_z]
+        return _sparse_sum((c, brackets.get((k, z), ())) for k, c in v)
 
     terms = []
     for p, s in enumerate(slots):

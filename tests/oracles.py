@@ -8,7 +8,10 @@ kernel.  Agreement between the two routes is what the dimension tests
 actually certify.  ``identity_sides`` evaluates both sides of an
 identity at one basis tuple the same way, to re-check a reported
 witness.  ``left_mult`` and ``right_mult`` read the multiplication
-maps off the table by plain loops, and ``zero_operator`` is the zero map.  ``grid_algebra`` builds an algebra
+maps off the table by plain loops, and ``zero_operator`` is the zero map.
+``operator_of`` builds an operator from its matrix, ``matrix_of`` reads
+an operator's matrix back off its column-major coordinates, and
+``identity_matrix`` is the n x n identity.  ``grid_algebra`` builds an algebra
 from a dense grid by listing its nonzeros, ``context_grids`` lays a
 context's tensors out as dense grids from the nonzeros it holds,
 ``dense_contract`` applies such a grid by a triple loop, and
@@ -35,7 +38,7 @@ from pathlib import Path
 from lietriple.algebra import AlgebraElement, LinearOperator, StructureConstants
 from lietriple.errors import InvalidBlockStructure, LieTripleError
 from lietriple.gma import context_of
-from lietriple.linalg import Matrix, tensor_entries, zero_vec
+from lietriple.linalg import Matrix, tensor_entries, unit_vec, zero_vec
 
 
 def grid_algebra(table, labels=None) -> StructureConstants:
@@ -126,7 +129,21 @@ def right_mult(alg: StructureConstants, coords) -> Matrix:
 
 def zero_operator(alg: StructureConstants) -> LinearOperator:
     """The zero map on an algebra."""
-    return LinearOperator(alg, Matrix.zeros(alg.dim, alg.dim))
+    return operator_of(alg, Matrix.zeros(alg.dim, alg.dim))
+
+
+def operator_of(alg: StructureConstants, m: Matrix) -> LinearOperator:
+    """The operator with this matrix: entry (r, c) is coordinate c * n + r."""
+    return LinearOperator(alg, [m.data[r][c] for c in range(m.cols) for r in range(m.rows)])
+
+
+def matrix_of(op: LinearOperator) -> Matrix:
+    """The operator's matrix, column j its image of basis vector j."""
+    return Matrix.from_cols([op.column(j) for j in range(op.algebra.dim)])
+
+
+def identity_matrix(n: int) -> Matrix:
+    return Matrix([unit_vec(n, i) for i in range(n)], cols=n)
 
 
 def _elem(alg, coords):
@@ -361,7 +378,7 @@ def bimodule_doc(m) -> dict:
 def operator_doc(op) -> dict:
     """The operator document {"algebra_hash", "matrix"}, column j the image of basis vector j."""
     n = op.algebra.dim
-    return {"algebra_hash": op.algebra.content_hash, "matrix": [[str(x) for x in op.matrix.col(j)] for j in range(n)]}
+    return {"algebra_hash": op.algebra.content_hash, "matrix": [[str(x) for x in op.column(j)] for j in range(n)]}
 
 
 def write_doc(path, doc) -> None:

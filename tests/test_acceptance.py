@@ -44,7 +44,7 @@ from lietriple.properness import (
     is_proper_thm33,
 )
 
-from oracles import context_grids, dense_contract, dense_identity_space, left_mult
+from oracles import context_grids, dense_contract, dense_identity_space, left_mult, operator_of
 
 F = Fraction
 K = IdentityKind
@@ -184,7 +184,7 @@ def test_criterion_5_sufficiency_and_oracle_dimensions():
                 res = is_proper_thm33(u, phi)
                 assert isinstance(res, PropernessCertificate), name
                 # exact residual: phi(X) - lambda X - chi(X) = 0 entrywise
-                residual = phi - LinearOperator(u.algebra, left_mult(u.algebra, res.lam.coords)) - res.chi
+                residual = phi - operator_of(u.algebra, left_mult(u.algebra, res.lam.coords)) - res.chi
                 assert residual.is_zero()
         t2, m2 = catalog_gmas()["T2"].algebra, catalog_gmas()["M2"].algebra
         oracle_t2 = dense_identity_space(t2, "ltc")
@@ -209,7 +209,7 @@ def test_criterion_6_generalized_decomposition():
                 assert check_gltd_correspondence(alg, lam_op, xi)
                 res = decompose_generalized_ltd(u, lam_op, xi)
                 assert isinstance(res, GLTDDecomposition)
-                total = res.delta + res.singular + res.psi + LinearOperator(alg, left_mult(alg, res.lam.coords))
+                total = res.delta + res.singular + res.psi + operator_of(alg, left_mult(alg, res.lam.coords))
                 assert total == lam_op
                 assert res.verified
                 pairs_done += 1

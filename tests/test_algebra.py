@@ -40,9 +40,12 @@ from oracles import (
     dense_contract,
     first_nonassociative_triple,
     grid_algebra,
+    identity_matrix,
     inverse,
     kernel_basis,
     left_mult,
+    matrix_of,
+    operator_of,
     preimage_basis,
     rebased,
     right_mult,
@@ -246,8 +249,8 @@ class TestCenter:
         # Oracle: impose [z, e11] = [z, e12] = [z, e22] = 0 directly.
         rows = []
         for i in range(3):
-            diff = LinearOperator(t2, right_mult(t2, unit_vec(3, i))) - LinearOperator(t2, left_mult(t2, unit_vec(3, i)))
-            rows.extend(diff.matrix.data)
+            diff = operator_of(t2, right_mult(t2, unit_vec(3, i))) - operator_of(t2, left_mult(t2, unit_vec(3, i)))
+            rows.extend(matrix_of(diff).data)
         assert kernel_of_rows(3, rows) == center(t2)
         assert center(t2).basis == ((F(1), F(0), F(1)),)
 
@@ -361,7 +364,7 @@ class TestLargestCentralIdeal:
 
 class TestLinearOperator:
     def test_flatten_round_trip(self, m2):
-        op = LinearOperator(m2, Matrix([[1, 2, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [5, 0, 0, 1]]))
+        op = operator_of(m2, Matrix([[1, 2, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [5, 0, 0, 1]]))
         assert LinearOperator.from_flat(m2, op.flatten()) == op
 
     def test_apply_matches_columns(self, m2):
@@ -394,7 +397,7 @@ _MULTIPLICATION_ALGEBRAS = {
 
 def _ad(alg, coords) -> tuple:
     """The grid of x -> x c - c x."""
-    return (LinearOperator(alg, right_mult(alg, coords)) - LinearOperator(alg, left_mult(alg, coords))).matrix.data
+    return matrix_of(operator_of(alg, right_mult(alg, coords)) - operator_of(alg, left_mult(alg, coords))).data
 
 
 def _oracle_unit(alg):
@@ -427,7 +430,7 @@ def test_multiplication_maps_match_the_table_oracle(name):
         s = Subspace(n, [[F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(n)] for _ in range(k)])
         assert commutant(alg, s).basis == kernel_basis([row for v in s.basis for row in _ad(alg, v)], n)
     # V <- {v in V : e_i v and v e_i in V for every i}, from V = Z, to its fixed point
-    actions = [Matrix.identity(n).data] + [
+    actions = [identity_matrix(n).data] + [
         m.data for i in range(n) for m in (left_mult(alg, unit_vec(n, i)), right_mult(alg, unit_vec(n, i)))
     ]
     ideal = z
@@ -437,7 +440,7 @@ def test_multiplication_maps_match_the_table_oracle(name):
     unit = find_unit(alg)
     assert (None if unit is None else unit.coords) == _oracle_unit(alg)
     coords = [F(rng.randint(-3, 3), rng.choice((1, 3))) for _ in range(n)]
-    assert multiplication_operator(alg, coords).matrix == left_mult(alg, coords)
+    assert matrix_of(multiplication_operator(alg, coords)) == left_mult(alg, coords)
 
 
 _Q_ENTRIES = (F(-1, 2), F(1, 3), F(2, 3))
@@ -476,8 +479,8 @@ def test_the_int_product_and_left_multiplication_match_the_fraction_loops(name, 
     assert got == dense_contract(grid, x, y, n)
     assert all(type(v) is F for v in got)
     op = multiplication_operator(alg, x)
-    assert op.matrix == left_mult(alg, x)
-    assert all(type(v) is F for row in op.matrix.data for v in row)
+    assert matrix_of(op) == left_mult(alg, x)
+    assert all(type(v) is F for row in matrix_of(op).data for v in row)
 
 
 _FORM_ALGEBRAS = {name: _SPAN_ALGEBRAS[name] for name in ("T3", "T4", "M3", "example_1_2", "strict_upper_3x3", "T3r")}

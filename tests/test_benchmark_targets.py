@@ -1,10 +1,11 @@
 """The benchmark reaches the package by name; every such name must still resolve.
 
-``benchmarks/tracer.py`` wraps package functions by name, and the
-benchmark's scripts import names from ``lietriple``.  Both are only read
-here with ``ast``, never imported or run, so a refactor that moves or
-drops a name the benchmark needs fails in this suite instead of in the
-benchmark's run.
+``benchmarks/tracer.py`` wraps package functions by name, the
+benchmark's scripts import names from ``lietriple``, and they read a few
+attributes off package objects (``ATTRIBUTES``).  The scripts are only
+read here, with ``ast`` or as text, never imported or run, so a refactor
+that moves or drops a name the benchmark needs fails in this suite
+instead of in the benchmark's run.
 """
 
 import ast
@@ -55,3 +56,19 @@ def test_benchmark_scripts_import_from_lietriple():
 def test_benchmark_import_resolves(script, module, name):
     obj = importlib.import_module(module)
     assert not name or hasattr(obj, name)
+
+
+# (module, Class.attribute, the text a benchmark script reads it by) for what the scripts read off package objects
+ATTRIBUTES = (
+    ("algebra", "LinearOperator.from_flat", "LinearOperator.from_flat("),  # check.py: the solve-dense output check
+    ("algebra", "LinearOperator.flatten", ".flatten()"),  # child.py: the six-map request's output
+    ("algebra", "StructureConstants.table", ".algebra.table"),  # check.py: the output checks' tables
+)
+
+
+@pytest.mark.parametrize("module, attr, read", ATTRIBUTES)
+def test_benchmark_attribute_resolves_and_is_still_read(module, attr, read):
+    cls, name = attr.split(".")
+    assert hasattr(getattr(importlib.import_module(f"lietriple.{module}"), cls), name)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(_BENCHMARKS.glob("*.py"))]
+    assert any(read in text for text in texts), f"no benchmark script reads {read}"

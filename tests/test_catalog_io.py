@@ -27,7 +27,6 @@ from lietriple.catalog import (
 from lietriple.errors import HashMismatch
 from lietriple.gma import Bimodule, assemble, check_annihilating_conditions, context_of, m2_of, peirce_from_idempotent
 from lietriple.io import brief, dump_json, operator_from_doc, parse_rat, sc_from_doc
-from lietriple.algebra import LinearOperator
 from lietriple.linalg import Matrix, tensor_entries
 from oracles import (
     RATIONAL_BASIS,
@@ -37,6 +36,7 @@ from oracles import (
     dense_content_hash,
     grid_algebra,
     operator_doc,
+    operator_of,
     rebased,
     write_doc,
 )
@@ -447,7 +447,7 @@ class TestDocuments:
 
     def test_operator_round_trip_and_hash_guard(self):
         t2 = upper_triangular(2)
-        op = LinearOperator(t2, Matrix([[1, 2, 0], [0, 1, 0], [F(1, 3), 0, 1]]))
+        op = operator_of(t2, Matrix([[1, 2, 0], [0, 1, 0], [F(1, 3), 0, 1]]))
         doc = operator_doc(op)
         assert operator_from_doc(doc, t2) == op
         with pytest.raises(HashMismatch):

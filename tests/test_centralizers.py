@@ -51,9 +51,12 @@ from oracles import (
     RATIONAL_BASIS,
     dense_identity_space,
     dimension_law,
+    identity_matrix,
     identity_sides,
     inverse,
+    matrix_of,
     operator_doc,
+    operator_of,
     rebased,
     residual_is_zero,
     unit_diagonal_basis,
@@ -114,7 +117,7 @@ class TestSolutionDimensions:
         # soundness: each basis solution satisfies the identity element-wise
         alg = ex12.gma.algebra
         for v in space.basis[:5]:
-            assert residual_is_zero(alg, LinearOperator.from_flat(alg, v).matrix, "lc")
+            assert residual_is_zero(alg, matrix_of(LinearOperator.from_flat(alg, v)), "lc")
 
     def test_identity_operator_in_all_centralizer_kinds(self, gmas):
         for u in gmas.values():
@@ -197,7 +200,7 @@ class TestMembership:
         op = LinearOperator.from_flat(
             alg, tuple(F(rng.randint(-2, 2)) for _ in range(144))
         )
-        assert residual_is_zero(alg, op.matrix, "ltc_middle")
+        assert residual_is_zero(alg, matrix_of(op), "ltc_middle")
 
     def test_operator_of_another_algebra_is_rejected(self):
         # The 4x4 identity of M2 must not be read as an operator on the dim-3 T2.
@@ -233,9 +236,9 @@ class TestBlockDecompose:
     def test_identity_on_t2(self, gmas):
         u = gmas["T2"]
         d = block_decompose(u, LinearOperator.identity(u.algebra))
-        assert d.alpha1 == Matrix.identity(1)
-        assert d.tau2 == Matrix.identity(1)
-        assert d.beta4 == Matrix.identity(1)
+        assert d.alpha1 == identity_matrix(1)
+        assert d.tau2 == identity_matrix(1)
+        assert d.beta4 == identity_matrix(1)
         for name in ("alpha2", "alpha3", "alpha4", "beta1", "beta2", "beta3",
                       "tau1", "tau3", "tau4"):
             assert getattr(d, name).is_zero()
@@ -250,8 +253,8 @@ class TestBlockDecompose:
 
     def test_example_phi_corners(self, ex12):
         d = block_decompose(ex12.gma, ex12.phi)
-        assert d.alpha4 == Matrix.identity(3)  # A-corner lands in B
-        assert d.beta1 == Matrix.identity(3)  # B-corner lands in A
+        assert d.alpha4 == identity_matrix(3)  # A-corner lands in B
+        assert d.beta1 == identity_matrix(3)  # B-corner lands in A
         for name in ("alpha1", "alpha2", "alpha3", "beta2", "beta3", "beta4",
                       "tau1", "tau2", "tau3", "tau4",
                       "gamma1", "gamma2", "gamma3", "gamma4"):
@@ -266,7 +269,7 @@ class TestBlockDecompose:
         d = block_decompose(u, LinearOperator.identity(u.algebra))
         corners = {name: getattr(d, name) for name in CORNERS}
         with pytest.raises(DimensionMismatch, match="tau2"):
-            BlockDecomposition(gma=u, **{**corners, "tau2": Matrix.identity(1)})
+            BlockDecomposition(gma=u, **{**corners, "tau2": identity_matrix(1)})
 
     def test_exact_reassembly(self, gmas):
         rng = random.Random(17)
@@ -294,7 +297,7 @@ class TestThm31Conditions:
 
     def test_swap_map_fails(self, gmas):
         u = gmas["M2"]
-        swap = LinearOperator(
+        swap = operator_of(
             u.algebra,
             Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
@@ -346,7 +349,7 @@ def _thm31_digest(u, rng):
         build_from_blocks(u, **{name: _random_matrix(rng, r, c) for name, (r, c) in _six_map_shapes(u).items()})
         for _ in range(3)
     ]
-    ops.append(LinearOperator(u.algebra, _random_matrix(rng, n, n)))
+    ops.append(operator_of(u.algebra, _random_matrix(rng, n, n)))
     for op in ops:
         h.update(repr(verify_thm31_conditions(u, block_decompose(u, op)).failures).encode())
     h.update(repr(six_map_solution_space(u).basis).encode())
@@ -444,7 +447,7 @@ def test_a_perturbed_six_map_operator_fails_alike_warm_and_cold(cold_cache, name
 class TestBuildFromBlocks:
     def test_identity_components(self, gmas):
         u = gmas["T2"]
-        ident = Matrix.identity(1)
+        ident = identity_matrix(1)
         zero = Matrix.zeros(1, 1)
         op = build_from_blocks(u, ident, zero, ident, Matrix.zeros(0, 0), zero, ident)
         assert op == LinearOperator.identity(u.algebra)
@@ -498,7 +501,7 @@ class TestBuildFromBlocks:
         u = gmas["T3"]
         assert u.dims == (1, 2, 0, 3)
         maps = six_maps_from_flat(u, [F(1)] * _six_map_layout(u)[0])
-        maps["alpha1"] = Matrix.identity(2)  # alpha1 maps A (dim 1) to A
+        maps["alpha1"] = identity_matrix(2)  # alpha1 maps A (dim 1) to A
         with pytest.raises(DimensionMismatch, match="alpha1"):
             build_from_blocks(u, **maps)
 
@@ -581,8 +584,8 @@ class TestOracleNet:
                 op = LinearOperator.from_flat(alg, flat)
                 chk = is_identity_member(alg, K(kind), op)
                 assert bool(chk) is expected
-                assert residual_is_zero(alg, op.matrix, kind) is expected
-            lhs, rhs = identity_sides(alg, kind, chk.witness, op.matrix)
+                assert residual_is_zero(alg, matrix_of(op), kind) is expected
+            lhs, rhs = identity_sides(alg, kind, chk.witness, matrix_of(op))
             assert lhs != rhs and (lhs, rhs) == (chk.lhs, chk.rhs)
 
 
@@ -599,9 +602,9 @@ def test_membership_with_rational_perturbations(name, kind):
         op = LinearOperator.from_flat(alg, tuple(a + b for a, b in zip(member, off)))
         chk = is_identity_member(alg, K(kind), op)
         expected = space.contains_vector(op.flatten())
-        assert bool(chk) is expected and residual_is_zero(alg, op.matrix, kind) is expected
+        assert bool(chk) is expected and residual_is_zero(alg, matrix_of(op), kind) is expected
         if not chk:
-            assert identity_sides(alg, kind, chk.witness, op.matrix) == (chk.lhs, chk.rhs)
+            assert identity_sides(alg, kind, chk.witness, matrix_of(op)) == (chk.lhs, chk.rhs)
 
 
 # T3 in seeded integer bases with two entries off the diagonal per row:
@@ -625,7 +628,7 @@ def test_rebased_t3_solves_equal_conjugated_catalog_spaces():
             space = solve_identity_space(alg, K(kind))
             old = solve_identity_space(t3, K(kind))
             conjugated = [
-                LinearOperator(alg, pinv @ LinearOperator.from_flat(t3, v).matrix @ pm).flatten() for v in old.basis
+                operator_of(alg, pinv @ matrix_of(LinearOperator.from_flat(t3, v)) @ pm).flatten() for v in old.basis
             ]
             assert space == Subspace(n * n, conjugated)
             h.update(repr(space.basis).encode())
@@ -757,7 +760,7 @@ def test_the_witness_under_the_skip_is_the_first_failing_tuple(name, kind):
         chk = is_identity_member(target, K(kind), op)
         assert not chk
         assert chk.witness[0] <= chk.witness[1]
-        assert (chk.witness, chk.lhs, chk.rhs) == _first_failing_tuple(alg, kind, op.matrix)
+        assert (chk.witness, chk.lhs, chk.rhs) == _first_failing_tuple(alg, kind, matrix_of(op))
 
 
 def test_the_gltd_direct_route_reads_the_mirrored_tuples():
@@ -774,12 +777,12 @@ def test_the_gltd_direct_route_reads_the_mirrored_tuples():
     failing = [tag for tag, _lhs, _rhs in _identity_residuals(alg, K.LIE_TRIPLE_DERIVATION, lam.flatten(), slots)]
     expected = [
         tag for tag in itertools.product(range(alg.dim), repeat=3)
-        if len(set(identity_sides(alg, "ltd", tag, lam.matrix, xi.matrix))) == 2
+        if len(set(identity_sides(alg, "ltd", tag, matrix_of(lam), matrix_of(xi)))) == 2
     ]
     assert failing == expected
     assert any(tag[0] > tag[1] for tag in failing) and any(tag[0] == tag[1] for tag in failing)
     chk = check_gltd_correspondence(alg, lam, xi)
-    assert (chk.witness, chk.lhs, chk.rhs) == _first_failing_tuple(alg, "ltd", lam.matrix, xi.matrix)
+    assert (chk.witness, chk.lhs, chk.rhs) == _first_failing_tuple(alg, "ltd", matrix_of(lam), matrix_of(xi))
 
 
 def test_matrix_algebra_solves_close_by_evaluation(cold_cache, monkeypatch):

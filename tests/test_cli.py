@@ -14,7 +14,7 @@ from lietriple.catalog import resolve, strict_upper_3x3, upper_triangular
 from lietriple.centralizers import IdentityKind, solve_identity_space
 from lietriple.cli import main
 from lietriple.linalg import Matrix
-from oracles import algebra_doc, left_mult, operator_doc, right_mult, write_doc
+from oracles import algebra_doc, left_mult, operator_doc, operator_of, right_mult, write_doc
 
 
 # sha256 of the verify-paper stdout in each format
@@ -103,7 +103,7 @@ class TestProper:
 
     def test_non_ltc_operator_is_math_failure(self, capsys, tmp_path):
         entry = resolve("full_matrix(2)")
-        swap = LinearOperator(
+        swap = operator_of(
             entry.algebra,
             Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
@@ -129,7 +129,7 @@ class TestDecompose:
     def test_generalized_decomposition(self, capsys, tmp_path):
         entry = resolve("upper_triangular(2)")
         alg = entry.algebra
-        ad = LinearOperator(alg, left_mult(alg, alg.basis_element(0).coords)) - LinearOperator(
+        ad = operator_of(alg, left_mult(alg, alg.basis_element(0).coords)) - operator_of(
             alg, right_mult(alg, alg.basis_element(0).coords)
         )
         lam_op = ad + LinearOperator.identity(alg)
@@ -491,7 +491,10 @@ class TestShapeErrors:
     """Documents whose shapes do not fit exit 2 with one line, like malformed ones."""
 
     @pytest.mark.parametrize(
-        "matrix", [[], [["1"]]], ids=["empty-matrix", "one-by-one-matrix"]
+        "matrix",
+        # the ragged one holds 4 x 4 entries in all, but not 4 columns of 4
+        [[], [["1"]], [["0"] * 5, ["0"] * 3, ["0"] * 4, ["0"] * 4]],
+        ids=["empty-matrix", "one-by-one-matrix", "ragged-columns"],
     )
     def test_operator_of_wrong_size(self, capsys, tmp_path, matrix):
         entry = resolve("full_matrix(2)")

@@ -40,7 +40,16 @@ from lietriple.gma import Bimodule, MoritaContext, assemble, block_hypotheses_ho
 from lietriple.linalg import Matrix
 from lietriple.properness import equivalence_audit
 
-from oracles import center_shape_holds, central_vanishing_basis, identity_sides, left_mult, right_mult, zero_operator
+from oracles import (
+    center_shape_holds,
+    central_vanishing_basis,
+    identity_sides,
+    left_mult,
+    matrix_of,
+    operator_of,
+    right_mult,
+    zero_operator,
+)
 
 F = Fraction
 K = IdentityKind
@@ -57,7 +66,7 @@ def m2g():
 
 
 def inner_derivation(alg, coords):
-    return LinearOperator(alg, left_mult(alg, coords)) - LinearOperator(alg, right_mult(alg, coords))
+    return operator_of(alg, left_mult(alg, coords)) - operator_of(alg, right_mult(alg, coords))
 
 
 def rand_member(space, alg, rng):
@@ -82,19 +91,19 @@ class TestCorrespondence:
     def test_swap_perturbation_fails_with_witness(self, m2g):
         alg = m2g.algebra
         xi = inner_derivation(alg, alg.basis_element(1).coords)
-        swap = LinearOperator(
+        swap = operator_of(
             alg,
             Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
         lam = xi + swap
         chk = check_gltd_correspondence(alg, lam, xi)
         assert not chk and chk.witness is not None
-        lhs, rhs = identity_sides(alg, "ltd", chk.witness, lam.matrix, xi.matrix)
+        lhs, rhs = identity_sides(alg, "ltd", chk.witness, matrix_of(lam), matrix_of(xi))
         assert lhs != rhs and (chk.lhs, chk.rhs) == (lhs, rhs)
 
     def test_rejects_non_ltd_xi(self, m2g):
         alg = m2g.algebra
-        swap = LinearOperator(
+        swap = operator_of(
             alg,
             Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
@@ -131,14 +140,14 @@ class TestCorrespondence:
         # the 7s of xi in the other two slots, not only those of Lambda
         alg = m2g.algebra
         xi = F(1, 7) * inner_derivation(alg, (0, 1, 2, 0))
-        trace = LinearOperator(
+        trace = operator_of(
             alg, Matrix.from_cols([(1, 0, 0, 1), (0,) * 4, (0,) * 4, (1, 0, 0, 1)])
         )
         phi = F(1, 3) * LinearOperator.identity(alg) + F(2, 3) * trace
         assert {x.denominator for x in phi.flatten()} == {1, 3}
         assert {x.denominator for x in xi.flatten()} == {1, 7}
         assert check_gltd_correspondence(alg, phi + xi, xi)
-        swap = LinearOperator(
+        swap = operator_of(
             alg,
             Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
@@ -148,7 +157,7 @@ class TestCorrespondence:
         slots = (bad.flatten(), xi.flatten(), xi.flatten())
         tag, lhs, rhs = next(_identity_residuals(alg, K.LIE_TRIPLE_DERIVATION, bad.flatten(), slots))
         assert tag == chk.witness
-        sides = identity_sides(alg, "ltd", tag, bad.matrix, xi.matrix)
+        sides = identity_sides(alg, "ltd", tag, matrix_of(bad), matrix_of(xi))
         assert sides[0] != sides[1] and sides == (alg.element(lhs), alg.element(rhs))
         assert (chk.lhs, chk.rhs) == sides
 
@@ -332,13 +341,13 @@ class TestDecomposeLtd:
         ad = inner_derivation(alg, alg.basis_element(0).coords)
         res = decompose_ltd(t2g, ad)
         assert isinstance(res, LTDDecomposition)
-        assert (res.delta + res.singular + res.gamma).matrix == ad.matrix
+        assert matrix_of(res.delta + res.singular + res.gamma) == matrix_of(ad)
 
     def test_with_central_offset(self, t2g):
         alg = t2g.algebra
         ad = inner_derivation(alg, alg.basis_element(0).coords)
         one = find_unit(alg).coords
-        cmap = LinearOperator(
+        cmap = operator_of(
             alg, Matrix.from_cols([one, (0, 0, 0), tuple(-x for x in one)])
         )
         assert central_vanishing_space(alg).contains_vector(cmap.flatten())
@@ -346,7 +355,7 @@ class TestDecomposeLtd:
         assert is_identity_member(alg, K.LIE_TRIPLE_DERIVATION, xi)
         res = decompose_ltd(t2g, xi)
         assert isinstance(res, LTDDecomposition)
-        assert (res.delta + res.singular + res.gamma).matrix == xi.matrix
+        assert matrix_of(res.delta + res.singular + res.gamma) == matrix_of(xi)
         assert is_identity_member(alg, K.DERIVATION, res.delta)
 
     def test_whole_basis_never_infeasible(self, t2g, m2g):
@@ -358,7 +367,7 @@ class TestDecomposeLtd:
                 assert isinstance(res, LTDDecomposition)
 
     def test_rejects_non_ltd(self, m2g):
-        swap = LinearOperator(
+        swap = operator_of(
             m2g.algebra,
             Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
@@ -375,14 +384,14 @@ class TestDecomposeLtd:
         reg = Bimodule.regular(q)
         u = assemble(MoritaContext(q, q, reg, reg, {}, {}))
         alg = u.algebra
-        swap = LinearOperator(
+        swap = operator_of(
             alg, Matrix.from_cols([(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 0)])
         )
         assert is_identity_member(alg, K.LIE_TRIPLE_DERIVATION, swap)
         res = decompose_ltd(u, swap)
         assert isinstance(res, LTDDecomposition)
         assert not res.singular.is_zero()
-        assert (res.delta + res.singular + res.gamma).matrix == swap.matrix
+        assert matrix_of(res.delta + res.singular + res.gamma) == matrix_of(swap)
 
 
 class TestDecomposeGeneralized:
@@ -402,7 +411,7 @@ class TestDecomposeGeneralized:
         assert isinstance(res, GLTDDecomposition)
         assert res.lam.coords == find_unit(alg).coords
         assert res.singular.is_zero()  # N = 0 leaves no singular corner
-        total = res.delta + res.singular + res.psi + LinearOperator(alg, left_mult(alg, res.lam.coords))
+        total = res.delta + res.singular + res.psi + operator_of(alg, left_mult(alg, res.lam.coords))
         assert total == lam_op
 
     def test_m2_trace_shift(self, m2g):
@@ -414,16 +423,16 @@ class TestDecomposeGeneralized:
             one if j in m2g.block_range("A") or j in m2g.block_range("B") else (F(0),) * n
             for j in range(n)
         ]
-        trace = LinearOperator(alg, Matrix.from_cols(cols))
+        trace = operator_of(alg, Matrix.from_cols(cols))
         lam_op = xi + trace
         res = decompose_generalized_ltd(m2g, lam_op, xi)
         assert isinstance(res, GLTDDecomposition)
         assert all(x == 0 for x in res.lam.coords)
         z = center(alg)
         for j in range(n):
-            assert z.contains_vector(res.psi.matrix.col(j))
+            assert z.contains_vector(matrix_of(res.psi).col(j))
         for w in double_commutator_span(alg).basis:
-            assert all(x == 0 for x in res.psi.matrix.matvec(w))
+            assert all(x == 0 for x in matrix_of(res.psi).matvec(w))
 
     def test_random_pairs(self, t2g, m2g):
         rng = random.Random(31)

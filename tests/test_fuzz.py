@@ -26,7 +26,7 @@ from lietriple.algebra import LinearOperator
 from lietriple.catalog import dual_numbers, rationals, resolve, scalar_bimodule
 from lietriple.centralizers import IdentityKind
 from lietriple.cli import main
-from oracles import algebra_doc, bimodule_doc, left_mult, operator_doc, right_mult, write_doc
+from oracles import algebra_doc, bimodule_doc, left_mult, operator_doc, operator_of, right_mult, write_doc
 
 _ALG = "upper_triangular(2)"
 
@@ -103,7 +103,7 @@ def documents(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     alg = resolve(_ALG).algebra
     e = alg.basis_element(0).coords
-    ad = LinearOperator(alg, left_mult(alg, e)) - LinearOperator(alg, right_mult(alg, e))
+    ad = operator_of(alg, left_mult(alg, e)) - operator_of(alg, right_mult(alg, e))
     docs = {
         "Q": algebra_doc(rationals()),
         "dual": algebra_doc(dual_numbers()),

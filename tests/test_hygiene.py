@@ -73,6 +73,8 @@ def test_every_private_helper_is_referenced():
 # public names that nothing in src/ calls and __init__.py does not export, each with why it stays
 KEPT = {
     "algebra.StructureConstants.table": "benchmarks/check.py and benchmarks/workloads.py read it, until ROADMAP item 1 or 8",
+    "algebra.LinearOperator.from_flat": "benchmarks/check.py builds the solve-dense output check's random member with it",
+    "algebra.LinearOperator.flatten": "benchmarks/child.py writes the six-map request's operator with it",
     "algebra.LinearOperator.identity": "the identity map, the unit of the operator ring; demos/05 uses it",
     "catalog.rationals": "Q as an algebra, a corner of the triangular algebras of demos 02 and 05",
     "catalog.dual_numbers": "Q[x]/(x^2), the corner of demo 05's triangular algebra with improper centralizers",

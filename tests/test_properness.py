@@ -33,7 +33,16 @@ from lietriple.gma import (
     eta_map,
 )
 from lietriple.linalg import Matrix, Subspace, combination
-from oracles import algebra_doc, bimodule_doc, operator_doc, row_space_basis, write_doc, zero_operator
+from oracles import (
+    algebra_doc,
+    bimodule_doc,
+    matrix_of,
+    operator_doc,
+    operator_of,
+    row_space_basis,
+    write_doc,
+    zero_operator,
+)
 from lietriple.properness import (
     Infeasible,
     PropernessCertificate,
@@ -75,7 +84,7 @@ def trace_map(u):
             cols.append(one)
         else:
             cols.append((F(0),) * n)
-    return LinearOperator(alg, Matrix.from_cols(cols))
+    return operator_of(alg, Matrix.from_cols(cols))
 
 
 def faithful_dual_number_triangular():
@@ -110,11 +119,11 @@ class TestThm33:
         assert res.chi == phi
         z = center(u.algebra)
         for j in range(4):
-            assert z.contains_vector(res.chi.matrix.col(j))
+            assert z.contains_vector(matrix_of(res.chi).col(j))
 
     def test_rejects_non_ltc(self, gmas):
         u = gmas["M2"]
-        swap = LinearOperator(
+        swap = operator_of(
             u.algebra,
             Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
@@ -205,8 +214,8 @@ class TestCertificates:
                 r12 = is_proper_direct(u.algebra, phi1 + phi2)
             else:
                 r1, r2, r12 = (is_proper_thm33(u, p) for p in (phi1, phi2, phi1 + phi2))
-            assert (phi1 + phi2).matrix.data == tuple(
-                tuple(a + b for a, b in zip(r, s)) for r, s in zip(phi1.matrix.data, phi2.matrix.data)
+            assert matrix_of(phi1 + phi2).data == tuple(
+                tuple(a + b for a, b in zip(r, s)) for r, s in zip(matrix_of(phi1).data, matrix_of(phi2).data)
             )
             assert r12.lam.coords == tuple(
                 a + b for a, b in zip(r1.lam.coords, r2.lam.coords)
@@ -418,7 +427,7 @@ def test_direct_route_on_random_draws_is_pinned():
             res = is_proper_direct(alg, LinearOperator.from_flat(alg, v))
             if isinstance(res, PropernessCertificate):
                 verdicts.append("proper")
-                h.update(repr(("proper", res.lam.coords, res.chi.matrix.data, res.transcript)).encode())
+                h.update(repr(("proper", res.lam.coords, matrix_of(res.chi).data, res.transcript)).encode())
             else:
                 wit = res.witness_element is not None
                 verdicts.append("witnessed" if wit else "infeasible")
@@ -450,7 +459,7 @@ def test_block_route_on_random_draws_is_pinned():
             res = is_proper_thm33(u, LinearOperator.from_flat(u.algebra, v))
             if isinstance(res, PropernessCertificate):
                 verdicts.append("proper")
-                h.update(repr((res.lam.coords, res.chi.matrix.data, res.alpha_bar.data,
+                h.update(repr((res.lam.coords, matrix_of(res.chi).data, res.alpha_bar.data,
                                res.beta_bar.data, res.transcript)).encode())
             else:
                 verdicts.append("failure")

@@ -42,7 +42,7 @@ from lietriple.linalg import Subspace
 from lietriple.properness import equivalence_audit, is_proper_direct
 from lietriple.symmetry import matrix_unit_symmetry
 
-from oracles import identity_sides, rebased, unit_diagonal_basis
+from oracles import identity_sides, matrix_of, rebased, unit_diagonal_basis
 
 F = Fraction
 K = IdentityKind
@@ -66,8 +66,8 @@ def _read_tuples(n: int, kind: str, every: bool):
 def _oracle_stream(alg, kind: str, flat, slot_flats=None) -> list:
     """(tag, lhs, rhs) at each read tuple whose two sides differ, by plain element arithmetic."""
     n = alg.dim
-    lhs_matrix = LinearOperator.from_flat(alg, flat).matrix
-    slots = None if slot_flats is None else tuple(LinearOperator.from_flat(alg, f).matrix for f in slot_flats)
+    lhs_matrix = matrix_of(LinearOperator.from_flat(alg, flat))
+    slots = None if slot_flats is None else tuple(matrix_of(LinearOperator.from_flat(alg, f)) for f in slot_flats)
     out = []
     # the singular kind's sparsity is checked before the walk, which reads the Jordan derivation identity
     oracle_kind = "jder" if kind == "sjder" else kind
