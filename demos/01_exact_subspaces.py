@@ -8,13 +8,15 @@ from fractions import Fraction
 
 from lietriple.linalg import Matrix, Subspace, kernel_of_rows, solve
 
-# Row reduction never rounds: pivots can be any rational.
-m = Matrix([[Fraction(1, 2), Fraction(1, 3)], [2, 4], [1, 2]])
+# Row reduction never rounds: pivots can be any rational.  A Matrix is
+# given by its column-major coordinates and prints row by row.
+m = Matrix(3, 2, [Fraction(1, 2), 2, 1, Fraction(1, 3), 4, 2])
 print("matrix:")
 print(m)
 # The canonical basis of the row space is the nonzero rows of the rref.
+rref = Subspace(m.cols, [m.row(i) for i in range(m.rows)]).basis
 print("rref rows:")
-print(Matrix(Subspace(m.cols, m.data).basis, cols=m.cols))
+print(Matrix(len(rref), m.cols, [v[j] for j in range(m.cols) for v in rref]))
 
 # Kernels of rows over Q^3 come back as canonical subspaces.
 k = kernel_of_rows(3, [(1, 2, 3), (2, 4, 6)])

@@ -298,6 +298,7 @@ def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | Non
             # a miss leaves the echelon as it was: each row met the pivots it holds
             lost += sum(len(row) * (1 + sum(c in ech.rows for c in row)) for row in rows)
             if lost >= ambient:
+                packed = None  # free the stale pack first: the new one is built while the old is still bound
                 packed, lost = _packed_kernel(alg, kind, ech.kernel_vectors(ambient)), 0
     return ech.kernel(ambient)
 
@@ -415,14 +416,14 @@ class BlockDecomposition(Record):
                 raise DimensionMismatch(f"corner {name} is {mat.rows}x{mat.cols}, expected {shape[0]}x{shape[1]}")
 
     def reassemble(self) -> LinearOperator:
-        """The operator whose entry (r, c), coordinate c * n + r, each corner holds at r in its target, c in its source."""
+        """The operator whose column c, in the source of a corner, holds that corner's column at its target's rows."""
         u = self.gma
         n = u.algebra.dim
         flat = [Fraction(0)] * (n * n)
         for name, (target, source) in CORNERS.items():
-            sr = u.block_range(source)
-            for r, row in zip(u.block_range(target), getattr(self, name).data):
-                flat[sr.start * n + r : sr.stop * n + r : n] = row  # the coordinates c * n + r, c in sr
+            tr, corner = u.block_range(target), getattr(self, name)
+            for j, c in enumerate(u.block_range(source)):
+                flat[c * n + tr.start : c * n + tr.stop] = corner.col(j)
         return LinearOperator(u.algebra, flat)
 
     def ranges_inside(self, a_side: Subspace, b_side: Subspace) -> tuple[bool, bool]:
@@ -446,8 +447,8 @@ def block_decompose(u: GMA, op: LinearOperator) -> BlockDecomposition:
     n, flat = u.algebra.dim, op.coords
     corners = {}
     for name, (target, source) in CORNERS.items():
-        sr = u.block_range(source)  # row r of a corner is the coordinates c * n + r, c in sr
-        corners[name] = Matrix([flat[sr.start * n + r : sr.stop * n + r : n] for r in u.block_range(target)], cols=len(sr))
+        tr, sr = u.block_range(target), u.block_range(source)
+        corners[name] = Matrix(len(tr), len(sr), [x for c in sr for x in flat[c * n + tr.start : c * n + tr.stop]])
     return BlockDecomposition(gma=u, **corners)
 
 
@@ -476,14 +477,14 @@ def build_from_blocks(
 _SIX_MAP_FIELDS = ("alpha1", "beta1", "tau2", "gamma3", "alpha4", "beta4")
 
 
-def _six_map_layout(u: GMA) -> tuple[int, dict[str, list[list[int]]]]:
-    """(n, grids): the six maps fill Q^n in field order, each column-major; map entry (i, j) is coordinate grids[map][i][j]."""
-    shapes, grids, pos = _corner_shapes(u), {}, 0
+def _six_map_layout(u: GMA) -> tuple[int, dict[str, tuple[int, int]]]:
+    """(n, {map: (start, rows)}): the six maps' coords fill Q^n in field order; map entry (r, k) is start + k * rows + r."""
+    shapes, layout, pos = _corner_shapes(u), {}, 0
     for name in _SIX_MAP_FIELDS:
-        r, c = shapes[name]
-        grids[name] = [[pos + j * r + i for j in range(c)] for i in range(r)]
-        pos += r * c
-    return pos, grids
+        rows, cols = shapes[name]
+        layout[name] = (pos, rows)
+        pos += rows * cols
+    return pos, layout
 
 
 @memoized
@@ -510,16 +511,16 @@ def _condition_rows(u: GMA) -> tuple[tuple[str, tuple, tuple[tuple[tuple[int, in
     tensors = (ctx._zeta, ctx._psi, M._left, M._right, N._left, N._right)
     ints = iter(clear_denominators(row for t in tensors for plane in t for row in plane)[1])
     zeta, psi, m_left, m_right, n_left, n_right = [[[next(ints) for _ in p] for p in t] for t in tensors]
-    grids, conditions, shared = _six_map_layout(u)[1], [], {}  # one held copy of equal pairs and rows
-    identity = {name: tuple((i, ((i, 1),)) for i in range(len(grid))) for name, grid in grids.items()}
+    layout, conditions, shared = _six_map_layout(u)[1], [], {}  # one held copy of equal pairs and rows
+    identity = {name: tuple((i, ((i, 1),)) for i in range(height)) for name, (_, height) in layout.items()}
 
     def rows(*terms) -> tuple:
         out: dict[int, dict] = {}
         for sign, name, pre, post in terms:
-            grid, post = grids[name], identity[name] if post is None else tuple(post)
+            (start, height), post = layout[name], identity[name] if post is None else tuple(post)
             for k, x in pre:
                 for r, v in post:
-                    col = grid[r][k]
+                    col = start + k * height + r
                     for l, c in v:
                         row = out.setdefault(l, {})
                         row[col] = row.get(col, 0) + sign * x * c
@@ -614,7 +615,7 @@ def verify_thm31_conditions(u: GMA, d: BlockDecomposition) -> Thm31Report:
     """Check the sixteen-corner shape and all structure conditions.
 
     A condition fails when one of its ``_condition_rows`` does not vanish
-    on the six maps, laid out by ``_six_map_layout`` and scaled to ints.
+    on the six maps' coords in field order, scaled to ints.
     """
     _same_gma(u, d)
     if find_unit(u.algebra) is None:
@@ -622,9 +623,7 @@ def verify_thm31_conditions(u: GMA, d: BlockDecomposition) -> Thm31Report:
     failures = [
         (f"corner {name} must vanish", ()) for name in _VANISHING_CORNERS if not getattr(d, name).is_zero()
     ]
-    total, grids = _six_map_layout(u)
-    at = {k: x for name, grid in grids.items() for ks, xs in zip(grid, getattr(d, name).data) for k, x in zip(ks, xs)}
-    (flat,) = int_flats([at[k] for k in range(total)])
+    (flat,) = int_flats([x for name in _SIX_MAP_FIELDS for x in getattr(d, name).coords])
     for label, tag, rows in _condition_rows(u):
         if any(row_values(rows, flat)):
             failures.append((label, tag))
@@ -642,11 +641,11 @@ def six_map_solution_space(u: GMA) -> Subspace:
 
 
 def six_maps_from_flat(u: GMA, flat: Sequence[Fraction]) -> dict[str, Matrix]:
-    """Split a flat vector into the six maps, laid out by ``_six_map_layout``."""
-    (total, grids), shapes = _six_map_layout(u), _corner_shapes(u)
+    """Split a flat vector into the six maps, laid out by ``_six_map_layout``: each map's coords are a slice."""
+    (total, layout), shapes = _six_map_layout(u), _corner_shapes(u)
     if len(flat) != total:
         raise DimensionMismatch(f"six-map vector has {len(flat)} entries, expected {total}")
-    return {name: Matrix([[flat[k] for k in ks] for ks in grid], cols=shapes[name][1]) for name, grid in grids.items()}
+    return {name: Matrix(*shapes[name], flat[start : start + rows * shapes[name][1]]) for name, (start, rows) in layout.items()}
 
 
 class Cor32Report(Record):

@@ -145,15 +145,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     inputs = {"algebra_hash": entry.algebra.content_hash, "operator_hash": op_hash}
     if args.xi is None:
         d = block_decompose(entry.gma, op)
-        corners = {
-            name: [vector_doc(row) for row in getattr(d, name).data] for name in CORNERS
-        }
+        mats = {name: getattr(d, name) for name in CORNERS}
+        corners = {name: [vector_doc(mat.row(i)) for i in range(mat.rows)] for name, mat in mats.items()}
         rep = verify_thm31_conditions(entry.gma, d)
         results = {"corners": corners, "block_form_conditions": rep.passed}
         lines = [f"block form conditions: {'pass' if rep.passed else 'fail'}"]
-        for name in sorted(corners):
-            mat = getattr(d, name)
-            lines.append(f"{name}: " + ("0" if mat.is_zero() else repr(mat)))
+        for name in sorted(mats):
+            lines.append(f"{name}: " + ("0" if mats[name].is_zero() else repr(mats[name])))
         _emit(args.format, ["decompose", args.algebra, args.operator], inputs, results, lines)
         return 0
     xi, xi_hash = _load_operator(args.xi, entry)

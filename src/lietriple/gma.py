@@ -320,7 +320,7 @@ def peirce_from_idempotent(alg: StructureConstants, e: AlgebraElement) -> Peirce
             labels.append(f"p{t}")
     sc = StructureConstants(n, table, labels)
     gma = GMA(sc, dims)
-    return PeirceDecomposition(gma, Matrix.from_cols(new_basis), Matrix.from_cols(new_coords))
+    return PeirceDecomposition(gma, *(Matrix(n, n, [x for col in cols for x in col]) for cols in (new_basis, new_coords)))
 
 
 class AnnihilatorReport(Record):

@@ -35,9 +35,9 @@ product applies the structure table scaled to ints.  Dense grids appear
 only where a tensor is written out in full: ``dense_tensor`` lays one
 out for ``StructureConstants.table``, and ``grid_nonzeros`` reads a
 document's grid back.  ``Matrix`` is a rectangular map, a corner of a
-block form or a change of basis (an operator on an algebra is held as
-its column-major coordinates, in ``algebra``); it holds data and
-applies to a vector through ``combination``.
+block form or a change of basis, held as an operator on an algebra is:
+its column-major coordinates, entry c * rows + r being row r of column
+c, so a column is a slice; ``matvec`` applies it through ``combination``.
 """
 
 from __future__ import annotations
@@ -151,44 +151,30 @@ def grid_nonzeros(t, shape: tuple[int, int, int], what: str) -> dict[tuple[int, 
 
 
 class Matrix(Frozen):
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable matrix of Fractions, held as its column-major coordinates: entry c * rows + r is row r of column c."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "coords")
 
-    def __init__(self, rows_data: Iterable[Iterable], cols: int | None = None):
-        data = tuple(vec(row) for row in rows_data)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise DimensionMismatch("ragged rows")
-            if cols is not None and cols != width:
-                raise DimensionMismatch("explicit cols disagrees with row width")
-            cols = width
-        elif cols is None:
-            raise DimensionMismatch("empty matrix needs an explicit column count")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "rows", len(data))
+    def __init__(self, rows: int, cols: int, coords: Iterable):
+        coords = vec(coords)
+        if len(coords) != rows * cols:
+            raise DimensionMismatch(f"a {rows}x{cols} matrix has {rows * cols} coordinates, not {len(coords)}")
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "coords", coords)
 
     def __reduce__(self):
-        return Matrix, (self.data, self.cols)
+        return Matrix, (self.rows, self.cols, self.coords)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([zero_vec(cols) for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def from_cols(cls, cols_data: Sequence[Sequence]) -> "Matrix":
-        cols = list(cols_data)
-        if not cols:
-            raise DimensionMismatch("from_cols needs at least one column")
-        n = len(cols[0])
-        if any(len(c) != n for c in cols):
-            raise DimensionMismatch("ragged columns")
-        return cls(zip(*cols), cols=len(cols))
+        return cls(rows, cols, zero_vec(rows * cols))
 
     def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.data)
+        return self.coords[j * self.rows : (j + 1) * self.rows]
+
+    def row(self, i: int) -> Vector:
+        return self.coords[i :: self.rows]
 
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
@@ -200,16 +186,17 @@ class Matrix(Frozen):
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"matmul: {self.cols} != {other.rows}")
-        return Matrix([combination(row, other.data, other.cols) for row in self.data], cols=other.cols)
+        cols = [self.col(k) for k in range(self.cols)]
+        return Matrix(self.rows, other.cols, [x for j in range(other.cols) for x in combination(other.col(j), cols, self.rows)])
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not any(self.coords)
 
     def _key(self):
-        return (self.cols, self.data)
+        return (self.rows, self.cols, self.coords)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 

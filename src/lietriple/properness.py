@@ -260,11 +260,11 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
         )
 
     eta_inv_alpha4, eta_beta1 = (
-        Matrix.from_cols([f(m.col(i)) for i in range(m.cols)])
+        Matrix(m.cols, m.cols, [x for i in range(m.cols) for x in f(m.col(i))])
         for f, m in ((eta.apply_inverse, d.alpha4), (eta.apply, d.beta1))
     )
     alpha_bar, beta_bar = (
-        Matrix.from_cols([combination((1, -1), (m.col(i), e.col(i)), m.rows) for i in range(m.cols)])
+        Matrix(m.rows, m.cols, combination((1, -1), (m.coords, e.coords), len(m.coords)))
         for m, e in ((d.alpha1, eta_inv_alpha4), (d.beta4, eta_beta1))
     )
     a0 = alpha_bar.matvec(require_unit(u.context.A).coords)

@@ -11,7 +11,9 @@ witness.  ``left_mult`` and ``right_mult`` read the multiplication
 maps off the table by plain loops, and ``zero_operator`` is the zero map.
 ``operator_of`` builds an operator from its matrix, ``matrix_of`` reads
 an operator's matrix back off its column-major coordinates, and
-``identity_matrix`` is the n x n identity.  ``grid_algebra`` builds an algebra
+``identity_matrix`` is the n x n identity.  ``matrix`` builds a
+``Matrix`` from its rows and ``rows_of`` reads them back, the row-major
+grid tests write by hand.  ``grid_algebra`` builds an algebra
 from a dense grid by listing its nonzeros, ``context_grids`` lays a
 context's tensors out as dense grids from the nonzeros it holds,
 ``dense_contract`` applies such a grid by a triple loop, and
@@ -111,10 +113,24 @@ def preimage_basis(maps, target_vectors, n: int) -> tuple:
     return row_space_basis([v[:n] for v in kernel_basis(rows, width)])
 
 
+def matrix(rows, cols: int | None = None) -> Matrix:
+    """The Matrix with these rows, of ``cols`` entries each; ``cols`` is needed only when there are no rows."""
+    rows = [tuple(row) for row in rows]
+    width = len(rows[0]) if rows else cols
+    if width is None or any(len(row) != width for row in rows) or (cols is not None and cols != width):
+        raise ValueError("rows of unequal or unknown length")
+    return Matrix(len(rows), width, [row[c] for c in range(width) for row in rows])
+
+
+def rows_of(m: Matrix) -> tuple:
+    """The rows of a Matrix, each a tuple of Fractions: its row-major grid."""
+    return tuple(m.row(i) for i in range(m.rows))
+
+
 def left_mult(alg: StructureConstants, coords) -> Matrix:
     """The matrix of x -> c x: entry (l, j) is the sum over i of c_i table[i][j][l]."""
     n, t = alg.dim, alg.table
-    return Matrix(
+    return matrix(
         [[sum((Fraction(c) * t[i][j][l] for i, c in enumerate(coords)), Fraction(0)) for j in range(n)] for l in range(n)]
     )
 
@@ -122,7 +138,7 @@ def left_mult(alg: StructureConstants, coords) -> Matrix:
 def right_mult(alg: StructureConstants, coords) -> Matrix:
     """The matrix of x -> x c: entry (l, j) is the sum over i of c_i table[j][i][l]."""
     n, t = alg.dim, alg.table
-    return Matrix(
+    return matrix(
         [[sum((Fraction(c) * t[j][i][l] for i, c in enumerate(coords)), Fraction(0)) for j in range(n)] for l in range(n)]
     )
 
@@ -133,17 +149,18 @@ def zero_operator(alg: StructureConstants) -> LinearOperator:
 
 
 def operator_of(alg: StructureConstants, m: Matrix) -> LinearOperator:
-    """The operator with this matrix: entry (r, c) is coordinate c * n + r."""
-    return LinearOperator(alg, [m.data[r][c] for c in range(m.cols) for r in range(m.rows)])
+    """The operator with this matrix: both hold entry (r, c) at coordinate c * n + r."""
+    return LinearOperator(alg, m.coords)
 
 
 def matrix_of(op: LinearOperator) -> Matrix:
     """The operator's matrix, column j its image of basis vector j."""
-    return Matrix.from_cols([op.column(j) for j in range(op.algebra.dim)])
+    n = op.algebra.dim
+    return Matrix(n, n, op.coords)
 
 
 def identity_matrix(n: int) -> Matrix:
-    return Matrix([unit_vec(n, i) for i in range(n)], cols=n)
+    return matrix([unit_vec(n, i) for i in range(n)], cols=n)
 
 
 def _elem(alg, coords):

@@ -34,7 +34,7 @@ from lietriple.catalog import (
 )
 from lietriple.derivations import _commutator_into_center_forces_central
 from lietriple.errors import AlgebraMismatch, NotAssociative
-from lietriple.linalg import Matrix, Subspace, kernel_of_rows, solve, unit_vec
+from lietriple.linalg import Subspace, kernel_of_rows, solve, unit_vec
 from oracles import (
     RATIONAL_BASIS,
     dense_contract,
@@ -44,11 +44,13 @@ from oracles import (
     inverse,
     kernel_basis,
     left_mult,
+    matrix,
     matrix_of,
     operator_of,
     preimage_basis,
     rebased,
     right_mult,
+    rows_of,
     unit_diagonal_basis,
 )
 
@@ -202,7 +204,7 @@ class TestFindUnit:
         rows, rhs = [], []
         for j in range(3):
             for mat in (right_mult(a, unit_vec(3, j)), left_mult(a, unit_vec(3, j))):
-                rows.extend(mat.data)
+                rows.extend(rows_of(mat))
                 rhs.extend(unit_vec(3, j))
         assert solve(3, rows, rhs) is None
 
@@ -250,7 +252,7 @@ class TestCenter:
         rows = []
         for i in range(3):
             diff = operator_of(t2, right_mult(t2, unit_vec(3, i))) - operator_of(t2, left_mult(t2, unit_vec(3, i)))
-            rows.extend(matrix_of(diff).data)
+            rows.extend(rows_of(matrix_of(diff)))
         assert kernel_of_rows(3, rows) == center(t2)
         assert center(t2).basis == ((F(1), F(0), F(1)),)
 
@@ -325,8 +327,8 @@ class TestDoubleCommutatorSpan:
 
     def test_invariance_under_basis_change(self, m2):
         # Conjugate the basis by an invertible matrix; the span transports.
-        p = Matrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
-        pinv = Matrix(inverse(p.data))
+        p = matrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+        pinv = matrix(inverse(rows_of(p)))
         table = [
             [
                 list(pinv.matvec(m2.mul_coords(p.col(i), p.col(j))))
@@ -364,7 +366,7 @@ class TestLargestCentralIdeal:
 
 class TestLinearOperator:
     def test_flatten_round_trip(self, m2):
-        op = operator_of(m2, Matrix([[1, 2, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [5, 0, 0, 1]]))
+        op = operator_of(m2, matrix([[1, 2, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [5, 0, 0, 1]]))
         assert LinearOperator.from_flat(m2, op.flatten()) == op
 
     def test_apply_matches_columns(self, m2):
@@ -397,7 +399,7 @@ _MULTIPLICATION_ALGEBRAS = {
 
 def _ad(alg, coords) -> tuple:
     """The grid of x -> x c - c x."""
-    return matrix_of(operator_of(alg, right_mult(alg, coords)) - operator_of(alg, left_mult(alg, coords))).data
+    return rows_of(matrix_of(operator_of(alg, right_mult(alg, coords)) - operator_of(alg, left_mult(alg, coords))))
 
 
 def _oracle_unit(alg):
@@ -407,7 +409,7 @@ def _oracle_unit(alg):
     for j in range(n):
         ej = unit_vec(n, j)
         for m in (right_mult(alg, ej), left_mult(alg, ej)):
-            rows.extend(list(m.data[l]) + [-ej[l]] for l in range(n))
+            rows.extend(list(row) + [-ej[l]] for l, row in enumerate(rows_of(m)))
     ker = kernel_basis(rows, n + 1)
     if len(ker) == 1 and ker[0][n] != 0:
         return tuple(x / ker[0][n] for x in ker[0][:n])
@@ -430,8 +432,8 @@ def test_multiplication_maps_match_the_table_oracle(name):
         s = Subspace(n, [[F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(n)] for _ in range(k)])
         assert commutant(alg, s).basis == kernel_basis([row for v in s.basis for row in _ad(alg, v)], n)
     # V <- {v in V : e_i v and v e_i in V for every i}, from V = Z, to its fixed point
-    actions = [identity_matrix(n).data] + [
-        m.data for i in range(n) for m in (left_mult(alg, unit_vec(n, i)), right_mult(alg, unit_vec(n, i)))
+    actions = [rows_of(identity_matrix(n))] + [
+        rows_of(m) for i in range(n) for m in (left_mult(alg, unit_vec(n, i)), right_mult(alg, unit_vec(n, i)))
     ]
     ideal = z
     while ideal and (nxt := preimage_basis(actions, ideal, n)) != ideal:
@@ -480,7 +482,7 @@ def test_the_int_product_and_left_multiplication_match_the_fraction_loops(name, 
     assert all(type(v) is F for v in got)
     op = multiplication_operator(alg, x)
     assert matrix_of(op) == left_mult(alg, x)
-    assert all(type(v) is F for row in matrix_of(op).data for v in row)
+    assert all(type(v) is F for row in rows_of(matrix_of(op)) for v in row)
 
 
 _FORM_ALGEBRAS = {name: _SPAN_ALGEBRAS[name] for name in ("T3", "T4", "M3", "example_1_2", "strict_upper_3x3", "T3r")}

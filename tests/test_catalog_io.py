@@ -27,7 +27,7 @@ from lietriple.catalog import (
 from lietriple.errors import HashMismatch
 from lietriple.gma import Bimodule, assemble, check_annihilating_conditions, context_of, m2_of, peirce_from_idempotent
 from lietriple.io import brief, dump_json, operator_from_doc, parse_rat, sc_from_doc
-from lietriple.linalg import Matrix, tensor_entries
+from lietriple.linalg import tensor_entries
 from oracles import (
     RATIONAL_BASIS,
     algebra_doc,
@@ -35,6 +35,7 @@ from oracles import (
     context_grids,
     dense_content_hash,
     grid_algebra,
+    matrix,
     operator_doc,
     operator_of,
     rebased,
@@ -447,7 +448,7 @@ class TestDocuments:
 
     def test_operator_round_trip_and_hash_guard(self):
         t2 = upper_triangular(2)
-        op = operator_of(t2, Matrix([[1, 2, 0], [0, 1, 0], [F(1, 3), 0, 1]]))
+        op = operator_of(t2, matrix([[1, 2, 0], [0, 1, 0], [F(1, 3), 0, 1]]))
         doc = operator_doc(op)
         assert operator_from_doc(doc, t2) == op
         with pytest.raises(HashMismatch):

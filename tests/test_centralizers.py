@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -54,11 +55,13 @@ from oracles import (
     identity_matrix,
     identity_sides,
     inverse,
+    matrix,
     matrix_of,
     operator_doc,
     operator_of,
     rebased,
     residual_is_zero,
+    rows_of,
     unit_diagonal_basis,
     write_doc,
     zero_operator,
@@ -249,7 +252,7 @@ class TestBlockDecompose:
         d = block_decompose(u, op)
         for name in ("alpha1", "beta4", "tau2", "gamma3"):
             mat = getattr(d, name)
-            assert mat.data[0][0] == 3
+            assert rows_of(mat)[0][0] == 3
 
     def test_example_phi_corners(self, ex12):
         d = block_decompose(ex12.gma, ex12.phi)
@@ -299,7 +302,7 @@ class TestThm31Conditions:
         u = gmas["M2"]
         swap = operator_of(
             u.algebra,
-            Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
+            matrix([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
         assert not is_identity_member(u.algebra, K.LIE_TRIPLE_CENTRALIZER, swap)
         rep = verify_thm31_conditions(u, block_decompose(u, swap))
@@ -331,7 +334,7 @@ class TestDecompositionOfAnotherGMA:
 
 def _random_matrix(rng, rows, cols):
     # mostly zeros, so some conditions hold and the failure list is selective
-    return Matrix(
+    return matrix(
         [[F(rng.choice((0, 0, 0, 1, -1, 2)), rng.choice((1, 2))) for _ in range(cols)] for _ in range(rows)],
         cols=cols,
     )
@@ -435,7 +438,7 @@ def test_a_perturbed_six_map_operator_fails_alike_warm_and_cold(cold_cache, name
         u = _THM31_GMAS[name]()
         space = six_map_solution_space(u)
         maps = six_maps_from_flat(u, rand_combination(space, random.Random(name)))
-        maps["tau2"] = Matrix([[x + (i == j == 0) for j, x in enumerate(row)] for i, row in enumerate(maps["tau2"].data)])
+        maps["tau2"] = matrix([[x + (i == j == 0) for j, x in enumerate(row)] for i, row in enumerate(rows_of(maps["tau2"]))])
         return verify_thm31_conditions(u, block_decompose(u, build_from_blocks(u, **maps))).failures
 
     cold = failures()
@@ -459,7 +462,7 @@ class TestBuildFromBlocks:
         space = solve_identity_space(u.algebra, K.LIE_TRIPLE_CENTRALIZER)
 
         def op_of(p, q, t, r, s):
-            m = lambda x: Matrix([[F(x)]])
+            m = lambda x: matrix([[F(x)]])
             return build_from_blocks(u, m(p), m(q), m(t), Matrix.zeros(0, 0), m(r), m(s))
 
         good = op_of(5, 2, 3, 2, 5)  # t = 5-2 = 3 = 5-2
@@ -507,13 +510,24 @@ class TestBuildFromBlocks:
 
     def test_six_map_layout_is_field_order_then_column_major(self, gmas):
         u = gmas["T3"]
-        total, grids = _six_map_layout(u)
+        total, layout = _six_map_layout(u)
         flat = [F(k) for k in range(total)]
         maps = six_maps_from_flat(u, flat)
-        assert list(maps) == ["alpha1", "beta1", "tau2", "gamma3", "alpha4", "beta4"]
+        assert list(maps) == list(layout) == ["alpha1", "beta1", "tau2", "gamma3", "alpha4", "beta4"]
         assert [x for m in maps.values() for col in range(m.cols) for x in m.col(col)] == flat
+        for name, (start, rows) in layout.items():
+            grid = rows_of(maps[name])
+            assert rows == len(grid)
+            assert all(x == start + k * rows + r for r, row in enumerate(grid) for k, x in enumerate(row))
         d = block_decompose(u, build_from_blocks(u, **maps))
         assert all(getattr(d, name) == m for name, m in maps.items())
+
+    @pytest.mark.parametrize("name", sorted(_THM31_GMAS))
+    def test_the_six_maps_coords_in_field_order_are_the_flat(self, name):
+        u = _THM31_GMAS[name]()
+        flat = rand_combination(six_map_solution_space(u), random.Random(name))
+        maps = six_maps_from_flat(u, flat)
+        assert tuple(x for m in maps.values() for x in m.coords) == tuple(flat)
 
     @pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
     def test_flat_vector_of_wrong_length_is_rejected(self, gmas, extra):
@@ -623,7 +637,7 @@ def test_rebased_t3_solves_equal_conjugated_catalog_spaces():
     for seed in _DENSE_T3_SEEDS:
         p = unit_diagonal_basis(random.Random(seed), n)
         alg = rebased(t3, p)
-        pm, pinv = Matrix(p), Matrix(inverse(p))
+        pm, pinv = matrix(p), matrix(inverse(p))
         for kind in _NET_KINDS:
             space = solve_identity_space(alg, K(kind))
             old = solve_identity_space(t3, K(kind))
@@ -633,6 +647,24 @@ def test_rebased_t3_solves_equal_conjugated_catalog_spaces():
             assert space == Subspace(n * n, conjugated)
             h.update(repr(space.basis).encode())
     assert h.hexdigest() == _PINNED_DENSE_T3
+
+
+def test_a_stale_pack_is_freed_before_the_next_is_built(monkeypatch):
+    """When ``_solved_space`` repacks, its previous pack is no longer bound: two packs are never held at once."""
+    real = lietriple.centralizers._packed_kernel
+    seen = []
+
+    def packed_kernel(*args):
+        seen.append(sys._getframe(1).f_locals["packed"])
+        return real(*args)
+
+    monkeypatch.setattr(lietriple.centralizers, "_packed_kernel", packed_kernel)
+    t6 = upper_triangular(6)
+    space = lietriple.centralizers._solved_space.__wrapped__(t6, K.LIE_TRIPLE_CENTRALIZER, None)
+    assert len(seen) >= 3  # the first pack and at least two repacks
+    assert seen == [None] * len(seen)
+    monkeypatch.undo()
+    assert space == solve_identity_space(t6, K.LIE_TRIPLE_CENTRALIZER)
 
 
 def test_member_checks_build_no_fraction(monkeypatch):

@@ -13,8 +13,7 @@ from lietriple.algebra import LinearOperator
 from lietriple.catalog import resolve, strict_upper_3x3, upper_triangular
 from lietriple.centralizers import IdentityKind, solve_identity_space
 from lietriple.cli import main
-from lietriple.linalg import Matrix
-from oracles import algebra_doc, left_mult, operator_doc, operator_of, right_mult, write_doc
+from oracles import algebra_doc, left_mult, matrix, operator_doc, operator_of, right_mult, write_doc
 
 
 # sha256 of the verify-paper stdout in each format
@@ -105,7 +104,7 @@ class TestProper:
         entry = resolve("full_matrix(2)")
         swap = operator_of(
             entry.algebra,
-            Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
+            matrix([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
         path = write_operator(tmp_path, "swap.op", swap)
         code, _, err = run_cli(capsys, "proper", "full_matrix(2)", path)
@@ -248,43 +247,55 @@ def _fixed_combination(entry, kind):
 
 
 @pytest.mark.parametrize(
-    "spec, argv, digest",
+    "spec, argv, digest, fmt",
     [
         (
             "full_matrix(3)", ("proper", "phi.json"),
-            "d959a564f461c7eb75f6acde36634ce33ed9735e46383b13aa8a49f3a0b9acf0",
+            "d959a564f461c7eb75f6acde36634ce33ed9735e46383b13aa8a49f3a0b9acf0", "json",
         ),
         (
             "full_matrix(3)", ("decompose", "phi.json"),
-            "1c0dd683a78692af89148ca19fde6ee5c3426d9cc5a029f2ab13f8f0f5523fd6",
+            "1c0dd683a78692af89148ca19fde6ee5c3426d9cc5a029f2ab13f8f0f5523fd6", "json",
         ),
         (
             "full_matrix(3)", ("decompose", "lam.json", "--xi", "xi.json"),
-            "43ea0a310ac0ca34248205038adf76b8cbf30d2584309a5d44f64f39ea955f46",
+            "43ea0a310ac0ca34248205038adf76b8cbf30d2584309a5d44f64f39ea955f46", "json",
         ),
         (
             "upper_triangular(4)", ("proper", "phi.json"),
-            "391193b0517afd4e3d3454fd01060be0cc04f684aca0be3fd734a16076d1ea19",
+            "391193b0517afd4e3d3454fd01060be0cc04f684aca0be3fd734a16076d1ea19", "json",
         ),
         (
             "upper_triangular(4)", ("decompose", "phi.json"),
-            "7cab37f3c05345b4107734c82d39273cb0452386e4367a4138885203bbf95fe4",
+            "7cab37f3c05345b4107734c82d39273cb0452386e4367a4138885203bbf95fe4", "json",
         ),
         (
             "upper_triangular(4)", ("decompose", "lam.json", "--xi", "xi.json"),
-            "ad24d949d465c1a10dd1f2f504d5652bd4aa3c8ee279026ba9d1aaf9990544d6",
+            "ad24d949d465c1a10dd1f2f504d5652bd4aa3c8ee279026ba9d1aaf9990544d6", "json",
+        ),
+        (
+            "full_matrix(3)", ("decompose", "phi.json"),
+            "05fbf2b6514dcccbd01147c46e016a1ae84d8edfc76951b4c0f02e14127372c9", "text",
+        ),
+        (
+            "upper_triangular(4)", ("decompose", "phi.json"),
+            "3153b715bead4a442716864abebbd5858de9e23573d0918eca8a14dc747c4349", "text",
         ),
     ],
 )
-def test_certify_stdout_bytes_are_pinned(capsys, tmp_path, monkeypatch, spec, argv, digest):
-    """proper/decompose JSON on fixed integer combinations of the LTC and LTD bases."""
+def test_certify_stdout_bytes_are_pinned(capsys, tmp_path, monkeypatch, spec, argv, digest, fmt):
+    """proper/decompose stdout on fixed integer combinations of the LTC and LTD bases.
+
+    The text rows print every corner through ``Matrix``'s repr; those of
+    T4 are rectangular.
+    """
     monkeypatch.chdir(tmp_path)
     entry = resolve(spec)
     phi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_CENTRALIZER)
     xi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_DERIVATION)
     for name, op in (("phi.json", phi), ("xi.json", xi), ("lam.json", phi + xi)):
         write_doc(name, operator_doc(op))
-    code, out, _ = run_cli(capsys, argv[0], spec, *argv[1:], "--format", "json")
+    code, out, _ = run_cli(capsys, argv[0], spec, *argv[1:], "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -37,7 +37,6 @@ from lietriple.derivations import (
 )
 from lietriple.errors import NotLTD
 from lietriple.gma import Bimodule, MoritaContext, assemble, block_hypotheses_hold
-from lietriple.linalg import Matrix
 from lietriple.properness import equivalence_audit
 
 from oracles import (
@@ -45,6 +44,7 @@ from oracles import (
     central_vanishing_basis,
     identity_sides,
     left_mult,
+    matrix,
     matrix_of,
     operator_of,
     right_mult,
@@ -93,7 +93,7 @@ class TestCorrespondence:
         xi = inner_derivation(alg, alg.basis_element(1).coords)
         swap = operator_of(
             alg,
-            Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
+            matrix([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
         lam = xi + swap
         chk = check_gltd_correspondence(alg, lam, xi)
@@ -105,7 +105,7 @@ class TestCorrespondence:
         alg = m2g.algebra
         swap = operator_of(
             alg,
-            Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
+            matrix([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
         with pytest.raises(NotLTD):
             check_gltd_correspondence(alg, swap, swap)
@@ -141,7 +141,7 @@ class TestCorrespondence:
         alg = m2g.algebra
         xi = F(1, 7) * inner_derivation(alg, (0, 1, 2, 0))
         trace = operator_of(
-            alg, Matrix.from_cols([(1, 0, 0, 1), (0,) * 4, (0,) * 4, (1, 0, 0, 1)])
+            alg, matrix([(1, 0, 0, 1), (0,) * 4, (0,) * 4, (1, 0, 0, 1)])
         )
         phi = F(1, 3) * LinearOperator.identity(alg) + F(2, 3) * trace
         assert {x.denominator for x in phi.flatten()} == {1, 3}
@@ -149,7 +149,7 @@ class TestCorrespondence:
         assert check_gltd_correspondence(alg, phi + xi, xi)
         swap = operator_of(
             alg,
-            Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
+            matrix([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
         bad = phi + swap
         chk = check_gltd_correspondence(alg, bad, xi)
@@ -348,7 +348,7 @@ class TestDecomposeLtd:
         ad = inner_derivation(alg, alg.basis_element(0).coords)
         one = find_unit(alg).coords
         cmap = operator_of(
-            alg, Matrix.from_cols([one, (0, 0, 0), tuple(-x for x in one)])
+            alg, matrix(zip(*[one, (0, 0, 0), tuple(-x for x in one)]))
         )
         assert central_vanishing_space(alg).contains_vector(cmap.flatten())
         xi = ad + cmap
@@ -369,7 +369,7 @@ class TestDecomposeLtd:
     def test_rejects_non_ltd(self, m2g):
         swap = operator_of(
             m2g.algebra,
-            Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
+            matrix([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
         with pytest.raises(NotLTD):
             decompose_ltd(m2g, swap)
@@ -385,7 +385,7 @@ class TestDecomposeLtd:
         u = assemble(MoritaContext(q, q, reg, reg, {}, {}))
         alg = u.algebra
         swap = operator_of(
-            alg, Matrix.from_cols([(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 0)])
+            alg, matrix([(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 0)])
         )
         assert is_identity_member(alg, K.LIE_TRIPLE_DERIVATION, swap)
         res = decompose_ltd(u, swap)
@@ -423,7 +423,7 @@ class TestDecomposeGeneralized:
             one if j in m2g.block_range("A") or j in m2g.block_range("B") else (F(0),) * n
             for j in range(n)
         ]
-        trace = operator_of(alg, Matrix.from_cols(cols))
+        trace = operator_of(alg, matrix(zip(*cols)))
         lam_op = xi + trace
         res = decompose_generalized_ltd(m2g, lam_op, xi)
         assert isinstance(res, GLTDDecomposition)

@@ -52,7 +52,7 @@ from lietriple.gma import (
     require_block_hypotheses,
 )
 from lietriple.linalg import Subspace, unit_vec
-from oracles import BLOCK_RULES, block_split_outcome, context_grids, dense_contract, left_mult, right_mult
+from oracles import BLOCK_RULES, block_split_outcome, context_grids, dense_contract, left_mult, right_mult, rows_of
 
 F = Fraction
 
@@ -356,7 +356,7 @@ def _table_mul(alg, x, y):
 
 
 def _apply(matrix, v):
-    return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in matrix.data)
+    return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in rows_of(matrix))
 
 
 def _conjugate_idempotent_m3():
@@ -406,7 +406,7 @@ class TestPeirceOffMatrixUnits:
         pd = peirce_from_idempotent(alg, AlgebraElement(alg, e))
         assert pd.gma.dims == dims
         n = alg.dim
-        to_old, to_new = pd.new_to_old.data, pd.old_to_new.data
+        to_old, to_new = rows_of(pd.new_to_old), rows_of(pd.old_to_new)
         for i in range(n):
             for j in range(n):
                 entry = sum((to_old[i][k] * to_new[k][j] for k in range(n)), F(0))
@@ -449,8 +449,8 @@ def _pinned_idempotents():
             yield alg, element(e11=1, e12=F(-3, 2))
 
 
-# sha256 over peirce_from_idempotent on _pinned_idempotents(): new_to_old,
-# old_to_new, the block dims and the split algebra's content hash.
+# sha256 over peirce_from_idempotent on _pinned_idempotents(): the rows of
+# new_to_old and old_to_new, the block dims and the split algebra's content hash.
 # Recorded while old_to_new was found by inverting new_to_old.
 _PINNED_PEIRCE = "4de395f1ecc690ef35a4655b2da6e3447f85a5daf4d5ba455dc6c3ebc5e69c6b"
 
@@ -460,7 +460,7 @@ def test_peirce_splits_are_pinned():
     count = 0
     for alg, e in _pinned_idempotents():
         pd = peirce_from_idempotent(alg, AlgebraElement(alg, e))
-        h.update(repr((pd.new_to_old.data, pd.old_to_new.data, pd.gma.dims, pd.gma.algebra.content_hash)).encode())
+        h.update(repr((rows_of(pd.new_to_old), rows_of(pd.old_to_new), pd.gma.dims, pd.gma.algebra.content_hash)).encode())
         count += 1
     assert count == 56
     assert h.hexdigest() == _PINNED_PEIRCE

@@ -30,23 +30,21 @@ from oracles import (
     gauss_jordan,
     identity_matrix,
     kernel_basis,
+    matrix,
     plain_combination,
     preimage_basis,
     rebased,
     row_space_basis,
+    rows_of,
     unit_diagonal_basis,
 )
 
 F = Fraction
 
 
-def M(rows):
-    return Matrix(rows)
-
-
 def rref_rows(m):
     """The nonzero rows of m's reduced row-echelon form: the canonical basis of its row space."""
-    return Subspace(m.cols, m.data).basis
+    return Subspace(m.cols, rows_of(m)).basis
 
 
 def columns(grid):
@@ -56,17 +54,17 @@ def columns(grid):
 
 class TestRref:
     def test_proportional_rows(self):
-        assert rref_rows(M([[2, 4], [1, 2]])) == M([[1, 2]]).data
+        assert rref_rows(matrix([[2, 4], [1, 2]])) == rows_of(matrix([[1, 2]]))
 
     def test_identity_fixed(self):
-        assert rref_rows(identity_matrix(3)) == identity_matrix(3).data
+        assert rref_rows(identity_matrix(3)) == rows_of(identity_matrix(3))
 
     def test_permutation(self):
-        assert rref_rows(M([[0, 1], [1, 0]])) == identity_matrix(2).data
+        assert rref_rows(matrix([[0, 1], [1, 0]])) == rows_of(identity_matrix(2))
 
     def test_fractional_pivots(self):
-        m = M([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]])
-        assert rref_rows(m) == M([[1, F(2, 3)]]).data
+        m = matrix([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]])
+        assert rref_rows(m) == rows_of(matrix([[1, F(2, 3)]]))
 
     def test_canonical_basis_of_a_spanning_set_is_pinned(self):
         # pivots are least columns; the fourth vector is the sum of the first and third
@@ -80,7 +78,7 @@ class TestKernel:
         assert kernel_of_rows(2, [(1, 1)]) == Subspace(2, [(1, -1)])
 
     def test_identity_trivial_kernel(self):
-        assert kernel_of_rows(2, identity_matrix(2).data) == Subspace.zero(2)
+        assert kernel_of_rows(2, rows_of(identity_matrix(2))) == Subspace.zero(2)
 
     def test_rank_one(self):
         # Hand elimination: x + 2y = 0, so the kernel is spanned by (-2, 1);
@@ -88,15 +86,15 @@ class TestKernel:
         ker = kernel_of_rows(2, [(1, 2), (2, 4)])
         assert ker == Subspace(2, [(-2, 1)])
         assert ker.basis == ((F(1), F(-1, 2)),)
-        m = M([[1, 2], [2, 4]])
+        m = matrix([[1, 2], [2, 4]])
         for v in ker.basis:
             assert all(x == 0 for x in m.matvec(v))
 
 
 class TestSolve:
     def test_identity_system(self):
-        assert solve(2, identity_matrix(2).data, (3, 4)) == (3, 4)
-        assert kernel_of_rows(2, identity_matrix(2).data) == Subspace.zero(2)
+        assert solve(2, rows_of(identity_matrix(2)), (3, 4)) == (3, 4)
+        assert kernel_of_rows(2, rows_of(identity_matrix(2))) == Subspace.zero(2)
 
     def test_free_variable_set_to_zero(self):
         assert solve(2, [{0: 1, 1: 1}], (2,)) == (2, 0)
@@ -196,7 +194,7 @@ def matrices(max_dim=4):
         lambda r: st.integers(1, max_dim).flatmap(
             lambda c: st.lists(
                 st.lists(small_frac, min_size=c, max_size=c), min_size=r, max_size=r
-            ).map(Matrix)
+            ).map(matrix)
         )
     )
 
@@ -281,7 +279,7 @@ class TestProperties:
 
     @given(matrices())
     def test_rank_nullity_and_exactness(self, m):
-        ker = kernel_of_rows(m.cols, m.data)
+        ker = kernel_of_rows(m.cols, rows_of(m))
         rank = sum(1 for row in rref_rows(m) if any(x != 0 for x in row))
         assert ker.dim + rank == m.cols
         for v in ker.basis:
@@ -318,10 +316,10 @@ class TestProperties:
     @given(matrices())
     def test_kernel_of_rows_matches_dense_kernel(self, m):
         # The integer echelon against the independent Fraction Gauss-Jordan.
-        oracle = kernel_basis(m.data, m.cols)
-        assert kernel_of_rows(m.cols, list(m.data)).basis == oracle
-        assert kernel_of_rows(m.cols, m.data).basis == oracle
-        assert rref_rows(m) == row_space_basis(m.data)
+        oracle = kernel_basis(rows_of(m), m.cols)
+        assert kernel_of_rows(m.cols, list(rows_of(m))).basis == oracle
+        assert kernel_of_rows(m.cols, rows_of(m)).basis == oracle
+        assert rref_rows(m) == row_space_basis(rows_of(m))
 
     @given(block_systems())
     def test_kernel_of_rows_matches_dense_kernel_on_block_systems(self, system):
@@ -385,7 +383,7 @@ class TestProperties:
 
     @given(matrices())
     def test_solve_consistency(self, m):
-        x = solve(m.cols, m.data, m.matvec((F(1),) * m.cols))
+        x = solve(m.cols, rows_of(m), m.matvec((F(1),) * m.cols))
         assert x is not None
         assert m.matvec(x) == m.matvec((F(1),) * m.cols)
 
@@ -438,13 +436,41 @@ def combinations(draw):
     return draw(st.lists(entry, min_size=k, max_size=k)), draw(st.lists(vector, min_size=k, max_size=k)), n
 
 
-def test_from_cols_converts_each_entry_once(monkeypatch):
+def test_the_constructor_converts_each_entry_once(monkeypatch):
     calls = []
     real = linalg.rat
     monkeypatch.setattr(linalg, "rat", lambda x: calls.append(x) or real(x))
-    m = Matrix.from_cols([(1, 2, 3), (4, 5, 6), (7, 8, 9)])
-    assert m.data == ((1, 4, 7), (2, 5, 8), (3, 6, 9))
-    assert len(calls) == 9
+    m = Matrix(3, 3, (1, 2, 3, 4, 5, 6, 7, 8, 9))
+    assert rows_of(m) == ((1, 4, 7), (2, 5, 8), (3, 6, 9))
+    assert len(calls) == 9 and all(type(x) is F for x in m.coords)
+
+
+class TestMatrixStorage:
+    """A Matrix is its column-major coordinates: entry c * rows + r is row r of column c."""
+
+    def test_columns_are_slices_and_rows_are_strides(self):
+        m = Matrix(2, 3, (1, 2, 3, 4, 5, 6))
+        assert [m.col(j) for j in range(3)] == [(1, 2), (3, 4), (5, 6)]
+        assert [m.row(i) for i in range(2)] == [(1, 3, 5), (2, 4, 6)]
+        assert repr(m) == "Matrix(2x3: 1 3 5; 2 4 6)"
+
+    def test_empty_maps_of_different_heights_differ(self):
+        # both hold no coordinates, so only the row count tells them apart
+        a, b = Matrix(2, 0, ()), Matrix(3, 0, ())
+        assert a != b and hash(a) != hash(b)
+        assert a == Matrix.zeros(2, 0) and hash(a) == hash(Matrix.zeros(2, 0))
+
+    @pytest.mark.parametrize("rows, cols, coords", [(2, 2, (1, 2, 3)), (2, 3, (0,) * 5), (0, 2, (1,)), (1, 1, ())])
+    def test_a_wrong_number_of_coordinates_is_one_line(self, rows, cols, coords):
+        with pytest.raises(DimensionMismatch) as err:
+            Matrix(rows, cols, coords)
+        assert "\n" not in str(err.value) and f"{rows}x{cols}" in str(err.value)
+
+    @given(matrices())
+    def test_rows_and_columns_agree(self, m):
+        rows = rows_of(m)
+        assert all(m.col(j) == tuple(row[j] for row in rows) for j in range(m.cols))
+        assert matrix(rows) == m
 
 
 class TestCombination:
@@ -492,7 +518,7 @@ def grids(rows, cols):
 def matrix_products(draw):
     """(a, b, v): a is r x k and b is k x c with r, k, c in 0..3, and v in Q^k; entries ints or Fractions."""
     r, k, c = (draw(st.integers(0, 3)) for _ in range(3))
-    a, b = Matrix(draw(grids(r, k)), cols=k), Matrix(draw(grids(k, c)), cols=c)
+    a, b = matrix(draw(grids(r, k)), cols=k), matrix(draw(grids(k, c)), cols=c)
     return a, b, draw(st.lists(entries, min_size=k, max_size=k))
 
 
@@ -559,7 +585,7 @@ class TestArithmeticThroughCombination:
     def test_matvec(self, case):
         a, _, v = case
         want = []
-        for row in a.data:
+        for row in rows_of(a):
             total = F(0)
             for x, y in zip(row, v):
                 total += x * y
@@ -571,19 +597,20 @@ class TestArithmeticThroughCombination:
     def test_matmul(self, case):
         a, b, _ = case
         want = [[F(0)] * b.cols for _ in range(a.rows)]
+        ra, rb = rows_of(a), rows_of(b)
         for i in range(a.rows):
             for j in range(b.cols):
                 for k in range(a.cols):
-                    want[i][j] += a.data[i][k] * b.data[k][j]
+                    want[i][j] += ra[i][k] * rb[k][j]
         got = a @ b
         assert (got.rows, got.cols) == (a.rows, b.cols)
-        assert got.data == tuple(map(tuple, want)) and _all_fractions(x for row in got.data for x in row)
+        assert rows_of(got) == tuple(map(tuple, want)) and _all_fractions(x for row in rows_of(got) for x in row)
 
     @given(matrix_products())
     def test_is_zero(self, case):
         a, _, _ = case
         zero = True
-        for row in a.data:
+        for row in rows_of(a):
             for x in row:
                 if x != 0:
                     zero = False

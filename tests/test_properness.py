@@ -32,14 +32,16 @@ from lietriple.gma import (
     center_block_description,
     eta_map,
 )
-from lietriple.linalg import Matrix, Subspace, combination
+from lietriple.linalg import Subspace, combination
 from oracles import (
     algebra_doc,
     bimodule_doc,
+    matrix,
     matrix_of,
     operator_doc,
     operator_of,
     row_space_basis,
+    rows_of,
     write_doc,
     zero_operator,
 )
@@ -84,7 +86,7 @@ def trace_map(u):
             cols.append(one)
         else:
             cols.append((F(0),) * n)
-    return operator_of(alg, Matrix.from_cols(cols))
+    return operator_of(alg, matrix(zip(*cols)))
 
 
 def faithful_dual_number_triangular():
@@ -125,7 +127,7 @@ class TestThm33:
         u = gmas["M2"]
         swap = operator_of(
             u.algebra,
-            Matrix.from_cols([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
+            matrix([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
         )
         with pytest.raises(NotLTC):
             is_proper_thm33(u, swap)
@@ -214,8 +216,8 @@ class TestCertificates:
                 r12 = is_proper_direct(u.algebra, phi1 + phi2)
             else:
                 r1, r2, r12 = (is_proper_thm33(u, p) for p in (phi1, phi2, phi1 + phi2))
-            assert matrix_of(phi1 + phi2).data == tuple(
-                tuple(a + b for a, b in zip(r, s)) for r, s in zip(matrix_of(phi1).data, matrix_of(phi2).data)
+            assert rows_of(matrix_of(phi1 + phi2)) == tuple(
+                tuple(a + b for a, b in zip(r, s)) for r, s in zip(rows_of(matrix_of(phi1)), rows_of(matrix_of(phi2)))
             )
             assert r12.lam.coords == tuple(
                 a + b for a, b in zip(r1.lam.coords, r2.lam.coords)
@@ -427,7 +429,7 @@ def test_direct_route_on_random_draws_is_pinned():
             res = is_proper_direct(alg, LinearOperator.from_flat(alg, v))
             if isinstance(res, PropernessCertificate):
                 verdicts.append("proper")
-                h.update(repr(("proper", res.lam.coords, matrix_of(res.chi).data, res.transcript)).encode())
+                h.update(repr(("proper", res.lam.coords, rows_of(matrix_of(res.chi)), res.transcript)).encode())
             else:
                 wit = res.witness_element is not None
                 verdicts.append("witnessed" if wit else "infeasible")
@@ -440,7 +442,7 @@ def test_direct_route_on_random_draws_is_pinned():
 # sha256 over the block-form route on the four standard GMAs and on the
 # draws random_gma(Random(s)), s = 0..39, where the block hypotheses hold:
 # eta's images and preimages, the Thm 4.1 report, and is_proper_thm33 on
-# every LTC basis vector (lambda, chi, alpha_bar, beta_bar and the
+# every LTC basis vector (lambda, the rows of chi, alpha_bar and beta_bar, and the
 # transcript, or the failure's side, witness and target basis).  Recorded
 # while eta was still found by a linear solve per basis vector and chi
 # was assembled column by column.
@@ -459,8 +461,8 @@ def test_block_route_on_random_draws_is_pinned():
             res = is_proper_thm33(u, LinearOperator.from_flat(u.algebra, v))
             if isinstance(res, PropernessCertificate):
                 verdicts.append("proper")
-                h.update(repr((res.lam.coords, matrix_of(res.chi).data, res.alpha_bar.data,
-                               res.beta_bar.data, res.transcript)).encode())
+                h.update(repr((res.lam.coords, rows_of(matrix_of(res.chi)), rows_of(res.alpha_bar),
+                               rows_of(res.beta_bar), res.transcript)).encode())
             else:
                 verdicts.append("failure")
                 h.update(repr((res.side, res.witness, res.target.basis)).encode())

@@ -216,7 +216,7 @@ HASHES = {
     "StructureConstants": lambda x: hash(x.content_hash),
     "AlgebraElement": lambda x: hash((x.algebra.content_hash, x.coords)),
     "LinearOperator": lambda x: hash((x.algebra.content_hash, x.coords)),
-    "Matrix": lambda x: hash((x.cols, x.data)),
+    "Matrix": lambda x: hash((x.rows, x.cols, x.coords)),
     "Subspace": lambda x: hash((x.ambient, x.basis)),
     "GMA": lambda x: hash(x.content_hash),
     "EtaMap": lambda x: hash((x.domain, x.codomain, x.images, x.preimages)),
@@ -288,9 +288,15 @@ def test_equality_is_by_class_and_key(name):
 
 
 def test_equal_keys_of_two_classes_are_unequal_values():
-    matrix, space = Matrix([[1, 0]]), Subspace(2, [(1, 0)])
-    assert matrix._key() == space._key()
-    assert matrix != space and space != matrix
+    class Shape(Record):  # a record whose field tuple is a Matrix's key
+        rows: int
+        cols: int
+        coords: tuple
+
+    one = catalog.rationals()  # of dim 1, so an element and an operator hold the same coordinates
+    for a, b in ((Matrix(1, 2, (1, 0)), Shape(1, 2, (1, 0))), (one.element((1,)), LinearOperator(one, (1,)))):
+        assert a._key() == b._key()
+        assert a != b and b != a
 
 
 def test_a_context_pickles_with_its_tensors():
