@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import weakref
+from collections import defaultdict
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -416,9 +417,10 @@ def _tuple_rows(n: int, w, terms) -> list[dict[int, int]]:
     of ``_slot_terms`` with phi(e_i) in that slot, all sparse.  Row l is
     sum_c w_c phi[l, c] - sum over terms of phi[l', i] * v_l,
     with phi[r, c] at unknown c * n + r; the rows are homogeneous, so the
-    form's scale drops out.
+    form's scale drops out.  A row is made only for an l that w or a term
+    touches, and the rows come in increasing l.
     """
-    rows = [{c * n + l: x for c, x in w} for l in range(n)]
+    rows = defaultdict(dict, {l: {c * n + l: x for c, x in w} for l in range(n if w else 0)})
     for _p, i, group in terms:
         for lp, v in group:
             key = i * n + lp
@@ -429,7 +431,7 @@ def _tuple_rows(n: int, w, terms) -> list[dict[int, int]]:
                     row[key] = x
                 else:
                     del row[key]
-    return list(filter(None, rows))
+    return [rows[l] for l in sorted(rows) if rows[l]]
 
 
 @memoized

@@ -78,9 +78,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if target is None:
         raise NotGMA("this identity kind needs a block algebra")
     space = solve_identity_space(target, kind)
-    basis = [vector_doc(v) for v in space.basis]
-    results = {"dimension": space.dim, "ambient": space.ambient, "basis": basis}
-    lines = [] if args.format == "json" else [f"dim {space.dim}"] + [", ".join(doc) for doc in basis]
+    results = {"dimension": space.dim, "ambient": space.ambient, "basis": space.basis}
+    lines = [] if args.format == "json" else [f"dim {space.dim}"] + [", ".join(vector_doc(v)) for v in space.basis]
     command = ["solve", args.algebra, "--identity", args.identity]
     _emit(args.format, command, {"algebra_hash": entry.algebra.content_hash}, results, lines)
     return 0
@@ -88,14 +87,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _columns_doc(op: LinearOperator) -> list:
     """An operator's columns, phi(e_j) for each j, as rational vectors."""
-    return [vector_doc(op.column(j)) for j in range(op.algebra.dim)]
+    return [op.column(j) for j in range(op.algebra.dim)]
 
 
 def _certificate_result(res) -> tuple[dict, list[str], int]:
     if isinstance(res, PropernessCertificate):
         doc = {
             "verdict": "proper",
-            "lambda": vector_doc(res.lam.coords),
+            "lambda": res.lam.coords,
             "chi": _columns_doc(res.chi),
             "transcript": [[name, ok] for name, ok in res.transcript],
         }
@@ -109,7 +108,7 @@ def _certificate_result(res) -> tuple[dict, list[str], int]:
         doc = {
             "verdict": "not proper",
             "failure_side": res.side,
-            "witness_corner_value": vector_doc(res.witness),
+            "witness_corner_value": res.witness,
             "target_dimension": res.target.dim,
         }
         return doc, [f"NOT PROPER (corner witness on side {res.side})"], 0
@@ -117,8 +116,8 @@ def _certificate_result(res) -> tuple[dict, list[str], int]:
     doc = {"verdict": "not proper", "reason": res.reason}
     lines = ["NOT PROPER"]
     if res.witness_element is not None:
-        doc["witness_element"] = vector_doc(res.witness_element.coords)
-        doc["witness_image"] = vector_doc(res.witness_image.coords)
+        doc["witness_element"] = res.witness_element.coords
+        doc["witness_image"] = res.witness_image.coords
         lines.append(f"witness: image of {res.witness_element} escapes the center")
     return doc, lines, 0
 
@@ -146,7 +145,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.xi is None:
         d = block_decompose(entry.gma, op)
         mats = {name: getattr(d, name) for name in CORNERS}
-        corners = {name: [vector_doc(mat.row(i)) for i in range(mat.rows)] for name, mat in mats.items()}
+        corners = {name: [mat.row(i) for i in range(mat.rows)] for name, mat in mats.items()}
         rep = verify_thm31_conditions(entry.gma, d)
         results = {"corners": corners, "block_form_conditions": rep.passed}
         lines = [f"block form conditions: {'pass' if rep.passed else 'fail'}"]
@@ -167,7 +166,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "delta": _columns_doc(res.delta),
         "singular": _columns_doc(res.singular),
         "psi": _columns_doc(res.psi),
-        "lambda": vector_doc(res.lam.coords),
+        "lambda": res.lam.coords,
         "certified_hypotheses": res.certified_hypotheses,
         "transcript": [[name, ok] for name, ok in res.transcript],
     }

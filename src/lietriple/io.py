@@ -9,7 +9,8 @@ required key, a label that is not a JSON string, or a ``dim`` that is
 not a JSON int >= 0 (for an algebra: equal to its table size) raises
 ValueError, as does a file nested too deeply for the JSON reader.  A
 message echoes the offending value through ``brief``, so it stays one
-short line however large or deeply nested the value is.
+short line however large or deeply nested the value is.  The writer
+also takes a rational vector, a list or tuple of Fractions, as a leaf.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .linalg import _ZERO, grid_nonzeros
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+_fraction_str = Fraction.__str__
 
 
 def brief(value) -> str:
@@ -132,12 +134,14 @@ def operator_from_doc(doc: dict, algebra: StructureConstants) -> LinearOperator:
 def dump_json(doc: dict) -> str:
     """Canonical rendering: sorted keys, fixed separators, trailing newline.
 
-    The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
-    With an indent, ``json.dumps`` runs its pure-Python encoder; here
-    each string goes through the C quoter of the json module, and a list
-    of strings (a rational vector) is joined in one call.  A document
-    holds dicts with str keys, lists, tuples, strs, ints, bools and None;
-    anything else, a float or a non-str key included, raises TypeError.
+    The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
+    a rational vector (a list or tuple of Fractions) read as its
+    ``vector_doc``.  With an indent, ``json.dumps`` runs its pure-Python
+    encoder; here each string goes through the C quoter of the json
+    module, and a list of strings or a rational vector is joined in one
+    call.  A document holds dicts with str keys, lists, tuples, strs,
+    ints, bools, None and rational vectors; anything else, a float, a
+    lone Fraction or a non-str key included, raises TypeError.
     """
     out: list[str] = []
     _render(doc, "\n", out)
@@ -169,8 +173,12 @@ def _render(value, newline: str, out: list[str]) -> None:
             out += (newline, "}")
             return
         try:
-            out += ("[", inner, sep.join(map(_quote, value)), newline, "]")
-        except TypeError:  # not every item is a str
+            if isinstance(value[0], Fraction):  # a rational vector: no other type has the fields __str__ reads
+                body = '"' + ('"' + sep + '"').join(["0" if x is _ZERO else _fraction_str(x) for x in value]) + '"'
+            else:
+                body = sep.join(map(_quote, value))
+            out += ("[", inner, body, newline, "]")
+        except (TypeError, AttributeError):  # not every item is a str, or a Fraction: the item refused raises again
             out.append("[")
             for k, item in enumerate(value):
                 out.append(sep if k else inner)
@@ -192,5 +200,9 @@ def load_json(path: str) -> dict:
 
 
 def vector_doc(v: Sequence[Fraction]) -> list:
-    """v as rational strings; the shared zero ``Subspace`` fills in is written without ``Fraction.__str__``."""
+    """v as rational strings; the shared zero ``Subspace`` fills in is written without ``Fraction.__str__``.
+
+    It serves the ``solve --format text`` lines and the hypotheses (c)/(d)
+    vectors, which their text line prints as strings.
+    """
     return ["0" if x is _ZERO else str(x) for x in v]

@@ -22,7 +22,10 @@ words holds exactly one word in restricted-growth form, labels in order
 of first appearance (D. E. Knuth, TAOCP 4A, 7.2.1.5); ``orbit_tags``
 keeps such a word w when w <= rgf(s(w)) for each index swap s, the least
 restricted-growth word of its orbit: at most 117 of the Bell(6) = 203
-such words, for any m.
+such words, for any m.  The kept words are a constant of the action on
+index words, not a fact of any algebra: they are listed once per
+process, with and without the mirror swaps below, and M_m takes those
+with at most m labels.
 For a Lie triple derivation the tuple (y, x, z) has the rows of
 (x, y, z) negated and (x, x, z) has none, so the swap of the first two
 pairs joins the swaps there, and no word with equal first pairs is kept.
@@ -54,6 +57,7 @@ any test gets None and the plain walk.
 
 from __future__ import annotations
 
+import functools
 from math import isqrt
 
 from .algebra import StructureConstants, _slot_terms, _sparse_sum, _tuple_rows, basis_tensor, memoized
@@ -126,7 +130,18 @@ _TRANSPOSED = (1, 0, 3, 2, 5, 4)
 _MIRRORED = ((2, 3, 0, 1, 4, 5), (3, 2, 1, 0, 5, 4))
 
 
-@memoized
+@functools.cache
+def _orbit_words(mirrored: bool) -> tuple[tuple[tuple, int], ...]:
+    """The least restricted-growth six-index word of each orbit, with its number of labels: a constant of the process."""
+    swaps = (_TRANSPOSED, *_MIRRORED) if mirrored else (_TRANSPOSED,)
+    words = [((), 0)]  # restricted-growth words, each with its number of labels
+    for _ in range(6):
+        words = [(w + (x,), max(k, x + 1)) for w, k in words for x in range(k + 1)]
+    return tuple(
+        (w, k) for w, k in words if not (mirrored and w[:2] == w[2:4]) and all(w <= _rgf([w[i] for i in s]) for s in swaps)
+    )
+
+
 def orbit_tags(alg: StructureConstants, mirrored: bool) -> list[tuple[int, int, int]]:
     """One basis tuple (x, y, z) per orbit of G, for an algebra ``matrix_unit_symmetry`` accepts.
 
@@ -136,24 +151,18 @@ def orbit_tags(alg: StructureConstants, mirrored: bool) -> list[tuple[int, int, 
     """
     cells = matrix_unit_symmetry(alg)[1]
     m = isqrt(len(cells))
-    swaps = (_TRANSPOSED, *_MIRRORED) if mirrored else (_TRANSPOSED,)
-    words = [((), 0)]  # restricted-growth words, each with its number of labels
-    for _ in range(6):
-        words = [(w + (x,), max(k, x + 1)) for w, k in words for x in range(min(k + 1, m))]
-    tags = []
-    for w, _ in words:
-        if not (mirrored and w[:2] == w[2:4]) and all(w <= _rgf([w[i] for i in s]) for s in swaps):
-            tags.append((cells[w[:2]], cells[w[2:4]], cells[w[4:]]))
-    return tags
+    return [(cells[w[:2]], cells[w[2:4]], cells[w[4:]]) for w, k in _orbit_words(mirrored) if k <= m]
 
 
-def triple_tuple(alg: StructureConstants, slots: tuple, tag: tuple) -> tuple:
+def triple_tuple(alg: StructureConstants, slots: tuple, tag: tuple, groups: dict) -> tuple:
     """(w, terms) of ``centralizers._constraint_tuples`` at one tuple of the triple form, read off the bracket form alone.
 
     ``slots`` are those phi enters on the right-hand side.  [[e_i, e_j], e_k]
     is the bracket of [e_i, e_j] with e_k, and a slot's group visits only
     the e_l' that the bracket's slot groups pair with the other indices,
-    so no triple form is built.
+    so no triple form is built.  ``groups`` holds the slot groups one
+    solve has read so far, [[e_l', y], z] or [[x, e_l'], z] under
+    (slot, y or x, z).
     """
     brackets = basis_tensor(alg, "bracket")[1]
     left, right = _slot_terms(alg, "bracket", 0), _slot_terms(alg, "bracket", 1)
@@ -170,10 +179,13 @@ def triple_tuple(alg: StructureConstants, slots: tuple, tag: tuple) -> tuple:
             for k, c in xy:
                 for lp, v in right.get((k,), ()):
                     by_lp.setdefault(lp, []).append((c, v))
-            group = [(lp, _sparse_sum(cv)) for lp, cv in by_lp.items()]
+            group = [(lp, u) for lp, cv in by_lp.items() if (u := _sparse_sum(cv))]
         else:  # [[e_l', y], z] or [[x, e_l'], z]
-            group = [(lp, with_z(v)) for lp, v in (left.get((y,), ()) if s == 0 else right.get((x,), ()))]
-        group = [(lp, v) for lp, v in group if v]
+            key = (s, tag[1 - s], z)
+            group = groups.get(key)
+            if group is None:
+                vs = left.get((y,), ()) if s == 0 else right.get((x,), ())
+                group = groups[key] = [(lp, u) for lp, v in vs if (u := with_z(v))]
         if group:
             terms.append((p, tag[s], group))
     return with_z(xy), terms
@@ -191,9 +203,9 @@ def symmetric_space(alg: StructureConstants, slots: tuple) -> Subspace | None:
         return None
     moves, _ = symmetry
     n = alg.dim
-    ech = _IntEchelon()
+    ech, groups = _IntEchelon(), {}
     for tag in orbit_tags(alg, slots[:2] == (0, 1)):
-        pending = _tuple_rows(n, *triple_tuple(alg, slots, tag))
+        pending = _tuple_rows(n, *triple_tuple(alg, slots, tag, groups))
         while pending:
             row = pending.pop()
             rank = ech.rank

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lietriple.algebra import (
     LinearOperator,
+    _tuple_rows,
     multiplication_operator,
     StructureConstants,
     basis_tensor,
@@ -32,9 +33,11 @@ from lietriple.catalog import (
     strict_upper_3x3,
     upper_triangular,
 )
+from lietriple.centralizers import _FORMS, IdentityKind, _constraint_tuples, _tags
 from lietriple.derivations import _commutator_into_center_forces_central
 from lietriple.errors import AlgebraMismatch, NotAssociative
 from lietriple.linalg import Subspace, kernel_of_rows, solve, unit_vec
+from lietriple.symmetry import orbit_tags, triple_tuple
 from oracles import (
     RATIONAL_BASIS,
     dense_contract,
@@ -551,3 +554,49 @@ def test_basis_form_is_the_element_products_in_its_pinned_order(name, form):
     assert all(type(x) is int and len(dict(v)) == len(v) for v in table.values() for _, x in v)
     assert list(table) == sorted(table)
     assert hashlib.sha256(repr((scale, table)).encode()).hexdigest() == _FORM_DIGESTS[name, form]
+
+
+def _reference_rows(n: int, w, terms) -> list[dict]:
+    """The n rows {c*n + l: w_c}, each term's v_l at i*n + l' subtracted, zeros and empty rows dropped, l increasing."""
+    rows = [dict.fromkeys(range(n * n), 0) for _ in range(n)]
+    for c, x in w:
+        for l in range(n):
+            rows[l][c * n + l] += x
+    for _p, i, group in terms:
+        for lp, v in group:
+            for l, c in v:
+                rows[l][i * n + lp] -= c
+    rows = [{k: x for k, x in row.items() if x} for row in rows]
+    return [row for row in rows if row]
+
+
+ROW_ALGEBRAS = {
+    "T4": lambda: upper_triangular(4),
+    "example_1_2": lambda: example_1_2().gma.algebra,
+    "R1": lambda: random_gma(random.Random(1), require_n=True).algebra,
+    "rebased T3": lambda: rebased(upper_triangular(3), unit_diagonal_basis(random.Random(0), 6)),
+}
+
+
+@pytest.mark.parametrize("name", ROW_ALGEBRAS)
+def test_tuple_rows_are_the_reference_rows_at_every_constraint_tuple(name):
+    """Every tuple of every kind, mirrored ones included: the same rows, in the same order, with the same entries."""
+    alg = ROW_ALGEBRAS[name]()
+    n, walked = alg.dim, 0
+    for kind in IdentityKind:
+        form, slots = _FORMS[kind]
+        for _tag, w, terms in _constraint_tuples(alg, kind, _tags(n, form, slots, True)):
+            assert _tuple_rows(n, w, terms) == _reference_rows(n, w, terms)
+            walked += 1
+    assert walked > 0
+
+
+@pytest.mark.parametrize(
+    "kind", [IdentityKind.LIE_TRIPLE_CENTRALIZER, IdentityKind.LIE_TRIPLE_DERIVATION], ids=lambda k: k.value
+)
+def test_tuple_rows_are_the_reference_rows_at_each_orbit_tuple_of_m3(kind):
+    alg, slots = full_matrix(3), _FORMS[kind][1]
+    groups = {}
+    for tag in orbit_tags(alg, slots[:2] == (0, 1)):
+        w, terms = triple_tuple(alg, slots, tag, groups)
+        assert _tuple_rows(alg.dim, w, terms) == _reference_rows(alg.dim, w, terms)

@@ -26,8 +26,8 @@ from lietriple.catalog import (
 )
 from lietriple.errors import HashMismatch
 from lietriple.gma import Bimodule, assemble, check_annihilating_conditions, context_of, m2_of, peirce_from_idempotent
-from lietriple.io import brief, dump_json, operator_from_doc, parse_rat, sc_from_doc
-from lietriple.linalg import tensor_entries
+from lietriple.io import brief, dump_json, operator_from_doc, parse_rat, sc_from_doc, vector_doc
+from lietriple.linalg import _ZERO, tensor_entries
 from oracles import (
     RATIONAL_BASIS,
     algebra_doc,
@@ -433,6 +433,59 @@ def test_dump_json_writes_the_bytes_of_json_dumps(doc):
 def test_dump_json_refuses_what_it_does_not_render(doc, bad):
     with pytest.raises(TypeError):
         dump_json({"doc": doc, "bad": ["x", bad]})
+
+
+# negatives, p/q, numerators and denominators beyond 2^64, the shared zero
+# and a zero built apart from it
+_RATIONALS = (
+    st.fractions()
+    | st.builds(F, st.integers(-(2**80), 2**80), st.integers(1, 2**70))
+    | st.just(_ZERO)
+    | st.builds(F, st.just(0))
+)
+_VECTORS = st.lists(_RATIONALS, max_size=5) | st.lists(_RATIONALS, max_size=5).map(tuple)
+_RATIONAL_DOCUMENTS = st.recursive(
+    _LEAVES | _VECTORS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_STRINGS, inner, max_size=4)
+    ),
+    max_leaves=16,
+)
+
+
+def _as_strings(doc):
+    """doc with each rational vector (a nonempty list or tuple of Fractions) mapped by ``vector_doc``."""
+    if isinstance(doc, dict):
+        return {key: _as_strings(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        if doc and all(isinstance(x, F) for x in doc):
+            return vector_doc(doc)
+        return [_as_strings(x) for x in doc]
+    return doc
+
+
+@given(_RATIONAL_DOCUMENTS)
+def test_dump_json_writes_a_rational_vector_as_its_strings(doc):
+    assert dump_json(doc) == json.dumps(_as_strings(doc), sort_keys=True, indent=2) + "\n"
+
+
+def test_a_rational_vector_writes_each_zero_as_0():
+    assert F(0) is not _ZERO
+    assert dump_json((_ZERO, F(0), F(-3, 4), F(2**70, 3))) == f'[\n  "0",\n  "0",\n  "-3/4",\n  "{2**70}/3"\n]\n'
+
+
+@given(
+    st.lists(_RATIONALS, min_size=1, max_size=4),
+    st.sampled_from(["x", "0", "1/2", 0, 1, -(2**70), True, None]),
+    st.data(),
+)
+def test_a_vector_mixing_a_fraction_with_another_type_is_refused(vector, other, data):
+    vector.insert(data.draw(st.integers(0, len(vector)), label="position"), other)
+    for doc in (vector, tuple(vector), {"v": tuple(vector)}):
+        with pytest.raises(TypeError):
+            dump_json(doc)
 
 
 class TestDocuments:

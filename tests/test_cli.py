@@ -211,6 +211,15 @@ class TestVerifyPaper:
             ("solve", "upper_triangular(4)", "--identity", "ltd"),
             "921928131fcd0ca9b60099ac0bf3e733bd7f3cfa5847c302728a1aded315fd4e",
         ),
+        # the two largest answers: the 144-dimensional ltd space, and the M4 ltc basis
+        (
+            ("solve", "example_1_2", "--identity", "ltd"),
+            "c9e30cd3192cce98e798894bb6e5df151ce9df639d25176a619e6a5655685b93",
+        ),
+        (
+            ("solve", "full_matrix(4)", "--identity", "ltc"),
+            "8c864863a4d8a034e1818d6d349bd96bf3b01c46894499630b00a91e1f5ec84c",
+        ),
     ],
 )
 def test_solve_stdout_bytes_are_pinned(capsys, argv, digest):

@@ -153,6 +153,55 @@ def test_the_representatives_stop_growing_at_m_6(mirrored):
     assert counts == ([8, 34, 56, 62, 63, 63] if mirrored else [20, 70, 107, 116, 117, 117])
 
 
+def _rgf(word) -> tuple:
+    labels: dict = {}
+    return tuple(labels.setdefault(x, len(labels)) for x in word)
+
+
+def _per_m_orbit_tags(alg, m: int, mirrored: bool) -> list:
+    """The per-algebra enumeration: restricted-growth words on at most m labels, each least under the swaps."""
+    cells = matrix_unit_symmetry(alg)[1]
+    swaps = ((1, 0, 3, 2, 5, 4), (2, 3, 0, 1, 4, 5), (3, 2, 1, 0, 5, 4)) if mirrored else ((1, 0, 3, 2, 5, 4),)
+    words = [((), 0)]
+    for _ in range(6):
+        words = [(w + (x,), max(k, x + 1)) for w, k in words for x in range(min(k + 1, m))]
+    tags = []
+    for w, _ in words:
+        if not (mirrored and w[:2] == w[2:4]) and all(w <= _rgf([w[i] for i in s]) for s in swaps):
+            tags.append((cells[w[:2]], cells[w[2:4]], cells[w[4:]]))
+    return tags
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirrored"])
+@pytest.mark.parametrize("m", range(2, 8))
+def test_the_orbit_tags_are_the_per_m_enumeration(m, mirrored):
+    alg = full_matrix(m)
+    assert orbit_tags(alg, mirrored) == _per_m_orbit_tags(alg, m, mirrored)
+
+
+def test_the_orbit_words_are_listed_once_per_mirror_flag(cold_cache, monkeypatch):
+    """After the first listing for each flag, no solve or tag request on any M_m relabels a word again."""
+    calls = [0]
+    rgf = lietriple.symmetry._rgf
+
+    def counting(word):
+        calls[0] += 1
+        return rgf(word)
+
+    monkeypatch.setattr(lietriple.symmetry, "_rgf", counting)
+    lietriple.symmetry._orbit_words.cache_clear()
+    for mirrored in (False, True):
+        orbit_tags(full_matrix(2), mirrored)
+    listed = calls[0]
+    assert listed > 0
+    for m in range(2, 8):
+        for mirrored in (False, True):
+            orbit_tags(full_matrix(m), mirrored)
+    for kind in TRIPLE_KINDS:
+        solve_identity_space(full_matrix(3), kind)
+    assert calls[0] == listed
+
+
 @pytest.mark.parametrize("kind", TRIPLE_KINDS, ids=lambda k: k.value)
 def test_the_symmetric_solve_builds_no_triple_form(cold_cache, kind):
     alg = full_matrix(4)
