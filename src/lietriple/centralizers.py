@@ -41,8 +41,10 @@ and closed under the group's generators, already span every row, which
 ``symmetry`` proves.  ``is_identity_member`` reads "holds" off a solved
 space the fact table already holds, and walks the tuples otherwise or
 for a non-member.  The re-checks of the solver's own output go through
-``_walked_membership``, which always walks, so they stay an independent
-check of the solver.
+``_walked_membership``, the one cached walk, so they stay an independent
+check of the solver.  ``_verdict`` builds every check from its first
+failing residual, and ``_require_member`` is the one refusal of a phi
+off a triple identity.
 
 Both work on ints: the basis forms are ints times a scale, and the
 evaluator scales its operators once by their common denominator.  So
@@ -63,7 +65,7 @@ from .algebra import (
     AlgebraElement, LinearOperator, StructureConstants, _digit_shift, _failing_tags, _packed, _same_algebra,
     _slot_terms, _tuple_rows, basis_tensor, cached, center, find_unit, held, memoized,
 )
-from .errors import DimensionMismatch, NotGMA, NotUnital
+from .errors import DimensionMismatch, NotGMA, NotLTC, NotLTD, NotUnital
 from .gma import GMA, block_ranges, require_block_hypotheses
 from .linalg import (
     Matrix,
@@ -290,11 +292,8 @@ def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | Non
             lhs, rhs = _tuple_sides(n, w, terms, packed, (packed,) * len(slots))
             if lhs == rhs:
                 continue
-        rank = ech.rank
         rows = _tuple_rows(n, w, terms)
-        for row in rows:
-            ech.add(row)
-        if ech.rank == rank:
+        if not any([ech.add(row) for row in rows]):  # a list, so every row goes in
             # a miss leaves the echelon as it was: each row met the pivots it holds
             lost += sum(len(row) * (1 + sum(c in ech.rows for c in row)) for row in rows)
             if lost >= ambient:
@@ -331,34 +330,45 @@ def is_identity_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> Id
     return _walked_membership(alg_or_gma, kind, op)
 
 
+def _require_member(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> None:
+    """Refuse an operator off a triple identity: raise ``NotLTC`` or ``NotLTD`` with the witness of ``is_identity_member``."""
+    chk = is_identity_member(alg_or_gma, kind, op)
+    if not chk:
+        raise (NotLTC if kind is IdentityKind.LIE_TRIPLE_CENTRALIZER else NotLTD)(chk.witness)
+
+
+def _verdict(alg: StructureConstants, residual: tuple | None) -> IdentityCheck:
+    """The check that holds when no tuple fails, else the one failing at the first residual (tag, lhs, rhs)."""
+    if residual is None:
+        return IdentityCheck(True)
+    tag, lhs, rhs = residual
+    return IdentityCheck(False, tag, alg.element(lhs), alg.element(rhs))
+
+
 def _walked_membership(alg_or_gma, kind: IdentityKind, op: LinearOperator) -> IdentityCheck:
     """The verdict of walking every constraint tuple on the operator: the re-checks of a solver's output read this alone.
 
-    The verdict, witness included, is computed once per live algebra for
-    each kind, block dims and operator.  The operator is keyed by its
-    exact nonzero coordinates as (index, numerator, denominator) ints:
-    they hash without ``Fraction`` and hold no copy of its zeros.
+    For ``sjder``, a nonzero off the M->N and N->M corners, the first in
+    column-major order, fails first, at (row, column), its column against
+    0.  The verdict, witness included, is computed once per live algebra
+    for each kind, block dims and operator, keyed by its exact nonzero
+    coordinates as (index, numerator, denominator) ints: they hash
+    without ``Fraction`` and hold no copy of its zeros.
     """
     alg, dims = _resolve(alg_or_gma, kind)
     _same_algebra(alg, op.algebra)
-    flat = op.coords
-    coords = tuple((k, x.numerator, x.denominator) for k, x in enumerate(flat) if x)
-    key = ("is_identity_member", kind, dims, coords)
-    return cached(alg._facts, key, lambda: _membership(alg, kind, dims, flat))
+    n, flat = alg.dim, op.coords
+    key = ("is_identity_member", kind, dims, tuple((k, x.numerator, x.denominator) for k, x in enumerate(flat) if x))
 
-
-def _membership(alg: StructureConstants, kind: IdentityKind, dims: tuple | None, flat: Sequence) -> IdentityCheck:
-    """The verdict of ``_walked_membership`` on a column-major flat; ``dims`` adds the singular kind's sparsity pattern."""
-    n = alg.dim
-    if dims is not None:
-        for row in _sparsity_rows(n, dims):
+    def residuals() -> Iterator[tuple]:
+        for row in _sparsity_rows(n, dims) if dims is not None else ():
             ((pos, _),) = row.items()
             if flat[pos]:
                 c, r = divmod(pos, n)
-                return IdentityCheck(False, (r, c), alg.element(flat[c * n : (c + 1) * n]), alg.zero())
-    for tag, lhs, rhs in _identity_residuals(alg, kind, flat):
-        return IdentityCheck(False, tag, alg.element(lhs), alg.element(rhs))
-    return IdentityCheck(True)
+                yield (r, c), flat[c * n : (c + 1) * n], alg.zero().coords
+        yield from _identity_residuals(alg, kind, flat)
+
+    return cached(alg._facts, key, lambda: _verdict(alg, next(residuals(), None)))
 
 
 # ---------------------------------------------------------------------------

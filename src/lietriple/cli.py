@@ -50,7 +50,7 @@ from .properness import (
 _KIND_FLAGS = {k.value: k for k in IdentityKind}
 
 
-def _operator_hash(doc: dict) -> str:
+def _document_hash(doc) -> str:
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -58,7 +58,7 @@ def _operator_hash(doc: dict) -> str:
 
 def _load_operator(path: str, entry: CatalogEntry) -> tuple[LinearOperator, str]:
     doc = load_json(path)
-    return operator_from_doc(doc, entry.algebra), _operator_hash(doc)
+    return operator_from_doc(doc, entry.algebra), _document_hash(doc)
 
 
 def _emit(fmt: str, command: list, inputs: dict, results: dict, text_lines: list[str], status: str = "ok") -> None:
@@ -90,7 +90,7 @@ def _columns_doc(op: LinearOperator) -> list:
     return [op.column(j) for j in range(op.algebra.dim)]
 
 
-def _certificate_result(res) -> tuple[dict, list[str], int]:
+def _certificate_result(res) -> tuple[dict, list[str]]:
     if isinstance(res, PropernessCertificate):
         doc = {
             "verdict": "proper",
@@ -103,7 +103,7 @@ def _certificate_result(res) -> tuple[dict, list[str], int]:
             "PROPER lambda=" + ("0" if lam_zero else str(res.lam))
             + " chi=" + ("0" if res.chi.is_zero() else "(center-valued map)")
         ]
-        return doc, lines, 0
+        return doc, lines
     if isinstance(res, PropernessFailure):
         doc = {
             "verdict": "not proper",
@@ -111,7 +111,7 @@ def _certificate_result(res) -> tuple[dict, list[str], int]:
             "witness_corner_value": res.witness,
             "target_dimension": res.target.dim,
         }
-        return doc, [f"NOT PROPER (corner witness on side {res.side})"], 0
+        return doc, [f"NOT PROPER (corner witness on side {res.side})"]
     assert isinstance(res, Infeasible)
     doc = {"verdict": "not proper", "reason": res.reason}
     lines = ["NOT PROPER"]
@@ -119,7 +119,7 @@ def _certificate_result(res) -> tuple[dict, list[str], int]:
         doc["witness_element"] = res.witness_element.coords
         doc["witness_image"] = res.witness_image.coords
         lines.append(f"witness: image of {res.witness_element} escapes the center")
-    return doc, lines, 0
+    return doc, lines
 
 
 def _cmd_proper(args: argparse.Namespace) -> int:
@@ -130,10 +130,10 @@ def _cmd_proper(args: argparse.Namespace) -> int:
     else:
         probes = [entry.extras["a0"]] if "a0" in entry.extras else []
         res = is_proper_direct(entry.algebra, op, probes=probes)
-    body, lines, code = _certificate_result(res)
+    body, lines = _certificate_result(res)
     inputs = {"algebra_hash": entry.algebra.content_hash, "operator_hash": op_hash}
     _emit(args.format, ["proper", args.algebra, args.operator], inputs, body, lines)
-    return code
+    return 0
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -183,11 +183,17 @@ def _cmd_hypotheses(args: argparse.Namespace) -> int:
     entry = resolve(args.algebra)
     if entry.gma is None:
         raise NotGMA("hypotheses need a block algebra")
-    candidates = None
-    if args.candidates_m0:
-        candidates = parse_grid(load_json(args.candidates_m0))
+    command, candidates = ["hypotheses", args.algebra], None
+    inputs = {"algebra_hash": entry.algebra.content_hash}
+    if args.candidates_m0 is not None:
+        doc = load_json(args.candidates_m0)
+        candidates = parse_grid(doc)
+        command += ["--candidates-m0", args.candidates_m0]
+        inputs["candidates_m0_hash"] = _document_hash(doc)
     cor = check_cor36_hypotheses(entry.gma)
     thm = check_thm41_hypotheses(entry.gma, candidates_m0=candidates)
+    c, d = ("not established" if by is None else vector_doc(by)
+            for by in (thm.cond_c_established_by, thm.cond_d_established_by))
     results = {
         "properness_sufficiency": {
             "pi_b_equals_center_b": cor.pi_b_equals_center_b,
@@ -203,16 +209,8 @@ def _cmd_hypotheses(args: argparse.Namespace) -> int:
             "iv": thm.cond_iv,
             "a": thm.cond_a,
             "b": thm.cond_b,
-            "c": (
-                "not established"
-                if thm.cond_c_established_by is None
-                else vector_doc(thm.cond_c_established_by)
-            ),
-            "d": (
-                "not established"
-                if thm.cond_d_established_by is None
-                else vector_doc(thm.cond_d_established_by)
-            ),
+            "c": c,
+            "d": d,
             "two_torsion_free": thm.two_torsion_free,
             "satisfied": thm.satisfied,
         },
@@ -223,12 +221,9 @@ def _cmd_hypotheses(args: argparse.Namespace) -> int:
         f"  pi_A(Z)=Z(A): {cor.pi_a_equals_center_a}  [[B,B],B]=B: {cor.triple_span_b_full}",
         f"decomposition hypotheses satisfied: {thm.satisfied}",
         f"  (i): {thm.cond_i}  (ii): {thm.cond_ii}  (iii): {thm.cond_iii}  (iv): {thm.cond_iv}",
-        f"  (a): {thm.cond_a}  (b): {thm.cond_b}"
-        f"  (c): {results['decomposition_hypotheses']['c']}"
-        f"  (d): {results['decomposition_hypotheses']['d']}",
+        f"  (a): {thm.cond_a}  (b): {thm.cond_b}  (c): {c}  (d): {d}",
     ]
-    inputs = {"algebra_hash": entry.algebra.content_hash}
-    _emit(args.format, ["hypotheses", args.algebra], inputs, results, lines)
+    _emit(args.format, command, inputs, results, lines)
     return 0
 
 

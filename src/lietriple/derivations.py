@@ -12,7 +12,8 @@ defining identity before anything is handed back.  A membership verdict
 is evaluated once per process for each exact operator, so a component
 checked twice (by ``decompose_ltd`` and again in the transcript of
 ``decompose_generalized_ltd``) is evaluated once and read back the
-second time; the two checks are the same exact check.
+second time; the two checks are the same exact check.  An xi off the
+triple derivations is refused by ``centralizers._require_member``.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ from .centralizers import (
     IdentityCheck,
     IdentityKind,
     _identity_residuals,
+    _require_member,
+    _verdict,
     _walked_membership,
     is_identity_member,
     solve_identity_space,
 )
-from .errors import DimensionMismatch, LieTripleError, NotGLTD, NotLTD
+from .errors import DimensionMismatch, LieTripleError, NotGLTD
 from .gma import GMA, _commutation_rows, block_hypotheses_hold, diagonal_kernel
 from .linalg import combination, preimage, solve, unit_vec
 from .properness import (
@@ -61,17 +64,12 @@ def check_gltd_correspondence(
     triple-centralizer space, and by evaluating the defining identity,
     Lambda in the first slot and xi in the other two, directly on every
     basis triple.  The verdicts must agree.  A failure carries the
-    first failing triple and the two sides of the identity there.
+    first failing triple and the two sides of the identity there.  An
+    xi off the triple derivations raises ``NotLTD`` with its witness.
     """
     ltd = IdentityKind.LIE_TRIPLE_DERIVATION
-    chk = is_identity_member(alg, ltd, xi)
-    if not chk:
-        raise NotLTD(chk.witness)
-    via_difference = bool(
-        is_identity_member(
-            alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, lam_op - xi
-        )
-    )
+    _require_member(alg, ltd, xi)
+    via_difference = bool(is_identity_member(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, lam_op - xi))
     lam_flat, xi_flat = lam_op.coords, xi.coords
     residual = next(_identity_residuals(alg, ltd, lam_flat, (lam_flat, xi_flat, xi_flat)), None)
     if via_difference != (residual is None):
@@ -79,10 +77,7 @@ def check_gltd_correspondence(
             "difference-route and direct-route verdicts disagree; "
             "this contradicts the centralizer correspondence"
         )
-    if residual is None:
-        return IdentityCheck(True)
-    tag, lhs, rhs = residual
-    return IdentityCheck(False, tag, alg.element(lhs), alg.element(rhs))
+    return _verdict(alg, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +189,7 @@ class LTDDecomposition(Record):
 def decompose_ltd(u: GMA, xi: LinearOperator) -> LTDDecomposition | Infeasible:
     """Split a Lie triple derivation per the three-part membership problem."""
     alg = u.algebra
-    chk = is_identity_member(alg, IdentityKind.LIE_TRIPLE_DERIVATION, xi)
-    if not chk:
-        raise NotLTD(chk.witness)
+    _require_member(alg, IdentityKind.LIE_TRIPLE_DERIVATION, xi)
     der = solve_identity_space(alg, IdentityKind.DERIVATION)
     sjd = solve_identity_space(u, IdentityKind.SINGULAR_JORDAN_DERIVATION)
     cv = central_vanishing_space(alg)

@@ -9,7 +9,8 @@ Each exact primitive is written once.  ``_IntEchelon`` is the only row
 elimination, and its ``add`` the only way in: it skips an empty sparse
 ``{col: int}`` row and eliminates any other fraction-free as it comes,
 keeping the echelon reduced, each pivot row primitive, on every insert;
-a dependent row, a repeat included, reduces to nothing.  A row's pivot
+a dependent row, a repeat included, reduces to nothing, and ``add``
+returns whether the row raised the rank.  A row's pivot
 is its greatest column, so the kernel vector of a free column f holds
 only f and pivots above f, and a kernel is read off the echelon with no
 second elimination; a Fraction is made only at the final division of a
@@ -247,17 +248,12 @@ class _IntEchelon:
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> its row
         self._held: set[int] = set()
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    def add(self, row: dict[int, int]) -> bool:
+        """Insert a copy of a sparse row {col: int} of nonzero ints unless it is empty: True iff it raised the rank."""
+        return bool(row) and self.insert(dict(row))
 
-    def add(self, row: dict[int, int]) -> None:
-        """Insert a copy of a sparse row {col: int} of nonzero ints, unless it is empty; the caller's row is left as it was."""
-        if row:
-            self.insert(dict(row))
-
-    def insert(self, row: dict[int, int]) -> None:
-        """Add a nonzero row, reducing it in place; a row in the span adds nothing.
+    def insert(self, row: dict[int, int]) -> bool:
+        """Add a nonzero row, reducing it in place; a row in the span adds nothing and returns False, any other True.
 
         One elimination per pivot column the row holds, as a pivot row is
         zero at the other pivots; a surviving row's lead, its greatest
@@ -268,7 +264,7 @@ class _IntEchelon:
         for p in [c for c in row if c in rows]:
             row = _eliminate(row, rows[p], p)
         if not row:
-            return
+            return False
         lead = max(row)
         row = _primitive(row, lead)
         if lead in self._held:
@@ -277,6 +273,7 @@ class _IntEchelon:
                     rows[p] = _primitive(_eliminate(prow, row, lead), p)
         self._held.update(row)
         rows[lead] = row
+        return True
 
     def _free_columns(self, ambient: int) -> dict[int, dict[int, int]]:
         """{f: {p: row p at f}} over the free columns f in range(ambient), ascending, and the pivots p whose row holds f.

@@ -17,7 +17,8 @@ targets), read by the block-form route.  ``equivalence_audit`` decides
 the direct, range and unit criteria as subspaces of the LTC space, each
 cut out by linear rows, and the three agree iff the subspaces are equal.
 ``build_from_blocks`` assembles the block-form chi from alpha4, beta1 and
-their images under eta^-1, eta.
+their images under eta^-1, eta.  Both routes refuse a phi off the triple
+centralizers first, through ``centralizers._require_member``.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ from .algebra import (
 from .centralizers import (
     BlockDecomposition,
     IdentityKind,
+    _require_member,
     block_decompose,
     build_from_blocks,
-    is_identity_member,
     solve_identity_space,
 )
-from .errors import LieTripleError, NotLTC
+from .errors import LieTripleError
 from .gma import GMA, center_block_description, eta_map
 from .linalg import (
     Matrix,
@@ -93,12 +94,6 @@ class Infeasible(Record):
     reason: str
     witness_element: AlgebraElement | None = None
     witness_image: AlgebraElement | None = None
-
-
-def _require_ltc(alg: StructureConstants, phi: LinearOperator) -> None:
-    chk = is_identity_member(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, phi)
-    if not chk:
-        raise NotLTC(chk.witness)
 
 
 @memoized
@@ -172,7 +167,7 @@ def is_proper_direct(
     phi - lambda*(.) satisfies ``central_vanishing_rows``: a row R reads
     sum_t c_t R(z_t .) = R(phi), in ints.  Works on non-unital algebras.
     """
-    _require_ltc(alg, phi)
+    _require_member(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, phi)
     n = alg.dim
     z = center(alg)
     into_center, kills_dc = central_vanishing_rows(alg)
@@ -245,7 +240,7 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
     """
     alg = u.algebra
     eta = eta_map(u)
-    _require_ltc(alg, phi)
+    _require_member(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, phi)
     d = block_decompose(u, phi)
     failure = _unit_failure(u, d, eta.domain, eta.codomain)
     if failure is not None:

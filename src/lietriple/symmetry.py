@@ -208,8 +208,6 @@ def symmetric_space(alg: StructureConstants, slots: tuple) -> Subspace | None:
         pending = _tuple_rows(n, *triple_tuple(alg, slots, tag, groups))
         while pending:
             row = pending.pop()
-            rank = ech.rank
-            ech.add(row)
-            if ech.rank > rank:
+            if ech.add(row):
                 pending.extend({move[k]: x for k, x in row.items()} for move in moves)
     return ech.kernel(n * n)

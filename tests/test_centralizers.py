@@ -220,12 +220,7 @@ class TestMembership:
             assert solve_identity_space(u, K.SINGULAR_JORDAN_DERIVATION).is_zero()
 
     def test_sjd_nonzero_on_zero_pairing_context(self):
-        from lietriple.catalog import rationals
-        from lietriple.gma import Bimodule, MoritaContext, assemble
-
-        q = rationals()
-        reg = Bimodule.regular(q)
-        u = assemble(MoritaContext(q, q, reg, reg, {}, {}))
+        u = _zero_pairing_gma()
         space = solve_identity_space(u, K.SINGULAR_JORDAN_DERIVATION)
         assert space.dim == 2  # the two off-diagonal swaps survive
         jder = solve_identity_space(u.algebra, K.JORDAN_DERIVATION)
@@ -702,7 +697,7 @@ def test_equal_algebras_built_apart_share_one_solve(cold_cache, monkeypatch):
     assert first is not second
     space = solve_identity_space(first, K.LIE_TRIPLE_CENTRALIZER)
     assert space == solve_identity_space(second, K.LIE_TRIPLE_CENTRALIZER)
-    assert len(solves) == 1 and solves[0].rank == 36 - space.dim
+    assert len(solves) == 1 and len(solves[0].rows) == 36 - space.dim
 
 
 # ---------------------------------------------------------------------------
@@ -795,6 +790,47 @@ def test_the_witness_under_the_skip_is_the_first_failing_tuple(name, kind):
         assert (chk.witness, chk.lhs, chk.rhs) == _first_failing_tuple(alg, kind, matrix_of(op))
 
 
+def _zero_pairing_gma():
+    """Q in every corner, both pairings zero."""
+    from lietriple.gma import Bimodule, MoritaContext, assemble
+
+    q = rationals()
+    reg = Bimodule.regular(q)
+    return assemble(MoritaContext(q, q, reg, reg, {}, {}))
+
+
+@pytest.mark.parametrize("build", [lambda: full_matrix_gma(3), _zero_pairing_gma], ids=["M3", "zero-pairing"])
+def test_the_sjder_witness_off_the_corners_is_the_first_such_coordinate(cold_cache, build):
+    """An operator nonzero off the M->N and N->M corners fails sjder at the first such coordinate, column-major.
+
+    The witness is (row, column), its lhs that column and its rhs 0, from
+    ``is_identity_member`` and from ``_walked_membership`` alike; entries
+    inside the corners come before it in some draws and do not count.
+    """
+    from lietriple.centralizers import _walked_membership
+
+    u = build()
+    alg, n = u.algebra, u.algebra.dim
+    m, nb = u.block_range("M"), u.block_range("N")
+    inside = {c * n + r for c in range(n) for r in range(n) if (c in m and r in nb) or (c in nb and r in m)}
+    rng = random.Random(f"off-corner-{n}")
+    for start in (0, 1, n, n * n - 1):
+        flat = [F(0)] * (n * n)
+        for k in inside:
+            flat[k] = F(rng.randint(1, 3), rng.choice((1, 2)))
+        off = [k for k in range(start, n * n) if k not in inside]
+        for k in rng.sample(off, min(3, len(off))):
+            flat[k] = F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.choice((1, 3)))
+        first = min(k for k in range(n * n) if flat[k] and k not in inside)
+        c, r = divmod(first, n)
+        expected = ((r, c), alg.element(flat[c * n : (c + 1) * n]), alg.zero())
+        op = LinearOperator.from_flat(alg, flat)
+        for check in (is_identity_member, _walked_membership):
+            cold_cache()
+            chk = check(u, K.SINGULAR_JORDAN_DERIVATION, op)
+            assert not chk and (chk.witness, chk.lhs, chk.rhs) == expected
+
+
 def test_the_gltd_direct_route_reads_the_mirrored_tuples():
     """With Lambda in the first slot and xi in the others, (j, i, k) is no copy of (i, j, k): every tuple is read."""
     from lietriple.centralizers import _identity_residuals
@@ -860,13 +896,13 @@ def test_a_stale_pack_filters_to_the_catalog_space(cold_cache, monkeypatch, kind
 
     def recording_pack(alg, kind, vectors):
         packed = packed_kernel(alg, kind, vectors)
-        packs[id(packed)] = (len(vectors), echelons[-1].rank)
+        packs[id(packed)] = (len(vectors), len(echelons[-1].rows))
         return packed
 
     def recording_sides(n, w, terms, phi, mats):
         lhs, rhs = sides(n, w, terms, phi, mats)
         dim_packed, rank_packed = packs[id(phi)]
-        if lhs != rhs and echelons[-1].rank > rank_packed:
+        if lhs != rhs and len(echelons[-1].rows) > rank_packed:
             stale_failures.append(dim_packed)
         return lhs, rhs
 

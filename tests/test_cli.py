@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -12,7 +13,7 @@ import lietriple
 from lietriple.algebra import LinearOperator
 from lietriple.catalog import resolve, strict_upper_3x3, upper_triangular
 from lietriple.centralizers import IdentityKind, solve_identity_space
-from lietriple.cli import main
+from lietriple.cli import build_parser, main
 from oracles import algebra_doc, left_mult, matrix, operator_doc, operator_of, right_mult, write_doc
 
 
@@ -253,6 +254,50 @@ def _fixed_combination(entry, kind):
     coeffs = [(-1) ** k * (k % 3 + 1) for k in range(space.dim)]
     flat = [sum(c * v[i] for c, v in zip(coeffs, space.basis)) for i in range(space.ambient)]
     return LinearOperator.from_flat(entry.algebra, flat)
+
+
+# the argv of every subcommand and every optional argument, less --format,
+# and {argument: path} for each document it reads; verify-paper reads no algebra
+ECHO_CASES = [
+    (("solve", "upper_triangular(2)", "--identity", "ltc"), {}),
+    (("proper", "upper_triangular(2)", "phi.json"), {"operator": "phi.json"}),
+    (("decompose", "upper_triangular(2)", "phi.json"), {"operator": "phi.json"}),
+    (("decompose", "upper_triangular(2)", "lam.json", "--xi", "xi.json"), {"operator": "lam.json", "xi": "xi.json"}),
+    (("hypotheses", "upper_triangular(2)"), {}),
+    (("hypotheses", "upper_triangular(2)", "--candidates-m0", "m0.json"), {"candidates_m0": "m0.json"}),
+    (("verify-paper",), None),
+]
+
+
+def test_echo_cases_cover_every_subcommand_and_optional_argument():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help", "--format"}
+        used = {word for argv, _ in ECHO_CASES if argv[0] == name for word in argv}
+        assert name in used and options <= used
+
+
+@pytest.mark.parametrize("argv, documents", ECHO_CASES, ids=[" ".join(argv) for argv, _ in ECHO_CASES])
+@pytest.mark.parametrize("first", [True, False], ids=["format-first", "format-last"])
+def test_json_echoes_the_command_and_hashes_every_document(capsys, tmp_path, monkeypatch, argv, documents, first):
+    """``command`` is the argv less ``--format VALUE``; ``inputs`` holds the algebra's hash and one per document read."""
+    monkeypatch.chdir(tmp_path)
+    entry = resolve("upper_triangular(2)")
+    phi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_CENTRALIZER)
+    xi = _fixed_combination(entry, IdentityKind.LIE_TRIPLE_DERIVATION)
+    docs = {"phi.json": operator_doc(phi), "xi.json": operator_doc(xi), "lam.json": operator_doc(phi + xi)}
+    docs["m0.json"] = [["1"]]
+    for name, doc in docs.items():
+        write_doc(name, doc)
+    fmt = ("--format", "json")
+    code, out, _ = run_cli(capsys, *(argv[:1] + fmt + argv[1:] if first else argv + fmt))
+    report = json.loads(out)
+    assert code == 0 and report["command"] == list(argv)
+    canonical = {name: json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() for name, doc in docs.items()}
+    expected = {} if documents is None else {"algebra_hash": entry.algebra.content_hash}
+    for arg, path in (documents or {}).items():
+        expected[f"{arg}_hash"] = hashlib.sha256(canonical[path]).hexdigest()
+    assert report["inputs"] == expected
 
 
 @pytest.mark.parametrize(

@@ -35,9 +35,9 @@ from lietriple.derivations import (
     decompose_generalized_ltd,
     decompose_ltd,
 )
-from lietriple.errors import NotLTD
+from lietriple.errors import NotLTC, NotLTD
 from lietriple.gma import Bimodule, MoritaContext, assemble, block_hypotheses_hold
-from lietriple.properness import equivalence_audit
+from lietriple.properness import equivalence_audit, is_proper_direct, is_proper_thm33
 
 from oracles import (
     center_shape_holds,
@@ -294,6 +294,36 @@ class TestCenterShapeConditions:
             for found, block, dim in ((rep.cond_c_established_by, "M", u.dim_m), (rep.cond_d_established_by, "N", u.dim_n)):
                 units = [tuple(int(i == p) for i in range(dim)) for p in range(dim)]
                 assert found == self._first_holding(u, block, units)
+
+
+# each refusal: (call on a GMA u and the refused operator op, kind op fails, error, the kind's name in the message)
+_REFUSALS = {
+    "is_proper_direct": (lambda u, op: is_proper_direct(u.algebra, op), K.LIE_TRIPLE_CENTRALIZER, NotLTC, "centralizer"),
+    "is_proper_thm33": (is_proper_thm33, K.LIE_TRIPLE_CENTRALIZER, NotLTC, "centralizer"),
+    "decompose_ltd": (decompose_ltd, K.LIE_TRIPLE_DERIVATION, NotLTD, "derivation"),
+    "check_gltd_correspondence": (
+        lambda u, op: check_gltd_correspondence(u.algebra, LinearOperator.identity(u.algebra), op),
+        K.LIE_TRIPLE_DERIVATION, NotLTD, "derivation",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(_REFUSALS))
+@pytest.mark.parametrize("spec", ["upper_triangular(3)", "full_matrix(2)"])
+def test_a_refusal_carries_the_membership_verdicts_witness(refusal, spec):
+    """A non-member is refused with the witness and message of ``is_identity_member``'s verdict on it."""
+    call, kind, error, name = _REFUSALS[refusal]
+    u = resolve(spec).gma
+    rng = random.Random(f"refusal-{spec}")
+    for _ in range(3):
+        flat = [F(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(u.algebra.dim**2)]
+        op = LinearOperator.from_flat(u.algebra, flat)
+        chk = is_identity_member(u.algebra, kind, op)
+        assert not chk and chk.witness is not None
+        with pytest.raises(error) as exc:
+            call(u, op)
+        assert exc.value.witness == chk.witness
+        assert str(exc.value) == f"operator fails the Lie triple {name} identity: {chk.witness}"
 
 
 def test_generalized_decomposition_tests_the_hypotheses_once(annihilator_checks):

@@ -356,7 +356,7 @@ class TestProperties:
         ech = _echelon(rows, ncols)
         vectors = ech.kernel_vectors(ncols)
         free = [f for f in range(ncols) if f not in ech.rows]
-        assert len(vectors) == len(free) == ncols - ech.rank
+        assert len(vectors) == len(free) == ncols - len(ech.rows)
         for f, v in zip(free, vectors):
             assert v[f] > 0 and not v.keys() & (set(free) - {f}) and gcd(*v.values()) == 1
             assert all(type(x) is int for x in v.values())
@@ -366,17 +366,18 @@ class TestProperties:
     def test_rows_fed_again_at_any_scale_leave_the_echelon_as_it_was(self, system, data):
         # every row a second time, times a nonzero int of either sign: each
         # repeat reduces to nothing in insert, with no record of past rows,
-        # and add leaves the rows it was given as they were
+        # add leaves the rows it was given as they were, and it reports
+        # whether a row raised the rank
         ncols, rows = system
         given_rows = [dict(row) for row in rows]
         scales = data.draw(st.lists(st.integers(-(10**6), 10**6).filter(bool), min_size=len(rows), max_size=len(rows)))
         again = [{c: s * x for c, x in row.items()} for s, row in zip(scales, rows)]
         ech = _IntEchelon()
         for row in rows:
-            ech.add(row)
+            rank = len(ech.rows)
+            assert ech.add(row) is (len(ech.rows) > rank)
         first = {p: dict(prow) for p, prow in ech.rows.items()}
-        for row in again:
-            ech.add(row)
+        assert [ech.add(row) for row in again] == [False] * len(again)
         assert ech.rows == first
         assert rows == given_rows
         assert kernel_of_rows(ncols, rows + again) == kernel_of_rows(ncols, rows)
@@ -713,10 +714,11 @@ def test_insert_costs_one_elimination_per_pivot_column(monkeypatch):
         held = sum(c in self.rows for c in row)
         before = {p: set(r) for p, r in self.rows.items()}
         start = calls[0]
-        insert(self, row)
+        raised = insert(self, row)
         new_leads = self.rows.keys() - before
         back = sum(lead in r for lead in new_leads for r in before.values())
         costs.append((calls[0] - start, held + back))
+        return raised
 
     monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
     monkeypatch.setattr(_IntEchelon, "insert", checked_insert)
