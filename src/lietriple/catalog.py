@@ -4,18 +4,21 @@ The twelve-dimensional non-unital algebra of 2x2 matrices over the
 strictly-upper-triangular 3x3 algebra comes with its swap map phi and
 the two witness elements showing phi is a Lie triple centralizer that
 is neither a Lie centralizer nor proper; all of its structure constants
-are integers, so everything is encoded over the rationals.
+are integers, so everything is encoded over the rationals.  phi is
+built from its corners: alpha4 = beta1 = the 3x3 identity, all else 0.
+``random_gma`` draws each corner's span one way and closes the four
+spans under products until a round adds nothing or a corner overflows.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import AlgebraElement, LinearOperator, StructureConstants, cached
+from .centralizers import build_from_blocks
 from .gma import (
     GMA,
     Bimodule,
@@ -26,10 +29,8 @@ from .gma import (
     m2_of,
 )
 from .io import bimodule_from_doc, brief, load_json, sc_from_doc
-from .linalg import MAX_TENSOR_ENTRIES, Subspace, unit_vec, zero_vec
+from .linalg import MAX_TENSOR_ENTRIES, Matrix, Subspace, unit_vec
 from .record import Record
-
-F = Fraction
 
 # The entries named by a deterministic spec, kept for the whole process.
 _NAMED: dict[tuple, object] = {}
@@ -141,19 +142,10 @@ class Example12(Record):
 
 
 def example_1_2() -> Example12:
-    base = strict_upper_3x3()
-    u = m2_of(base)
-    alg = u.algebra
-    n = alg.dim  # 12
-    images = []
-    for j in range(n):
-        if j in u.block_range("A"):
-            images.append(AlgebraElement(alg, unit_vec(n, j + 9)))
-        elif j in u.block_range("B"):
-            images.append(AlgebraElement(alg, unit_vec(n, j - 9)))
-        else:
-            images.append(AlgebraElement(alg, zero_vec(n)))
-    phi = LinearOperator.from_images(alg, images)
+    u = m2_of(strict_upper_3x3())
+    n = u.algebra.dim  # 12
+    one, zero = Matrix(3, 3, [int(r == c) for c in range(3) for r in range(3)]), Matrix.zeros(3, 3)
+    phi = build_from_blocks(u, alpha1=zero, beta1=one, tau2=zero, gamma3=zero, alpha4=one, beta4=zero)
     a0 = u.element_from_corners(a=(1, 1, 0), b=(2, 1, 0))
     b0 = u.element_from_corners(a=(1, 1, 0), b=(1, 2, 0))
     # Z(M2(A)) = M2(C) with C spanned by u3: one u3 in each corner.
@@ -190,68 +182,44 @@ def random_gma(rng: random.Random, require_n: bool | None = None) -> GMA:
     for _ in range(_MAX_TRIES):
         p = rng.choice((1, 1, 2))
         q = rng.choice((1, 2, 2))
-        amb = full_matrix(p + q)
         tot = p + q
+        amb = full_matrix(tot)
+        top, rest = range(p), range(p, tot)
 
-        def cellvec(entries):
-            v = [F(0)] * (tot * tot)
-            for (i, j), x in entries.items():
-                v[i * tot + j] = F(x)
-            return tuple(v)
+        def span(rows, cols, count: int, unit: bool = False) -> Subspace:
+            """The span of the corner's unit, when asked, and of ``count`` random matrices on its cells."""
+            draws = [{(i, i): 1 for i in rows}] if unit else []
+            for _ in range(count):
+                draws.append({(i, j): rng.choice((-2, -1, 1, 2)) for i in rows for j in cols if rng.random() < 0.6})
+            return Subspace(tot * tot, [[d.get(divmod(k, tot), 0) for k in range(tot * tot)] for d in draws])
 
-        def random_block(rows, cols):
-            return cellvec(
-                {
-                    (i, j): rng.choice((-2, -1, 1, 2))
-                    for i in rows
-                    for j in cols
-                    if rng.random() < 0.6
-                }
-            )
-
-        ident_a = cellvec({(i, i): 1 for i in range(p)})
-        ident_b = cellvec({(i, i): 1 for i in range(p, tot)})
-        sa = Subspace(tot * tot, [ident_a] + [random_block(range(p), range(p)) for _ in range(rng.randint(0, 1))])
-        sb = Subspace(tot * tot, [ident_b] + [random_block(range(p, tot), range(p, tot)) for _ in range(rng.randint(0, 1))])
-        sm = Subspace(tot * tot, [random_block(range(p), range(p, tot)) for _ in range(rng.randint(1, 2))])
+        sa = span(top, top, rng.randint(0, 1), unit=True)
+        sb = span(rest, rest, rng.randint(0, 1), unit=True)
+        sm = span(top, rest, rng.randint(1, 2))
         want_n = rng.random() < 0.5 if require_n is None else require_n
-        sn = Subspace(
-            tot * tot,
-            [random_block(range(p, tot), range(p)) for _ in range(rng.randint(1, 2))]
-            if want_n
-            else [],
-        )
+        sn = span(rest, top, rng.randint(1, 2) if want_n else 0)
 
-        ok = True
-        changed = True
-        while changed and ok:
-            changed = False
+        while max(sa.dim, sb.dim, sm.dim, sn.dim) <= _MAX_CORNER_DIM:
             new_sa = _grown(amb, sa, (sa, sa), (sm, sn))
             new_sb = _grown(amb, sb, (sb, sb), (sn, sm))
             new_sm = _grown(amb, sm, (new_sa, sm), (sm, new_sb))
             new_sn = _grown(amb, sn, (new_sb, sn), (sn, new_sa))
-            if (new_sa, new_sb, new_sm, new_sn) != (sa, sb, sm, sn):
-                changed = True
-                sa, sb, sm, sn = new_sa, new_sb, new_sm, new_sn
-            if max(sa.dim, sb.dim, sm.dim, sn.dim) > _MAX_CORNER_DIM:
-                ok = False
-        if not ok or sm.dim == 0:
-            continue
-        if require_n is not None and (sn.dim > 0) != require_n:
+            if (new_sa, new_sb, new_sm, new_sn) == (sa, sb, sm, sn):
+                break
+            sa, sb, sm, sn = new_sa, new_sb, new_sm, new_sn
+        else:
+            continue  # the closure overflowed the cap
+        if sm.dim == 0 or (require_n is not None and (sn.dim > 0) != require_n):
             continue
 
-        top, rest = range(p), range(p, tot)
         corners = (sa, sm, sn, sb)
-        cells = [[i * tot + j for i in rows for j in cols] for rows in (top, rest) for cols in (top, rest)]
+        cells = [{i * tot + j for i in rows for j in cols} for rows in (top, rest) for cols in (top, rest)]
 
         def coords(v):
             """v's coefficients in the basis sa + sm + sn + sb, read off its part on each corner's cells."""
             out = []
             for space, corner in zip(corners, cells):
-                part = [F(0)] * len(v)
-                for k in corner:
-                    part[k] = v[k]
-                c = space.coefficients_of(part)
+                c = space.coefficients_of([x if k in corner else 0 for k, x in enumerate(v)])
                 assert c is not None  # closure makes every corner part a member
                 out += c
             return out

@@ -219,12 +219,12 @@ def _sparsity_rows(n: int, dims: tuple[int, int, int, int]) -> Iterator[dict[int
 
 
 def _resolve(alg_or_gma, kind: IdentityKind) -> tuple[StructureConstants, tuple | None]:
-    """(algebra, dims): the singular kind's sparsity pattern reads the GMA's block dims, no other kind does."""
+    """(algebra, dims), the one gate of what a kind reads: only the singular kind reads a GMA's block dims, and needs one."""
     sjder = kind is IdentityKind.SINGULAR_JORDAN_DERIVATION
     if isinstance(alg_or_gma, GMA):
         return alg_or_gma.algebra, alg_or_gma.dims if sjder else None
     if sjder:
-        raise NotGMA("singular Jordan derivations need block structure")
+        raise NotGMA("singular Jordan derivations need a block algebra")
     return alg_or_gma, None
 
 

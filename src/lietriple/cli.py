@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 a mathematical check failed, 2 invalid input
 algebra without the unit or the block structure a command needs), with
 one ``invalid input:`` line on stderr and nothing on stdout.
 Reports are deterministic: identical inputs give byte-identical output.
+``solve`` hands the solver the entry's GMA whenever it has one, and the
+solver alone decides which identity kinds need block structure.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import hashlib
 import json
 import sys
 
-from .algebra import LinearOperator, center, double_commutator_span
+from .algebra import LinearOperator, center, commutator, double_commutator_span
 from .catalog import CatalogEntry, resolve, standard_gmas
 from .centralizers import (
     CORNERS,
@@ -73,11 +75,7 @@ def _emit(fmt: str, command: list, inputs: dict, results: dict, text_lines: list
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     entry = resolve(args.algebra)
-    kind = _KIND_FLAGS[args.identity]
-    target = entry.gma if kind is IdentityKind.SINGULAR_JORDAN_DERIVATION else entry.algebra
-    if target is None:
-        raise NotGMA("this identity kind needs a block algebra")
-    space = solve_identity_space(target, kind)
+    space = solve_identity_space(entry.gma or entry.algebra, _KIND_FLAGS[args.identity])
     results = {"dimension": space.dim, "ambient": space.ambient, "basis": space.basis}
     lines = [] if args.format == "json" else [f"dim {space.dim}"] + [", ".join(vector_doc(v)) for v in space.basis]
     command = ["solve", args.algebra, "--identity", args.identity]
@@ -246,11 +244,9 @@ def reproduction_checks() -> list[dict]:
         "example: swap map satisfies the triple-centralizer identity",
         bool(is_identity_member(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, phi)),
     )
-    lhs = phi((a0 * b0) - (b0 * a0))
-    rhs = (phi(a0) * b0) - (b0 * phi(a0))
     record(
         "example: swap map fails the Lie-centralizer identity at the witnesses",
-        lhs != rhs,
+        phi(commutator(a0, b0)) != commutator(phi(a0), b0),
         "phi([A0,B0]) != [phi(A0),B0]",
     )
     record(

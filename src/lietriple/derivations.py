@@ -244,7 +244,7 @@ def decompose_generalized_ltd(
     alg = u.algebra
     corr = check_gltd_correspondence(alg, lam_op, xi)
     if not corr:
-        raise NotGLTD(f"identity fails at basis triple {corr.witness}")
+        raise NotGLTD(corr.witness)
     block_form = block_hypotheses_hold(u)
     certified = block_form and check_cor36_hypotheses(u).satisfied
 

@@ -77,7 +77,11 @@ class NotLTD(LieTripleError):
 
 
 class NotGLTD(LieTripleError):
-    """The pair (Lambda, xi) fails the generalized triple-derivation identity."""
+    """The pair (Lambda, xi) fails the generalized triple-derivation identity; carries a witness."""
+
+    def __init__(self, witness=None):
+        self.witness = witness
+        super().__init__(f"identity fails at basis triple {witness}")
 
 
 class HashMismatch(LieTripleError):

@@ -15,8 +15,9 @@ must be associative, and a failure reports the offending basis triple.
 their A- and B-halves, the block center is their kernel, eta's
 intertwining check evaluates them on a + eta(a), and Thm 4.1's
 center-shape conditions weight them by a candidate m0 or n0.  eta is
-read off the echelon of Z(U)'s basis as pairs (a, b) and (b, a); a
-Peirce split reads its change of basis off the corner parts x e_j y.
+read off the echelon of Z(U)'s basis as pairs (a, b) and (b, a) and
+held as an ``EtaMap`` record of its basis images; a Peirce split reads
+its change of basis off the corner parts x e_j y.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .linalg import (
     row_values,
     tensor_entries,
     unit_vec,
-    vec,
 )
 from .record import Frozen, Record
 
@@ -431,27 +431,20 @@ def block_center(u: GMA) -> Subspace:
     return diagonal_kernel(u, _all_rows(_commutation_rows(u)))
 
 
-class EtaMap(Frozen):
+class EtaMap(Record):
     """The diagonal-corner correspondence on the center of a GMA.
 
-    For a in pi_A(Z(U)), eta(a) is the unique b with diag(a, b) central.
+    For a in pi_A(Z(U)), eta(a) is the unique b with diag(a, b) central:
+    ``images`` holds eta of each basis vector of ``domain``, and
+    ``preimages`` the inverse of each basis vector of ``codomain``.
     ``eta_map`` verifies it: single-valued, bijective, multiplicative,
     and intertwining (a m = m eta(a), n a = eta(a) n on all basis pairs).
     """
 
-    __slots__ = ("domain", "codomain", "images", "preimages")
-
-    def __init__(self, domain: Subspace, codomain: Subspace, images, preimages):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "images", tuple(vec(v) for v in images))
-        object.__setattr__(self, "preimages", tuple(vec(v) for v in preimages))
-
-    def __reduce__(self):
-        return EtaMap, (self.domain, self.codomain, self.images, self.preimages)
-
-    def _key(self):
-        return (self.domain, self.codomain, self.images, self.preimages)
+    domain: Subspace
+    codomain: Subspace
+    images: tuple
+    preimages: tuple
 
     def apply(self, a: Sequence[Fraction]) -> tuple:
         return self._map(self.domain, self.codomain, self.images, a, "domain")
@@ -488,7 +481,7 @@ def eta_map(u: GMA) -> EtaMap:
     corners = [(u.project("A", v), u.project("B", v)) for v in blocks.z.basis]
     images = _partners(da + db, da, [a + b for a, b in corners])
     preimages = _partners(da + db, db, [b + a for a, b in corners])
-    eta = EtaMap(blocks.pi_a, blocks.pi_b, images, preimages)
+    eta = EtaMap(blocks.pi_a, blocks.pi_b, tuple(images), tuple(preimages))
 
     # eta must be a bijection between the corner projections
     if Subspace(db, images) != blocks.pi_b or Subspace(da, preimages) != blocks.pi_a:

@@ -65,6 +65,13 @@ class TestCatalogEntries:
         assert find_unit(ex.gma.algebra) is None
         assert center(ex.gma.algebra).dim == 4
 
+    def test_example_phi_is_the_swap_of_the_diagonal_corners(self):
+        # written from indices: e_j -> e_(j+9) and e_(j+9) -> e_j for j < 3, every other basis vector -> 0
+        ex = example_1_2()
+        n = ex.gma.algebra.dim
+        swap = {**{j: j + 9 for j in range(3)}, **{j + 9: j for j in range(3)}}
+        assert ex.phi.coords == tuple(int(swap.get(j) == r) for j in range(n) for r in range(n))
+
     def test_standard_gmas_pass_their_suites(self):
         for name, u in standard_gmas().items():
             assert find_unit(u.algebra) is not None, name

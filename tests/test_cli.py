@@ -50,6 +50,19 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", "example_1_2", "--identity", "ltc")
         assert code == 0 and out.splitlines()[0] == "dim 144"
 
+    @pytest.mark.parametrize("spec, field", [("upper_triangular(3)", "gma"), ("upper_triangular(1)", "algebra")])
+    def test_solve_hands_over_the_entry_gma_when_it_has_one(self, capsys, monkeypatch, spec, field):
+        seen = []
+
+        def recording(target, kind):
+            seen.append(target)
+            return solve_identity_space(target, kind)
+
+        monkeypatch.setattr(lietriple.cli, "solve_identity_space", recording)
+        code, _, _ = run_cli(capsys, "solve", spec, "--identity", "ltc")
+        assert code == 0 and len(seen) == 1
+        assert seen[0] is getattr(resolve(spec), field)
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "upper_triangular(2)", "--identity", "lc", "--format", "json"
@@ -140,6 +153,16 @@ class TestDecompose:
         )
         assert code == 0
         assert "decomposed" in out
+
+
+    def test_a_pair_off_the_identity_exits_1_with_its_witness(self, capsys, tmp_path):
+        alg = resolve("upper_triangular(2)").algebra
+        lam_op = LinearOperator.from_flat(alg, [int(k == 0) for k in range(alg.dim**2)])  # e0 -> e0, 0 elsewhere
+        lpath = write_operator(tmp_path, "lambda.op", lam_op)
+        xipath = write_operator(tmp_path, "xi.op", LinearOperator.from_flat(alg, [0] * alg.dim**2))
+        code, out, err = run_cli(capsys, "decompose", "upper_triangular(2)", lpath, "--xi", xipath)
+        assert (code, out) == (1, "")
+        assert err == "mathematical check failed: identity fails at basis triple (0, 1, 0)\n"
 
 
 class TestHypotheses:

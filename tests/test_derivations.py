@@ -35,7 +35,7 @@ from lietriple.derivations import (
     decompose_generalized_ltd,
     decompose_ltd,
 )
-from lietriple.errors import NotLTC, NotLTD
+from lietriple.errors import NotGLTD, NotLTC, NotLTD
 from lietriple.gma import Bimodule, MoritaContext, assemble, block_hypotheses_hold
 from lietriple.properness import equivalence_audit, is_proper_direct, is_proper_thm33
 
@@ -425,6 +425,17 @@ class TestDecomposeLtd:
 
 
 class TestDecomposeGeneralized:
+    def test_a_pair_off_the_identity_is_refused_with_its_witness(self, t2g):
+        alg = t2g.algebra
+        lam_op = LinearOperator.from_flat(alg, [int(k == 0) for k in range(alg.dim**2)])  # e0 -> e0, 0 elsewhere
+        xi = zero_operator(alg)
+        chk = check_gltd_correspondence(alg, lam_op, xi)
+        assert not chk and chk.witness == (0, 1, 0)
+        with pytest.raises(NotGLTD) as exc:
+            decompose_generalized_ltd(t2g, lam_op, xi)
+        assert exc.value.witness == chk.witness
+        assert str(exc.value) == "identity fails at basis triple (0, 1, 0)"
+
     def test_lambda_equals_xi(self, t2g):
         alg = t2g.algebra
         xi = inner_derivation(alg, alg.basis_element(0).coords)

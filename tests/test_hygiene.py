@@ -1,5 +1,7 @@
 """No dead code in the package: imports are used, private helpers referenced, public names called.
 
+The package also imports nothing outside the standard library.
+
 Reads ``src/lietriple/*.py`` with ``ast``.  ``__init__.py`` only re-exports
 and ``from __future__`` imports switch on features, so both are exempt
 from the import check.  A public name that nothing in the package calls
@@ -7,6 +9,7 @@ is exported from ``__init__.py`` or listed in ``KEPT`` with its reason.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -44,6 +47,28 @@ def test_every_import_is_used(name):
     tree = MODULES[name]
     used = _used_names(tree)
     assert [n for n in _imported(tree) if not used[n]] == []
+
+
+def _absolute_imports(tree: ast.AST) -> list[str]:
+    """The top-level package of each absolute import anywhere in a tree; a relative import names none."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject.toml declares dependencies = []: a third-party import would break an install from the wheel
+    outside = [
+        f"{module}:{name}"
+        for module, tree in MODULES.items()
+        for name in _absolute_imports(tree)
+        if name not in sys.stdlib_module_names
+    ]
+    assert outside == []
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:

@@ -22,7 +22,7 @@ from lietriple.algebra import LinearOperator
 from lietriple.catalog import CatalogEntry, Example12, upper_triangular_gma
 from lietriple.centralizers import BlockDecomposition, Cor32Report, IdentityCheck, Thm31Report, block_decompose
 from lietriple.derivations import GLTDDecomposition, LTDDecomposition, Thm41HypothesisReport
-from lietriple.gma import AnnihilatorReport, CenterBlocks, PeirceDecomposition
+from lietriple.gma import AnnihilatorReport, CenterBlocks, EtaMap, PeirceDecomposition
 from lietriple.linalg import Matrix, Subspace
 from lietriple.properness import (
     Cor36Report,
@@ -52,6 +52,7 @@ FIELDS = {
     PeirceDecomposition: ("gma", "new_to_old", "old_to_new"),
     AnnihilatorReport: ("a_annihilator", "b_annihilator"),
     CenterBlocks: ("z", "pi_a", "pi_b"),
+    EtaMap: ("domain", "codomain", "images", "preimages"),
     PropernessCertificate: ("lam", "chi", "alpha_bar", "beta_bar", "transcript"),
     PropernessFailure: ("side", "witness", "target"),
     Infeasible: ("reason", "witness_element", "witness_image"),
@@ -75,6 +76,9 @@ def _sample(cls, variant: int = 0) -> dict:
         u = upper_triangular_gma(3)
         d = block_decompose(u, (variant + 1) * LinearOperator.identity(u.algebra))
         return {name: getattr(d, name) for name in FIELDS[cls]}
+    if cls is EtaMap:
+        eta = gma.eta_map(upper_triangular_gma(2 + variant))
+        return {name: getattr(eta, name) for name in FIELDS[cls]}
     values = {name: f"{cls.__name__}.{name}.{variant}" for name in FIELDS[cls]}
     if cls is CatalogEntry:
         values["extras"] = {"k": variant}
@@ -207,7 +211,6 @@ def _value_samples() -> dict:
         "GMA": u,
         "Bimodule": u.context.M,
         "MoritaContext": u.context,
-        "EtaMap": gma.eta_map(u),
     }
 
 
@@ -219,7 +222,6 @@ HASHES = {
     "Matrix": lambda x: hash((x.rows, x.cols, x.coords)),
     "Subspace": lambda x: hash((x.ambient, x.basis)),
     "GMA": lambda x: hash(x.content_hash),
-    "EtaMap": lambda x: hash((x.domain, x.codomain, x.images, x.preimages)),
 }
 
 VALUES = pytest.mark.parametrize("name", list(_value_samples()))
