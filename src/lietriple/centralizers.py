@@ -269,9 +269,11 @@ def _solved_space(alg: StructureConstants, kind: IdentityKind, dims: tuple | Non
     but K' contains K, so a tuple vanishing on K' vanishes on K.  A tuple
     whose rows add no rank (a miss) was eliminated for nothing: the work
     lost is counted as the entries of each of its rows, once plus once
-    per pivot column the row holds (one elimination each).  When the work
-    lost since the last pack reaches n^2, the least a pack costs (it
-    reads or writes every coordinate once), K is packed again; before
+    per pivot column the row holds (one elimination each), even when
+    ``add`` settles the row on unit pivots, so the packs fall where the
+    rows alone put them.  When the work lost since the last pack reaches
+    n^2, the least a pack costs (it reads or writes every coordinate
+    once), K is packed again; before
     that, every tuple is eliminated.  Every tuple is then eliminated or
     vanishes on K, and K is the kernel of a subset of the rows, so K is
     the solution space, with its canonical basis.

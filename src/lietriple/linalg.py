@@ -6,12 +6,13 @@ equal subspaces compare equal grid-by-grid and test output is
 reproducible.
 
 Each exact primitive is written once.  ``_IntEchelon`` is the only row
-elimination, and its ``add`` the only way in: it skips an empty sparse
-``{col: int}`` row and eliminates any other fraction-free as it comes,
-keeping the echelon reduced, each pivot row primitive, on every insert;
-a dependent row, a repeat included, reduces to nothing, and ``add``
-returns whether the row raised the rank.  A row's pivot
-is its greatest column, so the kernel vector of a free column f holds
+elimination, and its ``add`` the only way in: it settles a sparse
+``{col: int}`` row its unit pivot rows span, and a one-entry row at a
+new column, with no elimination, and eliminates any other
+fraction-free, keeping the echelon reduced, each pivot row primitive,
+on every insert; a dependent row, a repeat included, reduces to
+nothing, and ``add`` returns whether the row raised the rank.  A row's
+pivot is its greatest column, so the kernel vector of a free column f holds
 only f and pivots above f, and a kernel is read off the echelon with no
 second elimination; a Fraction is made only at the final division of a
 row by its pivot entry.
@@ -237,6 +238,9 @@ class _IntEchelon:
     kept.  ``_held`` holds every column a pivot row has ever held, a
     superset of the columns they hold now, since eliminating by a row
     brings in only its columns; a new lead outside it is in no pivot row.
+    ``_units`` holds the pivots p whose row is {p: 1}.  Such a row never
+    changes again, as a new lead is no pivot and a unit row holds no
+    other column, so ``_units`` only grows.
 
     A pivot row holds only its pivot and free columns below it, so the
     kernel vector of a free column f holds only f and pivots above f: it
@@ -247,10 +251,21 @@ class _IntEchelon:
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> its row
         self._held: set[int] = set()
+        self._units: set[int] = set()
 
     def add(self, row: dict[int, int]) -> bool:
-        """Insert a copy of a sparse row {col: int} of nonzero ints unless it is empty: True iff it raised the rank."""
-        return bool(row) and self.insert(dict(row))
+        """Insert a copy of a sparse row {col: int} of nonzero ints: True iff it raised the rank.
+
+        A row the unit pivots span, an empty one too, is settled with no
+        copy, and a one-entry row at a column c that is no pivot becomes
+        {c: 1}, as in ``insert``, with no elimination.
+        """
+        if self._units.issuperset(row):
+            return False
+        if len(row) == 1 and (c := next(iter(row))) not in self.rows:
+            self._back_substitute(c, {c: 1})
+            return True
+        return self.insert(dict(row))
 
     def insert(self, row: dict[int, int]) -> bool:
         """Add a nonzero row, reducing it in place; a row in the span adds nothing and returns False, any other True.
@@ -266,14 +281,22 @@ class _IntEchelon:
         if not row:
             return False
         lead = max(row)
-        row = _primitive(row, lead)
+        self._back_substitute(lead, _primitive(row, lead))
+        return True
+
+    def _back_substitute(self, lead: int, row: dict[int, int]) -> None:
+        """Eliminate a new primitive pivot row's lead from the pivot rows that hold it, place the row, and note unit rows."""
+        rows, units = self.rows, self._units
         if lead in self._held:
             for p, prow in rows.items():
                 if lead in prow:
-                    rows[p] = _primitive(_eliminate(prow, row, lead), p)
+                    rows[p] = prow = _primitive(_eliminate(prow, row, lead), p)
+                    if len(prow) == 1:
+                        units.add(p)
         self._held.update(row)
         rows[lead] = row
-        return True
+        if len(row) == 1:
+            units.add(lead)
 
     def _free_columns(self, ambient: int) -> dict[int, dict[int, int]]:
         """{f: {p: row p at f}} over the free columns f in range(ambient), ascending, and the pivots p whose row holds f.
