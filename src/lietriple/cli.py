@@ -96,9 +96,8 @@ def _certificate_result(res) -> tuple[dict, list[str]]:
             "chi": _columns_doc(res.chi),
             "transcript": [[name, ok] for name, ok in res.transcript],
         }
-        lam_zero = all(x == 0 for x in res.lam.coords)
         lines = [
-            "PROPER lambda=" + ("0" if lam_zero else str(res.lam))
+            "PROPER lambda=" + ("0" if res.lam.is_zero() else str(res.lam))
             + " chi=" + ("0" if res.chi.is_zero() else "(center-valued map)")
         ]
         return doc, lines
@@ -273,12 +272,8 @@ def reproduction_checks() -> list[dict]:
         except LieTripleError as exc:  # pragma: no cover
             record(f"center correspondence [{name}]: eta verifies as an isomorphism", False, str(exc))
         space = solve_identity_space(u.algebra, IdentityKind.LIE_TRIPLE_CENTRALIZER)
-        ok = all(
-            verify_thm31_conditions(
-                u, block_decompose(u, LinearOperator(u.algebra, v))
-            ).passed
-            for v in space.basis
-        )
+        ops = [LinearOperator(u.algebra, v) for v in space.basis]
+        ok = all(verify_thm31_conditions(u, block_decompose(u, op)).passed for op in ops)
         record(f"block form [{name}]: every solved basis element passes the conditions", ok)
         audit = equivalence_audit(u)
         record(
@@ -287,13 +282,7 @@ def reproduction_checks() -> list[dict]:
             f"{audit.ltc.dim} operators, {audit.improper_codimension} improper",
         )
         cor = check_cor36_hypotheses(u)
-        proper_all = all(
-            isinstance(
-                is_proper_thm33(u, LinearOperator(u.algebra, v)),
-                PropernessCertificate,
-            )
-            for v in space.basis
-        )
+        proper_all = all(isinstance(is_proper_thm33(u, op), PropernessCertificate) for op in ops)
         record(
             f"sufficiency [{name}]: hypotheses hold and every solution splits",
             cor.satisfied and proper_all,

@@ -9,7 +9,9 @@ required key, a label that is not a JSON string, or a ``dim`` that is
 not a JSON int >= 0 (for an algebra: equal to its table size) raises
 ValueError, as does a file nested too deeply for the JSON reader.  A
 message echoes the offending value through ``brief``, so it stays one
-short line however large or deeply nested the value is.  The writer
+short line however large or deeply nested the value is.  Every grid of
+rationals is read by ``_grid``, through ``_Rationals``, so each distinct
+string of a document is parsed once.  The writer
 also takes a rational vector, a list or tuple of Fractions, as a leaf.
 """
 
@@ -68,14 +70,6 @@ def _dim(value, what: str) -> int:
     return value
 
 
-def parse_grid(rows) -> list:
-    """A JSON list of lists of rationals."""
-    return [
-        [parse_rat(x) for x in _expect(row, list, "grid row")]
-        for row in _expect(rows, list, "grid")
-    ]
-
-
 class _Rationals(dict):
     """A document's rational strings, each read by ``parse_rat`` on its first lookup."""
 
@@ -84,16 +78,23 @@ class _Rationals(dict):
         return x
 
 
+def _grid(rows, parsed: _Rationals) -> list:
+    """A JSON list of lists of rationals, its strings read through the document's ``parsed``."""
+    return [
+        [parsed[x] if type(x) is str else parse_rat(x) for x in _expect(row, list, "grid row")]
+        for row in _expect(rows, list, "grid")
+    ]
+
+
+def parse_grid(rows) -> list:
+    """A JSON list of lists of rationals, each distinct string parsed once."""
+    return _grid(rows, _Rationals())
+
+
 def _parse_planes(planes) -> list:
     """The planes of a tensor as grids of rationals, each distinct string of the document parsed once."""
     parsed = _Rationals()
-    return [
-        [
-            [parsed[x] if type(x) is str else parse_rat(x) for x in _expect(row, list, "grid row")]
-            for row in _expect(plane, list, "grid")
-        ]
-        for plane in _expect(planes, list, "tensor")
-    ]
+    return [_grid(plane, parsed) for plane in _expect(planes, list, "tensor")]
 
 
 def sc_from_doc(doc: dict) -> StructureConstants:

@@ -17,15 +17,15 @@ only f and pivots above f, and a kernel is read off the echelon with no
 second elimination; a Fraction is made only at the final division of a
 row by its pivot entry.
 ``clear_denominators`` is the one helper that clears denominators, once
-per system or table.  ``Subspace``, ``kernel_of_rows`` and ``solve``
-fill one echelon through ``_echelon``; the identity solver of
-``centralizers`` fills one row by row.  ``Subspace`` and ``solve``
-number columns from the end (``_mirrored``), so their echelon pivots on
-least columns: ``Subspace`` reads its canonical basis off the pivot
-rows, and ``solve`` sees an inconsistent system as a pivot at its
-right-hand side, column 0, and reads its particular solution off the
-pivot rows' entries there.  A member's coefficients are its entries at
-the pivots, which ``Subspace.coefficients_of`` checks through
+per system or table.  ``Subspace`` and ``kernel_of_rows`` fill one
+echelon through ``_echelon``; the identity solver of ``centralizers``
+fills one row by row.  ``Subspace`` numbers columns from the end, so its
+echelon pivots on least columns, and reads its canonical basis off the
+pivot rows.  ``solve`` is a reader of the ``Subspace`` of its augmented
+rows, the right-hand side as the last column: an inconsistent system is
+a pivot there, and the particular solution is the basis vectors' entries
+there.  A member's coefficients are its entries at the pivots, which
+``Subspace.coefficients_of`` checks through
 ``combination``, the only linear combination; it skips zeros, so sparse
 data costs only its nonzeros, and sums ints, its data scaled once per
 call.  ``preimage`` is the one statement of "x maps into a subspace",
@@ -396,17 +396,6 @@ def _echelon(rows: Iterable[dict | Sequence], ambient: int) -> _IntEchelon:
     return ech
 
 
-def _mirrored(rows: Iterable[dict | Sequence], ambient: int) -> Iterable[dict | Sequence]:
-    """The rows with column c numbered ambient - 1 - c: a dense row reversed, a sparse row's keys renumbered.
-
-    A greatest-column pivot of the mirrored rows is a least-column pivot
-    of the rows, and a column outside range(ambient) stays outside.
-    """
-    last = ambient - 1
-    for row in rows:
-        yield {last - c: x for c, x in row.items()} if isinstance(row, dict) else row[::-1]
-
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -453,18 +442,24 @@ def solve(ambient: int, rows: Sequence[dict | Sequence], rhs: Sequence) -> Vecto
     Rows are in any form ``kernel_of_rows`` takes.  Returns the echelon
     particular solution (free variables zero), or None when no solution
     exists; the homogeneous solutions are ``kernel_of_rows`` of the rows.
+    The answer is read off the ``Subspace`` of the augmented rows, the rhs
+    as column ``ambient``: its basis vector of pivot p reads x_p + (free
+    terms) = its entry at ``ambient``, and a pivot at ``ambient`` is a
+    row 0 = b with b nonzero.
     """
     if len(rhs) != len(rows):
         raise DimensionMismatch(f"rhs length {len(rhs)} vs {len(rows)} rows")
     if any(isinstance(row, dict) and ambient in row for row in rows):
         raise DimensionMismatch(f"a row with a column outside range({ambient})")
-    augmented = ({**row, ambient: b} if isinstance(row, dict) else (*row, b) for row, b in zip(rows, rhs))
-    # mirrored, the rhs column is 0 and x_k is column ambient - k: the pivots are those of the rref
-    piv = _echelon(_mirrored(augmented, ambient + 1), ambient + 1).rows
-    if 0 in piv:  # a row 0 = b with b nonzero
+    augmented = Subspace(
+        ambient + 1, ({**row, ambient: b} if isinstance(row, dict) else (*row, b) for row, b in zip(rows, rhs))
+    )
+    if ambient in augmented.pivots:
         return None
-    # pivot row p = ambient - k reads row[p] * x_k = row[0], the free x_k being zero
-    return tuple(Fraction(piv[p].get(0, 0), piv[p][p]) if (p := ambient - k) in piv else _ZERO for k in range(ambient))
+    x = [_ZERO] * ambient
+    for p, v in zip(augmented.pivots, augmented.basis):
+        x[p] = v[ambient]
+    return tuple(x)
 
 
 class Subspace(Frozen):
@@ -478,9 +473,10 @@ class Subspace(Frozen):
     __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
-        # the echelon of the mirrored vectors pivots on their least columns
+        # column c numbered last - c, a dense vector reversed: the echelon then pivots on the vectors' least columns
         last = ambient - 1
-        rows = _echelon(_mirrored(vectors, ambient), ambient).rows
+        mirrored = ({last - c: x for c, x in v.items()} if isinstance(v, dict) else v[::-1] for v in vectors)
+        rows = _echelon(mirrored, ambient).rows
         pivots = sorted(rows, reverse=True)
         reduced = [{last - c: Fraction(x, rows[p][p]) for c, x in rows[p].items()} for p in pivots]
         self._fill(ambient, reduced, [last - p for p in pivots])

@@ -9,7 +9,9 @@ what the twelve-dimensional counterexample requires.
 The condition on chi is stated once, as the int rows of
 ``central_vanishing_rows``: the direct route evaluates them on phi and on
 multiplication by the center basis, and every certificate on chi; their
-kernel, ``central_vanishing_space`` (CV), is built once per algebra.  The
+kernel, ``central_vanishing_space`` (CV), is built once per algebra.
+``_certificate`` is the one builder of a ``PropernessCertificate``, for
+both routes: it re-checks the transcript and refuses a failing one.  The
 Thm 3.3 corner tests are each stated once too: ``_unit_failure`` (alpha4
 and beta1 at the units) and ``BlockDecomposition.ranges_inside`` (their
 whole ranges, which Cor 3.2 also reads with the corner centers as
@@ -130,24 +132,27 @@ def central_vanishing_verdicts(alg: StructureConstants, op: LinearOperator) -> t
     return tuple(not any(row_values(rows, flat)) for rows in central_vanishing_rows(alg))
 
 
-def _verify_certificate(
+def _certificate(
     alg: StructureConstants,
     phi: LinearOperator,
     lam_coords: tuple,
     chi: LinearOperator,
+    alpha_bar: Matrix | None = None,
+    beta_bar: Matrix | None = None,
     extra: tuple[tuple[str, bool], ...] = (),
-) -> tuple[tuple[str, bool], ...]:
+) -> PropernessCertificate:
+    """The certificate of phi = lambda X + chi(X), once its transcript is re-checked; LieTripleError if any line fails."""
     into_center, kills_dc = central_vanishing_verdicts(alg, chi)
-    result = (
+    transcript = (
         ("lambda is central", center(alg).contains_vector(lam_coords)),
         ("phi(X) = lambda X + chi(X) on every basis vector",
          multiplication_operator(alg, lam_coords) + chi == phi),
         ("chi maps every basis vector into the center", into_center),
         ("chi vanishes on all double commutators", kills_dc),
     ) + extra
-    if not all(ok for _, ok in result):
-        raise LieTripleError(f"certificate failed re-verification: {result}")
-    return result
+    if not all(ok for _, ok in transcript):
+        raise LieTripleError(f"certificate failed re-verification: {transcript}")
+    return PropernessCertificate(AlgebraElement(alg, lam_coords), chi, alpha_bar, beta_bar, transcript)
 
 
 def _solve_lambda(rows, mults, phi_flat):
@@ -168,8 +173,6 @@ def is_proper_direct(
     sum_t c_t R(z_t .) = R(phi), in ints.  Works on non-unital algebras.
     """
     _require_member(alg, IdentityKind.LIE_TRIPLE_CENTRALIZER, phi)
-    n = alg.dim
-    z = center(alg)
     into_center, kills_dc = central_vanishing_rows(alg)
     *mults, phi_flat = int_flats(*_center_multiplications(alg), phi.coords)
     coeffs = _solve_lambda(into_center + kills_dc, mults, phi_flat)
@@ -183,16 +186,8 @@ def is_proper_direct(
             witness_element=x,
             witness_image=phi(x),
         )
-    lam_coords = combination(coeffs, z.basis, n)
-    chi = phi - multiplication_operator(alg, lam_coords)
-    transcript = _verify_certificate(alg, phi, lam_coords, chi)
-    return PropernessCertificate(
-        lam=AlgebraElement(alg, lam_coords),
-        chi=chi,
-        alpha_bar=None,
-        beta_bar=None,
-        transcript=transcript,
-    )
+    lam_coords = combination(coeffs, center(alg).basis, alg.dim)
+    return _certificate(alg, phi, lam_coords, phi - multiplication_operator(alg, lam_coords))
 
 
 @memoized
@@ -274,14 +269,7 @@ def is_proper_thm33(u: GMA, phi: LinearOperator) -> PropernessCertificate | Prop
         ("lambda equals diag(alpha_bar(1_A), beta_bar(1_B))", True),
         ("eta(alpha_bar(1_A)) = beta_bar(1_B)", eta.apply(a0) == b0),
     )
-    transcript = _verify_certificate(alg, phi, lam_coords, chi, extra)
-    return PropernessCertificate(
-        lam=AlgebraElement(alg, lam_coords),
-        chi=chi,
-        alpha_bar=alpha_bar,
-        beta_bar=beta_bar,
-        transcript=transcript,
-    )
+    return _certificate(alg, phi, lam_coords, chi, alpha_bar, beta_bar, extra)
 
 
 class Cor36Report(Record):

@@ -35,7 +35,7 @@ from lietriple.catalog import (
 )
 from lietriple.centralizers import _FORMS, IdentityKind, _constraint_tuples, _tags
 from lietriple.derivations import _commutator_into_center_forces_central
-from lietriple.errors import AlgebraMismatch, NotAssociative
+from lietriple.errors import AlgebraMismatch, DimensionMismatch, NotAssociative
 from lietriple.linalg import Subspace, kernel_of_rows, solve, unit_vec
 from lietriple.symmetry import orbit_tags, triple_tuple
 from oracles import (
@@ -281,6 +281,10 @@ class TestCommutant:
         bigger = s.sum(Subspace(4, [(1, 0, 0, 0)]))
         assert com.contains(commutant(m2, bigger))
 
+    def test_a_subspace_of_another_ambient_is_refused(self, m2):
+        with pytest.raises(DimensionMismatch, match="^subspace does not live in the algebra$"):
+            commutant(m2, Subspace(m2.dim + 1))
+
 
 def _rebased_t3() -> StructureConstants:
     alg = rebased(upper_triangular(3), unit_diagonal_basis(random.Random(0), 6))
@@ -376,6 +380,10 @@ class TestLinearOperator:
         op = LinearOperator.identity(m2)
         for i in range(4):
             assert op(m2.basis_element(i)) == m2.basis_element(i)
+
+    def test_from_images_needs_one_image_per_basis_vector(self, m2):
+        with pytest.raises(DimensionMismatch, match="^need one image per basis vector$"):
+            LinearOperator.from_images(m2, m2.basis()[:-1])
 
 
 def left_unit_algebra():

@@ -286,6 +286,19 @@ def _no_table(cells):
     raise AssertionError(f"the {len(cells)} cells of a table were listed")
 
 
+@pytest.mark.parametrize("spec", ["upper_triangular(0)", "full_matrix(0)"])
+def test_a_matrix_size_below_one_exits_2(capsys, spec):
+    assert main(["solve", spec, "--identity", "ltc"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "invalid input: n must be at least 1\n")
+
+
+@pytest.mark.parametrize("split", [0, 3])
+def test_a_split_outside_the_matrix_is_refused(split):
+    with pytest.raises(ValueError, match="^split must lie strictly inside the matrix$"):
+        full_matrix_gma(3, split=split)
+
+
 @pytest.mark.parametrize(
     "build, n",
     [(full_matrix, 13), (upper_triangular, 18), (full_matrix_gma, 13), (upper_triangular_gma, 18)],

@@ -164,6 +164,22 @@ class TestDecompose:
         assert (code, out) == (1, "")
         assert err == "mathematical check failed: identity fails at basis triple (0, 1, 0)\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_an_xi_outside_der_sjd_cv_exits_1_infeasible(self, capsys, tmp_path, fmt):
+        # on example 1.2 every operator is an LTC and an LTD, so Lambda = xi
+        # is a GLTD whose phi = 0 is proper; this xi is outside Der + SJD + CV
+        alg = resolve("example_1_2").algebra
+        path = write_operator(tmp_path, "xi.op", LinearOperator(alg, [int(k == 0) for k in range(alg.dim**2)]))
+        code, out, err = run_cli(capsys, "decompose", "example_1_2", path, "--xi", path, "--format", fmt)
+        assert (code, err) == (1, "")
+        reason = "xi is outside derivations + singular + central-vanishing"
+        if fmt == "text":
+            assert out == f"INFEASIBLE: {reason}\n"
+        else:
+            report = json.loads(out)
+            assert report["results"] == {"reason": reason, "verdict": "infeasible"}
+            assert report["status"] == "math-failure"
+
 
 class TestHypotheses:
     def test_text_report(self, capsys):

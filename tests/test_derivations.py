@@ -37,7 +37,7 @@ from lietriple.derivations import (
 )
 from lietriple.errors import NotGLTD, NotLTC, NotLTD
 from lietriple.gma import Bimodule, MoritaContext, assemble, block_hypotheses_hold
-from lietriple.properness import equivalence_audit, is_proper_direct, is_proper_thm33
+from lietriple.properness import Infeasible, equivalence_audit, is_proper_direct, is_proper_thm33
 
 from oracles import (
     center_shape_holds,
@@ -387,6 +387,13 @@ class TestDecomposeLtd:
         assert isinstance(res, LTDDecomposition)
         assert matrix_of(res.delta + res.singular + res.gamma) == matrix_of(xi)
         assert is_identity_member(alg, K.DERIVATION, res.delta)
+
+    def test_an_ltd_outside_der_sjd_cv_is_infeasible(self):
+        # every double commutator of example 1.2 vanishes, so every operator
+        # is an LTD, but Der + SJD + CV has dimension 59 < 144 (Der 43, SJD 4, CV 48)
+        u = resolve("example_1_2").gma
+        xi = LinearOperator(u.algebra, [int(k == 0) for k in range(u.algebra.dim**2)])  # e0 -> e0, 0 elsewhere
+        assert decompose_ltd(u, xi) == Infeasible("xi is outside derivations + singular + central-vanishing")
 
     def test_whole_basis_never_infeasible(self, t2g, m2g):
         for u in (t2g, m2g):

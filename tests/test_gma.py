@@ -98,6 +98,21 @@ class TestAssemble:
         with pytest.raises(InvalidBlockStructure):
             GMA(full_matrix(2), (1, 2, 0, 1))
 
+    def test_dims_off_the_algebra_dimension_are_refused(self):
+        with pytest.raises(DimensionMismatch, match="^block dims do not sum to the algebra dimension$"):
+            GMA(full_matrix(2), (1, 1, 1, 2))
+
+    @pytest.mark.parametrize(
+        "side, message", [("M", "M must be an \\(A, B\\)-bimodule"), ("N", "N must be a \\(B, A\\)-bimodule")]
+    )
+    def test_a_bimodule_over_other_algebras_is_refused(self, side, message):
+        # M's left algebra, or N's right algebra, has dim 2, where A = Q has dim 1
+        q = rationals()
+        reg = Bimodule.regular(q)
+        m, n = (Bimodule(1, 2, 1, {}, {}), reg) if side == "M" else (reg, Bimodule(1, 1, 2, {}, {}))
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            MoritaContext(q, q, m, n, {}, {})
+
 
 # A negative corner, five corners, a float and a bool, on M2(Q) + Q; the
 # bool would build the GMA (1, 1, 1, 2) under a second content hash.
@@ -296,6 +311,12 @@ class TestEta:
                 continue
             eta = eta_map(u)  # constructor re-verifies everything
             assert len(eta.images) == eta.domain.dim
+
+    def test_an_element_outside_the_domain_is_refused(self):
+        # pi_A(Z) of M3 split after two points is spanned by the unit (1, 0, 0, 1) of A = M2
+        eta = eta_map(full_matrix_gma(3, split=2))
+        with pytest.raises(DimensionMismatch, match="^element outside the domain of eta$"):
+            eta.apply((1, 0, 0, 0))
 
     def test_empty_map_is_vacuously_fine(self):
         eta = EtaMap(Subspace.zero(2), Subspace.zero(3), (), ())

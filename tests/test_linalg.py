@@ -281,7 +281,43 @@ def dependent_systems(draw):
     return ncols, draw(st.permutations(rows))
 
 
+@st.composite
+def solve_systems(draw):
+    """(ambient, grid, rows, rhs): up to six rows in Q^ambient, ambient 0-5, and their rhs.
+
+    The grid's entries are mostly zero or all drawn freely, and each row
+    goes to ``solve`` dense or as a {col: value} dict of its nonzeros.  The
+    rhs is the grid times a drawn x, so the system is consistent; or it is
+    drawn freely, with the first row repeated at another rhs in half of
+    those draws, so the system may be, or is, inconsistent.
+    """
+    ambient = draw(st.integers(0, 5))
+    entry = draw(st.sampled_from([st.one_of(st.just(F(0)), st.just(F(0)), small_frac), small_frac]))
+    grid = draw(st.lists(st.lists(entry, min_size=ambient, max_size=ambient), max_size=6))
+    if draw(st.booleans()):
+        x = draw(st.lists(small_frac, min_size=ambient, max_size=ambient))
+        rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in grid]
+    else:
+        rhs = draw(st.lists(small_frac, min_size=len(grid), max_size=len(grid)))
+        if grid and draw(st.booleans()):
+            grid, rhs = [*grid, grid[0]], [*rhs, rhs[0] + 1]
+    rows = [{c: x for c, x in enumerate(row) if x} if draw(st.booleans()) else tuple(row) for row in grid]
+    return ambient, grid, rows, rhs
+
+
 class TestProperties:
+    @given(solve_systems())
+    def test_solve_is_the_particular_solution_of_the_augmented_gauss_jordan(self, system):
+        # None iff a pivot lands in the rhs column; otherwise x_p is the rhs
+        # entry of pivot p's row, and every free variable is zero
+        ambient, grid, rows, rhs = system
+        reduced, pivots = gauss_jordan([[*row, b] for row, b in zip(grid, rhs)])
+        x = [F(0)] * ambient
+        for r, p in enumerate(pivots):
+            if p < ambient:
+                x[p] = reduced[r][ambient]
+        assert solve(ambient, rows, rhs) == (None if ambient in pivots else tuple(x))
+
     @given(matrices())
     def test_rref_idempotent(self, m):
         assert Subspace(m.cols, rref_rows(m)).basis == rref_rows(m)

@@ -225,6 +225,18 @@ class TestCertificates:
             assert r12.chi == r1.chi + r2.chi
 
 
+    @pytest.mark.parametrize(
+        "route", [lambda u, phi: is_proper_direct(u.algebra, phi), is_proper_thm33], ids=["direct", "thm33"]
+    )
+    def test_a_certificate_that_fails_its_recheck_is_refused(self, gmas, monkeypatch, route):
+        # the identity of T3 is proper on both routes; once the re-check
+        # finds chi off the center, no certificate may be returned
+        monkeypatch.setattr(properness, "central_vanishing_verdicts", lambda alg, op: (False, True))
+        u = gmas["T3"]
+        with pytest.raises(LieTripleError, match="^certificate failed re-verification: "):
+            route(u, LinearOperator.identity(u.algebra))
+
+
 class TestCor36:
     def test_m2_and_t2_satisfied_via_centers(self, gmas):
         for name in ("T2", "T3", "M2", "M3"):

@@ -84,6 +84,8 @@ NOT_MATRIX_UNITS = {
     "rebased M2": lambda: _rebased(full_matrix(2), _elementary(4, {(0, 1): 1}), _elementary(4, {(0, 1): -1})),
     "M3, e12 negated": lambda: _rebased(full_matrix(3), _M3_SIGNED, _M3_SIGNED),
     "Q": rationals,
+    # two idempotent units, 2 * 2 = dim 4, but no unit fixes the basis vectors of the zero summand
+    "Q x Q x 0^2": lambda: direct_sum(direct_sum(rationals(), rationals()), StructureConstants(2, {})),
 }
 
 
